@@ -102,8 +102,17 @@ def gamma_sequence(points: PointSequence, n: int) -> float:
 def gamma_table(points: PointSequence) -> tuple[np.ndarray, np.ndarray]:
     """(gamma_n, log C_n) for n = 1..len(points)-1, with
     log C_n = n * (log n - log gamma_n)."""
-    n_max = len(points) - 1
-    gammas = np.array([gamma_sequence(points, n) for n in range(1, n_max + 1)])
+    # a running minimum of each new point's gaps to the earlier points is
+    # exactly gamma_sequence's pairwise minimum, in O(n^2) overall
+    pts = points.as_array()
+    n_max = len(pts) - 1
+    gammas = np.empty(n_max)
+    min_gap = math.inf
+    for n in range(1, n_max + 1):
+        min_gap = min(min_gap, float(np.abs(pts[:n] - pts[n]).min()))
+        if min_gap == 0.0:
+            raise ValueError("points must be pairwise distinct")
+        gammas[n - 1] = min(0.5 * min_gap, 1.0 / n)
     ns = np.arange(1, n_max + 1, dtype=float)
     log_c = ns * (np.log(ns) - np.log(gammas))
     return gammas, log_c
@@ -353,6 +362,31 @@ class BlockStructure:
         if not 1 <= j <= self.block_sizes[k - 1]:
             raise ValueError(f"position {j} out of range for stage {k}")
         return sum(self.block_sizes[:k - 1]) + j
+
+    def log_mags(self, z: np.ndarray | complex, lo: int, hi: int):
+        """Yield log|f_n(z)| for n = lo..hi, in order, with 1 <= lo.
+
+        Consecutive members whose roots extend one another (the members of
+        a separating-family stage are prefixes of one Leja sequence) share
+        a running root sum, so each root term is evaluated once per run of
+        such members.  The sum starts from zero, adds roots in order and
+        folds log_scale in last, exactly as RootPolynomial.log_abs does, so
+        every value is bit-identical to the per-member evaluation.
+        """
+        if lo < 1 or hi > len(self.members):
+            raise ValueError(
+                f"orders {lo}..{hi} outside 1..{len(self.members)}")
+        zs = np.asarray(z, dtype=complex)
+        prefix: tuple[complex, ...] = ()
+        total = np.zeros(zs.shape)
+        for ell in range(lo, hi + 1):
+            h = self.members[ell - 1]
+            if h.roots[:len(prefix)] != prefix:
+                prefix, total = (), np.zeros(zs.shape)
+            for r in h.roots[len(prefix):]:
+                total += _log_abs(zs - r)
+            prefix = h.roots
+            yield ell * (total + h.log_scale)
 
 
 def block_series(members: Sequence[RootPolynomial],

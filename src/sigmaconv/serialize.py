@@ -14,7 +14,7 @@ import json
 from pathlib import Path
 
 from . import pgmio
-from .construct import (BlockStructure, CountableStructure, DenseEnumeration,
+from .construct import (BlockStructure, CountableStructure,
                         InterleaveStructure, RootPolynomial,
                         ScaledProductStructure, block_series,
                         countable_series_from_tables, interleave,
@@ -29,7 +29,23 @@ def _c2j(z: complex) -> list[float]:
 
 
 def _j2c(pair) -> complex:
-    return complex(pair[0], pair[1])
+    try:
+        x, y = pair
+    except (TypeError, ValueError):
+        raise ValueError(f"expected an [re, im] pair, got {pair!r}") from None
+    z = complex(x, y)
+    if z != z:
+        raise ValueError(f"NaN in complex pair {pair!r}")
+    return z
+
+
+def _real(value, name: str) -> float:
+    # NaN would load silently and, outside the tail window, never reach the
+    # classifier's own NaN check; -inf stays allowed (vanishing terms)
+    x = float(value)
+    if x != x:
+        raise ValueError(f"{name} is NaN")
+    return x
 
 
 def grid_to_json(grid: Grid) -> dict:
@@ -49,7 +65,7 @@ def _member_to_json(member: RootPolynomial) -> dict:
 
 def _member_from_json(obj: dict) -> RootPolynomial:
     return RootPolynomial(tuple(_j2c(r) for r in obj["roots"]),
-                          float(obj["log_scale"]))
+                          _real(obj["log_scale"], "member log_scale"))
 
 
 def series_to_json(series: CoefficientSeries) -> dict:
@@ -84,13 +100,13 @@ def series_from_json(obj: dict) -> CoefficientSeries:
     if kind == "countable":
         return countable_series_from_tables(CountableStructure(
             tuple(_j2c(p) for p in obj["points"]),
-            tuple(float(g) for g in obj["gammas"]),
-            tuple(float(c) for c in obj["log_c"])))
+            tuple(_real(g, "gammas entry") for g in obj["gammas"]),
+            tuple(_real(c, "log_c entry") for c in obj["log_c"])))
     if kind == "blocks":
         return block_series(
             [_member_from_json(m) for m in obj["members"]],
             [int(b) for b in obj["block_sizes"]],
-            float(obj["f0_log_mag"]),
+            _real(obj["f0_log_mag"], "f0_log_mag"),
             obj.get("description", "block series"),
             [int(u) for u in obj.get("uncovered_counts", [])])
     if kind == "interleave":
@@ -99,7 +115,7 @@ def series_from_json(obj: dict) -> CoefficientSeries:
     if kind == "scaled-product":
         return scaled_product_from_tables(ScaledProductStructure(
             tuple(_j2c(p) for p in obj["points"]),
-            tuple(float(c) for c in obj["log_c"])))
+            tuple(_real(c, "log_c entry") for c in obj["log_c"])))
     raise ValueError(f"unknown series type {kind!r}")
 
 
@@ -173,19 +189,6 @@ def load_decomposition(outdir: str | Path) -> Decomposition:
             raise ValueError(f"stage {n} masks disagree with manifest grid")
     return Decomposition(grid, [], n_max, {}, {}, E_list, U_list,
                          list(manifest["hull_identity"]))
-
-
-def enumeration_to_json(result: DenseEnumeration) -> dict:
-    return {
-        "achieved_level": result.achieved_level,
-        "saturated_at": list(result.saturated_at) if result.saturated_at else None,
-        "points": [_c2j(p) for p in result.sequence.points],
-        "slots": [{"index": s.index, "level": s.level, "slot": s.slot,
-                   "chosen": _c2j(s.chosen), "source_index": s.source_index,
-                   "required_log_radius": s.required_log_radius,
-                   "attained_log_distance": s.attained_log_distance}
-                  for s in result.steps],
-    }
 
 
 def save_report(report: dict, path: str | Path) -> None:

@@ -55,7 +55,10 @@ class CoefficientSeries:
     the matching float or float ndarray of log|f_n(z)| values (-inf allowed,
     NaN forbidden).  ``max_supported_n`` is None for unbounded oracles.
     ``structure`` optionally carries the constructive description used for
-    serialization (see construct.py).
+    serialization (see construct.py).  A structure with a
+    ``log_mags(z, lo, hi)`` method, yielding log|f_n(z)| for n = lo..hi with
+    the oracle's exact values, evaluates whole order ranges for the
+    classifier; the oracle is the fallback.
     """
 
     coeff_log_mag: Callable[[int, np.ndarray | complex], np.ndarray | float]
@@ -74,13 +77,30 @@ class CoefficientSeries:
             out = self.coeff_log_mag(n, z)
         except Exception as exc:
             raise RuntimeError(f"coefficient oracle failed at n={n}") from exc
-        arr = np.asarray(out, dtype=float)
-        if np.isnan(arr).any():
-            bad = np.argwhere(np.isnan(arr))
-            raise RuntimeError(
-                f"coefficient oracle produced NaN at n={n}, "
-                f"first offending entry index {tuple(bad[0])}")
-        return arr
+        return _reject_nan(out, n)
+
+
+def _reject_nan(values, n: int) -> np.ndarray:
+    arr = np.asarray(values, dtype=float)
+    if np.isnan(arr).any():
+        bad = np.argwhere(np.isnan(arr))
+        raise RuntimeError(
+            f"coefficient oracle produced NaN at n={n}, "
+            f"first offending entry index {tuple(bad[0])}")
+    return arr
+
+
+def _log_mags(series: CoefficientSeries, z: np.ndarray | complex, lo: int,
+              hi: int):
+    """Yield (n, log|f_n(z)|) for n = lo..hi, through the structure's own
+    evaluator when it has one, else order by order through the oracle."""
+    evaluate = getattr(series.structure, "log_mags", None)
+    if evaluate is None:
+        for n in range(lo, hi + 1):
+            yield n, series.log_mag(n, z)
+        return
+    for n, out in zip(range(lo, hi + 1), evaluate(z, lo, hi), strict=True):
+        yield n, _reject_nan(out, n)
 
 
 @dataclass
@@ -114,13 +134,17 @@ class ConvergenceMap:
                 for v, name in VERDICT_NAMES.items()}
 
 
-def _check_budgets(series: CoefficientSeries, N: int, B: float, M: float) -> None:
-    if N < MIN_N:
-        raise ValueError(f"N must be >= {MIN_N}")
+def _check_range(series: CoefficientSeries, N: int, min_n: int) -> None:
+    if N < min_n:
+        raise ValueError(f"N must be >= {min_n}")
     if series.max_supported_n is not None and N > series.max_supported_n:
         raise ValueError(
             f"N={N} exceeds the series' supported range "
             f"(max_supported_n={series.max_supported_n})")
+
+
+def _check_budgets(series: CoefficientSeries, N: int, B: float, M: float) -> None:
+    _check_range(series, N, MIN_N)
     if not B < M:
         raise ValueError("budgets must satisfy B < M")
 
@@ -131,15 +155,10 @@ def tail_window(N: int) -> tuple[int, int]:
 
 def growth_exponent(series: CoefficientSeries, z: complex, N: int) -> GrowthProfile:
     """Exponent profile of a single point, orders 1..N."""
-    if N < MIN_N:
-        raise ValueError(f"N must be >= {MIN_N}")
-    if series.max_supported_n is not None and N > series.max_supported_n:
-        raise ValueError(
-            f"N={N} exceeds the series' supported range "
-            f"(max_supported_n={series.max_supported_n})")
+    _check_range(series, N, MIN_N)
     exps = np.empty(N)
-    for n in range(1, N + 1):
-        exps[n - 1] = float(series.log_mag(n, z)) / n
+    for n, lm in _log_mags(series, z, 1, N):
+        exps[n - 1] = float(lm) / n
     lo, hi = tail_window(N)
     sup = float(np.max(exps[lo - 1:hi]))
     return GrowthProfile(z, exps, sup, (lo, hi))
@@ -148,8 +167,7 @@ def growth_exponent(series: CoefficientSeries, z: complex, N: int) -> GrowthProf
 def _tail_sup(series: CoefficientSeries, zs: np.ndarray, N: int) -> np.ndarray:
     lo, _ = tail_window(N)
     sup = np.full(zs.shape, -np.inf)
-    for n in range(lo, N + 1):
-        lm = series.log_mag(n, zs)
+    for n, lm in _log_mags(series, zs, lo, N):
         np.maximum(sup, lm / n, out=sup)
     return sup
 
@@ -160,15 +178,14 @@ def classify_point(series: CoefficientSeries, z: complex, N: int,
     diverge conditions are mutually exclusive."""
     _check_budgets(series, N, B, M)
     profile = growth_exponent(series, z, N)
-    return _verdict_from_sup(profile.sup_estimate, B, M)
+    return Verdict(int(_verdicts(np.asarray(profile.sup_estimate), B, M)))
 
 
-def _verdict_from_sup(sup: float, B: float, M: float) -> Verdict:
-    if sup <= B:
-        return Verdict.CONVERGE
-    if sup >= M:
-        return Verdict.DIVERGE
-    return Verdict.UNDETERMINED
+def _verdicts(sup: np.ndarray, B: float, M: float) -> np.ndarray:
+    verdicts = np.full(sup.shape, Verdict.UNDETERMINED, dtype=np.int8)
+    verdicts[sup <= B] = Verdict.CONVERGE
+    verdicts[sup >= M] = Verdict.DIVERGE
+    return verdicts
 
 
 def classify_points(series: CoefficientSeries, zs: np.ndarray, N: int,
@@ -177,11 +194,7 @@ def classify_points(series: CoefficientSeries, zs: np.ndarray, N: int,
     classify_point, identical arithmetic)."""
     _check_budgets(series, N, B, M)
     zs = np.asarray(zs, dtype=complex)
-    sup = _tail_sup(series, zs, N)
-    verdicts = np.full(zs.shape, Verdict.UNDETERMINED, dtype=np.int8)
-    verdicts[sup <= B] = Verdict.CONVERGE
-    verdicts[sup >= M] = Verdict.DIVERGE
-    return verdicts
+    return _verdicts(_tail_sup(series, zs, N), B, M)
 
 
 def conv_map(series: CoefficientSeries, grid: Grid, N: int, B: float,
@@ -193,10 +206,7 @@ def conv_map(series: CoefficientSeries, grid: Grid, N: int, B: float,
     """
     _check_budgets(series, N, B, M)
     sup = _tail_sup(series, grid.centers(), N)
-    verdicts = np.full(sup.shape, Verdict.UNDETERMINED, dtype=np.int8)
-    verdicts[sup <= B] = Verdict.CONVERGE
-    verdicts[sup >= M] = Verdict.DIVERGE
-    return ConvergenceMap(grid, verdicts, sup, N, B, M)
+    return ConvergenceMap(grid, _verdicts(sup, B, M), sup, N, B, M)
 
 
 def level_set(series: CoefficientSeries, j: int, N: int,
@@ -205,17 +215,12 @@ def level_set(series: CoefficientSeries, j: int, N: int,
     1 <= n <= N.  These sets ascend in j."""
     if j < 1:
         raise ValueError("level index j must be >= 1")
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    if series.max_supported_n is not None and N > series.max_supported_n:
-        raise ValueError(
-            f"N={N} exceeds the series' supported range "
-            f"(max_supported_n={series.max_supported_n})")
+    _check_range(series, N, 1)
     base = omega_exhaustion(omega, j)
     grid = omega.grid
     log_j = math.log(j)
     ok = np.ones((grid.height, grid.width), dtype=bool)
     zs = grid.centers()
-    for n in range(1, N + 1):
-        ok &= series.log_mag(n, zs) / n <= log_j
+    for n, lm in _log_mags(series, zs, 1, N):
+        ok &= lm / n <= log_j
     return RegionMask(grid, base.bits & ok, COMPACT)

@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 
 from sigmaconv import (COMPACT, DEFAULT_M, DEFAULT_N, ConvergenceMap, Grid,
-                       RegionMask, ResolutionWarning, Verdict, default_b,
-                       load_series, read_map_pgm, read_mask_pgm, save_series,
-                       shapes)
+                       PointSequence, RegionMask, ResolutionWarning, Verdict,
+                       countable_set_series, default_b, load_series,
+                       read_map_pgm, read_mask_pgm, save_series, shapes)
 from sigmaconv.cli import main
 from sigmaconv.harness import (SceneParseError, construct_compact,
                                construct_countable, construct_sigma,
@@ -281,6 +281,51 @@ def test_cli_verify_mismatched_series_exits_2(tmp_path):
     code = main(["verify", str(scene), str(tmp_path / "small.json"),
                  "--out", str(tmp_path / "v"), "--min-agree", "0.99"])
     assert code == 2
+
+
+def _set_first_root(obj):
+    obj["members"][0]["roots"] = [[1]]
+
+
+def _set_first_log_scale(obj):
+    obj["members"][0]["log_scale"] = math.nan
+
+
+def _set_f0(obj):
+    obj["f0_log_mag"] = math.nan
+
+
+def _set_first_log_c(obj):
+    obj["log_c"][0] = math.nan
+
+
+@pytest.mark.parametrize("kind,corrupt,fragment", [
+    ("blocks", _set_first_root, "[re, im] pair"),
+    ("blocks", _set_first_log_scale, "log_scale is NaN"),
+    ("blocks", _set_f0, "f0_log_mag is NaN"),
+    ("countable", _set_first_log_c, "log_c entry is NaN"),
+])
+def test_cli_verify_rejects_malformed_series(tmp_path, capsys, kind, corrupt,
+                                             fragment):
+    # each corrupt entry lies outside the tail window, where the classifier
+    # never evaluates it, so only the loader can catch it; --min-agree 0
+    # makes an undetected corruption exit 0
+    scene = write_scene(tmp_path, VERIFY_SCENE)
+    if kind == "blocks":
+        series = disk_growth_series(0.0, 0.7, 46)
+    else:
+        series = countable_set_series(PointSequence.from_points(
+            [complex(x, y) for x in (-1, 0, 1, 2) for y in (-1, 0, 1, 2)]))
+    path = tmp_path / "series.json"
+    save_series(series, path)
+    obj = json.loads(path.read_text())
+    corrupt(obj)
+    path.write_text(json.dumps(obj))
+    code = main(["verify", str(scene), str(path), "--out", str(tmp_path / "v"),
+                 "--N", "15", "--min-agree", "0"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and fragment in err
 
 
 def test_cli_parse_error_exits_1(tmp_path, capsys):

@@ -9,7 +9,11 @@ from sigmaconv import (COMPACT, CoefficientSeries, Grid, Verdict,
                        classify_point, classify_points, conv_map, default_b,
                        full_domain, growth_exponent, level_set,
                        rasterize_scene, shapes, tail_window)
-from sigmaconv import PointSequence, countable_set_series
+from sigmaconv import (PointSequence, RootPolynomial, ascending_decomposition,
+                       block_series, compact_set_series, countable_set_series,
+                       load_series, omega_exhaustion, polynomial_hull,
+                       save_series, sigma_convex_series)
+from sigmaconv.series import MIN_N
 
 
 def _log_abs(z):
@@ -206,3 +210,86 @@ def test_default_b_scales_with_grid():
     assert default_b(g) == pytest.approx(math.log(8.0))
     g2 = Grid.from_box(-4.0, -4.0, 4.0, 4.0, 64, 64)
     assert default_b(g2) == pytest.approx(math.log(16.0))
+
+
+# ------------------------------------------------ structure-owned evaluation
+
+
+def _oracle_tail_sup(series, zs, N):
+    """Reference tail sup: order by order through the per-order oracle."""
+    lo, _ = tail_window(N)
+    sup = np.full(zs.shape, -np.inf)
+    for n in range(lo, N + 1):
+        np.maximum(sup, series.log_mag(n, zs) / n, out=sup)
+    return sup
+
+
+def _assert_tail_sup_matches_oracle(series, grid, N):
+    cmap = conv_map(series, grid, N, B=0.0, M=1.0)
+    assert np.array_equal(cmap.exponents,
+                          _oracle_tail_sup(series, grid.centers(), N))
+
+
+def _disk(g, x, y, r):
+    return polynomial_hull(rasterize_scene([(1, shapes.Disk(x, y, r))], g,
+                                           kind=COMPACT))
+
+
+def test_block_evaluator_matches_oracle_from_mid_stage():
+    g = Grid.from_box(-2.0, -2.0, 2.0, 2.0, 48, 48)
+    f = compact_set_series(_disk(g, 0.0, 0.0, 0.7), g, stages=5,
+                           degree_cap=24)
+    mid = [N for N in range(MIN_N, f.max_supported_n + 1)
+           if f.structure.block_of(tail_window(N)[0])[1] > 1]
+    assert mid, "no tail window starts inside a stage"
+    _assert_tail_sup_matches_oracle(f, g, mid[0])
+    _assert_tail_sup_matches_oracle(f, g, f.max_supported_n)
+
+
+def test_block_evaluator_matches_oracle_after_round_trip(tmp_path):
+    g = Grid.from_box(-2.0, -2.0, 2.0, 2.0, 32, 32)
+    dec = ascending_decomposition([_disk(g, -0.8, 0.0, 0.4),
+                                   _disk(g, 0.8, 0.0, 0.4)], 4)
+    f = sigma_convex_series(dec, full_domain(g), degree_cap=24)
+    save_series(f, tmp_path / "series.json")
+    loaded = load_series(tmp_path / "series.json")
+    N = loaded.max_supported_n
+    _assert_tail_sup_matches_oracle(loaded, g, N)
+    assert np.array_equal(conv_map(loaded, g, N, 0.0, 1.0).exponents,
+                          conv_map(f, g, N, 0.0, 1.0).exponents)
+
+
+def test_block_evaluator_restarts_when_members_share_no_prefix():
+    a, b, c, d = 0.3 + 0.1j, -0.5 + 0.2j, 0.1 - 0.7j, -0.2 - 0.2j
+    members = [RootPolynomial((a,), 0.1), RootPolynomial((b, c), -0.2),
+               RootPolynomial((b,), 0.3), RootPolynomial((b,), 0.0),
+               RootPolynomial((d, a, c), -0.4), RootPolynomial((d, a), 0.2),
+               RootPolynomial((c, d, a, b), -1.0), RootPolynomial((), 0.5),
+               RootPolynomial((a, b), 0.0)]
+    f = block_series(members, [4, 5], 0.0, "no shared prefixes")
+    g = Grid.from_box(-1.0, -1.0, 1.0, 1.0, 16, 16)
+    for N in (MIN_N, f.max_supported_n):
+        _assert_tail_sup_matches_oracle(f, g, N)
+
+
+def test_block_evaluator_rejects_nan_in_window():
+    h = RootPolynomial((0.2 + 0.0j,), 0.0)
+    members = [h] * 9 + [RootPolynomial(h.roots, math.nan)] + [h] * 6
+    f = block_series(members, [16], 0.0, "NaN member at order 10")
+    g = Grid.from_box(-1.0, -1.0, 1.0, 1.0, 8, 8)
+    with pytest.raises(RuntimeError, match="NaN at n=10"):
+        conv_map(f, g, 16, B=0.0, M=1.0)
+
+
+def test_level_set_of_block_series_matches_oracle():
+    g = Grid.from_box(-2.0, -2.0, 2.0, 2.0, 48, 48)
+    f = compact_set_series(_disk(g, 0.0, 0.0, 0.7), g, stages=4,
+                           degree_cap=24)
+    omega = full_domain(g)
+    N = f.max_supported_n
+    E = level_set(f, 2, N, omega)
+    zs = g.centers()
+    ok = np.ones(zs.shape, dtype=bool)
+    for n in range(1, N + 1):
+        ok &= f.log_mag(n, zs) / n <= math.log(2)
+    assert np.array_equal(E.bits, omega_exhaustion(omega, 2).bits & ok)
