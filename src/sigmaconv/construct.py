@@ -27,7 +27,11 @@ import numpy as np
 
 from .geometry import (OPEN, Grid, RegionMask, distance_to, empty_mask,
                        neighborhood, polynomial_hull, set_distance)
-from .series import CoefficientSeries
+from .series import CoefficientSeries, reject_nan
+
+# budget for one chunk of the (order x cell) table that product series fill
+# when they evaluate a tail window; see _product_tail_sup
+TABLE_BYTES = 1 << 20
 
 
 def _log_abs(values: np.ndarray) -> np.ndarray:
@@ -118,11 +122,68 @@ def gamma_table(points: PointSequence) -> tuple[np.ndarray, np.ndarray]:
     return gammas, log_c
 
 
+def _product_log_mag(z: np.ndarray | complex, roots: np.ndarray,
+                     log_c_n: float, n: int) -> np.ndarray:
+    """log|C_n * prod_{j<n} (z - roots[j])|: log C_n first, then the roots
+    in order."""
+    zs = np.asarray(z, dtype=complex)
+    total = np.full(zs.shape, log_c_n)
+    for r in roots[:n]:
+        total += _log_abs(zs - r)
+    return total
+
+
+def _product_tail_sup(z: np.ndarray | complex, roots: np.ndarray,
+                      log_c: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """max over n = lo..hi of (1/n) * log|C_n * prod_{j<n} (z - roots[j])|,
+    where log_c holds log C_n for n = lo..hi and 1 <= lo.
+
+    Each root's log row is evaluated once per chunk of cells and added to
+    every order it enters, instead of once per order.  Every order still
+    starts at log C_n and adds its roots in sequence, exactly as
+    _product_log_mag does, so the result is bit-identical to the per-order
+    evaluation.  The (order x cell) table is filled TABLE_BYTES at a time.
+    """
+    width = hi - lo + 1
+    if lo < 1 or hi > len(roots) or len(log_c) != width:
+        raise ValueError(f"orders {lo}..{hi} outside the series' tables")
+    zs = np.asarray(z, dtype=complex)
+    flat = zs.ravel()
+    ns = np.arange(lo, hi + 1, dtype=float)[:, None]
+    sup = np.empty(flat.shape)
+    bad_n = hi + 1  # first order with a NaN, over all chunks
+    step = max(1, TABLE_BYTES // (8 * width))
+    for start in range(0, flat.size, step):
+        cells = flat[start:start + step]
+        acc = np.repeat(log_c[:, None], cells.size, axis=1)
+        for j, r in enumerate(roots[:hi]):
+            acc[max(0, j + 1 - lo):] += _log_abs(cells - r)
+        nan_rows = np.isnan(acc).any(axis=1)
+        if nan_rows.any():
+            bad_n = min(bad_n, lo + int(np.argmax(nan_rows)))
+            continue
+        acc /= ns
+        sup[start:start + step] = acc.max(axis=0)
+    if bad_n <= hi:
+        # re-evaluate the first offending order whole, so the error names
+        # the same entry the per-order oracle would
+        reject_nan(_product_log_mag(zs, roots, log_c[bad_n - lo], bad_n),
+                   bad_n)
+    return sup.reshape(zs.shape)
+
+
 @dataclass(frozen=True)
 class CountableStructure:
     points: tuple[complex, ...]
     gammas: tuple[float, ...]
-    log_c: tuple[float, ...]
+    log_c: tuple[float, ...]  # log C_n for n = 1..len(points) - 1
+
+    def tail_sup(self, z: np.ndarray | complex, lo: int,
+                 hi: int) -> np.ndarray:
+        """Tail sup of the exponents over orders lo..hi (see
+        _product_tail_sup); order n uses log_c[n - 1]."""
+        return _product_tail_sup(z, np.array(self.points, dtype=complex),
+                                 np.array(self.log_c[lo - 1:hi]), lo, hi)
 
 
 def countable_series_from_tables(structure: CountableStructure) -> CoefficientSeries:
@@ -135,15 +196,15 @@ def countable_series_from_tables(structure: CountableStructure) -> CoefficientSe
     log_c = np.array(structure.log_c, dtype=float)
     if len(log_c) != len(pts) - 1:
         raise ValueError("log_c table must have len(points) - 1 entries")
+    if len(structure.gammas) != len(pts) - 1:
+        raise ValueError("gammas table must have len(points) - 1 entries")
+    if not all(g > 0 for g in structure.gammas):
+        raise ValueError("gammas entries must be > 0")
 
     def oracle(n: int, z):
-        zs = np.asarray(z, dtype=complex)
         if n == 0:
-            return np.zeros(zs.shape)
-        total = np.full(zs.shape, log_c[n - 1])
-        for r in pts[:n]:
-            total += _log_abs(zs - r)
-        return total
+            return np.zeros(np.shape(z))
+        return _product_log_mag(z, pts, log_c[n - 1], n)
 
     return CoefficientSeries(
         oracle,
@@ -635,6 +696,13 @@ class ScaledProductStructure:
     points: tuple[complex, ...]
     log_c: tuple[float, ...]  # log C_n for n = 0..len(points)
 
+    def tail_sup(self, z: np.ndarray | complex, lo: int,
+                 hi: int) -> np.ndarray:
+        """Tail sup of the exponents over orders lo..hi (see
+        _product_tail_sup); order n uses log_c[n]."""
+        return _product_tail_sup(z, np.array(self.points, dtype=complex),
+                                 np.array(self.log_c[lo:hi + 1]), lo, hi)
+
 
 def scaled_product_from_tables(structure: ScaledProductStructure) -> CoefficientSeries:
     pts = np.array(structure.points, dtype=complex)
@@ -643,11 +711,7 @@ def scaled_product_from_tables(structure: ScaledProductStructure) -> Coefficient
         raise ValueError("log_c table must have len(points) + 1 entries")
 
     def oracle(n: int, z):
-        zs = np.asarray(z, dtype=complex)
-        total = np.full(zs.shape, log_c[n])
-        for r in pts[:n]:
-            total += _log_abs(zs - r)
-        return total
+        return _product_log_mag(z, pts, log_c[n], n)
 
     return CoefficientSeries(
         oracle,
@@ -669,8 +733,8 @@ def enumeration_series(points: PointSequence,
         raise ValueError(f"need {len(points) + 1} scale values, "
                          f"got {len(c_vals)}")
     for n, c in enumerate(c_vals):
-        if not c > 0:
-            raise ValueError(f"C_{n} must be positive, got {c!r}")
+        if not 0 < c < math.inf:
+            raise ValueError(f"C_{n} must be positive and finite, got {c!r}")
     log_c = tuple(math.log(c) for c in c_vals)
     return scaled_product_from_tables(
         ScaledProductStructure(points.points, log_c))

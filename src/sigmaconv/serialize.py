@@ -9,8 +9,10 @@ Python json dialect); complex numbers are stored as [re, im] pairs.
 
 from __future__ import annotations
 
+import cmath
 import hashlib
 import json
+import math
 from pathlib import Path
 
 from . import pgmio
@@ -34,17 +36,20 @@ def _j2c(pair) -> complex:
     except (TypeError, ValueError):
         raise ValueError(f"expected an [re, im] pair, got {pair!r}") from None
     z = complex(x, y)
-    if z != z:
-        raise ValueError(f"NaN in complex pair {pair!r}")
+    if not cmath.isfinite(z):
+        raise ValueError(f"non-finite component in complex pair {pair!r}")
     return z
 
 
-def _real(value, name: str) -> float:
-    # NaN would load silently and, outside the tail window, never reach the
-    # classifier's own NaN check; -inf stays allowed (vanishing terms)
+def _real(value, name: str, finite: bool = False) -> float:
+    # NaN or +inf would load silently and, outside the tail window, never
+    # reach the classifier's own NaN check; -inf stays allowed (vanishing
+    # terms) unless the value must be finite
     x = float(value)
     if x != x:
         raise ValueError(f"{name} is NaN")
+    if x == math.inf or (finite and x == -math.inf):
+        raise ValueError(f"{name} is {x}")
     return x
 
 
@@ -100,8 +105,10 @@ def series_from_json(obj: dict) -> CoefficientSeries:
     if kind == "countable":
         return countable_series_from_tables(CountableStructure(
             tuple(_j2c(p) for p in obj["points"]),
-            tuple(_real(g, "gammas entry") for g in obj["gammas"]),
-            tuple(_real(c, "log_c entry") for c in obj["log_c"])))
+            tuple(_real(g, "gammas entry", finite=True)
+                  for g in obj["gammas"]),
+            tuple(_real(c, "log_c entry", finite=True)
+                  for c in obj["log_c"])))
     if kind == "blocks":
         return block_series(
             [_member_from_json(m) for m in obj["members"]],
@@ -115,7 +122,8 @@ def series_from_json(obj: dict) -> CoefficientSeries:
     if kind == "scaled-product":
         return scaled_product_from_tables(ScaledProductStructure(
             tuple(_j2c(p) for p in obj["points"]),
-            tuple(_real(c, "log_c entry") for c in obj["log_c"])))
+            tuple(_real(c, "log_c entry", finite=True)
+                  for c in obj["log_c"])))
     raise ValueError(f"unknown series type {kind!r}")
 
 

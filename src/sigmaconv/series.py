@@ -55,10 +55,16 @@ class CoefficientSeries:
     the matching float or float ndarray of log|f_n(z)| values (-inf allowed,
     NaN forbidden).  ``max_supported_n`` is None for unbounded oracles.
     ``structure`` optionally carries the constructive description used for
-    serialization (see construct.py).  A structure with a
-    ``log_mags(z, lo, hi)`` method, yielding log|f_n(z)| for n = lo..hi with
-    the oracle's exact values, evaluates whole order ranges for the
-    classifier; the oracle is the fallback.
+    serialization (see construct.py).  The structure may also evaluate
+    whole order ranges for the classifier, with the oracle's exact values:
+
+    * ``tail_sup(z, lo, hi)`` returns max over n = lo..hi of
+      (1/n) * log|f_n(z)| in z's shape and raises RuntimeError on NaN;
+      conv_map and classify_points use it first (product series);
+    * ``log_mags(z, lo, hi)`` yields log|f_n(z)| for n = lo..hi; every
+      order-range scan uses it when there is no ``tail_sup`` (block series).
+
+    The per-order oracle is the fallback for both.
     """
 
     coeff_log_mag: Callable[[int, np.ndarray | complex], np.ndarray | float]
@@ -77,10 +83,10 @@ class CoefficientSeries:
             out = self.coeff_log_mag(n, z)
         except Exception as exc:
             raise RuntimeError(f"coefficient oracle failed at n={n}") from exc
-        return _reject_nan(out, n)
+        return reject_nan(out, n)
 
 
-def _reject_nan(values, n: int) -> np.ndarray:
+def reject_nan(values, n: int) -> np.ndarray:
     arr = np.asarray(values, dtype=float)
     if np.isnan(arr).any():
         bad = np.argwhere(np.isnan(arr))
@@ -100,7 +106,7 @@ def _log_mags(series: CoefficientSeries, z: np.ndarray | complex, lo: int,
             yield n, series.log_mag(n, z)
         return
     for n, out in zip(range(lo, hi + 1), evaluate(z, lo, hi), strict=True):
-        yield n, _reject_nan(out, n)
+        yield n, reject_nan(out, n)
 
 
 @dataclass
@@ -166,6 +172,9 @@ def growth_exponent(series: CoefficientSeries, z: complex, N: int) -> GrowthProf
 
 def _tail_sup(series: CoefficientSeries, zs: np.ndarray, N: int) -> np.ndarray:
     lo, _ = tail_window(N)
+    evaluate = getattr(series.structure, "tail_sup", None)
+    if evaluate is not None:
+        return evaluate(zs, lo, N)
     sup = np.full(zs.shape, -np.inf)
     for n, lm in _log_mags(series, zs, lo, N):
         np.maximum(sup, lm / n, out=sup)

@@ -9,7 +9,8 @@ import pytest
 
 from sigmaconv import (COMPACT, DEFAULT_M, DEFAULT_N, ConvergenceMap, Grid,
                        PointSequence, RegionMask, ResolutionWarning, Verdict,
-                       countable_set_series, default_b, load_series,
+                       countable_set_series, default_b,
+                       enumeration_series, load_series,
                        read_map_pgm, read_mask_pgm, save_series, shapes)
 from sigmaconv.cli import main
 from sigmaconv.harness import (SceneParseError, construct_compact,
@@ -299,23 +300,63 @@ def _set_first_log_c(obj):
     obj["log_c"][0] = math.nan
 
 
+def _set_first_log_c_inf(obj):
+    obj["log_c"][0] = math.inf
+
+
+def _set_first_log_c_neg_inf(obj):
+    obj["log_c"][0] = -math.inf
+
+
+def _set_first_point_inf(obj):
+    obj["points"][0] = [math.inf, 0.0]
+
+
+def _set_first_point_neg_inf_imag(obj):
+    obj["points"][0] = [0.5, -math.inf]
+
+
+def _set_first_gamma_inf(obj):
+    obj["gammas"][0] = math.inf
+
+
+def _set_first_gamma_zero(obj):
+    obj["gammas"][0] = 0.0
+
+
+def _drop_last_gamma(obj):
+    obj["gammas"].pop()
+
+
 @pytest.mark.parametrize("kind,corrupt,fragment", [
     ("blocks", _set_first_root, "[re, im] pair"),
     ("blocks", _set_first_log_scale, "log_scale is NaN"),
     ("blocks", _set_f0, "f0_log_mag is NaN"),
     ("countable", _set_first_log_c, "log_c entry is NaN"),
+    ("countable", _set_first_log_c_inf, "log_c entry is inf"),
+    ("countable", _set_first_log_c_neg_inf, "log_c entry is -inf"),
+    ("countable", _set_first_point_inf, "non-finite component"),
+    ("countable", _set_first_gamma_inf, "gammas entry is inf"),
+    ("countable", _set_first_gamma_zero, "gammas entries must be > 0"),
+    ("countable", _drop_last_gamma, "gammas table must have"),
+    ("scaled-product", _set_first_log_c_inf, "log_c entry is inf"),
+    ("scaled-product", _set_first_point_neg_inf_imag, "non-finite component"),
 ])
 def test_cli_verify_rejects_malformed_series(tmp_path, capsys, kind, corrupt,
                                              fragment):
-    # each corrupt entry lies outside the tail window, where the classifier
-    # never evaluates it, so only the loader can catch it; --min-agree 0
-    # makes an undetected corruption exit 0
+    # each corrupt entry is either never evaluated by the classifier (outside
+    # the tail window, or a table it does not read), so only the loader can
+    # catch it and --min-agree 0 makes an undetected corruption exit 0, or,
+    # for an infinite root, turns into an oracle NaN traceback
     scene = write_scene(tmp_path, VERIFY_SCENE)
+    points = PointSequence.from_points(
+        [complex(x, y) for x in (-1, 0, 1, 2) for y in (-1, 0, 1, 2)])
     if kind == "blocks":
         series = disk_growth_series(0.0, 0.7, 46)
+    elif kind == "countable":
+        series = countable_set_series(points)
     else:
-        series = countable_set_series(PointSequence.from_points(
-            [complex(x, y) for x in (-1, 0, 1, 2) for y in (-1, 0, 1, 2)]))
+        series = enumeration_series(points, [2.0] * (len(points) + 1))
     path = tmp_path / "series.json"
     save_series(series, path)
     obj = json.loads(path.read_text())

@@ -442,3 +442,7 @@ def test_enumeration_series_validates_scales():
         enumeration_series(pts, [1.0, 0.0, 1.0, 1.0])
     with pytest.raises(ValueError, match="scale values"):
         enumeration_series(pts, [1.0, 1.0])
+    # a scale that overflows to inf would store log C_n = inf, which the
+    # series loader rejects, so the constructor refuses it up front
+    with pytest.raises(ValueError, match="C_2 must be positive and finite"):
+        enumeration_series(pts, [1.0, 1e200, 1e200 * 1e200, 1.0])

@@ -11,8 +11,11 @@ from sigmaconv import (COMPACT, CoefficientSeries, Grid, Verdict,
                        rasterize_scene, shapes, tail_window)
 from sigmaconv import (PointSequence, RootPolynomial, ascending_decomposition,
                        block_series, compact_set_series, countable_set_series,
-                       load_series, omega_exhaustion, polynomial_hull,
-                       save_series, sigma_convex_series)
+                       enumeration_series, load_series, omega_exhaustion,
+                       polynomial_hull, save_series, sigma_convex_series)
+from sigmaconv import construct
+from sigmaconv.construct import (ScaledProductStructure,
+                                 scaled_product_from_tables)
 from sigmaconv.series import MIN_N
 
 
@@ -293,3 +296,80 @@ def test_level_set_of_block_series_matches_oracle():
     for n in range(1, N + 1):
         ok &= f.log_mag(n, zs) / n <= math.log(2)
     assert np.array_equal(E.bits, omega_exhaustion(omega, 2).bits & ok)
+
+
+def _product_series_on_cells(kind):
+    """A countable or scaled-product series on 21 points, 12 of them exact
+    cell centers of the returned 15 x 13 grid (so those cells sit on roots
+    and get exact -inf terms), the rest off the cell lattice."""
+    g = Grid.from_box(-1.5, -1.3, 1.5, 1.3, 15, 13)
+    centers = g.centers().ravel()
+    rng = np.random.default_rng(4)
+    on = centers[rng.choice(centers.size, 12, replace=False)]
+    off = rng.uniform(-1.4, 1.4, 9) + 1j * rng.uniform(-1.2, 1.2, 9)
+    pts = [complex(z) for pair in zip(on, off) for z in pair]
+    pts += [complex(z) for z in on[len(off):]]
+    seq = PointSequence.from_points(pts)
+    if kind == "countable":
+        return countable_set_series(seq), g
+    scales = [math.exp(0.7 * n) / (n + 1) for n in range(len(pts) + 1)]
+    return enumeration_series(seq, scales), g
+
+
+@pytest.mark.parametrize("kind", ["countable", "scaled-product"])
+@pytest.mark.parametrize("chunk", [None, 1, 7])
+def test_product_evaluator_matches_oracle(kind, chunk, monkeypatch):
+    # chunk None keeps the default table budget (all 195 cells in one
+    # chunk); 1 makes every chunk one cell; 7 leaves a partial last chunk
+    f, g = _product_series_on_cells(kind)
+    calls = []
+    helper = construct._product_tail_sup
+
+    def spy(*args):
+        calls.append(args[3:])
+        return helper(*args)
+
+    monkeypatch.setattr(construct, "_product_tail_sup", spy)
+    for N in (MIN_N, (MIN_N + f.max_supported_n) // 2, f.max_supported_n):
+        lo, hi = tail_window(N)
+        if chunk is not None:
+            monkeypatch.setattr(construct, "TABLE_BYTES",
+                                8 * (hi - lo + 1) * chunk)
+        _assert_tail_sup_matches_oracle(f, g, N)
+        assert calls[-1] == (lo, hi)
+    on_roots = np.isin(g.centers(), f.structure.points)
+    assert on_roots.sum() == 12
+    cmap = conv_map(f, g, f.max_supported_n, 0.0, 1.0)
+    assert np.isneginf(cmap.exponents[on_roots]).any()
+
+
+@pytest.mark.parametrize("kind", ["countable", "scaled-product"])
+def test_product_conv_map_agrees_with_classify_point(kind):
+    f, g = _product_series_on_cells(kind)
+    N, B, M = f.max_supported_n, 0.0, math.log(4.0)
+    cmap = conv_map(f, g, N, B, M)
+    assert (cmap.verdicts == Verdict.CONVERGE).any()
+    assert (cmap.verdicts == Verdict.DIVERGE).any()
+    for j in range(g.height):
+        for i in range(g.width):
+            z = complex(g.centers()[j, i])
+            assert cmap.verdicts[j, i] == classify_point(f, z, N, B, M)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_product_evaluator_rejects_nan_with_the_oracle_message():
+    # order n >= 2 adds -inf (the cell on root a) to +inf (the infinite
+    # root), so the first offending tail order is lo itself
+    g = Grid.from_box(-1.0, -1.0, 1.0, 1.0, 8, 8)
+    a = complex(g.centers()[5, 2])
+    pts = (a, complex(math.inf, 0.0)) + tuple(
+        complex(0.1 * k, -0.05 * k) for k in range(1, 15))
+    f = scaled_product_from_tables(
+        ScaledProductStructure(pts, tuple(0.5 * n for n in range(17))))
+    N = f.max_supported_n
+    lo, _ = tail_window(N)
+    with pytest.raises(RuntimeError, match=f"NaN at n={lo},") as fast:
+        conv_map(f, g, N, B=0.0, M=1.0)
+    with pytest.raises(RuntimeError) as slow:
+        _oracle_tail_sup(f, g.centers(), N)
+    assert str(fast.value) == str(slow.value)
