@@ -133,20 +133,38 @@ def _product_log_mag(z: np.ndarray | complex, roots: np.ndarray,
     return total
 
 
+def _product_table(cells: np.ndarray, roots: np.ndarray, log_c: np.ndarray,
+                   lo: int, hi: int) -> np.ndarray:
+    """(order x cell) table of log|C_n * prod_{j<n} (z - roots[j])| for
+    n = lo..hi over a flat cell array, where log_c holds log C_n.
+
+    Each root's log row is evaluated once and added to every order it
+    enters, instead of once per order.  Every order still starts at log C_n
+    and adds its roots in sequence, exactly as _product_log_mag does, so
+    every entry is bit-identical to the per-order evaluation.
+    """
+    acc = np.repeat(log_c[:, None], cells.size, axis=1)
+    for j, r in enumerate(roots[:hi]):
+        acc[max(0, j + 1 - lo):] += _log_abs(cells - r)
+    return acc
+
+
+def _check_orders(roots: np.ndarray, log_c: np.ndarray, lo: int,
+                  hi: int) -> None:
+    if lo < 1 or hi > len(roots) or len(log_c) != hi - lo + 1:
+        raise ValueError(f"orders {lo}..{hi} outside the series' tables")
+
+
 def _product_tail_sup(z: np.ndarray | complex, roots: np.ndarray,
                       log_c: np.ndarray, lo: int, hi: int) -> np.ndarray:
     """max over n = lo..hi of (1/n) * log|C_n * prod_{j<n} (z - roots[j])|,
     where log_c holds log C_n for n = lo..hi and 1 <= lo.
 
-    Each root's log row is evaluated once per chunk of cells and added to
-    every order it enters, instead of once per order.  Every order still
-    starts at log C_n and adds its roots in sequence, exactly as
-    _product_log_mag does, so the result is bit-identical to the per-order
-    evaluation.  The (order x cell) table is filled TABLE_BYTES at a time.
+    The (order x cell) table of _product_table is filled TABLE_BYTES at a
+    time, in chunks of cells.
     """
+    _check_orders(roots, log_c, lo, hi)
     width = hi - lo + 1
-    if lo < 1 or hi > len(roots) or len(log_c) != width:
-        raise ValueError(f"orders {lo}..{hi} outside the series' tables")
     zs = np.asarray(z, dtype=complex)
     flat = zs.ravel()
     ns = np.arange(lo, hi + 1, dtype=float)[:, None]
@@ -154,10 +172,7 @@ def _product_tail_sup(z: np.ndarray | complex, roots: np.ndarray,
     bad_n = hi + 1  # first order with a NaN, over all chunks
     step = max(1, TABLE_BYTES // (8 * width))
     for start in range(0, flat.size, step):
-        cells = flat[start:start + step]
-        acc = np.repeat(log_c[:, None], cells.size, axis=1)
-        for j, r in enumerate(roots[:hi]):
-            acc[max(0, j + 1 - lo):] += _log_abs(cells - r)
+        acc = _product_table(flat[start:start + step], roots, log_c, lo, hi)
         nan_rows = np.isnan(acc).any(axis=1)
         if nan_rows.any():
             bad_n = min(bad_n, lo + int(np.argmax(nan_rows)))
@@ -172,6 +187,26 @@ def _product_tail_sup(z: np.ndarray | complex, roots: np.ndarray,
     return sup.reshape(zs.shape)
 
 
+def _product_log_mags(z: np.ndarray | complex, roots: np.ndarray,
+                      log_c: np.ndarray, lo: int, hi: int):
+    """Yield log|C_n * prod_{j<n} (z - roots[j])| for n = lo..hi, in z's
+    shape, where log_c holds log C_n for n = lo..hi and 1 <= lo.
+
+    The (order x cell) table of _product_table is filled TABLE_BYTES at a
+    time, in chunks of orders: one chunk for a single point, so the whole
+    range costs hi root logs instead of one per (order, root) pair.
+    """
+    _check_orders(roots, log_c, lo, hi)
+    zs = np.asarray(z, dtype=complex)
+    flat = zs.ravel()
+    step = max(1, TABLE_BYTES // (8 * max(1, flat.size)))
+    for a in range(lo, hi + 1, step):
+        b = min(hi, a + step - 1)
+        table = _product_table(flat, roots, log_c[a - lo:b - lo + 1], a, b)
+        for row in table:
+            yield row.reshape(zs.shape)
+
+
 @dataclass(frozen=True)
 class CountableStructure:
     points: tuple[complex, ...]
@@ -183,6 +218,11 @@ class CountableStructure:
         """Tail sup of the exponents over orders lo..hi (see
         _product_tail_sup); order n uses log_c[n - 1]."""
         return _product_tail_sup(z, np.array(self.points, dtype=complex),
+                                 np.array(self.log_c[lo - 1:hi]), lo, hi)
+
+    def log_mags(self, z: np.ndarray | complex, lo: int, hi: int):
+        """Yield log|f_n(z)| for n = lo..hi (see _product_log_mags)."""
+        return _product_log_mags(z, np.array(self.points, dtype=complex),
                                  np.array(self.log_c[lo - 1:hi]), lo, hi)
 
 
@@ -701,6 +741,11 @@ class ScaledProductStructure:
         """Tail sup of the exponents over orders lo..hi (see
         _product_tail_sup); order n uses log_c[n]."""
         return _product_tail_sup(z, np.array(self.points, dtype=complex),
+                                 np.array(self.log_c[lo:hi + 1]), lo, hi)
+
+    def log_mags(self, z: np.ndarray | complex, lo: int, hi: int):
+        """Yield log|f_n(z)| for n = lo..hi (see _product_log_mags)."""
+        return _product_log_mags(z, np.array(self.points, dtype=complex),
                                  np.array(self.log_c[lo:hi + 1]), lo, hi)
 
 

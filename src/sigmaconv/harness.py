@@ -19,6 +19,7 @@ the rasterized target up to a boundary band.
 
 from __future__ import annotations
 
+import math
 import time
 import warnings
 from dataclasses import dataclass, field
@@ -114,15 +115,23 @@ class SceneSpec:
         return rasterize_scene(spec, self.grid, kind=COMPACT)
 
 
-_BUDGET_KEYS = {"N": ("N", int), "B": ("B", float), "M": ("M", float),
+def _finite(token: str) -> float:
+    """float(token), rejecting inf and nan, which float() accepts."""
+    x = float(token)
+    if not math.isfinite(x):
+        raise ValueError(f"{token!r} is not a finite number")
+    return x
+
+
+_BUDGET_KEYS = {"N": ("N", int), "B": ("B", _finite), "M": ("M", _finite),
                 "stages": ("stages", int), "degree-cap": ("degree_cap", int),
                 "degree_cap": ("degree_cap", int), "nmax": ("n_max", int),
-                "band": ("band", float)}
+                "band": ("band", _finite)}
 
 
 def _parse_primitive(tokens: list[str]):
     kind = tokens[0]
-    args = [float(t) for t in tokens[1:]]
+    args = [_finite(t) for t in tokens[1:]]
     if kind == "disk":
         if len(args) != 3:
             raise ValueError("disk takes cx cy r")
@@ -195,7 +204,7 @@ def parse_scene(text: str, name: str = "scene") -> SceneSpec:
             elif key == "box":
                 if len(rest) != 4:
                     raise ValueError("box takes x0 y0 x1 y1")
-                box = tuple(float(t) for t in rest)
+                box = tuple(_finite(t) for t in rest)
             elif key == "budget":
                 if len(rest) != 2:
                     raise ValueError("budget takes key value")
@@ -211,7 +220,7 @@ def parse_scene(text: str, name: str = "scene") -> SceneSpec:
             elif key == "point":
                 if len(rest) != 2:
                     raise ValueError("point takes x y")
-                points.append(complex(float(rest[0]), float(rest[1])))
+                points.append(complex(_finite(rest[0]), _finite(rest[1])))
             elif key == "part":
                 if rest and rest[0] in ("add", "sub"):
                     if not parts:

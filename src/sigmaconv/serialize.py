@@ -127,8 +127,96 @@ def series_from_json(obj: dict) -> CoefficientSeries:
     raise ValueError(f"unknown series type {kind!r}")
 
 
+def _json_text(value, level: int) -> str:
+    """json.dumps(value, indent=1) as it reads nested ``level`` deep."""
+    return json.dumps(value, indent=1).replace("\n", "\n" + " " * level)
+
+
+def _object_text(fields: list[tuple[str, str]], level: int) -> str:
+    """A json indent=1 object from (key, value text) pairs."""
+    pad = "\n" + " " * (level + 1)
+    items = ("," + pad).join(f'"{key}": {text}' for key, text in fields)
+    return "{" + pad + items + "\n" + " " * level + "}"
+
+
+def _float_text(x: float) -> str:
+    return repr(x) if math.isfinite(x) else json.dumps(x)
+
+
+def _signs(r) -> tuple[float, float]:
+    # complex == cannot tell -0.0 from 0.0, but json writes them apart
+    return math.copysign(1.0, r.real), math.copysign(1.0, r.imag)
+
+
+def _members_text(members, level: int) -> str:
+    """The json indent=1 text of [_member_to_json(m) for m in members],
+    for a list nested ``level`` deep.
+
+    Consecutive members whose roots extend one another (the members of a
+    separating-family stage are prefixes of one Leja sequence) share the
+    text of their common root pairs, so each pair is formatted once per
+    run of such members, as BlockStructure.log_mags sums it once.
+    """
+    if not members:
+        return "[]"
+    ind = [" " * (level + i) for i in range(5)]
+    pair = f"\n{ind[3]}[\n{ind[4]}%s,\n{ind[4]}%s\n{ind[3]}]"
+    head = f"\n{ind[1]}{{\n{ind[2]}\"roots\": ["
+    roots_end = f"\n{ind[2]}],\n{ind[2]}\"log_scale\": "
+    empty = f"\n{ind[1]}{{\n{ind[2]}\"roots\": [],\n{ind[2]}\"log_scale\": "
+    tail = f"\n{ind[1]}}}"
+    prefix: tuple = ()
+    zeros: list[tuple[int, tuple[float, float]]] = []  # signs in prefix
+    body = ""  # the pairs of prefix, comma-separated
+    out = []
+    for m in members:
+        roots = m.roots
+        if roots[:len(prefix)] != prefix or any(
+                _signs(roots[i]) != signs for i, signs in zeros):
+            prefix, zeros, body = (), [], ""
+        start = len(prefix)
+        new = ",".join(pair % (_float_text(float(r.real)),
+                               _float_text(float(r.imag)))
+                       for r in roots[start:])
+        if new:
+            zeros += [(i, _signs(r))
+                      for i, r in enumerate(roots[start:], start)
+                      if r.real == 0 or r.imag == 0]
+            body = body + "," + new if body else new
+        prefix = roots
+        log_scale = json.dumps(m.log_scale)
+        if roots:
+            out += (head, body, roots_end, log_scale, tail, ",")
+        else:
+            out += (empty, log_scale, tail, ",")
+    out[-1] = f"\n{ind[0]}]"  # the last member ends the list, not a comma
+    return "[" + "".join(out)
+
+
+def _series_text(series: CoefficientSeries, level: int) -> str:
+    """json.dumps(series_to_json(series), indent=1), nested ``level``
+    deep, without the pure-Python encoder's per-token work on members."""
+    s = series.structure
+    if isinstance(s, BlockStructure):
+        inner = level + 1
+        return _object_text([
+            ("type", '"blocks"'),
+            ("f0_log_mag", json.dumps(s.f0_log_mag)),
+            ("block_sizes", _json_text(list(s.block_sizes), inner)),
+            ("uncovered_counts", _json_text(list(s.uncovered_counts), inner)),
+            ("members", _members_text(s.members, inner)),
+            ("description", json.dumps(series.description))], level)
+    if isinstance(s, InterleaveStructure):
+        return _object_text([
+            ("type", '"interleave"'),
+            ("even", _series_text(s.even, level + 1)),
+            ("odd", _series_text(s.odd, level + 1))], level)
+    return _json_text(series_to_json(series), level)
+
+
 def save_series(series: CoefficientSeries, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(series_to_json(series), indent=1))
+    """Write series_to_json(series) as json.dumps(..., indent=1) would."""
+    Path(path).write_text(_series_text(series, 0))
 
 
 def load_series(path: str | Path) -> CoefficientSeries:

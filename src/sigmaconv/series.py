@@ -62,7 +62,7 @@ class CoefficientSeries:
       (1/n) * log|f_n(z)| in z's shape and raises RuntimeError on NaN;
       conv_map and classify_points use it first (product series);
     * ``log_mags(z, lo, hi)`` yields log|f_n(z)| for n = lo..hi; every
-      order-range scan uses it when there is no ``tail_sup`` (block series).
+      other order-range scan uses it (block and product series).
 
     The per-order oracle is the fallback for both.
     """

@@ -82,6 +82,15 @@ def test_parse_comments_and_blank_lines():
     ("part add disk 0 0 1", "before any part"),
     ("target blob 0 0", "unknown primitive"),
     ("target disk 0 0", "disk takes"),
+    ("point inf 0", "line 1: 'inf' is not a finite number"),
+    ("point 0 nan", "'nan' is not a finite number"),
+    ("box 0 0 1 -Infinity", "'-Infinity' is not a finite number"),
+    ("target disk 0 0 1e400", "'1e400' is not a finite number"),
+    ("domain sub box 0 0 1 inf", "'inf' is not a finite number"),
+    ("part disk nan 0 1", "'nan' is not a finite number"),
+    ("budget B inf", "'inf' is not a finite number"),
+    ("budget M -inf", "'-inf' is not a finite number"),
+    ("budget band NaN", "'NaN' is not a finite number"),
 ])
 def test_parse_errors_name_the_line(line, fragment):
     with pytest.raises(SceneParseError, match=fragment):
@@ -390,6 +399,17 @@ def test_cli_countable_needs_two_points_exit_1(tmp_path, capsys):
                  "--out", str(tmp_path / "out")])
     assert code == 1
     assert "at least 2 'point' lines" in capsys.readouterr().err
+
+
+def test_cli_countable_rejects_infinite_point_exit_1(tmp_path, capsys):
+    scene = write_scene(tmp_path, "grid 16x16\nbox -2 -2 2 2\npoint 0 0\n"
+                                  "point inf 0\npoint 1 1\n")
+    code = main(["construct", str(scene), "--pipeline", "countable",
+                 "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert capsys.readouterr().err.startswith(
+        "error: line 4: 'inf' is not a finite number")
+    assert not (tmp_path / "out" / "series.json").exists()
 
 
 def test_cli_decompose_writes_stage_exports(tmp_path):

@@ -8,13 +8,14 @@ import numpy as np
 import pytest
 
 from sigmaconv import (COMPACT, DOMAIN, OPEN, Grid, RegionMask, Verdict,
-                       ascending_decomposition, compact_set_series, conv_map,
-                       countable_set_series, enumeration_series, full_domain,
-                       interleave, load_series, polynomial_hull,
-                       rasterize_scene, read_map_pgm, read_mask_pgm,
-                       save_map, save_series, series_from_json,
-                       series_to_json, shapes, write_map_pgm, write_mask_pgm,
-                       PointSequence, export_decomposition,
+                       ascending_decomposition, block_series,
+                       compact_set_series, conv_map, countable_set_series,
+                       enumeration_series, full_domain, interleave,
+                       load_series, polynomial_hull, rasterize_scene,
+                       read_map_pgm, read_mask_pgm, save_map, save_series,
+                       series_from_json, series_to_json, shapes,
+                       sigma_convex_series, write_map_pgm, write_mask_pgm,
+                       PointSequence, RootPolynomial, export_decomposition,
                        load_decomposition)
 from sigmaconv.serialize import map_sidecar
 from conftest import disk_growth_series, random_polyomino
@@ -190,6 +191,75 @@ def test_structureless_series_is_not_serializable():
 def test_unknown_series_type_is_rejected():
     with pytest.raises(ValueError, match="unknown series type"):
         series_from_json({"type": "mystery"})
+
+
+# ------------------------------------------------------------ series writer
+
+
+def compact_series():
+    g = Grid.from_box(-2.0, -2.0, 2.0, 2.0, 48, 48)
+    K = polynomial_hull(rasterize_scene([(1, shapes.Disk(0.0, 0.0, 0.6))], g,
+                                        kind=COMPACT))
+    return compact_set_series(K, g, stages=3, degree_cap=16)
+
+
+def sigma_series():
+    g, dec = make_decomposition()
+    return sigma_convex_series(dec, full_domain(g), degree_cap=16)
+
+
+def hand_block_series():
+    a, b, c = 0.5 + 0.25j, -1.0 / 3 + 2j, 1e-300 - 7e22j
+    members = [RootPolynomial((a, b, c), 0.1),
+               RootPolynomial((a, b), -0.7),  # shrinks after a longer one
+               RootPolynomial((a, b, c, a + b), 1.5),
+               RootPolynomial((c,), 2.0),  # shares no prefix
+               RootPolynomial((), 0.0),  # degree 0
+               RootPolynomial((c, a), -math.inf),
+               RootPolynomial((complex(0.0, 1.0),), 0.2),
+               # == the previous root, but written -0.0
+               RootPolynomial((complex(-0.0, 1.0), b), 0.3),
+               RootPolynomial((complex(-0.0, 1.0), b, a), 0.4)]
+    return block_series(members, [4, 5], 0.0,
+                        description="\u03c3-convex \u2014 na\u00efve")
+
+
+def countable_series():
+    return countable_set_series(PointSequence.from_points(
+        (0.1 + 0.2j, -0.4 + 0.9j, 1.2 - 0.3j, 0.8 + 0.8j)))
+
+
+def scaled_product_series():
+    return enumeration_series(
+        PointSequence.from_points((0.1, 0.5, 0.9, 0.3 + 0.4j)),
+        [1.0, 2.0, 0.5, 4.0, 8.0])
+
+
+@pytest.mark.parametrize("build", [
+    sigma_series, compact_series, hand_block_series, countable_series,
+    scaled_product_series,
+    lambda: interleave(hand_block_series(), compact_series()),
+    lambda: interleave(countable_series(), sigma_series()),
+], ids=["sigma", "compact", "hand-blocks", "countable", "scaled-product",
+        "interleave-blocks", "interleave-countable-blocks"])
+def test_save_series_writes_json_indent_1(tmp_path, build):
+    series = build()
+    save_series(series, tmp_path / "s.json")
+    text = (tmp_path / "s.json").read_text()
+    assert text == json.dumps(series_to_json(series), indent=1)
+    save_series(load_series(tmp_path / "s.json"), tmp_path / "again.json")
+    assert (tmp_path / "again.json").read_text() == text
+
+
+def test_hand_block_series_covers_the_writer_cases():
+    obj = series_to_json(hand_block_series())
+    assert [] in [m["roots"] for m in obj["members"]]
+    assert -math.inf in [m["log_scale"] for m in obj["members"]]
+    assert obj["f0_log_mag"] == 0.0
+    assert not obj["description"].isascii()
+    assert obj["members"][7]["roots"][0] == [-0.0, 1.0]
+    assert math.copysign(1.0, obj["members"][7]["roots"][0][0]) == -1.0
+    assert compact_series().structure.f0_log_mag == -math.inf
 
 
 # ------------------------------------------------------------ decomposition

@@ -373,3 +373,38 @@ def test_product_evaluator_rejects_nan_with_the_oracle_message():
     with pytest.raises(RuntimeError) as slow:
         _oracle_tail_sup(f, g.centers(), N)
     assert str(fast.value) == str(slow.value)
+
+
+@pytest.mark.parametrize("kind", ["countable", "scaled-product"])
+@pytest.mark.parametrize("chunk", [None, 1, 7])
+def test_product_log_mags_match_oracle(kind, chunk, monkeypatch):
+    # chunk None keeps the default table budget (all orders in one chunk);
+    # 1 makes every chunk one order; 7 leaves a partial last chunk
+    f, g = _product_series_on_cells(kind)
+    N = f.max_supported_n
+    zs = g.centers()
+    calls = []
+    helper = construct._product_log_mags
+
+    def spy(*args):
+        calls.append(args[3:])
+        return helper(*args)
+
+    monkeypatch.setattr(construct, "_product_log_mags", spy)
+    if chunk is not None:
+        monkeypatch.setattr(construct, "TABLE_BYTES", 8 * chunk)
+    points = [complex(z) for z in zs.ravel()[::7]] + list(f.structure.points)
+    for z in points:
+        oracle = [f.log_mag(n, z) / n for n in range(1, N + 1)]
+        assert np.array_equal(growth_exponent(f, z, N).exponents, oracle)
+    assert calls == [(1, N)] * len(points)
+    if chunk is not None:
+        monkeypatch.setattr(construct, "TABLE_BYTES", 8 * zs.size * chunk)
+    omega = full_domain(g)
+    for j in (2, 8):
+        ok = np.ones(zs.shape, dtype=bool)
+        for n in range(1, N + 1):
+            ok &= f.log_mag(n, zs) / n <= math.log(j)
+        assert np.array_equal(level_set(f, j, N, omega).bits,
+                              omega_exhaustion(omega, j).bits & ok)
+    assert len(calls) == len(points) + 2
