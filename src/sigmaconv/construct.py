@@ -1,11 +1,13 @@
 """Constructors for series with prescribed convergence behavior.
 
-Three constructions are implemented, all producing CoefficientSeries whose
-oracles work in log space and vectorize over point arrays:
+Three constructions are implemented.  Each produces a CoefficientSeries
+whose structure is its one evaluator: it yields log-magnitudes for whole
+order ranges, vectorized over point arrays.
 
-* countable-set series: coefficients C_n * prod_{j<=n} (z - z_j) whose
-  scaling C_n = (n / gamma_n)^n forces divergence away from the point set
-  while every z_k kills all coefficients of index >= k exactly;
+* product series: coefficients C_n * prod_{j<=n} (z - z_j), either with
+  the countable-set scaling C_n = (n / gamma_n)^n, which forces divergence
+  away from the point set while every z_k kills all coefficients of index
+  >= k exactly, or with caller-chosen scales;
 * block series of powered polynomials: f_l = h_l^l for a member list h_l of
   normalized root polynomials, grouped in stage blocks (separating families
   on a compact set, or on the pieces of an ascending decomposition);
@@ -27,7 +29,7 @@ import numpy as np
 
 from .geometry import (OPEN, Grid, RegionMask, distance_to, empty_mask,
                        neighborhood, polynomial_hull, set_distance)
-from .series import CoefficientSeries, reject_nan
+from .series import CoefficientSeries, _log_mags, reject_nan
 
 # budget for one chunk of the (order x cell) table that product series fill
 # when they evaluate a tail window; see _product_tail_sup
@@ -122,17 +124,6 @@ def gamma_table(points: PointSequence) -> tuple[np.ndarray, np.ndarray]:
     return gammas, log_c
 
 
-def _product_log_mag(z: np.ndarray | complex, roots: np.ndarray,
-                     log_c_n: float, n: int) -> np.ndarray:
-    """log|C_n * prod_{j<n} (z - roots[j])|: log C_n first, then the roots
-    in order."""
-    zs = np.asarray(z, dtype=complex)
-    total = np.full(zs.shape, log_c_n)
-    for r in roots[:n]:
-        total += _log_abs(zs - r)
-    return total
-
-
 def _product_table(cells: np.ndarray, roots: np.ndarray, log_c: np.ndarray,
                    lo: int, hi: int) -> np.ndarray:
     """(order x cell) table of log|C_n * prod_{j<n} (z - roots[j])| for
@@ -140,8 +131,8 @@ def _product_table(cells: np.ndarray, roots: np.ndarray, log_c: np.ndarray,
 
     Each root's log row is evaluated once and added to every order it
     enters, instead of once per order.  Every order still starts at log C_n
-    and adds its roots in sequence, exactly as _product_log_mag does, so
-    every entry is bit-identical to the per-order evaluation.
+    and adds its roots in sequence, so every entry is bit-identical to
+    evaluating that order alone.
     """
     acc = np.repeat(log_c[:, None], cells.size, axis=1)
     for j, r in enumerate(roots[:hi]):
@@ -151,7 +142,7 @@ def _product_table(cells: np.ndarray, roots: np.ndarray, log_c: np.ndarray,
 
 def _check_orders(roots: np.ndarray, log_c: np.ndarray, lo: int,
                   hi: int) -> None:
-    if lo < 1 or hi > len(roots) or len(log_c) != hi - lo + 1:
+    if lo < 0 or hi > len(roots) or len(log_c) != hi - lo + 1:
         raise ValueError(f"orders {lo}..{hi} outside the series' tables")
 
 
@@ -180,17 +171,18 @@ def _product_tail_sup(z: np.ndarray | complex, roots: np.ndarray,
         acc /= ns
         sup[start:start + step] = acc.max(axis=0)
     if bad_n <= hi:
-        # re-evaluate the first offending order whole, so the error names
-        # the same entry the per-order oracle would
-        reject_nan(_product_log_mag(zs, roots, log_c[bad_n - lo], bad_n),
-                   bad_n)
+        # re-evaluate the first offending order over all cells, so the error
+        # names the same entry as evaluating that order alone
+        row = _product_table(flat, roots, log_c[bad_n - lo:bad_n - lo + 1],
+                             bad_n, bad_n)
+        reject_nan(row.reshape(zs.shape), bad_n)
     return sup.reshape(zs.shape)
 
 
 def _product_log_mags(z: np.ndarray | complex, roots: np.ndarray,
                       log_c: np.ndarray, lo: int, hi: int):
     """Yield log|C_n * prod_{j<n} (z - roots[j])| for n = lo..hi, in z's
-    shape, where log_c holds log C_n for n = lo..hi and 1 <= lo.
+    shape, where log_c holds log C_n for n = lo..hi and 0 <= lo.
 
     The (order x cell) table of _product_table is filled TABLE_BYTES at a
     time, in chunks of orders: one chunk for a single point, so the whole
@@ -209,49 +201,52 @@ def _product_log_mags(z: np.ndarray | complex, roots: np.ndarray,
 
 @dataclass(frozen=True)
 class CountableStructure:
+    """Product series f_n = C_n * prod_{j<n} (z - points[j]) for
+    n = 0..len(log_c) - 1, with ``log_c`` holding log C_n from n = 0.
+
+    ``gammas`` holds the separation scales gamma_n (n >= 1) of a
+    countable-set series, whose log C_0 is 0 and whose last point is never
+    a root; it is None for caller-chosen scales (enumeration_series).
+    """
+
     points: tuple[complex, ...]
-    gammas: tuple[float, ...]
-    log_c: tuple[float, ...]  # log C_n for n = 1..len(points) - 1
+    log_c: tuple[float, ...]
+    gammas: tuple[float, ...] | None = None
 
     def tail_sup(self, z: np.ndarray | complex, lo: int,
                  hi: int) -> np.ndarray:
         """Tail sup of the exponents over orders lo..hi (see
-        _product_tail_sup); order n uses log_c[n - 1]."""
+        _product_tail_sup)."""
         return _product_tail_sup(z, np.array(self.points, dtype=complex),
-                                 np.array(self.log_c[lo - 1:hi]), lo, hi)
+                                 np.array(self.log_c[lo:hi + 1]), lo, hi)
 
     def log_mags(self, z: np.ndarray | complex, lo: int, hi: int):
         """Yield log|f_n(z)| for n = lo..hi (see _product_log_mags)."""
         return _product_log_mags(z, np.array(self.points, dtype=complex),
-                                 np.array(self.log_c[lo - 1:hi]), lo, hi)
+                                 np.array(self.log_c[lo:hi + 1]), lo, hi)
 
 
 def countable_series_from_tables(structure: CountableStructure) -> CoefficientSeries:
-    """Rebuild the countable-set series from stored tables.
+    """The product series of stored tables.
 
-    The oracle consumes the stored log C_n values directly, so a series
+    The structure evaluates the stored log C_n values directly, so a series
     loaded from disk reproduces the original maps bit for bit.
     """
-    pts = np.array(structure.points, dtype=complex)
-    log_c = np.array(structure.log_c, dtype=float)
-    if len(log_c) != len(pts) - 1:
-        raise ValueError("log_c table must have len(points) - 1 entries")
-    if len(structure.gammas) != len(pts) - 1:
-        raise ValueError("gammas table must have len(points) - 1 entries")
-    if not all(g > 0 for g in structure.gammas):
-        raise ValueError("gammas entries must be > 0")
-
-    def oracle(n: int, z):
-        if n == 0:
-            return np.zeros(np.shape(z))
-        return _product_log_mag(z, pts, log_c[n - 1], n)
-
-    return CoefficientSeries(
-        oracle,
-        description=f"countable-set series on {len(pts)} points",
-        max_supported_n=len(pts) - 1,
-        structure=structure,
-    )
+    n_points = len(structure.points)
+    n_max = n_points if structure.gammas is None else n_points - 1
+    if len(structure.log_c) != n_max + 1:
+        raise ValueError(f"log_c table must have {n_max + 1} entries "
+                         f"(orders 0..{n_max}), got {len(structure.log_c)}")
+    if structure.gammas is None:
+        kind = "scaled product series"
+    else:
+        kind = "countable-set series"
+        if len(structure.gammas) != n_max:
+            raise ValueError("gammas table must have len(points) - 1 entries")
+        if not all(g > 0 for g in structure.gammas):
+            raise ValueError("gammas entries must be > 0")
+    return CoefficientSeries(description=f"{kind} on {n_points} points",
+                             max_supported_n=n_max, structure=structure)
 
 
 def countable_set_series(points: PointSequence) -> CoefficientSeries:
@@ -269,14 +264,22 @@ def countable_set_series(points: PointSequence) -> CoefficientSeries:
     if not points.verified_distinct:
         points = PointSequence.from_points(points.points)
     gammas, log_c = gamma_table(points)
-    return countable_series_from_tables(
-        CountableStructure(points.points, tuple(gammas), tuple(log_c)))
+    return countable_series_from_tables(CountableStructure(
+        points.points, (0.0, *log_c), tuple(gammas)))
 
 
 @dataclass(frozen=True)
 class InterleaveStructure:
     even: CoefficientSeries
     odd: CoefficientSeries
+
+    def log_mags(self, z: np.ndarray | complex, lo: int, hi: int):
+        """Yield log|F_n(z)| for n = lo..hi: the even orders from the even
+        series' own evaluator and the odd orders from the odd one's."""
+        evens = _log_mags(self.even, z, (lo + 1) // 2, hi // 2)
+        odds = _log_mags(self.odd, z, lo // 2, (hi - 1) // 2)
+        for n in range(lo, hi + 1):
+            yield next(odds if n % 2 else evens)[1]
 
 
 def interleave(f: CoefficientSeries, g: CoefficientSeries) -> CoefficientSeries:
@@ -285,17 +288,10 @@ def interleave(f: CoefficientSeries, g: CoefficientSeries) -> CoefficientSeries:
     The merged series converges at z exactly when both inputs do (their
     exponent tails appear at doubled indices, halving the exponents of
     both)."""
-
-    def oracle(n: int, z):
-        if n % 2 == 0:
-            return f.log_mag(n // 2, z)
-        return g.log_mag((n - 1) // 2, z)
-
     fmax = math.inf if f.max_supported_n is None else f.max_supported_n
     gmax = math.inf if g.max_supported_n is None else g.max_supported_n
     merged = 2 * min(fmax, gmax)
     return CoefficientSeries(
-        oracle,
         description=f"interleave of ({f.description}) and ({g.description})",
         max_supported_n=None if math.isinf(merged) else int(merged),
         structure=InterleaveStructure(f, g),
@@ -467,22 +463,25 @@ class BlockStructure:
         return sum(self.block_sizes[:k - 1]) + j
 
     def log_mags(self, z: np.ndarray | complex, lo: int, hi: int):
-        """Yield log|f_n(z)| for n = lo..hi, in order, with 1 <= lo.
+        """Yield log|f_n(z)| for n = lo..hi, in order, with 0 <= lo.
 
-        Consecutive members whose roots extend one another (the members of
-        a separating-family stage are prefixes of one Leja sequence) share
-        a running root sum, so each root term is evaluated once per run of
+        Order 0 is the constant term, f0_log_mag everywhere.  Consecutive
+        members whose roots extend one another (the members of a
+        separating-family stage are prefixes of one Leja sequence) share a
+        running root sum, so each root term is evaluated once per run of
         such members.  The sum starts from zero, adds roots in order and
         folds log_scale in last, exactly as RootPolynomial.log_abs does, so
         every value is bit-identical to the per-member evaluation.
         """
-        if lo < 1 or hi > len(self.members):
+        if lo < 0 or hi > len(self.members):
             raise ValueError(
-                f"orders {lo}..{hi} outside 1..{len(self.members)}")
+                f"orders {lo}..{hi} outside 0..{len(self.members)}")
         zs = np.asarray(z, dtype=complex)
+        if lo == 0 <= hi:
+            yield np.full(zs.shape, self.f0_log_mag)
         prefix: tuple[complex, ...] = ()
         total = np.zeros(zs.shape)
-        for ell in range(lo, hi + 1):
+        for ell in range(max(lo, 1), hi + 1):
             h = self.members[ell - 1]
             if h.roots[:len(prefix)] != prefix:
                 prefix, total = (), np.zeros(zs.shape)
@@ -502,15 +501,7 @@ def block_series(members: Sequence[RootPolynomial],
         raise ValueError("block sizes do not sum to the member count")
     structure = BlockStructure(members, tuple(block_sizes), f0_log_mag,
                                tuple(uncovered_counts))
-
-    def oracle(ell: int, z):
-        zs = np.asarray(z, dtype=complex)
-        if ell == 0:
-            return np.full(zs.shape, f0_log_mag)
-        h = members[ell - 1]
-        return ell * np.asarray(h.log_abs(zs))
-
-    return CoefficientSeries(oracle, description=description,
+    return CoefficientSeries(description=description,
                              max_supported_n=len(members),
                              structure=structure)
 
@@ -731,40 +722,6 @@ def dense_enumeration_for_targets(S: PointSequence,
         achieved, steps[:keep], saturated_at)
 
 
-@dataclass(frozen=True)
-class ScaledProductStructure:
-    points: tuple[complex, ...]
-    log_c: tuple[float, ...]  # log C_n for n = 0..len(points)
-
-    def tail_sup(self, z: np.ndarray | complex, lo: int,
-                 hi: int) -> np.ndarray:
-        """Tail sup of the exponents over orders lo..hi (see
-        _product_tail_sup); order n uses log_c[n]."""
-        return _product_tail_sup(z, np.array(self.points, dtype=complex),
-                                 np.array(self.log_c[lo:hi + 1]), lo, hi)
-
-    def log_mags(self, z: np.ndarray | complex, lo: int, hi: int):
-        """Yield log|f_n(z)| for n = lo..hi (see _product_log_mags)."""
-        return _product_log_mags(z, np.array(self.points, dtype=complex),
-                                 np.array(self.log_c[lo:hi + 1]), lo, hi)
-
-
-def scaled_product_from_tables(structure: ScaledProductStructure) -> CoefficientSeries:
-    pts = np.array(structure.points, dtype=complex)
-    log_c = np.array(structure.log_c, dtype=float)
-    if len(log_c) != len(pts) + 1:
-        raise ValueError("log_c table must have len(points) + 1 entries")
-
-    def oracle(n: int, z):
-        return _product_log_mag(z, pts, log_c[n], n)
-
-    return CoefficientSeries(
-        oracle,
-        description=f"scaled product series on {len(pts)} points",
-        max_supported_n=len(pts),
-        structure=structure)
-
-
 def enumeration_series(points: PointSequence,
                        C: Sequence[float] | Callable[[int], float]) -> CoefficientSeries:
     """Series with coefficients C_n * prod_{j=1..n} (z - z_j) over an
@@ -781,5 +738,5 @@ def enumeration_series(points: PointSequence,
         if not 0 < c < math.inf:
             raise ValueError(f"C_{n} must be positive and finite, got {c!r}")
     log_c = tuple(math.log(c) for c in c_vals)
-    return scaled_product_from_tables(
-        ScaledProductStructure(points.points, log_c))
+    return countable_series_from_tables(
+        CountableStructure(points.points, log_c))

@@ -66,6 +66,10 @@ class Budgets:
             raise ValueError("count budgets must be positive")
         if r.n_max is not None and r.n_max < 1:
             raise ValueError("nmax must be positive")
+        for name in ("B", "M", "band"):
+            if not math.isfinite(getattr(r, name)):
+                raise ValueError(f"{name} must be finite, got "
+                                 f"{getattr(r, name)!r}")
         if r.band <= 0:
             raise ValueError("band must be positive")
         if not r.B < r.M:

@@ -1,9 +1,10 @@
 """JSON persistence for series, verdict maps, and decompositions.
 
 Series files store the constructive data (point tables, member roots and
-scales, parity splits), not sampled values; loading rebuilds the oracle
-through the same factories the constructors use, so a reloaded series
-reproduces verdict maps bit for bit.  Log scales may be -Infinity (the
+scales, parity splits), not sampled values; loading rebuilds the structure,
+which is the series' one evaluator, through the same factories the
+constructors use, so a reloaded series reproduces verdict maps bit for bit.
+Malformed files raise ValueError.  Log scales may be -Infinity (the
 Python json dialect); complex numbers are stored as [re, im] pairs.
 """
 
@@ -17,10 +18,8 @@ from pathlib import Path
 
 from . import pgmio
 from .construct import (BlockStructure, CountableStructure,
-                        InterleaveStructure, RootPolynomial,
-                        ScaledProductStructure, block_series,
-                        countable_series_from_tables, interleave,
-                        scaled_product_from_tables)
+                        InterleaveStructure, RootPolynomial, block_series,
+                        countable_series_from_tables, interleave)
 from .decompose import Decomposition
 from .geometry import Grid, RegionMask
 from .series import CoefficientSeries, ConvergenceMap
@@ -33,9 +32,9 @@ def _c2j(z: complex) -> list[float]:
 def _j2c(pair) -> complex:
     try:
         x, y = pair
+        z = complex(x, y)
     except (TypeError, ValueError):
         raise ValueError(f"expected an [re, im] pair, got {pair!r}") from None
-    z = complex(x, y)
     if not cmath.isfinite(z):
         raise ValueError(f"non-finite component in complex pair {pair!r}")
     return z
@@ -45,12 +44,35 @@ def _real(value, name: str, finite: bool = False) -> float:
     # NaN or +inf would load silently and, outside the tail window, never
     # reach the classifier's own NaN check; -inf stays allowed (vanishing
     # terms) unless the value must be finite
-    x = float(value)
+    try:
+        x = float(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} is not a number: {value!r}") from None
     if x != x:
         raise ValueError(f"{name} is NaN")
     if x == math.inf or (finite and x == -math.inf):
         raise ValueError(f"{name} is {x}")
     return x
+
+
+def _object(value, name: str) -> dict:
+    if not isinstance(value, dict):
+        raise ValueError(f"{name} must be a JSON object, got {value!r:.40}")
+    return value
+
+
+def _list(obj: dict, key: str, default: list | None = None) -> list:
+    value = obj.get(key, default)
+    if not isinstance(value, list):
+        raise ValueError(f"{key} must be a list, got {value!r:.40}")
+    return value
+
+
+def _count(value, name: str) -> int:
+    if type(value) is not int or value < 0:
+        raise ValueError(f"{name} must be a non-negative integer, "
+                         f"got {value!r}")
+    return value
 
 
 def grid_to_json(grid: Grid) -> dict:
@@ -68,8 +90,9 @@ def _member_to_json(member: RootPolynomial) -> dict:
             "log_scale": member.log_scale}
 
 
-def _member_from_json(obj: dict) -> RootPolynomial:
-    return RootPolynomial(tuple(_j2c(r) for r in obj["roots"]),
+def _member_from_json(obj) -> RootPolynomial:
+    obj = _object(obj, "member")
+    return RootPolynomial(tuple(_j2c(r) for r in _list(obj, "roots")),
                           _real(obj["log_scale"], "member log_scale"))
 
 
@@ -77,10 +100,14 @@ def series_to_json(series: CoefficientSeries) -> dict:
     """Serialize a series built by the constructors in this package."""
     s = series.structure
     if isinstance(s, CountableStructure):
-        return {"type": "countable",
-                "points": [_c2j(p) for p in s.points],
-                "gammas": list(s.gammas),
-                "log_c": list(s.log_c)}
+        obj = {"type": "scaled-product" if s.gammas is None else "countable",
+               "points": [_c2j(p) for p in s.points]}
+        if s.gammas is None:
+            obj["log_c"] = list(s.log_c)
+        else:  # log C_0 of a countable-set series is 0 and is not stored
+            obj["gammas"] = list(s.gammas)
+            obj["log_c"] = list(s.log_c[1:])
+        return obj
     if isinstance(s, BlockStructure):
         return {"type": "blocks",
                 "f0_log_mag": s.f0_log_mag,
@@ -92,38 +119,32 @@ def series_to_json(series: CoefficientSeries) -> dict:
         return {"type": "interleave",
                 "even": series_to_json(s.even),
                 "odd": series_to_json(s.odd)}
-    if isinstance(s, ScaledProductStructure):
-        return {"type": "scaled-product",
-                "points": [_c2j(p) for p in s.points],
-                "log_c": list(s.log_c)}
     raise TypeError(
         f"series has no serializable structure: {series.description!r}")
 
 
-def series_from_json(obj: dict) -> CoefficientSeries:
-    kind = obj.get("type")
-    if kind == "countable":
+def series_from_json(obj) -> CoefficientSeries:
+    kind = _object(obj, "series").get("type")
+    if kind in ("countable", "scaled-product"):
+        countable = kind == "countable"
+        log_c = tuple(_real(c, "log_c entry", finite=True)
+                      for c in _list(obj, "log_c"))
         return countable_series_from_tables(CountableStructure(
-            tuple(_j2c(p) for p in obj["points"]),
+            tuple(_j2c(p) for p in _list(obj, "points")),
+            (0.0, *log_c) if countable else log_c,
             tuple(_real(g, "gammas entry", finite=True)
-                  for g in obj["gammas"]),
-            tuple(_real(c, "log_c entry", finite=True)
-                  for c in obj["log_c"])))
+                  for g in _list(obj, "gammas")) if countable else None))
     if kind == "blocks":
         return block_series(
-            [_member_from_json(m) for m in obj["members"]],
-            [int(b) for b in obj["block_sizes"]],
+            [_member_from_json(m) for m in _list(obj, "members")],
+            [_count(b, "block size") for b in _list(obj, "block_sizes")],
             _real(obj["f0_log_mag"], "f0_log_mag"),
             obj.get("description", "block series"),
-            [int(u) for u in obj.get("uncovered_counts", [])])
+            [_count(u, "uncovered count")
+             for u in _list(obj, "uncovered_counts", [])])
     if kind == "interleave":
         return interleave(series_from_json(obj["even"]),
                           series_from_json(obj["odd"]))
-    if kind == "scaled-product":
-        return scaled_product_from_tables(ScaledProductStructure(
-            tuple(_j2c(p) for p in obj["points"]),
-            tuple(_real(c, "log_c entry", finite=True)
-                  for c in obj["log_c"])))
     raise ValueError(f"unknown series type {kind!r}")
 
 

@@ -1,8 +1,10 @@
 """Growth classification of formal power series with function coefficients.
 
-A series f(z, t) = sum_n f_n(z) t^n is represented by a log-magnitude oracle
-for its coefficients.  All magnitudes live in log space: ``-inf`` encodes an
-exactly vanishing coefficient and is a first-class value, never NaN.
+A series f(z, t) = sum_n f_n(z) t^n is represented by one evaluator of its
+coefficients' log-magnitudes: the constructive structure that built it, or
+a plain callable for ad-hoc series.  All magnitudes live in log space:
+``-inf`` encodes an exactly vanishing coefficient and is a first-class
+value, never NaN.
 
 At a point z the n-th growth exponent is (1/n) * log|f_n(z)|.  Truncated at
 order N, the classifier looks only at the tail window [ceil(N/2), N]: early
@@ -49,25 +51,26 @@ VERDICT_NAMES = {Verdict.DIVERGE: "diverge",
 
 @dataclass
 class CoefficientSeries:
-    """Coefficient log-magnitude oracle.
+    """Coefficient log-magnitudes of a series, from one evaluator.
 
-    ``coeff_log_mag(n, z)`` accepts a complex scalar or ndarray and returns
-    the matching float or float ndarray of log|f_n(z)| values (-inf allowed,
-    NaN forbidden).  ``max_supported_n`` is None for unbounded oracles.
-    ``structure`` optionally carries the constructive description used for
-    serialization (see construct.py).  The structure may also evaluate
-    whole order ranges for the classifier, with the oracle's exact values:
+    ``structure`` carries the constructive description (see construct.py),
+    which is also the series' only evaluator:
 
-    * ``tail_sup(z, lo, hi)`` returns max over n = lo..hi of
-      (1/n) * log|f_n(z)| in z's shape and raises RuntimeError on NaN;
-      conv_map and classify_points use it first (product series);
-    * ``log_mags(z, lo, hi)`` yields log|f_n(z)| for n = lo..hi; every
-      other order-range scan uses it (block and product series).
+    * ``log_mags(z, lo, hi)`` yields log|f_n(z)| for n = lo..hi, 0 <= lo,
+      in z's shape (-inf allowed, NaN forbidden); log_mag and every
+      order-range scan use it;
+    * ``tail_sup(z, lo, hi)``, where present, returns max over n = lo..hi
+      of (1/n) * log|f_n(z)| in z's shape and raises RuntimeError on NaN;
+      conv_map and classify_points use it first (product series).
 
-    The per-order oracle is the fallback for both.
+    A series without a structure (ad-hoc callables, as in the tests) gives
+    ``coeff_log_mag(n, z)``, which accepts a complex scalar or ndarray and
+    returns the matching float or float ndarray of log|f_n(z)| values.
+    ``max_supported_n`` is None for unbounded series.
     """
 
-    coeff_log_mag: Callable[[int, np.ndarray | complex], np.ndarray | float]
+    coeff_log_mag: Callable[[int, np.ndarray | complex],
+                            np.ndarray | float] | None = None
     description: str = ""
     max_supported_n: int | None = None
     structure: object | None = None
@@ -79,11 +82,8 @@ class CoefficientSeries:
             raise ValueError(
                 f"coefficient index {n} exceeds max_supported_n "
                 f"{self.max_supported_n}")
-        try:
-            out = self.coeff_log_mag(n, z)
-        except Exception as exc:
-            raise RuntimeError(f"coefficient oracle failed at n={n}") from exc
-        return reject_nan(out, n)
+        [(_, out)] = _log_mags(self, z, n, n)
+        return out
 
 
 def reject_nan(values, n: int) -> np.ndarray:
@@ -99,11 +99,16 @@ def reject_nan(values, n: int) -> np.ndarray:
 def _log_mags(series: CoefficientSeries, z: np.ndarray | complex, lo: int,
               hi: int):
     """Yield (n, log|f_n(z)|) for n = lo..hi, through the structure's own
-    evaluator when it has one, else order by order through the oracle."""
+    evaluator when it has one, else order by order through the callable."""
     evaluate = getattr(series.structure, "log_mags", None)
     if evaluate is None:
         for n in range(lo, hi + 1):
-            yield n, series.log_mag(n, z)
+            try:
+                out = series.coeff_log_mag(n, z)
+            except Exception as exc:
+                raise RuntimeError(
+                    f"coefficient oracle failed at n={n}") from exc
+            yield n, reject_nan(out, n)
         return
     for n, out in zip(range(lo, hi + 1), evaluate(z, lo, hi), strict=True):
         yield n, reject_nan(out, n)

@@ -10,7 +10,7 @@ import pytest
 from sigmaconv import (COMPACT, DEFAULT_M, DEFAULT_N, ConvergenceMap, Grid,
                        PointSequence, RegionMask, ResolutionWarning, Verdict,
                        countable_set_series, default_b,
-                       enumeration_series, load_series,
+                       enumeration_series, interleave, load_series,
                        read_map_pgm, read_mask_pgm, save_series, shapes)
 from sigmaconv.cli import main
 from sigmaconv.harness import (SceneParseError, construct_compact,
@@ -337,6 +337,30 @@ def _drop_last_gamma(obj):
     obj["gammas"].pop()
 
 
+def _top_level_list(obj):
+    return []
+
+
+def _set_first_roots_int(obj):
+    obj["members"][0]["roots"] = 5
+
+
+def _set_first_log_scale_null(obj):
+    obj["members"][0]["log_scale"] = None
+
+
+def _set_log_c_null(obj):
+    obj["log_c"] = None
+
+
+def _set_even_list(obj):
+    obj["even"] = []
+
+
+def _set_negative_block_size(obj):
+    obj["block_sizes"] = [-1, sum(obj["block_sizes"]) + 1]
+
+
 @pytest.mark.parametrize("kind,corrupt,fragment", [
     ("blocks", _set_first_root, "[re, im] pair"),
     ("blocks", _set_first_log_scale, "log_scale is NaN"),
@@ -350,13 +374,22 @@ def _drop_last_gamma(obj):
     ("countable", _drop_last_gamma, "gammas table must have"),
     ("scaled-product", _set_first_log_c_inf, "log_c entry is inf"),
     ("scaled-product", _set_first_point_neg_inf_imag, "non-finite component"),
+    ("countable", _top_level_list, "series must be a JSON object, got []"),
+    ("blocks", _set_first_roots_int, "roots must be a list, got 5"),
+    ("blocks", _set_first_log_scale_null,
+     "member log_scale is not a number: None"),
+    ("countable", _set_log_c_null, "log_c must be a list, got None"),
+    ("interleave", _set_even_list, "series must be a JSON object, got []"),
+    ("blocks", _set_negative_block_size,
+     "block size must be a non-negative integer, got -1"),
 ])
 def test_cli_verify_rejects_malformed_series(tmp_path, capsys, kind, corrupt,
                                              fragment):
     # each corrupt entry is either never evaluated by the classifier (outside
     # the tail window, or a table it does not read), so only the loader can
     # catch it and --min-agree 0 makes an undetected corruption exit 0, or,
-    # for an infinite root, turns into an oracle NaN traceback
+    # for an infinite root, turns into an oracle NaN traceback; a malformed
+    # shape used to end in a TypeError or AttributeError traceback
     scene = write_scene(tmp_path, VERIFY_SCENE)
     points = PointSequence.from_points(
         [complex(x, y) for x in (-1, 0, 1, 2) for y in (-1, 0, 1, 2)])
@@ -364,13 +397,16 @@ def test_cli_verify_rejects_malformed_series(tmp_path, capsys, kind, corrupt,
         series = disk_growth_series(0.0, 0.7, 46)
     elif kind == "countable":
         series = countable_set_series(points)
+    elif kind == "interleave":
+        series = interleave(countable_set_series(points),
+                            disk_growth_series(0.0, 0.7, 46))
     else:
         series = enumeration_series(points, [2.0] * (len(points) + 1))
     path = tmp_path / "series.json"
     save_series(series, path)
     obj = json.loads(path.read_text())
-    corrupt(obj)
-    path.write_text(json.dumps(obj))
+    replaced = corrupt(obj)  # None when the corruption is in place
+    path.write_text(json.dumps(obj if replaced is None else replaced))
     code = main(["verify", str(scene), str(path), "--out", str(tmp_path / "v"),
                  "--N", "15", "--min-agree", "0"])
     assert code == 1
@@ -467,3 +503,28 @@ def test_cli_grid_override(tmp_path):
     assert main(["hull", str(scene), "--grid", "32x32",
                  "--out", str(out)]) == 0
     assert read_mask_pgm(out / "hull.pgm").grid.width == 32
+
+
+@pytest.mark.parametrize("option,fragment", [
+    (["--band", "inf"], "band must be finite, got inf"),
+    (["--band", "nan"], "band must be finite, got nan"),
+    (["--budget-M", "inf"], "M must be finite, got inf"),
+    (["--budget-M", "nan"], "M must be finite, got nan"),
+    (["--budget-B=-inf"], "B must be finite, got -inf"),
+    (["--budget-B", "nan"], "B must be finite, got nan"),
+    (["--box=-2,-2,inf,2"], "pixel must be positive and finite"),
+    (["--box=-2,-2,2,nan"], "box must have positive extent"),
+])
+def test_cli_verify_rejects_non_finite_overrides(tmp_path, capsys, option,
+                                                 fragment):
+    # an infinite band leaves no cell off target, so diverge-off-target
+    # would read 1.0 however the series behaves
+    scene = write_scene(tmp_path, "grid 16x16\nbox -2 -2 2 2\n"
+                                  "target disk 0 0 0.7\n")
+    save_series(disk_growth_series(0.0, 0.7, 16), tmp_path / "series.json")
+    code = main(["verify", str(scene), str(tmp_path / "series.json"),
+                 "--N", "16", "--min-agree", "0",
+                 "--out", str(tmp_path / "v"), *option])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {fragment}\n"

@@ -14,9 +14,10 @@ from sigmaconv import (PointSequence, RootPolynomial, ascending_decomposition,
                        enumeration_series, load_series, omega_exhaustion,
                        polynomial_hull, save_series, sigma_convex_series)
 from sigmaconv import construct
-from sigmaconv.construct import (ScaledProductStructure,
-                                 scaled_product_from_tables)
-from sigmaconv.series import MIN_N
+from sigmaconv.construct import (BlockStructure, CountableStructure,
+                                 InterleaveStructure,
+                                 countable_series_from_tables)
+from sigmaconv.series import MIN_N, reject_nan
 
 
 def _log_abs(z):
@@ -218,12 +219,29 @@ def test_default_b_scales_with_grid():
 # ------------------------------------------------ structure-owned evaluation
 
 
+def _reference_log_mag(series, n, z):
+    """log|f_n(z)| of a block, product or interleave series, evaluated for
+    order n alone and independently of the structure's own evaluator."""
+    s = series.structure
+    if isinstance(s, InterleaveStructure):
+        return _reference_log_mag(s.odd if n % 2 else s.even, n // 2, z)
+    zs = np.asarray(z, dtype=complex)
+    if isinstance(s, BlockStructure):
+        if n == 0:
+            return np.full(zs.shape, s.f0_log_mag)
+        return n * np.asarray(s.members[n - 1].log_abs(zs))
+    total = np.full(zs.shape, s.log_c[n])  # log C_n, then roots in order
+    for r in s.points[:n]:
+        total += _log_abs(zs - r)
+    return reject_nan(total, n)
+
+
 def _oracle_tail_sup(series, zs, N):
-    """Reference tail sup: order by order through the per-order oracle."""
+    """Reference tail sup: order by order through the reference values."""
     lo, _ = tail_window(N)
     sup = np.full(zs.shape, -np.inf)
     for n in range(lo, N + 1):
-        np.maximum(sup, series.log_mag(n, zs) / n, out=sup)
+        np.maximum(sup, _reference_log_mag(series, n, zs) / n, out=sup)
     return sup
 
 
@@ -262,14 +280,18 @@ def test_block_evaluator_matches_oracle_after_round_trip(tmp_path):
                           conv_map(f, g, N, 0.0, 1.0).exponents)
 
 
-def test_block_evaluator_restarts_when_members_share_no_prefix():
+def _unshared_block_series():
     a, b, c, d = 0.3 + 0.1j, -0.5 + 0.2j, 0.1 - 0.7j, -0.2 - 0.2j
     members = [RootPolynomial((a,), 0.1), RootPolynomial((b, c), -0.2),
                RootPolynomial((b,), 0.3), RootPolynomial((b,), 0.0),
                RootPolynomial((d, a, c), -0.4), RootPolynomial((d, a), 0.2),
                RootPolynomial((c, d, a, b), -1.0), RootPolynomial((), 0.5),
                RootPolynomial((a, b), 0.0)]
-    f = block_series(members, [4, 5], 0.0, "no shared prefixes")
+    return block_series(members, [4, 5], 0.0, "no shared prefixes")
+
+
+def test_block_evaluator_restarts_when_members_share_no_prefix():
+    f = _unshared_block_series()
     g = Grid.from_box(-1.0, -1.0, 1.0, 1.0, 16, 16)
     for N in (MIN_N, f.max_supported_n):
         _assert_tail_sup_matches_oracle(f, g, N)
@@ -294,7 +316,7 @@ def test_level_set_of_block_series_matches_oracle():
     zs = g.centers()
     ok = np.ones(zs.shape, dtype=bool)
     for n in range(1, N + 1):
-        ok &= f.log_mag(n, zs) / n <= math.log(2)
+        ok &= _reference_log_mag(f, n, zs) / n <= math.log(2)
     assert np.array_equal(E.bits, omega_exhaustion(omega, 2).bits & ok)
 
 
@@ -364,8 +386,8 @@ def test_product_evaluator_rejects_nan_with_the_oracle_message():
     a = complex(g.centers()[5, 2])
     pts = (a, complex(math.inf, 0.0)) + tuple(
         complex(0.1 * k, -0.05 * k) for k in range(1, 15))
-    f = scaled_product_from_tables(
-        ScaledProductStructure(pts, tuple(0.5 * n for n in range(17))))
+    f = countable_series_from_tables(
+        CountableStructure(pts, tuple(0.5 * n for n in range(17))))
     N = f.max_supported_n
     lo, _ = tail_window(N)
     with pytest.raises(RuntimeError, match=f"NaN at n={lo},") as fast:
@@ -395,7 +417,7 @@ def test_product_log_mags_match_oracle(kind, chunk, monkeypatch):
         monkeypatch.setattr(construct, "TABLE_BYTES", 8 * chunk)
     points = [complex(z) for z in zs.ravel()[::7]] + list(f.structure.points)
     for z in points:
-        oracle = [f.log_mag(n, z) / n for n in range(1, N + 1)]
+        oracle = [_reference_log_mag(f, n, z) / n for n in range(1, N + 1)]
         assert np.array_equal(growth_exponent(f, z, N).exponents, oracle)
     assert calls == [(1, N)] * len(points)
     if chunk is not None:
@@ -404,7 +426,44 @@ def test_product_log_mags_match_oracle(kind, chunk, monkeypatch):
     for j in (2, 8):
         ok = np.ones(zs.shape, dtype=bool)
         for n in range(1, N + 1):
-            ok &= f.log_mag(n, zs) / n <= math.log(j)
+            ok &= _reference_log_mag(f, n, zs) / n <= math.log(j)
         assert np.array_equal(level_set(f, j, N, omega).bits,
                               omega_exhaustion(omega, j).bits & ok)
     assert len(calls) == len(points) + 2
+
+
+@pytest.mark.parametrize("pair", ["blocks-countable", "countable-blocks",
+                                  "blocks-blocks"])
+def test_interleave_evaluator_matches_children(pair, monkeypatch):
+    # N = 16 and 17 start the tail window on an even and an odd order
+    countable, g = _product_series_on_cells("countable")
+    compact = compact_set_series(_disk(g, 0.0, 0.0, 0.5), g, stages=4,
+                                 degree_cap=16)
+    even, odd = {"blocks-countable": (compact, countable),
+                 "countable-blocks": (countable, compact),
+                 "blocks-blocks": (compact, _unshared_block_series())}[pair]
+    F = construct.interleave(even, odd)
+    walks, tables = [], []
+    walk, table = construct._log_mags, construct._product_table
+
+    def walk_spy(series, z, lo, hi):
+        walks.append((series is even, series is odd, lo, hi))
+        return walk(series, z, lo, hi)
+
+    def table_spy(*args):
+        tables.append(args[3:])
+        return table(*args)
+
+    monkeypatch.setattr(construct, "_log_mags", walk_spy)
+    monkeypatch.setattr(construct, "_product_table", table_spy)
+    for N in (16, 17, F.max_supported_n):
+        lo, _ = tail_window(N)
+        walks.clear()
+        tables.clear()
+        _assert_tail_sup_matches_oracle(F, g, N)
+        assert walks == [(True, False, (lo + 1) // 2, N // 2),
+                         (False, True, lo // 2, (N - 1) // 2)]
+        product_walks = [w[2:] for w in walks
+                         if (w[0] and even is countable)
+                         or (w[1] and odd is countable)]
+        assert tables == product_walks  # one table per walk, not per order
