@@ -18,7 +18,7 @@ from . import pgmio, serialize
 from .construct import interleave
 from .decompose import hull_escape_exhibit, sierpinski_mask
 from .geometry import Grid, holomorphic_hull, polynomial_hull
-from .harness import (SceneParseError, SceneSpec, construct_compact,
+from .harness import (Budgets, SceneParseError, SceneSpec, construct_compact,
                       construct_countable, construct_sigma, load_scene,
                       verify)
 
@@ -44,13 +44,13 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--box", type=_parse_box, default=None,
                    help="override grid box, x0,y0,x1,y1")
     p.add_argument("--N", type=int, default=None, help="truncation order")
-    p.add_argument("--budget-B", type=float, default=None,
+    p.add_argument("--budget-B", dest="B", type=float, default=None,
                    help="converge threshold (log scale)")
-    p.add_argument("--budget-M", type=float, default=None,
+    p.add_argument("--budget-M", dest="M", type=float, default=None,
                    help="diverge threshold (log scale)")
     p.add_argument("--stages", type=int, default=None)
     p.add_argument("--degree-cap", type=int, default=None)
-    p.add_argument("--nmax", type=int, default=None)
+    p.add_argument("--nmax", dest="n_max", type=int, default=None)
     p.add_argument("--band", type=float, default=None,
                    help="comparison band in coordinate units")
     p.add_argument("--seed", type=int, default=None,
@@ -69,16 +69,10 @@ def _apply_overrides(scene: SceneSpec, args) -> SceneSpec:
         w, h = args.grid if args.grid is not None else (grid.width,
                                                        grid.height)
         grid = Grid.from_box(x0, y0, x1, y1, w, h)
-    budgets = dataclasses.replace(
-        scene.budgets,
-        N=args.N if args.N is not None else scene.budgets.N,
-        B=args.budget_B if args.budget_B is not None else scene.budgets.B,
-        M=args.budget_M if args.budget_M is not None else scene.budgets.M,
-        stages=args.stages if args.stages is not None else scene.budgets.stages,
-        degree_cap=(args.degree_cap if args.degree_cap is not None
-                    else scene.budgets.degree_cap),
-        n_max=args.nmax if args.nmax is not None else scene.budgets.n_max,
-        band=args.band if args.band is not None else scene.budgets.band)
+    overrides = {f.name: getattr(args, f.name)
+                 for f in dataclasses.fields(Budgets)
+                 if getattr(args, f.name) is not None}
+    budgets = dataclasses.replace(scene.budgets, **overrides)
     return dataclasses.replace(scene, grid=grid, budgets=budgets)
 
 

@@ -14,13 +14,13 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
 from .geometry import (COMPACT, ComponentReport, Grid, RegionMask,
-                       complement_components, distance_to, empty_mask,
-                       holomorphic_hull, neighborhood, polynomial_hull,
-                       set_distance)
+                       complement_components, distance_to, holomorphic_hull,
+                       neighborhood, polynomial_hull, set_distance)
 from .shapes import (SQRT3_2, ResolutionWarning, _polygon_even_odd,
                      _segment_distance, inverted_triangle_holes,
                      sierpinski_membership)
@@ -89,15 +89,20 @@ def ascending_decomposition(K_list: list[RegionMask],
         acc = acc.union(K)
         prefix_dist.append(distance_to(acc))
 
-    # pairwise K separations, computed once; piece separations only grow
-    # (pieces are subsets of their K), so > 2 px here settles a pair for
-    # every stage
+    # pairs (a, b), a < b, of nonempty compacts within 2 px, in lexicographic
+    # order; one transform of K_b, dropped after use, gives the floats of
+    # set_distance(K_a, K_b) for every earlier a.  Piece separations only
+    # grow (pieces are subsets of their K), so every other pair stays apart
+    # at every stage
     pix2 = 2.0 * grid.pixel
-    k_sep = np.full((J, J), np.inf)
-    for a in range(J):
-        for b in range(a + 1, J):
-            if not (K_list[a].is_empty() or K_list[b].is_empty()):
-                k_sep[a, b] = k_sep[b, a] = set_distance(K_list[a], K_list[b])
+    close: list[tuple[int, int]] = []
+    for b in range(1, J):
+        if K_list[b].is_empty():
+            continue
+        d_b = distance_to(K_list[b])
+        close += [(a, b) for a in range(b) if not K_list[a].is_empty()
+                  and d_b[K_list[a].bits].min() <= pix2]
+    close.sort()
 
     L: dict[tuple[int, int], RegionMask] = {}
     F: dict[tuple[int, int], RegionMask] = {}
@@ -107,42 +112,25 @@ def ascending_decomposition(K_list: list[RegionMask],
 
     for n in range(1, n_max + 1):
         j_hi = min(n, J)
-        union_pieces = empty_mask(grid, COMPACT)
-        union_hulls = empty_mask(grid, COMPACT)
+        pieces = [K_list[0]] + [
+            RegionMask(grid, K_list[j].bits & (prefix_dist[j - 1] > 1.0 / n),
+                       COMPACT) for j in range(1, j_hi)]
+        hulls = [polynomial_hull(piece) for piece in pieces]
         for j in range(1, j_hi + 1):
-            if j == 1:
-                piece = K_list[0]
-            else:
-                keep = prefix_dist[j - 2] > 1.0 / n
-                piece = RegionMask(grid, K_list[j - 1].bits & keep, COMPACT)
-            hull = polynomial_hull(piece)
-            L[(n, j)] = piece
-            F[(n, j)] = hull
-            union_pieces = union_pieces.union(piece)
-            union_hulls = union_hulls.union(hull)
+            L[(n, j)], F[(n, j)] = pieces[j - 1], hulls[j - 1]
+        union_hulls = reduce(RegionMask.union, hulls)
         E_list.append(union_hulls)
         U_list.append(neighborhood(union_hulls, 1.0 / (3.0 * n)))
 
-        live = [j for j in range(1, j_hi + 1) if not L[(n, j)].is_empty()]
-        separated = True
-        for ai in range(len(live)):
-            for bi in range(ai + 1, len(live)):
-                a, b = live[ai] - 1, live[bi] - 1
-                if k_sep[a, b] > pix2:
-                    continue
-                if set_distance(L[(n, live[ai])], L[(n, live[bi])]) <= pix2:
-                    separated = False
-                    break
-            if not separated:
-                break
-        if separated:
-            if not polynomial_hull(union_pieces).same_cells(union_hulls):
-                raise AssertionError(
-                    f"stage {n}: union-of-hulls differs from hull-of-union "
-                    f"despite pieces separated by > 2 px")
-            status.append(VERIFIED)
-        else:
-            status.append(SKIPPED)
+        separated = all(set_distance(pieces[a], pieces[b]) > pix2
+                        for a, b in close if b < j_hi
+                        and not (pieces[a].is_empty() or pieces[b].is_empty()))
+        if separated and not polynomial_hull(
+                reduce(RegionMask.union, pieces)).same_cells(union_hulls):
+            raise AssertionError(
+                f"stage {n}: union-of-hulls differs from hull-of-union "
+                f"despite pieces separated by > 2 px")
+        status.append(VERIFIED if separated else SKIPPED)
 
     for n in range(1, n_max):
         if not E_list[n - 1].subset_of(E_list[n]):

@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -43,7 +43,11 @@ class SceneParseError(ValueError):
 
 @dataclass
 class Budgets:
-    """Raw budget fields; None means resolve a default against the grid."""
+    """Budget fields; None means resolve a default against the grid.
+
+    ``resolve`` returns a copy with every default filled in except
+    ``n_max``, whose None means two stages per compact.
+    """
 
     N: int | None = None
     B: float | None = None
@@ -53,8 +57,8 @@ class Budgets:
     n_max: int | None = None
     band: float | None = None
 
-    def resolve(self, grid: Grid) -> "ResolvedBudgets":
-        r = ResolvedBudgets(
+    def resolve(self, grid: Grid) -> "Budgets":
+        r = Budgets(
             N=self.N if self.N is not None else DEFAULT_N,
             B=self.B if self.B is not None else default_b(grid),
             M=self.M if self.M is not None else DEFAULT_M,
@@ -76,21 +80,8 @@ class Budgets:
             raise ValueError("budgets must satisfy B < M")
         return r
 
-
-@dataclass
-class ResolvedBudgets:
-    N: int
-    B: float
-    M: float
-    stages: int
-    degree_cap: int
-    n_max: int | None
-    band: float
-
     def to_json(self) -> dict:
-        return {"N": self.N, "B": self.B, "M": self.M, "stages": self.stages,
-                "degree_cap": self.degree_cap, "n_max": self.n_max,
-                "band": self.band}
+        return asdict(self)
 
 
 @dataclass

@@ -20,7 +20,7 @@ from . import pgmio
 from .construct import (BlockStructure, CountableStructure,
                         InterleaveStructure, RootPolynomial, block_series,
                         countable_series_from_tables, interleave)
-from .decompose import Decomposition
+from .decompose import SKIPPED, VERIFIED, Decomposition
 from .geometry import Grid, RegionMask
 from .series import CoefficientSeries, ConvergenceMap
 
@@ -286,17 +286,31 @@ def load_decomposition(outdir: str | Path) -> Decomposition:
 
     Only the stage tables needed for replay (E_n, U_n) are restored; the
     per-piece tables and the original compact list are not persisted.
-    Checksums are verified before any mask is parsed.
+    Every stage mask E_n, U_n (n = 1..n_max) must be listed in the manifest,
+    and checksums are verified before any mask is parsed.
     """
     outdir = Path(outdir)
-    manifest = json.loads((outdir / "manifest.json").read_text())
-    for name, digest in manifest["files"].items():
+    manifest = _object(json.loads((outdir / "manifest.json").read_text()),
+                       "manifest")
+    n_max = manifest.get("n_max")
+    if type(n_max) is not int or n_max < 1:
+        raise ValueError(f"n_max must be a positive integer, got {n_max!r}")
+    status = _list(manifest, "hull_identity")
+    if len(status) != n_max or any(s not in (VERIFIED, SKIPPED)
+                                   for s in status):
+        raise ValueError(f"hull_identity must hold {n_max} entries, each "
+                         f"{VERIFIED!r} or {SKIPPED!r}, got {status!r:.60}")
+    files = _object(manifest.get("files"), "files")
+    for name in (f"{p}_{n:03d}.pgm" for n in range(1, n_max + 1)
+                 for p in "EU"):
+        if name not in files:
+            raise ValueError(f"manifest lists no checksum for {name}")
+    for name, digest in files.items():
         actual = _sha256(outdir / name)
         if actual != digest:
             raise ValueError(f"checksum mismatch for {name}: manifest "
-                             f"{digest[:12]}.., file {actual[:12]}..")
+                             f"{str(digest)[:12]}.., file {actual[:12]}..")
     grid = grid_from_json(manifest["grid"])
-    n_max = int(manifest["n_max"])
     E_list: list[RegionMask] = []
     U_list: list[RegionMask] = []
     for n in range(1, n_max + 1):
@@ -304,8 +318,7 @@ def load_decomposition(outdir: str | Path) -> Decomposition:
         U_list.append(pgmio.read_mask_pgm(outdir / f"U_{n:03d}.pgm"))
         if E_list[-1].grid != grid or U_list[-1].grid != grid:
             raise ValueError(f"stage {n} masks disagree with manifest grid")
-    return Decomposition(grid, [], n_max, {}, {}, E_list, U_list,
-                         list(manifest["hull_identity"]))
+    return Decomposition(grid, [], n_max, {}, {}, E_list, U_list, status)
 
 
 def save_report(report: dict, path: str | Path) -> None:

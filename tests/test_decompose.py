@@ -8,9 +8,9 @@ import pytest
 
 from sigmaconv import (COMPACT, DOMAIN, OPEN, Grid, RegionMask, Verdict,
                        ascending_decomposition, check_finite_components,
-                       compact_set_series, conv_map, distance_to, full_domain,
-                       hull_escape_exhibit, neighborhood, polynomial_hull,
-                       rasterize_scene, set_distance, shapes,
+                       compact_set_series, conv_map, distance_to, empty_mask,
+                       full_domain, hull_escape_exhibit, neighborhood,
+                       polynomial_hull, rasterize_scene, set_distance, shapes,
                        sierpinski_mask, sigma_convex_series,
                        slice_holomorphically_convex, u_neighborhood_trap)
 
@@ -89,6 +89,70 @@ def test_ascending_chain_is_cell_exact():
     dec = ascending_decomposition(parts, 9)
     for n in range(1, 9):
         assert dec.E_list[n - 1].subset_of(dec.E_list[n])
+
+
+def _reference_stages(K_list, n_max):
+    """Stage tables straight from the definitions: each piece is K_j minus
+    the closed 1/n-neighborhood of its prefix union, and a stage is verified
+    when every pair of nonempty pieces is more than 2 pixels apart."""
+    g = K_list[0].grid
+    L, F, E_list, U_list, status = {}, {}, [], [], []
+    for n in range(1, n_max + 1):
+        j_hi = min(n, len(K_list))
+        pieces = [K_list[0]]
+        for j in range(2, j_hi + 1):
+            prefix = K_list[0]
+            for K in K_list[1:j - 1]:
+                prefix = prefix.union(K)
+            pieces.append(K_list[j - 1].difference(neighborhood(prefix,
+                                                                1.0 / n)))
+        E = empty_mask(g)
+        for j, piece in enumerate(pieces, start=1):
+            L[(n, j)], F[(n, j)] = piece, polynomial_hull(piece)
+            E = E.union(F[(n, j)])
+        E_list.append(E)
+        U_list.append(neighborhood(E, 1.0 / (3.0 * n)))
+        live = [p for p in pieces if not p.is_empty()]
+        separated = all(set_distance(p, q) > 2.0 * g.pixel
+                        for i, p in enumerate(live) for q in live[i + 1:])
+        status.append(VERIFIED if separated else SKIPPED)
+    return L, F, E_list, U_list, status
+
+
+def _stage_scene(name):
+    g = Grid.from_box(-2.0, -2.0, 2.0, 2.0, 32, 32)
+    if name == "apart-odd-pixel":  # a pixel that is not a power of two
+        g = Grid.from_box(-2.2, -2.2, 2.2, 2.2, 32, 32)
+    if name.startswith("apart"):
+        # on the 4/32 pixel K1, K2 are 1 px apart and K3, K4 exactly 2 px;
+        # every other pair of nonempty compacts is more than 2 px apart
+        return [disk(g, -0.5, 0.0, 0.45), disk(g, 0.5, 0.0, 0.45),
+                disk(g, -0.3, -1.35, 0.3), disk(g, 0.45, -1.35, 0.3),
+                disk(g, 0.0, 1.3, 0.35)]
+    if name == "nested":
+        return [disk(g, 0.0, 0.0, 0.2), disk(g, 0.0, 0.0, 1.0),
+                disk(g, 1.45, 1.45, 0.25)]
+    return [disk(g, -1.0, 0.0, 0.4), empty_mask(g), disk(g, 0.0, 0.0, 0.5),
+            disk(g, 1.0, 0.0, 0.4)]
+
+
+@pytest.mark.parametrize("name", ["apart", "apart-odd-pixel", "nested",
+                                  "empty-middle"])
+def test_stage_tables_match_the_definitions(name):
+    K_list = _stage_scene(name)
+    n_max = 9
+    dec = ascending_decomposition(K_list, n_max)
+    L, F, E_list, U_list, status = _reference_stages(K_list, n_max)
+    assert dec.L.keys() == L.keys() and dec.F.keys() == F.keys()
+    for key in L:
+        assert dec.L[key].same_cells(L[key]), key
+        assert dec.F[key].same_cells(F[key]), key
+    for n in range(n_max):
+        assert dec.E_list[n].same_cells(E_list[n]), n + 1
+        assert dec.U_list[n].same_cells(U_list[n]), n + 1
+    assert dec.hull_identity == status
+    if name.startswith("apart"):
+        assert VERIFIED in status and SKIPPED in status
 
 
 def test_decomposition_preconditions():

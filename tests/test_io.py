@@ -17,7 +17,7 @@ from sigmaconv import (COMPACT, DOMAIN, OPEN, Grid, RegionMask, Verdict,
                        sigma_convex_series, write_map_pgm, write_mask_pgm,
                        PointSequence, RootPolynomial, export_decomposition,
                        load_decomposition)
-from sigmaconv.serialize import map_sidecar
+from sigmaconv.serialize import grid_from_json, map_sidecar
 from conftest import disk_growth_series, random_polyomino
 
 
@@ -296,3 +296,52 @@ def test_decomposition_reload_rejects_tampering(tmp_path):
     victim.write_bytes(bytes(raw))
     with pytest.raises(ValueError, match="checksum mismatch for E_002.pgm"):
         load_decomposition(tmp_path / "out")
+
+
+def _set(**fields):
+    return lambda out, manifest: manifest.update(fields)
+
+
+def _unlist(name):
+    return lambda out, manifest: manifest["files"].pop(name)
+
+
+def _unlisted_tampered_stage(out, manifest):
+    """Drop E_001's checksum and rewrite it as a valid one-cell mask."""
+    manifest["files"].pop("E_001.pgm")
+    g = grid_from_json(manifest["grid"])
+    bits = np.zeros((g.height, g.width), dtype=bool)
+    bits[g.height // 2, g.width // 2] = True
+    write_mask_pgm(RegionMask(g, bits, COMPACT), out / "E_001.pgm")
+
+
+MANIFEST_CORRUPTIONS = {
+    "unlisted tampered E_001": (_unlisted_tampered_stage,
+                                "no checksum for E_001.pgm"),
+    "unlisted U_004": (_unlist("U_004.pgm"), "no checksum for U_004.pgm"),
+    "stages beyond the files": (_set(n_max=5, hull_identity=["verified"] * 5),
+                                "no checksum for E_005.pgm"),
+    "bogus status, n_max 2": (_set(n_max=2, hull_identity=["bogus"]),
+                              "hull_identity must hold 2 entries"),
+    "unknown status": (_set(hull_identity=["verified", "bogus"] * 2),
+                       "hull_identity must hold 4 entries"),
+    "short status": (_set(hull_identity=["verified"] * 3),
+                     "hull_identity must hold 4 entries"),
+    "n_max 0": (_set(n_max=0), "n_max must be a positive"),
+    "n_max fractional": (_set(n_max=2.5), "n_max must be a positive"),
+    "n_max string": (_set(n_max="4"), "n_max must be a positive"),
+    "n_max bool": (_set(n_max=True), "n_max must be a positive"),
+    "files not an object": (_set(files=[]), "files must be a JSON object"),
+}
+
+
+@pytest.mark.parametrize("case", list(MANIFEST_CORRUPTIONS))
+def test_decomposition_reload_rejects_malformed_manifest(tmp_path, case):
+    corrupt, message = MANIFEST_CORRUPTIONS[case]
+    _, dec = make_decomposition()
+    out = tmp_path / "out"
+    manifest = export_decomposition(dec, out)
+    corrupt(out, manifest)
+    (out / "manifest.json").write_text(json.dumps(manifest, indent=1))
+    with pytest.raises(ValueError, match=message):
+        load_decomposition(out)
