@@ -23,12 +23,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import groupby
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .geometry import (OPEN, Grid, RegionMask, distance_to, empty_mask,
-                       neighborhood, polynomial_hull, set_distance)
+                       exhaustion, polynomial_hull, set_distance)
 from .series import CoefficientSeries, _log_mags, reject_nan
 
 # budget for one chunk of the (order x cell) table that product series fill
@@ -370,63 +371,92 @@ def separating_family(K: RegionMask, U: RegionMask, target: RegionMask,
     family.  Degrees past ``degree_cap`` are not tried; remaining target
     cells go into the uncovered report.
     """
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    if degree_cap < 1:
-        raise ValueError("degree_cap must be >= 1")
-    if not polynomial_hull(K).same_cells(K):
-        raise ValueError("K is not polynomially convex on the raster")
-    if not K.subset_of(U):
-        raise ValueError("K must be contained in U")
-    if not target.intersect(U).is_empty():
-        raise ValueError("target must be disjoint from U")
+    return _separating_families(K, [("", U, target, m)], degree_cap)[0]
+
+
+def _separating_families(K: RegionMask,
+                         stages: Sequence[tuple[str, RegionMask, RegionMask, int]],
+                         degree_cap: int) -> list[SeparatingFamily]:
+    """separating_family for each (label, U, target, m) stage over one K,
+    with K's convexity checked once and errors prefixed by the label.
+
+    Multi-cell stages share one Leja sequence and one root-log row per
+    degree over the union of their targets; each keeps its own covered
+    cells, level m and early stop.  Logs over a superset, indexed down, are
+    the same floats, so each family is the one its stage alone would get.
+    """
+    for i, (label, U, target, m) in enumerate(stages):
+        try:
+            if m < 1:
+                raise ValueError("m must be >= 1")
+            if i == 0 and degree_cap < 1:
+                raise ValueError("degree_cap must be >= 1")
+            if i == 0 and not polynomial_hull(K).same_cells(K):
+                raise ValueError("K is not polynomially convex on the raster")
+            if not K.subset_of(U):
+                raise ValueError("K must be contained in U")
+            if not target.intersect(U).is_empty():
+                raise ValueError("target must be disjoint from U")
+        except ValueError as exc:
+            raise ValueError(f"{label}{exc}") from exc
 
     grid = K.grid
-    log_m = math.log(m)
-    if target.is_empty():
-        return SeparatingFamily(m, [], K, target, empty_mask(grid, OPEN),
-                                note="empty target")
+    members: list[list[RootPolynomial]] = [[] for _ in stages]
+    covered = [np.zeros(target.count(), dtype=bool) for _, _, target, _ in stages]
+    notes = [""] * len(stages)
+    live: list[int] = []
+    for i, (_, _, target, m) in enumerate(stages):
+        if target.is_empty():
+            notes[i] = "empty target"
+        elif K.count() == 1:
+            # no monic polynomial separates from a one-cell K (sup over K of
+            # |z - a| is 0), so scale the linear factor directly; the nearest
+            # target cell sits exactly at value m, which float rounding can
+            # drop an ulp below the threshold, hence the relative shave
+            a = complex(K.cell_centers()[0])
+            rho = (set_distance(K, target) / m) * (1.0 - 1e-12)
+            members[i].append(RootPolynomial((a,), -math.log(rho)))
+            covered[i] = np.asarray(members[i][0].log_abs(
+                target.cell_centers())) >= math.log(m)
+            notes[i] = (f"single-cell K: member (z - a)/rho with rho = "
+                        f"{rho!r} (set_distance/m, shaved 1e-12)")
+        else:
+            live.append(i)
 
-    if K.count() == 1:
-        # no monic polynomial separates from a one-cell K (sup over K of
-        # |z - a| is 0), so scale the linear factor directly; the nearest
-        # target cell sits exactly at value m, which float rounding can
-        # drop an ulp below the threshold, hence the relative shave
-        a = complex(K.cell_centers()[0])
-        rho = (set_distance(K, target) / m) * (1.0 - 1e-12)
-        member = RootPolynomial((a,), -math.log(rho))
-        reaches = np.asarray(member.log_abs(target.cell_centers())) >= log_m
-        unc_bits = np.zeros((grid.height, grid.width), dtype=bool)
-        unc_bits[target.bits] = ~reaches
-        return SeparatingFamily(
-            m, [member], K, target, RegionMask(grid, unc_bits, OPEN),
-            note=f"single-cell K: member (z - a)/rho with rho = {rho!r} "
-                 "(set_distance/m, shaved 1e-12)")
-
-    leja = leja_points(K, degree_cap)
-    zs_k = K.cell_centers()
-    zs_t = target.cell_centers()
-    sum_k = np.zeros(zs_k.shape)
-    sum_t = np.zeros(zs_t.shape)
-    covered = np.zeros(zs_t.shape, dtype=bool)
-    members: list[RootPolynomial] = []
-    for d, root in enumerate(leja.points, start=1):
-        sum_k += _log_abs(zs_k - root)
-        sum_t += _log_abs(zs_t - root)
-        norm = float(np.max(sum_k))
-        if norm == -np.inf:
-            break  # every K cell is a root; higher degrees are identically 0
-        reaches = sum_t - norm >= log_m
-        if (reaches & ~covered).any():
-            members.append(RootPolynomial(tuple(leja.points[:d]), -norm))
-            covered |= reaches
-            if covered.all():
+    if live:
+        try:
+            leja = leja_points(K, degree_cap)
+        except ValueError as exc:
+            raise ValueError(f"{stages[live[0]][0]}{exc}") from exc
+        union = np.logical_or.reduce([stages[i][2].bits for i in live])
+        picks = {i: stages[i][2].bits[union] for i in live}
+        zs_k, zs_t = K.cell_centers(), grid.centers()[union]
+        sum_k, sum_t = np.zeros(zs_k.shape), np.zeros(zs_t.shape)
+        for d, root in enumerate(leja.points, start=1):
+            sum_k += _log_abs(zs_k - root)
+            sum_t += _log_abs(zs_t - root)
+            norm = float(np.max(sum_k))
+            if norm == -np.inf:
+                break  # every K cell is a root; higher degrees are identically 0
+            lifted = sum_t - norm
+            member = RootPolynomial(tuple(leja.points[:d]), -norm)
+            for i in live:
+                reaches = lifted[picks[i]] >= math.log(stages[i][3])
+                if (reaches & ~covered[i]).any():
+                    members[i].append(member)
+                    covered[i] |= reaches
+            live = [i for i in live if not covered[i].all()]
+            if not live:
                 break
 
-    uncovered_bits = np.zeros((grid.height, grid.width), dtype=bool)
-    uncovered_bits[target.bits] = ~covered
-    return SeparatingFamily(m, members, K, target,
-                            RegionMask(grid, uncovered_bits, OPEN))
+    families: list[SeparatingFamily] = []
+    for (_, _, target, m), found, cov, note in zip(stages, members, covered,
+                                                   notes):
+        uncovered_bits = np.zeros((grid.height, grid.width), dtype=bool)
+        uncovered_bits[target.bits] = ~cov
+        families.append(SeparatingFamily(
+            m, found, K, target, RegionMask(grid, uncovered_bits, OPEN), note))
+    return families
 
 
 @dataclass(frozen=True)
@@ -506,6 +536,16 @@ def block_series(members: Sequence[RootPolynomial],
                              structure=structure)
 
 
+def _stage_blocks(families: Sequence[SeparatingFamily], f0_log_mag: float,
+                  description: str) -> CoefficientSeries:
+    """Block series of the families' members, one stage block per family."""
+    return block_series(
+        [p for family in families for p in family.members],
+        [len(family.members) for family in families], f0_log_mag,
+        description=description,
+        uncovered_counts=[family.uncovered.count() for family in families])
+
+
 def compact_set_series(K: RegionMask, grid: Grid, stages: int,
                        degree_cap: int) -> CoefficientSeries:
     """Series converging on a polynomially convex K, diverging on shells
@@ -519,27 +559,16 @@ def compact_set_series(K: RegionMask, grid: Grid, stages: int,
         raise ValueError("stages must be >= 1")
     if K.grid != grid:
         raise ValueError("K does not live on the given grid")
-    if not polynomial_hull(K).same_cells(K):
-        raise ValueError("K is not polynomially convex on the raster")
     dist_k = distance_to(K)
     abs_z = np.abs(grid.centers())
-    members: list[RootPolynomial] = []
-    sizes: list[int] = []
-    uncovered: list[int] = []
-    for m in range(1, stages + 1):
-        U = neighborhood(K, 1.0 / m)
-        # shell cells at distance >= 1/m; cells exactly at 1/m belong to the
-        # closed dilation U, so the usable target is the strict excess
-        shell = (dist_k > 1.0 / m) & (abs_z <= m) & ~U.bits
-        target = RegionMask(grid, shell, OPEN)
-        family = separating_family(K, U, target, m, degree_cap)
-        members.extend(family.members)
-        sizes.append(len(family.members))
-        uncovered.append(family.uncovered.count())
-    return block_series(
-        members, sizes, -math.inf,
-        description=f"compact-set series, {stages} stages on {K.count()} cells",
-        uncovered_counts=uncovered)
+    # U_m is the closed 1/m-dilation of K, so the usable shell is the strict
+    # excess; every stage separates the same K, hence one lockstep group
+    plan = [("", RegionMask(grid, dist_k <= 1.0 / m, OPEN),
+             RegionMask(grid, (dist_k > 1.0 / m) & (abs_z <= m), OPEN), m)
+            for m in range(1, stages + 1)]
+    return _stage_blocks(
+        _separating_families(K, plan, degree_cap), -math.inf,
+        description=f"compact-set series, {stages} stages on {K.count()} cells")
 
 
 def sigma_convex_series(decomp, omega: RegionMask,
@@ -549,28 +578,22 @@ def sigma_convex_series(decomp, omega: RegionMask,
 
     Stage k separates E_k from the k-th domain exhaustion piece minus the
     shrinking open cover U_k, at separation level k; the constant term is 1.
+    Consecutive stages with equal E_k build their families in lockstep.
     """
-    from .geometry import omega_exhaustion  # local to avoid name shadowing
     if omega.grid != decomp.grid:
         raise ValueError("omega does not live on the decomposition's grid")
-    members: list[RootPolynomial] = []
-    sizes: list[int] = []
-    uncovered: list[int] = []
-    for k in range(1, decomp.n_max + 1):
-        E_k = decomp.E_list[k - 1]
-        U_k = decomp.U_list[k - 1]
-        target = omega_exhaustion(omega, k).difference(U_k, kind=OPEN)
-        try:
-            family = separating_family(E_k, U_k, target, k, degree_cap)
-        except ValueError as exc:
-            raise ValueError(f"stage {k}: {exc}") from exc
-        members.extend(family.members)
-        sizes.append(len(family.members))
-        uncovered.append(family.uncovered.count())
-    return block_series(
-        members, sizes, 0.0,
-        description=f"sigma-convex series, {decomp.n_max} stages",
-        uncovered_counts=uncovered)
+    exhaust = exhaustion(omega)
+    families: list[SeparatingFamily] = []
+    for _, group in groupby(range(1, decomp.n_max + 1),
+                            key=lambda k: decomp.E_list[k - 1].bits.tobytes()):
+        ks = list(group)
+        families += _separating_families(
+            decomp.E_list[ks[0] - 1],
+            [(f"stage {k}: ", decomp.U_list[k - 1],
+              exhaust(k).difference(decomp.U_list[k - 1], kind=OPEN), k)
+             for k in ks], degree_cap)
+    return _stage_blocks(families, 0.0,
+                         description=f"sigma-convex series, {decomp.n_max} stages")
 
 
 class SaturationError(RuntimeError):

@@ -18,9 +18,9 @@ from functools import reduce
 
 import numpy as np
 
-from .geometry import (COMPACT, ComponentReport, Grid, RegionMask,
+from .geometry import (COMPACT, OPEN, ComponentReport, Grid, RegionMask,
                        complement_components, distance_to, holomorphic_hull,
-                       neighborhood, polynomial_hull, set_distance)
+                       polynomial_hull, set_distance)
 from .shapes import (SQRT3_2, ResolutionWarning, _polygon_even_odd,
                      _segment_distance, inverted_triangle_holes,
                      sierpinski_membership)
@@ -38,7 +38,8 @@ class Decomposition:
     hulls, ``U_list[n-1]`` its closed 1/(3n)-neighborhood.
     ``hull_identity[n-1]`` records whether E_n = hull(union of pieces) was
     checked ("verified") or skipped because pieces came within 2 pixels of
-    each other.
+    each other.  Pieces with equal cells are one shared object, and so are
+    their hulls and equal consecutive stage unions.
     """
 
     grid: Grid
@@ -71,10 +72,28 @@ def ascending_decomposition(K_list: list[RegionMask],
     if not K_list:
         raise ValueError("K_list must be non-empty")
     grid = K_list[0].grid
+
+    # one hull per distinct mask, and one RegionMask per distinct piece, both
+    # keyed by bits: once 1/n drops below the gaps the pieces stop changing
+    hulls: dict[bytes, RegionMask] = {}
+    interned: dict[bytes, RegionMask] = {}
+
+    def hull_of(mask: RegionMask) -> RegionMask:
+        key = mask.bits.tobytes()
+        if key not in hulls:
+            hulls[key] = polynomial_hull(mask)
+        return hulls[key]
+
+    def piece(bits: np.ndarray) -> RegionMask:
+        key = bits.tobytes()
+        if key not in interned:
+            interned[key] = RegionMask(grid, bits, COMPACT)
+        return interned[key]
+
     for j, K in enumerate(K_list, start=1):
         if K.grid != grid:
             raise ValueError(f"K_{j} lives on a different grid")
-        if not polynomial_hull(K).same_cells(K):
+        if not hull_of(K).same_cells(K):
             raise ValueError(f"K_{j} is not polynomially convex on the raster")
     J = len(K_list)
     if n_max < J:
@@ -110,26 +129,34 @@ def ascending_decomposition(K_list: list[RegionMask],
     U_list: list[RegionMask] = []
     status: list[str] = []
 
+    # E_n and its status change only with the pieces, and the transform of
+    # E_n only with E_n (the chain ascends, so equal E's are consecutive)
+    seen: tuple[int, ...] = ()
     for n in range(1, n_max + 1):
         j_hi = min(n, J)
         pieces = [K_list[0]] + [
-            RegionMask(grid, K_list[j].bits & (prefix_dist[j - 1] > 1.0 / n),
-                       COMPACT) for j in range(1, j_hi)]
-        hulls = [polynomial_hull(piece) for piece in pieces]
+            piece(K_list[j].bits & (prefix_dist[j - 1] > 1.0 / n))
+            for j in range(1, j_hi)]
         for j in range(1, j_hi + 1):
-            L[(n, j)], F[(n, j)] = pieces[j - 1], hulls[j - 1]
-        union_hulls = reduce(RegionMask.union, hulls)
-        E_list.append(union_hulls)
-        U_list.append(neighborhood(union_hulls, 1.0 / (3.0 * n)))
-
-        separated = all(set_distance(pieces[a], pieces[b]) > pix2
-                        for a, b in close if b < j_hi
-                        and not (pieces[a].is_empty() or pieces[b].is_empty()))
-        if separated and not polynomial_hull(
-                reduce(RegionMask.union, pieces)).same_cells(union_hulls):
-            raise AssertionError(
-                f"stage {n}: union-of-hulls differs from hull-of-union "
-                f"despite pieces separated by > 2 px")
+            L[(n, j)], F[(n, j)] = pieces[j - 1], hull_of(pieces[j - 1])
+        if tuple(map(id, pieces)) != seen:
+            seen = tuple(map(id, pieces))
+            E = reduce(RegionMask.union, (hull_of(p) for p in pieces))
+            if not E_list or not E.same_cells(E_list[-1]):
+                d_E = distance_to(E)
+            else:
+                E = E_list[-1]
+            separated = all(
+                set_distance(pieces[a], pieces[b]) > pix2
+                for a, b in close if b < j_hi
+                and not (pieces[a].is_empty() or pieces[b].is_empty()))
+            if separated and not hull_of(
+                    reduce(RegionMask.union, pieces)).same_cells(E):
+                raise AssertionError(
+                    f"stage {n}: union-of-hulls differs from hull-of-union "
+                    f"despite pieces separated by > 2 px")
+        E_list.append(E)
+        U_list.append(RegionMask(grid, d_E <= 1.0 / (3.0 * n), OPEN))
         status.append(VERIFIED if separated else SKIPPED)
 
     for n in range(1, n_max):

@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Callable
 
 import numpy as np
 from scipy import ndimage
@@ -286,10 +287,14 @@ def omega_exhaustion(omega: RegionMask, m: int) -> RegionMask:
     cell center is >= 1/m; when omega meets the frame the frame ring counts
     as boundary too (the rasterized domain is then clipped, not closed).
     """
+    return exhaustion(omega)(m)
+
+
+def exhaustion(omega: RegionMask) -> Callable[[int], RegionMask]:
+    """m -> omega_exhaustion(omega, m), with the domain's boundary distance
+    transform computed once for every m."""
     if omega.kind != DOMAIN:
         raise ValueError("omega_exhaustion requires a domain mask")
-    if m < 1:
-        raise ValueError("m must be >= 1")
     grid = omega.grid
     frame = grid.frame()
     obstacle = ~omega.bits
@@ -299,8 +304,14 @@ def omega_exhaustion(omega: RegionMask, m: int) -> RegionMask:
         bd = ndimage.distance_transform_edt(~obstacle, sampling=grid.pixel)
     else:
         bd = np.full(obstacle.shape, np.inf)
-    bits = omega.bits & (np.abs(grid.centers()) <= m) & (bd >= 1.0 / m)
-    return RegionMask(grid, bits, COMPACT)
+    abs_z = np.abs(grid.centers())
+
+    def piece(m: int) -> RegionMask:
+        if m < 1:
+            raise ValueError("m must be >= 1")
+        bits = omega.bits & (abs_z <= m) & (bd >= 1.0 / m)
+        return RegionMask(grid, bits, COMPACT)
+    return piece
 
 
 def band_equal(a: RegionMask, b: RegionMask, band: float) -> bool:

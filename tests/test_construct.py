@@ -6,15 +6,16 @@ import math
 import numpy as np
 import pytest
 
-from sigmaconv import (COMPACT, Grid, PointSequence, SaturationError, Verdict,
-                       block_series, classify_point, compact_set_series,
-                       conv_map, countable_set_series,
-                       dense_enumeration_for_targets, enumeration_series,
-                       full_domain, gamma_sequence, gamma_table,
-                       growth_exponent, interleave, leja_points, neighborhood,
-                       polynomial_hull, rasterize_scene, separating_family,
-                       shapes)
-from sigmaconv.construct import countable_series_from_tables
+from sigmaconv import (COMPACT, OPEN, Grid, PointSequence, SaturationError,
+                       Verdict, block_series, classify_point,
+                       compact_set_series, conv_map, countable_set_series,
+                       dense_enumeration_for_targets, empty_mask,
+                       enumeration_series, full_domain, gamma_sequence,
+                       gamma_table, growth_exponent, interleave, leja_points,
+                       neighborhood, polynomial_hull, rasterize_scene,
+                       separating_family, shapes)
+from sigmaconv.construct import (_separating_families,
+                                 countable_series_from_tables)
 from conftest import disk_growth_series
 
 
@@ -285,6 +286,68 @@ def test_family_preconditions():
     with pytest.raises(ValueError, match="disjoint"):
         separating_family(disk, neighborhood(disk, 0.2),
                           neighborhood(disk, 0.1), 2, 8)
+
+
+def assert_same_family(got, alone):
+    assert [p.roots for p in got.members] == [p.roots for p in alone.members]
+    assert [p.log_scale for p in got.members] == \
+        [p.log_scale for p in alone.members]
+    assert np.array_equal(got.uncovered.bits, alone.uncovered.bits)
+    assert got.note == alone.note and got.m == alone.m
+
+
+def lockstep_matches_one_by_one(K, stages, cap):
+    group = _separating_families(K, stages, cap)
+    assert len(group) == len(stages)
+    for got, (_, U, target, m) in zip(group, stages):
+        assert_same_family(got, separating_family(K, U, target, m, cap))
+    return group
+
+
+def test_lockstep_families_equal_their_stages_alone():
+    g = Grid.from_box(-3.0, -3.0, 3.0, 3.0, 64, 64)
+    K = polynomial_hull(rasterize_scene([(1, shapes.Disk(0.0, 0.0, 1.0))], g,
+                                        kind=COMPACT))
+    U = neighborhood(K, 0.25)
+
+    def region(*shape_list):
+        return rasterize_scene([(1, s) for s in shape_list], g, kind=COMPACT)
+
+    ring = region(shapes.Annulus(0.0, 0.0, 1.9, 2.1))
+    # targets that are not nested: a ring, a disk partly inside it and a
+    # disk on the far side, plus an empty target in the middle of the group
+    stages = [("a: ", U, ring, 2),
+              ("b: ", U, region(shapes.Disk(2.0, 0.0, 0.5)), 40),
+              ("c: ", U, empty_mask(g), 3),
+              ("d: ", U, region(shapes.Disk(-2.2, 1.0, 0.4)), 7)]
+    group = lockstep_matches_one_by_one(K, stages, 24)
+    degrees = [max((p.degree for p in f.members), default=0) for f in group]
+    # stage a covers its ring early and stops while b runs on
+    assert group[0].uncovered.is_empty() and degrees[0] < degrees[1]
+    assert group[2].note == "empty target" and group[2].members == []
+
+
+def test_lockstep_families_on_a_single_cell_K():
+    g = Grid.from_box(-2.0, -2.0, 2.0, 2.0, 64, 64)
+    a = g.cell_center(*g.index_of(0.03 + 0.03j))
+    K = rasterize_scene([(1, shapes.Points((a,)))], g, kind=COMPACT)
+    U = neighborhood(K, 0.1)
+    far = rasterize_scene([(1, shapes.Disk(1.0, 0.5, 0.3))], g, kind=COMPACT)
+    near = rasterize_scene([(1, shapes.Disk(-0.6, 0.0, 0.2))], g,
+                           kind=COMPACT)
+    group = lockstep_matches_one_by_one(
+        K, [("", U, far, 3), ("", U, empty_mask(g), 4), ("", U, near, 10)], 8)
+    assert "single-cell" in group[0].note and "single-cell" in group[2].note
+
+
+def test_lockstep_families_name_the_failing_stage():
+    g, K, U, ring, _ = build_disk_ring()
+    bad_U = neighborhood(K, 0.25).intersect(
+        rasterize_scene([(1, shapes.Disk(0.0, 0.0, 0.5))], g, kind=COMPACT),
+        kind=OPEN)
+    with pytest.raises(ValueError, match="^stage 5: K must be contained"):
+        _separating_families(K, [("stage 4: ", U, ring, 4),
+                                 ("stage 5: ", bad_U, ring, 5)], 16)
 
 
 # ------------------------------------------------------------ block series

@@ -10,9 +10,10 @@ from sigmaconv import (COMPACT, DOMAIN, OPEN, Grid, RegionMask, Verdict,
                        ascending_decomposition, check_finite_components,
                        compact_set_series, conv_map, distance_to, empty_mask,
                        full_domain, hull_escape_exhibit, neighborhood,
-                       polynomial_hull, rasterize_scene, set_distance, shapes,
-                       sierpinski_mask, sigma_convex_series,
-                       slice_holomorphically_convex, u_neighborhood_trap)
+                       omega_exhaustion, polynomial_hull, rasterize_scene,
+                       set_distance, shapes, sierpinski_mask,
+                       sigma_convex_series, slice_holomorphically_convex,
+                       u_neighborhood_trap)
 
 SKIPPED = "skipped"
 VERIFIED = "verified"
@@ -153,6 +154,49 @@ def test_stage_tables_match_the_definitions(name):
     assert dec.hull_identity == status
     if name.startswith("apart"):
         assert VERIFIED in status and SKIPPED in status
+
+
+def test_stage_work_is_done_once_per_distinct_input(monkeypatch):
+    """Hulls, transforms and Leja sequences run once per distinct piece, E_n
+    and E_k group, and equal pieces are one shared object."""
+    from sigmaconv import construct, decompose
+    calls = {"hull": [], "dist": [], "leja": []}
+
+    def spy(name, fn):
+        def wrapped(mask, *args):
+            calls[name].append(mask.bits.tobytes())
+            return fn(mask, *args)
+        return wrapped
+    monkeypatch.setattr(decompose, "polynomial_hull",
+                        spy("hull", decompose.polynomial_hull))
+    monkeypatch.setattr(decompose, "distance_to",
+                        spy("dist", decompose.distance_to))
+    monkeypatch.setattr(construct, "leja_points",
+                        spy("leja", construct.leja_points))
+
+    K_list = _stage_scene("nested")
+    n_max = 9
+    dec = ascending_decomposition(K_list, n_max)
+    assert len(calls["hull"]) == len(set(calls["hull"]))
+    distinct_E = {E.bits.tobytes() for E in dec.E_list}
+    # prefix unions, the later nonempty compacts, then one per distinct E_n
+    assert len(calls["dist"]) == (len(K_list) - 1 + sum(
+        not K.is_empty() for K in K_list[1:]) + len(distinct_E))
+    for (n, j), piece in dec.L.items():
+        for n2 in range(j, n_max + 1):
+            if dec.L[(n2, j)].same_cells(piece):
+                assert dec.L[(n2, j)] is piece
+
+    omega = full_domain(dec.grid)
+    sigma_convex_series(dec, omega, degree_cap=16)
+    groups = {}
+    for k, E in enumerate(dec.E_list, start=1):
+        target = omega_exhaustion(omega, k).difference(dec.U_list[k - 1])
+        key = E.bits.tobytes()
+        groups[key] = groups.get(key, False) or (
+            E.count() > 1 and not target.is_empty())
+    assert len(distinct_E) < n_max
+    assert len(calls["leja"]) == sum(groups.values()) > 0
 
 
 def test_decomposition_preconditions():

@@ -9,12 +9,14 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import ndimage
 
 from sigmaconv import (COMPACT, DOMAIN, OPEN, Grid, RegionMask, band_equal,
                        complement_components, distance_to, empty_mask,
                        full_domain, holomorphic_hull, neighborhood,
                        omega_exhaustion, polynomial_hull, rasterize_scene,
                        set_distance, shapes)
+from sigmaconv.geometry import exhaustion
 from conftest import flood_fill_hull, random_polyomino
 
 
@@ -271,6 +273,42 @@ def test_omega_exhaustion_keeps_boundary_margin():
     hole = RegionMask(g, ~omega.bits, OPEN)
     d = distance_to(hole)
     assert np.all(d[ex.bits] >= 1 / 2)
+
+
+def _reference_exhaustion(omega, m):
+    """The m-th exhaustion piece straight from its definition, with its own
+    boundary transform."""
+    g = omega.grid
+    obstacle = ~omega.bits
+    if omega.bits[g.frame()].any():
+        obstacle = obstacle | g.frame()
+    bd = ndimage.distance_transform_edt(~obstacle, sampling=g.pixel)
+    return omega.bits & (np.abs(g.centers()) <= m) & (bd >= 1.0 / m)
+
+
+@pytest.mark.parametrize("touches_frame", [True, False])
+def test_exhaustion_shares_one_boundary_transform(touches_frame, monkeypatch):
+    g = Grid.from_box(-4.0, -4.0, 4.0, 4.0, 64, 64)
+    shape = (shapes.Annulus(0.0, 0.0, 0.4, 9.0) if touches_frame
+             else shapes.Disk(0.3, -0.2, 3.1))
+    omega = rasterize_scene([(1, shape)], g, kind=DOMAIN)
+    assert bool(omega.bits[g.frame()].any()) == touches_frame
+    reference = [_reference_exhaustion(omega, m) for m in range(1, 9)]
+    for m, bits in enumerate(reference, start=1):
+        assert np.array_equal(omega_exhaustion(omega, m).bits, bits), m
+    transforms = []
+    edt = ndimage.distance_transform_edt
+
+    def counted(*args, **kwargs):
+        transforms.append(args)
+        return edt(*args, **kwargs)
+    monkeypatch.setattr(ndimage, "distance_transform_edt", counted)
+    piece = exhaustion(omega)
+    for m, bits in enumerate(reference, start=1):
+        assert np.array_equal(piece(m).bits, bits), m
+    assert len(transforms) == 1
+    with pytest.raises(ValueError, match="m must be >= 1"):
+        piece(0)
 
 
 # ---------------------------------------------------------------- band_equal
