@@ -22,7 +22,7 @@ K = polynomial_hull(rasterize_scene(
     grid, kind=COMPACT))
 print("target compact:", K.count(), "cells")
 
-series = compact_set_series(K, grid, stages=6, degree_cap=48)
+series = compact_set_series(K, stages=6, degree_cap=48)
 st = series.structure
 print("stage block sizes:", list(st.block_sizes))
 print("uncovered shell cells per stage:", list(st.uncovered_counts))

@@ -175,12 +175,9 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_demo_sierpinski(args) -> int:
-    if args.grid is not None or args.box is not None:
-        w, h = args.grid if args.grid is not None else (512, 512)
-        box = args.box if args.box is not None else (-0.1, -0.1, 1.1, 1.1)
-        grid = Grid.from_box(*box, w, h)
-    else:
-        grid = Grid.from_box(-0.1, -0.1, 1.1, 1.1, 512, 512)
+    w, h = args.grid if args.grid is not None else (512, 512)
+    box = args.box if args.box is not None else (-0.1, -0.1, 1.1, 1.1)
+    grid = Grid.from_box(*box, w, h)
     out = _outdir(args)
     mask = sierpinski_mask(args.depth, grid)
     pgmio.write_mask_pgm(mask, out / "approximant.pgm")

@@ -28,12 +28,12 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .geometry import (OPEN, Grid, RegionMask, distance_to, empty_mask,
-                       exhaustion, polynomial_hull, set_distance)
-from .series import CoefficientSeries, _log_mags, reject_nan
+from .geometry import (OPEN, RegionMask, distance_to, exhaustion,
+                       polynomial_hull, set_distance)
+from .series import CoefficientSeries, _log_mags
 
 # budget for one chunk of the (order x cell) table that product series fill
-# when they evaluate a tail window; see _product_tail_sup
+# when they evaluate an order range; see _product_tail_sup
 TABLE_BYTES = 1 << 20
 
 
@@ -51,13 +51,11 @@ class PointSequence:
     saturated: bool = False
 
     @classmethod
-    def from_points(cls, pts, require_distinct: bool = True) -> "PointSequence":
+    def from_points(cls, pts) -> "PointSequence":
         tup = tuple(complex(p) for p in pts)
-        if require_distinct:
-            if len(set(tup)) != len(tup):
-                raise ValueError("point sequence contains duplicate points")
-            return cls(tup, verified_distinct=True)
-        return cls(tup)
+        if len(set(tup)) != len(tup):
+            raise ValueError("point sequence contains duplicate points")
+        return cls(tup, verified_distinct=True)
 
     def __len__(self) -> int:
         return len(self.points)
@@ -141,42 +139,24 @@ def _product_table(cells: np.ndarray, roots: np.ndarray, log_c: np.ndarray,
     return acc
 
 
-def _check_orders(roots: np.ndarray, log_c: np.ndarray, lo: int,
-                  hi: int) -> None:
-    if lo < 0 or hi > len(roots) or len(log_c) != hi - lo + 1:
-        raise ValueError(f"orders {lo}..{hi} outside the series' tables")
-
-
 def _product_tail_sup(z: np.ndarray | complex, roots: np.ndarray,
                       log_c: np.ndarray, lo: int, hi: int) -> np.ndarray:
     """max over n = lo..hi of (1/n) * log|C_n * prod_{j<n} (z - roots[j])|,
-    where log_c holds log C_n for n = lo..hi and 1 <= lo.
+    where log_c holds log C_n for n = lo..hi and 1 <= lo; a cell with a NaN
+    order gets a NaN sup.
 
     The (order x cell) table of _product_table is filled TABLE_BYTES at a
     time, in chunks of cells.
     """
-    _check_orders(roots, log_c, lo, hi)
-    width = hi - lo + 1
     zs = np.asarray(z, dtype=complex)
     flat = zs.ravel()
     ns = np.arange(lo, hi + 1, dtype=float)[:, None]
     sup = np.empty(flat.shape)
-    bad_n = hi + 1  # first order with a NaN, over all chunks
-    step = max(1, TABLE_BYTES // (8 * width))
+    step = max(1, TABLE_BYTES // (8 * (hi - lo + 1)))
     for start in range(0, flat.size, step):
         acc = _product_table(flat[start:start + step], roots, log_c, lo, hi)
-        nan_rows = np.isnan(acc).any(axis=1)
-        if nan_rows.any():
-            bad_n = min(bad_n, lo + int(np.argmax(nan_rows)))
-            continue
         acc /= ns
         sup[start:start + step] = acc.max(axis=0)
-    if bad_n <= hi:
-        # re-evaluate the first offending order over all cells, so the error
-        # names the same entry as evaluating that order alone
-        row = _product_table(flat, roots, log_c[bad_n - lo:bad_n - lo + 1],
-                             bad_n, bad_n)
-        reject_nan(row.reshape(zs.shape), bad_n)
     return sup.reshape(zs.shape)
 
 
@@ -189,7 +169,6 @@ def _product_log_mags(z: np.ndarray | complex, roots: np.ndarray,
     time, in chunks of orders: one chunk for a single point, so the whole
     range costs hi root logs instead of one per (order, root) pair.
     """
-    _check_orders(roots, log_c, lo, hi)
     zs = np.asarray(z, dtype=complex)
     flat = zs.ravel()
     step = max(1, TABLE_BYTES // (8 * max(1, flat.size)))
@@ -503,9 +482,6 @@ class BlockStructure:
         folds log_scale in last, exactly as RootPolynomial.log_abs does, so
         every value is bit-identical to the per-member evaluation.
         """
-        if lo < 0 or hi > len(self.members):
-            raise ValueError(
-                f"orders {lo}..{hi} outside 0..{len(self.members)}")
         zs = np.asarray(z, dtype=complex)
         if lo == 0 <= hi:
             yield np.full(zs.shape, self.f0_log_mag)
@@ -546,7 +522,7 @@ def _stage_blocks(families: Sequence[SeparatingFamily], f0_log_mag: float,
         uncovered_counts=[family.uncovered.count() for family in families])
 
 
-def compact_set_series(K: RegionMask, grid: Grid, stages: int,
+def compact_set_series(K: RegionMask, stages: int,
                        degree_cap: int) -> CoefficientSeries:
     """Series converging on a polynomially convex K, diverging on shells
     pulled away from it.
@@ -557,8 +533,7 @@ def compact_set_series(K: RegionMask, grid: Grid, stages: int,
     """
     if stages < 1:
         raise ValueError("stages must be >= 1")
-    if K.grid != grid:
-        raise ValueError("K does not live on the given grid")
+    grid = K.grid
     dist_k = distance_to(K)
     abs_z = np.abs(grid.centers())
     # U_m is the closed 1/m-dilation of K, so the usable shell is the strict

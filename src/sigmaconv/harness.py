@@ -270,7 +270,7 @@ def construct_compact(scene: SceneSpec) -> CoefficientSeries:
     if target.is_empty():
         raise ValueError("compact pipeline needs a non-empty target")
     b = scene.budgets.resolve(scene.grid)
-    return compact_set_series(target, scene.grid, b.stages, b.degree_cap)
+    return compact_set_series(target, b.stages, b.degree_cap)
 
 
 def construct_sigma(scene: SceneSpec) -> tuple[CoefficientSeries, Decomposition]:
@@ -299,9 +299,7 @@ class VerificationReport:
     budgets: dict
 
     def to_json(self) -> dict:
-        return {"scene": self.scene, "map_agreement": self.map_agreement,
-                "band": self.band, "timings": self.timings,
-                "budgets": self.budgets}
+        return asdict(self)
 
 
 def map_vs_mask_agreement(cmap: ConvergenceMap, target: RegionMask,

@@ -64,7 +64,10 @@ def _write_pgm(path: str | Path, rows: np.ndarray, comment: str) -> None:
     Path(path).write_bytes(header.encode("ascii") + body)
 
 
-def _read_pgm(path: str | Path) -> tuple[int, int, np.ndarray, list[str]]:
+def _read_pgm(path: str | Path,
+              tag: str) -> tuple[int, int, np.ndarray, dict[str, str]]:
+    """(width, height, grid-order rows, fields of the first ``tag``
+    metadata comment)."""
     data = Path(path).read_bytes()
     comments: list[str] = []
     tokens: list[int] = []
@@ -99,7 +102,11 @@ def _read_pgm(path: str | Path) -> tuple[int, int, np.ndarray, list[str]]:
     if len(body) != width * height:
         raise ValueError(f"{path}: pixel data truncated")
     rows = np.frombuffer(body, dtype=np.uint8).reshape(height, width)
-    return width, height, rows[::-1, :].copy(), comments
+    for comment in comments:
+        found, fields = _parse_meta(comment)
+        if found == tag:
+            return width, height, rows[::-1, :].copy(), fields
+    raise ValueError(f"{path}: missing {tag} metadata comment")
 
 
 def write_mask_pgm(mask: RegionMask, path: str | Path) -> None:
@@ -110,15 +117,7 @@ def write_mask_pgm(mask: RegionMask, path: str | Path) -> None:
 
 
 def read_mask_pgm(path: str | Path) -> RegionMask:
-    width, height, rows, comments = _read_pgm(path)
-    meta = None
-    for comment in comments:
-        tag, fields = _parse_meta(comment)
-        if tag == MASK_TAG:
-            meta = fields
-            break
-    if meta is None:
-        raise ValueError(f"{path}: missing {MASK_TAG} metadata comment")
+    width, height, rows, meta = _read_pgm(path, MASK_TAG)
     kind = meta.get("kind", COMPACT)
     if kind not in (COMPACT, OPEN, DOMAIN):
         raise ValueError(f"{path}: unknown mask kind {kind!r}")
@@ -146,15 +145,7 @@ def read_map_pgm(path: str | Path) -> tuple[Grid, np.ndarray, dict[str, float]]:
     Tail-sup exponents are not stored in the image; reports and sidecars
     carry any further detail.
     """
-    width, height, rows, comments = _read_pgm(path)
-    meta = None
-    for comment in comments:
-        tag, fields = _parse_meta(comment)
-        if tag == MAP_TAG:
-            meta = fields
-            break
-    if meta is None:
-        raise ValueError(f"{path}: missing {MAP_TAG} metadata comment")
+    width, height, rows, meta = _read_pgm(path, MAP_TAG)
     bad = ~np.isin(rows, (0, 128, 255))
     if bad.any():
         raise ValueError(f"{path}: map pixels must be 0, 128 or 255")

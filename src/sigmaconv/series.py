@@ -1,10 +1,11 @@
 """Growth classification of formal power series with function coefficients.
 
-A series f(z, t) = sum_n f_n(z) t^n is represented by one evaluator of its
-coefficients' log-magnitudes: the constructive structure that built it, or
-a plain callable for ad-hoc series.  All magnitudes live in log space:
-``-inf`` encodes an exactly vanishing coefficient and is a first-class
-value, never NaN.
+A series f(z, t) = sum_n f_n(z) t^n is represented by the structure that
+built it, which only evaluates its coefficients' log-magnitudes over an
+order range.  This module owns the order ranges: it checks them, takes the
+sup of the exponents over them and reports NaN.  All magnitudes live in log
+space: ``-inf`` encodes an exactly vanishing coefficient and is a
+first-class value, never NaN.
 
 At a point z the n-th growth exponent is (1/n) * log|f_n(z)|.  Truncated at
 order N, the classifier looks only at the tail window [ceil(N/2), N]: early
@@ -21,7 +22,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Callable
 
 import numpy as np
 
@@ -51,37 +51,27 @@ VERDICT_NAMES = {Verdict.DIVERGE: "diverge",
 
 @dataclass
 class CoefficientSeries:
-    """Coefficient log-magnitudes of a series, from one evaluator.
+    """Coefficient log-magnitudes of a series, from its structure.
 
-    ``structure`` carries the constructive description (see construct.py),
-    which is also the series' only evaluator:
+    ``structure`` carries the constructive description (see construct.py)
+    and only evaluates:
 
     * ``log_mags(z, lo, hi)`` yields log|f_n(z)| for n = lo..hi, 0 <= lo,
-      in z's shape (-inf allowed, NaN forbidden); log_mag and every
-      order-range scan use it;
+      in z's shape (-inf allowed);
     * ``tail_sup(z, lo, hi)``, where present, returns max over n = lo..hi
-      of (1/n) * log|f_n(z)| in z's shape and raises RuntimeError on NaN;
-      conv_map and classify_points use it first (product series).
+      of (1/n) * log|f_n(z)| in z's shape, 1 <= lo, NaN where an order is
+      NaN (product series).
 
-    A series without a structure (ad-hoc callables, as in the tests) gives
-    ``coeff_log_mag(n, z)``, which accepts a complex scalar or ndarray and
-    returns the matching float or float ndarray of log|f_n(z)| values.
-    ``max_supported_n`` is None for unbounded series.
+    Range checks, sups over order ranges and NaN reports live in this
+    module.  ``max_supported_n`` is None for unbounded series.
     """
 
-    coeff_log_mag: Callable[[int, np.ndarray | complex],
-                            np.ndarray | float] | None = None
+    structure: object
     description: str = ""
     max_supported_n: int | None = None
-    structure: object | None = None
 
     def log_mag(self, n: int, z: np.ndarray | complex) -> np.ndarray:
-        if n < 0:
-            raise ValueError("coefficient index must be >= 0")
-        if self.max_supported_n is not None and n > self.max_supported_n:
-            raise ValueError(
-                f"coefficient index {n} exceeds max_supported_n "
-                f"{self.max_supported_n}")
+        _check_range(self, n, 0)
         [(_, out)] = _log_mags(self, z, n, n)
         return out
 
@@ -98,19 +88,10 @@ def reject_nan(values, n: int) -> np.ndarray:
 
 def _log_mags(series: CoefficientSeries, z: np.ndarray | complex, lo: int,
               hi: int):
-    """Yield (n, log|f_n(z)|) for n = lo..hi, through the structure's own
-    evaluator when it has one, else order by order through the callable."""
-    evaluate = getattr(series.structure, "log_mags", None)
-    if evaluate is None:
-        for n in range(lo, hi + 1):
-            try:
-                out = series.coeff_log_mag(n, z)
-            except Exception as exc:
-                raise RuntimeError(
-                    f"coefficient oracle failed at n={n}") from exc
-            yield n, reject_nan(out, n)
-        return
-    for n, out in zip(range(lo, hi + 1), evaluate(z, lo, hi), strict=True):
+    """Yield (n, log|f_n(z)|) for n = lo..hi from the structure, rejecting
+    NaN at the first offending order."""
+    for n, out in zip(range(lo, hi + 1), series.structure.log_mags(z, lo, hi),
+                      strict=True):
         yield n, reject_nan(out, n)
 
 
@@ -175,13 +156,21 @@ def growth_exponent(series: CoefficientSeries, z: complex, N: int) -> GrowthProf
     return GrowthProfile(z, exps, sup, (lo, hi))
 
 
-def _tail_sup(series: CoefficientSeries, zs: np.ndarray, N: int) -> np.ndarray:
-    lo, _ = tail_window(N)
+def _sup(series: CoefficientSeries, zs: np.ndarray, lo: int,
+         hi: int) -> np.ndarray:
+    """max over n = lo..hi of (1/n) * log|f_n(zs)|, with 1 <= lo.
+
+    The structure's ``tail_sup`` answers when it has one; otherwise, or when
+    its answer holds a NaN, a running max over the orders does, and the
+    first NaN order raises the same error as evaluating that order alone.
+    """
     evaluate = getattr(series.structure, "tail_sup", None)
     if evaluate is not None:
-        return evaluate(zs, lo, N)
+        sup = evaluate(zs, lo, hi)
+        if not np.isnan(sup).any():
+            return sup
     sup = np.full(zs.shape, -np.inf)
-    for n, lm in _log_mags(series, zs, lo, N):
+    for n, lm in _log_mags(series, zs, lo, hi):
         np.maximum(sup, lm / n, out=sup)
     return sup
 
@@ -208,7 +197,7 @@ def classify_points(series: CoefficientSeries, zs: np.ndarray, N: int,
     classify_point, identical arithmetic)."""
     _check_budgets(series, N, B, M)
     zs = np.asarray(zs, dtype=complex)
-    return _verdicts(_tail_sup(series, zs, N), B, M)
+    return _verdicts(_sup(series, zs, *tail_window(N)), B, M)
 
 
 def conv_map(series: CoefficientSeries, grid: Grid, N: int, B: float,
@@ -219,22 +208,18 @@ def conv_map(series: CoefficientSeries, grid: Grid, N: int, B: float,
     deterministic pass over coefficient orders, vectorized over cells.
     """
     _check_budgets(series, N, B, M)
-    sup = _tail_sup(series, grid.centers(), N)
+    sup = _sup(series, grid.centers(), *tail_window(N))
     return ConvergenceMap(grid, _verdicts(sup, B, M), sup, N, B, M)
 
 
 def level_set(series: CoefficientSeries, j: int, N: int,
               omega: RegionMask) -> RegionMask:
     """Cells of the j-th exhaustion piece where |f_n(z)| <= j^n for every
-    1 <= n <= N.  These sets ascend in j."""
+    1 <= n <= N, i.e. where the sup of the exponents over orders 1..N is at
+    most log j.  These sets ascend in j."""
     if j < 1:
         raise ValueError("level index j must be >= 1")
     _check_range(series, N, 1)
     base = omega_exhaustion(omega, j)
-    grid = omega.grid
-    log_j = math.log(j)
-    ok = np.ones((grid.height, grid.width), dtype=bool)
-    zs = grid.centers()
-    for n, lm in _log_mags(series, zs, 1, N):
-        ok &= lm / n <= log_j
-    return RegionMask(grid, base.bits & ok, COMPACT)
+    ok = _sup(series, omega.grid.centers(), 1, N) <= math.log(j)
+    return RegionMask(omega.grid, base.bits & ok, COMPACT)

@@ -1,10 +1,13 @@
 """Shared test helpers: seeded random blob masks and small series builders."""
 
 import math
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-from sigmaconv import COMPACT, Grid, RegionMask, RootPolynomial, block_series
+from sigmaconv import (COMPACT, CoefficientSeries, Grid, RegionMask,
+                       RootPolynomial, block_series)
 
 
 def random_polyomino(rng, grid, n_cells):
@@ -40,6 +43,22 @@ def disk_growth_series(center, radius, count):
     h = RootPolynomial((complex(center),), -math.log(radius))
     return block_series([h] * count, [count], 0.0,
                         f"disk growth series about {center}")
+
+
+@dataclass(frozen=True)
+class OracleStructure:
+    """Ad-hoc structure: log|f_n(z)| = fn(n, z), one order at a time."""
+
+    fn: Callable
+
+    def log_mags(self, z, lo, hi):
+        for n in range(lo, hi + 1):
+            yield self.fn(n, z)
+
+
+def oracle_series(fn, **kw):
+    """Series whose coefficient log-magnitudes come from fn(n, z)."""
+    return CoefficientSeries(OracleStructure(fn), **kw)
 
 
 def flood_fill_hull(mask):

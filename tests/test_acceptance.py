@@ -158,7 +158,7 @@ def test_criterion_4_unit_disk_families_and_map():
         shell = (dist_k > 1.0 / m) & (abs_z <= m) & ~U.bits
         fam = separating_family(K, U, RegionMask(g, shell, OPEN), m, 64)
         fam_ok = fam_ok and fam.verify() and fam.uncovered.is_empty()
-    series = compact_set_series(K, g, stages=8, degree_cap=64)
+    series = compact_set_series(K, stages=8, degree_cap=64)
     cmap = conv_map(series, g, N=series.max_supported_n,
                     B=math.log(1.2), M=math.log(1.8))
     d_out = distance_to(RegionMask(g, ~K.bits, OPEN))

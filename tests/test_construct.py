@@ -16,7 +16,7 @@ from sigmaconv import (COMPACT, OPEN, Grid, PointSequence, SaturationError,
                        separating_family, shapes)
 from sigmaconv.construct import (_separating_families,
                                  countable_series_from_tables)
-from conftest import disk_growth_series
+from conftest import disk_growth_series, oracle_series
 
 
 def P(points):
@@ -101,12 +101,10 @@ def test_countable_needs_two_points():
 
 
 def test_interleave_parity_rule():
-    from sigmaconv import CoefficientSeries
-
     def const_series(base):
         def oracle(n, z):
             return np.full(np.shape(np.asarray(z)), n * math.log(base))
-        return CoefficientSeries(oracle, max_supported_n=40)
+        return oracle_series(oracle, max_supported_n=40)
 
     f = const_series(2.0)
     g = const_series(3.0)
@@ -395,7 +393,7 @@ def test_compact_series_converges_on_K_diverges_off():
     g = Grid.from_box(-2.0, -2.0, 2.0, 2.0, 96, 96)
     K = polynomial_hull(rasterize_scene([(1, shapes.Disk(0.0, 0.0, 0.7))], g,
                                         kind=COMPACT))
-    f = compact_set_series(K, g, stages=6, degree_cap=32)
+    f = compact_set_series(K, stages=6, degree_cap=32)
     zk = K.cell_centers()
     for n in range(1, f.max_supported_n + 1):
         assert float(np.max(f.log_mag(n, zk))) <= 0.0
@@ -412,7 +410,7 @@ def test_compact_series_single_stage_cannot_classify():
     g = Grid.from_box(-2.0, -2.0, 2.0, 2.0, 96, 96)
     K = polynomial_hull(rasterize_scene([(1, shapes.Disk(0.0, 0.0, 0.7))], g,
                                         kind=COMPACT))
-    f = compact_set_series(K, g, stages=1, degree_cap=16)
+    f = compact_set_series(K, stages=1, degree_cap=16)
     assert f.max_supported_n == 0
     with pytest.raises(ValueError):
         conv_map(f, g, N=8, B=0.0, M=1.0)
@@ -423,7 +421,7 @@ def test_compact_series_requires_hull_fixed_K():
     ann = rasterize_scene([(1, shapes.Annulus(0.0, 0.0, 0.5, 0.9))], g,
                           kind=COMPACT)
     with pytest.raises(ValueError, match="polynomially convex"):
-        compact_set_series(ann, g, stages=2, degree_cap=8)
+        compact_set_series(ann, stages=2, degree_cap=8)
 
 
 # ------------------------------------------------------------ enumeration

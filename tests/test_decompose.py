@@ -401,7 +401,7 @@ def test_sigma_route_agrees_with_compact_route_on_one_disk():
     away from a 3-pixel boundary band the two verdict maps coincide."""
     g = Grid.from_box(-2.0, -2.0, 2.0, 2.0, 96, 96)
     K = disk(g, 0.0, 0.0, 0.7)
-    f_compact = compact_set_series(K, g, stages=6, degree_cap=32)
+    f_compact = compact_set_series(K, stages=6, degree_cap=32)
     dec = ascending_decomposition([K], 6)
     f_sigma = sigma_convex_series(dec, full_domain(g), degree_cap=32)
     assert f_compact.max_supported_n == 46

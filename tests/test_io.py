@@ -18,7 +18,7 @@ from sigmaconv import (COMPACT, DOMAIN, OPEN, Grid, RegionMask, Verdict,
                        PointSequence, RootPolynomial, export_decomposition,
                        load_decomposition)
 from sigmaconv.serialize import grid_from_json, map_sidecar
-from conftest import disk_growth_series, random_polyomino
+from conftest import disk_growth_series, oracle_series, random_polyomino
 
 
 def odd_grid():
@@ -154,7 +154,7 @@ def test_block_series_round_trip(tmp_path):
     g = Grid.from_box(-2.0, -2.0, 2.0, 2.0, 64, 64)
     K = polynomial_hull(rasterize_scene([(1, shapes.Disk(0.0, 0.0, 0.6))], g,
                                         kind=COMPACT))
-    f = compact_set_series(K, g, stages=3, degree_cap=16)
+    f = compact_set_series(K, stages=3, degree_cap=16)
     save_series(f, tmp_path / "s.json")
     back = load_series(tmp_path / "s.json")
     assert_identical_series(f, back)
@@ -181,9 +181,8 @@ def test_scaled_product_round_trip(tmp_path):
 
 
 def test_structureless_series_is_not_serializable():
-    from sigmaconv import CoefficientSeries
-    f = CoefficientSeries(lambda n, z: np.zeros(np.shape(z)),
-                          description="ad hoc", max_supported_n=4)
+    f = oracle_series(lambda n, z: np.zeros(np.shape(z)),
+                      description="ad hoc", max_supported_n=4)
     with pytest.raises(TypeError, match="no serializable structure"):
         series_to_json(f)
 
@@ -200,7 +199,7 @@ def compact_series():
     g = Grid.from_box(-2.0, -2.0, 2.0, 2.0, 48, 48)
     K = polynomial_hull(rasterize_scene([(1, shapes.Disk(0.0, 0.0, 0.6))], g,
                                         kind=COMPACT))
-    return compact_set_series(K, g, stages=3, degree_cap=16)
+    return compact_set_series(K, stages=3, degree_cap=16)
 
 
 def sigma_series():

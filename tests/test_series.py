@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from sigmaconv import (COMPACT, CoefficientSeries, Grid, Verdict,
+from sigmaconv import (COMPACT, Grid, Verdict,
                        classify_point, classify_points, conv_map, default_b,
                        full_domain, growth_exponent, level_set,
                        rasterize_scene, shapes, tail_window)
@@ -18,6 +18,7 @@ from sigmaconv.construct import (BlockStructure, CountableStructure,
                                  InterleaveStructure,
                                  countable_series_from_tables)
 from sigmaconv.series import MIN_N, reject_nan
+from conftest import oracle_series
 
 
 def _log_abs(z):
@@ -27,8 +28,7 @@ def _log_abs(z):
 
 def power_series():
     """f_n(z) = z^n."""
-    return CoefficientSeries(lambda n, z: n * _log_abs(z),
-                             description="z^n")
+    return oracle_series(lambda n, z: n * _log_abs(z), description="z^n")
 
 
 def super_series():
@@ -40,7 +40,7 @@ def super_series():
             return np.zeros_like(base)
         return n * math.log(n) + base
 
-    return CoefficientSeries(oracle, description="n^n z^n")
+    return oracle_series(oracle, description="n^n z^n")
 
 
 def test_tail_window_examples():
@@ -62,8 +62,8 @@ def test_growth_exponent_of_super_series():
 
 
 def test_growth_exponent_all_zero_tail():
-    zero = CoefficientSeries(lambda n, z: np.full(np.shape(np.asarray(z)),
-                                                  -np.inf))
+    zero = oracle_series(lambda n, z: np.full(np.shape(np.asarray(z)),
+                                              -np.inf))
     prof = growth_exponent(zero, 0.3 + 0.1j, N=16)
     assert prof.sup_estimate == -math.inf
 
@@ -92,14 +92,14 @@ def test_budget_validation():
         classify_point(f, 1.0, N=4, B=0.0, M=1.0)   # N below minimum
     with pytest.raises(ValueError):
         classify_point(f, 1.0, N=16, B=1.0, M=1.0)  # needs B < M
-    capped = CoefficientSeries(lambda n, z: n * _log_abs(z),
-                               max_supported_n=10)
+    capped = oracle_series(lambda n, z: n * _log_abs(z),
+                           max_supported_n=10)
     with pytest.raises(ValueError):
         classify_point(capped, 1.0, N=16, B=0.0, M=1.0)
 
 
 def test_nan_oracle_rejected():
-    bad = CoefficientSeries(
+    bad = oracle_series(
         lambda n, z: np.full(np.shape(np.asarray(z)), np.nan))
     with pytest.raises(RuntimeError, match="NaN"):
         growth_exponent(bad, 1.0, N=8)
@@ -161,7 +161,7 @@ def test_level_set_of_power_series_is_a_disk():
 
 def test_level_set_empty_when_coefficients_large():
     g = Grid.from_box(-4.0, -4.0, 4.0, 4.0, 64, 64)
-    big = CoefficientSeries(
+    big = oracle_series(
         lambda n, z: np.full(np.shape(np.asarray(z)), n * math.log(3.0)))
     E = level_set(big, j=1, N=16, omega=full_domain(g))
     assert E.is_empty()
@@ -258,7 +258,7 @@ def _disk(g, x, y, r):
 
 def test_block_evaluator_matches_oracle_from_mid_stage():
     g = Grid.from_box(-2.0, -2.0, 2.0, 2.0, 48, 48)
-    f = compact_set_series(_disk(g, 0.0, 0.0, 0.7), g, stages=5,
+    f = compact_set_series(_disk(g, 0.0, 0.0, 0.7), stages=5,
                            degree_cap=24)
     mid = [N for N in range(MIN_N, f.max_supported_n + 1)
            if f.structure.block_of(tail_window(N)[0])[1] > 1]
@@ -308,7 +308,7 @@ def test_block_evaluator_rejects_nan_in_window():
 
 def test_level_set_of_block_series_matches_oracle():
     g = Grid.from_box(-2.0, -2.0, 2.0, 2.0, 48, 48)
-    f = compact_set_series(_disk(g, 0.0, 0.0, 0.7), g, stages=4,
+    f = compact_set_series(_disk(g, 0.0, 0.0, 0.7), stages=4,
                            degree_cap=24)
     omega = full_domain(g)
     N = f.max_supported_n
@@ -395,24 +395,37 @@ def test_product_evaluator_rejects_nan_with_the_oracle_message():
     with pytest.raises(RuntimeError) as slow:
         _oracle_tail_sup(f, g.centers(), N)
     assert str(fast.value) == str(slow.value)
+    # level_set's sup starts at order 1, so its first offending order is 2
+    with pytest.raises(RuntimeError, match="NaN at n=2,") as fast:
+        level_set(f, 1, N, full_domain(g))
+    with pytest.raises(RuntimeError) as slow:
+        for n in range(1, N + 1):
+            _reference_log_mag(f, n, g.centers())
+    assert str(fast.value) == str(slow.value)
 
 
 @pytest.mark.parametrize("kind", ["countable", "scaled-product"])
 @pytest.mark.parametrize("chunk", [None, 1, 7])
 def test_product_log_mags_match_oracle(kind, chunk, monkeypatch):
-    # chunk None keeps the default table budget (all orders in one chunk);
-    # 1 makes every chunk one order; 7 leaves a partial last chunk
+    # chunk None keeps the default table budget (all orders, or all cells,
+    # in one chunk); 1 makes every chunk one order (one cell for level_set);
+    # 7 leaves a partial last chunk
     f, g = _product_series_on_cells(kind)
     N = f.max_supported_n
     zs = g.centers()
-    calls = []
-    helper = construct._product_log_mags
+    calls, sup_calls = [], []
 
-    def spy(*args):
-        calls.append(args[3:])
-        return helper(*args)
+    def spy_on(name, log):
+        helper = getattr(construct, name)
 
-    monkeypatch.setattr(construct, "_product_log_mags", spy)
+        def spy(*args):
+            log.append(args[3:])
+            return helper(*args)
+
+        monkeypatch.setattr(construct, name, spy)
+
+    spy_on("_product_log_mags", calls)
+    spy_on("_product_tail_sup", sup_calls)
     if chunk is not None:
         monkeypatch.setattr(construct, "TABLE_BYTES", 8 * chunk)
     points = [complex(z) for z in zs.ravel()[::7]] + list(f.structure.points)
@@ -421,7 +434,7 @@ def test_product_log_mags_match_oracle(kind, chunk, monkeypatch):
         assert np.array_equal(growth_exponent(f, z, N).exponents, oracle)
     assert calls == [(1, N)] * len(points)
     if chunk is not None:
-        monkeypatch.setattr(construct, "TABLE_BYTES", 8 * zs.size * chunk)
+        monkeypatch.setattr(construct, "TABLE_BYTES", 8 * N * chunk)
     omega = full_domain(g)
     for j in (2, 8):
         ok = np.ones(zs.shape, dtype=bool)
@@ -429,7 +442,9 @@ def test_product_log_mags_match_oracle(kind, chunk, monkeypatch):
             ok &= _reference_log_mag(f, n, zs) / n <= math.log(j)
         assert np.array_equal(level_set(f, j, N, omega).bits,
                               omega_exhaustion(omega, j).bits & ok)
-    assert len(calls) == len(points) + 2
+    # level_set takes one chunked sup over orders 1..N, not an order walk
+    assert calls == [(1, N)] * len(points)
+    assert sup_calls == [(1, N)] * 2
 
 
 @pytest.mark.parametrize("pair", ["blocks-countable", "countable-blocks",
@@ -437,7 +452,7 @@ def test_product_log_mags_match_oracle(kind, chunk, monkeypatch):
 def test_interleave_evaluator_matches_children(pair, monkeypatch):
     # N = 16 and 17 start the tail window on an even and an odd order
     countable, g = _product_series_on_cells("countable")
-    compact = compact_set_series(_disk(g, 0.0, 0.0, 0.5), g, stages=4,
+    compact = compact_set_series(_disk(g, 0.0, 0.0, 0.5), stages=4,
                                  degree_cap=16)
     even, odd = {"blocks-countable": (compact, countable),
                  "countable-blocks": (countable, compact),
@@ -467,3 +482,22 @@ def test_interleave_evaluator_matches_children(pair, monkeypatch):
                          if (w[0] and even is countable)
                          or (w[1] and odd is countable)]
         assert tables == product_walks  # one table per walk, not per order
+
+
+@pytest.mark.parametrize("kind", ["blocks", "countable", "interleave"])
+def test_entry_points_reject_orders_outside_the_series(kind):
+    countable, g = _product_series_on_cells("countable")
+    blocks = _unshared_block_series()
+    f = {"blocks": blocks, "countable": countable,
+         "interleave": construct.interleave(blocks, countable)}[kind]
+    top, z, omega = f.max_supported_n, 0.3 + 0.2j, full_domain(g)
+    assert np.array_equal(f.log_mag(top, z), _reference_log_mag(f, top, z))
+    with pytest.raises(ValueError, match="must be >= 0"):
+        f.log_mag(-1, z)
+    for call in (lambda: f.log_mag(top + 1, z),
+                 lambda: growth_exponent(f, z, top + 1),
+                 lambda: level_set(f, 2, top + 1, omega)):
+        with pytest.raises(ValueError, match=(
+                f"N={top + 1} exceeds the series' supported range "
+                rf"\(max_supported_n={top}\)")):
+            call()
