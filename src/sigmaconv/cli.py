@@ -1,9 +1,13 @@
 """Command-line entry point.
 
-Subcommands: hull, construct, verify, decompose, demo-sierpinski.  Each run
-writes its artifacts (PGM masks/maps, JSON series/reports, manifest) into
---out; concurrent runs should use distinct directories.  Exit codes: 0 on
-success with thresholds met, 2 on a verification failure, 1 on bad input.
+Each subcommand writes its artifacts (PGM masks/maps, JSON series/reports,
+manifest) into --out; concurrent runs should use distinct directories.
+hull takes --out, --grid and --box; construct adds --pipeline, --series-a,
+--series-b, --stages, --degree-cap and --nmax; verify adds --min-agree,
+--exhaust-m, --N, --budget-B, --budget-M and --band; decompose adds
+--degree-cap and --nmax; demo-sierpinski adds --depth.  Exit codes: 0 on
+success with thresholds met, 2 on a verification failure, 1 on bad input
+or a usage error (one ``error: ...`` line on stderr).
 """
 
 from __future__ import annotations
@@ -18,9 +22,8 @@ from . import pgmio, serialize
 from .construct import interleave
 from .decompose import hull_escape_exhibit, sierpinski_mask
 from .geometry import Grid, holomorphic_hull, polynomial_hull
-from .harness import (Budgets, SceneParseError, SceneSpec, construct_compact,
-                      construct_countable, construct_sigma, load_scene,
-                      verify)
+from .harness import (SceneParseError, SceneSpec, construct_compact,
+                      construct_countable, construct_sigma, load_scene, verify)
 
 
 def _parse_grid(text: str) -> tuple[int, int]:
@@ -37,24 +40,32 @@ def _parse_box(text: str) -> tuple[float, float, float, float]:
     return tuple(float(p) for p in parts)
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # main reports it like any bad input
+        raise ValueError(message)
+
+
+_BUDGET_FLAGS = {
+    "N": ("--N", int, "truncation order"),
+    "B": ("--budget-B", float, "converge threshold (log scale)"),
+    "M": ("--budget-M", float, "diverge threshold (log scale)"),
+    "stages": ("--stages", int, None),
+    "degree_cap": ("--degree-cap", int, None),
+    "n_max": ("--nmax", int, None),
+    "band": ("--band", float, "comparison band in coordinate units"),
+}
+
+
+def _add_common(p: argparse.ArgumentParser, *budgets: str) -> None:
+    """--out, --grid, --box and the flags of the named Budgets fields."""
     p.add_argument("--out", default="out", help="output directory")
     p.add_argument("--grid", type=_parse_grid, default=None,
                    help="override grid dimensions, WxH")
     p.add_argument("--box", type=_parse_box, default=None,
                    help="override grid box, x0,y0,x1,y1")
-    p.add_argument("--N", type=int, default=None, help="truncation order")
-    p.add_argument("--budget-B", dest="B", type=float, default=None,
-                   help="converge threshold (log scale)")
-    p.add_argument("--budget-M", dest="M", type=float, default=None,
-                   help="diverge threshold (log scale)")
-    p.add_argument("--stages", type=int, default=None)
-    p.add_argument("--degree-cap", type=int, default=None)
-    p.add_argument("--nmax", dest="n_max", type=int, default=None)
-    p.add_argument("--band", type=float, default=None,
-                   help="comparison band in coordinate units")
-    p.add_argument("--seed", type=int, default=None,
-                   help="recorded in the manifest for reproducibility")
+    for name in budgets:
+        flag, kind, text = _BUDGET_FLAGS[name]
+        p.add_argument(flag, dest=name, type=kind, default=None, help=text)
 
 
 def _apply_overrides(scene: SceneSpec, args) -> SceneSpec:
@@ -69,9 +80,8 @@ def _apply_overrides(scene: SceneSpec, args) -> SceneSpec:
         w, h = args.grid if args.grid is not None else (grid.width,
                                                        grid.height)
         grid = Grid.from_box(x0, y0, x1, y1, w, h)
-    overrides = {f.name: getattr(args, f.name)
-                 for f in dataclasses.fields(Budgets)
-                 if getattr(args, f.name) is not None}
+    overrides = {name: getattr(args, name) for name in _BUDGET_FLAGS
+                 if getattr(args, name, None) is not None}
     budgets = dataclasses.replace(scene.budgets, **overrides)
     return dataclasses.replace(scene, grid=grid, budgets=budgets)
 
@@ -83,8 +93,7 @@ def _outdir(args) -> Path:
 
 
 def _manifest(args, out: Path, extra: dict | None = None) -> None:
-    data = {"argv": [a for a in sys.argv[1:]] if sys.argv else [],
-            "seed": args.seed}
+    data = {"argv": [a for a in sys.argv[1:]] if sys.argv else []}
     if extra:
         data.update(extra)
     (out / "manifest.json").write_text(json.dumps(data, indent=1))
@@ -123,13 +132,11 @@ def cmd_construct(args) -> int:
     elif args.pipeline == "sigma":
         series, decomp = construct_sigma(scene)
         serialize.export_decomposition(decomp, out / "decomposition")
-    elif args.pipeline == "interleave":
+    else:  # interleave, the last of the parser's choices
         if not (args.series_a and args.series_b):
             raise ValueError("interleave needs --series-a and --series-b")
         series = interleave(serialize.load_series(args.series_a),
                             serialize.load_series(args.series_b))
-    else:
-        raise ValueError(f"unknown pipeline {args.pipeline!r}")
     serialize.save_series(series, out / "series.json")
     _manifest(args, out, {"command": "construct", "pipeline": args.pipeline,
                           "scene": scene.name})
@@ -214,7 +221,7 @@ def cmd_demo_sierpinski(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="sigmaconv",
         description="Series with prescribed convergence sets on plane "
                     "rasters: hulls, constructions, verification.")
@@ -233,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="first stored series (interleave)")
     p.add_argument("--series-b", default=None,
                    help="second stored series (interleave)")
-    _add_common(p)
+    _add_common(p, "stages", "degree_cap", "n_max")
     p.set_defaults(func=cmd_construct)
 
     p = sub.add_parser("verify", help="classify a stored series against a "
@@ -244,13 +251,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--exhaust-m", type=int, default=None,
                    help="restrict the off-target check to the m-th "
                         "exhaustion piece of the domain")
-    _add_common(p)
+    _add_common(p, "N", "B", "M", "band")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("decompose", help="ascending decomposition of scene "
                                          "parts, with stage exports")
     p.add_argument("scene", help="scene file")
-    _add_common(p)
+    _add_common(p, "degree_cap", "n_max")
     p.set_defaults(func=cmd_decompose)
 
     p = sub.add_parser("demo-sierpinski",
@@ -263,9 +270,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (SceneParseError, FileNotFoundError, NotADirectoryError,
             ValueError, KeyError, json.JSONDecodeError) as exc:

@@ -47,7 +47,6 @@ class PointSequence:
     """Ordered tuple of points; order is meaningful everywhere it is used."""
 
     points: tuple[complex, ...]
-    verified_distinct: bool = False
     saturated: bool = False
 
     @classmethod
@@ -55,7 +54,7 @@ class PointSequence:
         tup = tuple(complex(p) for p in pts)
         if len(set(tup)) != len(tup):
             raise ValueError("point sequence contains duplicate points")
-        return cls(tup, verified_distinct=True)
+        return cls(tup)
 
     def __len__(self) -> int:
         return len(self.points)
@@ -241,8 +240,6 @@ def countable_set_series(points: PointSequence) -> CoefficientSeries:
     """
     if len(points) < 2:
         raise ValueError("need at least 2 points")
-    if not points.verified_distinct:
-        points = PointSequence.from_points(points.points)
     gammas, log_c = gamma_table(points)
     return countable_series_from_tables(CountableStructure(
         points.points, (0.0, *log_c), tuple(gammas)))
@@ -303,8 +300,7 @@ def leja_points(K: RegionMask, count: int) -> PointSequence:
             break
         chosen.append(complex(zs[nxt]))
         accum += _log_abs(zs - zs[nxt])
-    return PointSequence(tuple(chosen), verified_distinct=True,
-                         saturated=saturated)
+    return PointSequence(tuple(chosen), saturated=saturated)
 
 
 @dataclass
@@ -716,7 +712,7 @@ def dense_enumeration_for_targets(S: PointSequence,
     # slot condition
     keep = achieved * (k + 1) + k if achieved >= 0 else 0
     return DenseEnumeration(
-        PointSequence(tuple(chosen[:keep]), verified_distinct=True),
+        PointSequence(tuple(chosen[:keep])),
         achieved, steps[:keep], saturated_at)
 
 

@@ -27,6 +27,7 @@ from .shapes import (SQRT3_2, ResolutionWarning, _polygon_even_odd,
 
 VERIFIED = "verified"
 SKIPPED = "skipped"
+MAX_COMPONENTS = 256  # most holes slice_holomorphically_convex will cut
 
 
 @dataclass
@@ -233,8 +234,7 @@ def _hole_annuli(K: RegionMask, pad: float) -> list[tuple[complex, float, float]
 
 
 def slice_holomorphically_convex(K: RegionMask, omega: RegionMask,
-                                 j_max: int,
-                                 max_components: int = 256) -> list[RegionMask]:
+                                 j_max: int) -> list[RegionMask]:
     """Cut a holomorphically convex compact into polynomially convex slices.
 
     Each bounded complement component (hole) gets an annular sector cut:
@@ -249,10 +249,10 @@ def slice_holomorphically_convex(K: RegionMask, omega: RegionMask,
     if not holomorphic_hull(K, omega).same_cells(K):
         raise ValueError("K is not holomorphically convex in omega")
     annuli = _hole_annuli(K, pad=2.0 * K.grid.pixel)
-    if len(annuli) > max_components:
+    if len(annuli) > MAX_COMPONENTS:
         raise ValueError(
             f"complement has {len(annuli)} bounded components, more than "
-            f"the declared maximum {max_components}")
+            f"the declared maximum {MAX_COMPONENTS}")
     if not annuli:
         return [K]
 

@@ -120,8 +120,7 @@ def _finite(token: str) -> float:
 
 _BUDGET_KEYS = {"N": ("N", int), "B": ("B", _finite), "M": ("M", _finite),
                 "stages": ("stages", int), "degree-cap": ("degree_cap", int),
-                "degree_cap": ("degree_cap", int), "nmax": ("n_max", int),
-                "band": ("band", _finite)}
+                "nmax": ("n_max", int), "band": ("band", _finite)}
 
 
 def _parse_primitive(tokens: list[str]):

@@ -178,7 +178,8 @@ def _sup(series: CoefficientSeries, zs: np.ndarray, lo: int,
 def classify_point(series: CoefficientSeries, z: complex, N: int,
                    B: float, M: float) -> Verdict:
     """Three-way verdict at one point.  Requires B < M, so the converge and
-    diverge conditions are mutually exclusive."""
+    diverge conditions are mutually exclusive.  Unlike conv_map it reads
+    every order 1..N (growth_exponent), so a NaN at any of them raises."""
     _check_budgets(series, N, B, M)
     profile = growth_exponent(series, z, N)
     return Verdict(int(_verdicts(np.asarray(profile.sup_estimate), B, M)))
@@ -204,8 +205,9 @@ def conv_map(series: CoefficientSeries, grid: Grid, N: int, B: float,
              M: float) -> ConvergenceMap:
     """Classify every cell center of the grid.
 
-    Cell verdicts equal classify_point at that center: the scan is a single
-    deterministic pass over coefficient orders, vectorized over cells.
+    Cell verdicts equal classify_point's at that center, except that a NaN
+    order before the tail window raises there and is not read here: the scan
+    is one deterministic pass over the window's orders, vectorized over cells.
     """
     _check_budgets(series, N, B, M)
     sup = _sup(series, grid.centers(), *tail_window(N))

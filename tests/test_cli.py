@@ -1,8 +1,14 @@
 """Scene parsing, the construct/verify pipelines, and the CLI subcommands
 (driven through main(argv) with explicit exit codes)."""
 
+import argparse
 import json
 import math
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +18,7 @@ from sigmaconv import (COMPACT, DEFAULT_M, DEFAULT_N, ConvergenceMap, Grid,
                        countable_set_series, default_b,
                        enumeration_series, interleave, load_series,
                        read_map_pgm, read_mask_pgm, save_series, shapes)
-from sigmaconv.cli import main
+from sigmaconv.cli import build_parser, main
 from sigmaconv.harness import (SceneParseError, construct_compact,
                                construct_countable, construct_sigma,
                                map_vs_mask_agreement, parse_scene, verify)
@@ -78,6 +84,7 @@ def test_parse_comments_and_blank_lines():
     ("grid 64", "line 1"),
     ("flavor cherry", "unknown directive"),
     ("budget q 3", "unknown budget key"),
+    ("budget degree_cap 4", "unknown budget key 'degree_cap'"),
     ("point 1", "point takes x y"),
     ("part add disk 0 0 1", "before any part"),
     ("target blob 0 0", "unknown primitive"),
@@ -528,3 +535,176 @@ def test_cli_verify_rejects_non_finite_overrides(tmp_path, capsys, option,
     assert code == 1
     err = capsys.readouterr().err
     assert err == f"error: {fragment}\n"
+
+
+SUBCOMMAND_OPTIONS = {
+    "hull": {"--out", "--grid", "--box"},
+    "construct": {"--pipeline", "--series-a", "--series-b", "--out", "--grid",
+                  "--box", "--stages", "--degree-cap", "--nmax"},
+    "verify": {"--min-agree", "--exhaust-m", "--out", "--grid", "--box",
+               "--N", "--budget-B", "--budget-M", "--band"},
+    "decompose": {"--out", "--grid", "--box", "--degree-cap", "--nmax"},
+    "demo-sierpinski": {"--depth", "--out", "--grid", "--box"},
+}
+
+
+def test_each_subcommand_takes_only_the_options_it_reads():
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    options = {name: {o for a in p._actions for o in a.option_strings
+                      if o not in ("-h", "--help")}
+               for name, p in sub.choices.items()}
+    assert options == SUBCOMMAND_OPTIONS
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["hull", "s.txt", "--N", "5"], "unrecognized arguments: --N 5"),
+    (["hull", "s.txt", "--seed", "7"], "unrecognized arguments: --seed 7"),
+    (["construct", "s.txt", "--pipeline", "compact", "--band", "0.1"],
+     "unrecognized arguments: --band 0.1"),
+    (["verify", "s.txt", "f.json", "--stages", "3"],
+     "unrecognized arguments: --stages 3"),
+    (["decompose", "s.txt", "--budget-M", "1"],
+     "unrecognized arguments: --budget-M 1"),
+    (["demo-sierpinski", "--depth", "1", "--nmax", "2"],
+     "unrecognized arguments: --nmax 2"),
+    (["verify", "s.txt", "f.json", "--N", "abc"],
+     "argument --N: invalid int value: 'abc'"),
+    (["construct", "s.txt"],
+     "the following arguments are required: --pipeline"),
+])
+def test_cli_usage_errors_exit_1(tmp_path, capsys, argv, message):
+    # the scene and series files need not exist: parsing fails first
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_missing_or_unknown_subcommand_exits_1(capsys):
+    assert main([]) == 1
+    assert capsys.readouterr().err == (
+        "error: the following arguments are required: command\n")
+    assert main(["frobnicate"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: argument command: invalid choice: ")
+    assert err.count("\n") == 1
+
+
+def test_cli_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--help"])
+    assert exc.value.code == 0
+    assert "--budget-B" in capsys.readouterr().out
+
+
+def test_cli_manifest_has_no_seed(tmp_path):
+    scene = write_scene(tmp_path, "grid 16x16\nbox -2 -2 2 2\n"
+                                  "target disk 0 0 0.8\n")
+    out = tmp_path / "out"
+    assert main(["hull", str(scene), "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert set(manifest) == {"argv", "command"}
+
+
+def test_cli_process_exit_code_on_usage_error(tmp_path):
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    run = subprocess.run(
+        [sys.executable, "-m", "sigmaconv.cli", "hull", "s.txt", "--N", "5"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60)
+    assert run.returncode == 1
+    assert run.stderr == "error: unrecognized arguments: --N 5\n"
+
+
+# ------------------------------------------------------------ corruption
+
+CORRUPTION_SCENES = {
+    "compact": "name compact\ngrid 16x16\nbox -2 -2 2 2\n"
+               "target disk 0 0 0.9\nbudget stages 3\n"
+               "budget degree-cap 8\nbudget N 8\n",
+    "countable": "name countable\ngrid 16x16\nbox -2 -2 2 2\n" + "".join(
+        f"point {0.3 * k - 1.4:g} {0.1 * k * (-1) ** k:g}\n"
+        for k in range(10)) + "budget N 9\n",
+}
+SCENE_BYTES = bytes(range(32, 127)) + b"\t\n\r\x00\xff"
+LEAF_TEXTS = ('"x"', "null", "-1", "1e400", "NaN", "[]", "{}")
+MARKER = "@corrupt-leaf@"
+
+
+def _leaf_paths(obj, path=()):
+    if isinstance(obj, dict):
+        for key, value in obj.items():
+            yield from _leaf_paths(value, path + (key,))
+    elif isinstance(obj, list):
+        for i, value in enumerate(obj):
+            yield from _leaf_paths(value, path + (i,))
+    else:
+        yield path
+
+
+def _run_mutant(capsys, argv):
+    """main(argv) must return 0, 1 or 2, and exit 1 with one error line."""
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code in (0, 1, 2), (argv, code)
+    if code == 1:
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), err
+
+
+def _clean_run(tmp_path, pipeline):
+    scene = write_scene(tmp_path, CORRUPTION_SCENES[pipeline])
+    clean = tmp_path / "clean"
+    assert main(["construct", str(scene), "--pipeline", pipeline,
+                 "--out", str(clean)]) == 0
+    assert main(["verify", str(scene), str(clean / "series.json"),
+                 "--out", str(clean)]) in (0, 2)
+    return scene, clean / "series.json"
+
+
+@pytest.mark.filterwarnings("ignore::sigmaconv.ResolutionWarning")
+@pytest.mark.filterwarnings("ignore::sigmaconv.EmptyPrimitiveWarning")
+@pytest.mark.parametrize("pipeline", ["compact", "countable"])
+def test_cli_survives_corrupt_scenes(tmp_path, capsys, pipeline):
+    # 1-3 random byte replacements per scene, through construct and through
+    # verify against the clean series; printable bytes mostly, so that most
+    # mutants still decode and reach past the first line
+    scene, series = _clean_run(tmp_path, pipeline)
+    rng = random.Random(1)
+    text = scene.read_bytes()
+    mutant = tmp_path / "mutant.txt"
+    for _ in range(400):
+        data = bytearray(text)
+        for _ in range(rng.randint(1, 3)):
+            data[rng.randrange(len(data))] = rng.choice(SCENE_BYTES)
+        mutant.write_bytes(bytes(data))
+        out = str(tmp_path / "out")
+        _run_mutant(capsys, ["construct", str(mutant), "--pipeline",
+                             pipeline, "--out", out])
+        _run_mutant(capsys, ["verify", str(mutant), str(series),
+                             "--out", out])
+
+
+@pytest.mark.filterwarnings("ignore::sigmaconv.ResolutionWarning")
+@pytest.mark.filterwarnings("ignore::sigmaconv.EmptyPrimitiveWarning")
+@pytest.mark.parametrize("pipeline", ["compact", "countable"])
+def test_cli_survives_corrupt_series(tmp_path, capsys, pipeline):
+    # one random JSON leaf of series.json replaced by a malformed value
+    scene, series = _clean_run(tmp_path, pipeline)
+    rng = random.Random(2)
+    obj = json.loads(series.read_text())
+    paths = list(_leaf_paths(obj))
+    mutant = tmp_path / "mutant.json"
+    for _ in range(300):
+        path = rng.choice(paths)
+        copy = json.loads(json.dumps(obj))
+        node = copy
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = MARKER
+        mutant.write_text(json.dumps(copy).replace(
+            f'"{MARKER}"', rng.choice(LEAF_TEXTS)))
+        _run_mutant(capsys, ["verify", str(scene), str(mutant),
+                             "--out", str(tmp_path / "out")])

@@ -42,6 +42,12 @@ def test_duplicate_points_rejected():
         P([0, 1, 0])
 
 
+def test_countable_series_rejects_repeated_points():
+    # a PointSequence built directly skips from_points' duplicate check
+    with pytest.raises(ValueError, match="pairwise distinct"):
+        countable_set_series(PointSequence((0j, 1 + 0j, 0j)))
+
+
 def test_gamma_table_matches_stepwise():
     pts = P([0, 1, 1j, 2 - 1j, -0.5 + 0.25j])
     gammas, _ = gamma_table(pts)

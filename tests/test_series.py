@@ -105,6 +105,20 @@ def test_nan_oracle_rejected():
         growth_exponent(bad, 1.0, N=8)
 
 
+def test_nan_before_the_tail_window_only_classify_point_reads():
+    # conv_map reads only the tail window [8, 16]; classify_point goes
+    # through growth_exponent, which evaluates every order 1..16
+    def oracle(n, z):
+        return np.full(np.shape(np.asarray(z)), np.nan if n == 2 else -1.0)
+
+    f = oracle_series(oracle)
+    g = Grid.from_box(-1.0, -1.0, 1.0, 1.0, 4, 4)
+    cmap = conv_map(f, g, N=16, B=0.0, M=1.0)
+    assert int((cmap.verdicts == Verdict.CONVERGE).sum()) == 16
+    with pytest.raises(RuntimeError, match="NaN at n=2,"):
+        classify_point(f, complex(g.centers()[0, 0]), N=16, B=0.0, M=1.0)
+
+
 def test_conv_map_super_series_five_by_five():
     # center cell sits exactly at the origin: all coefficients vanish there;
     # every other center has |z| >= pixel and diverges at this budget
