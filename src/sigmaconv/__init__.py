@@ -10,19 +10,17 @@ from truncated coefficient growth.
 """
 
 from .construct import (BlockStructure, CoefficientSeries, CountableStructure,
-                        DenseEnumeration, InterleaveStructure, PointSequence,
-                        RootPolynomial, SaturationError, SeparatingFamily,
-                        block_series, compact_set_series, countable_set_series,
-                        dense_enumeration_for_targets, enumeration_series,
+                        InterleaveStructure, PointSequence, RootPolynomial,
+                        SeparatingFamily, block_series, compact_set_series,
+                        countable_set_series, enumeration_series,
                         gamma_sequence, gamma_table, interleave, leja_points,
                         separating_family, sigma_convex_series)
-from .decompose import (Decomposition, FiniteComponentsReport, HoleEscape,
-                        ascending_decomposition, check_finite_components,
+from .decompose import (Decomposition, HoleEscape, ascending_decomposition,
                         hull_escape_exhibit, sierpinski_mask,
                         slice_holomorphically_convex, u_neighborhood_trap)
 from .geometry import (COMPACT, DOMAIN, OPEN, ComponentReport, Grid,
-                       RegionMask, band_equal, complement_components,
-                       distance_to, empty_mask, full_domain, holomorphic_hull,
+                       RegionMask, complement_components, distance_to,
+                       empty_mask, full_domain, holomorphic_hull,
                        neighborhood, omega_exhaustion, polynomial_hull,
                        set_distance)
 from .harness import (Budgets, SceneParseError, SceneSpec, VerificationReport,

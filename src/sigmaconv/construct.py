@@ -13,10 +13,6 @@ order ranges, vectorized over point arrays.
   on a compact set, or on the pieces of an ascending decomposition);
 * parity interleave: F_2m = f_m, F_{2m+1} = g_m, whose convergence behavior
   is the intersection of the two inputs'.
-
-A greedy dense-set enumeration reorders a point sample so that scaled
-products along a prescribed coefficient-magnitude sequence stay small near
-chosen anchor points.
 """
 
 from __future__ import annotations
@@ -24,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import groupby
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -567,164 +563,12 @@ def sigma_convex_series(decomp, omega: RegionMask,
                          description=f"sigma-convex series, {decomp.n_max} stages")
 
 
-class SaturationError(RuntimeError):
-    """The sample cannot supply a point within the required radius."""
-
-    def __init__(self, level: int, slot: int, message: str):
-        super().__init__(message)
-        self.level = level
-        self.slot = slot
-
-
-@dataclass(frozen=True)
-class SlotRecord:
-    index: int              # 1-based position in the output sequence
-    level: int              # l
-    slot: int               # i in 1..k for anchor slots, 0 for sweep slots
-    chosen: complex
-    source_index: int       # position in the input sample
-    required_log_radius: float
-    attained_log_distance: float
-
-
-@dataclass
-class DenseEnumeration:
-    sequence: PointSequence
-    achieved_level: int
-    steps: list[SlotRecord]
-    saturated_at: tuple[int, int] | None = None
-
-
-def dense_enumeration_for_targets(S: PointSequence,
-                                  C: Sequence[float] | Callable[[int], float],
-                                  A: PointSequence,
-                                  level_target: int | None = None) -> DenseEnumeration:
-    """Greedy reorder of a dense sample around anchor points.
-
-    With k anchors a_1..a_k of diameter d and a positive scale sequence C,
-    level l contributes k anchor slots (index l*(k+1)+i takes the unused
-    sample point closest to a_i, required to satisfy |z - a_i| < d and
-    C_{l(k+1)+i+p} * |z - a_i| < d/(l+2)! for p = 0..k) and, for l >= 1,
-    one sweep slot (index l*(k+1) takes the earliest unused sample point
-    within l*d of some anchor).  Levels proceed until the sample runs dry
-    (the result reports the last complete level) or ``level_target`` is
-    reached; with a ``level_target`` set, saturation raises SaturationError
-    naming the failing (level, slot).
-    """
-    k = len(A)
-    if k < 2:
-        raise ValueError("need at least 2 anchor points (positive diameter)")
-    anchors = A.as_array()
-    d = float(np.abs(anchors[:, None] - anchors[None, :]).max())
-    if d <= 0:
-        raise ValueError("anchor points must have positive diameter")
-    if callable(C):
-        c_of = C
-    else:
-        seq = list(C)
-
-        def c_of(n: int) -> float:
-            if n >= len(seq):
-                raise SaturationError(-1, -1,
-                                      f"C sequence too short for index {n}")
-            return seq[n]
-
-    def log_c(n: int) -> float:
-        val = float(c_of(n))
-        if not val > 0:
-            raise ValueError(f"C_{n} must be positive, got {val!r}")
-        return math.log(val)
-
-    sample = S.as_array()
-    used = np.zeros(len(sample), dtype=bool)
-    anchor_dists = np.abs(sample[:, None] - anchors[None, :])
-    nearest_anchor = anchor_dists.min(axis=1)
-    log_d = math.log(d)
-
-    chosen: list[complex] = []
-    steps: list[SlotRecord] = []
-
-    def take_anchor_slot(level: int, i: int) -> bool:
-        idx = level * (k + 1) + i
-        worst_c = max(log_c(idx + p) for p in range(k + 1))
-        bound = min(log_d, log_d - math.lgamma(level + 3) - worst_c)
-        dists = anchor_dists[:, i - 1].copy()
-        dists[used] = np.inf
-        cand = int(np.argmin(dists))
-        if np.isinf(dists[cand]):
-            return False  # every sample point is already used
-        with np.errstate(divide="ignore"):
-            attained = float(np.log(dists[cand])) if dists[cand] > 0 else -math.inf
-        if not attained < bound:
-            return False
-        used[cand] = True
-        chosen.append(complex(sample[cand]))
-        steps.append(SlotRecord(idx, level, i, complex(sample[cand]),
-                                cand, bound, attained))
-        return True
-
-    def take_sweep_slot(level: int) -> bool:
-        idx = level * (k + 1)
-        limit = level * d
-        ok = ~used & (nearest_anchor < limit)
-        hits = np.flatnonzero(ok)
-        if hits.size == 0:
-            return False
-        cand = int(hits[0])  # earliest sample index, per the sweep rule
-        used[cand] = True
-        chosen.append(complex(sample[cand]))
-        with np.errstate(divide="ignore"):
-            attained = (float(np.log(nearest_anchor[cand]))
-                        if nearest_anchor[cand] > 0 else -math.inf)
-        steps.append(SlotRecord(idx, level, 0, complex(sample[cand]),
-                                cand, math.log(limit), attained))
-        return True
-
-    achieved = -1
-    saturated_at: tuple[int, int] | None = None
-    level = 0
-    while True:
-        if level_target is not None and level > level_target:
-            break
-        if level > 0:
-            if not take_sweep_slot(level):
-                saturated_at = (level, 0)
-                break
-        failed = None
-        for i in range(1, k + 1):
-            if not take_anchor_slot(level, i):
-                failed = (level, i)
-                break
-        if failed is not None:
-            saturated_at = failed
-            break
-        achieved = level
-        level += 1
-
-    if level_target is not None and achieved < level_target:
-        lvl, slot = saturated_at if saturated_at else (level, 0)
-        raise SaturationError(
-            lvl, slot,
-            f"sample cannot supply a point for slot (l={lvl}, i={slot}); "
-            f"achieved level {achieved}")
-
-    # trim to the last complete level so every retained index satisfies its
-    # slot condition
-    keep = achieved * (k + 1) + k if achieved >= 0 else 0
-    return DenseEnumeration(
-        PointSequence(tuple(chosen[:keep])),
-        achieved, steps[:keep], saturated_at)
-
-
 def enumeration_series(points: PointSequence,
-                       C: Sequence[float] | Callable[[int], float]) -> CoefficientSeries:
+                       C: Sequence[float]) -> CoefficientSeries:
     """Series with coefficients C_n * prod_{j=1..n} (z - z_j) over an
     explicit point order and scale sequence (the countable-set layout with
     caller-chosen scales)."""
-    if callable(C):
-        c_vals = [float(C(n)) for n in range(len(points) + 1)]
-    else:
-        c_vals = [float(c) for c in list(C)[:len(points) + 1]]
+    c_vals = [float(c) for c in list(C)[:len(points) + 1]]
     if len(c_vals) != len(points) + 1:
         raise ValueError(f"need {len(points) + 1} scale values, "
                          f"got {len(c_vals)}")

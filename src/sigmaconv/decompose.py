@@ -5,8 +5,8 @@ K_1 whole and pulls each later K_j back from the closed 1/n-neighborhood of
 its predecessors; hulls of the pieces accumulate into an ascending chain
 E_n whose shrinking neighborhoods U_n trap the union.  The same module
 carries the annular-cut surgery that turns a compact with finitely many
-holes into polynomially convex slices, plus the finite-components report
-and the triangle-fractal mask used by the hull-escape exhibit.
+holes into polynomially convex slices, and the triangle-fractal mask used
+by the hull-escape exhibit.
 """
 
 from __future__ import annotations
@@ -18,9 +18,9 @@ from functools import reduce
 
 import numpy as np
 
-from .geometry import (COMPACT, OPEN, ComponentReport, Grid, RegionMask,
-                       complement_components, distance_to, holomorphic_hull,
-                       polynomial_hull, set_distance)
+from .geometry import (COMPACT, OPEN, Grid, RegionMask, complement_components,
+                       distance_to, holomorphic_hull, polynomial_hull,
+                       set_distance)
 from .shapes import (SQRT3_2, ResolutionWarning, _polygon_even_odd,
                      _segment_distance, inverted_triangle_holes,
                      sierpinski_membership)
@@ -181,41 +181,6 @@ def u_neighborhood_trap(decomp: Decomposition, m: int) -> RegionMask:
     for U in decomp.U_list[m:]:
         out = out.intersect(U)
     return out
-
-
-@dataclass(frozen=True)
-class FiniteComponentsReport:
-    """Complement component census of a compact mask relative to a domain.
-
-    A bounded complement component wholly inside omega certifies that the
-    mask is not holomorphically convex there (its hull would fill it), so
-    ``holomorphically_convex`` is True exactly when ``bounded_in_omega`` is
-    empty.
-    """
-
-    component_count: int
-    bounded_count: int
-    bounded_in_omega: tuple[int, ...]
-    holomorphically_convex: bool
-    report: ComponentReport
-
-
-def check_finite_components(K: RegionMask,
-                            omega: RegionMask) -> FiniteComponentsReport:
-    """Census the complement components of K and flag the bounded ones
-    contained in omega."""
-    if not K.subset_of(omega):
-        raise ValueError("K must be contained in omega")
-    report = complement_components(K)
-    inside: list[int] = []
-    outside_labels = np.unique(report.labels[~omega.bits])
-    outside_labels = set(int(x) for x in outside_labels if x > 0)
-    for label in report.bounded_labels():
-        if int(label) not in outside_labels:
-            inside.append(int(label))
-    return FiniteComponentsReport(report.count,
-                                  int(report.bounded_flags.sum()),
-                                  tuple(inside), not inside, report)
 
 
 def _hole_annuli(K: RegionMask, pad: float) -> list[tuple[complex, float, float]]:

@@ -313,9 +313,3 @@ def exhaustion(omega: RegionMask) -> Callable[[int], RegionMask]:
         return RegionMask(grid, bits, COMPACT)
     return piece
 
-
-def band_equal(a: RegionMask, b: RegionMask, band: float) -> bool:
-    """Masks equal up to a boundary band: each is contained in the band
-    dilation of the other."""
-    return (a.subset_of(neighborhood(b, band))
-            and b.subset_of(neighborhood(a, band)))

@@ -64,10 +64,10 @@ def _write_pgm(path: str | Path, rows: np.ndarray, comment: str) -> None:
     Path(path).write_bytes(header.encode("ascii") + body)
 
 
-def _read_pgm(path: str | Path,
-              tag: str) -> tuple[int, int, np.ndarray, dict[str, str]]:
-    """(width, height, grid-order rows, fields of the first ``tag``
-    metadata comment)."""
+def _read_pgm(path: str | Path, tag: str, keys: tuple[str, ...] = ()
+              ) -> tuple[Grid, np.ndarray, dict[str, str]]:
+    """(grid, grid-order rows, fields of the first ``tag`` metadata
+    comment, which must hold the grid's fields and every key in ``keys``)."""
     data = Path(path).read_bytes()
     comments: list[str] = []
     tokens: list[int] = []
@@ -97,15 +97,23 @@ def _read_pgm(path: str | Path,
     width, height, maxval = (int(t) for t in tokens[1:4])
     if maxval != 255:
         raise ValueError(f"{path}: expected maxval 255, got {maxval}")
+    if width < 1 or height < 1:
+        raise ValueError(f"{path}: image size {width}x{height} is not positive")
     pos += 1  # single whitespace byte after maxval
-    body = data[pos:pos + width * height]
-    if len(body) != width * height:
+    body = data[pos:]
+    if len(body) < width * height:
         raise ValueError(f"{path}: pixel data truncated")
+    if len(body) > width * height:
+        raise ValueError(f"{path}: extra bytes after the pixel data")
     rows = np.frombuffer(body, dtype=np.uint8).reshape(height, width)
     for comment in comments:
         found, fields = _parse_meta(comment)
         if found == tag:
-            return width, height, rows[::-1, :].copy(), fields
+            missing = {"origin", "pixel", *keys} - fields.keys()
+            if missing:
+                raise ValueError(f"{path}: metadata lacks {sorted(missing)}")
+            return (_grid_from_fields(fields, width, height),
+                    rows[::-1, :].copy(), fields)
     raise ValueError(f"{path}: missing {tag} metadata comment")
 
 
@@ -117,14 +125,13 @@ def write_mask_pgm(mask: RegionMask, path: str | Path) -> None:
 
 
 def read_mask_pgm(path: str | Path) -> RegionMask:
-    width, height, rows, meta = _read_pgm(path, MASK_TAG)
+    grid, rows, meta = _read_pgm(path, MASK_TAG)
     kind = meta.get("kind", COMPACT)
     if kind not in (COMPACT, OPEN, DOMAIN):
         raise ValueError(f"{path}: unknown mask kind {kind!r}")
     bad = ~np.isin(rows, (0, 255))
     if bad.any():
         raise ValueError(f"{path}: mask pixels must be 0 or 255")
-    grid = _grid_from_fields(meta, width, height)
     return RegionMask(grid, rows == 255, kind)
 
 
@@ -145,14 +152,13 @@ def read_map_pgm(path: str | Path) -> tuple[Grid, np.ndarray, dict[str, float]]:
     Tail-sup exponents are not stored in the image; reports and sidecars
     carry any further detail.
     """
-    width, height, rows, meta = _read_pgm(path, MAP_TAG)
+    grid, rows, meta = _read_pgm(path, MAP_TAG, ("N", "B", "M"))
     bad = ~np.isin(rows, (0, 128, 255))
     if bad.any():
         raise ValueError(f"{path}: map pixels must be 0, 128 or 255")
     verdicts = np.empty(rows.shape, dtype=np.int8)
     for value, verdict in _MAP_VERDICTS.items():
         verdicts[rows == value] = verdict
-    grid = _grid_from_fields(meta, width, height)
     budgets = {"N": int(meta["N"]), "B": float(meta["B"]),
                "M": float(meta["M"])}
     if not math.isfinite(budgets["B"]) or not math.isfinite(budgets["M"]):

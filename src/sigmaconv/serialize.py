@@ -80,9 +80,11 @@ def grid_to_json(grid: Grid) -> dict:
             "width": grid.width, "height": grid.height}
 
 
-def grid_from_json(obj: dict) -> Grid:
-    return Grid(_j2c(obj["origin"]), float(obj["pixel"]),
-                int(obj["width"]), int(obj["height"]))
+def grid_from_json(obj) -> Grid:
+    obj = _object(obj, "grid")
+    return Grid(_j2c(obj.get("origin")), _real(obj.get("pixel"), "grid pixel"),
+                _count(obj.get("width"), "grid width"),
+                _count(obj.get("height"), "grid height"))
 
 
 def _member_to_json(member: RootPolynomial) -> dict:
@@ -310,7 +312,7 @@ def load_decomposition(outdir: str | Path) -> Decomposition:
         if actual != digest:
             raise ValueError(f"checksum mismatch for {name}: manifest "
                              f"{str(digest)[:12]}.., file {actual[:12]}..")
-    grid = grid_from_json(manifest["grid"])
+    grid = grid_from_json(manifest.get("grid"))
     E_list: list[RegionMask] = []
     U_list: list[RegionMask] = []
     for n in range(1, n_max + 1):

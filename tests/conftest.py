@@ -1,5 +1,6 @@
 """Shared test helpers: seeded random blob masks and small series builders."""
 
+import json
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -91,3 +92,31 @@ def flood_fill_hull(mask):
                     queue.append((jj, ii))
     filled = solid | ~seen
     return RegionMask(mask.grid, filled & ~mask.grid.frame(), COMPACT)
+
+
+LEAF_TEXTS = ('"x"', "null", "-1", "1e400", "NaN", "[]", "{}")
+MARKER = "@corrupt-leaf@"
+
+
+def leaf_paths(obj, path=()):
+    """Key paths of every non-container value in a JSON object."""
+    if isinstance(obj, dict):
+        for key, value in obj.items():
+            yield from leaf_paths(value, path + (key,))
+    elif isinstance(obj, list):
+        for i, value in enumerate(obj):
+            yield from leaf_paths(value, path + (i,))
+    else:
+        yield path
+
+
+def corrupt_leaf(obj, paths, rng) -> str:
+    """JSON text of ``obj`` with the leaf at one of ``paths``, picked by
+    ``rng``, replaced by a malformed value."""
+    path = rng.choice(paths)
+    copy = json.loads(json.dumps(obj))
+    node = copy
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = MARKER
+    return json.dumps(copy).replace(f'"{MARKER}"', rng.choice(LEAF_TEXTS))

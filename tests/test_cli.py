@@ -22,7 +22,7 @@ from sigmaconv.cli import build_parser, main
 from sigmaconv.harness import (SceneParseError, construct_compact,
                                construct_countable, construct_sigma,
                                map_vs_mask_agreement, parse_scene, verify)
-from conftest import disk_growth_series
+from conftest import corrupt_leaf, disk_growth_series, leaf_paths
 
 FULL_SCENE = """\
 name demo pair
@@ -629,19 +629,6 @@ CORRUPTION_SCENES = {
         for k in range(10)) + "budget N 9\n",
 }
 SCENE_BYTES = bytes(range(32, 127)) + b"\t\n\r\x00\xff"
-LEAF_TEXTS = ('"x"', "null", "-1", "1e400", "NaN", "[]", "{}")
-MARKER = "@corrupt-leaf@"
-
-
-def _leaf_paths(obj, path=()):
-    if isinstance(obj, dict):
-        for key, value in obj.items():
-            yield from _leaf_paths(value, path + (key,))
-    elif isinstance(obj, list):
-        for i, value in enumerate(obj):
-            yield from _leaf_paths(value, path + (i,))
-    else:
-        yield path
 
 
 def _run_mutant(capsys, argv):
@@ -695,16 +682,9 @@ def test_cli_survives_corrupt_series(tmp_path, capsys, pipeline):
     scene, series = _clean_run(tmp_path, pipeline)
     rng = random.Random(2)
     obj = json.loads(series.read_text())
-    paths = list(_leaf_paths(obj))
+    paths = list(leaf_paths(obj))
     mutant = tmp_path / "mutant.json"
     for _ in range(300):
-        path = rng.choice(paths)
-        copy = json.loads(json.dumps(obj))
-        node = copy
-        for key in path[:-1]:
-            node = node[key]
-        node[path[-1]] = MARKER
-        mutant.write_text(json.dumps(copy).replace(
-            f'"{MARKER}"', rng.choice(LEAF_TEXTS)))
+        mutant.write_text(corrupt_leaf(obj, paths, rng))
         _run_mutant(capsys, ["verify", str(scene), str(mutant),
                              "--out", str(tmp_path / "out")])

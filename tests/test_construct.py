@@ -6,10 +6,9 @@ import math
 import numpy as np
 import pytest
 
-from sigmaconv import (COMPACT, OPEN, Grid, PointSequence, SaturationError,
-                       Verdict, block_series, classify_point,
-                       compact_set_series, conv_map, countable_set_series,
-                       dense_enumeration_for_targets, empty_mask,
+from sigmaconv import (COMPACT, OPEN, Grid, PointSequence, Verdict,
+                       block_series, classify_point, compact_set_series,
+                       conv_map, countable_set_series, empty_mask,
                        enumeration_series, full_domain, gamma_sequence,
                        gamma_table, growth_exponent, interleave, leja_points,
                        neighborhood, polynomial_hull, rasterize_scene,
@@ -433,70 +432,16 @@ def test_compact_series_requires_hull_fixed_K():
 # ------------------------------------------------------------ enumeration
 
 
-def anchor_pair():
-    return P([0.0 + 0.0j, 1.0 + 0.0j])
-
-
-def cluster_sample(depth, per_ring=3, fillers=30):
-    pts = []
-    for a in (0.0, 1.0):
-        for jj in range(1, depth + 1):
-            r = 0.5 ** jj
-            for t in range(per_ring):
-                ang = (0.3, 2.1, 4.0)[t]
-                pts.append(a + r * complex(math.cos(ang), math.sin(ang)))
-    for t in range(fillers):
-        pts.append(complex(0.15 + 0.7 * (t / (fillers - 1)), 0.2))
-    return P(pts)
-
-
-def test_enumeration_slot_bound_hand_value():
-    # k=2, d=1, C_n = 2^n: the level-0 slot for the second anchor needs
-    # |z - a_1| < 1 / (2! * 2^3) = 1/16
-    enum = dense_enumeration_for_targets(cluster_sample(40),
-                                         lambda n: 2.0 ** n, anchor_pair())
-    rec = next(s for s in enum.steps if s.index == 1)
-    assert rec.level == 0 and rec.slot == 1
-    assert rec.required_log_radius == pytest.approx(-4 * math.log(2),
-                                                    abs=1e-12)
-    assert rec.attained_log_distance < rec.required_log_radius
-    assert enum.achieved_level == 6
-    assert len(enum.sequence) == 6 * 3 + 2  # complete levels only
-
-
-def test_enumeration_sweep_takes_earliest_unused():
-    enum = dense_enumeration_for_targets(cluster_sample(40),
-                                         lambda n: 2.0 ** n, anchor_pair())
-    sweeps = [s for s in enum.steps if s.slot == 0]
-    assert sweeps, "levels past 0 must include sweep slots"
-    indices = [s.source_index for s in sweeps]
-    assert indices == sorted(indices)
-
-
-def test_enumeration_saturation_names_the_slot():
-    with pytest.raises(SaturationError) as exc:
-        dense_enumeration_for_targets(cluster_sample(40), lambda n: 2.0 ** n,
-                                      anchor_pair(), level_target=11)
-    assert exc.value.level == 7
-    assert exc.value.slot == 1
-    assert "achieved level 6" in str(exc.value)
-
-
-def test_enumeration_rejects_degenerate_anchors():
-    S = cluster_sample(10)
-    with pytest.raises(ValueError):
-        dense_enumeration_for_targets(S, lambda n: 1.0, P([0.5]))
-    with pytest.raises(ValueError):
-        dense_enumeration_for_targets(S, lambda n: -1.0, anchor_pair())
-
-
 def test_enumeration_series_converges_at_both_anchors():
-    """Shrinking scales leave room for deep levels; the rebuilt series then
-    certifies convergence at both anchors within the (2d)^n envelope."""
-    S = cluster_sample(60, fillers=40)
-    enum = dense_enumeration_for_targets(S, lambda n: 0.5 ** n, anchor_pair())
-    assert enum.achieved_level * 3 + 2 >= 64
-    F = enumeration_series(enum.sequence, lambda n: 0.5 ** n)
+    """Points closing in on the anchors 0 and 1 with shrinking scales: the
+    scaled-product series certifies convergence at both anchors within the
+    (2d)^n envelope of the anchors' diameter d."""
+    pts = []
+    for j in range(1, 33):
+        r = 0.5 ** j
+        pts += [r * complex(math.cos(0.3), math.sin(0.3)),
+                1.0 + r * complex(math.cos(2.1), math.sin(2.1))]
+    F = enumeration_series(P(pts), [0.5 ** n for n in range(len(pts) + 1)])
     d = 1.0
     B = math.log(4 * d)
     for z in (0.0 + 0.0j, 1.0 + 0.0j):

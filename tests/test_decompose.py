@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from sigmaconv import (COMPACT, DOMAIN, OPEN, Grid, RegionMask, Verdict,
-                       ascending_decomposition, check_finite_components,
-                       compact_set_series, conv_map, distance_to, empty_mask,
+                       ascending_decomposition, compact_set_series,
+                       conv_map, distance_to, empty_mask,
                        full_domain, hull_escape_exhibit, neighborhood,
                        omega_exhaustion, polynomial_hull, rasterize_scene,
                        set_distance, shapes, sierpinski_mask,
@@ -254,7 +254,7 @@ def test_trap_range_is_validated():
         u_neighborhood_trap(dec, 4)
 
 
-# ------------------------------------------------------------ components
+# ------------------------------------------------------------ slicing
 
 
 def make_annulus_setting():
@@ -264,41 +264,6 @@ def make_annulus_setting():
     omega = rasterize_scene([(1, shapes.Annulus(0.0, 0.0, 0.3, 1.6))], g,
                             kind=DOMAIN)
     return g, K, omega
-
-
-def test_components_hole_meeting_domain_complement_is_harmless():
-    g, K, omega = make_annulus_setting()
-    rep = check_finite_components(K, omega)
-    assert rep.component_count == 2
-    assert rep.bounded_count == 1
-    assert rep.bounded_in_omega == ()
-    assert rep.holomorphically_convex
-
-
-def test_components_hole_inside_full_domain_blocks_convexity():
-    g, K, _ = make_annulus_setting()
-    rep = check_finite_components(K, full_domain(g))
-    assert rep.bounded_count == 1
-    assert len(rep.bounded_in_omega) == 1
-    assert not rep.holomorphically_convex
-
-
-def test_components_of_solid_disk():
-    g = Grid.from_box(-2.0, -2.0, 2.0, 2.0, 64, 64)
-    rep = check_finite_components(disk(g, 0.0, 0.0, 0.8), full_domain(g))
-    assert rep.component_count == 1
-    assert rep.bounded_count == 0
-    assert rep.holomorphically_convex
-
-
-def test_components_requires_containment():
-    g = Grid.from_box(-2.0, -2.0, 2.0, 2.0, 64, 64)
-    omega = rasterize_scene([(1, shapes.Disk(-1.0, 0.0, 0.4))], g, kind=DOMAIN)
-    with pytest.raises(ValueError, match="contained in omega"):
-        check_finite_components(disk(g, 0.5, 0.0, 0.3), omega)
-
-
-# ------------------------------------------------------------ slicing
 
 
 def test_slice_holeless_compact_is_returned_whole():

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import ndimage
 
-from sigmaconv import (COMPACT, DOMAIN, OPEN, Grid, RegionMask, band_equal,
+from sigmaconv import (COMPACT, DOMAIN, OPEN, Grid, RegionMask,
                        complement_components, distance_to, empty_mask,
                        full_domain, holomorphic_hull, neighborhood,
                        omega_exhaustion, polynomial_hull, rasterize_scene,
@@ -310,14 +310,3 @@ def test_exhaustion_shares_one_boundary_transform(touches_frame, monkeypatch):
     with pytest.raises(ValueError, match="m must be >= 1"):
         piece(0)
 
-
-# ---------------------------------------------------------------- band_equal
-
-
-def test_band_equal_within_and_beyond():
-    g = Grid.from_box(-2.0, -2.0, 2.0, 2.0, 64, 64)
-    a = disk_mask(g, 0.0, 0.0, 1.0)
-    slightly = disk_mask(g, 0.0, 0.0, 1.0 + g.pixel)
-    assert band_equal(a, slightly, 2 * g.pixel)
-    far = disk_mask(g, 0.0, 0.0, 1.5)
-    assert not band_equal(a, far, 2 * g.pixel)

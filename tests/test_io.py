@@ -2,6 +2,8 @@
 
 import json
 import math
+import random
+import re
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +20,8 @@ from sigmaconv import (COMPACT, DOMAIN, OPEN, Grid, RegionMask, Verdict,
                        PointSequence, RootPolynomial, export_decomposition,
                        load_decomposition)
 from sigmaconv.serialize import grid_from_json, map_sidecar
-from conftest import disk_growth_series, oracle_series, random_polyomino
+from conftest import (corrupt_leaf, disk_growth_series, leaf_paths,
+                      oracle_series, random_polyomino)
 
 
 def odd_grid():
@@ -88,6 +91,52 @@ def test_mask_pgm_header_errors(tmp_path):
     p.write_bytes(b"P5\n2 2\n255\n" + bytes(4))  # no metadata comment
     with pytest.raises(ValueError, match="metadata"):
         read_mask_pgm(p)
+    p.write_bytes(b"P5\n-2 -2\n255\n" + bytes(4))
+    with pytest.raises(ValueError, match="size -2x-2 is not positive"):
+        read_mask_pgm(p)
+    good = tmp_path / "good.pgm"
+    write_mask_pgm(RegionMask(Grid.from_box(0.0, 0.0, 1.0, 1.0, 8, 8),
+                              np.zeros((8, 8), dtype=bool), OPEN), good)
+    raw = good.read_bytes()
+    p.write_bytes(raw + bytes(64))
+    with pytest.raises(ValueError, match="extra bytes after the pixel data"):
+        read_mask_pgm(p)
+    for field in ("origin", "pixel"):
+        p.write_bytes(raw.replace(f" {field}=".encode(), b" x="))
+        with pytest.raises(ValueError,
+                           match=re.escape(f"metadata lacks ['{field}']")):
+            read_mask_pgm(p)
+    p.write_bytes(raw.replace(b"sigmaconv-mask", b"sigmaconv-map"))
+    with pytest.raises(ValueError,
+                       match=re.escape(f"{p}: metadata lacks ['B', 'M', 'N']")):
+        read_map_pgm(p)
+
+
+@pytest.mark.parametrize("kind", ["mask", "map"])
+def test_pgm_header_corruptions_load_or_raise_value_error(tmp_path, kind):
+    # one random byte of the header replaced, 300 times: every mutant either
+    # loads or raises ValueError
+    path = tmp_path / "clean.pgm"
+    if kind == "mask":
+        g = odd_grid()
+        write_mask_pgm(RegionMask(g, random_polyomino(
+            np.random.default_rng(3), g, 40).bits, COMPACT), path)
+        read = read_mask_pgm
+    else:
+        write_map_pgm(small_map()[1], path)
+        read = read_map_pgm
+    raw = path.read_bytes()
+    header = raw.index(b"\n255\n") + 5
+    rng = random.Random(0)
+    mutant = tmp_path / "mutant.pgm"
+    for _ in range(300):
+        data = bytearray(raw)
+        data[rng.randrange(header)] = rng.randrange(256)
+        mutant.write_bytes(bytes(data))
+        try:
+            read(mutant)
+        except ValueError:
+            pass
 
 
 # ------------------------------------------------------------ map PGM
@@ -301,8 +350,13 @@ def _set(**fields):
     return lambda out, manifest: manifest.update(fields)
 
 
-def _unlist(name):
-    return lambda out, manifest: manifest["files"].pop(name)
+def _drop(*path):
+    def corrupt(out, manifest):
+        node = manifest
+        for key in path[:-1]:
+            node = node[key]
+        node.pop(path[-1])
+    return corrupt
 
 
 def _unlisted_tampered_stage(out, manifest):
@@ -317,7 +371,7 @@ def _unlisted_tampered_stage(out, manifest):
 MANIFEST_CORRUPTIONS = {
     "unlisted tampered E_001": (_unlisted_tampered_stage,
                                 "no checksum for E_001.pgm"),
-    "unlisted U_004": (_unlist("U_004.pgm"), "no checksum for U_004.pgm"),
+    "unlisted U_004": (_drop("files", "U_004.pgm"), "no checksum for U_004.pgm"),
     "stages beyond the files": (_set(n_max=5, hull_identity=["verified"] * 5),
                                 "no checksum for E_005.pgm"),
     "bogus status, n_max 2": (_set(n_max=2, hull_identity=["bogus"]),
@@ -331,6 +385,8 @@ MANIFEST_CORRUPTIONS = {
     "n_max string": (_set(n_max="4"), "n_max must be a positive"),
     "n_max bool": (_set(n_max=True), "n_max must be a positive"),
     "files not an object": (_set(files=[]), "files must be a JSON object"),
+    "grid missing": (_drop("grid"), "grid must be a JSON object"),
+    "grid without pixel": (_drop("grid", "pixel"), "grid pixel is not a number"),
 }
 
 
@@ -344,3 +400,19 @@ def test_decomposition_reload_rejects_malformed_manifest(tmp_path, case):
     (out / "manifest.json").write_text(json.dumps(manifest, indent=1))
     with pytest.raises(ValueError, match=message):
         load_decomposition(out)
+
+
+def test_manifest_corruptions_load_or_raise_value_error(tmp_path):
+    # one random JSON leaf of manifest.json replaced by a malformed value,
+    # 300 times: every mutant either loads or raises ValueError
+    _, dec = make_decomposition()
+    out = tmp_path / "out"
+    manifest = export_decomposition(dec, out)
+    paths = list(leaf_paths(manifest))
+    rng = random.Random(0)
+    for _ in range(300):
+        (out / "manifest.json").write_text(corrupt_leaf(manifest, paths, rng))
+        try:
+            load_decomposition(out)
+        except ValueError:
+            pass
