@@ -4,10 +4,10 @@ Three constructions are implemented.  Each produces a CoefficientSeries
 whose structure is its one evaluator: it yields log-magnitudes for whole
 order ranges, vectorized over point arrays.
 
-* product series: coefficients C_n * prod_{j<=n} (z - z_j), either with
-  the countable-set scaling C_n = (n / gamma_n)^n, which forces divergence
+* product series: coefficients C_n * prod_{j<=n} (z - z_j) with the
+  countable-set scaling C_n = (n / gamma_n)^n, which forces divergence
   away from the point set while every z_k kills all coefficients of index
-  >= k exactly, or with caller-chosen scales;
+  >= k exactly;
 * block series of powered polynomials: f_l = h_l^l for a member list h_l of
   normalized root polynomials, grouped in stage blocks (separating families
   on a compact set, or on the pieces of an ascending decomposition);
@@ -179,14 +179,13 @@ class CountableStructure:
     """Product series f_n = C_n * prod_{j<n} (z - points[j]) for
     n = 0..len(log_c) - 1, with ``log_c`` holding log C_n from n = 0.
 
-    ``gammas`` holds the separation scales gamma_n (n >= 1) of a
-    countable-set series, whose log C_0 is 0 and whose last point is never
-    a root; it is None for caller-chosen scales (enumeration_series).
+    ``gammas`` holds the separation scales gamma_n (n >= 1); log C_0 is 0,
+    and the last point is never a root.
     """
 
     points: tuple[complex, ...]
     log_c: tuple[float, ...]
-    gammas: tuple[float, ...] | None = None
+    gammas: tuple[float, ...]
 
     def tail_sup(self, z: np.ndarray | complex, lo: int,
                  hi: int) -> np.ndarray:
@@ -207,21 +206,17 @@ def countable_series_from_tables(structure: CountableStructure) -> CoefficientSe
     The structure evaluates the stored log C_n values directly, so a series
     loaded from disk reproduces the original maps bit for bit.
     """
-    n_points = len(structure.points)
-    n_max = n_points if structure.gammas is None else n_points - 1
+    n_max = len(structure.points) - 1
     if len(structure.log_c) != n_max + 1:
         raise ValueError(f"log_c table must have {n_max + 1} entries "
                          f"(orders 0..{n_max}), got {len(structure.log_c)}")
-    if structure.gammas is None:
-        kind = "scaled product series"
-    else:
-        kind = "countable-set series"
-        if len(structure.gammas) != n_max:
-            raise ValueError("gammas table must have len(points) - 1 entries")
-        if not all(g > 0 for g in structure.gammas):
-            raise ValueError("gammas entries must be > 0")
-    return CoefficientSeries(description=f"{kind} on {n_points} points",
-                             max_supported_n=n_max, structure=structure)
+    if len(structure.gammas) != n_max:
+        raise ValueError("gammas table must have len(points) - 1 entries")
+    if not all(g > 0 for g in structure.gammas):
+        raise ValueError("gammas entries must be > 0")
+    return CoefficientSeries(
+        description=f"countable-set series on {n_max + 1} points",
+        max_supported_n=n_max, structure=structure)
 
 
 def countable_set_series(points: PointSequence) -> CoefficientSeries:
@@ -444,25 +439,6 @@ class BlockStructure:
     f0_log_mag: float
     uncovered_counts: tuple[int, ...] = ()
 
-    def block_of(self, ell: int) -> tuple[int, int]:
-        """Map member index l >= 1 to (stage k, position j), both 1-based."""
-        if not 1 <= ell <= len(self.members):
-            raise ValueError(f"member index {ell} out of range")
-        acc = 0
-        for k, size in enumerate(self.block_sizes, start=1):
-            if ell <= acc + size:
-                return k, ell - acc
-            acc += size
-        raise AssertionError("block sizes inconsistent with member count")
-
-    def index_of(self, k: int, j: int) -> int:
-        """Inverse of block_of."""
-        if not 1 <= k <= len(self.block_sizes):
-            raise ValueError(f"stage {k} out of range")
-        if not 1 <= j <= self.block_sizes[k - 1]:
-            raise ValueError(f"position {j} out of range for stage {k}")
-        return sum(self.block_sizes[:k - 1]) + j
-
     def log_mags(self, z: np.ndarray | complex, lo: int, hi: int):
         """Yield log|f_n(z)| for n = lo..hi, in order, with 0 <= lo.
 
@@ -562,19 +538,3 @@ def sigma_convex_series(decomp, omega: RegionMask,
     return _stage_blocks(families, 0.0,
                          description=f"sigma-convex series, {decomp.n_max} stages")
 
-
-def enumeration_series(points: PointSequence,
-                       C: Sequence[float]) -> CoefficientSeries:
-    """Series with coefficients C_n * prod_{j=1..n} (z - z_j) over an
-    explicit point order and scale sequence (the countable-set layout with
-    caller-chosen scales)."""
-    c_vals = [float(c) for c in list(C)[:len(points) + 1]]
-    if len(c_vals) != len(points) + 1:
-        raise ValueError(f"need {len(points) + 1} scale values, "
-                         f"got {len(c_vals)}")
-    for n, c in enumerate(c_vals):
-        if not 0 < c < math.inf:
-            raise ValueError(f"C_{n} must be positive and finite, got {c!r}")
-    log_c = tuple(math.log(c) for c in c_vals)
-    return countable_series_from_tables(
-        CountableStructure(points.points, log_c))

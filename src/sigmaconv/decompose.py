@@ -12,7 +12,6 @@ by the hull-escape exhibit.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from functools import reduce
 
@@ -21,9 +20,9 @@ import numpy as np
 from .geometry import (COMPACT, OPEN, Grid, RegionMask, complement_components,
                        distance_to, holomorphic_hull, polynomial_hull,
                        set_distance)
-from .shapes import (SQRT3_2, ResolutionWarning, _polygon_even_odd,
+from .shapes import (SQRT3_2, SierpinskiShape, _polygon_even_odd,
                      _segment_distance, inverted_triangle_holes,
-                     sierpinski_membership)
+                     rasterize_scene)
 
 VERIFIED = "verified"
 SKIPPED = "skipped"
@@ -35,26 +34,21 @@ class Decomposition:
     """Stage tables of an ascending decomposition.
 
     ``L[(n, j)]`` is piece j at stage n (1-based, j <= min(n, len(K_list))),
-    ``F[(n, j)]`` its polynomial hull, ``E_list[n-1]`` the stage union of
-    hulls, ``U_list[n-1]`` its closed 1/(3n)-neighborhood.
+    ``E_list[n-1]`` the stage union of the pieces' polynomial hulls,
+    ``U_list[n-1]`` its closed 1/(3n)-neighborhood.
     ``hull_identity[n-1]`` records whether E_n = hull(union of pieces) was
     checked ("verified") or skipped because pieces came within 2 pixels of
     each other.  Pieces with equal cells are one shared object, and so are
-    their hulls and equal consecutive stage unions.
+    equal consecutive stage unions.
     """
 
     grid: Grid
     K_list: list[RegionMask]
     n_max: int
     L: dict[tuple[int, int], RegionMask]
-    F: dict[tuple[int, int], RegionMask]
     E_list: list[RegionMask]
     U_list: list[RegionMask]
     hull_identity: list[str]
-
-    def pieces(self, n: int) -> list[RegionMask]:
-        j_hi = min(n, len(self.K_list))
-        return [self.L[(n, j)] for j in range(1, j_hi + 1)]
 
 
 def ascending_decomposition(K_list: list[RegionMask],
@@ -62,8 +56,8 @@ def ascending_decomposition(K_list: list[RegionMask],
     """Build stages 1..n_max of the ascending decomposition.
 
     Stage pieces: L_{n,1} = K_1 and L_{n,j} = K_j minus the closed
-    1/n-neighborhood of K_1 | .. | K_{j-1}; F_{n,j} = hull(L_{n,j});
-    E_n = union of the F_{n,j}; U_n = closed 1/(3n)-neighborhood of E_n.
+    1/n-neighborhood of K_1 | .. | K_{j-1}; E_n = union of the hulls
+    hull(L_{n,j}); U_n = closed 1/(3n)-neighborhood of E_n.
 
     Each K_j must be its own polynomial hull.  The chain E_n is verified
     ascending cell-exact.  Per stage, the identity E_n = hull(union of
@@ -125,7 +119,6 @@ def ascending_decomposition(K_list: list[RegionMask],
     close.sort()
 
     L: dict[tuple[int, int], RegionMask] = {}
-    F: dict[tuple[int, int], RegionMask] = {}
     E_list: list[RegionMask] = []
     U_list: list[RegionMask] = []
     status: list[str] = []
@@ -139,7 +132,7 @@ def ascending_decomposition(K_list: list[RegionMask],
             piece(K_list[j].bits & (prefix_dist[j - 1] > 1.0 / n))
             for j in range(1, j_hi)]
         for j in range(1, j_hi + 1):
-            L[(n, j)], F[(n, j)] = pieces[j - 1], hull_of(pieces[j - 1])
+            L[(n, j)] = pieces[j - 1]
         if tuple(map(id, pieces)) != seen:
             seen = tuple(map(id, pieces))
             E = reduce(RegionMask.union, (hull_of(p) for p in pieces))
@@ -165,8 +158,7 @@ def ascending_decomposition(K_list: list[RegionMask],
             raise AssertionError(f"ascending chain broken: E_{n} is not "
                                  f"contained in E_{n + 1}")
 
-    return Decomposition(grid, list(K_list), n_max, L, F, E_list, U_list,
-                         status)
+    return Decomposition(grid, list(K_list), n_max, L, E_list, U_list, status)
 
 
 def u_neighborhood_trap(decomp: Decomposition, m: int) -> RegionMask:
@@ -296,18 +288,9 @@ def hull_escape_exhibit(depth: int, grid: Grid) -> list[HoleEscape]:
 def sierpinski_mask(depth: int, grid: Grid) -> RegionMask:
     """Depth-k triangle-fractal approximant on the unit triangle with
     vertices 0, 1, (1 + i*sqrt(3))/2."""
-    if depth < 0:
-        raise ValueError("depth must be >= 0")
     x0, y0 = grid.origin.real, grid.origin.imag
     x1 = x0 + grid.pixel * grid.width
     y1 = y0 + grid.pixel * grid.height
     if not (x0 <= 0.0 and x1 >= 1.0 and y0 <= 0.0 and y1 >= SQRT3_2):
         raise ValueError("grid does not cover the unit triangle")
-    if grid.pixel > 0.5 ** depth:
-        warnings.warn(
-            f"pixel {grid.pixel:g} is coarser than the depth-{depth} "
-            f"triangle side {0.5 ** depth:g}", ResolutionWarning,
-            stacklevel=2)
-    bits = sierpinski_membership(grid.centers(), depth)
-    bits = bits & ~grid.frame()
-    return RegionMask(grid, bits, COMPACT)
+    return rasterize_scene([(1, SierpinskiShape(depth))], grid, kind=COMPACT)

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .geometry import COMPACT, DOMAIN, OPEN, Grid, RegionMask
-from .series import ConvergenceMap, Verdict
+from .series import MIN_N, ConvergenceMap, Verdict
 
 MASK_TAG = "sigmaconv-mask"
 MAP_TAG = "sigmaconv-map"
@@ -32,14 +32,14 @@ def _meta_line(tag: str, fields: dict[str, str]) -> str:
     return " ".join(parts)
 
 
-def _parse_meta(comment: str) -> tuple[str, dict[str, str]]:
+def _parse_meta(comment: str, path: str | Path) -> tuple[str, dict[str, str]]:
     parts = comment.split()
     if not parts:
-        raise ValueError("empty metadata comment")
+        raise ValueError(f"{path}: empty metadata comment")
     fields = {}
     for part in parts[1:]:
         if "=" not in part:
-            raise ValueError(f"malformed metadata field {part!r}")
+            raise ValueError(f"{path}: malformed metadata field {part!r}")
         k, _, v = part.partition("=")
         fields[k] = v
     return parts[0], fields
@@ -50,10 +50,14 @@ def _grid_fields(grid: Grid) -> dict[str, str]:
             "pixel": repr(grid.pixel)}
 
 
-def _grid_from_fields(fields: dict[str, str], width: int, height: int) -> Grid:
-    ox, _, oy = fields["origin"].partition(",")
-    return Grid(complex(float(ox), float(oy)), float(fields["pixel"]),
-                width, height)
+def _grid_from_fields(path: str | Path, fields: dict[str, str], width: int,
+                      height: int) -> Grid:
+    try:
+        ox, _, oy = fields["origin"].partition(",")
+        return Grid(complex(float(ox), float(oy)), float(fields["pixel"]),
+                    width, height)
+    except ValueError as exc:
+        raise ValueError(f"{path}: bad grid metadata ({exc})") from None
 
 
 def _write_pgm(path: str | Path, rows: np.ndarray, comment: str) -> None:
@@ -79,7 +83,10 @@ def _read_pgm(path: str | Path, tag: str, keys: tuple[str, ...] = ()
             eol = data.find(b"\n", pos)
             if eol < 0:
                 raise ValueError(f"{path}: unterminated comment")
-            comments.append(data[pos + 1:eol].decode("ascii").strip())
+            try:
+                comments.append(data[pos + 1:eol].decode("ascii").strip())
+            except UnicodeDecodeError:
+                raise ValueError(f"{path}: comment is not ASCII") from None
             pos = eol + 1
         elif c.isspace():
             pos += 1
@@ -94,7 +101,11 @@ def _read_pgm(path: str | Path, tag: str, keys: tuple[str, ...] = ()
         raise ValueError(f"{path}: truncated PGM header")
     if tokens[0] != b"P5":
         raise ValueError(f"{path}: not a binary PGM (magic {tokens[0]!r})")
-    width, height, maxval = (int(t) for t in tokens[1:4])
+    try:
+        width, height, maxval = (int(t) for t in tokens[1:4])
+    except ValueError:
+        raise ValueError(f"{path}: image size and maxval must be integers, "
+                         f"got {b' '.join(tokens[1:4])!r}") from None
     if maxval != 255:
         raise ValueError(f"{path}: expected maxval 255, got {maxval}")
     if width < 1 or height < 1:
@@ -107,12 +118,12 @@ def _read_pgm(path: str | Path, tag: str, keys: tuple[str, ...] = ()
         raise ValueError(f"{path}: extra bytes after the pixel data")
     rows = np.frombuffer(body, dtype=np.uint8).reshape(height, width)
     for comment in comments:
-        found, fields = _parse_meta(comment)
+        found, fields = _parse_meta(comment, path)
         if found == tag:
             missing = {"origin", "pixel", *keys} - fields.keys()
             if missing:
                 raise ValueError(f"{path}: metadata lacks {sorted(missing)}")
-            return (_grid_from_fields(fields, width, height),
+            return (_grid_from_fields(path, fields, width, height),
                     rows[::-1, :].copy(), fields)
     raise ValueError(f"{path}: missing {tag} metadata comment")
 
@@ -159,8 +170,14 @@ def read_map_pgm(path: str | Path) -> tuple[Grid, np.ndarray, dict[str, float]]:
     verdicts = np.empty(rows.shape, dtype=np.int8)
     for value, verdict in _MAP_VERDICTS.items():
         verdicts[rows == value] = verdict
-    budgets = {"N": int(meta["N"]), "B": float(meta["B"]),
-               "M": float(meta["M"])}
-    if not math.isfinite(budgets["B"]) or not math.isfinite(budgets["M"]):
+    try:
+        N, B, M = int(meta["N"]), float(meta["B"]), float(meta["M"])
+    except ValueError as exc:
+        raise ValueError(f"{path}: bad budget metadata ({exc})") from None
+    if not math.isfinite(B) or not math.isfinite(M):
         raise ValueError(f"{path}: non-finite budgets in metadata")
-    return grid, verdicts, budgets
+    # the budgets conv_map accepts
+    if N < MIN_N or not B < M:
+        raise ValueError(f"{path}: budgets need N >= {MIN_N} and B < M, got "
+                         f"N={N} B={B!r} M={M!r}")
+    return grid, verdicts, {"N": N, "B": B, "M": M}

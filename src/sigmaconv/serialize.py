@@ -102,14 +102,11 @@ def series_to_json(series: CoefficientSeries) -> dict:
     """Serialize a series built by the constructors in this package."""
     s = series.structure
     if isinstance(s, CountableStructure):
-        obj = {"type": "scaled-product" if s.gammas is None else "countable",
-               "points": [_c2j(p) for p in s.points]}
-        if s.gammas is None:
-            obj["log_c"] = list(s.log_c)
-        else:  # log C_0 of a countable-set series is 0 and is not stored
-            obj["gammas"] = list(s.gammas)
-            obj["log_c"] = list(s.log_c[1:])
-        return obj
+        # log C_0 of a countable-set series is 0 and is not stored
+        return {"type": "countable",
+                "points": [_c2j(p) for p in s.points],
+                "gammas": list(s.gammas),
+                "log_c": list(s.log_c[1:])}
     if isinstance(s, BlockStructure):
         return {"type": "blocks",
                 "f0_log_mag": s.f0_log_mag,
@@ -127,15 +124,13 @@ def series_to_json(series: CoefficientSeries) -> dict:
 
 def series_from_json(obj) -> CoefficientSeries:
     kind = _object(obj, "series").get("type")
-    if kind in ("countable", "scaled-product"):
-        countable = kind == "countable"
+    if kind == "countable":
         log_c = tuple(_real(c, "log_c entry", finite=True)
                       for c in _list(obj, "log_c"))
         return countable_series_from_tables(CountableStructure(
-            tuple(_j2c(p) for p in _list(obj, "points")),
-            (0.0, *log_c) if countable else log_c,
+            tuple(_j2c(p) for p in _list(obj, "points")), (0.0, *log_c),
             tuple(_real(g, "gammas entry", finite=True)
-                  for g in _list(obj, "gammas")) if countable else None))
+                  for g in _list(obj, "gammas"))))
     if kind == "blocks":
         return block_series(
             [_member_from_json(m) for m in _list(obj, "members")],
@@ -320,7 +315,7 @@ def load_decomposition(outdir: str | Path) -> Decomposition:
         U_list.append(pgmio.read_mask_pgm(outdir / f"U_{n:03d}.pgm"))
         if E_list[-1].grid != grid or U_list[-1].grid != grid:
             raise ValueError(f"stage {n} masks disagree with manifest grid")
-    return Decomposition(grid, [], n_max, {}, {}, E_list, U_list, status)
+    return Decomposition(grid, [], n_max, {}, E_list, U_list, status)
 
 
 def save_report(report: dict, path: str | Path) -> None:

@@ -15,9 +15,9 @@ import pytest
 
 from sigmaconv import (COMPACT, DEFAULT_M, DEFAULT_N, ConvergenceMap, Grid,
                        PointSequence, RegionMask, ResolutionWarning, Verdict,
-                       countable_set_series, default_b,
-                       enumeration_series, interleave, load_series,
-                       read_map_pgm, read_mask_pgm, save_series, shapes)
+                       countable_set_series, default_b, interleave,
+                       load_series, read_map_pgm, read_mask_pgm, save_series,
+                       shapes)
 from sigmaconv.cli import build_parser, main
 from sigmaconv.harness import (SceneParseError, construct_compact,
                                construct_countable, construct_sigma,
@@ -328,10 +328,6 @@ def _set_first_point_inf(obj):
     obj["points"][0] = [math.inf, 0.0]
 
 
-def _set_first_point_neg_inf_imag(obj):
-    obj["points"][0] = [0.5, -math.inf]
-
-
 def _set_first_gamma_inf(obj):
     obj["gammas"][0] = math.inf
 
@@ -368,6 +364,12 @@ def _set_negative_block_size(obj):
     obj["block_sizes"] = [-1, sum(obj["block_sizes"]) + 1]
 
 
+def _retag_scaled_product(obj):
+    # the caller-scaled product file that older versions wrote
+    return {"type": "scaled-product", "points": obj["points"],
+            "log_c": [0.0] * (len(obj["points"]) + 1)}
+
+
 @pytest.mark.parametrize("kind,corrupt,fragment", [
     ("blocks", _set_first_root, "[re, im] pair"),
     ("blocks", _set_first_log_scale, "log_scale is NaN"),
@@ -379,8 +381,6 @@ def _set_negative_block_size(obj):
     ("countable", _set_first_gamma_inf, "gammas entry is inf"),
     ("countable", _set_first_gamma_zero, "gammas entries must be > 0"),
     ("countable", _drop_last_gamma, "gammas table must have"),
-    ("scaled-product", _set_first_log_c_inf, "log_c entry is inf"),
-    ("scaled-product", _set_first_point_neg_inf_imag, "non-finite component"),
     ("countable", _top_level_list, "series must be a JSON object, got []"),
     ("blocks", _set_first_roots_int, "roots must be a list, got 5"),
     ("blocks", _set_first_log_scale_null,
@@ -389,6 +389,8 @@ def _set_negative_block_size(obj):
     ("interleave", _set_even_list, "series must be a JSON object, got []"),
     ("blocks", _set_negative_block_size,
      "block size must be a non-negative integer, got -1"),
+    ("countable", _retag_scaled_product,
+     "unknown series type 'scaled-product'"),
 ])
 def test_cli_verify_rejects_malformed_series(tmp_path, capsys, kind, corrupt,
                                              fragment):
@@ -404,11 +406,9 @@ def test_cli_verify_rejects_malformed_series(tmp_path, capsys, kind, corrupt,
         series = disk_growth_series(0.0, 0.7, 46)
     elif kind == "countable":
         series = countable_set_series(points)
-    elif kind == "interleave":
+    else:
         series = interleave(countable_set_series(points),
                             disk_growth_series(0.0, 0.7, 46))
-    else:
-        series = enumeration_series(points, [2.0] * (len(points) + 1))
     path = tmp_path / "series.json"
     save_series(series, path)
     obj = json.loads(path.read_text())
@@ -419,6 +419,7 @@ def test_cli_verify_rejects_malformed_series(tmp_path, capsys, kind, corrupt,
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and fragment in err
+    assert len(err.splitlines()) == 1
 
 
 def test_cli_parse_error_exits_1(tmp_path, capsys):

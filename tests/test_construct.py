@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 
 from sigmaconv import (COMPACT, OPEN, Grid, PointSequence, Verdict,
-                       block_series, classify_point, compact_set_series,
+                       block_series, compact_set_series,
                        conv_map, countable_set_series, empty_mask,
-                       enumeration_series, full_domain, gamma_sequence,
-                       gamma_table, growth_exponent, interleave, leja_points,
+                       full_domain, gamma_sequence, gamma_table,
+                       growth_exponent, interleave, leja_points,
                        neighborhood, polynomial_hull, rasterize_scene,
                        separating_family, shapes)
 from sigmaconv.construct import (_separating_families,
@@ -368,23 +368,6 @@ def test_block_series_powers_members():
     assert f.max_supported_n == 2
 
 
-def test_block_index_bijection():
-    from sigmaconv import RootPolynomial
-    members = [RootPolynomial((0j,), 0.0)] * 10
-    f = block_series(members, [2, 5, 3], 0.0, "blocks")
-    st = f.structure
-    rng = np.random.default_rng(3)
-    for ell in rng.integers(1, 11, size=20):
-        k, j = st.block_of(int(ell))
-        assert st.index_of(k, j) == ell
-    assert st.block_of(1) == (1, 1)
-    assert st.block_of(2) == (1, 2)
-    assert st.block_of(3) == (2, 1)
-    assert st.block_of(10) == (3, 3)
-    with pytest.raises(ValueError):
-        st.block_of(11)
-
-
 def test_block_sizes_must_sum():
     from sigmaconv import RootPolynomial
     with pytest.raises(ValueError):
@@ -428,33 +411,3 @@ def test_compact_series_requires_hull_fixed_K():
     with pytest.raises(ValueError, match="polynomially convex"):
         compact_set_series(ann, stages=2, degree_cap=8)
 
-
-# ------------------------------------------------------------ enumeration
-
-
-def test_enumeration_series_converges_at_both_anchors():
-    """Points closing in on the anchors 0 and 1 with shrinking scales: the
-    scaled-product series certifies convergence at both anchors within the
-    (2d)^n envelope of the anchors' diameter d."""
-    pts = []
-    for j in range(1, 33):
-        r = 0.5 ** j
-        pts += [r * complex(math.cos(0.3), math.sin(0.3)),
-                1.0 + r * complex(math.cos(2.1), math.sin(2.1))]
-    F = enumeration_series(P(pts), [0.5 ** n for n in range(len(pts) + 1)])
-    d = 1.0
-    B = math.log(4 * d)
-    for z in (0.0 + 0.0j, 1.0 + 0.0j):
-        assert classify_point(F, z, N=64, B=B, M=B + 1.0) == Verdict.CONVERGE
-
-
-def test_enumeration_series_validates_scales():
-    pts = P([0.1, 0.2, 0.3])
-    with pytest.raises(ValueError, match="positive"):
-        enumeration_series(pts, [1.0, 0.0, 1.0, 1.0])
-    with pytest.raises(ValueError, match="scale values"):
-        enumeration_series(pts, [1.0, 1.0])
-    # a scale that overflows to inf would store log C_n = inf, which the
-    # series loader rejects, so the constructor refuses it up front
-    with pytest.raises(ValueError, match="C_2 must be positive and finite"):
-        enumeration_series(pts, [1.0, 1e200, 1e200 * 1e200, 1.0])

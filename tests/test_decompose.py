@@ -31,10 +31,10 @@ def test_single_compact_stages_are_constant():
     g = Grid.from_box(-2.0, -2.0, 2.0, 2.0, 64, 64)
     K = disk(g, 0.0, 0.0, 0.7)
     dec = ascending_decomposition([K], 5)
+    assert sorted(dec.L) == [(n, 1) for n in range(1, 6)]
     for n in range(1, 6):
-        assert dec.pieces(n) == [dec.L[(n, 1)]]
         assert dec.L[(n, 1)].same_cells(K)
-        assert dec.F[(n, 1)].same_cells(K)
+        assert polynomial_hull(dec.L[(n, 1)]).same_cells(K)
         assert dec.E_list[n - 1].same_cells(K)
     assert dec.hull_identity == [VERIFIED] * 5
     # shrinking closed neighborhoods nest downward
@@ -47,7 +47,9 @@ def test_well_separated_pair_keeps_second_piece():
     g = Grid.from_box(-2.0, -2.0, 2.0, 2.0, 64, 64)
     K1, K2 = disk(g, -1.0, 0.0, 0.4), disk(g, 1.0, 0.0, 0.4)
     dec = ascending_decomposition([K1, K2], 6)
-    assert dec.pieces(1) == [dec.L[(1, 1)]]  # stage n only uses j <= n
+    # stage n only uses j <= n
+    assert sorted(dec.L) == [(1, 1)] + [(n, j) for n in range(2, 7)
+                                        for j in (1, 2)]
     for n in range(2, 7):
         assert dec.L[(n, 1)].same_cells(K1)
         # erosion radius 1/n stays below the 1.2 gap, so nothing is removed
@@ -67,7 +69,7 @@ def test_nested_disks_erode_then_hull_back():
         # fills the hole back in
         assert piece.count() < K2.count()
         assert piece.subset_of(K2)
-        assert dec.F[(n, 2)].same_cells(K2)
+        assert polynomial_hull(piece).same_cells(K2)
         assert dec.E_list[n - 1].same_cells(K2)
         if prev is not None:
             assert prev.subset_of(piece)  # erosion radius 1/n shrinks
@@ -97,7 +99,7 @@ def _reference_stages(K_list, n_max):
     the closed 1/n-neighborhood of its prefix union, and a stage is verified
     when every pair of nonempty pieces is more than 2 pixels apart."""
     g = K_list[0].grid
-    L, F, E_list, U_list, status = {}, {}, [], [], []
+    L, E_list, U_list, status = {}, [], [], []
     for n in range(1, n_max + 1):
         j_hi = min(n, len(K_list))
         pieces = [K_list[0]]
@@ -109,15 +111,15 @@ def _reference_stages(K_list, n_max):
                                                                 1.0 / n)))
         E = empty_mask(g)
         for j, piece in enumerate(pieces, start=1):
-            L[(n, j)], F[(n, j)] = piece, polynomial_hull(piece)
-            E = E.union(F[(n, j)])
+            L[(n, j)] = piece
+            E = E.union(polynomial_hull(piece))
         E_list.append(E)
         U_list.append(neighborhood(E, 1.0 / (3.0 * n)))
         live = [p for p in pieces if not p.is_empty()]
         separated = all(set_distance(p, q) > 2.0 * g.pixel
                         for i, p in enumerate(live) for q in live[i + 1:])
         status.append(VERIFIED if separated else SKIPPED)
-    return L, F, E_list, U_list, status
+    return L, E_list, U_list, status
 
 
 def _stage_scene(name):
@@ -143,11 +145,10 @@ def test_stage_tables_match_the_definitions(name):
     K_list = _stage_scene(name)
     n_max = 9
     dec = ascending_decomposition(K_list, n_max)
-    L, F, E_list, U_list, status = _reference_stages(K_list, n_max)
-    assert dec.L.keys() == L.keys() and dec.F.keys() == F.keys()
+    L, E_list, U_list, status = _reference_stages(K_list, n_max)
+    assert dec.L.keys() == L.keys()
     for key in L:
         assert dec.L[key].same_cells(L[key]), key
-        assert dec.F[key].same_cells(F[key]), key
     for n in range(n_max):
         assert dec.E_list[n].same_cells(E_list[n]), n + 1
         assert dec.U_list[n].same_cells(U_list[n]), n + 1

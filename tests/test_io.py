@@ -12,8 +12,8 @@ import pytest
 from sigmaconv import (COMPACT, DOMAIN, OPEN, Grid, RegionMask, Verdict,
                        ascending_decomposition, block_series,
                        compact_set_series, conv_map, countable_set_series,
-                       enumeration_series, full_domain, interleave,
-                       load_series, polynomial_hull, rasterize_scene,
+                       full_domain, interleave, load_series, polynomial_hull,
+                       rasterize_scene,
                        read_map_pgm, read_mask_pgm, save_map, save_series,
                        series_from_json, series_to_json, shapes,
                        sigma_convex_series, write_map_pgm, write_mask_pgm,
@@ -94,6 +94,9 @@ def test_mask_pgm_header_errors(tmp_path):
     p.write_bytes(b"P5\n-2 -2\n255\n" + bytes(4))
     with pytest.raises(ValueError, match="size -2x-2 is not positive"):
         read_mask_pgm(p)
+    p.write_bytes(b"P5\n2a 2\n255\n" + bytes(4))
+    with pytest.raises(ValueError, match="size and maxval must be integers"):
+        read_mask_pgm(p)
     good = tmp_path / "good.pgm"
     write_mask_pgm(RegionMask(Grid.from_box(0.0, 0.0, 1.0, 1.0, 8, 8),
                               np.zeros((8, 8), dtype=bool), OPEN), good)
@@ -110,6 +113,21 @@ def test_mask_pgm_header_errors(tmp_path):
     with pytest.raises(ValueError,
                        match=re.escape(f"{p}: metadata lacks ['B', 'M', 'N']")):
         read_map_pgm(p)
+    # metadata the classifier would refuse, or that does not parse, names
+    # the file
+    write_map_pgm(small_map()[1], good)
+    raw = good.read_bytes()
+    for pattern, value, fragment in [
+            (rb" N=\S+", b" N=-5", "budgets need N >= 8 and B < M, got N=-5"),
+            (rb" N=\S+", b" N=0", "got N=0"),
+            (rb" B=\S+ M=\S+", b" B=2.0 M=1.0", "got N=8 B=2.0 M=1.0"),
+            (rb" N=\S+", b" N=ab", "bad budget metadata"),
+            (rb" pixel=\S+", b" pixel=x", "bad grid metadata"),
+            (rb" B=", b" B=\xe9", "comment is not ASCII")]:
+        p.write_bytes(re.sub(pattern, value, raw, count=1))
+        with pytest.raises(ValueError,
+                           match=f"^{re.escape(str(p))}: .*{re.escape(fragment)}"):
+            read_map_pgm(p)
 
 
 @pytest.mark.parametrize("kind", ["mask", "map"])
@@ -221,14 +239,6 @@ def test_interleave_series_round_trip(tmp_path):
     assert_identical_series(F, load_series(tmp_path / "s.json"))
 
 
-def test_scaled_product_round_trip(tmp_path):
-    f = enumeration_series(
-        PointSequence.from_points((0.1, 0.5, 0.9, 0.3 + 0.4j)),
-        [1.0, 2.0, 0.5, 4.0, 8.0])
-    save_series(f, tmp_path / "s.json")
-    assert_identical_series(f, load_series(tmp_path / "s.json"))
-
-
 def test_structureless_series_is_not_serializable():
     f = oracle_series(lambda n, z: np.zeros(np.shape(z)),
                       description="ad hoc", max_supported_n=4)
@@ -239,6 +249,11 @@ def test_structureless_series_is_not_serializable():
 def test_unknown_series_type_is_rejected():
     with pytest.raises(ValueError, match="unknown series type"):
         series_from_json({"type": "mystery"})
+    # a caller-scaled product file, as older versions wrote them
+    with pytest.raises(ValueError,
+                       match="unknown series type 'scaled-product'"):
+        series_from_json({"type": "scaled-product", "points": [[0.1, 0.0]],
+                          "log_c": [0.0, 0.5]})
 
 
 # ------------------------------------------------------------ series writer
@@ -277,19 +292,12 @@ def countable_series():
         (0.1 + 0.2j, -0.4 + 0.9j, 1.2 - 0.3j, 0.8 + 0.8j)))
 
 
-def scaled_product_series():
-    return enumeration_series(
-        PointSequence.from_points((0.1, 0.5, 0.9, 0.3 + 0.4j)),
-        [1.0, 2.0, 0.5, 4.0, 8.0])
-
-
 @pytest.mark.parametrize("build", [
     sigma_series, compact_series, hand_block_series, countable_series,
-    scaled_product_series,
     lambda: interleave(hand_block_series(), compact_series()),
     lambda: interleave(countable_series(), sigma_series()),
-], ids=["sigma", "compact", "hand-blocks", "countable", "scaled-product",
-        "interleave-blocks", "interleave-countable-blocks"])
+], ids=["sigma", "compact", "hand-blocks", "countable", "interleave-blocks",
+        "interleave-countable-blocks"])
 def test_save_series_writes_json_indent_1(tmp_path, build):
     series = build()
     save_series(series, tmp_path / "s.json")

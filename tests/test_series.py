@@ -1,6 +1,7 @@
 """Growth exponents, three-way verdicts, verdict maps, and level sets."""
 
 import math
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -11,8 +12,8 @@ from sigmaconv import (COMPACT, Grid, Verdict,
                        rasterize_scene, shapes, tail_window)
 from sigmaconv import (PointSequence, RootPolynomial, ascending_decomposition,
                        block_series, compact_set_series, countable_set_series,
-                       enumeration_series, load_series, omega_exhaustion,
-                       polynomial_hull, save_series, sigma_convex_series)
+                       load_series, omega_exhaustion, polynomial_hull,
+                       save_series, sigma_convex_series)
 from sigmaconv import construct
 from sigmaconv.construct import (BlockStructure, CountableStructure,
                                  InterleaveStructure,
@@ -274,8 +275,9 @@ def test_block_evaluator_matches_oracle_from_mid_stage():
     g = Grid.from_box(-2.0, -2.0, 2.0, 2.0, 48, 48)
     f = compact_set_series(_disk(g, 0.0, 0.0, 0.7), stages=5,
                            degree_cap=24)
+    starts = {1 + s for s in accumulate(f.structure.block_sizes, initial=0)}
     mid = [N for N in range(MIN_N, f.max_supported_n + 1)
-           if f.structure.block_of(tail_window(N)[0])[1] > 1]
+           if tail_window(N)[0] not in starts]
     assert mid, "no tail window starts inside a stage"
     _assert_tail_sup_matches_oracle(f, g, mid[0])
     _assert_tail_sup_matches_oracle(f, g, f.max_supported_n)
@@ -334,8 +336,8 @@ def test_level_set_of_block_series_matches_oracle():
     assert np.array_equal(E.bits, omega_exhaustion(omega, 2).bits & ok)
 
 
-def _product_series_on_cells(kind):
-    """A countable or scaled-product series on 21 points, 12 of them exact
+def _product_series_on_cells():
+    """A countable-set series on 21 points, 12 of them exact
     cell centers of the returned 15 x 13 grid (so those cells sit on roots
     and get exact -inf terms), the rest off the cell lattice."""
     g = Grid.from_box(-1.5, -1.3, 1.5, 1.3, 15, 13)
@@ -345,19 +347,15 @@ def _product_series_on_cells(kind):
     off = rng.uniform(-1.4, 1.4, 9) + 1j * rng.uniform(-1.2, 1.2, 9)
     pts = [complex(z) for pair in zip(on, off) for z in pair]
     pts += [complex(z) for z in on[len(off):]]
-    seq = PointSequence.from_points(pts)
-    if kind == "countable":
-        return countable_set_series(seq), g
-    scales = [math.exp(0.7 * n) / (n + 1) for n in range(len(pts) + 1)]
-    return enumeration_series(seq, scales), g
+    return countable_set_series(PointSequence.from_points(pts)), g
 
 
-@pytest.mark.parametrize("kind", ["countable", "scaled-product"])
+@pytest.mark.parametrize("kind", ["countable"])
 @pytest.mark.parametrize("chunk", [None, 1, 7])
 def test_product_evaluator_matches_oracle(kind, chunk, monkeypatch):
     # chunk None keeps the default table budget (all 195 cells in one
     # chunk); 1 makes every chunk one cell; 7 leaves a partial last chunk
-    f, g = _product_series_on_cells(kind)
+    f, g = _product_series_on_cells()
     calls = []
     helper = construct._product_tail_sup
 
@@ -379,9 +377,9 @@ def test_product_evaluator_matches_oracle(kind, chunk, monkeypatch):
     assert np.isneginf(cmap.exponents[on_roots]).any()
 
 
-@pytest.mark.parametrize("kind", ["countable", "scaled-product"])
+@pytest.mark.parametrize("kind", ["countable"])
 def test_product_conv_map_agrees_with_classify_point(kind):
-    f, g = _product_series_on_cells(kind)
+    f, g = _product_series_on_cells()
     N, B, M = f.max_supported_n, 0.0, math.log(4.0)
     cmap = conv_map(f, g, N, B, M)
     assert (cmap.verdicts == Verdict.CONVERGE).any()
@@ -399,9 +397,9 @@ def test_product_evaluator_rejects_nan_with_the_oracle_message():
     g = Grid.from_box(-1.0, -1.0, 1.0, 1.0, 8, 8)
     a = complex(g.centers()[5, 2])
     pts = (a, complex(math.inf, 0.0)) + tuple(
-        complex(0.1 * k, -0.05 * k) for k in range(1, 15))
-    f = countable_series_from_tables(
-        CountableStructure(pts, tuple(0.5 * n for n in range(17))))
+        complex(0.1 * k, -0.05 * k) for k in range(1, 16))
+    f = countable_series_from_tables(CountableStructure(
+        pts, tuple(0.5 * n for n in range(17)), (0.5,) * 16))
     N = f.max_supported_n
     lo, _ = tail_window(N)
     with pytest.raises(RuntimeError, match=f"NaN at n={lo},") as fast:
@@ -418,13 +416,13 @@ def test_product_evaluator_rejects_nan_with_the_oracle_message():
     assert str(fast.value) == str(slow.value)
 
 
-@pytest.mark.parametrize("kind", ["countable", "scaled-product"])
+@pytest.mark.parametrize("kind", ["countable"])
 @pytest.mark.parametrize("chunk", [None, 1, 7])
 def test_product_log_mags_match_oracle(kind, chunk, monkeypatch):
     # chunk None keeps the default table budget (all orders, or all cells,
     # in one chunk); 1 makes every chunk one order (one cell for level_set);
     # 7 leaves a partial last chunk
-    f, g = _product_series_on_cells(kind)
+    f, g = _product_series_on_cells()
     N = f.max_supported_n
     zs = g.centers()
     calls, sup_calls = [], []
@@ -465,7 +463,7 @@ def test_product_log_mags_match_oracle(kind, chunk, monkeypatch):
                                   "blocks-blocks"])
 def test_interleave_evaluator_matches_children(pair, monkeypatch):
     # N = 16 and 17 start the tail window on an even and an odd order
-    countable, g = _product_series_on_cells("countable")
+    countable, g = _product_series_on_cells()
     compact = compact_set_series(_disk(g, 0.0, 0.0, 0.5), stages=4,
                                  degree_cap=16)
     even, odd = {"blocks-countable": (compact, countable),
@@ -500,7 +498,7 @@ def test_interleave_evaluator_matches_children(pair, monkeypatch):
 
 @pytest.mark.parametrize("kind", ["blocks", "countable", "interleave"])
 def test_entry_points_reject_orders_outside_the_series(kind):
-    countable, g = _product_series_on_cells("countable")
+    countable, g = _product_series_on_cells()
     blocks = _unshared_block_series()
     f = {"blocks": blocks, "countable": countable,
          "interleave": construct.interleave(blocks, countable)}[kind]
