@@ -7,7 +7,9 @@ hull takes --out, --grid and --box; construct adds --pipeline, --series-a,
 --exhaust-m, --N, --budget-B, --budget-M and --band; decompose adds
 --degree-cap and --nmax; demo-sierpinski adds --depth.  Exit codes: 0 on
 success with thresholds met, 2 on a verification failure, 1 on bad input
-or a usage error (one ``error: ...`` line on stderr).
+or a usage error (one ``error: ...`` line on stderr).  A scene or series
+path that cannot be read, or an --out directory that cannot be made, is
+bad input.
 """
 
 from __future__ import annotations
@@ -22,8 +24,8 @@ from . import pgmio, serialize
 from .construct import interleave
 from .decompose import hull_escape_exhibit, sierpinski_mask
 from .geometry import Grid, holomorphic_hull, polynomial_hull
-from .harness import (SceneParseError, SceneSpec, construct_compact,
-                      construct_countable, construct_sigma, load_scene, verify)
+from .harness import (SceneSpec, construct_compact, construct_countable,
+                      construct_sigma, load_scene, verify)
 
 
 def _parse_grid(text: str) -> tuple[int, int]:
@@ -43,6 +45,13 @@ def _parse_box(text: str) -> tuple[float, float, float, float]:
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # main reports it like any bad input
         raise ValueError(message)
+
+    def parse_args(self, args=None, namespace=None):
+        # the namespace keeps the list parsed, for the manifest
+        argv = sys.argv[1:] if args is None else list(args)
+        parsed = super().parse_args(argv, namespace)
+        parsed.argv = argv
+        return parsed
 
 
 _BUDGET_FLAGS = {
@@ -93,7 +102,7 @@ def _outdir(args) -> Path:
 
 
 def _manifest(args, out: Path, extra: dict | None = None) -> None:
-    data = {"argv": [a for a in sys.argv[1:]] if sys.argv else []}
+    data = {"argv": args.argv}
     if extra:
         data.update(extra)
     (out / "manifest.json").write_text(json.dumps(data, indent=1))
@@ -273,8 +282,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except (SceneParseError, FileNotFoundError, NotADirectoryError,
-            ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # unreadable or malformed input
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except AssertionError as exc:

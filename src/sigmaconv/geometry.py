@@ -300,10 +300,7 @@ def exhaustion(omega: RegionMask) -> Callable[[int], RegionMask]:
     obstacle = ~omega.bits
     if bool(omega.bits[frame].any()):
         obstacle = obstacle | frame
-    if obstacle.any():
-        bd = ndimage.distance_transform_edt(~obstacle, sampling=grid.pixel)
-    else:
-        bd = np.full(obstacle.shape, np.inf)
+    bd = distance_to(RegionMask(grid, obstacle, OPEN))
     abs_z = np.abs(grid.centers())
 
     def piece(m: int) -> RegionMask:

@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 import time
 import warnings
-from dataclasses import asdict, dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -123,40 +123,30 @@ _BUDGET_KEYS = {"N": ("N", int), "B": ("B", _finite), "M": ("M", _finite),
                 "nmax": ("n_max", int), "band": ("band", _finite)}
 
 
+_PRIMITIVES = {"disk": shapes.Disk, "annulus": shapes.Annulus,
+               "box": shapes.BoxShape, "segment": shapes.Segment,
+               "sierpinski": shapes.SierpinskiShape, "full": shapes.FullPlane}
+
+
 def _parse_primitive(tokens: list[str]):
-    kind = tokens[0]
-    args = [_finite(t) for t in tokens[1:]]
-    if kind == "disk":
-        if len(args) != 3:
-            raise ValueError("disk takes cx cy r")
-        return shapes.Disk(*args)
-    if kind == "annulus":
-        if len(args) != 4:
-            raise ValueError("annulus takes cx cy r_inner r_outer")
-        return shapes.Annulus(*args)
-    if kind == "box":
-        if len(args) != 4:
-            raise ValueError("box takes x0 y0 x1 y1")
-        return shapes.BoxShape(*args)
-    if kind == "segment":
-        if len(args) == 4:
-            return shapes.Segment(*args)
-        if len(args) == 5:
-            return shapes.Segment(*args[:4], halfwidth=args[4])
-        raise ValueError("segment takes x0 y0 x1 y1 [halfwidth]")
+    """One primitive from its keyword and its fields' tokens, in field
+    order; a field typed int parses with int, every other with _finite."""
+    kind, rest = tokens[0], tokens[1:]
     if kind == "polygon":
+        args = [_finite(t) for t in rest]
         if len(args) < 6 or len(args) % 2:
             raise ValueError("polygon takes >= 3 x y pairs")
         return shapes.Polygon(tuple(args[0::2]), tuple(args[1::2]))
-    if kind == "sierpinski":
-        if len(tokens) != 2:
-            raise ValueError("sierpinski takes depth")
-        return shapes.SierpinskiShape(int(tokens[1]))
-    if kind == "full":
-        if len(tokens) != 1:
-            raise ValueError("full takes no arguments")
-        return shapes.FullPlane()
-    raise ValueError(f"unknown primitive {kind!r}")
+    if kind not in _PRIMITIVES:
+        raise ValueError(f"unknown primitive {kind!r}")
+    params = fields(_PRIMITIVES[kind])
+    required = [f for f in params if f.default is MISSING]
+    if not len(required) <= len(rest) <= len(params):
+        names = [f.name if f in required else f"[{f.name}]" for f in params]
+        raise ValueError(f"{kind} takes {' '.join(names) or 'no arguments'}")
+    # shapes annotates with postponed evaluation, so each type is a string
+    return _PRIMITIVES[kind](*(int(t) if f.type == "int" else _finite(t)
+                               for f, t in zip(params, rest)))
 
 
 def _signed_primitive(tokens: list[str]) -> tuple[int, object]:

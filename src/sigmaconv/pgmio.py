@@ -1,9 +1,11 @@
 """Binary PGM (P5) readers and writers for masks and verdict maps.
 
 Images are written top row first, so row 0 of the file is the grid's top
-row (largest imaginary part).  A single comment line in the header carries
-the grid geometry (origin, pixel) plus the mask kind or the map budgets;
-floats are stored via repr and round-trip exactly.
+row (largest imaginary part).  The first header comment whose first word
+is the tag (``sigmaconv-mask`` or ``sigmaconv-map``) carries the grid
+geometry (origin, pixel) plus the mask kind or the map budgets as
+``key=value`` fields; floats are stored via repr and round-trip exactly.
+Other header comments are skipped unread.
 
 Pixel values: masks use 0 (off) / 255 (on); verdict maps use 0 (diverge),
 128 (undetermined), 255 (converge).
@@ -12,6 +14,7 @@ Pixel values: masks use 0 (off) / 255 (on); verdict maps use 0 (diverge),
 from __future__ import annotations
 
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +24,8 @@ from .series import MIN_N, ConvergenceMap, Verdict
 
 MASK_TAG = "sigmaconv-mask"
 MAP_TAG = "sigmaconv-map"
+# one header lexeme: whitespace, a comment to EOL, or a token
+_HEADER_LEXEME = re.compile(rb"\s+|#[^\n]*\n|[^\s#]+")
 
 _MAP_VALUES = {Verdict.DIVERGE: 0, Verdict.UNDETERMINED: 128,
                Verdict.CONVERGE: 255}
@@ -30,19 +35,6 @@ _MAP_VERDICTS = {v: k for k, v in _MAP_VALUES.items()}
 def _meta_line(tag: str, fields: dict[str, str]) -> str:
     parts = [tag] + [f"{k}={v}" for k, v in fields.items()]
     return " ".join(parts)
-
-
-def _parse_meta(comment: str, path: str | Path) -> tuple[str, dict[str, str]]:
-    parts = comment.split()
-    if not parts:
-        raise ValueError(f"{path}: empty metadata comment")
-    fields = {}
-    for part in parts[1:]:
-        if "=" not in part:
-            raise ValueError(f"{path}: malformed metadata field {part!r}")
-        k, _, v = part.partition("=")
-        fields[k] = v
-    return parts[0], fields
 
 
 def _grid_fields(grid: Grid) -> dict[str, str]:
@@ -73,32 +65,31 @@ def _read_pgm(path: str | Path, tag: str, keys: tuple[str, ...] = ()
     """(grid, grid-order rows, fields of the first ``tag`` metadata
     comment, which must hold the grid's fields and every key in ``keys``)."""
     data = Path(path).read_bytes()
-    comments: list[str] = []
-    tokens: list[int] = []
+    tokens: list[bytes] = []
+    fields: dict[str, str] | None = None
     pos = 0
-    # header = 4 whitespace-separated tokens, with '#' comments to EOL
-    while len(tokens) < 4 and pos < len(data):
-        c = data[pos:pos + 1]
-        if c == b"#":
-            eol = data.find(b"\n", pos)
-            if eol < 0:
-                raise ValueError(f"{path}: unterminated comment")
-            try:
-                comments.append(data[pos + 1:eol].decode("ascii").strip())
-            except UnicodeDecodeError:
-                raise ValueError(f"{path}: comment is not ASCII") from None
-            pos = eol + 1
-        elif c.isspace():
-            pos += 1
-        else:
-            end = pos
-            while end < len(data) and not data[end:end + 1].isspace() \
-                    and data[end:end + 1] != b"#":
-                end += 1
-            tokens.append(data[pos:end])
-            pos = end
-    if len(tokens) < 4:
-        raise ValueError(f"{path}: truncated PGM header")
+    # header = 4 whitespace-separated tokens, with '#' comments to EOL;
+    # only the first comment whose first word is the tag is read
+    while len(tokens) < 4:
+        m = _HEADER_LEXEME.match(data, pos)
+        if m is None:  # at the end of the data, or a comment without EOL
+            raise ValueError(f"{path}: unterminated comment" if pos < len(data)
+                             else f"{path}: truncated PGM header")
+        lexeme, pos = m.group(), m.end()
+        if lexeme.startswith(b"#"):
+            words = lexeme[1:].split()
+            if fields is None and words[:1] == [tag.encode()]:
+                try:
+                    pairs = [w.decode("ascii").partition("=") for w in words[1:]]
+                except UnicodeDecodeError:
+                    raise ValueError(f"{path}: comment is not ASCII") from None
+                bad = [k for k, eq, _ in pairs if not eq]
+                if bad:
+                    raise ValueError(f"{path}: malformed metadata field "
+                                     f"{bad[0]!r}")
+                fields = {k: v for k, _, v in pairs}
+        elif not lexeme.isspace():
+            tokens.append(lexeme)
     if tokens[0] != b"P5":
         raise ValueError(f"{path}: not a binary PGM (magic {tokens[0]!r})")
     try:
@@ -116,16 +107,14 @@ def _read_pgm(path: str | Path, tag: str, keys: tuple[str, ...] = ()
         raise ValueError(f"{path}: pixel data truncated")
     if len(body) > width * height:
         raise ValueError(f"{path}: extra bytes after the pixel data")
+    if fields is None:
+        raise ValueError(f"{path}: missing {tag} metadata comment")
+    missing = {"origin", "pixel", *keys} - fields.keys()
+    if missing:
+        raise ValueError(f"{path}: metadata lacks {sorted(missing)}")
     rows = np.frombuffer(body, dtype=np.uint8).reshape(height, width)
-    for comment in comments:
-        found, fields = _parse_meta(comment, path)
-        if found == tag:
-            missing = {"origin", "pixel", *keys} - fields.keys()
-            if missing:
-                raise ValueError(f"{path}: metadata lacks {sorted(missing)}")
-            return (_grid_from_fields(path, fields, width, height),
-                    rows[::-1, :].copy(), fields)
-    raise ValueError(f"{path}: missing {tag} metadata comment")
+    return (_grid_from_fields(path, fields, width, height),
+            rows[::-1, :].copy(), fields)
 
 
 def write_mask_pgm(mask: RegionMask, path: str | Path) -> None:

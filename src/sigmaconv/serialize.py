@@ -95,7 +95,7 @@ def _member_to_json(member: RootPolynomial) -> dict:
 def _member_from_json(obj) -> RootPolynomial:
     obj = _object(obj, "member")
     return RootPolynomial(tuple(_j2c(r) for r in _list(obj, "roots")),
-                          _real(obj["log_scale"], "member log_scale"))
+                          _real(obj.get("log_scale"), "member log_scale"))
 
 
 def series_to_json(series: CoefficientSeries) -> dict:
@@ -135,13 +135,13 @@ def series_from_json(obj) -> CoefficientSeries:
         return block_series(
             [_member_from_json(m) for m in _list(obj, "members")],
             [_count(b, "block size") for b in _list(obj, "block_sizes")],
-            _real(obj["f0_log_mag"], "f0_log_mag"),
+            _real(obj.get("f0_log_mag"), "f0_log_mag"),
             obj.get("description", "block series"),
             [_count(u, "uncovered count")
              for u in _list(obj, "uncovered_counts", [])])
     if kind == "interleave":
-        return interleave(series_from_json(obj["even"]),
-                          series_from_json(obj["odd"]))
+        return interleave(series_from_json(obj.get("even")),
+                          series_from_json(obj.get("odd")))
     raise ValueError(f"unknown series type {kind!r}")
 
 

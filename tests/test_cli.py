@@ -89,6 +89,12 @@ def test_parse_comments_and_blank_lines():
     ("part add disk 0 0 1", "before any part"),
     ("target blob 0 0", "unknown primitive"),
     ("target disk 0 0", "disk takes"),
+    ("target annulus 0 0 1", "annulus takes cx cy r_inner r_outer"),
+    ("target box 0 0 1", "box takes x0 y0 x1 y1"),
+    ("target segment 0 0 1", r"segment takes x0 y0 x1 y1 \[halfwidth\]"),
+    ("target sierpinski", "sierpinski takes depth"),
+    ("target full 1", "full takes no arguments"),
+    ("target polygon 0 0 1 1", "polygon takes >= 3 x y pairs"),
     ("point inf 0", "line 1: 'inf' is not a finite number"),
     ("point 0 nan", "'nan' is not a finite number"),
     ("box 0 0 1 -Infinity", "'-Infinity' is not a finite number"),
@@ -364,6 +370,22 @@ def _set_negative_block_size(obj):
     obj["block_sizes"] = [-1, sum(obj["block_sizes"]) + 1]
 
 
+def _drop_first_log_scale(obj):
+    del obj["members"][0]["log_scale"]
+
+
+def _drop_f0(obj):
+    del obj["f0_log_mag"]
+
+
+def _drop_even(obj):
+    del obj["even"]
+
+
+def _drop_odd(obj):
+    del obj["odd"]
+
+
 def _retag_scaled_product(obj):
     # the caller-scaled product file that older versions wrote
     return {"type": "scaled-product", "points": obj["points"],
@@ -391,6 +413,10 @@ def _retag_scaled_product(obj):
      "block size must be a non-negative integer, got -1"),
     ("countable", _retag_scaled_product,
      "unknown series type 'scaled-product'"),
+    ("blocks", _drop_first_log_scale, "member log_scale is not a number: None"),
+    ("blocks", _drop_f0, "f0_log_mag is not a number: None"),
+    ("interleave", _drop_even, "series must be a JSON object, got None"),
+    ("interleave", _drop_odd, "series must be a JSON object, got None"),
 ])
 def test_cli_verify_rejects_malformed_series(tmp_path, capsys, kind, corrupt,
                                              fragment):
@@ -400,6 +426,20 @@ def test_cli_verify_rejects_malformed_series(tmp_path, capsys, kind, corrupt,
     # for an infinite root, turns into an oracle NaN traceback; a malformed
     # shape used to end in a TypeError or AttributeError traceback
     scene = write_scene(tmp_path, VERIFY_SCENE)
+    obj = _stored_series(tmp_path, kind)
+    replaced = corrupt(obj)  # None when the corruption is in place
+    path = tmp_path / "series.json"
+    path.write_text(json.dumps(obj if replaced is None else replaced))
+    code = main(["verify", str(scene), str(path), "--out", str(tmp_path / "v"),
+                 "--N", "15", "--min-agree", "0"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and fragment in err
+    assert len(err.splitlines()) == 1
+
+
+def _stored_series(tmp_path, kind):
+    """The JSON object save_series writes for a small series of ``kind``."""
     points = PointSequence.from_points(
         [complex(x, y) for x in (-1, 0, 1, 2) for y in (-1, 0, 1, 2)])
     if kind == "blocks":
@@ -409,17 +449,45 @@ def test_cli_verify_rejects_malformed_series(tmp_path, capsys, kind, corrupt,
     else:
         series = interleave(countable_set_series(points),
                             disk_growth_series(0.0, 0.7, 46))
-    path = tmp_path / "series.json"
+    path = tmp_path / "stored.json"
     save_series(series, path)
-    obj = json.loads(path.read_text())
-    replaced = corrupt(obj)  # None when the corruption is in place
-    path.write_text(json.dumps(obj if replaced is None else replaced))
-    code = main(["verify", str(scene), str(path), "--out", str(tmp_path / "v"),
-                 "--N", "15", "--min-agree", "0"])
-    assert code == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and fragment in err
-    assert len(err.splitlines()) == 1
+    return json.loads(path.read_text())
+
+
+def _key_paths(obj, path=()):
+    """The path of every key of every object in ``obj``; of each list only
+    the first two entries (members) are visited."""
+    if isinstance(obj, dict):
+        for key, value in obj.items():
+            yield path + (key,)
+            yield from _key_paths(value, path + (key,))
+    elif isinstance(obj, list):
+        for i, value in enumerate(obj[:2]):
+            yield from _key_paths(value, path + (i,))
+
+
+@pytest.mark.parametrize("kind", ["blocks", "countable", "interleave"])
+def test_cli_verify_series_missing_any_key(tmp_path, capsys, kind):
+    # a stored series without one of its keys either loads, for the two
+    # keys that have defaults, or ends in one error line with exit 1
+    scene = write_scene(tmp_path, VERIFY_SCENE)
+    obj = _stored_series(tmp_path, kind)
+    path = tmp_path / "series.json"
+    for key_path in _key_paths(obj):
+        copy = json.loads(json.dumps(obj))
+        node = copy
+        for key in key_path[:-1]:
+            node = node[key]
+        del node[key_path[-1]]
+        path.write_text(json.dumps(copy))
+        code = main(["verify", str(scene), str(path), "--out",
+                     str(tmp_path / "v"), "--N", "15", "--min-agree", "0"])
+        err = capsys.readouterr().err
+        if key_path[-1] in ("uncovered_counts", "description"):
+            assert (code, err) == (0, ""), key_path
+        else:
+            assert code == 1, key_path
+            assert err.startswith("error:") and len(err.splitlines()) == 1
 
 
 def test_cli_parse_error_exits_1(tmp_path, capsys):
@@ -435,6 +503,22 @@ def test_cli_missing_scene_exits_1(tmp_path, capsys):
                  "--out", str(tmp_path / "out")])
     assert code == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "{scene}", "{tmp}"],  # series path is a directory
+    ["hull", "{tmp}"],  # scene path is a directory
+    ["hull", "{scene}", "--out", "{scene}"],  # --out names a file
+], ids=["series-dir", "scene-dir", "out-is-file"])
+def test_cli_unreadable_path_or_out_exits_1(tmp_path, capsys, argv):
+    scene = write_scene(tmp_path, "grid 16x16\nbox -2 -2 2 2\n"
+                                  "target disk 0 0 0.8\n")
+    argv = [a.format(scene=scene, tmp=tmp_path) for a in argv]
+    if "--out" not in argv:
+        argv += ["--out", str(tmp_path / "out")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.splitlines()) == 1
 
 
 def test_cli_countable_needs_two_points_exit_1(tmp_path, capsys):
@@ -607,6 +691,20 @@ def test_cli_manifest_has_no_seed(tmp_path):
     assert main(["hull", str(scene), "--out", str(out)]) == 0
     manifest = json.loads((out / "manifest.json").read_text())
     assert set(manifest) == {"argv", "command"}
+
+
+def test_cli_manifest_records_the_parsed_argv(tmp_path, monkeypatch):
+    # an in-process call records its own argv, not the host process's
+    scene = write_scene(tmp_path, "grid 16x16\nbox -2 -2 2 2\n"
+                                  "target disk 0 0 0.8\n")
+    out = tmp_path / "out"
+    argv = ["hull", str(scene), "--out", str(out)]
+    monkeypatch.setattr(sys, "argv", ["some-driver", "--flag"])
+    assert main(argv) == 0
+    assert json.loads((out / "manifest.json").read_text())["argv"] == argv
+    monkeypatch.setattr(sys, "argv", ["sigmaconv", *argv])
+    assert main() == 0
+    assert json.loads((out / "manifest.json").read_text())["argv"] == argv
 
 
 def test_cli_process_exit_code_on_usage_error(tmp_path):

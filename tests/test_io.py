@@ -130,6 +130,27 @@ def test_mask_pgm_header_errors(tmp_path):
             read_map_pgm(p)
 
 
+@pytest.mark.parametrize("comment", [b"# created by an image editor\n",
+                                     b"# \xe9\n"])
+def test_pgm_foreign_header_comments_are_skipped(tmp_path, comment):
+    # any comment but the tag comment is skipped unread, whatever it holds
+    g = odd_grid()
+    mask = RegionMask(g, random_polyomino(np.random.default_rng(5), g,
+                                          60).bits, COMPACT)
+    write_mask_pgm(mask, tmp_path / "m.pgm")
+    write_map_pgm(small_map()[1], tmp_path / "v.pgm")
+    for name in ("m.pgm", "v.pgm"):
+        p = tmp_path / name
+        p.write_bytes(p.read_bytes().replace(b"P5\n", b"P5\n" + comment, 1))
+    back = read_mask_pgm(tmp_path / "m.pgm")
+    assert (back.grid, back.kind) == (g, COMPACT)
+    assert np.array_equal(back.bits, mask.bits)
+    g, cmap = small_map()
+    grid, verdicts, budgets = read_map_pgm(tmp_path / "v.pgm")
+    assert grid == g and np.array_equal(verdicts, cmap.verdicts)
+    assert budgets == {"N": 8, "B": cmap.B, "M": cmap.M}
+
+
 @pytest.mark.parametrize("kind", ["mask", "map"])
 def test_pgm_header_corruptions_load_or_raise_value_error(tmp_path, kind):
     # one random byte of the header replaced, 300 times: every mutant either
