@@ -6,10 +6,11 @@ hull takes --out, --grid and --box; construct adds --pipeline, --series-a,
 --series-b, --stages, --degree-cap and --nmax; verify adds --min-agree,
 --exhaust-m, --N, --budget-B, --budget-M and --band; decompose adds
 --degree-cap and --nmax; demo-sierpinski adds --depth.  Exit codes: 0 on
-success with thresholds met, 2 on a verification failure, 1 on bad input
-or a usage error (one ``error: ...`` line on stderr).  A scene or series
-path that cannot be read, or an --out directory that cannot be made, is
-bad input.
+success with thresholds met, 2 on a verification failure, 1 on bad input,
+a usage error or any I/O failure (one ``error: ...`` line on stderr).  A
+scene or series path that cannot be read, or an --out directory that
+cannot be made, is bad input; a failed write (a full disk, a closed
+stdout) also ends in exit 1.
 """
 
 from __future__ import annotations
@@ -282,7 +283,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except (OSError, ValueError) as exc:  # unreadable or malformed input
+    except (OSError, ValueError) as exc:  # bad input or any I/O failure
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except AssertionError as exc:

@@ -93,6 +93,7 @@ def test_parse_comments_and_blank_lines():
     ("target box 0 0 1", "box takes x0 y0 x1 y1"),
     ("target segment 0 0 1", r"segment takes x0 y0 x1 y1 \[halfwidth\]"),
     ("target sierpinski", "sierpinski takes depth"),
+    ("target sierpinski 2.5", r"invalid literal for int\(\) with base 10: '2.5'"),
     ("target full 1", "full takes no arguments"),
     ("target polygon 0 0 1 1", "polygon takes >= 3 x y pairs"),
     ("point inf 0", "line 1: 'inf' is not a finite number"),
@@ -108,6 +109,12 @@ def test_parse_comments_and_blank_lines():
 def test_parse_errors_name_the_line(line, fragment):
     with pytest.raises(SceneParseError, match=fragment):
         parse_scene(line + "\ngrid 16x16\nbox 0 0 1 1\n")
+
+
+def test_parse_int_field_gives_an_int():
+    s = parse_scene("grid 16x16\nbox 0 0 1 1\ntarget sierpinski 2\n")
+    [(sign, shape)] = s.target_spec
+    assert sign == 1 and type(shape.depth) is int and shape.depth == 2
 
 
 def test_parse_requires_grid_and_box():
