@@ -347,9 +347,12 @@ def _separating_families(K: RegionMask,
     with K's convexity checked once and errors prefixed by the label.
 
     Multi-cell stages share one Leja sequence and one root-log row per
-    degree over the union of their targets; each keeps its own covered
-    cells, level m and early stop.  Logs over a superset, indexed down, are
-    the same floats, so each family is the one its stage alone would get.
+    degree; each keeps its own level m, early stop and ``need`` mask over
+    the row: the target cells it has not reached yet.  The row starts as
+    the union of their targets, and whenever the cells some running stage
+    still needs fall to half the row or fewer, the row and every mask are
+    compacted down to those cells.  The logs are elementwise, so each
+    family is the one its stage alone would get, bit for bit.
     """
     for i, (label, U, target, m) in enumerate(stages):
         try:
@@ -368,7 +371,8 @@ def _separating_families(K: RegionMask,
 
     grid = K.grid
     members: list[list[RootPolynomial]] = [[] for _ in stages]
-    covered = [np.zeros(target.count(), dtype=bool) for _, _, target, _ in stages]
+    uncovered = [np.zeros((grid.height, grid.width), dtype=bool)
+                 for _ in stages]
     notes = [""] * len(stages)
     live: list[int] = []
     for i, (_, _, target, m) in enumerate(stages):
@@ -382,8 +386,8 @@ def _separating_families(K: RegionMask,
             a = complex(K.cell_centers()[0])
             rho = (set_distance(K, target) / m) * (1.0 - 1e-12)
             members[i].append(RootPolynomial((a,), -math.log(rho)))
-            covered[i] = np.asarray(members[i][0].log_abs(
-                target.cell_centers())) >= math.log(m)
+            uncovered[i][target.bits] = ~(np.asarray(members[i][0].log_abs(
+                target.cell_centers())) >= math.log(m))
             notes[i] = (f"single-cell K: member (z - a)/rho with rho = "
                         f"{rho!r} (set_distance/m, shaved 1e-12)")
         else:
@@ -394,9 +398,12 @@ def _separating_families(K: RegionMask,
             leja = leja_points(K, degree_cap)
         except ValueError as exc:
             raise ValueError(f"{stages[live[0]][0]}{exc}") from exc
-        union = np.logical_or.reduce([stages[i][2].bits for i in live])
-        picks = {i: stages[i][2].bits[union] for i in live}
-        zs_k, zs_t = K.cell_centers(), grid.centers()[union]
+        # the target row: flat grid indices of its cells, and per running
+        # stage the cells of the row it still needs
+        cells = np.flatnonzero(np.logical_or.reduce(
+            [stages[i][2].bits for i in live]))
+        need = {i: stages[i][2].bits.ravel()[cells] for i in live}
+        zs_k, zs_t = K.cell_centers(), grid.centers().ravel()[cells]
         sum_k, sum_t = np.zeros(zs_k.shape), np.zeros(zs_t.shape)
         for d, root in enumerate(leja.points, start=1):
             sum_k += _log_abs(zs_k - root)
@@ -407,22 +414,25 @@ def _separating_families(K: RegionMask,
             lifted = sum_t - norm
             member = RootPolynomial(tuple(leja.points[:d]), -norm)
             for i in live:
-                reaches = lifted[picks[i]] >= math.log(stages[i][3])
-                if (reaches & ~covered[i]).any():
+                reached = need[i] & (lifted >= math.log(stages[i][3]))
+                if reached.any():
                     members[i].append(member)
-                    covered[i] |= reaches
-            live = [i for i in live if not covered[i].all()]
+                    need[i] &= ~reached
+            live = [i for i in live if need[i].any()]
             if not live:
                 break
+            still = np.logical_or.reduce([need[i] for i in live])
+            if 2 * np.count_nonzero(still) <= still.size:
+                cells, zs_t, sum_t = cells[still], zs_t[still], sum_t[still]
+                for i in live:
+                    need[i] = need[i][still]
+        for i in live:
+            uncovered[i].flat[cells[need[i]]] = True
 
-    families: list[SeparatingFamily] = []
-    for (_, _, target, m), found, cov, note in zip(stages, members, covered,
-                                                   notes):
-        uncovered_bits = np.zeros((grid.height, grid.width), dtype=bool)
-        uncovered_bits[target.bits] = ~cov
-        families.append(SeparatingFamily(
-            m, found, K, target, RegionMask(grid, uncovered_bits, OPEN), note))
-    return families
+    return [SeparatingFamily(m, found, K, target,
+                             RegionMask(grid, bits, OPEN), note)
+            for (_, _, target, m), found, bits, note
+            in zip(stages, members, uncovered, notes)]
 
 
 @dataclass(frozen=True)

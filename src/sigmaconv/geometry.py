@@ -69,6 +69,8 @@ class Grid:
         """
         if not (x1 > x0 and y1 > y0):
             raise ValueError("box must have positive extent")
+        if width < 2 or height < 2:
+            raise ValueError("grid must be at least 2x2")
         px = (x1 - x0) / width
         py = (y1 - y0) / height
         if abs(px - py) > 1e-9 * max(px, py):

@@ -528,6 +528,21 @@ def test_cli_unreadable_path_or_out_exits_1(tmp_path, capsys, argv):
     assert err.startswith("error:") and len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("grid_line,extra", [
+    ("grid 0x16", []),
+    ("grid -4x-4", []),
+    ("grid 16x16", ["--grid", "0x0"]),
+], ids=["zero-width-scene", "negative-scene", "zero-override"])
+def test_cli_grid_below_2x2_exits_1(tmp_path, capsys, grid_line, extra):
+    scene = write_scene(tmp_path, f"{grid_line}\nbox -2 -2 2 2\n"
+                                  "target disk 0 0 0.8\n")
+    assert main(["hull", str(scene), "--out", str(tmp_path / "out"),
+                 *extra]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert "grid must be at least 2x2" in err
+
+
 def test_cli_countable_needs_two_points_exit_1(tmp_path, capsys):
     scene = write_scene(tmp_path, "grid 64x64\nbox -2 -2 2 2\npoint 0 0\n")
     code = main(["construct", str(scene), "--pipeline", "countable",

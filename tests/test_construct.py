@@ -6,14 +6,14 @@ import math
 import numpy as np
 import pytest
 
-from sigmaconv import (COMPACT, OPEN, Grid, PointSequence, Verdict,
-                       block_series, compact_set_series,
-                       conv_map, countable_set_series, empty_mask,
-                       full_domain, gamma_sequence, gamma_table,
-                       growth_exponent, interleave, leja_points,
+from sigmaconv import (COMPACT, OPEN, Grid, PointSequence, RegionMask,
+                       RootPolynomial, Verdict, block_series,
+                       compact_set_series, conv_map, countable_set_series,
+                       distance_to, empty_mask, full_domain, gamma_sequence,
+                       gamma_table, growth_exponent, interleave, leja_points,
                        neighborhood, polynomial_hull, rasterize_scene,
-                       separating_family, shapes)
-from sigmaconv.construct import (_separating_families,
+                       separating_family, set_distance, shapes)
+from sigmaconv.construct import (SeparatingFamily, _separating_families,
                                  countable_series_from_tables)
 from conftest import disk_growth_series, oracle_series
 
@@ -341,6 +341,139 @@ def test_lockstep_families_on_a_single_cell_K():
     group = lockstep_matches_one_by_one(
         K, [("", U, far, 3), ("", U, empty_mask(g), 4), ("", U, near, 10)], 8)
     assert "single-cell" in group[0].note and "single-cell" in group[2].note
+
+
+def reference_family(K, target, m, cap):
+    """One stage's family by its definition, apart from any lockstep group.
+
+    Degree d normalizes the Leja polynomial on leja[:d] by its max over K
+    and joins when it reaches log m on a target cell no earlier member
+    reached.  Returns (family, unreached), where unreached holds the target
+    cells still unreached after each degree tried, as grid masks.
+    """
+    def family(members, note):
+        return SeparatingFamily(m, members, K, target,
+                                RegionMask(K.grid, uncovered, OPEN), note)
+
+    uncovered = np.zeros_like(target.bits)
+    if target.is_empty():
+        return family([], "empty target"), []
+    zs_k, zs_t = K.cell_centers(), target.cell_centers()
+    if K.count() == 1:
+        a = complex(zs_k[0])
+        rho = (set_distance(K, target) / m) * (1.0 - 1e-12)
+        members = [RootPolynomial((a,), -math.log(rho))]
+        uncovered[target.bits] = ~(members[0].log_abs(zs_t) >= math.log(m))
+        return family(members, f"single-cell K: member (z - a)/rho with "
+                      f"rho = {rho!r} (set_distance/m, shaved 1e-12)"), []
+    leja = leja_points(K, cap).points
+    members, covered, unreached = [], np.zeros(zs_t.shape, dtype=bool), []
+    for d in range(1, len(leja) + 1):
+        norm = float(np.max(RootPolynomial(leja[:d], 0.0).log_abs(zs_k)))
+        if norm == -math.inf:
+            break
+        p = RootPolynomial(leja[:d], -norm)
+        reaches = p.log_abs(zs_t) >= math.log(m)
+        if (reaches & ~covered).any():
+            members.append(p)
+            covered |= reaches
+        uncovered[target.bits] = ~covered
+        unreached.append(uncovered.copy())
+        if covered.all():
+            break
+    return family(members, ""), unreached
+
+
+def row_compactions(unreached, row):
+    """How often the cells some running stage still needs fall to half the
+    row or fewer, degree by degree, starting from a row of ``row`` cells."""
+    count = 0
+    for d in range(max(map(len, unreached), default=0)):
+        still = np.logical_or.reduce(
+            [u[d] for u in unreached if d < len(u)]).sum()
+        if 0 < still and 2 * still <= row:
+            row, count = still, count + 1
+    return count
+
+
+def matches_reference(K, stages, cap):
+    """The lockstep families equal reference_family stage by stage; returns
+    the group and how often its row compacts."""
+    group = _separating_families(K, stages, cap)
+    assert len(group) == len(stages)
+    unreached = []
+    for got, (_, _, target, m) in zip(group, stages):
+        reference, left = reference_family(K, target, m, cap)
+        assert_same_family(got, reference)
+        unreached.append(left)
+    row = np.logical_or.reduce([t.bits for _, _, t, _ in stages]).sum()
+    return group, row_compactions(unreached, row)
+
+
+def shell_stages(K, ms):
+    """compact_set_series' stages: the cells farther than 1/m from K with
+    |z| <= m, at level m."""
+    dist, abs_z = distance_to(K), np.abs(K.grid.centers())
+    return [("", RegionMask(K.grid, dist <= 1.0 / m, OPEN),
+             RegionMask(K.grid, (dist > 1.0 / m) & (abs_z <= m), OPEN), m)
+            for m in ms]
+
+
+def test_families_match_reference_as_the_row_compacts():
+    g = Grid.from_box(-2.0, -2.0, 2.0, 2.0, 48, 48)
+    K = polynomial_hull(rasterize_scene([(1, shapes.Disk(0.2, -0.1, 0.6))],
+                                        g, kind=COMPACT))
+    group, compactions = matches_reference(K, shell_stages(K, range(1, 6)),
+                                           24)
+    assert compactions >= 2
+    assert group[0].uncovered.is_empty()
+
+
+def test_families_match_reference_when_stages_run_to_the_cap():
+    g = Grid.from_box(-2.0, -2.0, 2.0, 2.0, 48, 48)
+    K = polynomial_hull(rasterize_scene([(1, shapes.Disk(0.0, 0.0, 0.5))],
+                                        g, kind=COMPACT))
+    stages = shell_stages(K, [2, 6, 9, 12])
+    group, compactions = matches_reference(K, stages, 8)
+    assert compactions >= 1
+    # the last stages stop at the cap with part of their target unreached,
+    # so their uncovered cells come from the compacted row
+    for family, (_, _, target, _) in zip(group[1:], stages[1:]):
+        assert 0 < family.uncovered.count() < target.count()
+
+
+def test_families_match_reference_when_leja_saturates():
+    g = Grid.from_box(-2.0, -2.0, 2.0, 2.0, 32, 32)
+    K = rasterize_scene([(1, shapes.Points((-0.5 + 0j, 0.5 + 0j, 0.5j)))], g,
+                        kind=COMPACT)
+    assert K.count() == 3 and leja_points(K, 16).saturated
+    U = neighborhood(K, 0.2)
+    far = rasterize_scene([(1, shapes.Disk(1.4, 1.4, 0.3))], g, kind=COMPACT)
+    ring = rasterize_scene([(1, shapes.Annulus(0.0, 0.0, 1.2, 1.5))], g,
+                           kind=COMPACT)
+    group, _ = matches_reference(K, [("", U, far, 2), ("", U, ring, 50)], 16)
+    # degree 3 makes every K cell a root, so no member has degree 3 or more
+    assert all(p.degree < 3 for f in group for p in f.members)
+    assert not group[1].uncovered.is_empty()
+
+
+def test_families_match_reference_on_empty_targets_and_one_cell_K():
+    g = Grid.from_box(-2.0, -2.0, 2.0, 2.0, 48, 48)
+    K = polynomial_hull(rasterize_scene([(1, shapes.Disk(0.0, 0.0, 0.6))],
+                                        g, kind=COMPACT))
+    U = neighborhood(K, 0.2)
+    ring = rasterize_scene([(1, shapes.Annulus(0.0, 0.0, 1.2, 1.6))], g,
+                           kind=COMPACT)
+    group, _ = matches_reference(
+        K, [("", U, ring, 2), ("", U, empty_mask(g), 3), ("", U, ring, 5)],
+        16)
+    assert group[1].note == "empty target"
+    a = g.cell_center(*g.index_of(0.03 + 0.03j))
+    point = rasterize_scene([(1, shapes.Points((a,)))], g, kind=COMPACT)
+    group, _ = matches_reference(
+        point, [("", neighborhood(point, 0.1), ring, 4),
+                ("", neighborhood(point, 0.1), empty_mask(g), 4)], 8)
+    assert "single-cell" in group[0].note
 
 
 def test_lockstep_families_name_the_failing_stage():
