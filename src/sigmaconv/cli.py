@@ -43,6 +43,13 @@ def _parse_box(text: str) -> tuple[float, float, float, float]:
     return tuple(float(p) for p in parts)
 
 
+def _fraction(text: str) -> float:
+    x = float(text)
+    if not 0.0 <= x <= 1.0:  # also false for nan
+        raise argparse.ArgumentTypeError(f"{text!r} is not a number in [0, 1]")
+    return x
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # main reports it like any bad input
         raise ValueError(message)
@@ -257,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
                                       "scene target")
     p.add_argument("scene", help="scene file")
     p.add_argument("series", help="stored series JSON")
-    p.add_argument("--min-agree", type=float, default=0.99)
+    p.add_argument("--min-agree", type=_fraction, default=0.99)
     p.add_argument("--exhaust-m", type=int, default=None,
                    help="restrict the off-target check to the m-th "
                         "exhaustion piece of the domain")

@@ -40,10 +40,11 @@ def _log_abs(values: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PointSequence:
-    """Ordered tuple of points; order is meaningful everywhere it is used."""
+    """Ordered points; leja_points also sets saturated and log_sups."""
 
     points: tuple[complex, ...]
     saturated: bool = False
+    log_sups: tuple[float, ...] = ()
 
     @classmethod
     def from_points(cls, pts) -> "PointSequence":
@@ -267,31 +268,30 @@ def interleave(f: CoefficientSeries, g: CoefficientSeries) -> CoefficientSeries:
 
 
 def leja_points(K: RegionMask, count: int) -> PointSequence:
-    """Greedy extremal points on K's cell centers.
+    """Greedy extremal points on K's cell centers, with their prefix sups.
 
     The first point maximizes |z|; each next point maximizes the sum of log
     distances to the points already chosen.  Ties break to the lowest flat
-    cell index.  If no fresh maximizer exists (all candidates at -inf, e.g.
-    a single-cell K exhausted), the sequence stops early and is flagged
-    saturated.
-    """
+    cell index.  log_sups[d-1] is that sum's max over K after d points: the
+    log sup over K's cells of prod_{i<=d} |z - z_i|.  If no fresh maximizer
+    exists (all candidates at -inf, e.g. a single-cell K exhausted), the
+    sequence stops early, flagged saturated, with a last log sup of -inf."""
     if K.is_empty():
         raise ValueError("leja_points requires a non-empty mask")
     if count < 1:
         raise ValueError("count must be >= 1")
     zs = K.cell_centers()
-    first = int(np.argmax(np.abs(zs)))
-    chosen = [complex(zs[first])]
-    accum = _log_abs(zs - zs[first])
-    saturated = False
-    while len(chosen) < count:
-        nxt = int(np.argmax(accum))
-        if accum[nxt] == -np.inf:
-            saturated = True
-            break
+    accum = np.zeros(zs.shape)
+    nxt, chosen, log_sups = int(np.argmax(np.abs(zs))), [], []
+    while True:
         chosen.append(complex(zs[nxt]))
         accum += _log_abs(zs - zs[nxt])
-    return PointSequence(tuple(chosen), saturated=saturated)
+        nxt = int(np.argmax(accum))
+        log_sups.append(float(accum[nxt]))
+        if len(chosen) == count or log_sups[-1] == -np.inf:
+            break
+    return PointSequence(tuple(chosen), saturated=len(chosen) < count,
+                         log_sups=tuple(log_sups))
 
 
 @dataclass
@@ -312,9 +312,9 @@ class SeparatingFamily:
 
     def verify(self) -> bool:
         log_m = math.log(self.m)
-        zs_k = self.K_ref.cell_centers()
+        zs_K = self.K_ref.cell_centers()
         for p in self.members:
-            if self.K_ref.count() and np.max(p.log_abs(zs_k)) > 0.0:
+            if self.K_ref.count() and np.max(p.log_abs(zs_K)) > 0.0:
                 return False
         if self.target_ref.is_empty():
             return self.uncovered.is_empty()
@@ -346,12 +346,13 @@ def _separating_families(K: RegionMask,
     """separating_family for each (label, U, target, m) stage over one K,
     with K's convexity checked once and errors prefixed by the label.
 
-    Multi-cell stages share one Leja sequence and one root-log row per
-    degree; each keeps its own level m, early stop and ``need`` mask over
-    the row: the target cells it has not reached yet.  The row starts as
-    the union of their targets, and whenever the cells some running stage
-    still needs fall to half the row or fewer, the row and every mask are
-    compacted down to those cells.  The logs are elementwise, so each
+    Multi-cell stages share one Leja sequence, whose log_sups give each
+    degree's sup over K, and one target-side root-log row per degree; each
+    keeps its own level m, early stop and ``need`` mask over the row: the
+    target cells it has not reached yet.  The row starts as the union of
+    their targets, and whenever the cells some running stage still needs
+    fall to half the row or fewer, the row and every mask are compacted
+    down to those cells.  The logs are elementwise, so each
     family is the one its stage alone would get, bit for bit.
     """
     for i, (label, U, target, m) in enumerate(stages):
@@ -375,9 +376,11 @@ def _separating_families(K: RegionMask,
                  for _ in stages]
     notes = [""] * len(stages)
     live: list[int] = []
-    for i, (_, _, target, m) in enumerate(stages):
+    for i, (label, _, target, m) in enumerate(stages):
         if target.is_empty():
             notes[i] = "empty target"
+        elif K.is_empty():
+            raise ValueError(f"{label}K is empty but the target is not")
         elif K.count() == 1:
             # no monic polynomial separates from a one-cell K (sup over K of
             # |z - a| is 0), so scale the linear factor directly; the nearest
@@ -394,23 +397,17 @@ def _separating_families(K: RegionMask,
             live.append(i)
 
     if live:
-        try:
-            leja = leja_points(K, degree_cap)
-        except ValueError as exc:
-            raise ValueError(f"{stages[live[0]][0]}{exc}") from exc
+        leja = leja_points(K, degree_cap)
         # the target row: flat grid indices of its cells, and per running
         # stage the cells of the row it still needs
         cells = np.flatnonzero(np.logical_or.reduce(
             [stages[i][2].bits for i in live]))
         need = {i: stages[i][2].bits.ravel()[cells] for i in live}
-        zs_k, zs_t = K.cell_centers(), grid.centers().ravel()[cells]
-        sum_k, sum_t = np.zeros(zs_k.shape), np.zeros(zs_t.shape)
-        for d, root in enumerate(leja.points, start=1):
-            sum_k += _log_abs(zs_k - root)
-            sum_t += _log_abs(zs_t - root)
-            norm = float(np.max(sum_k))
+        zs_t, sum_t = grid.centers().ravel()[cells], np.zeros(cells.size)
+        for d, norm in enumerate(leja.log_sups, start=1):
             if norm == -np.inf:
                 break  # every K cell is a root; higher degrees are identically 0
+            sum_t += _log_abs(zs_t - leja.points[d - 1])
             lifted = sum_t - norm
             member = RootPolynomial(tuple(leja.points[:d]), -norm)
             for i in live:
@@ -483,6 +480,8 @@ def block_series(members: Sequence[RootPolynomial],
     members = tuple(members)
     if sum(block_sizes) != len(members):
         raise ValueError("block sizes do not sum to the member count")
+    if len(uncovered_counts) not in (0, len(block_sizes)):
+        raise ValueError("uncovered counts must hold one entry per block")
     structure = BlockStructure(members, tuple(block_sizes), f0_log_mag,
                                tuple(uncovered_counts))
     return CoefficientSeries(description=description,

@@ -185,6 +185,8 @@ def parse_scene(text: str, name: str = "scene") -> SceneSpec:
                     raise ValueError("grid takes WxH")
                 w, _, h = rest[0].partition("x")
                 grid_dims = (int(w), int(h))
+                if min(grid_dims) < 2:
+                    raise ValueError("grid must be at least 2x2")
             elif key == "box":
                 if len(rest) != 4:
                     raise ValueError("box takes x0 y0 x1 y1")

@@ -82,6 +82,7 @@ def test_parse_comments_and_blank_lines():
 
 @pytest.mark.parametrize("line,fragment", [
     ("grid 64", "line 1"),
+    ("grid 0x16", "^line 1: grid must be at least 2x2"),
     ("flavor cherry", "unknown directive"),
     ("budget q 3", "unknown budget key"),
     ("budget degree_cap 4", "unknown budget key 'degree_cap'"),
@@ -393,6 +394,11 @@ def _drop_odd(obj):
     del obj["odd"]
 
 
+def _three_blocks_seven_uncovered_counts(obj):
+    obj["block_sizes"] = [1, 1, sum(obj["block_sizes"]) - 2]
+    obj["uncovered_counts"] = [0] * 7
+
+
 def _retag_scaled_product(obj):
     # the caller-scaled product file that older versions wrote
     return {"type": "scaled-product", "points": obj["points"],
@@ -424,6 +430,8 @@ def _retag_scaled_product(obj):
     ("blocks", _drop_f0, "f0_log_mag is not a number: None"),
     ("interleave", _drop_even, "series must be a JSON object, got None"),
     ("interleave", _drop_odd, "series must be a JSON object, got None"),
+    ("blocks", _three_blocks_seven_uncovered_counts,
+     "uncovered counts must hold one entry per block"),
 ])
 def test_cli_verify_rejects_malformed_series(tmp_path, capsys, kind, corrupt,
                                              fragment):
@@ -679,6 +687,14 @@ def test_each_subcommand_takes_only_the_options_it_reads():
      "argument --N: invalid int value: 'abc'"),
     (["construct", "s.txt"],
      "the following arguments are required: --pipeline"),
+    (["verify", "s.txt", "f.json", "--min-agree=-inf"],
+     "argument --min-agree: '-inf' is not a number in [0, 1]"),
+    (["verify", "s.txt", "f.json", "--min-agree", "-1"],
+     "argument --min-agree: '-1' is not a number in [0, 1]"),
+    (["verify", "s.txt", "f.json", "--min-agree", "nan"],
+     "argument --min-agree: 'nan' is not a number in [0, 1]"),
+    (["verify", "s.txt", "f.json", "--min-agree", "1.5"],
+     "argument --min-agree: '1.5' is not a number in [0, 1]"),
 ])
 def test_cli_usage_errors_exit_1(tmp_path, capsys, argv, message):
     # the scene and series files need not exist: parsing fails first
@@ -687,6 +703,13 @@ def test_cli_usage_errors_exit_1(tmp_path, capsys, argv, message):
     assert captured.err == f"error: {message}\n"
     assert captured.out == ""
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("value", ["0", "1"])
+def test_cli_min_agree_takes_both_ends_of_0_1(value):
+    args = build_parser().parse_args(
+        ["verify", "s.txt", "f.json", "--min-agree", value])
+    assert args.min_agree == float(value)
 
 
 def test_cli_missing_or_unknown_subcommand_exits_1(capsys):

@@ -200,6 +200,29 @@ def test_leja_rejects_empty_set():
         leja_points(empty_mask(g), 1)
 
 
+THREE_POINTS = shapes.Points((-0.5 + 0j, 0.5 + 0j, 0.5j))
+
+
+@pytest.mark.parametrize("shape,count,saturated", [
+    (shapes.Disk(0.3, 0.0, 1.0), 12, False),
+    (shapes.Segment(-1.0, 0.5, 1.0, -0.5), 9, False),
+    (THREE_POINTS, 16, True),
+    (THREE_POINTS, 3, False),  # exactly count cells: exhausted, not saturated
+])
+def test_leja_log_sups_are_the_prefix_sups(shape, count, saturated):
+    g = Grid.from_box(-2.0, -2.0, 2.0, 2.0, 32, 32)
+    K = rasterize_scene([(1, shape)], g, kind=COMPACT)
+    leja = leja_points(K, count)
+    assert leja.saturated is saturated
+    assert len(leja.log_sups) == len(leja) == min(count, K.count())
+    zs = K.cell_centers()
+    for d in range(1, len(leja) + 1):
+        sup = float(np.max(RootPolynomial(leja.points[:d], 0.0).log_abs(zs)))
+        assert leja.log_sups[d - 1] == sup, d
+    # the last entry is -inf exactly when every K cell is a chosen point
+    assert (leja.log_sups[-1] == -math.inf) is (len(leja) == K.count())
+
+
 # ------------------------------------------------------------ families
 
 
@@ -484,6 +507,14 @@ def test_lockstep_families_name_the_failing_stage():
     with pytest.raises(ValueError, match="^stage 5: K must be contained"):
         _separating_families(K, [("stage 4: ", U, ring, 4),
                                  ("stage 5: ", bad_U, ring, 5)], 16)
+
+
+def test_lockstep_families_name_the_stage_with_an_empty_K():
+    g, _, U, ring, _ = build_disk_ring()
+    with pytest.raises(ValueError, match="^stage 4: "):
+        _separating_families(empty_mask(g), [("stage 3: ", U, empty_mask(g), 3),
+                                             ("stage 4: ", U, ring, 4),
+                                             ("stage 5: ", U, ring, 5)], 16)
 
 
 # ------------------------------------------------------------ block series
