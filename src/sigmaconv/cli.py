@@ -2,15 +2,13 @@
 
 Each subcommand writes its artifacts (PGM masks/maps, JSON series/reports,
 manifest) into --out; concurrent runs should use distinct directories.
-hull takes --out, --grid and --box; construct adds --pipeline, --series-a,
---series-b, --stages, --degree-cap and --nmax; verify adds --min-agree,
---exhaust-m, --N, --budget-B, --budget-M and --band; decompose adds
---degree-cap and --nmax; demo-sierpinski adds --depth.  Exit codes: 0 on
-success with thresholds met, 2 on a verification failure, 1 on bad input,
-a usage error or any I/O failure (one ``error: ...`` line on stderr).  A
-scene or series path that cannot be read, or an --out directory that
-cannot be made, is bad input; a failed write (a full disk, a closed
-stdout) also ends in exit 1.
+The scene file is the one source of grid, box and budgets; ``sigmaconv
+SUBCOMMAND --help`` lists the few options each subcommand takes.  Exit
+codes: 0 on success with thresholds met, 2 on a verification failure, 1 on
+bad input, a usage error or any I/O failure (one ``error: ...`` line on
+stderr).  A scene or series path that cannot be read, or an --out
+directory that cannot be made, is bad input; a failed write (a full disk,
+a closed stdout) also ends in exit 1.
 """
 
 from __future__ import annotations
@@ -18,6 +16,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -30,21 +29,27 @@ from .harness import (SceneSpec, construct_compact, construct_countable,
 
 
 def _parse_grid(text: str) -> tuple[int, int]:
-    w, sep, h = text.partition("x")
-    if not sep:
-        raise ValueError("--grid takes WxH")
-    return int(w), int(h)
+    try:
+        w, h = (int(t) for t in text.split("x"))
+    except ValueError:  # not two integers
+        raise argparse.ArgumentTypeError(f"{text!r} is not WxH") from None
+    return w, h
 
 
 def _parse_box(text: str) -> tuple[float, float, float, float]:
-    parts = text.split(",")
-    if len(parts) != 4:
-        raise ValueError("--box takes x0,y0,x1,y1")
-    return tuple(float(p) for p in parts)
+    try:
+        x0, y0, x1, y1 = (float(t) for t in text.split(","))
+    except ValueError:  # not four numbers
+        raise argparse.ArgumentTypeError(
+            f"{text!r} is not x0,y0,x1,y1") from None
+    return x0, y0, x1, y1
 
 
 def _fraction(text: str) -> float:
-    x = float(text)
+    try:
+        x = float(text)
+    except ValueError:
+        x = math.nan
     if not 0.0 <= x <= 1.0:  # also false for nan
         raise argparse.ArgumentTypeError(f"{text!r} is not a number in [0, 1]")
     return x
@@ -62,45 +67,13 @@ class _Parser(argparse.ArgumentParser):
         return parsed
 
 
-_BUDGET_FLAGS = {
-    "N": ("--N", int, "truncation order"),
-    "B": ("--budget-B", float, "converge threshold (log scale)"),
-    "M": ("--budget-M", float, "diverge threshold (log scale)"),
-    "stages": ("--stages", int, None),
-    "degree_cap": ("--degree-cap", int, None),
-    "n_max": ("--nmax", int, None),
-    "band": ("--band", float, "comparison band in coordinate units"),
-}
-
-
-def _add_common(p: argparse.ArgumentParser, *budgets: str) -> None:
-    """--out, --grid, --box and the flags of the named Budgets fields."""
-    p.add_argument("--out", default="out", help="output directory")
-    p.add_argument("--grid", type=_parse_grid, default=None,
-                   help="override grid dimensions, WxH")
-    p.add_argument("--box", type=_parse_box, default=None,
-                   help="override grid box, x0,y0,x1,y1")
-    for name in budgets:
-        flag, kind, text = _BUDGET_FLAGS[name]
-        p.add_argument(flag, dest=name, type=kind, default=None, help=text)
-
-
 def _apply_overrides(scene: SceneSpec, args) -> SceneSpec:
-    grid = scene.grid
-    if args.grid is not None or args.box is not None:
-        if args.box is not None:
-            x0, y0, x1, y1 = args.box
-        else:
-            x0, y0 = grid.origin.real, grid.origin.imag
-            x1 = x0 + grid.pixel * grid.width
-            y1 = y0 + grid.pixel * grid.height
-        w, h = args.grid if args.grid is not None else (grid.width,
-                                                       grid.height)
-        grid = Grid.from_box(x0, y0, x1, y1, w, h)
-    overrides = {name: getattr(args, name) for name in _BUDGET_FLAGS
-                 if getattr(args, name, None) is not None}
-    budgets = dataclasses.replace(scene.budgets, **overrides)
-    return dataclasses.replace(scene, grid=grid, budgets=budgets)
+    """The scene, with verify's --N as its N budget: the order a stored
+    series supports is known only once it is built."""
+    if getattr(args, "N", None) is None:
+        return scene
+    budgets = dataclasses.replace(scene.budgets, N=args.N)
+    return dataclasses.replace(scene, budgets=budgets)
 
 
 def _outdir(args) -> Path:
@@ -199,9 +172,7 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_demo_sierpinski(args) -> int:
-    w, h = args.grid if args.grid is not None else (512, 512)
-    box = args.box if args.box is not None else (-0.1, -0.1, 1.1, 1.1)
-    grid = Grid.from_box(*box, w, h)
+    grid = Grid.from_box(*args.box, *args.grid)
     out = _outdir(args)
     mask = sierpinski_mask(args.depth, grid)
     pgmio.write_mask_pgm(mask, out / "approximant.pgm")
@@ -246,7 +217,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("hull", help="rasterize a scene target and hull it")
     p.add_argument("scene", help="scene file")
-    _add_common(p)
     p.set_defaults(func=cmd_hull)
 
     p = sub.add_parser("construct", help="build a series from a scene")
@@ -257,7 +227,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="first stored series (interleave)")
     p.add_argument("--series-b", default=None,
                    help="second stored series (interleave)")
-    _add_common(p, "stages", "degree_cap", "n_max")
     p.set_defaults(func=cmd_construct)
 
     p = sub.add_parser("verify", help="classify a stored series against a "
@@ -268,21 +237,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--exhaust-m", type=int, default=None,
                    help="restrict the off-target check to the m-th "
                         "exhaustion piece of the domain")
-    _add_common(p, "N", "B", "M", "band")
+    p.add_argument("--N", type=int, default=None,
+                   help="truncation order, in place of the scene's N budget")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("decompose", help="ascending decomposition of scene "
                                          "parts, with stage exports")
     p.add_argument("scene", help="scene file")
-    _add_common(p, "degree_cap", "n_max")
     p.set_defaults(func=cmd_decompose)
 
     p = sub.add_parser("demo-sierpinski",
                        help="triangle-fractal hull-escape exhibit")
     p.add_argument("--depth", type=int, required=True)
-    _add_common(p)
+    p.add_argument("--grid", type=_parse_grid, default=(512, 512),
+                   help="grid dimensions, WxH")
+    p.add_argument("--box", type=_parse_box, default=(-0.1, -0.1, 1.1, 1.1),
+                   help="grid box, x0,y0,x1,y1")
     p.set_defaults(func=cmd_demo_sierpinski)
 
+    for p in sub.choices.values():
+        p.add_argument("--out", default="out", help="output directory")
     return parser
 
 

@@ -6,6 +6,7 @@ import json
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -19,7 +20,7 @@ from sigmaconv import (COMPACT, DEFAULT_M, DEFAULT_N, ConvergenceMap, Grid,
                        load_series, read_map_pgm, read_mask_pgm, save_series,
                        shapes)
 from sigmaconv.cli import build_parser, main
-from sigmaconv.harness import (SceneParseError, construct_compact,
+from sigmaconv.harness import (Budgets, SceneParseError, construct_compact,
                                construct_countable, construct_sigma,
                                map_vs_mask_agreement, parse_scene, verify)
 from conftest import corrupt_leaf, disk_growth_series, leaf_paths
@@ -106,6 +107,11 @@ def test_parse_comments_and_blank_lines():
     ("budget B inf", "'inf' is not a finite number"),
     ("budget M -inf", "'-inf' is not a finite number"),
     ("budget band NaN", "'NaN' is not a finite number"),
+    ("target disk 0 0 0", "^line 1: disk field 'r' must be positive"),
+    ("target annulus 0 0 1 0.5", "field 'r_outer' must exceed r_inner"),
+    ("target box 1 0 0 1", "box field 'corners' must be ordered"),
+    ("target segment 0 0 1 1 0", "segment field 'halfwidth' must be positive"),
+    ("target sierpinski -1", "sierpinski field 'depth' must be >= 0"),
 ])
 def test_parse_errors_name_the_line(line, fragment):
     with pytest.raises(SceneParseError, match=fragment):
@@ -146,6 +152,31 @@ def test_budget_validation(text, fragment):
     s = parse_scene("grid 16x16\nbox 0 0 1 1\n" + text)
     with pytest.raises(ValueError, match=fragment):
         s.budgets.resolve(s.grid)
+
+
+@pytest.mark.parametrize("name", ["B", "M", "band"])
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_budgets_resolve_rejects_non_finite(name, value):
+    # the scene parser refuses these values first, so only a Budgets built
+    # in code reaches this check; an infinite band would leave no cell off
+    # target, and diverge-off-target would read 1.0 on any series
+    g = Grid.from_box(-2.0, -2.0, 2.0, 2.0, 16, 16)
+    message = f"{name} must be finite, got {value!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        Budgets(**{name: value}).resolve(g)
+
+
+@pytest.mark.parametrize("line,same_as,cells", [
+    ("target box -0.5 -0.5 0.5 0.5",
+     "target polygon -0.5 -0.5 0.5 -0.5 0.5 0.5 -0.5 0.5", 16),
+    ("target segment 0 0 0 0 0.3", "target disk 0 0 0.3", 4),
+], ids=["box-polygon", "zero-length-segment-disk"])
+def test_scene_primitives_that_name_one_set_rasterize_alike(line, same_as,
+                                                            cells):
+    masks = [parse_scene(f"grid 16x16\nbox -2 -2 2 2\n{text}\n").target_mask()
+             for text in (line, same_as)]
+    assert masks[0].count() == cells
+    assert np.array_equal(masks[0].bits, masks[1].bits)
 
 
 def test_target_mask_merges_parts_and_points():
@@ -536,16 +567,12 @@ def test_cli_unreadable_path_or_out_exits_1(tmp_path, capsys, argv):
     assert err.startswith("error:") and len(err.splitlines()) == 1
 
 
-@pytest.mark.parametrize("grid_line,extra", [
-    ("grid 0x16", []),
-    ("grid -4x-4", []),
-    ("grid 16x16", ["--grid", "0x0"]),
-], ids=["zero-width-scene", "negative-scene", "zero-override"])
-def test_cli_grid_below_2x2_exits_1(tmp_path, capsys, grid_line, extra):
+@pytest.mark.parametrize("grid_line", ["grid 0x16", "grid -4x-4"],
+                         ids=["zero-width-scene", "negative-scene"])
+def test_cli_grid_below_2x2_exits_1(tmp_path, capsys, grid_line):
     scene = write_scene(tmp_path, f"{grid_line}\nbox -2 -2 2 2\n"
                                   "target disk 0 0 0.8\n")
-    assert main(["hull", str(scene), "--out", str(tmp_path / "out"),
-                 *extra]) == 1
+    assert main(["hull", str(scene), "--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and len(err.splitlines()) == 1
     assert "grid must be at least 2x2" in err
@@ -586,7 +613,7 @@ def test_cli_decompose_writes_stage_exports(tmp_path):
     assert load_series(out / "series.json").max_supported_n >= 0
 
 
-def test_cli_interleave_pipeline(tmp_path):
+def test_cli_interleave_pipeline(tmp_path, capsys):
     a = disk_growth_series(-0.5, 0.8, 12)
     b = disk_growth_series(0.5, 0.8, 12)
     save_series(a, tmp_path / "a.json")
@@ -602,6 +629,12 @@ def test_cli_interleave_pipeline(tmp_path):
     z = 1.4 + 0.2j
     assert float(F.log_mag(2, z)) == float(a.log_mag(1, z))
     assert float(F.log_mag(3, z)) == float(b.log_mag(1, z))
+    capsys.readouterr()
+    assert main(["construct", str(scene), "--pipeline", "interleave",
+                 "--series-a", str(tmp_path / "a.json"),
+                 "--out", str(tmp_path / "one")]) == 1
+    assert capsys.readouterr().err == (
+        "error: interleave needs --series-a and --series-b\n")
 
 
 def test_cli_demo_sierpinski(tmp_path, capsys):
@@ -618,58 +651,47 @@ def test_cli_demo_sierpinski(tmp_path, capsys):
     assert mask.count() > 0
 
 
-def test_cli_grid_override(tmp_path):
-    scene = write_scene(tmp_path, "grid 64x64\nbox -2 -2 2 2\n"
-                                  "target disk 0 0 0.8\n")
-    out = tmp_path / "out"
-    assert main(["hull", str(scene), "--grid", "32x32",
-                 "--out", str(out)]) == 0
-    assert read_mask_pgm(out / "hull.pgm").grid.width == 32
-
-
 @pytest.mark.parametrize("option,fragment", [
-    (["--band", "inf"], "band must be finite, got inf"),
-    (["--band", "nan"], "band must be finite, got nan"),
-    (["--budget-M", "inf"], "M must be finite, got inf"),
-    (["--budget-M", "nan"], "M must be finite, got nan"),
-    (["--budget-B=-inf"], "B must be finite, got -inf"),
-    (["--budget-B", "nan"], "B must be finite, got nan"),
-    (["--box=-2,-2,inf,2"], "pixel must be positive and finite"),
-    (["--box=-2,-2,2,nan"], "box must have positive extent"),
-])
-def test_cli_verify_rejects_non_finite_overrides(tmp_path, capsys, option,
-                                                 fragment):
-    # an infinite band leaves no cell off target, so diverge-off-target
-    # would read 1.0 however the series behaves
-    scene = write_scene(tmp_path, "grid 16x16\nbox -2 -2 2 2\n"
-                                  "target disk 0 0 0.7\n")
-    save_series(disk_growth_series(0.0, 0.7, 16), tmp_path / "series.json")
-    code = main(["verify", str(scene), str(tmp_path / "series.json"),
-                 "--N", "16", "--min-agree", "0",
-                 "--out", str(tmp_path / "v"), *option])
-    assert code == 1
-    err = capsys.readouterr().err
-    assert err == f"error: {fragment}\n"
+    (["--grid", "0x0"], "grid must be at least 2x2"),
+    (["--box=-0.1,-0.1,inf,1.1"], "pixel must be positive and finite"),
+    (["--box=-0.1,-0.1,1.1,nan"], "box must have positive extent"),
+], ids=["zero-grid", "infinite-box", "nan-box"])
+def test_cli_demo_sierpinski_rejects_bad_grid_or_box(tmp_path, capsys, option,
+                                                     fragment):
+    # the demo has no scene, so its --grid and --box reach Grid.from_box
+    assert main(["demo-sierpinski", "--depth", "1",
+                 "--out", str(tmp_path / "out"), *option]) == 1
+    assert capsys.readouterr().err == f"error: {fragment}\n"
 
 
 SUBCOMMAND_OPTIONS = {
-    "hull": {"--out", "--grid", "--box"},
-    "construct": {"--pipeline", "--series-a", "--series-b", "--out", "--grid",
-                  "--box", "--stages", "--degree-cap", "--nmax"},
-    "verify": {"--min-agree", "--exhaust-m", "--out", "--grid", "--box",
-               "--N", "--budget-B", "--budget-M", "--band"},
-    "decompose": {"--out", "--grid", "--box", "--degree-cap", "--nmax"},
+    "hull": {"--out"},
+    "construct": {"--pipeline", "--series-a", "--series-b", "--out"},
+    "verify": {"--min-agree", "--exhaust-m", "--N", "--out"},
+    "decompose": {"--out"},
     "demo-sierpinski": {"--depth", "--out", "--grid", "--box"},
 }
 
 
-def test_each_subcommand_takes_only_the_options_it_reads():
+def parser_options() -> dict[str, set[str]]:
     sub = next(a for a in build_parser()._actions
                if isinstance(a, argparse._SubParsersAction))
-    options = {name: {o for a in p._actions for o in a.option_strings
-                      if o not in ("-h", "--help")}
-               for name, p in sub.choices.items()}
-    assert options == SUBCOMMAND_OPTIONS
+    return {name: {o for a in p._actions for o in a.option_strings
+                   if o not in ("-h", "--help")}
+            for name, p in sub.choices.items()}
+
+
+def test_each_subcommand_takes_only_the_options_it_reads():
+    assert parser_options() == SUBCOMMAND_OPTIONS
+
+
+def test_readme_lists_each_subcommand_options():
+    # the README's option table, | `subcommand ...` | `--a`, `--b` |
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    rows = re.findall(r"^\| `([a-z-]+)[^`]*` \| (.*) \|$", readme, re.M)
+    listed = {name: set(re.findall(r"`(--[A-Za-z-]+)`", cell))
+              for name, cell in rows}
+    assert listed == parser_options()
 
 
 @pytest.mark.parametrize("argv,message", [
@@ -695,6 +717,19 @@ def test_each_subcommand_takes_only_the_options_it_reads():
      "argument --min-agree: 'nan' is not a number in [0, 1]"),
     (["verify", "s.txt", "f.json", "--min-agree", "1.5"],
      "argument --min-agree: '1.5' is not a number in [0, 1]"),
+    (["verify", "s.txt", "f.json", "--min-agree", "abc"],
+     "argument --min-agree: 'abc' is not a number in [0, 1]"),
+    (["demo-sierpinski", "--depth", "1", "--grid", "abc"],
+     "argument --grid: 'abc' is not WxH"),
+    (["demo-sierpinski", "--depth", "1", "--grid", "8x8x8"],
+     "argument --grid: '8x8x8' is not WxH"),
+    (["demo-sierpinski", "--depth", "1", "--box", "1,2,3"],
+     "argument --box: '1,2,3' is not x0,y0,x1,y1"),
+    (["hull", "s.txt", "--grid", "8x8"], "unrecognized arguments: --grid 8x8"),
+    (["verify", "s.txt", "f.json", "--budget-B", "1"],
+     "unrecognized arguments: --budget-B 1"),
+    (["construct", "s.txt", "--pipeline", "compact", "--nmax", "2"],
+     "unrecognized arguments: --nmax 2"),
 ])
 def test_cli_usage_errors_exit_1(tmp_path, capsys, argv, message):
     # the scene and series files need not exist: parsing fails first
@@ -726,7 +761,7 @@ def test_cli_help_exits_0(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--help"])
     assert exc.value.code == 0
-    assert "--budget-B" in capsys.readouterr().out
+    assert "--N N" in capsys.readouterr().out
 
 
 def test_cli_manifest_has_no_seed(tmp_path):

@@ -1,6 +1,7 @@
 """Constructed series: countable-set products, interleaving, separating
 families, powered block series, and the greedy dense enumeration."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -241,6 +242,20 @@ def test_family_disk_to_ring():
     assert [p.degree for p in fam.members] == [3, 4]
     assert fam.uncovered.is_empty()
     assert fam.verify()
+
+
+def test_family_verify_rejects_a_broken_family():
+    # verify evaluates both bounds afresh, so it sees a member above 1 on K
+    # and an uncovered mask that disagrees with what the members reach
+    g, K, U, ring, fam = build_disk_ring()
+    first, *rest = fam.members
+    raised = RootPolynomial(first.roots, first.log_scale + 0.01)
+    assert not dataclasses.replace(fam, members=[raised, *rest]).verify()
+    bits = fam.uncovered.bits.copy()
+    j, i = np.argwhere(ring.bits)[0]
+    bits[j, i] = True
+    flipped = RegionMask(g, bits, fam.uncovered.kind)
+    assert not dataclasses.replace(fam, uncovered=flipped).verify()
 
 
 def test_family_bounds_are_cell_exact():

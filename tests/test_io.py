@@ -97,6 +97,9 @@ def test_mask_pgm_header_errors(tmp_path):
     p.write_bytes(b"P5\n2a 2\n255\n" + bytes(4))
     with pytest.raises(ValueError, match="size and maxval must be integers"):
         read_mask_pgm(p)
+    p.write_bytes(b"P5\n# a comment without an end of line")
+    with pytest.raises(ValueError, match="unterminated comment"):
+        read_mask_pgm(p)
     good = tmp_path / "good.pgm"
     write_mask_pgm(RegionMask(Grid.from_box(0.0, 0.0, 1.0, 1.0, 8, 8),
                               np.zeros((8, 8), dtype=bool), OPEN), good)
@@ -121,6 +124,7 @@ def test_mask_pgm_header_errors(tmp_path):
             (rb" N=\S+", b" N=-5", "budgets need N >= 8 and B < M, got N=-5"),
             (rb" N=\S+", b" N=0", "got N=0"),
             (rb" B=\S+ M=\S+", b" B=2.0 M=1.0", "got N=8 B=2.0 M=1.0"),
+            (rb" B=\S+", b" B=inf", "non-finite budgets in metadata"),
             (rb" N=\S+", b" N=ab", "bad budget metadata"),
             (rb" pixel=\S+", b" pixel=x", "bad grid metadata"),
             (rb" B=", b" B=\xe9", "comment is not ASCII")]:
