@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import groupby
 from typing import Sequence
 
@@ -29,7 +30,9 @@ from .geometry import (OPEN, RegionMask, distance_to, exhaustion,
 from .series import CoefficientSeries, _log_mags
 
 # budget for one chunk of the (order x cell) table that product series fill
-# when they evaluate an order range; see _product_tail_sup
+# when they evaluate an order range, and of the (member x cell) block that
+# block series fold at one degree; see _product_tail_sup and
+# BlockStructure.tail_sup
 TABLE_BYTES = 1 << 20
 
 
@@ -439,6 +442,12 @@ class BlockStructure:
     Member l (1-based) gives coefficient f_l = h_l^l; block k holds members
     with index in (n_1+..+n_{k-1}, n_1+..+n_k].  ``f0_log_mag`` is the
     log-magnitude of the constant term.
+
+    The members of a separating-family stage, and of every stage built in
+    lockstep with it, are prefixes of one Leja sequence.  ``prefix_index``
+    recovers those sequences from the members on first use, and
+    ``tail_sup`` keeps one running root sum per sequence, so each root term
+    is evaluated once per sequence and cell, however many members share it.
     """
 
     members: tuple[RootPolynomial, ...]
@@ -446,30 +455,103 @@ class BlockStructure:
     f0_log_mag: float
     uncovered_counts: tuple[int, ...] = ()
 
+    @cached_property
+    def prefix_index(self) -> tuple[list[tuple[complex, ...]], np.ndarray]:
+        """(sequences, placement): the distinct root sequences, and per
+        member a row (sequence, degree) of placement, such that member l
+        (1-based) has the roots ``sequences[s][:d]`` for (s, d) =
+        placement[l - 1].
+
+        A member joins the current sequence when its roots are a prefix of
+        it or extend it, and starts a new one otherwise.
+        """
+        sequences: list[tuple[complex, ...]] = []
+        placement = np.empty((len(self.members), 2), dtype=np.intp)
+        current: tuple[complex, ...] = ()
+        for ell, h in enumerate(self.members):
+            k = min(len(h.roots), len(current))
+            if not sequences or h.roots[:k] != current[:k]:
+                sequences.append(h.roots)
+            elif len(h.roots) > len(current):
+                sequences[-1] = h.roots
+            current = sequences[-1]
+            placement[ell] = len(sequences) - 1, len(h.roots)
+        return sequences, placement
+
+    def tail_sup(self, z: np.ndarray | complex, lo: int,
+                 hi: int) -> np.ndarray:
+        """max over n = lo..hi of (1/n) * log|f_n(z)|, in z's shape, with
+        1 <= lo; a cell with a NaN order gets a NaN sup.
+
+        For each chunk of cells, each sequence of ``prefix_index`` with a
+        member in the window keeps one running root sum.  At each degree,
+        the window members of that degree fold in as
+        ell * (running + log_scale), divided by ell, which is log_mags'
+        value divided as the per-order loop of series._sup divides it;
+        members with one log_scale (the stages of a lockstep group share
+        each degree's member) add it to the running sum once.  The sum
+        starts from zero and adds the same roots in the same order, so
+        every exponent is bit-identical to that loop's.  The (member x
+        cell) block of one log_scale is filled TABLE_BYTES at a time.
+        """
+        zs = np.asarray(z, dtype=complex)
+        flat = zs.ravel()
+        sequences, placement = self.prefix_index
+        seq, degree = placement[lo - 1:hi].T
+        ells = np.arange(lo, hi + 1, dtype=float)
+        scales = np.array([h.log_scale for h in self.members[lo - 1:hi]],
+                          dtype=float)
+        # the window's members grouped by (sequence, degree, log_scale),
+        # in ascending degree within each sequence
+        order = np.lexsort((scales, degree, seq))
+        keyed = scales[order]
+        changes = ((np.diff(seq[order]) != 0) | (np.diff(degree[order]) != 0)
+                   | (keyed[1:] != keyed[:-1]))
+        groups = np.split(order, np.flatnonzero(changes) + 1)
+        runs: dict[int, list[tuple[int, float, np.ndarray]]] = {}
+        for group in groups:
+            i = group[0]
+            runs.setdefault(int(seq[i]), []).append(
+                (int(degree[i]), scales[i], ells[group, None]))
+        sup = np.full(flat.shape, -np.inf)
+        step = max(1, TABLE_BYTES // (8 * max(map(len, groups))))
+        for start in range(0, flat.size, step):
+            cells, best = flat[start:start + step], sup[start:start + step]
+            for s, folds in runs.items():
+                total, done = np.zeros(cells.shape), 0
+                for d, scale, ell in folds:
+                    for r in sequences[s][done:d]:
+                        total += _log_abs(cells - r)
+                    done = d
+                    block = ell * (total + scale)
+                    block /= ell
+                    np.maximum(best, block.max(axis=0), out=best)
+        return sup.reshape(zs.shape)
+
     def log_mags(self, z: np.ndarray | complex, lo: int, hi: int):
         """Yield log|f_n(z)| for n = lo..hi, in order, with 0 <= lo.
 
         Order 0 is the constant term, f0_log_mag everywhere.  Consecutive
-        members whose roots extend one another (the members of a
-        separating-family stage are prefixes of one Leja sequence) share a
-        running root sum, so each root term is evaluated once per run of
-        such members.  The sum starts from zero, adds roots in order and
-        folds log_scale in last, exactly as RootPolynomial.log_abs does, so
-        every value is bit-identical to the per-member evaluation.
+        members on one sequence of ``prefix_index`` share a running root
+        sum, which restarts when a member changes sequence or has a lower
+        degree than the one before it.  The sum starts from zero, adds
+        roots in order and folds log_scale in last, exactly as
+        RootPolynomial.log_abs does, so every value is bit-identical to the
+        per-member evaluation.
         """
         zs = np.asarray(z, dtype=complex)
         if lo == 0 <= hi:
             yield np.full(zs.shape, self.f0_log_mag)
-        prefix: tuple[complex, ...] = ()
-        total = np.zeros(zs.shape)
+        sequences, placement = self.prefix_index
+        current, done, total = -1, 0, np.zeros(zs.shape)
         for ell in range(max(lo, 1), hi + 1):
-            h = self.members[ell - 1]
-            if h.roots[:len(prefix)] != prefix:
-                prefix, total = (), np.zeros(zs.shape)
-            for r in h.roots[len(prefix):]:
+            s, d = placement[ell - 1]
+            if s != current or d < done:
+                current, done, total = s, 0, np.zeros(zs.shape)
+            for r in sequences[s][done:d]:
                 total += _log_abs(zs - r)
-            prefix = h.roots
-            yield ell * (total + h.log_scale)
+            done = d
+            yield ell * (total + self.members[ell - 1].log_scale)
 
 
 def block_series(members: Sequence[RootPolynomial],

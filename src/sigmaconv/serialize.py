@@ -29,14 +29,21 @@ def _c2j(z: complex) -> list[float]:
     return [float(z.real), float(z.imag)]
 
 
+def _number(value) -> bool:
+    # JSON true/false load as bools, which float() and complex() take as 1, 0
+    return type(value) is int or type(value) is float
+
+
 def _j2c(pair) -> complex:
+    if (type(pair) is not list or len(pair) != 2
+            or not all(map(_number, pair))):
+        raise ValueError(f"expected an [re, im] pair, got {pair!r:.60}")
     try:
-        x, y = pair
-        z = complex(x, y)
-    except (TypeError, ValueError):
-        raise ValueError(f"expected an [re, im] pair, got {pair!r}") from None
+        z = complex(*pair)
+    except OverflowError:
+        z = complex(math.inf)
     if not cmath.isfinite(z):
-        raise ValueError(f"non-finite component in complex pair {pair!r}")
+        raise ValueError(f"non-finite component in complex pair {pair!r:.60}")
     return z
 
 
@@ -44,10 +51,12 @@ def _real(value, name: str, finite: bool = False) -> float:
     # NaN or +inf would load silently and, outside the tail window, never
     # reach the classifier's own NaN check; -inf stays allowed (vanishing
     # terms) unless the value must be finite
+    if not _number(value):
+        raise ValueError(f"{name} is not a number: {value!r:.60}")
     try:
         x = float(value)
-    except (TypeError, ValueError):
-        raise ValueError(f"{name} is not a number: {value!r}") from None
+    except OverflowError:  # an integer beyond the float range
+        x = math.inf if value > 0 else -math.inf
     if x != x:
         raise ValueError(f"{name} is NaN")
     if x == math.inf or (finite and x == -math.inf):
@@ -92,10 +101,40 @@ def _member_to_json(member: RootPolynomial) -> dict:
             "log_scale": member.log_scale}
 
 
-def _member_from_json(obj) -> RootPolynomial:
-    obj = _object(obj, "member")
-    return RootPolynomial(tuple(_j2c(r) for r in _list(obj, "roots")),
-                          _real(obj.get("log_scale"), "member log_scale"))
+def _members_from_json(objs: list) -> list[RootPolynomial]:
+    """The members of a block series file.
+
+    Consecutive members whose roots extend one another (the members of a
+    separating-family stage are prefixes of one Leja sequence) share the
+    converted roots of their running sequence: a member that is a prefix
+    of it takes a slice, and only the pairs that extend it are converted.
+    Stored pairs are compared as loaded; where a root has a 0 or 1
+    component, which equal JSON false or true and do not tell -0.0 from
+    0.0, the pair is converted again and its zero signs (_signs) must
+    match, so each root keeps the pair it was stored as.
+    """
+    pairs: list = []  # the stored pairs of the running sequence
+    roots: tuple[complex, ...] = ()  # and their roots
+    # (index, zero signs) of the roots with a 0 or 1 component
+    marks: list[tuple[int, tuple[float, float]]] = []
+    members = []
+    for obj in objs:
+        obj = _object(obj, "member")
+        stored = _list(obj, "roots")
+        k = min(len(stored), len(pairs))
+        if stored[:k] != pairs[:k] or any(
+                _signs(_j2c(stored[i])) != signs for i, signs in marks
+                if i < k):
+            pairs, roots, marks, k = [], (), [], 0
+        if len(stored) > k:
+            new = tuple(_j2c(p) for p in stored[k:])
+            marks += [(i, _signs(r)) for i, r in enumerate(new, k)
+                      if r.real in (0.0, 1.0) or r.imag in (0.0, 1.0)]
+            pairs, roots = stored, roots + new
+        members.append(RootPolynomial(
+            roots[:len(stored)],
+            _real(obj.get("log_scale"), "member log_scale")))
+    return members
 
 
 def series_to_json(series: CoefficientSeries) -> dict:
@@ -132,11 +171,14 @@ def series_from_json(obj) -> CoefficientSeries:
             tuple(_real(g, "gammas entry", finite=True)
                   for g in _list(obj, "gammas"))))
     if kind == "blocks":
+        description = obj.get("description", "block series")
+        if type(description) is not str:
+            raise ValueError(
+                f"description must be a string, got {description!r:.40}")
         return block_series(
-            [_member_from_json(m) for m in _list(obj, "members")],
+            _members_from_json(_list(obj, "members")),
             [_count(b, "block size") for b in _list(obj, "block_sizes")],
-            _real(obj.get("f0_log_mag"), "f0_log_mag"),
-            obj.get("description", "block series"),
+            _real(obj.get("f0_log_mag"), "f0_log_mag"), description,
             [_count(u, "uncovered count")
              for u in _list(obj, "uncovered_counts", [])])
     if kind == "interleave":
@@ -173,7 +215,9 @@ def _members_text(members, level: int) -> str:
     Consecutive members whose roots extend one another (the members of a
     separating-family stage are prefixes of one Leja sequence) share the
     text of their common root pairs, so each pair is formatted once per
-    run of such members, as BlockStructure.log_mags sums it once.
+    run of such members, as _members_from_json converts it once.  A root
+    whose zero signs differ from the run's starts a new run, since
+    complex == cannot tell them apart.
     """
     if not members:
         return "[]"

@@ -60,7 +60,7 @@ class CoefficientSeries:
       in z's shape (-inf allowed);
     * ``tail_sup(z, lo, hi)``, where present, returns max over n = lo..hi
       of (1/n) * log|f_n(z)| in z's shape, 1 <= lo, NaN where an order is
-      NaN (product series).
+      NaN (product and block series; an interleave has none).
 
     Range checks, sups over order ranges and NaN reports live in this
     module.  ``max_supported_n`` is None for unbounded series.

@@ -436,6 +436,48 @@ def _retag_scaled_product(obj):
             "log_c": [0.0] * (len(obj["points"]) + 1)}
 
 
+def _set_third_log_scale_true(obj):
+    obj["members"][2]["log_scale"] = True
+
+
+def _set_f0_true(obj):
+    obj["f0_log_mag"] = True
+
+
+def _set_first_log_scale_string(obj):
+    obj["members"][0]["log_scale"] = "0.3"
+
+
+def _set_first_log_c_string(obj):
+    obj["log_c"][0] = "-Infinity"
+
+
+def _set_first_log_scale_huge_int(obj):
+    obj["members"][0]["log_scale"] = 10 ** 400
+
+
+def _set_first_root_bools(obj):
+    obj["members"][0]["roots"] = [[True, False]]
+
+
+def _set_second_root_bools(obj):
+    # the second member repeats the first's root [0.0, 0.0], which false
+    # equals, so only a loader that checks the shared pair catches it
+    obj["members"][1]["roots"] = [[False, False]]
+
+
+def _set_first_point_string(obj):
+    obj["points"][0] = ["0.3", 0.0]
+
+
+def _set_first_point_huge_int(obj):
+    obj["points"][0] = [10 ** 400, 0.0]
+
+
+def _set_description_number(obj):
+    obj["description"] = 5
+
+
 @pytest.mark.parametrize("kind,corrupt,fragment", [
     ("blocks", _set_first_root, "[re, im] pair"),
     ("blocks", _set_first_log_scale, "log_scale is NaN"),
@@ -463,6 +505,19 @@ def _retag_scaled_product(obj):
     ("interleave", _drop_odd, "series must be a JSON object, got None"),
     ("blocks", _three_blocks_seven_uncovered_counts,
      "uncovered counts must hold one entry per block"),
+    ("blocks", _set_third_log_scale_true,
+     "member log_scale is not a number: True"),
+    ("blocks", _set_f0_true, "f0_log_mag is not a number: True"),
+    ("blocks", _set_first_log_scale_string,
+     "member log_scale is not a number: '0.3'"),
+    ("countable", _set_first_log_c_string,
+     "log_c entry is not a number: '-Infinity'"),
+    ("blocks", _set_first_log_scale_huge_int, "member log_scale is inf"),
+    ("blocks", _set_first_root_bools, "[re, im] pair, got [True, False]"),
+    ("blocks", _set_second_root_bools, "[re, im] pair, got [False, False]"),
+    ("countable", _set_first_point_string, "[re, im] pair, got ['0.3', 0.0]"),
+    ("blocks", _set_description_number, "description must be a string, got 5"),
+    ("countable", _set_first_point_huge_int, "non-finite component"),
 ])
 def test_cli_verify_rejects_malformed_series(tmp_path, capsys, kind, corrupt,
                                              fragment):

@@ -343,6 +343,48 @@ def test_hand_block_series_covers_the_writer_cases():
     assert compact_series().structure.f0_log_mag == -math.inf
 
 
+def test_loaded_members_share_the_roots_of_their_sequence(tmp_path):
+    # hand_block_series shrinks after a longer member, re-extends, starts
+    # over on a member with no shared prefix, and repeats a root as -0.0
+    series = hand_block_series()
+    save_series(series, tmp_path / "s.json")
+    text = (tmp_path / "s.json").read_text()
+    loaded = load_series(tmp_path / "s.json")
+    save_series(loaded, tmp_path / "again.json")
+    assert (tmp_path / "again.json").read_text() == text
+    roots = [h.roots for h in loaded.structure.members]
+    assert roots == [h.roots for h in series.structure.members]
+    assert roots[0][0] is roots[1][0] is roots[2][0]
+    assert roots[0][2] is roots[2][2]
+    assert roots[3][0] is roots[5][0]
+    assert roots[7][0] is roots[8][0] and roots[7][1] is roots[8][1]
+    # 0.0 + 1j and -0.0 + 1j compare equal but keep their own signs
+    assert math.copysign(1.0, roots[6][0].real) == 1.0
+    assert math.copysign(1.0, roots[7][0].real) == -1.0
+
+
+def test_loaded_members_of_a_sigma_series_convert_each_root_once(tmp_path):
+    series = sigma_series()
+    save_series(series, tmp_path / "s.json")
+    loaded = load_series(tmp_path / "s.json").structure
+    distinct = {id(r) for h in loaded.members for r in h.roots}
+    sequences, _ = loaded.prefix_index
+    assert len(distinct) == sum(map(len, sequences))
+
+
+def test_shared_prefix_pairs_are_still_checked():
+    # a pair equal to the running sequence's, as JSON false equals 0.0 and
+    # true 1.0, is converted again where the root has a 0 or 1 component
+    obj = series_to_json(block_series(
+        [RootPolynomial((1.0 + 0.0j, 0.5j), 0.0)] * 3, [3], 0.0, "ones"))
+    assert obj["members"][1]["roots"][0] == [True, False]
+    obj["members"][1]["roots"][0] = [True, False]
+    with pytest.raises(ValueError, match=r"\[re, im\] pair"):
+        series_from_json(obj)
+    obj["members"][1]["roots"][0] = [1, 0]  # JSON integers are numbers
+    assert series_from_json(obj).structure.members[1].roots[0] == 1.0
+
+
 # ------------------------------------------------------------ decomposition
 
 

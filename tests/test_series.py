@@ -18,8 +18,9 @@ from sigmaconv import construct
 from sigmaconv.construct import (BlockStructure, CountableStructure,
                                  InterleaveStructure,
                                  countable_series_from_tables)
-from sigmaconv.series import MIN_N, reject_nan
+from sigmaconv.series import MIN_N, _log_mags, reject_nan
 from conftest import oracle_series
+from test_io import compact_series, hand_block_series, sigma_series
 
 
 def _log_abs(z):
@@ -320,6 +321,102 @@ def test_block_evaluator_rejects_nan_in_window():
     g = Grid.from_box(-1.0, -1.0, 1.0, 1.0, 8, 8)
     with pytest.raises(RuntimeError, match="NaN at n=10"):
         conv_map(f, g, 16, B=0.0, M=1.0)
+
+
+def _per_order_sup(series, zs, lo, hi):
+    """The per-order loop of series._sup, over the structure's log_mags."""
+    sup = np.full(zs.shape, -np.inf)
+    for n, lm in _log_mags(series, zs, lo, hi):
+        np.maximum(sup, lm / n, out=sup)
+    return sup
+
+
+def _points_on_and_off_roots(series):
+    """A 48 x 48 grid's centers, then every member root: the exponents of
+    a cell on a root are -inf from that member's degree on."""
+    roots = {r for h in series.structure.members for r in h.roots}
+    centers = Grid.from_box(-2.0, -2.0, 2.0, 2.0, 48, 48).centers().ravel()
+    return np.concatenate([centers, np.array(sorted(roots, key=repr))])
+
+
+def _windows(n):
+    """lo = 1, single orders at both ends, tail windows, the full range."""
+    return sorted({(1, 1), (1, n), (n, n), (1, n // 2), tail_window(n),
+                   tail_window(max(n // 2, 2)), (2, n - 1)})
+
+
+@pytest.mark.parametrize("build", [hand_block_series, sigma_series,
+                                   compact_series],
+                         ids=["hand-blocks", "sigma", "compact"])
+def test_block_tail_sup_is_bit_identical_to_the_per_order_loop(build):
+    f = build()
+    zs = _points_on_and_off_roots(f)
+    on_root = False
+    for lo, hi in _windows(f.max_supported_n):
+        got = f.structure.tail_sup(zs, lo, hi)
+        assert got.tobytes() == _per_order_sup(f, zs, lo, hi).tobytes()
+        on_root |= bool(np.isneginf(got).any())
+    assert on_root
+
+
+@pytest.mark.parametrize("build", [hand_block_series, sigma_series],
+                         ids=["hand-blocks", "sigma"])
+def test_block_log_mags_are_bit_identical_to_each_member_alone(build):
+    # the per-order loop above is the reference for tail_sup, so log_mags
+    # itself is checked against evaluating each member on its own
+    f = build()
+    zs = _points_on_and_off_roots(f)
+    n = f.max_supported_n
+    for lo, hi in ((0, n), (n // 2, n), (2, 3)):
+        got = list(f.structure.log_mags(zs, lo, hi))
+        assert len(got) == hi - lo + 1
+        for k, values in enumerate(got, lo):
+            assert values.tobytes() == _reference_log_mag(f, k, zs).tobytes()
+
+
+def test_block_tail_sup_keeps_its_shape_and_scalar_points():
+    f = hand_block_series()
+    zs = Grid.from_box(-1.0, -1.0, 1.0, 1.0, 8, 8).centers()[:5, 1:]
+    got = f.structure.tail_sup(zs, 2, 9)
+    assert got.shape == zs.shape
+    assert got.tobytes() == _per_order_sup(f, zs, 2, 9).tobytes()
+    z = 0.5 + 0.25j  # a root of the first four members
+    assert f.structure.tail_sup(z, 1, 9).tobytes() == _per_order_sup(
+        f, np.asarray(z), 1, 9).tobytes()
+
+
+@pytest.mark.parametrize("build", [hand_block_series, sigma_series],
+                         ids=["hand-blocks", "sigma"])
+def test_block_tail_sup_is_bit_identical_across_cell_chunks(build,
+                                                            monkeypatch):
+    # a 100-entry block budget splits the 2304 + roots cells into chunks of
+    # at most 100, the last one partial
+    f = build()
+    zs = _points_on_and_off_roots(f)
+    monkeypatch.setattr(construct, "TABLE_BYTES", 800)
+    for lo, hi in (tail_window(f.max_supported_n), (1, f.max_supported_n)):
+        got = f.structure.tail_sup(zs, lo, hi)
+        assert got.tobytes() == _per_order_sup(f, zs, lo, hi).tobytes()
+
+
+def test_prefix_index_places_each_member_on_one_sequence():
+    members = hand_block_series().structure.members
+    sequences, placement = hand_block_series().structure.prefix_index
+    # (a, b, c, a + b) takes the first three members, (c, a) the next three
+    # (degree 0 included) and (-0.0 + 1j, b, a) the last three
+    assert [len(s) for s in sequences] == [4, 2, 3]
+    assert placement.tolist() == [[0, 3], [0, 2], [0, 4], [1, 1], [1, 0],
+                                  [1, 2], [2, 1], [2, 2], [2, 3]]
+    for h, (s, d) in zip(members, placement):
+        assert sequences[s][:d] == h.roots
+
+
+def test_sigma_members_of_a_lockstep_group_share_one_sequence():
+    f = sigma_series()
+    sequences, placement = f.structure.prefix_index
+    assert len(sequences) < len(f.structure.block_sizes)
+    for h, (s, d) in zip(f.structure.members, placement):
+        assert sequences[s][:d] == h.roots
 
 
 def test_level_set_of_block_series_matches_oracle():
