@@ -139,17 +139,20 @@ def _product_table(cells: np.ndarray, roots: np.ndarray, log_c: np.ndarray,
 
 
 def _product_tail_sup(z: np.ndarray | complex, roots: np.ndarray,
-                      log_c: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    """max over n = lo..hi of (1/n) * log|C_n * prod_{j<n} (z - roots[j])|,
-    where log_c holds log C_n for n = lo..hi and 1 <= lo; a cell with a NaN
-    order gets a NaN sup.
+                      log_c: np.ndarray, lo: int, hi: int,
+                      divisors: np.ndarray | None = None) -> np.ndarray:
+    """max over n = lo..hi of log|C_n * prod_{j<n} (z - roots[j])| divided
+    by divisors[n - lo], which defaults to n, where log_c holds log C_n for
+    n = lo..hi and 1 <= lo; a cell with a NaN order gets a NaN sup.
 
     The (order x cell) table of _product_table is filled TABLE_BYTES at a
     time, in chunks of cells.
     """
     zs = np.asarray(z, dtype=complex)
     flat = zs.ravel()
-    ns = np.arange(lo, hi + 1, dtype=float)[:, None]
+    if divisors is None:
+        divisors = np.arange(lo, hi + 1, dtype=float)
+    ns = divisors[:, None]
     sup = np.empty(flat.shape)
     step = max(1, TABLE_BYTES // (8 * (hi - lo + 1)))
     for start in range(0, flat.size, step):
@@ -191,12 +194,13 @@ class CountableStructure:
     log_c: tuple[float, ...]
     gammas: tuple[float, ...]
 
-    def tail_sup(self, z: np.ndarray | complex, lo: int,
-                 hi: int) -> np.ndarray:
+    def tail_sup(self, z: np.ndarray | complex, lo: int, hi: int,
+                 divisors: np.ndarray | None = None) -> np.ndarray:
         """Tail sup of the exponents over orders lo..hi (see
         _product_tail_sup)."""
         return _product_tail_sup(z, np.array(self.points, dtype=complex),
-                                 np.array(self.log_c[lo:hi + 1]), lo, hi)
+                                 np.array(self.log_c[lo:hi + 1]), lo, hi,
+                                 divisors)
 
     def log_mags(self, z: np.ndarray | complex, lo: int, hi: int):
         """Yield log|f_n(z)| for n = lo..hi (see _product_log_mags)."""
@@ -244,6 +248,42 @@ def countable_set_series(points: PointSequence) -> CoefficientSeries:
 class InterleaveStructure:
     even: CoefficientSeries
     odd: CoefficientSeries
+
+    @property
+    def tail_sup(self):
+        """_tail_sup, or None when a child has no tail_sup, so that
+        series._sup walks the orders instead."""
+        if any(getattr(child.structure, "tail_sup", None) is None
+               for child in (self.even, self.odd)):
+            return None
+        return self._tail_sup
+
+    def _tail_sup(self, z: np.ndarray | complex, lo: int, hi: int,
+                  divisors: np.ndarray | None = None) -> np.ndarray:
+        """max over n = lo..hi of log|F_n(z)| divided by divisors[n - lo],
+        which defaults to n, with 1 <= lo; a cell with a NaN order gets a
+        NaN sup.
+
+        Each child's tail_sup takes the child orders m in the window, each
+        with the divisor of its order here, 2m or 2m + 1, and the sup is
+        the larger of the two.  F_1 = g_0 is an order no tail_sup takes,
+        so it is read through _log_mags.  Every exponent is the per-order
+        loop's, bit for bit.
+        """
+        zs = np.asarray(z, dtype=complex)
+        if divisors is None:
+            divisors = np.arange(lo, hi + 1, dtype=float)
+        sup = np.full(zs.shape, -np.inf)
+        for child, parity in ((self.even, 0), (self.odd, 1)):
+            a, b = (lo - parity + 1) // 2, (hi - parity) // 2
+            if a == 0:  # lo = 1: F_1 = g_0
+                [(_, f0)] = _log_mags(child, zs, 0, 0)
+                np.maximum(sup, f0 / divisors[0], out=sup)
+                a = 1
+            if a <= b:
+                np.maximum(sup, child.structure.tail_sup(
+                    zs, a, b, divisors[2 * a + parity - lo::2]), out=sup)
+        return sup
 
     def log_mags(self, z: np.ndarray | complex, lo: int, hi: int):
         """Yield log|F_n(z)| for n = lo..hi: the even orders from the even
@@ -478,16 +518,18 @@ class BlockStructure:
             placement[ell] = len(sequences) - 1, len(h.roots)
         return sequences, placement
 
-    def tail_sup(self, z: np.ndarray | complex, lo: int,
-                 hi: int) -> np.ndarray:
-        """max over n = lo..hi of (1/n) * log|f_n(z)|, in z's shape, with
-        1 <= lo; a cell with a NaN order gets a NaN sup.
+    def tail_sup(self, z: np.ndarray | complex, lo: int, hi: int,
+                 divisors: np.ndarray | None = None) -> np.ndarray:
+        """max over n = lo..hi of log|f_n(z)| divided by divisors[n - lo],
+        which defaults to n, in z's shape, with 1 <= lo; a cell with a NaN
+        order gets a NaN sup.
 
         For each chunk of cells, each sequence of ``prefix_index`` with a
         member in the window keeps one running root sum.  At each degree,
         the window members of that degree fold in as
-        ell * (running + log_scale), divided by ell, which is log_mags'
-        value divided as the per-order loop of series._sup divides it;
+        ell * (running + log_scale), divided by their divisors, which is
+        log_mags' value divided as the per-order loop of series._sup (or
+        of an interleave's, at its own orders) divides it;
         members with one log_scale (the stages of a lockstep group share
         each degree's member) add it to the running sum once.  The sum
         starts from zero and adds the same roots in the same order, so
@@ -499,6 +541,8 @@ class BlockStructure:
         sequences, placement = self.prefix_index
         seq, degree = placement[lo - 1:hi].T
         ells = np.arange(lo, hi + 1, dtype=float)
+        if divisors is None:
+            divisors = ells
         scales = np.array([h.log_scale for h in self.members[lo - 1:hi]],
                           dtype=float)
         # the window's members grouped by (sequence, degree, log_scale),
@@ -512,19 +556,20 @@ class BlockStructure:
         for group in groups:
             i = group[0]
             runs.setdefault(int(seq[i]), []).append(
-                (int(degree[i]), scales[i], ells[group, None]))
+                (int(degree[i]), scales[i], ells[group, None],
+                 divisors[group, None]))
         sup = np.full(flat.shape, -np.inf)
         step = max(1, TABLE_BYTES // (8 * max(map(len, groups))))
         for start in range(0, flat.size, step):
             cells, best = flat[start:start + step], sup[start:start + step]
             for s, folds in runs.items():
                 total, done = np.zeros(cells.shape), 0
-                for d, scale, ell in folds:
+                for d, scale, ell, divisor in folds:
                     for r in sequences[s][done:d]:
                         total += _log_abs(cells - r)
                     done = d
                     block = ell * (total + scale)
-                    block /= ell
+                    block /= divisor
                     np.maximum(best, block.max(axis=0), out=best)
         return sup.reshape(zs.shape)
 

@@ -6,6 +6,13 @@ which is the series' one evaluator, through the same factories the
 constructors use, so a reloaded series reproduces verdict maps bit for bit.
 Malformed files raise ValueError.  Log scales may be -Infinity (the
 Python json dialect); complex numbers are stored as [re, im] pairs.
+
+save_series writes json.dumps(series_to_json(series), indent=1) byte for
+byte.  The members of a lockstep group are prefixes of one Leja sequence,
+yet each is stored in full, so load_series reads each members list in that
+layout from the text: a member that repeats a prefix of the running
+sequence's text takes a slice of its roots, and only new text is parsed.
+Any other layout goes through json.loads as it is, with the same checks.
 """
 
 from __future__ import annotations
@@ -102,39 +109,100 @@ def _member_to_json(member: RootPolynomial) -> dict:
 
 
 def _members_from_json(objs: list) -> list[RootPolynomial]:
-    """The members of a block series file.
+    """The members of a block series file, each pair converted by _j2c.
 
-    Consecutive members whose roots extend one another (the members of a
-    separating-family stage are prefixes of one Leja sequence) share the
-    converted roots of their running sequence: a member that is a prefix
-    of it takes a slice, and only the pairs that extend it are converted.
-    Stored pairs are compared as loaded; where a root has a 0 or 1
-    component, which equal JSON false or true and do not tell -0.0 from
-    0.0, the pair is converted again and its zero signs (_signs) must
-    match, so each root keeps the pair it was stored as.
+    load_series decodes the files save_series writes from their text
+    (_decode_members); this reads every other layout, and the objects
+    passed to series_from_json directly.
     """
-    pairs: list = []  # the stored pairs of the running sequence
-    roots: tuple[complex, ...] = ()  # and their roots
-    # (index, zero signs) of the roots with a 0 or 1 component
-    marks: list[tuple[int, tuple[float, float]]] = []
     members = []
     for obj in objs:
         obj = _object(obj, "member")
-        stored = _list(obj, "roots")
-        k = min(len(stored), len(pairs))
-        if stored[:k] != pairs[:k] or any(
-                _signs(_j2c(stored[i])) != signs for i, signs in marks
-                if i < k):
-            pairs, roots, marks, k = [], (), [], 0
-        if len(stored) > k:
-            new = tuple(_j2c(p) for p in stored[k:])
-            marks += [(i, _signs(r)) for i, r in enumerate(new, k)
-                      if r.real in (0.0, 1.0) or r.imag in (0.0, 1.0)]
-            pairs, roots = stored, roots + new
         members.append(RootPolynomial(
-            roots[:len(stored)],
+            tuple(_j2c(p) for p in _list(obj, "roots")),
             _real(obj.get("log_scale"), "member log_scale")))
     return members
+
+
+_MEMBERS_KEY = '"members": ['
+# no file text holds this digit run (load_series checks), so an integer
+# literal opening with it is one that load_series put in
+_PLACEHOLDER = "9" * 24
+
+
+class _Decoded(tuple):
+    """Members that _decode_members read from a file's text."""
+
+
+def _decode_members(text: str, start: int,
+                    level: int) -> tuple[_Decoded, int] | None:
+    """The members of the list that opens at text[start], written as
+    _members_text(members, level) writes it, and the index after the list;
+    None for any other layout or an invalid value, which json.loads and
+    _members_from_json then read, and reject, as for any other file.
+
+    A member whose roots text repeats a prefix of the running sequence's
+    text, ending on a pair boundary, takes a slice of that sequence's
+    roots; only text that extends the sequence or starts a new one goes
+    through json.loads and _j2c.  The comparison is of text, where -0.0 is
+    not 0.0 and true is not 1.0, so each root keeps the pair it was stored
+    as.  Each log_scale goes through _real once per distinct text.
+    """
+    ind = [" " * (level + i) for i in range(3)]
+    if text.startswith("[]", start):
+        return _Decoded(), start + 2
+    head = f'\n{ind[1]}{{\n{ind[2]}"roots": ['
+    scale_key = f'],\n{ind[2]}"log_scale": '  # also ends an empty roots list
+    roots_end, tail = f"\n{ind[2]}{scale_key}", f"\n{ind[1]}}}"
+    close = f"\n{ind[0]}]"
+    seq, roots = "", ()  # the running sequence's roots text, and its roots
+    degrees = {0: 0}  # offset in seq after each whole pair -> pairs so far
+    scales: dict[str, float] = {}
+    members = []
+    pos = start + 1
+    try:
+        while True:
+            if not text.startswith(head, pos):
+                return None
+            pos += len(head)
+            if text.startswith(scale_key, pos):
+                pos, d = pos + len(scale_key), 0
+            else:
+                end = text.find(roots_end, pos)
+                if end < 0:
+                    return None
+                stored, pos = text[pos:end], end + len(roots_end)
+                # a prefix of the sequence's text, if it ends on a pair
+                d = degrees.get(len(stored)) if seq.startswith(stored) \
+                    else None
+                if d is None:
+                    if seq and stored.startswith(seq + ","):
+                        new = stored[len(seq) + 1:]
+                    else:
+                        seq, roots, degrees, new = "", (), {0: 0}, stored
+                    added = tuple(map(_j2c, json.loads("[" + new + "]")))
+                    if not added:
+                        return None
+                    at = len(stored) - len(new)
+                    for k in range(len(roots), len(roots) + len(added)):
+                        at = stored.index("]", at) + 1  # each pair's last ]
+                        degrees[at] = k + 1
+                    seq, roots = stored, roots + added
+                    d = len(roots)
+            end = text.find(tail, pos)
+            if end < 0:
+                return None
+            value, pos = text[pos:end], end + len(tail)
+            if value not in scales:
+                scales[value] = _real(json.loads(value), "member log_scale")
+            members.append(RootPolynomial(roots[:d], scales[value]))
+            if text.startswith(close, pos):
+                return _Decoded(members), pos + len(close)
+            if not text.startswith(",", pos):
+                return None
+            pos += 1
+    except ValueError:
+        return None
 
 
 def series_to_json(series: CoefficientSeries) -> dict:
@@ -175,8 +243,11 @@ def series_from_json(obj) -> CoefficientSeries:
         if type(description) is not str:
             raise ValueError(
                 f"description must be a string, got {description!r:.40}")
+        members = obj.get("members")
+        if type(members) is not _Decoded:
+            members = _members_from_json(_list(obj, "members"))
         return block_series(
-            _members_from_json(_list(obj, "members")),
+            members,
             [_count(b, "block size") for b in _list(obj, "block_sizes")],
             _real(obj.get("f0_log_mag"), "f0_log_mag"), description,
             [_count(u, "uncovered count")
@@ -215,9 +286,9 @@ def _members_text(members, level: int) -> str:
     Consecutive members whose roots extend one another (the members of a
     separating-family stage are prefixes of one Leja sequence) share the
     text of their common root pairs, so each pair is formatted once per
-    run of such members, as _members_from_json converts it once.  A root
-    whose zero signs differ from the run's starts a new run, since
-    complex == cannot tell them apart.
+    run of such members, as _decode_members parses it once.  A root whose
+    zero signs differ from the run's starts a new run, since complex ==
+    cannot tell them apart.
     """
     if not members:
         return "[]"
@@ -282,7 +353,53 @@ def save_series(series: CoefficientSeries, path: str | Path) -> None:
 
 
 def load_series(path: str | Path) -> CoefficientSeries:
-    return series_from_json(json.loads(Path(path).read_text()))
+    """Read a series file.
+
+    Each members list in save_series' own layout is decoded from the text
+    (_decode_members) and replaced by an integer literal that opens with
+    _PLACEHOLDER, which the one json.loads of the rest reads back as the
+    decoded members; series_from_json then checks the whole as for any
+    file.  Text in any other layout goes through json.loads as it is.
+
+    In any text that json.loads accepts, '"members": [' is an object key
+    and the list that is its value.  Each decoded list is a JSON list
+    itself, so the file parses exactly when the rest does, to the same
+    values.
+    """
+    text = Path(path).read_text()
+    kept, decoded = [], []
+    at = find = 0
+    while (i := text.find(_MEMBERS_KEY, find)) >= 0:
+        opens, line = i + len(_MEMBERS_KEY) - 1, i
+        while line and text[line - 1] == " ":
+            line -= 1
+        # the layout indents the key by its level, on a line of its own
+        found = (_decode_members(text, opens, i - line)
+                 if line and text[line - 1] == "\n" else None)
+        if found is None:
+            find = i + 1
+            continue
+        kept.append(text[at:opens])
+        decoded.append(found[0])
+        at = find = found[1]
+    kept.append(text[at:])
+    if not decoded or any(_PLACEHOLDER in piece for piece in kept):
+        return series_from_json(json.loads(text))
+    # the space ends the literal whatever follows the list
+    rest = "".join(piece + f"{_PLACEHOLDER}{k} "
+                   for k, piece in enumerate(kept[:-1])) + kept[-1]
+
+    def parse_int(literal: str):
+        if literal.startswith(_PLACEHOLDER):
+            return decoded[int(literal[len(_PLACEHOLDER):])]
+        return int(literal)
+
+    try:
+        obj = json.loads(rest, parse_int=parse_int)
+    except json.JSONDecodeError:
+        # the file is malformed too; report where in the file
+        obj = json.loads(text)
+    return series_from_json(obj)
 
 
 def map_sidecar(cmap: ConvergenceMap) -> dict:

@@ -478,6 +478,40 @@ def _set_description_number(obj):
     obj["description"] = 5
 
 
+# the corruptions below return the file text in save_series' layout, which
+# load_series decodes from the text, changed where the decoder reads it
+
+
+def _cut_inside_members(obj):
+    text = json.dumps(obj, indent=1)
+    return text[:text.index('"log_scale"', text.index('"members"'))]
+
+
+def _garbage_after_members(obj):
+    text = json.dumps(obj, indent=1)
+    return text.replace('\n ],\n "description"', '\n ] x,\n "description"')
+
+
+def _nan_in_odd_members(obj):
+    # the first pair of the interleave's nested block members
+    text = json.dumps(obj, indent=1)
+    first = text.index('"roots"', text.index('"odd"'))
+    return text[:first] + text[first:].replace("0.0,", "NaN,", 1)
+
+
+def _nan_in_new_root_pair(obj):
+    # the last member's pair differs from the running sequence's, so the
+    # decoder parses it
+    text = json.dumps(obj, indent=1)
+    last = text.rindex('"roots"')
+    return text[:last] + text[last:].replace("0.0,", "NaN,", 1)
+
+
+def _drop_comma_between_members(obj):
+    text = json.dumps(obj, indent=1)
+    return text.replace("\n  },\n  {", "\n  }\n  {", 1)
+
+
 @pytest.mark.parametrize("kind,corrupt,fragment", [
     ("blocks", _set_first_root, "[re, im] pair"),
     ("blocks", _set_first_log_scale, "log_scale is NaN"),
@@ -518,6 +552,13 @@ def _set_description_number(obj):
     ("countable", _set_first_point_string, "[re, im] pair, got ['0.3', 0.0]"),
     ("blocks", _set_description_number, "description must be a string, got 5"),
     ("countable", _set_first_point_huge_int, "non-finite component"),
+    ("blocks", _cut_inside_members, "Expecting"),
+    ("blocks", _garbage_after_members, "Expecting ',' delimiter"),
+    ("blocks", _nan_in_new_root_pair,
+     "non-finite component in complex pair [nan, 0.0]"),
+    ("interleave", _nan_in_odd_members,
+     "non-finite component in complex pair [nan, 0.0]"),
+    ("blocks", _drop_comma_between_members, "Expecting ',' delimiter"),
 ])
 def test_cli_verify_rejects_malformed_series(tmp_path, capsys, kind, corrupt,
                                              fragment):
@@ -530,7 +571,8 @@ def test_cli_verify_rejects_malformed_series(tmp_path, capsys, kind, corrupt,
     obj = _stored_series(tmp_path, kind)
     replaced = corrupt(obj)  # None when the corruption is in place
     path = tmp_path / "series.json"
-    path.write_text(json.dumps(obj if replaced is None else replaced))
+    path.write_text(replaced if isinstance(replaced, str) else
+                    json.dumps(obj if replaced is None else replaced))
     code = main(["verify", str(scene), str(path), "--out", str(tmp_path / "v"),
                  "--N", "15", "--min-agree", "0"])
     assert code == 1

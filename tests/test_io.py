@@ -19,6 +19,8 @@ from sigmaconv import (COMPACT, DOMAIN, OPEN, Grid, RegionMask, Verdict,
                        sigma_convex_series, write_map_pgm, write_mask_pgm,
                        PointSequence, RootPolynomial, export_decomposition,
                        load_decomposition)
+from sigmaconv import serialize
+from sigmaconv.construct import BlockStructure, InterleaveStructure
 from sigmaconv.serialize import grid_from_json, map_sidecar
 from conftest import (corrupt_leaf, disk_growth_series, leaf_paths,
                       oracle_series, random_polyomino)
@@ -317,12 +319,15 @@ def countable_series():
         (0.1 + 0.2j, -0.4 + 0.9j, 1.2 - 0.3j, 0.8 + 0.8j)))
 
 
-@pytest.mark.parametrize("build", [
+WRITER_BUILDS = pytest.mark.parametrize("build", [
     sigma_series, compact_series, hand_block_series, countable_series,
     lambda: interleave(hand_block_series(), compact_series()),
     lambda: interleave(countable_series(), sigma_series()),
 ], ids=["sigma", "compact", "hand-blocks", "countable", "interleave-blocks",
         "interleave-countable-blocks"])
+
+
+@WRITER_BUILDS
 def test_save_series_writes_json_indent_1(tmp_path, build):
     series = build()
     save_series(series, tmp_path / "s.json")
@@ -330,6 +335,147 @@ def test_save_series_writes_json_indent_1(tmp_path, build):
     assert text == json.dumps(series_to_json(series), indent=1)
     save_series(load_series(tmp_path / "s.json"), tmp_path / "again.json")
     assert (tmp_path / "again.json").read_text() == text
+
+
+def _refuse_json_path(monkeypatch):
+    def refuse(objs):
+        raise AssertionError("members took the json path")
+
+    monkeypatch.setattr(serialize, "_members_from_json", refuse)
+
+
+def _block_structures(series):
+    s = series.structure
+    if isinstance(s, InterleaveStructure):
+        return _block_structures(s.even) + _block_structures(s.odd)
+    return [s] if isinstance(s, BlockStructure) else []
+
+
+def _sequence_roots(obj):
+    """The roots of the Leja sequences of a series object's block members,
+    told apart by their stored pairs: a member that repeats a prefix of the
+    running sequence adds none, one that extends it adds the rest."""
+    if obj["type"] == "interleave":
+        return _sequence_roots(obj["even"]) + _sequence_roots(obj["odd"])
+    count, seq = 0, []
+    for member in obj.get("members", []):
+        pairs = [json.dumps(p) for p in member["roots"]]
+        if pairs != seq[:len(pairs)]:
+            count += len(pairs) - (len(seq) if pairs[:len(seq)] == seq else 0)
+            seq = pairs
+    return count
+
+
+@WRITER_BUILDS
+def test_every_written_series_loads_through_the_text_decoder(
+        tmp_path, monkeypatch, build):
+    series = build()
+    path = tmp_path / "s.json"
+    save_series(series, path)
+    text = path.read_text()
+    with monkeypatch.context() as patch:
+        _refuse_json_path(patch)
+        loaded = load_series(path)
+    save_series(loaded, tmp_path / "again.json")
+    assert (tmp_path / "again.json").read_text() == text
+    roots = {id(r) for s in _block_structures(loaded)
+             for h in s.members for r in h.roots}
+    assert len(roots) == _sequence_roots(json.loads(text))
+    # the same object in other layouts takes the json path, to the same
+    # members, zero signs included
+    calls = []
+    convert = serialize._members_from_json
+    monkeypatch.setattr(serialize, "_members_from_json",
+                        lambda objs: calls.append(1) or convert(objs))
+    for indent in (2, None):
+        path.write_text(json.dumps(json.loads(text), indent=indent))
+        calls.clear()
+        again = load_series(path)
+        assert len(calls) == len(_block_structures(series))
+        assert json.dumps(series_to_json(again)) == json.dumps(
+            series_to_json(loaded))
+
+
+def _ones_series_text(tmp_path):
+    # three equal members whose repeated first pair [1.0, 0.0] reads the
+    # same as [true, 0.0] or [1.0, -0.0] to complex ==
+    series = block_series([RootPolynomial((1.0 + 0.0j, 0.5j), 0.0)] * 3,
+                          [3], 0.0, "ones")
+    save_series(series, tmp_path / "s.json")
+    return (tmp_path / "s.json").read_text()
+
+
+def _tamper_last_member(text, old, new):
+    """text with the first ``old`` in the last member replaced by ``new``."""
+    start = text.rindex('"roots": [')
+    assert old in text[start:]
+    return text[:start] + text[start:].replace(old, new, 1)
+
+
+@pytest.mark.parametrize("old,new,root", [
+    ("1.0,", "3.0,", 3.0 + 0.0j),  # one digit
+    ("0.0\n", "-0.0\n", complex(1.0, -0.0)),
+])
+def test_a_tampered_repeated_pair_loads_as_stored(tmp_path, monkeypatch, old,
+                                                  new, root):
+    text = _tamper_last_member(_ones_series_text(tmp_path), old, new)
+    (tmp_path / "s.json").write_text(text)
+    _refuse_json_path(monkeypatch)
+    members = load_series(tmp_path / "s.json").structure.members
+    assert [h.roots for h in members] == [(1.0, 0.5j)] * 2 + [(root, 0.5j)]
+    assert math.copysign(1.0, members[0].roots[0].imag) == 1.0
+    assert (math.copysign(1.0, members[2].roots[0].imag)
+            == math.copysign(1.0, root.imag))
+    assert members[0].roots[0] is members[1].roots[0]
+    assert members[2].roots[0] is not members[0].roots[0]
+
+
+def test_a_repeated_pair_written_true_is_rejected(tmp_path):
+    text = _tamper_last_member(_ones_series_text(tmp_path), "1.0,", "true,")
+    (tmp_path / "s.json").write_text(text)
+    with pytest.raises(ValueError,
+                       match=re.escape("[re, im] pair, got [True, 0.0]")):
+        load_series(tmp_path / "s.json")
+
+
+@pytest.mark.parametrize("old,new", [
+    ("\n    ]\n   ],", "\n    ],\n   ],"),  # a trailing comma in roots
+    ("1.0,", "1.,"),  # not a JSON number
+    ("1.0,", "1.0 ,"),  # a space json.loads skips
+    ("0.0\n  }", "0.0,\n   \"x\": 1\n  }"),  # a key the loader ignores
+    ("0.0\n  }", "-0\n  }"),  # an integer log_scale
+    ("0.0\n  }", "NaN\n  }"),
+    ("0.0\n  }", "1e400\n  }"),
+    ("0.0\n  }", "[]\n  }"),
+    ("\"log_scale\": ", "\"log_scale\":"),  # a key in another layout
+    ("\n  }\n ],", "\n  },\n ],"),  # a trailing comma in members
+    ("\n ],", "\n ]5,"),  # a number right after the list
+    # roots that stop inside a pair of the running sequence
+    (",\n     0.5\n    ]\n   ],", "\n   ],"),
+])
+def test_the_text_decoder_reads_what_json_loads_reads(tmp_path, old, new):
+    # a file that save_series' layout no longer quite fits loads, or is
+    # rejected, exactly as json.loads and series_from_json take it
+    path = tmp_path / "s.json"
+    path.write_text(_tamper_last_member(_ones_series_text(tmp_path), old,
+                                        new))
+
+    def outcome(load):
+        try:
+            return json.dumps(series_to_json(load()))
+        except ValueError as exc:
+            return f"{type(exc).__name__}: {exc}"
+
+    assert outcome(lambda: load_series(path)) == outcome(
+        lambda: series_from_json(json.loads(path.read_text())))
+
+
+def test_an_integer_that_opens_like_a_decoded_list_is_read_as_one(tmp_path):
+    path = tmp_path / "s.json"
+    big = int(serialize._PLACEHOLDER + "0")
+    path.write_text(_ones_series_text(tmp_path).replace(
+        '"f0_log_mag": 0.0', f'"f0_log_mag": {big}'))
+    assert load_series(path).structure.f0_log_mag == float(big)
 
 
 def test_hand_block_series_covers_the_writer_cases():
@@ -373,8 +519,8 @@ def test_loaded_members_of_a_sigma_series_convert_each_root_once(tmp_path):
 
 
 def test_shared_prefix_pairs_are_still_checked():
-    # a pair equal to the running sequence's, as JSON false equals 0.0 and
-    # true 1.0, is converted again where the root has a 0 or 1 component
+    # a pair equal to the one before it, as JSON false equals 0.0 and true
+    # 1.0, is still checked on its own
     obj = series_to_json(block_series(
         [RootPolynomial((1.0 + 0.0j, 0.5j), 0.0)] * 3, [3], 0.0, "ones"))
     assert obj["members"][1]["roots"][0] == [True, False]

@@ -20,7 +20,8 @@ from sigmaconv.construct import (BlockStructure, CountableStructure,
                                  countable_series_from_tables)
 from sigmaconv.series import MIN_N, _log_mags, reject_nan
 from conftest import oracle_series
-from test_io import compact_series, hand_block_series, sigma_series
+from test_io import (compact_series, countable_series,
+                     hand_block_series, sigma_series)
 
 
 def _log_abs(z):
@@ -457,7 +458,7 @@ def test_product_evaluator_matches_oracle(kind, chunk, monkeypatch):
     helper = construct._product_tail_sup
 
     def spy(*args):
-        calls.append(args[3:])
+        calls.append(args[3:5])
         return helper(*args)
 
     monkeypatch.setattr(construct, "_product_tail_sup", spy)
@@ -528,7 +529,7 @@ def test_product_log_mags_match_oracle(kind, chunk, monkeypatch):
         helper = getattr(construct, name)
 
         def spy(*args):
-            log.append(args[3:])
+            log.append(args[3:5])
             return helper(*args)
 
         monkeypatch.setattr(construct, name, spy)
@@ -559,7 +560,9 @@ def test_product_log_mags_match_oracle(kind, chunk, monkeypatch):
 @pytest.mark.parametrize("pair", ["blocks-countable", "countable-blocks",
                                   "blocks-blocks"])
 def test_interleave_evaluator_matches_children(pair, monkeypatch):
-    # N = 16 and 17 start the tail window on an even and an odd order
+    # N = 16 and 17 start the tail window on an even and an odd order; each
+    # child is evaluated once, by its own tail_sup over its orders in the
+    # window, each divided by its interleaved order
     countable, g = _product_series_on_cells()
     compact = compact_set_series(_disk(g, 0.0, 0.0, 0.5), stages=4,
                                  degree_cap=16)
@@ -567,7 +570,7 @@ def test_interleave_evaluator_matches_children(pair, monkeypatch):
                  "countable-blocks": (countable, compact),
                  "blocks-blocks": (compact, _unshared_block_series())}[pair]
     F = construct.interleave(even, odd)
-    walks, tables = [], []
+    walks, sups, tables = [], [], []
     walk, table = construct._log_mags, construct._product_table
 
     def walk_spy(series, z, lo, hi):
@@ -578,19 +581,99 @@ def test_interleave_evaluator_matches_children(pair, monkeypatch):
         tables.append(args[3:])
         return table(*args)
 
+    def spy_on_tail_sup(cls):
+        helper = cls.tail_sup
+
+        def spy(self, z, lo, hi, divisors=None):
+            sups.append((self is even.structure, self is odd.structure, lo,
+                         hi, list(divisors)))
+            return helper(self, z, lo, hi, divisors)
+
+        monkeypatch.setattr(cls, "tail_sup", spy)
+
     monkeypatch.setattr(construct, "_log_mags", walk_spy)
     monkeypatch.setattr(construct, "_product_table", table_spy)
+    spy_on_tail_sup(BlockStructure)
+    spy_on_tail_sup(CountableStructure)
     for N in (16, 17, F.max_supported_n):
         lo, _ = tail_window(N)
         walks.clear()
+        sups.clear()
         tables.clear()
         _assert_tail_sup_matches_oracle(F, g, N)
-        assert walks == [(True, False, (lo + 1) // 2, N // 2),
-                         (False, True, lo // 2, (N - 1) // 2)]
-        product_walks = [w[2:] for w in walks
-                         if (w[0] and even is countable)
-                         or (w[1] and odd is countable)]
-        assert tables == product_walks  # one table per walk, not per order
+        assert walks == []  # no child is walked order by order
+        a, b, c, d = (lo + 1) // 2, N // 2, lo // 2, (N - 1) // 2
+        assert sups == [
+            (True, False, a, b, [2.0 * m for m in range(a, b + 1)]),
+            (False, True, c, d, [2.0 * m + 1 for m in range(c, d + 1)])]
+        product_sups = [s[2:4] for s in sups
+                        if (s[0] and even is countable)
+                        or (s[1] and odd is countable)]
+        assert tables == product_sups  # one table per child, not per order
+
+
+def _interleave_points(F):
+    """A 48 x 48 grid's centers, then every root and point of F's
+    children."""
+    roots = set()
+    for child in (F.structure.even, F.structure.odd):
+        s = child.structure
+        roots |= set(s.points) if isinstance(s, CountableStructure) else {
+            r for h in s.members for r in h.roots}
+    centers = Grid.from_box(-2.0, -2.0, 2.0, 2.0, 48, 48).centers().ravel()
+    return np.concatenate([centers, np.array(sorted(roots, key=repr))])
+
+
+@pytest.mark.parametrize("build", [
+    lambda: construct.interleave(hand_block_series(), compact_series()),
+    lambda: construct.interleave(countable_series(), sigma_series()),
+], ids=["hand-blocks-compact", "countable-sigma"])
+def test_interleave_tail_sup_is_bit_identical_to_the_per_order_loop(build):
+    # _windows holds lo = 1, where F_1 = g_0 is read apart, and lo = 2
+    F = build()
+    zs = _interleave_points(F)
+    windows = _windows(F.max_supported_n)
+    assert {1, 2} <= {lo for lo, _ in windows}
+    on_root = False
+    for lo, hi in windows:
+        got = F.structure.tail_sup(zs, lo, hi)
+        assert got.tobytes() == _per_order_sup(F, zs, lo, hi).tobytes()
+        on_root |= bool(np.isneginf(got).any())
+    assert on_root
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_interleave_tail_sup_rejects_nan_with_the_per_order_message():
+    # the countable child's orders n >= 2 are NaN on a cell on its root a,
+    # and the block child's never; the first offending interleaved order
+    # is that of the child's first NaN order in the window
+    g = Grid.from_box(-1.0, -1.0, 1.0, 1.0, 8, 8)
+    a = complex(g.centers()[5, 2])
+    pts = (a, complex(math.inf, 0.0)) + tuple(
+        complex(0.1 * k, -0.05 * k) for k in range(1, 16))
+    nan = countable_series_from_tables(CountableStructure(
+        pts, tuple(0.5 * n for n in range(17)), (0.5,) * 16))
+    for F in (construct.interleave(hand_block_series(), nan),
+              construct.interleave(nan, hand_block_series())):
+        assert np.isnan(F.structure.tail_sup(g.centers(), 8, 16)).any()
+        with pytest.raises(RuntimeError) as fast:
+            conv_map(F, g, 16, B=0.0, M=1.0)
+        with pytest.raises(RuntimeError) as slow:
+            _per_order_sup(F, g.centers(), 8, 16)
+        assert str(fast.value) == str(slow.value)
+
+
+def test_interleave_without_a_child_tail_sup_walks_the_orders():
+    g = Grid.from_box(-1.0, -1.0, 1.0, 1.0, 8, 8)
+    f = oracle_series(lambda n, z: np.full(np.shape(z), 0.5 * n),
+                      max_supported_n=20)
+    for F in (construct.interleave(f, hand_block_series()),
+              construct.interleave(construct.interleave(hand_block_series(),
+                                                        f), f)):
+        assert F.structure.tail_sup is None
+        got = conv_map(F, g, 16, B=0.0, M=1.0).exponents
+        assert got.tobytes() == _per_order_sup(F, g.centers(), 8,
+                                               16).tobytes()
 
 
 @pytest.mark.parametrize("kind", ["blocks", "countable", "interleave"])
