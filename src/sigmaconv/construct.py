@@ -380,14 +380,15 @@ def separating_family(K: RegionMask, U: RegionMask, target: RegionMask,
     family.  Degrees past ``degree_cap`` are not tried; remaining target
     cells go into the uncovered report.
     """
-    return _separating_families(K, [("", U, target, m)], degree_cap)[0]
+    return _separating_families(K, [("", U, target, m)], degree_cap)[1][0]
 
 
-def _separating_families(K: RegionMask,
-                         stages: Sequence[tuple[str, RegionMask, RegionMask, int]],
-                         degree_cap: int) -> list[SeparatingFamily]:
+def _separating_families(
+        K: RegionMask, stages: Sequence[tuple[str, RegionMask, RegionMask, int]],
+        degree_cap: int) -> tuple[tuple[complex, ...], list[SeparatingFamily]]:
     """separating_family for each (label, U, target, m) stage over one K,
-    with K's convexity checked once and errors prefixed by the label.
+    with K's convexity checked once and errors prefixed by the label, and
+    the sequence every member is a prefix of, up to the highest degree.
 
     Multi-cell stages share one Leja sequence, whose log_sups give each
     degree's sup over K, and one target-side root-log row per degree; each
@@ -418,6 +419,7 @@ def _separating_families(K: RegionMask,
     uncovered = [np.zeros((grid.height, grid.width), dtype=bool)
                  for _ in stages]
     notes = [""] * len(stages)
+    sequence: tuple[complex, ...] = ()
     live: list[int] = []
     for i, (label, _, target, m) in enumerate(stages):
         if target.is_empty():
@@ -429,9 +431,9 @@ def _separating_families(K: RegionMask,
             # |z - a| is 0), so scale the linear factor directly; the nearest
             # target cell sits exactly at value m, which float rounding can
             # drop an ulp below the threshold, hence the relative shave
-            a = complex(K.cell_centers()[0])
+            sequence = (complex(K.cell_centers()[0]),)
             rho = (set_distance(K, target) / m) * (1.0 - 1e-12)
-            members[i].append(RootPolynomial((a,), -math.log(rho)))
+            members[i].append(RootPolynomial(sequence, -math.log(rho)))
             uncovered[i][target.bits] = ~(np.asarray(members[i][0].log_abs(
                 target.cell_centers())) >= math.log(m))
             notes[i] = (f"single-cell K: member (z - a)/rho with rho = "
@@ -458,6 +460,7 @@ def _separating_families(K: RegionMask,
                 if reached.any():
                     members[i].append(member)
                     need[i] &= ~reached
+                    sequence = member.roots
             live = [i for i in live if need[i].any()]
             if not live:
                 break
@@ -469,54 +472,41 @@ def _separating_families(K: RegionMask,
         for i in live:
             uncovered[i].flat[cells[need[i]]] = True
 
-    return [SeparatingFamily(m, found, K, target,
-                             RegionMask(grid, bits, OPEN), note)
-            for (_, _, target, m), found, bits, note
-            in zip(stages, members, uncovered, notes)]
+    return sequence, [SeparatingFamily(m, found, K, target,
+                                       RegionMask(grid, bits, OPEN), note)
+                      for (_, _, target, m), found, bits, note
+                      in zip(stages, members, uncovered, notes)]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BlockStructure:
-    """Members of a powered block series, with stage block sizes.
+    """Members of a powered block series, on their root sequences.
 
-    Member l (1-based) gives coefficient f_l = h_l^l; block k holds members
-    with index in (n_1+..+n_{k-1}, n_1+..+n_k].  ``f0_log_mag`` is the
-    log-magnitude of the constant term.
+    Member l (1-based) gives coefficient f_l = h_l^l, where h_l has the
+    roots ``sequences[s][:d]`` for (s, d) = ``placement[l - 1]`` and the
+    log-scale ``log_scales[l - 1]``; block k holds members with index in
+    (n_1+..+n_{k-1}, n_1+..+n_k].  ``f0_log_mag`` is the log-magnitude of
+    the constant term.
 
     The members of a separating-family stage, and of every stage built in
-    lockstep with it, are prefixes of one Leja sequence.  ``prefix_index``
-    recovers those sequences from the members on first use, and
-    ``tail_sup`` keeps one running root sum per sequence, so each root term
-    is evaluated once per sequence and cell, however many members share it.
+    lockstep with it, are prefixes of one stored Leja sequence, and
+    ``tail_sup`` keeps one running root sum per sequence, so each root
+    term is evaluated once per sequence and cell, however many share it.
     """
 
-    members: tuple[RootPolynomial, ...]
+    sequences: tuple[tuple[complex, ...], ...]
+    placement: np.ndarray  # (member, 2) rows: sequence index, degree
+    log_scales: np.ndarray
     block_sizes: tuple[int, ...]
     f0_log_mag: float
     uncovered_counts: tuple[int, ...] = ()
 
     @cached_property
-    def prefix_index(self) -> tuple[list[tuple[complex, ...]], np.ndarray]:
-        """(sequences, placement): the distinct root sequences, and per
-        member a row (sequence, degree) of placement, such that member l
-        (1-based) has the roots ``sequences[s][:d]`` for (s, d) =
-        placement[l - 1].
-
-        A member joins the current sequence when its roots are a prefix of
-        it or extend it, and starts a new one otherwise.
-        """
-        sequences: list[tuple[complex, ...]] = []
-        placement = np.empty((len(self.members), 2), dtype=np.intp)
-        current: tuple[complex, ...] = ()
-        for ell, h in enumerate(self.members):
-            k = min(len(h.roots), len(current))
-            if not sequences or h.roots[:k] != current[:k]:
-                sequences.append(h.roots)
-            elif len(h.roots) > len(current):
-                sequences[-1] = h.roots
-            current = sequences[-1]
-            placement[ell] = len(sequences) - 1, len(h.roots)
-        return sequences, placement
+    def members(self) -> tuple[RootPolynomial, ...]:
+        """Each member as a RootPolynomial, read from the stored fields."""
+        return tuple(RootPolynomial(self.sequences[s][:d], scale)
+                     for (s, d), scale in zip(self.placement.tolist(),
+                                              self.log_scales.tolist()))
 
     def tail_sup(self, z: np.ndarray | complex, lo: int, hi: int,
                  divisors: np.ndarray | None = None) -> np.ndarray:
@@ -524,8 +514,8 @@ class BlockStructure:
         which defaults to n, in z's shape, with 1 <= lo; a cell with a NaN
         order gets a NaN sup.
 
-        For each chunk of cells, each sequence of ``prefix_index`` with a
-        member in the window keeps one running root sum.  At each degree,
+        For each chunk of cells, each sequence with a member in the window
+        keeps one running root sum.  At each degree,
         the window members of that degree fold in as
         ell * (running + log_scale), divided by their divisors, which is
         log_mags' value divided as the per-order loop of series._sup (or
@@ -538,13 +528,11 @@ class BlockStructure:
         """
         zs = np.asarray(z, dtype=complex)
         flat = zs.ravel()
-        sequences, placement = self.prefix_index
-        seq, degree = placement[lo - 1:hi].T
+        seq, degree = self.placement[lo - 1:hi].T
         ells = np.arange(lo, hi + 1, dtype=float)
         if divisors is None:
             divisors = ells
-        scales = np.array([h.log_scale for h in self.members[lo - 1:hi]],
-                          dtype=float)
+        scales = self.log_scales[lo - 1:hi]
         # the window's members grouped by (sequence, degree, log_scale),
         # in ascending degree within each sequence
         order = np.lexsort((scales, degree, seq))
@@ -565,7 +553,7 @@ class BlockStructure:
             for s, folds in runs.items():
                 total, done = np.zeros(cells.shape), 0
                 for d, scale, ell, divisor in folds:
-                    for r in sequences[s][done:d]:
+                    for r in self.sequences[s][done:d]:
                         total += _log_abs(cells - r)
                     done = d
                     block = ell * (total + scale)
@@ -577,53 +565,75 @@ class BlockStructure:
         """Yield log|f_n(z)| for n = lo..hi, in order, with 0 <= lo.
 
         Order 0 is the constant term, f0_log_mag everywhere.  Consecutive
-        members on one sequence of ``prefix_index`` share a running root
-        sum, which restarts when a member changes sequence or has a lower
-        degree than the one before it.  The sum starts from zero, adds
-        roots in order and folds log_scale in last, exactly as
-        RootPolynomial.log_abs does, so every value is bit-identical to the
-        per-member evaluation.
+        members on one sequence share a running root sum, which restarts
+        when a member changes sequence or has a lower degree than the one
+        before it.  The sum starts from zero, adds roots in order and folds
+        log_scale in last, exactly as RootPolynomial.log_abs does, so every
+        value is bit-identical to the per-member evaluation.
         """
         zs = np.asarray(z, dtype=complex)
         if lo == 0 <= hi:
             yield np.full(zs.shape, self.f0_log_mag)
-        sequences, placement = self.prefix_index
         current, done, total = -1, 0, np.zeros(zs.shape)
         for ell in range(max(lo, 1), hi + 1):
-            s, d = placement[ell - 1]
+            s, d = self.placement[ell - 1]
             if s != current or d < done:
                 current, done, total = s, 0, np.zeros(zs.shape)
-            for r in sequences[s][done:d]:
+            for r in self.sequences[s][done:d]:
                 total += _log_abs(zs - r)
             done = d
-            yield ell * (total + self.members[ell - 1].log_scale)
+            yield ell * (total + self.log_scales[ell - 1])
+
+
+def block_series_from_tables(
+        sequences: Sequence[tuple[complex, ...]],
+        placement: Sequence[tuple[int, int]], log_scales: Sequence[float],
+        block_sizes: Sequence[int], f0_log_mag: float, description: str,
+        uncovered_counts: Sequence[int] = ()) -> CoefficientSeries:
+    """The block series of the tables BlockStructure stores."""
+    if sum(block_sizes) != len(log_scales):
+        raise ValueError("block sizes do not sum to the member count")
+    if len(uncovered_counts) not in (0, len(block_sizes)):
+        raise ValueError("uncovered counts must hold one entry per block")
+    structure = BlockStructure(
+        tuple(sequences), np.array(placement, dtype=np.intp).reshape(-1, 2),
+        np.array(log_scales, dtype=float), tuple(block_sizes), f0_log_mag,
+        tuple(uncovered_counts))
+    return CoefficientSeries(description=description,
+                             max_supported_n=len(log_scales),
+                             structure=structure)
 
 
 def block_series(members: Sequence[RootPolynomial],
                  block_sizes: Sequence[int], f0_log_mag: float,
                  description: str,
                  uncovered_counts: Sequence[int] = ()) -> CoefficientSeries:
-    """Series with coefficients f_0 = e^{f0_log_mag}, f_l = h_l^l."""
+    """Series with coefficients f_0 = e^{f0_log_mag}, f_l = h_l^l, each
+    member on a root sequence of its own: roots are never merged by value,
+    as 0.0 + 1j == -0.0 + 1j, yet a series file writes them apart."""
     members = tuple(members)
-    if sum(block_sizes) != len(members):
-        raise ValueError("block sizes do not sum to the member count")
-    if len(uncovered_counts) not in (0, len(block_sizes)):
-        raise ValueError("uncovered counts must hold one entry per block")
-    structure = BlockStructure(members, tuple(block_sizes), f0_log_mag,
-                               tuple(uncovered_counts))
-    return CoefficientSeries(description=description,
-                             max_supported_n=len(members),
-                             structure=structure)
+    return block_series_from_tables(
+        [h.roots for h in members],
+        [(s, h.degree) for s, h in enumerate(members)],
+        [h.log_scale for h in members], block_sizes, f0_log_mag,
+        description, uncovered_counts)
 
 
-def _stage_blocks(families: Sequence[SeparatingFamily], f0_log_mag: float,
-                  description: str) -> CoefficientSeries:
-    """Block series of the families' members, one stage block per family."""
-    return block_series(
-        [p for family in families for p in family.members],
+def _stage_blocks(
+        groups: Sequence[tuple[tuple[complex, ...], list[SeparatingFamily]]],
+        f0_log_mag: float, description: str) -> CoefficientSeries:
+    """Block series of the families' members, one stage block per family,
+    from each lockstep group's (sequence, families); a group without
+    members has an empty sequence, which is not stored."""
+    stored = [(sequence, group) for sequence, group in groups if sequence]
+    members = [(s, p) for s, (_, group) in enumerate(stored)
+               for family in group for p in family.members]
+    families = [family for _, group in groups for family in group]
+    return block_series_from_tables(
+        [sequence for sequence, _ in stored],
+        [(s, p.degree) for s, p in members], [p.log_scale for _, p in members],
         [len(family.members) for family in families], f0_log_mag,
-        description=description,
-        uncovered_counts=[family.uncovered.count() for family in families])
+        description, [family.uncovered.count() for family in families])
 
 
 def compact_set_series(K: RegionMask, stages: int,
@@ -646,7 +656,7 @@ def compact_set_series(K: RegionMask, stages: int,
              RegionMask(grid, (dist_k > 1.0 / m) & (abs_z <= m), OPEN), m)
             for m in range(1, stages + 1)]
     return _stage_blocks(
-        _separating_families(K, plan, degree_cap), -math.inf,
+        [_separating_families(K, plan, degree_cap)], -math.inf,
         description=f"compact-set series, {stages} stages on {K.count()} cells")
 
 
@@ -662,15 +672,15 @@ def sigma_convex_series(decomp, omega: RegionMask,
     if omega.grid != decomp.grid:
         raise ValueError("omega does not live on the decomposition's grid")
     exhaust = exhaustion(omega)
-    families: list[SeparatingFamily] = []
+    groups = []
     for _, group in groupby(range(1, decomp.n_max + 1),
                             key=lambda k: decomp.E_list[k - 1].bits.tobytes()):
         ks = list(group)
-        families += _separating_families(
+        groups.append(_separating_families(
             decomp.E_list[ks[0] - 1],
             [(f"stage {k}: ", decomp.U_list[k - 1],
               exhaust(k).difference(decomp.U_list[k - 1], kind=OPEN), k)
-             for k in ks], degree_cap)
-    return _stage_blocks(families, 0.0,
+             for k in ks], degree_cap))
+    return _stage_blocks(groups, 0.0,
                          description=f"sigma-convex series, {decomp.n_max} stages")
 

@@ -8,11 +8,10 @@ Malformed files raise ValueError.  Log scales may be -Infinity (the
 Python json dialect); complex numbers are stored as [re, im] pairs.
 
 save_series writes json.dumps(series_to_json(series), indent=1) byte for
-byte.  The members of a lockstep group are prefixes of one Leja sequence,
-yet each is stored in full, so load_series reads each members list in that
-layout from the text: a member that repeats a prefix of the running
-sequence's text takes a slice of its roots, and only new text is parsed.
-Any other layout goes through json.loads as it is, with the same checks.
+byte, formatting each stored root sequence's pairs once, and load_series
+reads each members list in that layout from the text: a member repeating a
+prefix of the running sequence's text is placed on it, and only new text is
+parsed.  Any other layout goes through json.loads, with the same checks.
 """
 
 from __future__ import annotations
@@ -21,11 +20,13 @@ import cmath
 import hashlib
 import json
 import math
+from itertools import accumulate
 from pathlib import Path
 
 from . import pgmio
 from .construct import (BlockStructure, CountableStructure,
                         InterleaveStructure, RootPolynomial, block_series,
+                        block_series_from_tables,
                         countable_series_from_tables, interleave)
 from .decompose import SKIPPED, VERIFIED, Decomposition
 from .geometry import Grid, RegionMask
@@ -131,34 +132,35 @@ _PLACEHOLDER = "9" * 24
 
 
 class _Decoded(tuple):
-    """Members that _decode_members read from a file's text."""
+    """The (sequences, placement, log_scales) _decode_members read."""
 
 
 def _decode_members(text: str, start: int,
                     level: int) -> tuple[_Decoded, int] | None:
-    """The members of the list that opens at text[start], written as
-    _members_text(members, level) writes it, and the index after the list;
+    """The tables of the members list that opens at text[start], written
+    as _members_text(s, level) writes it, and the index after the list;
     None for any other layout or an invalid value, which json.loads and
     _members_from_json then read, and reject, as for any other file.
 
     A member whose roots text repeats a prefix of the running sequence's
-    text, ending on a pair boundary, takes a slice of that sequence's
-    roots; only text that extends the sequence or starts a new one goes
-    through json.loads and _j2c.  The comparison is of text, where -0.0 is
-    not 0.0 and true is not 1.0, so each root keeps the pair it was stored
-    as.  Each log_scale goes through _real once per distinct text.
+    text, ending on a pair boundary, is placed on that sequence; only text
+    that extends the sequence or starts a new one goes through json.loads
+    and _j2c.  The comparison is of text, where -0.0 is not 0.0 and true is
+    not 1.0, so each root keeps the pair it was stored as.  No text marks
+    where a lockstep group ends, so a group whose sequence text is a prefix
+    of the one before, or extends it, shares that sequence.  Each log_scale
+    goes through _real once per distinct text.
     """
     ind = [" " * (level + i) for i in range(3)]
-    if text.startswith("[]", start):
-        return _Decoded(), start + 2
+    decoded = _Decoded(([], [], []))
+    sequences, placement, log_scales = decoded
     head = f'\n{ind[1]}{{\n{ind[2]}"roots": ['
     scale_key = f'],\n{ind[2]}"log_scale": '  # also ends an empty roots list
     roots_end, tail = f"\n{ind[2]}{scale_key}", f"\n{ind[1]}}}"
     close = f"\n{ind[0]}]"
-    seq, roots = "", ()  # the running sequence's roots text, and its roots
+    seq = ""  # the running sequence's roots text
     degrees = {0: 0}  # offset in seq after each whole pair -> pairs so far
     scales: dict[str, float] = {}
-    members = []
     pos = start + 1
     try:
         while True:
@@ -167,6 +169,8 @@ def _decode_members(text: str, start: int,
             pos += len(head)
             if text.startswith(scale_key, pos):
                 pos, d = pos + len(scale_key), 0
+                if not sequences:
+                    sequences.append(())
             else:
                 end = text.find(roots_end, pos)
                 if end < 0:
@@ -179,25 +183,26 @@ def _decode_members(text: str, start: int,
                     if seq and stored.startswith(seq + ","):
                         new = stored[len(seq) + 1:]
                     else:
-                        seq, roots, degrees, new = "", (), {0: 0}, stored
+                        seq, degrees, new = "", {0: 0}, stored
+                        sequences.append(())
                     added = tuple(map(_j2c, json.loads("[" + new + "]")))
                     if not added:
                         return None
-                    at = len(stored) - len(new)
-                    for k in range(len(roots), len(roots) + len(added)):
+                    seq, sequences[-1] = stored, sequences[-1] + added
+                    d, at = len(sequences[-1]), len(stored) - len(new)
+                    for k in range(d - len(added) + 1, d + 1):
                         at = stored.index("]", at) + 1  # each pair's last ]
-                        degrees[at] = k + 1
-                    seq, roots = stored, roots + added
-                    d = len(roots)
+                        degrees[at] = k
             end = text.find(tail, pos)
             if end < 0:
                 return None
             value, pos = text[pos:end], end + len(tail)
             if value not in scales:
                 scales[value] = _real(json.loads(value), "member log_scale")
-            members.append(RootPolynomial(roots[:d], scales[value]))
+            placement.append((len(sequences) - 1, d))
+            log_scales.append(scales[value])
             if text.startswith(close, pos):
-                return _Decoded(members), pos + len(close)
+                return decoded, pos + len(close)
             if not text.startswith(",", pos):
                 return None
             pos += 1
@@ -246,12 +251,13 @@ def series_from_json(obj) -> CoefficientSeries:
         members = obj.get("members")
         if type(members) is not _Decoded:
             members = _members_from_json(_list(obj, "members"))
-        return block_series(
-            members,
-            [_count(b, "block size") for b in _list(obj, "block_sizes")],
-            _real(obj.get("f0_log_mag"), "f0_log_mag"), description,
-            [_count(u, "uncovered count")
-             for u in _list(obj, "uncovered_counts", [])])
+        blocks = ([_count(b, "block size") for b in _list(obj, "block_sizes")],
+                  _real(obj.get("f0_log_mag"), "f0_log_mag"), description,
+                  [_count(u, "uncovered count")
+                   for u in _list(obj, "uncovered_counts", [])])
+        if type(members) is _Decoded:
+            return block_series_from_tables(*members, *blocks)
+        return block_series(members, *blocks)
     if kind == "interleave":
         return interleave(series_from_json(obj.get("even")),
                           series_from_json(obj.get("odd")))
@@ -274,54 +280,33 @@ def _float_text(x: float) -> str:
     return repr(x) if math.isfinite(x) else json.dumps(x)
 
 
-def _signs(r) -> tuple[float, float]:
-    # complex == cannot tell -0.0 from 0.0, but json writes them apart
-    return math.copysign(1.0, r.real), math.copysign(1.0, r.imag)
-
-
-def _members_text(members, level: int) -> str:
-    """The json indent=1 text of [_member_to_json(m) for m in members],
+def _members_text(s: BlockStructure, level: int) -> str:
+    """The json indent=1 text of [_member_to_json(m) for m in s.members],
     for a list nested ``level`` deep.
 
-    Consecutive members whose roots extend one another (the members of a
-    separating-family stage are prefixes of one Leja sequence) share the
-    text of their common root pairs, so each pair is formatted once per
-    run of such members, as _decode_members parses it once.  A root whose
-    zero signs differ from the run's starts a new run, since complex ==
-    cannot tell them apart.
+    Each sequence's root pairs are formatted once, each after a comma, and
+    a member of degree d writes the first d pairs of its sequence's text,
+    without the first comma.
     """
-    if not members:
+    if not s.log_scales.size:
         return "[]"
     ind = [" " * (level + i) for i in range(5)]
-    pair = f"\n{ind[3]}[\n{ind[4]}%s,\n{ind[4]}%s\n{ind[3]}]"
+    pair = f",\n{ind[3]}[\n{ind[4]}%s,\n{ind[4]}%s\n{ind[3]}]"
     head = f"\n{ind[1]}{{\n{ind[2]}\"roots\": ["
-    roots_end = f"\n{ind[2]}],\n{ind[2]}\"log_scale\": "
-    empty = f"\n{ind[1]}{{\n{ind[2]}\"roots\": [],\n{ind[2]}\"log_scale\": "
+    # by d > 0: json.dumps writes an empty roots list as [] on one line
+    roots_end = (f"],\n{ind[2]}\"log_scale\": ",
+                 f"\n{ind[2]}],\n{ind[2]}\"log_scale\": ")
     tail = f"\n{ind[1]}}}"
-    prefix: tuple = ()
-    zeros: list[tuple[int, tuple[float, float]]] = []  # signs in prefix
-    body = ""  # the pairs of prefix, comma-separated
+    texts, offsets = [], []  # per sequence: its pairs, the end of each
+    for sequence in s.sequences:
+        pairs = [pair % (_float_text(r.real), _float_text(r.imag))
+                 for r in sequence]
+        texts.append("".join(pairs))
+        offsets.append(list(accumulate(map(len, pairs), initial=0)))
     out = []
-    for m in members:
-        roots = m.roots
-        if roots[:len(prefix)] != prefix or any(
-                _signs(roots[i]) != signs for i, signs in zeros):
-            prefix, zeros, body = (), [], ""
-        start = len(prefix)
-        new = ",".join(pair % (_float_text(float(r.real)),
-                               _float_text(float(r.imag)))
-                       for r in roots[start:])
-        if new:
-            zeros += [(i, _signs(r))
-                      for i, r in enumerate(roots[start:], start)
-                      if r.real == 0 or r.imag == 0]
-            body = body + "," + new if body else new
-        prefix = roots
-        log_scale = json.dumps(m.log_scale)
-        if roots:
-            out += (head, body, roots_end, log_scale, tail, ",")
-        else:
-            out += (empty, log_scale, tail, ",")
+    for (k, d), log_scale in zip(s.placement.tolist(), s.log_scales.tolist()):
+        out += (head, texts[k][1:offsets[k][d]], roots_end[d > 0],
+                _float_text(log_scale), tail, ",")
     out[-1] = f"\n{ind[0]}]"  # the last member ends the list, not a comma
     return "[" + "".join(out)
 
@@ -337,7 +322,7 @@ def _series_text(series: CoefficientSeries, level: int) -> str:
             ("f0_log_mag", json.dumps(s.f0_log_mag)),
             ("block_sizes", _json_text(list(s.block_sizes), inner)),
             ("uncovered_counts", _json_text(list(s.uncovered_counts), inner)),
-            ("members", _members_text(s.members, inner)),
+            ("members", _members_text(s, inner)),
             ("description", json.dumps(series.description))], level)
     if isinstance(s, InterleaveStructure):
         return _object_text([
@@ -445,7 +430,7 @@ def load_decomposition(outdir: str | Path) -> Decomposition:
     Only the stage tables needed for replay (E_n, U_n) are restored; the
     per-piece tables and the original compact list are not persisted.
     Every stage mask E_n, U_n (n = 1..n_max) must be listed in the manifest,
-    and checksums are verified before any mask is parsed.
+    and no other file; checksums are verified before any mask is parsed.
     """
     outdir = Path(outdir)
     manifest = _object(json.loads((outdir / "manifest.json").read_text()),
@@ -459,8 +444,11 @@ def load_decomposition(outdir: str | Path) -> Decomposition:
         raise ValueError(f"hull_identity must hold {n_max} entries, each "
                          f"{VERIFIED!r} or {SKIPPED!r}, got {status!r:.60}")
     files = _object(manifest.get("files"), "files")
-    for name in (f"{p}_{n:03d}.pgm" for n in range(1, n_max + 1)
-                 for p in "EU"):
+    # n_max is bounded by the hull_identity list it equals in length
+    names = [f"{p}_{n:03d}.pgm" for n in range(1, n_max + 1) for p in "EU"]
+    for name in sorted(files.keys() - set(names)):
+        raise ValueError(f"manifest lists {name!r}, not a stage 1..{n_max} mask")
+    for name in names:
         if name not in files:
             raise ValueError(f"manifest lists no checksum for {name}")
     for name, digest in files.items():

@@ -337,9 +337,20 @@ def assert_same_family(got, alone):
     assert got.note == alone.note and got.m == alone.m
 
 
+def assert_members_on_sequence(sequence, group):
+    """Every member is the group sequence's prefix of its degree, and the
+    sequence ends at the highest member degree."""
+    degrees = [p.degree for family in group for p in family.members]
+    assert len(sequence) == max(degrees, default=0)
+    for family in group:
+        for p in family.members:
+            assert p.roots == sequence[:p.degree]
+
+
 def lockstep_matches_one_by_one(K, stages, cap):
-    group = _separating_families(K, stages, cap)
+    sequence, group = _separating_families(K, stages, cap)
     assert len(group) == len(stages)
+    assert_members_on_sequence(sequence, group)
     for got, (_, U, target, m) in zip(group, stages):
         assert_same_family(got, separating_family(K, U, target, m, cap))
     return group
@@ -437,8 +448,9 @@ def row_compactions(unreached, row):
 def matches_reference(K, stages, cap):
     """The lockstep families equal reference_family stage by stage; returns
     the group and how often its row compacts."""
-    group = _separating_families(K, stages, cap)
+    sequence, group = _separating_families(K, stages, cap)
     assert len(group) == len(stages)
+    assert_members_on_sequence(sequence, group)
     unreached = []
     for got, (_, _, target, m) in zip(group, stages):
         reference, left = reference_family(K, target, m, cap)

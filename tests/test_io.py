@@ -4,6 +4,7 @@ import json
 import math
 import random
 import re
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -314,6 +315,17 @@ def hand_block_series():
                         description="\u03c3-convex \u2014 na\u00efve")
 
 
+def loaded_hand_block_series():
+    """hand_block_series after save_series and load_series: the text
+    decoder places its members on shared sequences, which block_series
+    never does, so the evaluators' folds that shrink, extend again and
+    have degree 0 run on it."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "s.json"
+        save_series(hand_block_series(), path)
+        return load_series(path)
+
+
 def countable_series():
     return countable_set_series(PointSequence.from_points(
         (0.1 + 0.2j, -0.4 + 0.9j, 1.2 - 0.3j, 0.8 + 0.8j)))
@@ -514,8 +526,32 @@ def test_loaded_members_of_a_sigma_series_convert_each_root_once(tmp_path):
     save_series(series, tmp_path / "s.json")
     loaded = load_series(tmp_path / "s.json").structure
     distinct = {id(r) for h in loaded.members for r in h.roots}
-    sequences, _ = loaded.prefix_index
-    assert len(distinct) == sum(map(len, sequences))
+    assert len(distinct) == sum(map(len, loaded.sequences))
+
+
+def memberless_compact_series():
+    """A one-stage compact series whose shell is empty: its group has no
+    member and stores no sequence."""
+    g = Grid.from_box(-2.0, -2.0, 2.0, 2.0, 48, 48)
+    K = polynomial_hull(rasterize_scene([(1, shapes.Disk(0.0, 0.0, 0.2))], g,
+                                        kind=COMPACT))
+    return compact_set_series(K, stages=1, degree_cap=4)
+
+
+@pytest.mark.parametrize("build", [sigma_series, compact_series,
+                                   memberless_compact_series],
+                         ids=["sigma", "compact", "memberless"])
+def test_loaded_block_series_stores_the_constructed_sequences(tmp_path,
+                                                              build):
+    built = build().structure
+    save_series(build(), tmp_path / "s.json")
+    loaded = load_series(tmp_path / "s.json").structure
+    # repr tells -0.0 from 0.0, which complex == does not
+    assert list(map(repr, loaded.sequences)) == list(map(repr,
+                                                         built.sequences))
+    assert loaded.placement.tolist() == built.placement.tolist()
+    assert loaded.log_scales.tobytes() == built.log_scales.tobytes()
+    assert loaded.block_sizes == built.block_sizes
 
 
 def test_shared_prefix_pairs_are_still_checked():
@@ -589,6 +625,17 @@ def _unlisted_tampered_stage(out, manifest):
     write_mask_pgm(RegionMask(g, bits, COMPACT), out / "E_001.pgm")
 
 
+def _list_file(name, digest):
+    return lambda out, manifest: manifest["files"].update({name: digest})
+
+
+def _outside_file(out, manifest):
+    """List a file beside the export directory, with its true checksum."""
+    (out.parent / "outside.txt").write_text("not a stage mask\n")
+    _list_file("../outside.txt",
+               serialize._sha256(out.parent / "outside.txt"))(out, manifest)
+
+
 MANIFEST_CORRUPTIONS = {
     "unlisted tampered E_001": (_unlisted_tampered_stage,
                                 "no checksum for E_001.pgm"),
@@ -608,6 +655,9 @@ MANIFEST_CORRUPTIONS = {
     "files not an object": (_set(files=[]), "files must be a JSON object"),
     "grid missing": (_drop("grid"), "grid must be a JSON object"),
     "grid without pixel": (_drop("grid", "pixel"), "grid pixel is not a number"),
+    "file outside the export": (_outside_file, "lists '../outside.txt'"),
+    "missing file outside the export": (_list_file("../missing.pgm", "0" * 64),
+                                        "lists '../missing.pgm'"),
 }
 
 

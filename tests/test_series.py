@@ -12,16 +12,17 @@ from sigmaconv import (COMPACT, Grid, Verdict,
                        rasterize_scene, shapes, tail_window)
 from sigmaconv import (PointSequence, RootPolynomial, ascending_decomposition,
                        block_series, compact_set_series, countable_set_series,
-                       load_series, omega_exhaustion, polynomial_hull,
-                       save_series, sigma_convex_series)
+                       leja_points, load_series, omega_exhaustion,
+                       polynomial_hull, save_series, sigma_convex_series)
 from sigmaconv import construct
 from sigmaconv.construct import (BlockStructure, CountableStructure,
                                  InterleaveStructure,
                                  countable_series_from_tables)
 from sigmaconv.series import MIN_N, _log_mags, reject_nan
 from conftest import oracle_series
-from test_io import (compact_series, countable_series,
-                     hand_block_series, sigma_series)
+from test_io import (compact_series, countable_series, hand_block_series,
+                     loaded_hand_block_series, make_decomposition,
+                     sigma_series)
 
 
 def _log_abs(z):
@@ -346,9 +347,10 @@ def _windows(n):
                    tail_window(max(n // 2, 2)), (2, n - 1)})
 
 
-@pytest.mark.parametrize("build", [hand_block_series, sigma_series,
-                                   compact_series],
-                         ids=["hand-blocks", "sigma", "compact"])
+@pytest.mark.parametrize("build", [hand_block_series, loaded_hand_block_series,
+                                   sigma_series, compact_series],
+                         ids=["hand-blocks", "loaded-hand-blocks", "sigma",
+                              "compact"])
 def test_block_tail_sup_is_bit_identical_to_the_per_order_loop(build):
     f = build()
     zs = _points_on_and_off_roots(f)
@@ -360,8 +362,9 @@ def test_block_tail_sup_is_bit_identical_to_the_per_order_loop(build):
     assert on_root
 
 
-@pytest.mark.parametrize("build", [hand_block_series, sigma_series],
-                         ids=["hand-blocks", "sigma"])
+@pytest.mark.parametrize("build", [hand_block_series, loaded_hand_block_series,
+                                   sigma_series],
+                         ids=["hand-blocks", "loaded-hand-blocks", "sigma"])
 def test_block_log_mags_are_bit_identical_to_each_member_alone(build):
     # the per-order loop above is the reference for tail_sup, so log_mags
     # itself is checked against evaluating each member on its own
@@ -386,8 +389,9 @@ def test_block_tail_sup_keeps_its_shape_and_scalar_points():
         f, np.asarray(z), 1, 9).tobytes()
 
 
-@pytest.mark.parametrize("build", [hand_block_series, sigma_series],
-                         ids=["hand-blocks", "sigma"])
+@pytest.mark.parametrize("build", [hand_block_series, loaded_hand_block_series,
+                                   sigma_series],
+                         ids=["hand-blocks", "loaded-hand-blocks", "sigma"])
 def test_block_tail_sup_is_bit_identical_across_cell_chunks(build,
                                                             monkeypatch):
     # a 100-entry block budget splits the 2304 + roots cells into chunks of
@@ -400,24 +404,45 @@ def test_block_tail_sup_is_bit_identical_across_cell_chunks(build,
         assert got.tobytes() == _per_order_sup(f, zs, lo, hi).tobytes()
 
 
-def test_prefix_index_places_each_member_on_one_sequence():
+def test_loaded_hand_series_places_each_member_on_one_sequence():
     members = hand_block_series().structure.members
-    sequences, placement = hand_block_series().structure.prefix_index
+    loaded = loaded_hand_block_series().structure
     # (a, b, c, a + b) takes the first three members, (c, a) the next three
-    # (degree 0 included) and (-0.0 + 1j, b, a) the last three
-    assert [len(s) for s in sequences] == [4, 2, 3]
-    assert placement.tolist() == [[0, 3], [0, 2], [0, 4], [1, 1], [1, 0],
-                                  [1, 2], [2, 1], [2, 2], [2, 3]]
-    for h, (s, d) in zip(members, placement):
-        assert sequences[s][:d] == h.roots
+    # (degree 0 included), 0.0 + 1j the next one and (-0.0 + 1j, b, a) the
+    # last two: the text keeps -0.0 apart from 0.0
+    assert [len(s) for s in loaded.sequences] == [4, 2, 1, 3]
+    assert loaded.placement.tolist() == [[0, 3], [0, 2], [0, 4], [1, 1],
+                                         [1, 0], [1, 2], [2, 1], [3, 2],
+                                         [3, 3]]
+    assert loaded.log_scales.tolist() == [h.log_scale for h in members]
+    for h, (s, d) in zip(members, loaded.placement):
+        assert list(map(repr, loaded.sequences[s][:d])) == list(map(repr,
+                                                                    h.roots))
 
 
 def test_sigma_members_of_a_lockstep_group_share_one_sequence():
-    f = sigma_series()
-    sequences, placement = f.structure.prefix_index
-    assert len(sequences) < len(f.structure.block_sizes)
-    for h, (s, d) in zip(f.structure.members, placement):
-        assert sequences[s][:d] == h.roots
+    # each stored sequence is the Leja sequence of one run of stages with
+    # equal E_k, and every member of those stages sits on it, each stage's
+    # members at ascending degrees
+    _, dec = make_decomposition()
+    s = sigma_series().structure
+    assert len(s.sequences) < len(s.block_sizes)
+    starts = list(accumulate(s.block_sizes, initial=0))
+    stage_sequence = {}
+    for k, (a, b) in enumerate(zip(starts, starts[1:])):
+        seq, degree = s.placement[a:b].T
+        if a < b:
+            assert len(set(seq.tolist())) == 1
+            assert (np.diff(degree) > 0).all()
+            stage_sequence[k] = int(seq[0])
+    for k, i in stage_sequence.items():
+        E = dec.E_list[k]
+        same_E = {j for j in stage_sequence
+                  if dec.E_list[j].same_cells(E)}
+        assert {stage_sequence[j] for j in same_E} == {i}
+        assert s.sequences[i] == leja_points(E, 16).points[:len(
+            s.sequences[i])]
+    assert sorted(set(stage_sequence.values())) == list(range(len(s.sequences)))
 
 
 def test_level_set_of_block_series_matches_oracle():
