@@ -29,11 +29,17 @@ from .geometry import (OPEN, RegionMask, distance_to, exhaustion,
                        polynomial_hull, set_distance)
 from .series import CoefficientSeries, _log_mags
 
-# budget for one chunk of the (order x cell) table that product series fill
-# when they evaluate an order range, and of the (member x cell) block that
-# block series fold at one degree; see _product_tail_sup and
-# BlockStructure.tail_sup
+# budget for one chunk of the working memory of an evaluator: the two passes
+# of _product_tail_sup over a chunk of cells, the (order x cell) table that
+# product series fill when a cell needs every order (_table_sup) or when
+# they yield an order range, and the (member x cell) block that block series
+# fold at one degree (BlockStructure.tail_sup)
 TABLE_BYTES = 1 << 20
+
+# the working rows that _bound_orders and _order_sums keep per cell, in bytes
+_CELL_BYTES = 128
+
+_UNIT_ROUNDOFF = 2.0 ** -53
 
 
 def _log_abs(values: np.ndarray) -> np.ndarray:
@@ -145,21 +151,115 @@ def _product_tail_sup(z: np.ndarray | complex, roots: np.ndarray,
     by divisors[n - lo], which defaults to n, where log_c holds log C_n for
     n = lo..hi and 1 <= lo; a cell with a NaN order gets a NaN sup.
 
-    The (order x cell) table of _product_table is filled TABLE_BYTES at a
-    time, in chunks of cells.
+    Cells go in chunks of TABLE_BYTES // _CELL_BYTES, with two passes over
+    the roots each, and every sup is bit-identical to the max over the
+    (order x cell) table of _product_table.
+
+    That table sums order n by recursive summation of the n + 1 terms
+    log C_n, log|z - roots[0]|, ..., log|z - roots[n-1]|, so its value E_n
+    is within gamma_n * sum|terms| of their exact sum, with
+    gamma_n = n u / (1 - n u) and u = 2^-53 (Higham, Accuracy and Stability
+    of Numerical Algorithms, section 4.2).  The first pass (_bound_orders)
+    keeps one running sum P_n of the root terms for all orders; A_n =
+    log C_n + P_n sums the same terms recursively in another order, so
+    |E_n - A_n| <= 2 gamma_n * sum|terms|.  With S_n the running sum of
+    the root terms' magnitudes, the margin m_n = 4 (n + 2) u (|log C_n| +
+    S_n) exceeds that bound after its own roundings while n u < 1/4, and as
+    rounding is monotone, (A_n - m_n) / d_n <= E_n / d_n <= (A_n + m_n) /
+    d_n holds for the rounded quotients too.  A non-finite A_n equals E_n:
+    finite terms, at most about 745 in magnitude, never overflow a sum,
+    and a sum with an infinite or NaN term has the same value in any
+    order.  The order whose lower bound is highest wins.  Its E_n / d_n is
+    the max when every other order's upper bound is below that lower
+    bound, or when that lower bound is infinite and no upper bound exceeds
+    it.  The second pass (_order_sums) sums only the winner, term by term
+    as the table does, so the bits are the table's.  A cell where the
+    bounds overlap instead (a tie, or a NaN order) takes the table's max
+    (_table_sup).
     """
     zs = np.asarray(z, dtype=complex)
     flat = zs.ravel()
     if divisors is None:
         divisors = np.arange(lo, hi + 1, dtype=float)
-    ns = divisors[:, None]
     sup = np.empty(flat.shape)
-    step = max(1, TABLE_BYTES // (8 * (hi - lo + 1)))
+    step = max(1, TABLE_BYTES // _CELL_BYTES)
     for start in range(0, flat.size, step):
-        acc = _product_table(flat[start:start + step], roots, log_c, lo, hi)
-        acc /= ns
-        sup[start:start + step] = acc.max(axis=0)
+        cells = flat[start:start + step]
+        out = sup[start:start + step]
+        best, exact = _bound_orders(cells, roots, log_c, lo, hi, divisors)
+        if exact.any():
+            orders = best[exact]
+            out[exact] = (_order_sums(cells[exact], roots, log_c, lo, orders)
+                          / divisors[orders - lo])
+        if not exact.all():
+            out[~exact] = _table_sup(cells[~exact], roots, log_c, lo, hi,
+                                     divisors)
     return sup.reshape(zs.shape)
+
+
+def _table_sup(cells: np.ndarray, roots: np.ndarray, log_c: np.ndarray,
+               lo: int, hi: int, divisors: np.ndarray) -> np.ndarray:
+    """_product_tail_sup over a flat cell array from the (order x cell)
+    table of _product_table, filled TABLE_BYTES at a time."""
+    sup = np.empty(cells.shape)
+    step = max(1, TABLE_BYTES // (8 * (hi - lo + 1)))
+    for start in range(0, cells.size, step):
+        acc = _product_table(cells[start:start + step], roots, log_c, lo, hi)
+        acc /= divisors[:, None]
+        sup[start:start + step] = acc.max(axis=0)
+    return sup
+
+
+def _bound_orders(cells: np.ndarray, roots: np.ndarray, log_c: np.ndarray,
+                  lo: int, hi: int, divisors: np.ndarray
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """(best, exact) over a flat cell array: best[k] is the order in
+    lo..hi with the highest lower bound on its exponent at cell k, and
+    exact[k] says that the best order's exponent is the max there (see
+    _product_tail_sup for the bounds).
+
+    The second largest upper bound is below the best lower bound only
+    when the largest belongs to the best order.  A NaN order's NaN upper
+    bound fails both tests of exact, so its cell is never exact.
+    """
+    total = np.zeros(cells.size)
+    size = np.zeros(cells.size)
+    best = np.full(cells.size, lo)
+    best_lower = np.full(cells.size, -np.inf)
+    upper1 = np.full(cells.size, -np.inf)
+    upper2 = np.full(cells.size, -np.inf)
+    for j, r in enumerate(roots[:hi]):
+        term = _log_abs(cells - r)
+        total += term
+        size += np.abs(term)
+        n = j + 1
+        if n < lo:
+            continue
+        c, d = log_c[n - lo], divisors[n - lo]
+        mid = c + total
+        margin = 4 * (n + 2) * _UNIT_ROUNDOFF * (abs(c) + size)
+        margin[~np.isfinite(mid)] = 0.0  # exact, and inf - inf is NaN
+        lower = (mid - margin) / d
+        upper = (mid + margin) / d
+        gain = lower > best_lower
+        best[gain] = n
+        best_lower[gain] = lower[gain]
+        np.maximum(upper2, np.minimum(upper1, upper), out=upper2)
+        np.maximum(upper1, upper, out=upper1)
+    exact = (upper2 < best_lower) | (np.isinf(best_lower)
+                                     & (upper1 == best_lower))
+    return best, exact
+
+
+def _order_sums(cells: np.ndarray, roots: np.ndarray, log_c: np.ndarray,
+                lo: int, orders: np.ndarray) -> np.ndarray:
+    """log|C_n * prod_{j<n} (z - roots[j])| with n = orders[k] at each cell
+    k, summed as _product_table sums it: from log C_n, adding the root
+    terms in sequence, so bit for bit the same."""
+    acc = log_c[orders - lo]
+    for j, r in enumerate(roots[:orders.max()]):
+        np.add(acc, _log_abs(cells - r), out=acc, where=j < orders)
+    return acc
 
 
 def _product_log_mags(z: np.ndarray | complex, roots: np.ndarray,

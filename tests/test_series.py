@@ -2,9 +2,11 @@
 
 import math
 from itertools import accumulate
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sigmaconv import (COMPACT, Grid, Verdict,
                        classify_point, classify_points, conv_map, default_b,
@@ -476,8 +478,9 @@ def _product_series_on_cells():
 @pytest.mark.parametrize("kind", ["countable"])
 @pytest.mark.parametrize("chunk", [None, 1, 7])
 def test_product_evaluator_matches_oracle(kind, chunk, monkeypatch):
-    # chunk None keeps the default table budget (all 195 cells in one
-    # chunk); 1 makes every chunk one cell; 7 leaves a partial last chunk
+    # chunk None keeps the default budget (all 195 cells in one chunk); 1
+    # makes every chunk of _product_tail_sup's two passes one cell; 7
+    # leaves a partial last chunk
     f, g = _product_series_on_cells()
     calls = []
     helper = construct._product_tail_sup
@@ -491,7 +494,7 @@ def test_product_evaluator_matches_oracle(kind, chunk, monkeypatch):
         lo, hi = tail_window(N)
         if chunk is not None:
             monkeypatch.setattr(construct, "TABLE_BYTES",
-                                8 * (hi - lo + 1) * chunk)
+                                construct._CELL_BYTES * chunk)
         _assert_tail_sup_matches_oracle(f, g, N)
         assert calls[-1] == (lo, hi)
     on_roots = np.isin(g.centers(), f.structure.points)
@@ -539,12 +542,121 @@ def test_product_evaluator_rejects_nan_with_the_oracle_message():
     assert str(fast.value) == str(slow.value)
 
 
+def _table_sup_reference(cells, roots, log_c, lo, hi, divisors=None):
+    """max over orders of _product_table's (order x cell) table divided by
+    the divisors, which default to n."""
+    if divisors is None:
+        divisors = np.arange(lo, hi + 1, dtype=float)
+    table = construct._product_table(cells, roots, log_c, lo, hi)
+    return (table / divisors[:, None]).max(axis=0)
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n_on=st.integers(0, 9),
+       n_off=st.integers(0, 9), data=st.data())
+def test_product_tail_sup_is_bit_identical_to_the_table(seed, n_on, n_off,
+                                                        data):
+    # points on cell centres give exact -inf terms from their order on;
+    # windows include lo = 1, divisors the default n and the interleave's
+    # 2m and 2m + 1, chunks run down to one cell, and the table can be
+    # forced on every cell
+    g = Grid.from_box(-1.4, -1.0, 1.4, 1.0, 7, 5)
+    cells = g.centers().ravel()
+    rng = np.random.default_rng(seed)
+    on = cells[rng.choice(cells.size, n_on, replace=False)]
+    off = rng.uniform(-1.5, 1.5, n_off) + 1j * rng.uniform(-1.1, 1.1, n_off)
+    pts = rng.permutation(np.concatenate([on, off, [1.5 + 1.5j, -2.0]]))
+    s = countable_set_series(PointSequence.from_points(pts)).structure
+    lo = data.draw(st.integers(1, len(pts) - 1), label="lo")
+    hi = data.draw(st.integers(lo, len(pts) - 1), label="hi")
+    parity = data.draw(st.sampled_from([None, 0, 1]), label="parity")
+    divisors = None if parity is None else np.arange(
+        2.0 * lo + parity, 2.0 * hi + parity + 1, 2.0)
+    chunk = data.draw(st.integers(1, cells.size + 1), label="chunk")
+    forced = data.draw(st.booleans(), label="table on every cell")
+    roots, log_c = np.array(s.points), np.array(s.log_c[lo:hi + 1])
+    bound = construct._bound_orders
+
+    def no_exact(*args):
+        best, exact = bound(*args)
+        return best, np.zeros_like(exact)
+
+    with mock.patch.object(construct, "TABLE_BYTES",
+                           construct._CELL_BYTES * chunk), \
+            mock.patch.object(construct, "_bound_orders",
+                              no_exact if forced else bound):
+        got = construct._product_tail_sup(cells, roots, log_c, lo, hi,
+                                          divisors)
+    want = _table_sup_reference(cells, roots, log_c, lo, hi, divisors)
+    assert got.tobytes() == want.tobytes()
+
+
+def _roots_on_circle(radius, count):
+    return radius * np.exp(2j * np.pi * np.arange(count) / count)
+
+
+@pytest.mark.parametrize("case", ["tie", "absorbed"])
+def test_product_tail_sup_fills_the_table_where_bounds_overlap(case,
+                                                               monkeypatch):
+    # "tie": every root term at 0 is log 1 = 0, so orders 1 and 2 both have
+    # exponent exactly 1.  "absorbed": every root term at 0 is about log 2
+    # and vanishes when added to 2^53, so order 10 sums to 2^53 while the
+    # running root sum puts it near 2^53 + 6, above order 1's 2^53 + 2: the
+    # bounds must overlap for 0 to take the table's answer, 2^53 + 2.
+    # 3 + 4j has no tie and takes its one exact order
+    z = np.array([0.0j, 3.0 + 4.0j])
+    if case == "tie":
+        roots = _roots_on_circle(1.0, 4)
+        lo, hi, log_c, divisors = 1, 2, np.array([1.0, 2.0]), None
+    else:
+        z = z[:1]
+        roots = _roots_on_circle(2.0, 11)
+        lo, hi, divisors = 1, 10, np.ones(10)
+        log_c = np.array([2.0 ** 53 + 2] + [-np.inf] * 8 + [2.0 ** 53])
+    tables = []
+    table = construct._table_sup
+
+    def spy(cells, *args):
+        tables.append(cells.tolist())
+        return table(cells, *args)
+
+    monkeypatch.setattr(construct, "_table_sup", spy)
+    got = construct._product_tail_sup(z, roots, log_c, lo, hi, divisors)
+    want = _table_sup_reference(z, roots, log_c, lo, hi, divisors)
+    assert got.tobytes() == want.tobytes()
+    assert tables == [[0.0j]]
+    if case == "absorbed":
+        assert got[0] == 2.0 ** 53 + 2
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_product_tail_sup_keeps_nan_and_inf_from_a_root_at_infinity():
+    # from order 2 on every order holds the infinite root's +inf term: +inf
+    # off the root a, NaN on it (-inf + inf); a NaN order makes a NaN sup.
+    # Which NaN a max over a table returns depends on the table's shape,
+    # so NaN entries are compared as NaN
+    g = Grid.from_box(-1.0, -1.0, 1.0, 1.0, 8, 8)
+    cells = g.centers().ravel()
+    a = cells[21]
+    roots = np.array([a, complex(math.inf, 0.0)] + [
+        complex(0.1 * k, -0.05 * k) for k in range(1, 16)])
+    for lo, hi, divisors in ((1, 16, None), (1, 9, np.arange(2.0, 19.0, 2)),
+                             (2, 16, None), (8, 16, None)):
+        log_c = 0.5 * np.arange(lo, hi + 1, dtype=float)
+        got = construct._product_tail_sup(cells, roots, log_c, lo, hi,
+                                          divisors)
+        want = _table_sup_reference(cells, roots, log_c, lo, hi, divisors)
+        assert np.isnan(want[21]) and np.isposinf(np.delete(want, 21)).all()
+        assert np.isnan(got[21])
+        assert np.delete(got, 21).tobytes() == np.delete(want, 21).tobytes()
+
+
 @pytest.mark.parametrize("kind", ["countable"])
 @pytest.mark.parametrize("chunk", [None, 1, 7])
 def test_product_log_mags_match_oracle(kind, chunk, monkeypatch):
-    # chunk None keeps the default table budget (all orders, or all cells,
-    # in one chunk); 1 makes every chunk one order (one cell for level_set);
-    # 7 leaves a partial last chunk
+    # chunk None keeps the default budget (all orders, or all cells, in one
+    # chunk); 1 makes every chunk one order (one cell for level_set's two
+    # passes); 7 leaves a partial last chunk
     f, g = _product_series_on_cells()
     N = f.max_supported_n
     zs = g.centers()
@@ -569,7 +681,8 @@ def test_product_log_mags_match_oracle(kind, chunk, monkeypatch):
         assert np.array_equal(growth_exponent(f, z, N).exponents, oracle)
     assert calls == [(1, N)] * len(points)
     if chunk is not None:
-        monkeypatch.setattr(construct, "TABLE_BYTES", 8 * N * chunk)
+        monkeypatch.setattr(construct, "TABLE_BYTES",
+                            construct._CELL_BYTES * chunk)
     omega = full_domain(g)
     for j in (2, 8):
         ok = np.ones(zs.shape, dtype=bool)
@@ -587,7 +700,8 @@ def test_product_log_mags_match_oracle(kind, chunk, monkeypatch):
 def test_interleave_evaluator_matches_children(pair, monkeypatch):
     # N = 16 and 17 start the tail window on an even and an odd order; each
     # child is evaluated once, by its own tail_sup over its orders in the
-    # window, each divided by its interleaved order
+    # window, each divided by its interleaved order, and the product child
+    # sums one exact order per cell without filling a table
     countable, g = _product_series_on_cells()
     compact = compact_set_series(_disk(g, 0.0, 0.0, 0.5), stages=4,
                                  degree_cap=16)
@@ -631,10 +745,7 @@ def test_interleave_evaluator_matches_children(pair, monkeypatch):
         assert sups == [
             (True, False, a, b, [2.0 * m for m in range(a, b + 1)]),
             (False, True, c, d, [2.0 * m + 1 for m in range(c, d + 1)])]
-        product_sups = [s[2:4] for s in sups
-                        if (s[0] and even is countable)
-                        or (s[1] and odd is countable)]
-        assert tables == product_sups  # one table per child, not per order
+        assert tables == []
 
 
 def _interleave_points(F):
