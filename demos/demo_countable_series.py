@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from sigmaconv import (PointSequence, Verdict, classify_point, conv_map,
-                       countable_set_series, Grid, growth_exponent)
+                       countable_set_series, Grid, tail_window)
 
 pts = [complex(a, b) / 3 for a in (-2, -1, 0, 1, 2) for b in (-1, 0, 1)]
 series = countable_set_series(PointSequence.from_points(pts))
@@ -27,16 +27,15 @@ print(f"{len(pts)} prescribed points, coefficients up to order "
 # window still contains pre-root coefficients, which the scales blow up.
 N, B, M = 14, 0.0, math.log(16.0)
 for k, z in enumerate(pts, start=1):
-    prof = growth_exponent(series, z, N=N)
+    sup = float(series.structure.tail_sup(z, *tail_window(N)))
     verdict = classify_point(series, z, N=N, B=B, M=M)
-    tag = "exact -inf tail" if prof.sup_estimate == -math.inf else \
-        f"tail sup {prof.sup_estimate:+.2f}"
+    tag = "exact -inf tail" if sup == -math.inf else f"tail sup {sup:+.2f}"
     print(f"  z_{k:<2} = {z.real:+.3f}{z.imag:+.3f}i  {verdict.name:<12} {tag}")
 
 # Far from the set, the scales dominate: growth exponent at least log n.
 far = 1.5 + 1.2j
-prof = growth_exponent(series, far, N=N)
-print(f"\nat {far} the order-{N} exponent is {prof.exponents[-1]:.2f} "
+exponent = float(series.structure.tail_sup(far, N, N))
+print(f"\nat {far} the order-{N} exponent is {exponent:.2f} "
       f"(log {N} = {math.log(N):.2f})")
 print("verdict:", classify_point(series, far, N=N, B=B, M=M).name)
 

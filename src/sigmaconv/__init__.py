@@ -30,9 +30,9 @@ from .pgmio import (read_map_pgm, read_mask_pgm, write_map_pgm, write_mask_pgm)
 from .serialize import (export_decomposition, load_decomposition, load_series,
                         save_map, save_series, series_from_json,
                         series_to_json)
-from .series import (DEFAULT_M, DEFAULT_N, ConvergenceMap, GrowthProfile,
-                     Verdict, classify_point, classify_points, conv_map,
-                     default_b, growth_exponent, level_set, tail_window)
+from .series import (DEFAULT_M, DEFAULT_N, ConvergenceMap, Verdict,
+                     classify_point, classify_points, conv_map, default_b,
+                     level_set, tail_window)
 from .shapes import (Annulus, BoxShape, Disk, EmptyPrimitiveWarning,
                      FullPlane, Points, Polygon, ResolutionWarning, Segment,
                      SierpinskiShape, inverted_triangle_holes,

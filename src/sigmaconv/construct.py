@@ -1,8 +1,9 @@
 """Constructors for series with prescribed convergence behavior.
 
 Three constructions are implemented.  Each produces a CoefficientSeries
-whose structure is its one evaluator: it yields log-magnitudes for whole
-order ranges, vectorized over point arrays.
+whose structure is its one evaluator: ``tail_sup`` takes the sup of the
+growth exponents over an order range, vectorized over point arrays, and
+``f0_log_mag`` gives the constant term.
 
 * product series: coefficients C_n * prod_{j<=n} (z - z_j) with the
   countable-set scaling C_n = (n / gamma_n)^n, which forces divergence
@@ -27,13 +28,13 @@ import numpy as np
 
 from .geometry import (OPEN, RegionMask, distance_to, exhaustion,
                        polynomial_hull, set_distance)
-from .series import CoefficientSeries, _log_mags
+from .series import CoefficientSeries
 
 # budget for one chunk of the working memory of an evaluator: the two passes
 # of _product_tail_sup over a chunk of cells, the (order x cell) table that
-# product series fill when a cell needs every order (_table_sup) or when
-# they yield an order range, and the (member x cell) block that block series
-# fold at one degree (BlockStructure.tail_sup)
+# product series fill when a cell needs every order (_table_sup), and the
+# (member x cell) block that block series fold at one degree
+# (BlockStructure.tail_sup)
 TABLE_BYTES = 1 << 20
 
 # the working rows that _bound_orders and _order_sums keep per cell, in bytes
@@ -262,25 +263,6 @@ def _order_sums(cells: np.ndarray, roots: np.ndarray, log_c: np.ndarray,
     return acc
 
 
-def _product_log_mags(z: np.ndarray | complex, roots: np.ndarray,
-                      log_c: np.ndarray, lo: int, hi: int):
-    """Yield log|C_n * prod_{j<n} (z - roots[j])| for n = lo..hi, in z's
-    shape, where log_c holds log C_n for n = lo..hi and 0 <= lo.
-
-    The (order x cell) table of _product_table is filled TABLE_BYTES at a
-    time, in chunks of orders: one chunk for a single point, so the whole
-    range costs hi root logs instead of one per (order, root) pair.
-    """
-    zs = np.asarray(z, dtype=complex)
-    flat = zs.ravel()
-    step = max(1, TABLE_BYTES // (8 * max(1, flat.size)))
-    for a in range(lo, hi + 1, step):
-        b = min(hi, a + step - 1)
-        table = _product_table(flat, roots, log_c[a - lo:b - lo + 1], a, b)
-        for row in table:
-            yield row.reshape(zs.shape)
-
-
 @dataclass(frozen=True)
 class CountableStructure:
     """Product series f_n = C_n * prod_{j<n} (z - points[j]) for
@@ -302,10 +284,10 @@ class CountableStructure:
                                  np.array(self.log_c[lo:hi + 1]), lo, hi,
                                  divisors)
 
-    def log_mags(self, z: np.ndarray | complex, lo: int, hi: int):
-        """Yield log|f_n(z)| for n = lo..hi (see _product_log_mags)."""
-        return _product_log_mags(z, np.array(self.points, dtype=complex),
-                                 np.array(self.log_c[lo:hi + 1]), lo, hi)
+    @property
+    def f0_log_mag(self) -> float:
+        """log|f_0| = log C_0."""
+        return self.log_c[0]
 
 
 def countable_series_from_tables(structure: CountableStructure) -> CoefficientSeries:
@@ -350,16 +332,12 @@ class InterleaveStructure:
     odd: CoefficientSeries
 
     @property
-    def tail_sup(self):
-        """_tail_sup, or None when a child has no tail_sup, so that
-        series._sup walks the orders instead."""
-        if any(getattr(child.structure, "tail_sup", None) is None
-               for child in (self.even, self.odd)):
-            return None
-        return self._tail_sup
+    def f0_log_mag(self) -> float:
+        """log|F_0| = log|f_0|."""
+        return self.even.structure.f0_log_mag
 
-    def _tail_sup(self, z: np.ndarray | complex, lo: int, hi: int,
-                  divisors: np.ndarray | None = None) -> np.ndarray:
+    def tail_sup(self, z: np.ndarray | complex, lo: int, hi: int,
+                 divisors: np.ndarray | None = None) -> np.ndarray:
         """max over n = lo..hi of log|F_n(z)| divided by divisors[n - lo],
         which defaults to n, with 1 <= lo; a cell with a NaN order gets a
         NaN sup.
@@ -367,8 +345,7 @@ class InterleaveStructure:
         Each child's tail_sup takes the child orders m in the window, each
         with the divisor of its order here, 2m or 2m + 1, and the sup is
         the larger of the two.  F_1 = g_0 is an order no tail_sup takes,
-        so it is read through _log_mags.  Every exponent is the per-order
-        loop's, bit for bit.
+        so it is the odd series' f0_log_mag.
         """
         zs = np.asarray(z, dtype=complex)
         if divisors is None:
@@ -377,21 +354,13 @@ class InterleaveStructure:
         for child, parity in ((self.even, 0), (self.odd, 1)):
             a, b = (lo - parity + 1) // 2, (hi - parity) // 2
             if a == 0:  # lo = 1: F_1 = g_0
-                [(_, f0)] = _log_mags(child, zs, 0, 0)
-                np.maximum(sup, f0 / divisors[0], out=sup)
+                np.maximum(sup, child.structure.f0_log_mag / divisors[0],
+                           out=sup)
                 a = 1
             if a <= b:
                 np.maximum(sup, child.structure.tail_sup(
                     zs, a, b, divisors[2 * a + parity - lo::2]), out=sup)
         return sup
-
-    def log_mags(self, z: np.ndarray | complex, lo: int, hi: int):
-        """Yield log|F_n(z)| for n = lo..hi: the even orders from the even
-        series' own evaluator and the odd orders from the odd one's."""
-        evens = _log_mags(self.even, z, (lo + 1) // 2, hi // 2)
-        odds = _log_mags(self.odd, z, lo // 2, (hi - 1) // 2)
-        for n in range(lo, hi + 1):
-            yield next(odds if n % 2 else evens)[1]
 
 
 def interleave(f: CoefficientSeries, g: CoefficientSeries) -> CoefficientSeries:
@@ -617,13 +586,12 @@ class BlockStructure:
         For each chunk of cells, each sequence with a member in the window
         keeps one running root sum.  At each degree,
         the window members of that degree fold in as
-        ell * (running + log_scale), divided by their divisors, which is
-        log_mags' value divided as the per-order loop of series._sup (or
-        of an interleave's, at its own orders) divides it;
+        ell * (running + log_scale), divided by their divisors;
         members with one log_scale (the stages of a lockstep group share
         each degree's member) add it to the running sum once.  The sum
-        starts from zero and adds the same roots in the same order, so
-        every exponent is bit-identical to that loop's.  The (member x
+        starts from zero and adds the roots in order, with log_scale
+        folded in last as RootPolynomial.log_abs does, so every exponent
+        is bit-identical to evaluating its member alone.  The (member x
         cell) block of one log_scale is filled TABLE_BYTES at a time.
         """
         zs = np.asarray(z, dtype=complex)
@@ -660,29 +628,6 @@ class BlockStructure:
                     block /= divisor
                     np.maximum(best, block.max(axis=0), out=best)
         return sup.reshape(zs.shape)
-
-    def log_mags(self, z: np.ndarray | complex, lo: int, hi: int):
-        """Yield log|f_n(z)| for n = lo..hi, in order, with 0 <= lo.
-
-        Order 0 is the constant term, f0_log_mag everywhere.  Consecutive
-        members on one sequence share a running root sum, which restarts
-        when a member changes sequence or has a lower degree than the one
-        before it.  The sum starts from zero, adds roots in order and folds
-        log_scale in last, exactly as RootPolynomial.log_abs does, so every
-        value is bit-identical to the per-member evaluation.
-        """
-        zs = np.asarray(z, dtype=complex)
-        if lo == 0 <= hi:
-            yield np.full(zs.shape, self.f0_log_mag)
-        current, done, total = -1, 0, np.zeros(zs.shape)
-        for ell in range(max(lo, 1), hi + 1):
-            s, d = self.placement[ell - 1]
-            if s != current or d < done:
-                current, done, total = s, 0, np.zeros(zs.shape)
-            for r in self.sequences[s][done:d]:
-                total += _log_abs(zs - r)
-            done = d
-            yield ell * (total + self.log_scales[ell - 1])
 
 
 def block_series_from_tables(

@@ -1,10 +1,10 @@
 """Growth classification of formal power series with function coefficients.
 
 A series f(z, t) = sum_n f_n(z) t^n is represented by the structure that
-built it, which only evaluates its coefficients' log-magnitudes over an
-order range.  This module owns the order ranges: it checks them, takes the
-sup of the exponents over them and reports NaN.  All magnitudes live in log
-space: ``-inf`` encodes an exactly vanishing coefficient and is a
+built it, whose one evaluator is the sup of its growth exponents over an
+order range.  This module owns the order ranges: it checks them, reads the
+sup over them and reports NaN inside the range read.  All magnitudes live
+in log space: ``-inf`` encodes an exactly vanishing coefficient and is a
 first-class value, never NaN.
 
 At a point z the n-th growth exponent is (1/n) * log|f_n(z)|.  Truncated at
@@ -51,64 +51,32 @@ VERDICT_NAMES = {Verdict.DIVERGE: "diverge",
 
 @dataclass
 class CoefficientSeries:
-    """Coefficient log-magnitudes of a series, from its structure.
+    """Coefficient growth of a series, from its structure.
 
     ``structure`` carries the constructive description (see construct.py)
     and only evaluates:
 
-    * ``log_mags(z, lo, hi)`` yields log|f_n(z)| for n = lo..hi, 0 <= lo,
-      in z's shape (-inf allowed);
-    * ``tail_sup(z, lo, hi)``, where present, returns max over n = lo..hi
-      of (1/n) * log|f_n(z)| in z's shape, 1 <= lo, NaN where an order is
-      NaN (product and block series, and interleaves of series that have
-      one).
+    * ``tail_sup(z, lo, hi, divisors=None)`` returns max over n = lo..hi of
+      log|f_n(z)| / divisors[n - lo], the divisors defaulting to n, in z's
+      shape, 1 <= lo; a cell with a NaN order gets a NaN sup;
+    * ``f0_log_mag`` is log|f_0|, which is constant in z.
 
-    Range checks, sups over order ranges and NaN reports live in this
-    module.  ``max_supported_n`` is None for unbounded series.
+    Range checks and NaN reports live in this module.  ``max_supported_n``
+    is None for unbounded series.
     """
 
     structure: object
     description: str = ""
     max_supported_n: int | None = None
 
-    def log_mag(self, n: int, z: np.ndarray | complex) -> np.ndarray:
-        _check_range(self, n, 0)
-        [(_, out)] = _log_mags(self, z, n, n)
-        return out
 
-
-def reject_nan(values, n: int) -> np.ndarray:
-    arr = np.asarray(values, dtype=float)
-    if np.isnan(arr).any():
-        bad = np.argwhere(np.isnan(arr))
+def reject_nan(values, n: int) -> None:
+    """Raise when order n's values hold a NaN, naming the first one."""
+    bad = np.argwhere(np.isnan(np.asarray(values, dtype=float)))
+    if len(bad):
         raise RuntimeError(
             f"coefficient oracle produced NaN at n={n}, "
-            f"first offending entry index {tuple(bad[0])}")
-    return arr
-
-
-def _log_mags(series: CoefficientSeries, z: np.ndarray | complex, lo: int,
-              hi: int):
-    """Yield (n, log|f_n(z)|) for n = lo..hi from the structure, rejecting
-    NaN at the first offending order."""
-    for n, out in zip(range(lo, hi + 1), series.structure.log_mags(z, lo, hi),
-                      strict=True):
-        yield n, reject_nan(out, n)
-
-
-@dataclass
-class GrowthProfile:
-    """Exponents of one point up to order N.
-
-    ``exponents[n-1]`` holds (1/n)*log|f_n(z)| for n = 1..N (the n = 0 term
-    is excluded).  ``sup_estimate`` is the max over the tail window, -inf
-    when every tail coefficient vanishes.
-    """
-
-    point: complex
-    exponents: np.ndarray
-    sup_estimate: float
-    tail_window: tuple[int, int]
+            f"first offending entry index {tuple(map(int, bad[0]))}")
 
 
 @dataclass
@@ -146,44 +114,36 @@ def tail_window(N: int) -> tuple[int, int]:
     return (N + 1) // 2, N
 
 
-def growth_exponent(series: CoefficientSeries, z: complex, N: int) -> GrowthProfile:
-    """Exponent profile of a single point, orders 1..N."""
-    _check_range(series, N, MIN_N)
-    exps = np.empty(N)
-    for n, lm in _log_mags(series, z, 1, N):
-        exps[n - 1] = float(lm) / n
-    lo, hi = tail_window(N)
-    sup = float(np.max(exps[lo - 1:hi]))
-    return GrowthProfile(z, exps, sup, (lo, hi))
-
-
 def _sup(series: CoefficientSeries, zs: np.ndarray, lo: int,
          hi: int) -> np.ndarray:
-    """max over n = lo..hi of (1/n) * log|f_n(zs)|, with 1 <= lo.
+    """max over n = lo..hi of (1/n) * log|f_n(zs)|, with 1 <= lo, from the
+    structure's tail_sup.
 
-    The structure's ``tail_sup`` answers when it has one; otherwise, or when
-    its answer holds a NaN, a running max over the orders does, and the
-    first NaN order raises the same error as evaluating that order alone.
+    A NaN in it raises for the least order n whose sup over lo..n is NaN
+    on some cell, found by bisection over the NaN cells alone, and names
+    the first cell that order is NaN on, as evaluating it alone would.
     """
-    evaluate = getattr(series.structure, "tail_sup", None)
-    if evaluate is not None:
-        sup = evaluate(zs, lo, hi)
-        if not np.isnan(sup).any():
-            return sup
-    sup = np.full(zs.shape, -np.inf)
-    for n, lm in _log_mags(series, zs, lo, hi):
-        np.maximum(sup, lm / n, out=sup)
+    evaluate = series.structure.tail_sup
+    sup = evaluate(zs, lo, hi)
+    nan = np.isnan(sup)
+    if nan.any():
+        cells = zs[nan]
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if np.isnan(evaluate(cells, lo, mid)).any():
+                hi = mid
+            else:
+                lo = mid + 1
+        at_n = np.zeros(zs.shape)
+        at_n[nan] = evaluate(cells, lo, lo)
+        reject_nan(at_n, lo)
     return sup
 
 
 def classify_point(series: CoefficientSeries, z: complex, N: int,
                    B: float, M: float) -> Verdict:
-    """Three-way verdict at one point.  Requires B < M, so the converge and
-    diverge conditions are mutually exclusive.  Unlike conv_map it reads
-    every order 1..N (growth_exponent), so a NaN at any of them raises."""
-    _check_budgets(series, N, B, M)
-    profile = growth_exponent(series, z, N)
-    return Verdict(int(_verdicts(np.asarray(profile.sup_estimate), B, M)))
+    """Three-way verdict at one point: classify_points on z alone."""
+    return Verdict(int(classify_points(series, z, N, B, M)))
 
 
 def _verdicts(sup: np.ndarray, B: float, M: float) -> np.ndarray:
@@ -195,8 +155,8 @@ def _verdicts(sup: np.ndarray, B: float, M: float) -> np.ndarray:
 
 def classify_points(series: CoefficientSeries, zs: np.ndarray, N: int,
                     B: float, M: float) -> np.ndarray:
-    """Vectorized verdicts for an array of points (same thresholds as
-    classify_point, identical arithmetic)."""
+    """Vectorized verdicts for an array of points.  Requires B < M, so the
+    converge and diverge conditions are mutually exclusive."""
     _check_budgets(series, N, B, M)
     zs = np.asarray(zs, dtype=complex)
     return _verdicts(_sup(series, zs, *tail_window(N)), B, M)
@@ -204,12 +164,8 @@ def classify_points(series: CoefficientSeries, zs: np.ndarray, N: int,
 
 def conv_map(series: CoefficientSeries, grid: Grid, N: int, B: float,
              M: float) -> ConvergenceMap:
-    """Classify every cell center of the grid.
-
-    Cell verdicts equal classify_point's at that center, except that a NaN
-    order before the tail window raises there and is not read here: the scan
-    is one deterministic pass over the window's orders, vectorized over cells.
-    """
+    """Classify every cell center of the grid: classify_points on the
+    centers, one pass over the tail window vectorized over cells."""
     _check_budgets(series, N, B, M)
     sup = _sup(series, grid.centers(), *tail_window(N))
     return ConvergenceMap(grid, _verdicts(sup, B, M), sup, N, B, M)

@@ -1,4 +1,5 @@
-"""Shared test helpers: seeded random blob masks and small series builders."""
+"""Shared test helpers: seeded random blob masks, small series builders and
+the per-order reference evaluation of a series."""
 
 import json
 import math
@@ -7,8 +8,9 @@ from typing import Callable
 
 import numpy as np
 
-from sigmaconv import (COMPACT, CoefficientSeries, Grid, RegionMask,
-                       RootPolynomial, block_series)
+from sigmaconv import (COMPACT, BlockStructure, CoefficientSeries,
+                       InterleaveStructure, RegionMask, RootPolynomial,
+                       block_series)
 
 
 def random_polyomino(rng, grid, n_cells):
@@ -48,18 +50,51 @@ def disk_growth_series(center, radius, count):
 
 @dataclass(frozen=True)
 class OracleStructure:
-    """Ad-hoc structure: log|f_n(z)| = fn(n, z), one order at a time."""
+    """Ad-hoc structure: log|f_n(z)| = fn(n, z) for n >= 1, one order at a
+    time, and the constant log|f_0| = f0_log_mag."""
 
     fn: Callable
+    f0_log_mag: float = 0.0
 
-    def log_mags(self, z, lo, hi):
-        for n in range(lo, hi + 1):
-            yield self.fn(n, z)
+    def tail_sup(self, z, lo, hi, divisors=None):
+        zs = np.asarray(z, dtype=complex)
+        if divisors is None:
+            divisors = np.arange(lo, hi + 1, dtype=float)
+        sup = np.full(zs.shape, -np.inf)
+        for n, d in zip(range(lo, hi + 1), divisors):
+            np.maximum(sup, self.fn(n, zs) / d, out=sup)
+        return sup
 
 
 def oracle_series(fn, **kw):
     """Series whose coefficient log-magnitudes come from fn(n, z)."""
     return CoefficientSeries(OracleStructure(fn), **kw)
+
+
+def _log_abs(z):
+    with np.errstate(divide="ignore"):
+        return np.log(np.abs(np.asarray(z, dtype=complex)))
+
+
+def reference_log_mag(series, n, z):
+    """log|f_n(z)| of a block, product, interleave or oracle series at order
+    n alone, independently of the structure's tail_sup: a block member
+    through RootPolynomial.log_abs, a product order from log C_n through
+    its roots in sequence, as the stored rows are summed."""
+    s = series.structure
+    if isinstance(s, InterleaveStructure):
+        return reference_log_mag(s.odd if n % 2 else s.even, n // 2, z)
+    zs = np.asarray(z, dtype=complex)
+    if n == 0:
+        return np.full(zs.shape, s.f0_log_mag)
+    if isinstance(s, OracleStructure):
+        return np.asarray(s.fn(n, zs), dtype=float)
+    if isinstance(s, BlockStructure):
+        return n * np.asarray(s.members[n - 1].log_abs(zs))
+    total = np.full(zs.shape, s.log_c[n])  # log C_n, then roots in order
+    for r in s.points[:n]:
+        total += _log_abs(zs - r)
+    return total
 
 
 def flood_fill_hull(mask):

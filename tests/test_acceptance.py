@@ -15,7 +15,7 @@ from sigmaconv import (COMPACT, DOMAIN, OPEN, Grid, PointSequence,
                        RegionMask, Verdict, ascending_decomposition,
                        classify_points, compact_set_series,
                        complement_components, conv_map, countable_set_series,
-                       distance_to, growth_exponent, hull_escape_exhibit,
+                       distance_to, hull_escape_exhibit,
                        interleave, load_series, neighborhood,
                        polynomial_hull, rasterize_scene, save_series,
                        separating_family, set_distance, shapes,
@@ -89,7 +89,7 @@ def test_criterion_2_countable_root_verdicts():
     B, M = 0.0, math.log(16.0)
     lo, _ = tail_window(49)
     root_verdicts = classify_points(f, np.array(pts), N=49, B=B, M=M)
-    sups = [growth_exponent(f, z, N=49).sup_estimate for z in pts]
+    sups = f.structure.tail_sup(np.array(pts), *tail_window(49))
     early = range(lo)
     late = range(lo, len(pts))
     conv = sum(1 for i in early

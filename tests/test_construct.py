@@ -11,12 +11,12 @@ from sigmaconv import (COMPACT, OPEN, Grid, PointSequence, RegionMask,
                        RootPolynomial, Verdict, block_series,
                        compact_set_series, conv_map, countable_set_series,
                        distance_to, empty_mask, full_domain, gamma_sequence,
-                       gamma_table, growth_exponent, interleave, leja_points,
+                       gamma_table, interleave, leja_points,
                        neighborhood, polynomial_hull, rasterize_scene,
                        separating_family, set_distance, shapes)
 from sigmaconv.construct import (SeparatingFamily, _separating_families,
                                  countable_series_from_tables)
-from conftest import disk_growth_series, oracle_series
+from conftest import disk_growth_series, oracle_series, reference_log_mag
 
 
 def P(points):
@@ -60,9 +60,11 @@ def test_gamma_table_matches_stepwise():
 
 def test_countable_coefficient_hand_values():
     f3 = countable_set_series(P([0, 1, 1j]))
-    assert float(f3.log_mag(2, 2.0 + 0.0j)) == pytest.approx(math.log(32))
+    assert float(reference_log_mag(f3, 2, 2.0 + 0.0j)) == pytest.approx(
+        math.log(32))
     f2 = countable_set_series(P([0, 1]))
-    assert float(f2.log_mag(1, 1.0 + 0.0j)) == pytest.approx(math.log(2))
+    assert float(reference_log_mag(f2, 1, 1.0 + 0.0j)) == pytest.approx(
+        math.log(2))
 
 
 def test_countable_root_coefficients_vanish_exactly():
@@ -70,9 +72,9 @@ def test_countable_root_coefficients_vanish_exactly():
     f = countable_set_series(P(pts))
     for k, z in enumerate(pts, start=1):
         for n in range(k, f.max_supported_n + 1):
-            assert float(f.log_mag(n, z)) == -math.inf
+            assert float(reference_log_mag(f, n, z)) == -math.inf
         if k > 1:
-            assert float(f.log_mag(k - 1, z)) > -math.inf
+            assert float(reference_log_mag(f, k - 1, z)) > -math.inf
 
 
 def test_countable_divergence_exponents_off_the_set():
@@ -83,10 +85,9 @@ def test_countable_divergence_exponents_off_the_set():
     gammas = f.structure.gammas
     for z in (1.8 + 1.3j, -1.5 - 1.1j, 0.3 + 1.7j):
         delta = min(abs(z - w) for w in pts)
-        prof = growth_exponent(f, z, N=f.max_supported_n)
         for n in range(1, f.max_supported_n + 1):
             if gammas[n - 1] <= delta:
-                assert prof.exponents[n - 1] >= math.log(n) - 1e-9
+                assert f.structure.tail_sup(z, n, n) >= math.log(n) - 1e-9
 
 
 def test_countable_rebuild_is_bit_identical():
@@ -95,7 +96,8 @@ def test_countable_rebuild_is_bit_identical():
     g = countable_series_from_tables(f.structure)
     zs = Grid.from_box(-2.0, -2.0, 2.0, 2.0, 32, 32).centers()
     for n in range(f.max_supported_n + 1):
-        assert np.array_equal(f.log_mag(n, zs), g.log_mag(n, zs))
+        assert np.array_equal(reference_log_mag(f, n, zs),
+                              reference_log_mag(g, n, zs))
 
 
 def test_countable_needs_two_points():
@@ -116,10 +118,10 @@ def test_interleave_parity_rule():
     g = const_series(3.0)
     F = interleave(f, g)
     z = 0.7 + 0.1j
-    assert float(F.log_mag(0, z)) == float(f.log_mag(0, z))
-    assert float(F.log_mag(1, z)) == float(g.log_mag(0, z))
-    assert float(F.log_mag(2, z)) == float(f.log_mag(1, z))
-    assert float(F.log_mag(3, z)) == float(g.log_mag(1, z))
+    assert F.structure.f0_log_mag == f.structure.f0_log_mag
+    for n, child in ((1, g), (2, f), (3, g), (4, f)):
+        assert float(F.structure.tail_sup(z, n, n)) == float(
+            reference_log_mag(child, n // 2, z) / n)
     assert F.max_supported_n == 80
 
 
@@ -553,9 +555,10 @@ def test_block_series_powers_members():
     h2 = RootPolynomial((1.0 + 0.0j,), 0.0)
     f = block_series([h1, h2], [1, 1], -math.inf, "two members")
     z = 3.0 + 0.0j
-    assert float(f.log_mag(0, z)) == -math.inf
-    assert float(f.log_mag(1, z)) == pytest.approx(math.log(3.0))
-    assert float(f.log_mag(2, z)) == pytest.approx(2 * math.log(2.0))
+    assert float(reference_log_mag(f, 0, z)) == -math.inf
+    assert float(reference_log_mag(f, 1, z)) == pytest.approx(math.log(3.0))
+    assert float(reference_log_mag(f, 2, z)) == pytest.approx(
+        2 * math.log(2.0))
     assert f.max_supported_n == 2
 
 
@@ -575,7 +578,7 @@ def test_compact_series_converges_on_K_diverges_off():
     f = compact_set_series(K, stages=6, degree_cap=32)
     zk = K.cell_centers()
     for n in range(1, f.max_supported_n + 1):
-        assert float(np.max(f.log_mag(n, zk))) <= 0.0
+        assert float(np.max(reference_log_mag(f, n, zk))) <= 0.0
     cmap = conv_map(f, g, N=f.max_supported_n, B=math.log(1.2),
                     M=math.log(1.8))
     assert np.all(cmap.verdicts[K.bits] == Verdict.CONVERGE)

@@ -10,26 +10,20 @@ from hypothesis import given, settings, strategies as st
 
 from sigmaconv import (COMPACT, Grid, Verdict,
                        classify_point, classify_points, conv_map, default_b,
-                       full_domain, growth_exponent, level_set,
-                       rasterize_scene, shapes, tail_window)
+                       full_domain, level_set, rasterize_scene, shapes,
+                       tail_window)
 from sigmaconv import (PointSequence, RootPolynomial, ascending_decomposition,
                        block_series, compact_set_series, countable_set_series,
                        leja_points, load_series, omega_exhaustion,
                        polynomial_hull, save_series, sigma_convex_series)
 from sigmaconv import construct
 from sigmaconv.construct import (BlockStructure, CountableStructure,
-                                 InterleaveStructure,
                                  countable_series_from_tables)
-from sigmaconv.series import MIN_N, _log_mags, reject_nan
-from conftest import oracle_series
+from sigmaconv.series import MIN_N, _sup, reject_nan
+from conftest import _log_abs, oracle_series, reference_log_mag
 from test_io import (compact_series, countable_series, hand_block_series,
                      loaded_hand_block_series, make_decomposition,
                      sigma_series)
-
-
-def _log_abs(z):
-    with np.errstate(divide="ignore"):
-        return np.log(np.abs(np.asarray(z, dtype=complex)))
 
 
 def power_series():
@@ -56,22 +50,22 @@ def test_tail_window_examples():
 
 
 def test_growth_exponent_of_power_series():
-    prof = growth_exponent(power_series(), 2.0 + 0.0j, N=32)
-    assert prof.sup_estimate == pytest.approx(math.log(2))
-    assert prof.tail_window == (16, 32)
-    assert len(prof.exponents) == 32  # n = 1..N, n=0 excluded
+    z = np.array([2.0 + 0.0j])
+    assert _sup(power_series(), z, *tail_window(32)) == pytest.approx(
+        math.log(2))
+    assert _sup(power_series(), z, 1, 32) == pytest.approx(math.log(2))
 
 
 def test_growth_exponent_of_super_series():
-    prof = growth_exponent(super_series(), 1.0 + 0.0j, N=32)
-    assert prof.sup_estimate == pytest.approx(math.log(32))
+    z = np.array([1.0 + 0.0j])
+    assert _sup(super_series(), z, *tail_window(32)) == pytest.approx(
+        math.log(32))
 
 
 def test_growth_exponent_all_zero_tail():
     zero = oracle_series(lambda n, z: np.full(np.shape(np.asarray(z)),
                                               -np.inf))
-    prof = growth_exponent(zero, 0.3 + 0.1j, N=16)
-    assert prof.sup_estimate == -math.inf
+    assert _sup(zero, np.array([0.3 + 0.1j]), *tail_window(16)) == -math.inf
 
 
 def test_classify_power_series_converges():
@@ -107,13 +101,13 @@ def test_budget_validation():
 def test_nan_oracle_rejected():
     bad = oracle_series(
         lambda n, z: np.full(np.shape(np.asarray(z)), np.nan))
-    with pytest.raises(RuntimeError, match="NaN"):
-        growth_exponent(bad, 1.0, N=8)
+    with pytest.raises(RuntimeError, match=r"NaN at n=4, .* index \(\)$"):
+        classify_point(bad, 1.0, N=8, B=0.0, M=1.0)
 
 
-def test_nan_before_the_tail_window_only_classify_point_reads():
-    # conv_map reads only the tail window [8, 16]; classify_point goes
-    # through growth_exponent, which evaluates every order 1..16
+def test_nan_before_the_tail_window_only_level_set_reads():
+    # verdicts read only the tail window [8, 16], at one point as over a
+    # grid; level_set reads orders 1..16, so the NaN at order 2 raises there
     def oracle(n, z):
         return np.full(np.shape(np.asarray(z)), np.nan if n == 2 else -1.0)
 
@@ -121,8 +115,10 @@ def test_nan_before_the_tail_window_only_classify_point_reads():
     g = Grid.from_box(-1.0, -1.0, 1.0, 1.0, 4, 4)
     cmap = conv_map(f, g, N=16, B=0.0, M=1.0)
     assert int((cmap.verdicts == Verdict.CONVERGE).sum()) == 16
-    with pytest.raises(RuntimeError, match="NaN at n=2,"):
-        classify_point(f, complex(g.centers()[0, 0]), N=16, B=0.0, M=1.0)
+    z = complex(g.centers()[0, 0])
+    assert classify_point(f, z, N=16, B=0.0, M=1.0) == Verdict.CONVERGE
+    with pytest.raises(RuntimeError, match=r"NaN at n=2, .* \(0, 0\)$"):
+        level_set(f, 1, 16, full_domain(g))
 
 
 def test_conv_map_super_series_five_by_five():
@@ -209,20 +205,17 @@ def test_level_set_keeps_roots_of_countable_series():
 
 
 def test_monotone_truncation_on_stored_exponents():
-    """Rebuilding verdicts from one stored exponent profile at growing N:
-    a diverge verdict never flips to converge (the countable-set series has
-    eventually increasing exponents off the root set)."""
+    """Verdicts from the tail sup at growing N: a diverge verdict never
+    flips to converge (the countable-set series has eventually increasing
+    exponents off the root set)."""
     pts = tuple(complex(x, y) for x in (-0.5, 0.0, 0.5, 1.0)
                 for y in (-0.5, 0.5)) + (0.25 + 0.0j, -0.25 + 0.0j)
     f = countable_set_series(PointSequence.from_points(pts))
     B, M = 0.0, math.log(4.0)
     for z in (1.7 + 1.1j, -1.3 - 0.8j, 0.1 + 1.9j):
-        full = growth_exponent(f, z, N=f.max_supported_n)
-        exps = full.exponents  # exps[n-1] is the order-n exponent
         seen_diverge = False
         for N in range(8, f.max_supported_n + 1):
-            lo, hi = tail_window(N)
-            sup = max(exps[lo - 1:hi])
+            sup = f.structure.tail_sup(z, *tail_window(N))
             if sup >= M:
                 seen_diverge = True
             elif seen_diverge and sup <= B:
@@ -239,36 +232,26 @@ def test_default_b_scales_with_grid():
 # ------------------------------------------------ structure-owned evaluation
 
 
-def _reference_log_mag(series, n, z):
-    """log|f_n(z)| of a block, product or interleave series, evaluated for
-    order n alone and independently of the structure's own evaluator."""
-    s = series.structure
-    if isinstance(s, InterleaveStructure):
-        return _reference_log_mag(s.odd if n % 2 else s.even, n // 2, z)
-    zs = np.asarray(z, dtype=complex)
-    if isinstance(s, BlockStructure):
-        if n == 0:
-            return np.full(zs.shape, s.f0_log_mag)
-        return n * np.asarray(s.members[n - 1].log_abs(zs))
-    total = np.full(zs.shape, s.log_c[n])  # log C_n, then roots in order
-    for r in s.points[:n]:
-        total += _log_abs(zs - r)
-    return reject_nan(total, n)
-
-
-def _oracle_tail_sup(series, zs, N):
-    """Reference tail sup: order by order through the reference values."""
-    lo, _ = tail_window(N)
-    sup = np.full(zs.shape, -np.inf)
-    for n in range(lo, N + 1):
-        np.maximum(sup, _reference_log_mag(series, n, zs) / n, out=sup)
+def _per_order_sup(series, zs, lo, hi):
+    """Reference sup over orders lo..hi: order by order through
+    reference_log_mag, divided by n."""
+    sup = np.full(np.shape(zs), -np.inf)
+    for n in range(lo, hi + 1):
+        np.maximum(sup, reference_log_mag(series, n, zs) / n, out=sup)
     return sup
+
+
+def _per_order_nan(series, zs, lo, hi):
+    """The per-order NaN report: reject_nan on each order's reference
+    values, lo..hi in turn."""
+    for n in range(lo, hi + 1):
+        reject_nan(reference_log_mag(series, n, zs), n)
 
 
 def _assert_tail_sup_matches_oracle(series, grid, N):
     cmap = conv_map(series, grid, N, B=0.0, M=1.0)
-    assert np.array_equal(cmap.exponents,
-                          _oracle_tail_sup(series, grid.centers(), N))
+    assert np.array_equal(cmap.exponents, _per_order_sup(
+        series, grid.centers(), *tail_window(N)))
 
 
 def _disk(g, x, y, r):
@@ -327,14 +310,6 @@ def test_block_evaluator_rejects_nan_in_window():
         conv_map(f, g, 16, B=0.0, M=1.0)
 
 
-def _per_order_sup(series, zs, lo, hi):
-    """The per-order loop of series._sup, over the structure's log_mags."""
-    sup = np.full(zs.shape, -np.inf)
-    for n, lm in _log_mags(series, zs, lo, hi):
-        np.maximum(sup, lm / n, out=sup)
-    return sup
-
-
 def _points_on_and_off_roots(series):
     """A 48 x 48 grid's centers, then every member root: the exponents of
     a cell on a root are -inf from that member's degree on."""
@@ -368,16 +343,13 @@ def test_block_tail_sup_is_bit_identical_to_the_per_order_loop(build):
                                    sigma_series],
                          ids=["hand-blocks", "loaded-hand-blocks", "sigma"])
 def test_block_log_mags_are_bit_identical_to_each_member_alone(build):
-    # the per-order loop above is the reference for tail_sup, so log_mags
-    # itself is checked against evaluating each member on its own
+    # one order k read as tail_sup(zs, k, k) with divisor 1 is log|f_k|
+    # itself, so no division can hide a difference in its bits
     f = build()
     zs = _points_on_and_off_roots(f)
-    n = f.max_supported_n
-    for lo, hi in ((0, n), (n // 2, n), (2, 3)):
-        got = list(f.structure.log_mags(zs, lo, hi))
-        assert len(got) == hi - lo + 1
-        for k, values in enumerate(got, lo):
-            assert values.tobytes() == _reference_log_mag(f, k, zs).tobytes()
+    for k in range(1, f.max_supported_n + 1):
+        got = f.structure.tail_sup(zs, k, k, np.ones(1))
+        assert got.tobytes() == reference_log_mag(f, k, zs).tobytes()
 
 
 def test_block_tail_sup_keeps_its_shape_and_scalar_points():
@@ -457,7 +429,7 @@ def test_level_set_of_block_series_matches_oracle():
     zs = g.centers()
     ok = np.ones(zs.shape, dtype=bool)
     for n in range(1, N + 1):
-        ok &= _reference_log_mag(f, n, zs) / n <= math.log(2)
+        ok &= reference_log_mag(f, n, zs) / n <= math.log(2)
     assert np.array_equal(E.bits, omega_exhaustion(omega, 2).bits & ok)
 
 
@@ -516,29 +488,34 @@ def test_product_conv_map_agrees_with_classify_point(kind):
             assert cmap.verdicts[j, i] == classify_point(f, z, N, B, M)
 
 
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
-def test_product_evaluator_rejects_nan_with_the_oracle_message():
-    # order n >= 2 adds -inf (the cell on root a) to +inf (the infinite
-    # root), so the first offending tail order is lo itself
-    g = Grid.from_box(-1.0, -1.0, 1.0, 1.0, 8, 8)
+def _nan_countable_series(g):
+    """A product series whose orders n >= 2 are NaN on the centre a of g's
+    cell (5, 2) and there only: they add log|a - a| = -inf to the +inf of
+    a root at infinity."""
     a = complex(g.centers()[5, 2])
     pts = (a, complex(math.inf, 0.0)) + tuple(
         complex(0.1 * k, -0.05 * k) for k in range(1, 16))
-    f = countable_series_from_tables(CountableStructure(
+    return countable_series_from_tables(CountableStructure(
         pts, tuple(0.5 * n for n in range(17)), (0.5,) * 16))
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_product_evaluator_rejects_nan_with_the_oracle_message():
+    # the first offending tail order is lo itself
+    g = Grid.from_box(-1.0, -1.0, 1.0, 1.0, 8, 8)
+    f = _nan_countable_series(g)
     N = f.max_supported_n
     lo, _ = tail_window(N)
     with pytest.raises(RuntimeError, match=f"NaN at n={lo},") as fast:
         conv_map(f, g, N, B=0.0, M=1.0)
     with pytest.raises(RuntimeError) as slow:
-        _oracle_tail_sup(f, g.centers(), N)
+        _per_order_nan(f, g.centers(), lo, N)
     assert str(fast.value) == str(slow.value)
     # level_set's sup starts at order 1, so its first offending order is 2
     with pytest.raises(RuntimeError, match="NaN at n=2,") as fast:
         level_set(f, 1, N, full_domain(g))
     with pytest.raises(RuntimeError) as slow:
-        for n in range(1, N + 1):
-            _reference_log_mag(f, n, g.centers())
+        _per_order_nan(f, g.centers(), 1, N)
     assert str(fast.value) == str(slow.value)
 
 
@@ -654,44 +631,37 @@ def test_product_tail_sup_keeps_nan_and_inf_from_a_root_at_infinity():
 @pytest.mark.parametrize("kind", ["countable"])
 @pytest.mark.parametrize("chunk", [None, 1, 7])
 def test_product_log_mags_match_oracle(kind, chunk, monkeypatch):
-    # chunk None keeps the default budget (all orders, or all cells, in one
-    # chunk); 1 makes every chunk one order (one cell for level_set's two
-    # passes); 7 leaves a partial last chunk
+    # chunk None keeps the default budget (all cells in one chunk); 1 makes
+    # every chunk of _product_tail_sup's two passes one cell; 7 leaves a
+    # partial last chunk.  One order n read as tail_sup(z, n, n) with
+    # divisor 1 is log|f_n| itself
     f, g = _product_series_on_cells()
     N = f.max_supported_n
     zs = g.centers()
-    calls, sup_calls = [], []
+    sup_calls = []
+    helper = construct._product_tail_sup
 
-    def spy_on(name, log):
-        helper = getattr(construct, name)
+    def spy(*args):
+        sup_calls.append(args[3:5])
+        return helper(*args)
 
-        def spy(*args):
-            log.append(args[3:5])
-            return helper(*args)
-
-        monkeypatch.setattr(construct, name, spy)
-
-    spy_on("_product_log_mags", calls)
-    spy_on("_product_tail_sup", sup_calls)
-    if chunk is not None:
-        monkeypatch.setattr(construct, "TABLE_BYTES", 8 * chunk)
-    points = [complex(z) for z in zs.ravel()[::7]] + list(f.structure.points)
-    for z in points:
-        oracle = [_reference_log_mag(f, n, z) / n for n in range(1, N + 1)]
-        assert np.array_equal(growth_exponent(f, z, N).exponents, oracle)
-    assert calls == [(1, N)] * len(points)
+    monkeypatch.setattr(construct, "_product_tail_sup", spy)
     if chunk is not None:
         monkeypatch.setattr(construct, "TABLE_BYTES",
                             construct._CELL_BYTES * chunk)
+    points = np.concatenate([zs.ravel()[::7], f.structure.points])
+    for n in range(1, N + 1):
+        got = f.structure.tail_sup(points, n, n, np.ones(1))
+        assert got.tobytes() == reference_log_mag(f, n, points).tobytes()
+    sup_calls.clear()
     omega = full_domain(g)
     for j in (2, 8):
         ok = np.ones(zs.shape, dtype=bool)
         for n in range(1, N + 1):
-            ok &= _reference_log_mag(f, n, zs) / n <= math.log(j)
+            ok &= reference_log_mag(f, n, zs) / n <= math.log(j)
         assert np.array_equal(level_set(f, j, N, omega).bits,
                               omega_exhaustion(omega, j).bits & ok)
     # level_set takes one chunked sup over orders 1..N, not an order walk
-    assert calls == [(1, N)] * len(points)
     assert sup_calls == [(1, N)] * 2
 
 
@@ -709,12 +679,8 @@ def test_interleave_evaluator_matches_children(pair, monkeypatch):
                  "countable-blocks": (countable, compact),
                  "blocks-blocks": (compact, _unshared_block_series())}[pair]
     F = construct.interleave(even, odd)
-    walks, sups, tables = [], [], []
-    walk, table = construct._log_mags, construct._product_table
-
-    def walk_spy(series, z, lo, hi):
-        walks.append((series is even, series is odd, lo, hi))
-        return walk(series, z, lo, hi)
+    sups, tables = [], []
+    table = construct._product_table
 
     def table_spy(*args):
         tables.append(args[3:])
@@ -730,17 +696,14 @@ def test_interleave_evaluator_matches_children(pair, monkeypatch):
 
         monkeypatch.setattr(cls, "tail_sup", spy)
 
-    monkeypatch.setattr(construct, "_log_mags", walk_spy)
     monkeypatch.setattr(construct, "_product_table", table_spy)
     spy_on_tail_sup(BlockStructure)
     spy_on_tail_sup(CountableStructure)
     for N in (16, 17, F.max_supported_n):
         lo, _ = tail_window(N)
-        walks.clear()
         sups.clear()
         tables.clear()
         _assert_tail_sup_matches_oracle(F, g, N)
-        assert walks == []  # no child is walked order by order
         a, b, c, d = (lo + 1) // 2, N // 2, lo // 2, (N - 1) // 2
         assert sups == [
             (True, False, a, b, [2.0 * m for m in range(a, b + 1)]),
@@ -780,35 +743,34 @@ def test_interleave_tail_sup_is_bit_identical_to_the_per_order_loop(build):
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 def test_interleave_tail_sup_rejects_nan_with_the_per_order_message():
-    # the countable child's orders n >= 2 are NaN on a cell on its root a,
-    # and the block child's never; the first offending interleaved order
-    # is that of the child's first NaN order in the window
+    # the countable child's orders m >= 2 are NaN on one cell, and the block
+    # child's never; the message names the first offending interleaved
+    # order, 2m + 1 for the odd child and 2m for the even one
     g = Grid.from_box(-1.0, -1.0, 1.0, 1.0, 8, 8)
-    a = complex(g.centers()[5, 2])
-    pts = (a, complex(math.inf, 0.0)) + tuple(
-        complex(0.1 * k, -0.05 * k) for k in range(1, 16))
-    nan = countable_series_from_tables(CountableStructure(
-        pts, tuple(0.5 * n for n in range(17)), (0.5,) * 16))
-    for F in (construct.interleave(hand_block_series(), nan),
-              construct.interleave(nan, hand_block_series())):
+    nan = _nan_countable_series(g)
+    for F, first in ((construct.interleave(hand_block_series(), nan), 9),
+                     (construct.interleave(nan, hand_block_series()), 8)):
         assert np.isnan(F.structure.tail_sup(g.centers(), 8, 16)).any()
-        with pytest.raises(RuntimeError) as fast:
+        with pytest.raises(RuntimeError, match=f"NaN at n={first},") as fast:
             conv_map(F, g, 16, B=0.0, M=1.0)
         with pytest.raises(RuntimeError) as slow:
-            _per_order_sup(F, g.centers(), 8, 16)
+            _per_order_nan(F, g.centers(), 8, 16)
         assert str(fast.value) == str(slow.value)
 
 
-def test_interleave_without_a_child_tail_sup_walks_the_orders():
+def test_interleave_of_an_oracle_child_matches_the_per_order_loop():
+    # lo = 1 reads F_1 = g_0 from the odd series' f0_log_mag
     g = Grid.from_box(-1.0, -1.0, 1.0, 1.0, 8, 8)
     f = oracle_series(lambda n, z: np.full(np.shape(z), 0.5 * n),
                       max_supported_n=20)
     for F in (construct.interleave(f, hand_block_series()),
               construct.interleave(construct.interleave(hand_block_series(),
                                                         f), f)):
-        assert F.structure.tail_sup is None
         got = conv_map(F, g, 16, B=0.0, M=1.0).exponents
         assert got.tobytes() == _per_order_sup(F, g.centers(), 8,
+                                               16).tobytes()
+        got = F.structure.tail_sup(g.centers(), 1, 16)
+        assert got.tobytes() == _per_order_sup(F, g.centers(), 1,
                                                16).tobytes()
 
 
@@ -819,13 +781,115 @@ def test_entry_points_reject_orders_outside_the_series(kind):
     f = {"blocks": blocks, "countable": countable,
          "interleave": construct.interleave(blocks, countable)}[kind]
     top, z, omega = f.max_supported_n, 0.3 + 0.2j, full_domain(g)
-    assert np.array_equal(f.log_mag(top, z), _reference_log_mag(f, top, z))
-    with pytest.raises(ValueError, match="must be >= 0"):
-        f.log_mag(-1, z)
-    for call in (lambda: f.log_mag(top + 1, z),
-                 lambda: growth_exponent(f, z, top + 1),
+    assert np.array_equal(f.structure.tail_sup(z, top, top, np.ones(1)),
+                          reference_log_mag(f, top, z))
+    with pytest.raises(ValueError, match="must be >= 1"):
+        level_set(f, 2, 0, omega)
+    for call in (lambda: classify_point(f, z, top + 1, B=0.0, M=1.0),
+                 lambda: conv_map(f, g, top + 1, B=0.0, M=1.0),
                  lambda: level_set(f, 2, top + 1, omega)):
         with pytest.raises(ValueError, match=(
                 f"N={top + 1} exceeds the series' supported range "
                 rf"\(max_supported_n={top}\)")):
             call()
+
+
+# ------------------------------------------------------------ NaN reports
+
+
+NAN_GRID = Grid.from_box(-1.0, -1.0, 1.0, 1.0, 8, 8)
+
+
+def _nan_blocks():
+    # order 10 adds log|a - a| = -inf to the +inf of a root at infinity on
+    # the centre a of cell (5, 2)
+    h = RootPolynomial((0.2 + 0.0j,), 0.0)
+    bad = RootPolynomial((complex(NAN_GRID.centers()[5, 2]),
+                          complex(math.inf, 0.0)), 0.0)
+    return block_series([h] * 9 + [bad] + [h] * 6, [16], 0.0,
+                        "NaN on one cell at order 10")
+
+
+def _nan_oracle():
+    a = NAN_GRID.centers()[5, 2]
+    return oracle_series(lambda n, z: np.where(
+        (np.asarray(z) == a) & (n >= 3), np.nan, -1.0 * n))
+
+
+def _nan_f0_interleave():
+    # F_1 = g_0, and g's constant term is NaN on every cell
+    g = block_series([RootPolynomial((0.2 + 0.0j,), 0.0)] * 9, [9], math.nan,
+                     "NaN constant term")
+    return construct.interleave(hand_block_series(), g)
+
+
+# kind: (series, first NaN order in the tail window [8, 16] or None when
+# it has none, first NaN order in 1..16, first NaN cell at that order)
+NAN_CASES = {
+    "blocks": (_nan_blocks, 10, 10, (5, 2)),
+    "countable": (lambda: _nan_countable_series(NAN_GRID), 8, 2, (5, 2)),
+    "oracle": (_nan_oracle, 8, 3, (5, 2)),
+    "interleave-even": (lambda: construct.interleave(
+        _nan_countable_series(NAN_GRID), hand_block_series()), 8, 4, (5, 2)),
+    "interleave-odd": (lambda: construct.interleave(
+        hand_block_series(), _nan_countable_series(NAN_GRID)), 9, 5, (5, 2)),
+    "interleave-f0": (_nan_f0_interleave, None, 1, (0, 0)),
+}
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("chunked", [False, True], ids=["one-chunk", "chunked"])
+@pytest.mark.parametrize("kind", list(NAN_CASES))
+def test_nan_is_reported_at_its_first_order_in_the_range_read(kind, chunked,
+                                                              monkeypatch):
+    # the messages are those each entry point gave while structures still
+    # had a per-order evaluator, but with a plain int index, and with the
+    # interleave's own order where that named its child's.  With
+    # TABLE_BYTES = 128 every evaluator takes the cells in chunks, and the
+    # NaN cell (5, 2), flat index 42, falls in a later one.
+    # classify_points reads the cells from flat index 30 on
+    if chunked:
+        monkeypatch.setattr(construct, "TABLE_BYTES", construct._CELL_BYTES)
+    build, window_n, full_n, cell = NAN_CASES[kind]
+    f, zs = build(), NAN_GRID.centers()
+    points = zs.ravel()[30:]
+    reads = [(lambda: conv_map(f, NAN_GRID, 16, B=0.0, M=1.0), zs, 8,
+              window_n, cell),
+             (lambda: classify_points(f, points, 16, B=0.0, M=1.0), points,
+              8, window_n, (cell[0] * 8 + cell[1] - 30,)),
+             (lambda: level_set(f, 2, 16, full_domain(NAN_GRID)), zs, 1,
+              full_n, cell)]
+    for read, cells, lo, n, index in reads:
+        if n is None:
+            read()
+            continue
+        with pytest.raises(RuntimeError) as exc:
+            read()
+        assert str(exc.value) == ("coefficient oracle produced NaN at "
+                                  f"n={n}, first offending entry index "
+                                  f"{index}")
+        with pytest.raises(RuntimeError) as slow:
+            _per_order_nan(f, cells, lo, 16)
+        assert str(exc.value) == str(slow.value)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("lo, hi", [(8, 16), (1, 16), (10, 10), (1, 10),
+                                    (10, 16)])
+def test_nan_report_bisects_the_range_with_tail_sup(lo, hi, monkeypatch):
+    # one tail_sup over all cells, then the NaN cell alone: bisection for
+    # order 10, the first NaN one, then order 10 by itself
+    calls = []
+    helper = BlockStructure.tail_sup
+
+    def spy(self, z, a, b, divisors=None):
+        calls.append((np.size(z), a, b))
+        return helper(self, z, a, b, divisors)
+
+    monkeypatch.setattr(BlockStructure, "tail_sup", spy)
+    with pytest.raises(RuntimeError, match=r"NaN at n=10, .* \(5, 2\)$"):
+        _sup(_nan_blocks(), NAN_GRID.centers(), lo, hi)
+    assert len(calls) <= math.ceil(math.log2(hi - lo + 1)) + 2
+    assert calls[0] == (64, lo, hi)
+    assert calls[-1] == (1, 10, 10)
+    assert {size for size, _, _ in calls[1:]} == {1}
