@@ -20,13 +20,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import groupby
 from typing import Sequence
 
 import numpy as np
 
-from .geometry import (OPEN, RegionMask, distance_to, exhaustion,
+from .geometry import (OPEN, Grid, RegionMask, distance_to, exhaustion,
                        polynomial_hull, set_distance)
 from .series import CoefficientSeries
 
@@ -48,13 +48,55 @@ def _log_abs(values: np.ndarray) -> np.ndarray:
         return np.log(np.abs(values))
 
 
+@lru_cache(maxsize=1)
+def _offset_logs(grid: Grid) -> np.ndarray | None:
+    """Flat (2H - 1) x (2W - 1) table of log|z - r| over the index offsets
+    of cell centres z, r, offset (0, 0) in the middle; None unless, on the
+    floats, re[i] - re[a] == tx[i - a] for all i, a, and so for im."""
+    z, axes = grid.centers(), []
+    for c in (z[0].real, z[:, 0].imag):
+        diff, n = np.subtract.outer(c, c), np.arange(c.size)  # c[i] - c[a]
+        t = np.concatenate((diff[0, :0:-1], diff[:, 0]))  # at i - a + n - 1
+        if not np.array_equal(diff, t[np.subtract.outer(n, n) + c.size - 1]):
+            return None
+        axes.append(t)
+    table = np.fromiter((_log_abs(axes[0] + 1j * y) for y in axes[1]),
+                        (float, axes[0].size), axes[1].size).ravel()
+    table.setflags(write=False)  # every row of the grid reads it
+    return table
+
+
+class _RootLogRow:
+    """row(root): log|z - r| over the grid cells z at flat indices
+    ``cells``, r the centre of flat grid cell root.  Gathered by the cells'
+    keys j (2W - 1) + i, compacted with them, from the grid's _offset_logs
+    table if it has one, else r is subtracted from the centres; either way
+    the same complex values pass the same abs and log, so the bits agree."""
+
+    def __init__(self, grid: Grid, cells: np.ndarray):
+        self.grid, self.table, self.cells = grid, _offset_logs(grid), cells
+        self.at = (grid.centers().ravel()[cells] if self.table is None
+                   else cells + cells // grid.width * (grid.width - 1))
+
+    def compact(self, keep: np.ndarray) -> None:
+        self.cells, self.at = self.cells[keep], self.at[keep]
+
+    def __call__(self, root: int) -> np.ndarray:
+        if self.table is None:
+            return _log_abs(self.at - self.grid.centers().flat[root])
+        w, h = self.grid.width, self.grid.height  # start = mid - key(root)
+        start = (h - 1) * (2 * w - 1) + w - 1 - root - root // w * (w - 1)
+        return self.table[start:].take(self.at)
+
+
 @dataclass(frozen=True)
 class PointSequence:
-    """Ordered points; leja_points also sets saturated and log_sups."""
+    """Ordered points; leja_points also sets saturated, log_sups and cells."""
 
     points: tuple[complex, ...]
     saturated: bool = False
     log_sups: tuple[float, ...] = ()
+    cells: tuple[int, ...] = ()
 
     @classmethod
     def from_points(cls, pts) -> "PointSequence":
@@ -387,23 +429,25 @@ def leja_points(K: RegionMask, count: int) -> PointSequence:
     cell index.  log_sups[d-1] is that sum's max over K after d points: the
     log sup over K's cells of prod_{i<=d} |z - z_i|.  If no fresh maximizer
     exists (all candidates at -inf, e.g. a single-cell K exhausted), the
-    sequence stops early, flagged saturated, with a last log sup of -inf."""
+    sequence stops early, flagged saturated, with a last log sup of -inf.
+    cells[d-1] is point d's flat grid index, its K-row a _RootLogRow."""
     if K.is_empty():
         raise ValueError("leja_points requires a non-empty mask")
     if count < 1:
         raise ValueError("count must be >= 1")
+    row = _RootLogRow(K.grid, np.flatnonzero(K.bits))
     zs = K.cell_centers()
     accum = np.zeros(zs.shape)
     nxt, chosen, log_sups = int(np.argmax(np.abs(zs))), [], []
     while True:
-        chosen.append(complex(zs[nxt]))
-        accum += _log_abs(zs - zs[nxt])
+        chosen.append(nxt)
+        accum += row(row.cells[nxt])
         nxt = int(np.argmax(accum))
         log_sups.append(float(accum[nxt]))
         if len(chosen) == count or log_sups[-1] == -np.inf:
             break
-    return PointSequence(tuple(chosen), saturated=len(chosen) < count,
-                         log_sups=tuple(log_sups))
+    return PointSequence(tuple(map(complex, zs[chosen])), len(chosen) < count,
+                         tuple(log_sups), tuple(row.cells[chosen].tolist()))
 
 
 @dataclass
@@ -460,7 +504,7 @@ def _separating_families(
     the sequence every member is a prefix of, up to the highest degree.
 
     Multi-cell stages share one Leja sequence, whose log_sups give each
-    degree's sup over K, and one target-side root-log row per degree; each
+    degree's sup over K, and one target-side _RootLogRow per degree; each
     keeps its own level m, early stop and ``need`` mask over the row: the
     target cells it has not reached yet.  The row starts as the union of
     their targets, and whenever the cells some running stage still needs
@@ -512,16 +556,15 @@ def _separating_families(
 
     if live:
         leja = leja_points(K, degree_cap)
-        # the target row: flat grid indices of its cells, and per running
-        # stage the cells of the row it still needs
-        cells = np.flatnonzero(np.logical_or.reduce(
-            [stages[i][2].bits for i in live]))
-        need = {i: stages[i][2].bits.ravel()[cells] for i in live}
-        zs_t, sum_t = grid.centers().ravel()[cells], np.zeros(cells.size)
+        # the target row, and per running stage the row cells it still needs
+        row = _RootLogRow(grid, np.flatnonzero(np.logical_or.reduce(
+            [stages[i][2].bits for i in live])))
+        need = {i: stages[i][2].bits.ravel()[row.cells] for i in live}
+        sum_t = np.zeros(row.cells.size)
         for d, norm in enumerate(leja.log_sups, start=1):
             if norm == -np.inf:
                 break  # every K cell is a root; higher degrees are identically 0
-            sum_t += _log_abs(zs_t - leja.points[d - 1])
+            sum_t += row(leja.cells[d - 1])
             lifted = sum_t - norm
             member = RootPolynomial(tuple(leja.points[:d]), -norm)
             for i in live:
@@ -535,11 +578,12 @@ def _separating_families(
                 break
             still = np.logical_or.reduce([need[i] for i in live])
             if 2 * np.count_nonzero(still) <= still.size:
-                cells, zs_t, sum_t = cells[still], zs_t[still], sum_t[still]
+                row.compact(still)
+                sum_t = sum_t[still]
                 for i in live:
                     need[i] = need[i][still]
         for i in live:
-            uncovered[i].flat[cells[need[i]]] = True
+            uncovered[i].flat[row.cells[need[i]]] = True
 
     return sequence, [SeparatingFamily(m, found, K, target,
                                        RegionMask(grid, bits, OPEN), note)
@@ -670,6 +714,7 @@ def _stage_blocks(
     """Block series of the families' members, one stage block per family,
     from each lockstep group's (sequence, families); a group without
     members has an empty sequence, which is not stored."""
+    _offset_logs.cache_clear()  # the families are built: free the table
     stored = [(sequence, group) for sequence, group in groups if sequence]
     members = [(s, p) for s, (_, group) in enumerate(stored)
                for family in group for p in family.members]

@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from sigmaconv import (COMPACT, OPEN, Grid, PointSequence, RegionMask,
                        RootPolynomial, Verdict, block_series,
@@ -14,9 +15,11 @@ from sigmaconv import (COMPACT, OPEN, Grid, PointSequence, RegionMask,
                        gamma_table, interleave, leja_points,
                        neighborhood, polynomial_hull, rasterize_scene,
                        separating_family, set_distance, shapes)
-from sigmaconv.construct import (SeparatingFamily, _separating_families,
+from sigmaconv.construct import (SeparatingFamily, _offset_logs,
+                                 _RootLogRow, _separating_families,
                                  countable_series_from_tables)
-from conftest import disk_growth_series, oracle_series, reference_log_mag
+from conftest import (_log_abs, disk_growth_series, oracle_series,
+                      reference_log_mag)
 
 
 def P(points):
@@ -224,6 +227,107 @@ def test_leja_log_sups_are_the_prefix_sups(shape, count, saturated):
         assert leja.log_sups[d - 1] == sup, d
     # the last entry is -inf exactly when every K cell is a chosen point
     assert (leja.log_sups[-1] == -math.inf) is (len(leja) == K.count())
+
+
+def reference_leja(K, count):
+    """leja_points by its definition, each log distance taken directly
+    from the cell centres: accum += log|zs - zs[nxt]|."""
+    zs, cells = K.cell_centers(), np.flatnonzero(K.bits)
+    accum = np.zeros(zs.shape)
+    nxt, chosen, log_sups = int(np.argmax(np.abs(zs))), [], []
+    while True:
+        chosen.append(nxt)
+        accum += _log_abs(zs - zs[nxt])
+        nxt = int(np.argmax(accum))
+        log_sups.append(float(accum[nxt]))
+        if len(chosen) == count or log_sups[-1] == -math.inf:
+            break
+    return PointSequence(tuple(complex(zs[k]) for k in chosen),
+                         saturated=len(chosen) < count,
+                         log_sups=tuple(log_sups),
+                         cells=tuple(int(cells[k]) for k in chosen))
+
+
+# a grid whose root logs are gathered from the offset table (64) and one
+# whose rows subtract the root from the centres (48), on box -2..2
+ROW_GRIDS = [48, 64]
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64),
+                                                 b.view(np.int64))
+
+
+@pytest.mark.parametrize("n", ROW_GRIDS)
+@pytest.mark.parametrize("shape,count", [
+    (shapes.Disk(0.3, 0.0, 1.0), 40),
+    (shapes.Segment(-1.0, 0.5, 1.0, -0.5), 12),
+    (THREE_POINTS, 16),
+    (shapes.Disk(-0.5, 0.4, 0.3), 200),  # every K cell becomes a point
+])
+def test_leja_points_match_the_reference(n, shape, count):
+    g = Grid.from_box(-2.0, -2.0, 2.0, 2.0, n, n)
+    assert (_offset_logs(g) is None) is (n == 48)
+    K = rasterize_scene([(1, shape)], g, kind=COMPACT)
+    got, want = leja_points(K, count), reference_leja(K, count)
+    assert got == want
+    assert same_bits(got.log_sups, want.log_sups)
+    assert got.saturated is (count > K.count())
+    assert np.array_equal(g.centers().ravel()[list(got.cells)], got.points)
+
+
+# ------------------------------------------------------------ root-log rows
+
+
+@pytest.mark.parametrize("box,n,table", [
+    *[((-2.0, -2.0, 2.0, 2.0), n, True) for n in (16, 32, 64, 128, 256)],
+    ((-2.0, -2.0, 2.0, 2.0), 48, False),
+    ((-2.0, -2.0, 2.0, 2.0), 96, False),
+    ((-1.3, -0.7, 1.7, 2.3), 64, False),
+])
+def test_root_log_rows_gather_from_the_offset_table_on_exact_grids(box, n,
+                                                                   table):
+    g = Grid.from_box(*box, n, n)
+    row = _RootLogRow(g, np.arange(n * n))
+    assert (row.table is not None) is table
+    if table:
+        assert row.table.nbytes == 8 * (2 * n - 1) ** 2
+    for root in (0, n * n - 1, n * (n // 2) + 3):
+        assert same_bits(row(root), _log_abs(g.centers().ravel()
+                                             - g.centers().flat[root]))
+
+
+COORDS = st.one_of(st.sampled_from([-2.0, -1.0, -0.5, 0.0, 0.75]),
+                   st.floats(-3.0, 3.0))
+PIXELS = st.one_of(st.sampled_from([2.0 ** -k for k in range(-1, 8)]),
+                   st.floats(1e-3, 2.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(x0=COORDS, y0=COORDS, pixel=PIXELS, w=st.integers(2, 12),
+       h=st.integers(2, 12), seed=st.integers(0, 2 ** 32 - 1))
+@example(x0=-2.0, y0=-2.0, pixel=0.5, w=2, h=2, seed=0)
+@example(x0=-1.3, y0=-0.7, pixel=0.1, w=7, h=3, seed=1)
+def test_root_log_row_is_bit_identical_to_the_direct_row(x0, y0, pixel, w,
+                                                         h, seed):
+    g = Grid(complex(x0, y0), pixel, w, h)
+    centres, rng = g.centers().ravel(), np.random.default_rng(seed)
+    # the four corners give the offsets +-(W - 1) and +-(H - 1); each root
+    # is also a row cell, where the log is -inf
+    corners = [0, w - 1, (h - 1) * w, h * w - 1]
+    roots = [*corners, int(rng.integers(w * h))]
+    cells = np.union1d(np.flatnonzero(rng.random(w * h) < 0.5), roots)
+    row = _RootLogRow(g, cells)
+    for _ in range(2):
+        for root in roots:
+            got = row(root)
+            assert same_bits(got, _log_abs(centres[cells] - centres[root]))
+            assert (got[cells == root] == -math.inf).all()
+        keep = rng.random(cells.size) < 0.5
+        row.compact(keep)
+        cells = cells[keep]
+        assert np.array_equal(row.cells, cells)
 
 
 # ------------------------------------------------------------ families
@@ -471,8 +575,9 @@ def shell_stages(K, ms):
             for m in ms]
 
 
-def test_families_match_reference_as_the_row_compacts():
-    g = Grid.from_box(-2.0, -2.0, 2.0, 2.0, 48, 48)
+@pytest.mark.parametrize("n", ROW_GRIDS)
+def test_families_match_reference_as_the_row_compacts(n):
+    g = Grid.from_box(-2.0, -2.0, 2.0, 2.0, n, n)
     K = polynomial_hull(rasterize_scene([(1, shapes.Disk(0.2, -0.1, 0.6))],
                                         g, kind=COMPACT))
     group, compactions = matches_reference(K, shell_stages(K, range(1, 6)),
@@ -481,8 +586,9 @@ def test_families_match_reference_as_the_row_compacts():
     assert group[0].uncovered.is_empty()
 
 
-def test_families_match_reference_when_stages_run_to_the_cap():
-    g = Grid.from_box(-2.0, -2.0, 2.0, 2.0, 48, 48)
+@pytest.mark.parametrize("n", ROW_GRIDS)
+def test_families_match_reference_when_stages_run_to_the_cap(n):
+    g = Grid.from_box(-2.0, -2.0, 2.0, 2.0, n, n)
     K = polynomial_hull(rasterize_scene([(1, shapes.Disk(0.0, 0.0, 0.5))],
                                         g, kind=COMPACT))
     stages = shell_stages(K, [2, 6, 9, 12])
@@ -494,8 +600,9 @@ def test_families_match_reference_when_stages_run_to_the_cap():
         assert 0 < family.uncovered.count() < target.count()
 
 
-def test_families_match_reference_when_leja_saturates():
-    g = Grid.from_box(-2.0, -2.0, 2.0, 2.0, 32, 32)
+@pytest.mark.parametrize("n", ROW_GRIDS)
+def test_families_match_reference_when_leja_saturates(n):
+    g = Grid.from_box(-2.0, -2.0, 2.0, 2.0, n, n)
     K = rasterize_scene([(1, shapes.Points((-0.5 + 0j, 0.5 + 0j, 0.5j)))], g,
                         kind=COMPACT)
     assert K.count() == 3 and leja_points(K, 16).saturated
@@ -509,8 +616,9 @@ def test_families_match_reference_when_leja_saturates():
     assert not group[1].uncovered.is_empty()
 
 
-def test_families_match_reference_on_empty_targets_and_one_cell_K():
-    g = Grid.from_box(-2.0, -2.0, 2.0, 2.0, 48, 48)
+@pytest.mark.parametrize("n", ROW_GRIDS)
+def test_families_match_reference_on_empty_targets_and_one_cell_K(n):
+    g = Grid.from_box(-2.0, -2.0, 2.0, 2.0, n, n)
     K = polynomial_hull(rasterize_scene([(1, shapes.Disk(0.0, 0.0, 0.6))],
                                         g, kind=COMPACT))
     U = neighborhood(K, 0.2)
