@@ -30,11 +30,9 @@ from .geometry import (OPEN, Grid, RegionMask, distance_to, exhaustion,
                        polynomial_hull, set_distance)
 from .series import CoefficientSeries
 
-# budget for one chunk of the working memory of an evaluator: the two passes
-# of _product_tail_sup over a chunk of cells, the (order x cell) table that
-# product series fill when a cell needs every order (_table_sup), and the
-# (member x cell) block that block series fold at one degree
-# (BlockStructure.tail_sup)
+# budget for one chunk of the working memory of an evaluator: the passes of
+# _product_tail_sup over a chunk of cells, and the (member x cell) block
+# that block series fold at one degree (BlockStructure.tail_sup)
 TABLE_BYTES = 1 << 20
 
 # the working rows that _bound_orders and _order_sums keep per cell, in bytes
@@ -171,22 +169,6 @@ def gamma_table(points: PointSequence) -> tuple[np.ndarray, np.ndarray]:
     return gammas, log_c
 
 
-def _product_table(cells: np.ndarray, roots: np.ndarray, log_c: np.ndarray,
-                   lo: int, hi: int) -> np.ndarray:
-    """(order x cell) table of log|C_n * prod_{j<n} (z - roots[j])| for
-    n = lo..hi over a flat cell array, where log_c holds log C_n.
-
-    Each root's log row is evaluated once and added to every order it
-    enters, instead of once per order.  Every order still starts at log C_n
-    and adds its roots in sequence, so every entry is bit-identical to
-    evaluating that order alone.
-    """
-    acc = np.repeat(log_c[:, None], cells.size, axis=1)
-    for j, r in enumerate(roots[:hi]):
-        acc[max(0, j + 1 - lo):] += _log_abs(cells - r)
-    return acc
-
-
 def _product_tail_sup(z: np.ndarray | complex, roots: np.ndarray,
                       log_c: np.ndarray, lo: int, hi: int,
                       divisors: np.ndarray | None = None) -> np.ndarray:
@@ -195,10 +177,11 @@ def _product_tail_sup(z: np.ndarray | complex, roots: np.ndarray,
     n = lo..hi and 1 <= lo; a cell with a NaN order gets a NaN sup.
 
     Cells go in chunks of TABLE_BYTES // _CELL_BYTES, with two passes over
-    the roots each, and every sup is bit-identical to the max over the
-    (order x cell) table of _product_table.
+    the roots each, and every sup is bit-identical to the max over orders
+    of each order summed alone: from log C_n, adding the root terms in
+    sequence.
 
-    That table sums order n by recursive summation of the n + 1 terms
+    That sum of order n is a recursive summation of the n + 1 terms
     log C_n, log|z - roots[0]|, ..., log|z - roots[n-1]|, so its value E_n
     is within gamma_n * sum|terms| of their exact sum, with
     gamma_n = n u / (1 - n u) and u = 2^-53 (Higham, Accuracy and Stability
@@ -215,10 +198,9 @@ def _product_tail_sup(z: np.ndarray | complex, roots: np.ndarray,
     order.  The order whose lower bound is highest wins.  Its E_n / d_n is
     the max when every other order's upper bound is below that lower
     bound, or when that lower bound is infinite and no upper bound exceeds
-    it.  The second pass (_order_sums) sums only the winner, term by term
-    as the table does, so the bits are the table's.  A cell where the
-    bounds overlap instead (a tie, or a NaN order) takes the table's max
-    (_table_sup).
+    it.  The second pass (_order_sums) sums only the winner, term by term,
+    so the bits are E_n's.  A cell where the bounds overlap instead (a
+    tie, or a NaN order) sums every order (_table_sup).
     """
     zs = np.asarray(z, dtype=complex)
     flat = zs.ravel()
@@ -242,14 +224,16 @@ def _product_tail_sup(z: np.ndarray | complex, roots: np.ndarray,
 
 def _table_sup(cells: np.ndarray, roots: np.ndarray, log_c: np.ndarray,
                lo: int, hi: int, divisors: np.ndarray) -> np.ndarray:
-    """_product_tail_sup over a flat cell array from the (order x cell)
-    table of _product_table, filled TABLE_BYTES at a time."""
-    sup = np.empty(cells.shape)
-    step = max(1, TABLE_BYTES // (8 * (hi - lo + 1)))
-    for start in range(0, cells.size, step):
-        acc = _product_table(cells[start:start + step], roots, log_c, lo, hi)
-        acc /= divisors[:, None]
-        sup[start:start + step] = acc.max(axis=0)
+    """_product_tail_sup over a flat cell array without the bounds: each
+    order n = lo..hi summed alone by _order_sums and divided by its
+    divisor, in a running np.maximum that, taken in order from -inf, has
+    the bits of the (order x cell) table's max, NaN included.  Each order
+    evaluates its own root logs, O(N^2) per cell where the bounds pass
+    takes O(N); only cells whose bounds overlap come here."""
+    sup = np.full(cells.shape, -np.inf)
+    for n in range(lo, hi + 1):
+        sums = _order_sums(cells, roots, log_c, lo, np.full(cells.shape, n))
+        np.maximum(sup, sums / divisors[n - lo], out=sup)
     return sup
 
 
@@ -297,8 +281,7 @@ def _bound_orders(cells: np.ndarray, roots: np.ndarray, log_c: np.ndarray,
 def _order_sums(cells: np.ndarray, roots: np.ndarray, log_c: np.ndarray,
                 lo: int, orders: np.ndarray) -> np.ndarray:
     """log|C_n * prod_{j<n} (z - roots[j])| with n = orders[k] at each cell
-    k, summed as _product_table sums it: from log C_n, adding the root
-    terms in sequence, so bit for bit the same."""
+    k, summed from log C_n, adding the root terms in sequence."""
     acc = log_c[orders - lo]
     for j, r in enumerate(roots[:orders.max()]):
         np.add(acc, _log_abs(cells - r), out=acc, where=j < orders)

@@ -268,8 +268,6 @@ def neighborhood(mask: RegionMask, r: float) -> RegionMask:
         raise ValueError("radius must be finite and >= 0")
     if r == 0:
         return mask
-    if mask.is_empty():
-        return empty_mask(mask.grid, OPEN)
     return RegionMask(mask.grid, distance_to(mask) <= r, OPEN)
 
 

@@ -216,8 +216,6 @@ def parse_scene(text: str, name: str = "scene") -> SceneSpec:
                     parts.append([_signed_primitive(rest)])
             else:
                 raise ValueError(f"unknown directive {key!r}")
-        except SceneParseError:
-            raise
         except (ValueError, TypeError) as exc:
             raise SceneParseError(f"line {ln}: {exc}") from exc
 

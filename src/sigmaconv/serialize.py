@@ -7,11 +7,13 @@ constructors use, so a reloaded series reproduces verdict maps bit for bit.
 Malformed files raise ValueError.  Log scales may be -Infinity (the
 Python json dialect); complex numbers are stored as [re, im] pairs.
 
-save_series writes json.dumps(series_to_json(series), indent=1) byte for
-byte, formatting each stored root sequence's pairs once, and load_series
-reads each members list in that layout from the text: a member repeating a
-prefix of the running sequence's text is placed on it, and only new text is
-parsed.  Any other layout goes through json.loads, with the same checks.
+save_series writes json.dumps(series_to_json(series), indent=1): json.dumps
+writes everything but the members lists, which are written from their
+stored sequences, each sequence's root pairs formatted once.  load_series
+reads each members list in that layout (_layout) from the text: a member
+repeating a prefix of the running sequence's text is placed on it, and only
+new text is parsed.  Any other layout goes through json.loads, with the
+same checks.
 """
 
 from __future__ import annotations
@@ -25,8 +27,7 @@ from pathlib import Path
 
 from . import pgmio
 from .construct import (BlockStructure, CountableStructure,
-                        InterleaveStructure, RootPolynomial, block_series,
-                        block_series_from_tables,
+                        InterleaveStructure, block_series_from_tables,
                         countable_series_from_tables, interleave)
 from .decompose import SKIPPED, VERIFIED, Decomposition
 from .geometry import Grid, RegionMask
@@ -104,31 +105,42 @@ def grid_from_json(obj) -> Grid:
                 _count(obj.get("height"), "grid height"))
 
 
-def _member_to_json(member: RootPolynomial) -> dict:
-    return {"roots": [_c2j(r) for r in member.roots],
-            "log_scale": member.log_scale}
-
-
-def _members_from_json(objs: list) -> list[RootPolynomial]:
-    """The members of a block series file, each pair converted by _j2c.
+def _members_from_json(objs: list) -> tuple[list, list, list]:
+    """The (sequences, placement, log_scales) tables of a block series
+    file's members, each member on a sequence of its own, as block_series
+    places them, and each pair converted by _j2c.
 
     load_series decodes the files save_series writes from their text
     (_decode_members); this reads every other layout, and the objects
     passed to series_from_json directly.
     """
-    members = []
+    sequences, log_scales = [], []
     for obj in objs:
         obj = _object(obj, "member")
-        members.append(RootPolynomial(
-            tuple(_j2c(p) for p in _list(obj, "roots")),
-            _real(obj.get("log_scale"), "member log_scale")))
-    return members
+        sequences.append(tuple(_j2c(p) for p in _list(obj, "roots")))
+        log_scales.append(_real(obj.get("log_scale"), "member log_scale"))
+    return (sequences, [(k, len(roots)) for k, roots in enumerate(sequences)],
+            log_scales)
 
 
-_MEMBERS_KEY = '"members": ['
+_MEMBERS_KEY = '"members": '
 # no file text holds this digit run (load_series checks), so an integer
-# literal opening with it is one that load_series put in
+# literal opening with it is one that save_series or load_series put in
 _PLACEHOLDER = "9" * 24
+
+
+def _layout(level: int) -> tuple[str, str, tuple[str, str], str, str]:
+    """The text json.dumps(indent=1) writes around the items of a members
+    list whose key line is indented ``level``: before each member's roots
+    (head), each root pair after a comma (a %-template of its re and im),
+    between the roots and the log_scale (without roots, with roots),
+    after the log_scale (tail), and the list's close."""
+    ind = [" " * (level + i) for i in range(5)]
+    scale_key = f'],\n{ind[2]}"log_scale": '  # json.dumps writes [] inline
+    return (f'\n{ind[1]}{{\n{ind[2]}"roots": [',
+            f",\n{ind[3]}[\n{ind[4]}%s,\n{ind[4]}%s\n{ind[3]}]",
+            (scale_key, f"\n{ind[2]}{scale_key}"),
+            f"\n{ind[1]}}}", f"\n{ind[0]}]")
 
 
 class _Decoded(tuple):
@@ -151,13 +163,9 @@ def _decode_members(text: str, start: int,
     of the one before, or extends it, shares that sequence.  Each log_scale
     goes through _real once per distinct text.
     """
-    ind = [" " * (level + i) for i in range(3)]
+    head, _, (scale_key, roots_end), tail, close = _layout(level)
     decoded = _Decoded(([], [], []))
     sequences, placement, log_scales = decoded
-    head = f'\n{ind[1]}{{\n{ind[2]}"roots": ['
-    scale_key = f'],\n{ind[2]}"log_scale": '  # also ends an empty roots list
-    roots_end, tail = f"\n{ind[2]}{scale_key}", f"\n{ind[1]}}}"
-    close = f"\n{ind[0]}]"
     seq = ""  # the running sequence's roots text
     degrees = {0: 0}  # offset in seq after each whole pair -> pairs so far
     scales: dict[str, float] = {}
@@ -210,8 +218,9 @@ def _decode_members(text: str, start: int,
         return None
 
 
-def series_to_json(series: CoefficientSeries) -> dict:
-    """Serialize a series built by the constructors in this package."""
+def _series_json(series: CoefficientSeries, members) -> dict:
+    """series_to_json(series) with members(s) as the members value of each
+    block structure s."""
     s = series.structure
     if isinstance(s, CountableStructure):
         # log C_0 of a countable-set series is 0 and is not stored
@@ -224,14 +233,21 @@ def series_to_json(series: CoefficientSeries) -> dict:
                 "f0_log_mag": s.f0_log_mag,
                 "block_sizes": list(s.block_sizes),
                 "uncovered_counts": list(s.uncovered_counts),
-                "members": [_member_to_json(m) for m in s.members],
+                "members": members(s),
                 "description": series.description}
     if isinstance(s, InterleaveStructure):
         return {"type": "interleave",
-                "even": series_to_json(s.even),
-                "odd": series_to_json(s.odd)}
+                "even": _series_json(s.even, members),
+                "odd": _series_json(s.odd, members)}
     raise TypeError(
         f"series has no serializable structure: {series.description!r}")
+
+
+def series_to_json(series: CoefficientSeries) -> dict:
+    """Serialize a series built by the constructors in this package."""
+    return _series_json(series, lambda s: [
+        {"roots": [_c2j(r) for r in h.roots], "log_scale": h.log_scale}
+        for h in s.members])
 
 
 def series_from_json(obj) -> CoefficientSeries:
@@ -251,29 +267,16 @@ def series_from_json(obj) -> CoefficientSeries:
         members = obj.get("members")
         if type(members) is not _Decoded:
             members = _members_from_json(_list(obj, "members"))
-        blocks = ([_count(b, "block size") for b in _list(obj, "block_sizes")],
-                  _real(obj.get("f0_log_mag"), "f0_log_mag"), description,
-                  [_count(u, "uncovered count")
-                   for u in _list(obj, "uncovered_counts", [])])
-        if type(members) is _Decoded:
-            return block_series_from_tables(*members, *blocks)
-        return block_series(members, *blocks)
+        return block_series_from_tables(
+            *members,
+            [_count(b, "block size") for b in _list(obj, "block_sizes")],
+            _real(obj.get("f0_log_mag"), "f0_log_mag"), description,
+            [_count(u, "uncovered count")
+             for u in _list(obj, "uncovered_counts", [])])
     if kind == "interleave":
         return interleave(series_from_json(obj.get("even")),
                           series_from_json(obj.get("odd")))
     raise ValueError(f"unknown series type {kind!r}")
-
-
-def _json_text(value, level: int) -> str:
-    """json.dumps(value, indent=1) as it reads nested ``level`` deep."""
-    return json.dumps(value, indent=1).replace("\n", "\n" + " " * level)
-
-
-def _object_text(fields: list[tuple[str, str]], level: int) -> str:
-    """A json indent=1 object from (key, value text) pairs."""
-    pad = "\n" + " " * (level + 1)
-    items = ("," + pad).join(f'"{key}": {text}' for key, text in fields)
-    return "{" + pad + items + "\n" + " " * level + "}"
 
 
 def _float_text(x: float) -> str:
@@ -281,8 +284,8 @@ def _float_text(x: float) -> str:
 
 
 def _members_text(s: BlockStructure, level: int) -> str:
-    """The json indent=1 text of [_member_to_json(m) for m in s.members],
-    for a list nested ``level`` deep.
+    """The json indent=1 text of s's members list, its key line indented
+    ``level``, as series_to_json writes it.
 
     Each sequence's root pairs are formatted once, each after a comma, and
     a member of degree d writes the first d pairs of its sequence's text,
@@ -290,13 +293,7 @@ def _members_text(s: BlockStructure, level: int) -> str:
     """
     if not s.log_scales.size:
         return "[]"
-    ind = [" " * (level + i) for i in range(5)]
-    pair = f",\n{ind[3]}[\n{ind[4]}%s,\n{ind[4]}%s\n{ind[3]}]"
-    head = f"\n{ind[1]}{{\n{ind[2]}\"roots\": ["
-    # by d > 0: json.dumps writes an empty roots list as [] on one line
-    roots_end = (f"],\n{ind[2]}\"log_scale\": ",
-                 f"\n{ind[2]}],\n{ind[2]}\"log_scale\": ")
-    tail = f"\n{ind[1]}}}"
+    head, pair, roots_end, tail, close = _layout(level)
     texts, offsets = [], []  # per sequence: its pairs, the end of each
     for sequence in s.sequences:
         pairs = [pair % (_float_text(r.real), _float_text(r.imag))
@@ -307,34 +304,29 @@ def _members_text(s: BlockStructure, level: int) -> str:
     for (k, d), log_scale in zip(s.placement.tolist(), s.log_scales.tolist()):
         out += (head, texts[k][1:offsets[k][d]], roots_end[d > 0],
                 _float_text(log_scale), tail, ",")
-    out[-1] = f"\n{ind[0]}]"  # the last member ends the list, not a comma
+    out[-1] = close  # the last member ends the list, not a comma
     return "[" + "".join(out)
 
 
-def _series_text(series: CoefficientSeries, level: int) -> str:
-    """json.dumps(series_to_json(series), indent=1), nested ``level``
-    deep, without the pure-Python encoder's per-token work on members."""
-    s = series.structure
-    if isinstance(s, BlockStructure):
-        inner = level + 1
-        return _object_text([
-            ("type", '"blocks"'),
-            ("f0_log_mag", json.dumps(s.f0_log_mag)),
-            ("block_sizes", _json_text(list(s.block_sizes), inner)),
-            ("uncovered_counts", _json_text(list(s.uncovered_counts), inner)),
-            ("members", _members_text(s, inner)),
-            ("description", json.dumps(series.description))], level)
-    if isinstance(s, InterleaveStructure):
-        return _object_text([
-            ("type", '"interleave"'),
-            ("even", _series_text(s.even, level + 1)),
-            ("odd", _series_text(s.odd, level + 1))], level)
-    return _json_text(series_to_json(series), level)
-
-
 def save_series(series: CoefficientSeries, path: str | Path) -> None:
-    """Write series_to_json(series) as json.dumps(..., indent=1) would."""
-    Path(path).write_text(_series_text(series, 0))
+    """Write json.dumps(series_to_json(series), indent=1).
+
+    json.dumps writes the series with an integer literal that opens with
+    _PLACEHOLDER as each block structure's members list, and each literal
+    is then replaced by _members_text, at the indent of its key's line.
+    The pattern '"members": ' followed by a digit is an object key and its
+    value (in a string the quote before the colon is escaped), and only
+    block structures have that key.
+    """
+    blocks: list[BlockStructure] = []
+    text = json.dumps(_series_json(
+        series, lambda s: blocks.append(s) or int(_PLACEHOLDER)), indent=1)
+    pieces = text.split(_MEMBERS_KEY + _PLACEHOLDER)
+    out = [pieces[0]]
+    for s, before, after in zip(blocks, pieces, pieces[1:]):
+        level = len(before) - len(before.rstrip(" "))
+        out += (_MEMBERS_KEY, _members_text(s, level), after)
+    Path(path).write_text("".join(out))
 
 
 def load_series(path: str | Path) -> CoefficientSeries:
@@ -354,8 +346,8 @@ def load_series(path: str | Path) -> CoefficientSeries:
     text = Path(path).read_text()
     kept, decoded = [], []
     at = find = 0
-    while (i := text.find(_MEMBERS_KEY, find)) >= 0:
-        opens, line = i + len(_MEMBERS_KEY) - 1, i
+    while (i := text.find(_MEMBERS_KEY + "[", find)) >= 0:
+        opens, line = i + len(_MEMBERS_KEY), i
         while line and text[line - 1] == " ":
             line -= 1
         # the layout indents the key by its level, on a line of its own

@@ -386,6 +386,10 @@ def _drop_last_gamma(obj):
     obj["gammas"].pop()
 
 
+def _drop_last_log_c(obj):
+    obj["log_c"].pop()
+
+
 def _top_level_list(obj):
     return []
 
@@ -524,6 +528,7 @@ def _drop_comma_between_members(obj):
     ("countable", _set_first_gamma_inf, "gammas entry is inf"),
     ("countable", _set_first_gamma_zero, "gammas entries must be > 0"),
     ("countable", _drop_last_gamma, "gammas table must have"),
+    ("countable", _drop_last_log_c, "log_c table must have"),
     ("countable", _top_level_list, "series must be a JSON object, got []"),
     ("blocks", _set_first_roots_int, "roots must be a list, got 5"),
     ("blocks", _set_first_log_scale_null,

@@ -224,6 +224,13 @@ def test_neighborhood_zero_radius_is_identity():
     assert neighborhood(d, 0.0).same_cells(d)
 
 
+def test_neighborhood_of_an_empty_mask_is_empty_and_open():
+    # distance_to an empty mask is +inf, beyond any finite radius
+    g = Grid.from_box(-2.0, -2.0, 2.0, 2.0, 16, 16)
+    grown = neighborhood(empty_mask(g), 10.0)
+    assert grown.is_empty() and grown.kind == OPEN
+
+
 def test_neighborhood_is_closed():
     # a cell at distance exactly r joins the dilation
     g = Grid.from_box(0.0, 0.0, 4.0, 4.0, 32, 32)

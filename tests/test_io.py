@@ -107,6 +107,10 @@ def test_mask_pgm_header_errors(tmp_path):
     write_mask_pgm(RegionMask(Grid.from_box(0.0, 0.0, 1.0, 1.0, 8, 8),
                               np.zeros((8, 8), dtype=bool), OPEN), good)
     raw = good.read_bytes()
+    # cut after the image height, before the maxval token
+    p.write_bytes(raw[:raw.index(b"\n255\n")])
+    with pytest.raises(ValueError, match="truncated PGM header"):
+        read_mask_pgm(p)
     p.write_bytes(raw + bytes(64))
     with pytest.raises(ValueError, match="extra bytes after the pixel data"):
         read_mask_pgm(p)
@@ -407,6 +411,28 @@ def test_every_written_series_loads_through_the_text_decoder(
         assert len(calls) == len(_block_structures(series))
         assert json.dumps(series_to_json(again)) == json.dumps(
             series_to_json(loaded))
+
+
+@pytest.mark.parametrize("members,sequences,placement", [
+    ([RootPolynomial((), 0.5), RootPolynomial((0.25 - 1j,), 0.0),
+      RootPolynomial((), -math.inf)],
+     [(), (0.25 - 1j,)], [[0, 0], [1, 1], [1, 0]]),
+    ([RootPolynomial((), 0.5)] * 2, [()], [[0, 0], [0, 0]]),
+], ids=["then-roots", "all-degree-0"])
+def test_a_first_member_of_degree_0_loads_through_the_text_decoder(
+        tmp_path, monkeypatch, members, sequences, placement):
+    # the decoder opens an empty sequence for it
+    series = block_series(members, [1, len(members) - 1], 0.0,
+                          "degree 0 first")
+    save_series(series, tmp_path / "s.json")
+    _refuse_json_path(monkeypatch)
+    loaded = load_series(tmp_path / "s.json").structure
+    assert list(loaded.sequences) == sequences
+    assert loaded.placement.tolist() == placement
+    assert loaded.members == series.structure.members
+    save_series(load_series(tmp_path / "s.json"), tmp_path / "again.json")
+    assert ((tmp_path / "again.json").read_bytes()
+            == (tmp_path / "s.json").read_bytes())
 
 
 def _ones_series_text(tmp_path):

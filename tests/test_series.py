@@ -520,11 +520,16 @@ def test_product_evaluator_rejects_nan_with_the_oracle_message():
 
 
 def _table_sup_reference(cells, roots, log_c, lo, hi, divisors=None):
-    """max over orders of _product_table's (order x cell) table divided by
-    the divisors, which default to n."""
+    """max over the (order x cell) table whose row n = lo..hi is log C_n
+    plus the root terms log|z - roots[j]|, j < n, added in sequence, and
+    divided by the divisors, which default to n."""
     if divisors is None:
         divisors = np.arange(lo, hi + 1, dtype=float)
-    table = construct._product_table(cells, roots, log_c, lo, hi)
+    table = np.repeat(log_c[:, None], cells.size, axis=1)
+    with np.errstate(divide="ignore"):
+        for n in range(lo, hi + 1):
+            for r in roots[:n]:
+                table[n - lo] += np.log(np.abs(cells - r))
     return (table / divisors[:, None]).max(axis=0)
 
 
@@ -680,10 +685,10 @@ def test_interleave_evaluator_matches_children(pair, monkeypatch):
                  "blocks-blocks": (compact, _unshared_block_series())}[pair]
     F = construct.interleave(even, odd)
     sups, tables = [], []
-    table = construct._product_table
+    table = construct._table_sup
 
     def table_spy(*args):
-        tables.append(args[3:])
+        tables.append(args[3:5])
         return table(*args)
 
     def spy_on_tail_sup(cls):
@@ -696,7 +701,7 @@ def test_interleave_evaluator_matches_children(pair, monkeypatch):
 
         monkeypatch.setattr(cls, "tail_sup", spy)
 
-    monkeypatch.setattr(construct, "_product_table", table_spy)
+    monkeypatch.setattr(construct, "_table_sup", table_spy)
     spy_on_tail_sup(BlockStructure)
     spy_on_tail_sup(CountableStructure)
     for N in (16, 17, F.max_supported_n):
