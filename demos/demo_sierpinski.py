@@ -34,9 +34,11 @@ print(f"\n{len(escaped)} of {len(resolvable)} resolvable holes escaped.")
 
 # Consequence: an ascending chain of hull-fixed compacts inside the
 # approximant must avoid some boundary ring at every hole, so its union
-# can never exhaust the approximant.  The CLI runs the same check:
+# can never exhaust the approximant.  The CLI runs the same check on the
+# depth-4 approximant at 512x512 (CI runs it too); from the repository root:
 #
-#   sigmaconv demo-sierpinski --depth 4
+#   python -W error -m sigmaconv.cli demo-sierpinski demos/sierpinski.scene \
+#       --out "$(mktemp -d)"
 #
-# at 512x512 by default, exiting 0 only when every resolvable hole escapes.
+# exiting 0 only when every resolvable hole escapes.
 assert all(r.escaped for r in resolvable)

@@ -2,7 +2,8 @@
 
 Each subcommand writes its artifacts (PGM masks/maps, JSON series/reports,
 manifest) into --out; concurrent runs should use distinct directories.
-The scene file is the one source of grid, box and budgets; ``sigmaconv
+Inputs are scene files, the one source of grid, box, budgets and the
+demo's depth, and stored series (``interleave``, ``verify``); ``sigmaconv
 SUBCOMMAND --help`` lists the few options each subcommand takes.  Exit
 codes: 0 on success with thresholds met, 2 on a verification failure, 1 on
 bad input, a usage error or any I/O failure (one ``error: ...`` line on
@@ -20,29 +21,12 @@ import math
 import sys
 from pathlib import Path
 
-from . import pgmio, serialize
+from . import pgmio, serialize, shapes
 from .construct import interleave
 from .decompose import hull_escape_exhibit, sierpinski_mask
-from .geometry import Grid, holomorphic_hull, polynomial_hull
+from .geometry import holomorphic_hull, polynomial_hull
 from .harness import (SceneSpec, construct_compact, construct_countable,
                       construct_sigma, load_scene, verify)
-
-
-def _parse_grid(text: str) -> tuple[int, int]:
-    try:
-        w, h = (int(t) for t in text.split("x"))
-    except ValueError:  # not two integers
-        raise argparse.ArgumentTypeError(f"{text!r} is not WxH") from None
-    return w, h
-
-
-def _parse_box(text: str) -> tuple[float, float, float, float]:
-    try:
-        x0, y0, x1, y1 = (float(t) for t in text.split(","))
-    except ValueError:  # not four numbers
-        raise argparse.ArgumentTypeError(
-            f"{text!r} is not x0,y0,x1,y1") from None
-    return x0, y0, x1, y1
 
 
 def _fraction(text: str) -> float:
@@ -119,18 +103,23 @@ def cmd_construct(args) -> int:
         series = construct_countable(scene)
     elif args.pipeline == "compact":
         series = construct_compact(scene)
-    elif args.pipeline == "sigma":
+    else:  # sigma, the last of the parser's choices
         series, decomp = construct_sigma(scene)
         serialize.export_decomposition(decomp, out / "decomposition")
-    else:  # interleave, the last of the parser's choices
-        if not (args.series_a and args.series_b):
-            raise ValueError("interleave needs --series-a and --series-b")
-        series = interleave(serialize.load_series(args.series_a),
-                            serialize.load_series(args.series_b))
     serialize.save_series(series, out / "series.json")
     _manifest(args, out, {"command": "construct", "pipeline": args.pipeline,
                           "scene": scene.name})
     print(f"constructed {args.pipeline} series: {series.description}")
+    return 0
+
+
+def cmd_interleave(args) -> int:
+    out = _outdir(args)
+    series = interleave(serialize.load_series(args.even),
+                        serialize.load_series(args.odd))
+    serialize.save_series(series, out / "series.json")
+    _manifest(args, out, {"command": "interleave"})
+    print(f"constructed interleave series: {series.description}")
     return 0
 
 
@@ -172,15 +161,21 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_demo_sierpinski(args) -> int:
-    grid = Grid.from_box(*args.box, *args.grid)
+    scene = load_scene(args.scene)
+    target = scene.target_spec
+    if (len(target) != 1 or scene.parts or scene.points or target[0][0] != 1
+            or not isinstance(target[0][1], shapes.SierpinskiShape)):
+        raise ValueError("demo-sierpinski needs one 'target sierpinski "
+                         "DEPTH' line and no other target, part or point")
+    depth, grid = target[0][1].depth, scene.grid
     out = _outdir(args)
-    mask = sierpinski_mask(args.depth, grid)
+    mask = sierpinski_mask(depth, grid)
     pgmio.write_mask_pgm(mask, out / "approximant.pgm")
-    exhibit = hull_escape_exhibit(args.depth, grid) if args.depth >= 1 else []
+    exhibit = hull_escape_exhibit(depth, grid) if depth >= 1 else []
     resolvable = [h for h in exhibit if h.resolvable]
     escaped = [h for h in resolvable if h.escaped]
     serialize.save_report(
-        {"depth": args.depth, "holes": len(exhibit),
+        {"depth": depth, "holes": len(exhibit),
          "resolvable": len(resolvable), "escaped": len(escaped),
          "per_hole": [{"level": h.level, "side": h.side,
                        "resolvable": h.resolvable,
@@ -188,7 +183,7 @@ def cmd_demo_sierpinski(args) -> int:
                        "escaped": h.escaped} for h in exhibit]},
         out / "exhibit.json")
     lines = [
-        f"Triangle-fractal approximant, depth {args.depth}, "
+        f"Triangle-fractal approximant, depth {depth}, "
         f"{grid.width}x{grid.height} cells of size {grid.pixel:g}.",
         f"Approximant mask: {mask.count()} cells "
         f"(written to approximant.pgm).",
@@ -203,7 +198,7 @@ def cmd_demo_sierpinski(args) -> int:
         "interior cells never separate from the boundary.",
     ]
     (out / "report.txt").write_text("\n".join(lines) + "\n")
-    _manifest(args, out, {"command": "demo-sierpinski", "depth": args.depth})
+    _manifest(args, out, {"command": "demo-sierpinski", "depth": depth})
     print("\n".join(lines))
     return 0 if len(escaped) == len(resolvable) else 2
 
@@ -222,12 +217,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("construct", help="build a series from a scene")
     p.add_argument("scene", help="scene file")
     p.add_argument("--pipeline", required=True,
-                   choices=("countable", "compact", "sigma", "interleave"))
-    p.add_argument("--series-a", default=None,
-                   help="first stored series (interleave)")
-    p.add_argument("--series-b", default=None,
-                   help="second stored series (interleave)")
+                   choices=("countable", "compact", "sigma"))
     p.set_defaults(func=cmd_construct)
+
+    p = sub.add_parser("interleave", help="splice two stored series; the "
+                                          "splice converges where both do")
+    p.add_argument("even", help="stored series JSON for the even orders")
+    p.add_argument("odd", help="stored series JSON for the odd orders")
+    p.set_defaults(func=cmd_interleave)
 
     p = sub.add_parser("verify", help="classify a stored series against a "
                                       "scene target")
@@ -248,11 +245,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("demo-sierpinski",
                        help="triangle-fractal hull-escape exhibit")
-    p.add_argument("--depth", type=int, required=True)
-    p.add_argument("--grid", type=_parse_grid, default=(512, 512),
-                   help="grid dimensions, WxH")
-    p.add_argument("--box", type=_parse_box, default=(-0.1, -0.1, 1.1, 1.1),
-                   help="grid box, x0,y0,x1,y1")
+    p.add_argument("scene", help="scene file with one 'target sierpinski "
+                                 "DEPTH' line")
     p.set_defaults(func=cmd_demo_sierpinski)
 
     for p in sub.choices.values():

@@ -113,6 +113,10 @@ def test_parse_comments_and_blank_lines():
     ("target box 1 0 0 1", "box field 'corners' must be ordered"),
     ("target segment 0 0 1 1 0", "segment field 'halfwidth' must be positive"),
     ("target sierpinski -1", "sierpinski field 'depth' must be >= 0"),
+    ("grid abc", "^line 1: grid takes WxH$"),
+    ("box 1 2 3", "^line 1: box takes x0 y0 x1 y1$"),
+    ("target add", "^line 1: missing primitive"),
+    ("target annulus 0 0 -1 1", "annulus field 'r_inner' must be >= 0"),
 ])
 def test_parse_errors_name_the_line(line, fragment):
     with pytest.raises(SceneParseError, match=fragment):
@@ -148,6 +152,7 @@ def test_budget_defaults_resolve_against_grid():
     ("budget B 2\nbudget M 1\n", "B < M"),
     ("budget band -0.5\n", "band must be positive"),
     ("budget N 0\n", "positive"),
+    ("budget nmax 0\n", "nmax must be positive"),
 ])
 def test_budget_validation(text, fragment):
     s = parse_scene("grid 16x16\nbox 0 0 1 1\n" + text)
@@ -716,17 +721,14 @@ def test_cli_decompose_writes_stage_exports(tmp_path):
     assert load_series(out / "series.json").max_supported_n >= 0
 
 
-def test_cli_interleave_pipeline(tmp_path, capsys):
+def test_cli_interleave(tmp_path, capsys):
     a = disk_growth_series(-0.5, 0.8, 12)
     b = disk_growth_series(0.5, 0.8, 12)
     save_series(a, tmp_path / "a.json")
     save_series(b, tmp_path / "b.json")
-    scene = write_scene(tmp_path, "grid 32x32\nbox -2 -2 2 2\n")
     out = tmp_path / "out"
-    assert main(["construct", str(scene), "--pipeline", "interleave",
-                 "--series-a", str(tmp_path / "a.json"),
-                 "--series-b", str(tmp_path / "b.json"),
-                 "--out", str(out)]) == 0
+    assert main(["interleave", str(tmp_path / "a.json"),
+                 str(tmp_path / "b.json"), "--out", str(out)]) == 0
     F = load_series(out / "series.json")
     assert F.max_supported_n == 24
     z = 1.4 + 0.2j
@@ -734,47 +736,79 @@ def test_cli_interleave_pipeline(tmp_path, capsys):
         reference_log_mag(a, 1, z))
     assert float(reference_log_mag(F, 3, z)) == float(
         reference_log_mag(b, 1, z))
-    capsys.readouterr()
-    assert main(["construct", str(scene), "--pipeline", "interleave",
-                 "--series-a", str(tmp_path / "a.json"),
-                 "--out", str(tmp_path / "one")]) == 1
-    assert capsys.readouterr().err == (
-        "error: interleave needs --series-a and --series-b\n")
+    assert capsys.readouterr().out == (
+        f"constructed interleave series: {F.description}\n")
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["command"] == "interleave"
+
+
+SIERPINSKI_SCENE = "grid 64x64\nbox -0.1 -0.1 1.1 1.1\n"
 
 
 def test_cli_demo_sierpinski(tmp_path, capsys):
+    scene = write_scene(tmp_path, SIERPINSKI_SCENE + "target sierpinski 1\n")
     out = tmp_path / "out"
-    code = main(["demo-sierpinski", "--depth", "1", "--grid", "64x64",
-                 "--out", str(out)])
+    code = main(["demo-sierpinski", str(scene), "--out", str(out)])
     assert code == 0
     exhibit = json.loads((out / "exhibit.json").read_text())
+    assert exhibit["depth"] == 1
     assert exhibit["holes"] == 1
     assert exhibit["escaped"] == 1
     assert (out / "approximant.pgm").exists()
-    assert "Hull escape: 1 of 1" in capsys.readouterr().out
+    text = capsys.readouterr().out
+    assert text.startswith(
+        "Triangle-fractal approximant, depth 1, 64x64 cells of size 0.01875.\n")
+    assert "Hull escape: 1 of 1" in text
     mask = read_mask_pgm(out / "approximant.pgm")
     assert mask.count() > 0
 
 
-@pytest.mark.parametrize("option,fragment", [
-    (["--grid", "0x0"], "grid must be at least 2x2"),
-    (["--box=-0.1,-0.1,inf,1.1"], "pixel must be positive and finite"),
-    (["--box=-0.1,-0.1,1.1,nan"], "box must have positive extent"),
-], ids=["zero-grid", "infinite-box", "nan-box"])
-def test_cli_demo_sierpinski_rejects_bad_grid_or_box(tmp_path, capsys, option,
+@pytest.mark.parametrize("lines,fragment", [
+    ("grid 0x0\nbox -0.1 -0.1 1.1 1.1\n", "line 1: grid must be at least 2x2"),
+    ("grid 64x64\nbox -0.1 -0.1 inf 1.1\n",
+     "line 2: 'inf' is not a finite number"),
+    ("grid 64x64\nbox -0.1 -0.1 1.1 nan\n",
+     "line 2: 'nan' is not a finite number"),
+    ("grid 64x64\nbox 0.2 0.2 1.1 1.1\n",
+     "grid does not cover the unit triangle"),
+], ids=["zero-grid", "infinite-box", "nan-box", "short-box"])
+def test_cli_demo_sierpinski_rejects_bad_grid_or_box(tmp_path, capsys, lines,
                                                      fragment):
-    # the demo has no scene, so its --grid and --box reach Grid.from_box
-    assert main(["demo-sierpinski", "--depth", "1",
-                 "--out", str(tmp_path / "out"), *option]) == 1
+    # the demo's raster comes from the scene's grid and box lines
+    scene = write_scene(tmp_path, lines + "target sierpinski 1\n")
+    assert main(["demo-sierpinski", str(scene),
+                 "--out", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err == f"error: {fragment}\n"
+
+
+@pytest.mark.parametrize("lines", [
+    "",
+    "target disk 0.5 0.3 0.2\n",
+    "target sub sierpinski 2\n",
+    "target sierpinski 2\ntarget sierpinski 3\n",
+    "target sierpinski 2\ntarget add disk 0.5 0.3 0.2\n",
+    "target sierpinski 2\npart disk 0.5 0.3 0.1\n",
+    "target sierpinski 2\npoint 0.5 0.3\n",
+], ids=["no-target", "disk", "negative", "two-depths", "added-disk", "part",
+        "point"])
+def test_cli_demo_sierpinski_needs_one_sierpinski_target(tmp_path, capsys,
+                                                         lines):
+    scene = write_scene(tmp_path, SIERPINSKI_SCENE + lines)
+    assert main(["demo-sierpinski", str(scene),
+                 "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == (
+        "error: demo-sierpinski needs one 'target sierpinski DEPTH' line "
+        "and no other target, part or point\n")
+    assert not (tmp_path / "out").exists()
 
 
 SUBCOMMAND_OPTIONS = {
     "hull": {"--out"},
-    "construct": {"--pipeline", "--series-a", "--series-b", "--out"},
+    "construct": {"--pipeline", "--out"},
+    "interleave": {"--out"},
     "verify": {"--min-agree", "--exhaust-m", "--N", "--out"},
     "decompose": {"--out"},
-    "demo-sierpinski": {"--depth", "--out", "--grid", "--box"},
+    "demo-sierpinski": {"--out"},
 }
 
 
@@ -790,13 +824,34 @@ def test_each_subcommand_takes_only_the_options_it_reads():
     assert parser_options() == SUBCOMMAND_OPTIONS
 
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
 def test_readme_lists_each_subcommand_options():
     # the README's option table, | `subcommand ...` | `--a`, `--b` |
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    readme = README.read_text()
     rows = re.findall(r"^\| `([a-z-]+)[^`]*` \| (.*) \|$", readme, re.M)
     listed = {name: set(re.findall(r"`(--[A-Za-z-]+)`", cell))
               for name, cell in rows}
     assert listed == parser_options()
+
+
+def test_readme_example_session_prints_what_it_says(tmp_path, monkeypatch,
+                                                    capsys):
+    # the session's heredoc scene, then each sigmaconv line through main()
+    section = README.read_text().split("### Example session\n", 1)[1]
+    block = re.search(r"```sh\n(.*?)```", section, re.S)[1]
+    name, scene = re.search(r"^cat > (\S+) <<'EOF'\n(.*?)^EOF$", block,
+                            re.S | re.M).groups()
+    monkeypatch.chdir(tmp_path)
+    Path(name).write_text(scene)
+    commands = re.findall(r"^sigmaconv (.*)$", block, re.M)
+    assert len(commands) == 2
+    for command in commands:
+        capsys.readouterr()
+        assert main(command.split()) == 0
+    printed = re.search(r"The last command prints\n`([^`]*)`", section)[1]
+    assert capsys.readouterr().out == printed + "\n"
 
 
 @pytest.mark.parametrize("argv,message", [
@@ -808,7 +863,7 @@ def test_readme_lists_each_subcommand_options():
      "unrecognized arguments: --stages 3"),
     (["decompose", "s.txt", "--budget-M", "1"],
      "unrecognized arguments: --budget-M 1"),
-    (["demo-sierpinski", "--depth", "1", "--nmax", "2"],
+    (["demo-sierpinski", "s.txt", "--nmax", "2"],
      "unrecognized arguments: --nmax 2"),
     (["verify", "s.txt", "f.json", "--N", "abc"],
      "argument --N: invalid int value: 'abc'"),
@@ -824,12 +879,12 @@ def test_readme_lists_each_subcommand_options():
      "argument --min-agree: '1.5' is not a number in [0, 1]"),
     (["verify", "s.txt", "f.json", "--min-agree", "abc"],
      "argument --min-agree: 'abc' is not a number in [0, 1]"),
-    (["demo-sierpinski", "--depth", "1", "--grid", "abc"],
-     "argument --grid: 'abc' is not WxH"),
-    (["demo-sierpinski", "--depth", "1", "--grid", "8x8x8"],
-     "argument --grid: '8x8x8' is not WxH"),
-    (["demo-sierpinski", "--depth", "1", "--box", "1,2,3"],
-     "argument --box: '1,2,3' is not x0,y0,x1,y1"),
+    (["interleave", "a.json"],
+     "the following arguments are required: odd"),
+    (["demo-sierpinski", "s.txt", "--depth", "4"],
+     "unrecognized arguments: --depth 4"),
+    (["construct", "s.txt", "--pipeline", "countable", "--series-a", "a.json"],
+     "unrecognized arguments: --series-a a.json"),
     (["hull", "s.txt", "--grid", "8x8"], "unrecognized arguments: --grid 8x8"),
     (["verify", "s.txt", "f.json", "--budget-B", "1"],
      "unrecognized arguments: --budget-B 1"),

@@ -491,6 +491,7 @@ def test_a_repeated_pair_written_true_is_rejected(tmp_path):
     ("\n ],", "\n ]5,"),  # a number right after the list
     # roots that stop inside a pair of the running sequence
     (",\n     0.5\n    ]\n   ],", "\n   ],"),
+    ("0.0\n  }\n ],", "0.0\n ],"),  # a last member that never closes
 ])
 def test_the_text_decoder_reads_what_json_loads_reads(tmp_path, old, new):
     # a file that save_series' layout no longer quite fits loads, or is
