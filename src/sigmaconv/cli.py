@@ -25,8 +25,8 @@ from . import pgmio, serialize, shapes
 from .construct import interleave
 from .decompose import hull_escape_exhibit, sierpinski_mask
 from .geometry import holomorphic_hull, polynomial_hull
-from .harness import (SceneSpec, construct_compact, construct_countable,
-                      construct_sigma, load_scene, verify)
+from .harness import (Budgets, SceneSpec, construct_compact,
+                      construct_countable, construct_sigma, load_scene, verify)
 
 
 def _fraction(text: str) -> float:
@@ -164,9 +164,11 @@ def cmd_demo_sierpinski(args) -> int:
     scene = load_scene(args.scene)
     target = scene.target_spec
     if (len(target) != 1 or scene.parts or scene.points or target[0][0] != 1
-            or not isinstance(target[0][1], shapes.SierpinskiShape)):
+            or not isinstance(target[0][1], shapes.SierpinskiShape)
+            or scene.domain_spec or scene.budgets != Budgets()):
         raise ValueError("demo-sierpinski needs one 'target sierpinski "
-                         "DEPTH' line and no other target, part or point")
+                         "DEPTH' line and no other target, part, point, "
+                         "domain or budget line")
     depth, grid = target[0][1].depth, scene.grid
     out = _outdir(args)
     mask = sierpinski_mask(depth, grid)

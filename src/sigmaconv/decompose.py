@@ -12,14 +12,14 @@ by the hull-escape exhibit.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
-from .geometry import (COMPACT, OPEN, Grid, RegionMask, complement_components,
-                       distance_to, holomorphic_hull, polynomial_hull,
-                       set_distance)
+from .geometry import (COMPACT, OPEN, Grid, RegionMask, bounding_box,
+                       complement_components, distance_to, holomorphic_hull,
+                       polynomial_hull, set_distance)
 from .shapes import (SQRT3_2, SierpinskiShape, _polygon_even_odd,
                      _segment_distance, inverted_triangle_holes,
                      rasterize_scene)
@@ -38,8 +38,9 @@ class Decomposition:
     ``U_list[n-1]`` its closed 1/(3n)-neighborhood.
     ``hull_identity[n-1]`` records whether E_n = hull(union of pieces) was
     checked ("verified") or skipped because pieces came within 2 pixels of
-    each other.  Pieces with equal cells are one shared object, and so are
-    equal consecutive stage unions.
+    each other.  Equal pieces of one compact are one shared object (K_j
+    itself while it is kept whole), and so are equal consecutive stage
+    unions.
     """
 
     grid: Grid
@@ -49,6 +50,34 @@ class Decomposition:
     E_list: list[RegionMask]
     U_list: list[RegionMask]
     hull_identity: list[str]
+
+
+def _box_gap(a: tuple[int, int, int, int],
+             b: tuple[int, int, int, int]) -> int:
+    """Gap in cells on the larger axis: every cell of box a and cell of box
+    b are at least this many rows or this many columns apart."""
+    return max(a[0] - b[1], b[0] - a[1], a[2] - b[3], b[2] - a[3], 0)
+
+
+def _apart(gap: float, pixel: float, r: float) -> bool:
+    """Whether every distance_to value between cells ``gap`` cells apart
+    exceeds r, without running the transform.
+
+    The transform's value is the float sqrt(fl(dy*p)^2 + fl(dx*p)^2) over
+    the integer offsets to the nearest true cell, and here |dx| >= gap or
+    |dy| >= gap.  With x = fl(gap*p) it is then >= sqrt(fl(x*x)), which is
+    x exactly when x*x is a normal double (and inf when x*x overflows), so
+    x > r settles it.  Below the normal range nothing is settled.
+    """
+    x = gap * pixel
+    return x > r and x * x >= sys.float_info.min
+
+
+def _or_bits(masks: list[RegionMask]) -> np.ndarray:
+    out = np.zeros_like(masks[0].bits)
+    for m in masks:
+        out |= m.bits
+    return out
 
 
 def ascending_decomposition(K_list: list[RegionMask],
@@ -68,22 +97,14 @@ def ascending_decomposition(K_list: list[RegionMask],
         raise ValueError("K_list must be non-empty")
     grid = K_list[0].grid
 
-    # one hull per distinct mask, and one RegionMask per distinct piece, both
-    # keyed by bits: once 1/n drops below the gaps the pieces stop changing
+    # one hull per distinct mask, keyed by bits
     hulls: dict[bytes, RegionMask] = {}
-    interned: dict[bytes, RegionMask] = {}
 
     def hull_of(mask: RegionMask) -> RegionMask:
         key = mask.bits.tobytes()
         if key not in hulls:
             hulls[key] = polynomial_hull(mask)
         return hulls[key]
-
-    def piece(bits: np.ndarray) -> RegionMask:
-        key = bits.tobytes()
-        if key not in interned:
-            interned[key] = RegionMask(grid, bits, COMPACT)
-        return interned[key]
 
     for j, K in enumerate(K_list, start=1):
         if K.grid != grid:
@@ -93,29 +114,41 @@ def ascending_decomposition(K_list: list[RegionMask],
     J = len(K_list)
     if n_max < J:
         raise ValueError(f"n_max={n_max} is below the number of compacts {J}")
+    boxes = [bounding_box(K) for K in K_list]
 
-    # distance from each cell to the prefix union K_1 | .. | K_j; prefix
-    # distances are reused by every stage
-    prefix_dist: list[np.ndarray] = []
-    acc = K_list[0]
-    prefix_dist.append(distance_to(acc))
-    for K in K_list[1:-1]:
-        acc = acc.union(K)
-        prefix_dist.append(distance_to(acc))
+    # distances from K_j's cells to the prefix union K_1 | .. | K_{j-1},
+    # which every stage n >= j thresholds at 1/n.  None when K_j is empty
+    # or its box gap to the earlier boxes already exceeds 1/j: then every
+    # stage keeps K_j whole
+    prefix_dist: list[np.ndarray | None] = [None]
+    prefix = np.zeros_like(K_list[0].bits)
+    for j in range(1, J):
+        prefix |= K_list[j - 1].bits
+        if boxes[j] is not None and not _apart(
+                min((_box_gap(boxes[j], box) for box in boxes[:j]
+                     if box is not None), default=math.inf),
+                grid.pixel, 1.0 / (j + 1)):
+            d = distance_to(RegionMask(grid, prefix, COMPACT))
+            prefix_dist.append(d[K_list[j].bits])
+        else:
+            prefix_dist.append(None)
 
     # pairs (a, b), a < b, of nonempty compacts within 2 px, in lexicographic
     # order; one transform of K_b, dropped after use, gives the floats of
-    # set_distance(K_a, K_b) for every earlier a.  Piece separations only
-    # grow (pieces are subsets of their K), so every other pair stays apart
-    # at every stage
+    # set_distance(K_a, K_b) for every earlier a whose box may be that close.
+    # Piece separations only grow (pieces are subsets of their K), so every
+    # other pair stays apart at every stage
     pix2 = 2.0 * grid.pixel
     close: list[tuple[int, int]] = []
     for b in range(1, J):
-        if K_list[b].is_empty():
+        if boxes[b] is None:
             continue
-        d_b = distance_to(K_list[b])
-        close += [(a, b) for a in range(b) if not K_list[a].is_empty()
-                  and d_b[K_list[a].bits].min() <= pix2]
+        near = [a for a in range(b) if boxes[a] is not None and not _apart(
+            _box_gap(boxes[a], boxes[b]), grid.pixel, pix2)]
+        if near:
+            d_b = distance_to(K_list[b])
+            close += [(a, b) for a in near
+                      if d_b[K_list[a].bits].min() <= pix2]
     close.sort()
 
     L: dict[tuple[int, int], RegionMask] = {}
@@ -123,29 +156,46 @@ def ascending_decomposition(K_list: list[RegionMask],
     U_list: list[RegionMask] = []
     status: list[str] = []
 
-    # E_n and its status change only with the pieces, and the transform of
-    # E_n only with E_n (the chain ascends, so equal E's are consecutive)
-    seen: tuple[int, ...] = ()
+    # the cells of K_j that a piece keeps only grow with n, so an unchanged
+    # count is an unchanged piece; E_n and its status change only with the
+    # pieces, and the transform of E_n only with E_n (the chain ascends, so
+    # equal E's are consecutive)
+    pieces: list[RegionMask] = []
+    piece_hulls: list[RegionMask] = []
+    kept: list[int] = []
     for n in range(1, n_max + 1):
-        j_hi = min(n, J)
-        pieces = [K_list[0]] + [
-            piece(K_list[j].bits & (prefix_dist[j - 1] > 1.0 / n))
-            for j in range(1, j_hi)]
-        for j in range(1, j_hi + 1):
-            L[(n, j)] = pieces[j - 1]
-        if tuple(map(id, pieces)) != seen:
-            seen = tuple(map(id, pieces))
-            E = reduce(RegionMask.union, (hull_of(p) for p in pieces))
+        changed = len(pieces) < min(n, J)
+        if changed:
+            K = K_list[n - 1]
+            pieces.append(K)
+            piece_hulls.append(K)  # its own hull, checked above
+            kept.append(K.count())
+        for j, d in enumerate(prefix_dist[:len(pieces)]):
+            if d is None:
+                continue
+            keep = d > 1.0 / n
+            count = int(np.count_nonzero(keep))
+            if count != kept[j]:
+                bits = np.zeros_like(K_list[j].bits)
+                bits[K_list[j].bits] = keep
+                pieces[j] = RegionMask(grid, bits, COMPACT)
+                piece_hulls[j] = hull_of(pieces[j])
+                kept[j] = count
+                changed = True
+        for j, p in enumerate(pieces, start=1):
+            L[(n, j)] = p
+        if changed:
+            E = RegionMask(grid, _or_bits(piece_hulls), COMPACT)
             if not E_list or not E.same_cells(E_list[-1]):
                 d_E = distance_to(E)
             else:
                 E = E_list[-1]
             separated = all(
                 set_distance(pieces[a], pieces[b]) > pix2
-                for a, b in close if b < j_hi
+                for a, b in close if b < len(pieces)
                 and not (pieces[a].is_empty() or pieces[b].is_empty()))
-            if separated and not hull_of(
-                    reduce(RegionMask.union, pieces)).same_cells(E):
+            if separated and not hull_of(RegionMask(
+                    grid, _or_bits(pieces), COMPACT)).same_cells(E):
                 raise AssertionError(
                     f"stage {n}: union-of-hulls differs from hull-of-union "
                     f"despite pieces separated by > 2 px")

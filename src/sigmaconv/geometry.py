@@ -116,6 +116,12 @@ def _centers(grid: Grid) -> np.ndarray:
     return z
 
 
+def _edges(a: np.ndarray) -> np.ndarray:
+    """The values of a 2-D array on its outermost ring (the frame cells of a
+    grid array), corners repeated: four edge reads instead of a frame mask."""
+    return np.concatenate((a[0], a[-1], a[:, 0], a[:, -1]))
+
+
 @dataclass(frozen=True)
 class RegionMask:
     """Boolean raster over a grid, with a set-kind tag.
@@ -137,7 +143,7 @@ class RegionMask:
         bits = bits.copy()
         bits.setflags(write=False)
         object.__setattr__(self, "bits", bits)
-        if self.kind == COMPACT and bool(bits[self.grid.frame()].any()):
+        if self.kind == COMPACT and bool(_edges(bits).any()):
             raise ValueError("compact-approx mask touches the grid frame")
 
     # -- basic set algebra (same grid required) -------------------------
@@ -212,7 +218,7 @@ def complement_components(mask: RegionMask) -> ComponentReport:
     if mask.kind != COMPACT:
         raise ValueError("complement_components requires a compact-approx mask")
     labels, count = ndimage.label(~mask.bits, structure=_EIGHT)
-    frame_labels = np.unique(labels[mask.grid.frame()])
+    frame_labels = np.unique(_edges(labels))
     frame_labels = frame_labels[frame_labels > 0]
     bounded = np.ones(count, dtype=bool)
     bounded[frame_labels - 1] = False
@@ -226,14 +232,37 @@ def _fill_labels(mask: RegionMask, report: ComponentReport,
     return RegionMask(mask.grid, mask.bits | lut[report.labels], COMPACT)
 
 
+def bounding_box(mask: RegionMask) -> tuple[int, int, int, int] | None:
+    """(first row, last row, first column, last column) of the true cells,
+    or None for an empty mask."""
+    rows = np.flatnonzero(mask.bits.any(axis=1))
+    if rows.size == 0:
+        return None
+    cols = np.flatnonzero(mask.bits.any(axis=0))
+    return int(rows[0]), int(rows[-1]), int(cols[0]), int(cols[-1])
+
+
 def polynomial_hull(mask: RegionMask) -> RegionMask:
     """Mask plus every bounded component of its complement.
 
     The result has exactly one complement component (the unbounded one),
-    hence is a fixed point of this operation.
+    hence is a fixed point of this operation.  The complement is labelled
+    on the mask's bounding box padded by one cell only: that ring lies in
+    the complement and joins the frame, so a component is bounded in the
+    crop exactly when it is bounded in the grid.
     """
-    report = complement_components(mask)
-    return _fill_labels(mask, report, report.bounded_flags)
+    if mask.kind != COMPACT:
+        raise ValueError("polynomial_hull requires a compact-approx mask")
+    box = bounding_box(mask)
+    if box is None:
+        return mask
+    # a compact mask never touches the frame, so the padded box fits
+    row0, row1, col0, col1 = box
+    crop = (slice(row0 - 1, row1 + 2), slice(col0 - 1, col1 + 2))
+    labels, _ = ndimage.label(~mask.bits[crop], structure=_EIGHT)
+    bits = mask.bits.copy()
+    bits[crop] = labels != labels[0, 0]
+    return RegionMask(mask.grid, bits, COMPACT)
 
 
 def holomorphic_hull(mask: RegionMask, omega: RegionMask) -> RegionMask:

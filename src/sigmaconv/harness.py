@@ -20,6 +20,7 @@ the rasterized target up to a boundary band.
 from __future__ import annotations
 
 import math
+import re
 import time
 import warnings
 from dataclasses import MISSING, asdict, dataclass, field, fields
@@ -159,6 +160,10 @@ def _signed_primitive(tokens: list[str]) -> tuple[int, object]:
     return sign, _parse_primitive(tokens)
 
 
+# two integers joined by one x; the signs reach the 2x2 check
+_GRID_DIMS = re.compile(r"([+-]?[0-9]+)x([+-]?[0-9]+)")
+
+
 def parse_scene(text: str, name: str = "scene") -> SceneSpec:
     """Parse scene text; raises SceneParseError naming the bad line."""
     grid_dims: tuple[int, int] | None = None
@@ -181,10 +186,10 @@ def parse_scene(text: str, name: str = "scene") -> SceneSpec:
                     raise ValueError("name requires a value")
                 name = " ".join(rest)
             elif key == "grid":
-                if len(rest) != 1 or "x" not in rest[0]:
+                dims = _GRID_DIMS.fullmatch(rest[0]) if len(rest) == 1 else None
+                if dims is None:
                     raise ValueError("grid takes WxH")
-                w, _, h = rest[0].partition("x")
-                grid_dims = (int(w), int(h))
+                grid_dims = (int(dims[1]), int(dims[2]))
                 if min(grid_dims) < 2:
                     raise ValueError("grid must be at least 2x2")
             elif key == "box":

@@ -114,6 +114,8 @@ def test_parse_comments_and_blank_lines():
     ("target segment 0 0 1 1 0", "segment field 'halfwidth' must be positive"),
     ("target sierpinski -1", "sierpinski field 'depth' must be >= 0"),
     ("grid abc", "^line 1: grid takes WxH$"),
+    ("grid 8x8x8", "^line 1: grid takes WxH$"),
+    ("grid x8", "^line 1: grid takes WxH$"),
     ("box 1 2 3", "^line 1: box takes x0 y0 x1 y1$"),
     ("target add", "^line 1: missing primitive"),
     ("target annulus 0 0 -1 1", "annulus field 'r_inner' must be >= 0"),
@@ -789,8 +791,11 @@ def test_cli_demo_sierpinski_rejects_bad_grid_or_box(tmp_path, capsys, lines,
     "target sierpinski 2\ntarget add disk 0.5 0.3 0.2\n",
     "target sierpinski 2\npart disk 0.5 0.3 0.1\n",
     "target sierpinski 2\npoint 0.5 0.3\n",
+    "target sierpinski 2\ndomain disk 0 0 0.1\n",
+    "target sierpinski 2\nbudget N 5\n",
+    "budget nmax 3\ntarget sierpinski 2\n",
 ], ids=["no-target", "disk", "negative", "two-depths", "added-disk", "part",
-        "point"])
+        "point", "domain", "budget", "budget-first"])
 def test_cli_demo_sierpinski_needs_one_sierpinski_target(tmp_path, capsys,
                                                          lines):
     scene = write_scene(tmp_path, SIERPINSKI_SCENE + lines)
@@ -798,7 +803,7 @@ def test_cli_demo_sierpinski_needs_one_sierpinski_target(tmp_path, capsys,
                  "--out", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err == (
         "error: demo-sierpinski needs one 'target sierpinski DEPTH' line "
-        "and no other target, part or point\n")
+        "and no other target, part, point, domain or budget line\n")
     assert not (tmp_path / "out").exists()
 
 

@@ -122,11 +122,44 @@ def _reference_stages(K_list, n_max):
     return L, E_list, U_list, status
 
 
+def rect(g, rows, cols):
+    """Compact of the cells in the inclusive row and column ranges."""
+    bits = np.zeros((g.height, g.width), dtype=bool)
+    bits[rows[0]:rows[1] + 1, cols[0]:cols[1] + 1] = True
+    return RegionMask(g, bits, COMPACT)
+
+
+def box_gap(a, b):
+    """Gap in cells on the larger axis between the boxes of a and b."""
+    (ra, ca), (rb, cb) = np.nonzero(a.bits), np.nonzero(b.bits)
+    return max(rb.min() - ra.max(), ra.min() - rb.max(),
+               cb.min() - ca.max(), ca.min() - cb.max(), 0)
+
+
+# (rows, cols) per compact, on the 32x32 grid of [-2, 2]^2 (pixel 1/8)
+RECT_SCENES = {
+    # K_2 is exactly 2 cells (2 px, a close pair) from K_1, K_3 exactly 3
+    # cells from K_2: its box alone settles that they stay apart
+    "boxes": [((4, 8), (4, 8)), ((4, 8), (10, 14)), ((4, 8), (17, 21))],
+    # K_2 meets K_1 at a corner (sqrt 2 px); K_3 is 2 rows and 2 columns
+    # from K_1 (2 sqrt 2 px), so it is transformed and then found apart
+    "diagonal": [((10, 14), (10, 14)), ((15, 19), (15, 19)),
+                 ((4, 8), (16, 20)), ((22, 26), (4, 8))],
+    # K_2 is 4 cells = 1/2 from K_1: stage 2 pulls it back by one column
+    "prefix-gap-exact": [((12, 18), (4, 8)), ((12, 18), (12, 16))],
+    # one cell wider: every stage keeps K_2 whole
+    "prefix-gap-wider": [((12, 18), (4, 8)), ((12, 18), (13, 17))],
+}
+
+
 def _stage_scene(name):
     g = Grid.from_box(-2.0, -2.0, 2.0, 2.0, 32, 32)
-    if name == "apart-odd-pixel":  # a pixel that is not a power of two
+    if name.endswith("-odd-pixel"):  # a pixel that is not a power of two
         g = Grid.from_box(-2.2, -2.2, 2.2, 2.2, 32, 32)
-    if name.startswith("apart"):
+        name = name.removesuffix("-odd-pixel")
+    if name in RECT_SCENES:
+        return [rect(g, rows, cols) for rows, cols in RECT_SCENES[name]]
+    if name == "apart":
         # on the 4/32 pixel K1, K2 are 1 px apart and K3, K4 exactly 2 px;
         # every other pair of nonempty compacts is more than 2 px apart
         return [disk(g, -0.5, 0.0, 0.45), disk(g, 0.5, 0.0, 0.45),
@@ -139,8 +172,10 @@ def _stage_scene(name):
             disk(g, 1.0, 0.0, 0.4)]
 
 
-@pytest.mark.parametrize("name", ["apart", "apart-odd-pixel", "nested",
-                                  "empty-middle"])
+@pytest.mark.parametrize("name", [
+    "apart", "apart-odd-pixel", "nested", "empty-middle", "boxes",
+    "boxes-odd-pixel", "diagonal", "prefix-gap-exact", "prefix-gap-wider",
+    "prefix-gap-exact-odd-pixel"])
 def test_stage_tables_match_the_definitions(name):
     K_list = _stage_scene(name)
     n_max = 9
@@ -153,8 +188,60 @@ def test_stage_tables_match_the_definitions(name):
         assert dec.E_list[n].same_cells(E_list[n]), n + 1
         assert dec.U_list[n].same_cells(U_list[n]), n + 1
     assert dec.hull_identity == status
-    if name.startswith("apart"):
+    if name.startswith(("apart", "boxes")):
         assert VERIFIED in status and SKIPPED in status
+    if name.startswith("prefix-gap"):
+        whole = dec.L[(2, 2)].same_cells(K_list[1])
+        assert whole == (name != "prefix-gap-exact")
+
+
+def spy_on(monkeypatch, module, name, calls):
+    """Record the bits of every mask passed to module.name."""
+    fn = getattr(module, name)
+
+    def wrapped(mask, *args):
+        calls.append(mask.bits.tobytes())
+        return fn(mask, *args)
+    monkeypatch.setattr(module, name, wrapped)
+
+
+@pytest.mark.parametrize("name,prefixes,singles", [
+    ("boxes", [2], [2]),
+    ("boxes-odd-pixel", [2], [2]),
+    ("diagonal", [2, 3], [2, 3]),
+    ("prefix-gap-exact", [2], []),
+    ("prefix-gap-wider", [], []),
+])
+def test_box_gaps_settle_the_transforms_they_skip(monkeypatch, name, prefixes,
+                                                  singles):
+    """The transform of K_1 | .. | K_{j-1} runs for each j in ``prefixes``
+    and that of K_b for each b in ``singles``; the boxes settle the rest.
+    Then one transform per distinct E_n, in stage order."""
+    from sigmaconv import decompose
+    calls = []
+    spy_on(monkeypatch, decompose, "distance_to", calls)
+    K_list = _stage_scene(name)
+    dec = ascending_decomposition(K_list, 9)
+    K_bits = [K.bits for K in K_list]
+    expected = [np.logical_or.reduce(K_bits[:j - 1]).tobytes()
+                for j in prefixes]
+    expected += [K_bits[b - 1].tobytes() for b in singles]
+    expected += [E.bits.tobytes() for n, E in enumerate(dec.E_list)
+                 if n == 0 or not E.same_cells(dec.E_list[n - 1])]
+    assert calls == expected
+
+
+def test_rect_scenes_have_the_gaps_they_name():
+    boxes = _stage_scene("boxes")
+    assert [box_gap(boxes[0], boxes[1]), box_gap(boxes[1], boxes[2])] == [2, 3]
+    diagonal = _stage_scene("diagonal")
+    assert [box_gap(diagonal[0], K) for K in diagonal[1:]] == [1, 2, 8]
+    g = diagonal[0].grid
+    assert set_distance(diagonal[0], diagonal[1]) == math.sqrt(2) * g.pixel
+    exact, wider = _stage_scene("prefix-gap-exact"), _stage_scene(
+        "prefix-gap-wider")
+    assert box_gap(*exact) * g.pixel == 1.0 / 2 == set_distance(*exact)
+    assert box_gap(*wider) == 5
 
 
 def test_stage_work_is_done_once_per_distinct_input(monkeypatch):
@@ -162,27 +249,21 @@ def test_stage_work_is_done_once_per_distinct_input(monkeypatch):
     and E_k group, and equal pieces are one shared object."""
     from sigmaconv import construct, decompose
     calls = {"hull": [], "dist": [], "leja": []}
-
-    def spy(name, fn):
-        def wrapped(mask, *args):
-            calls[name].append(mask.bits.tobytes())
-            return fn(mask, *args)
-        return wrapped
-    monkeypatch.setattr(decompose, "polynomial_hull",
-                        spy("hull", decompose.polynomial_hull))
-    monkeypatch.setattr(decompose, "distance_to",
-                        spy("dist", decompose.distance_to))
-    monkeypatch.setattr(construct, "leja_points",
-                        spy("leja", construct.leja_points))
+    spy_on(monkeypatch, decompose, "polynomial_hull", calls["hull"])
+    spy_on(monkeypatch, decompose, "distance_to", calls["dist"])
+    spy_on(monkeypatch, construct, "leja_points", calls["leja"])
 
     K_list = _stage_scene("nested")
     n_max = 9
     dec = ascending_decomposition(K_list, n_max)
     assert len(calls["hull"]) == len(set(calls["hull"]))
     distinct_E = {E.bits.tobytes() for E in dec.E_list}
-    # prefix unions, the later nonempty compacts, then one per distinct E_n
-    assert len(calls["dist"]) == (len(K_list) - 1 + sum(
-        not K.is_empty() for K in K_list[1:]) + len(distinct_E))
+    # K_3's box is 3 cells (3/8 > 1/3) from K_2's and farther from K_1's,
+    # so only K_2 needs its prefix union K_1 transformed, and only K_2 its
+    # own transform for the 2-pixel test; then one per distinct E_n
+    assert [box_gap(K_list[0], K_list[2]), box_gap(K_list[1], K_list[2])] \
+        == [9, 3]
+    assert len(calls["dist"]) == 1 + 1 + len(distinct_E) == 5
     for (n, j), piece in dec.L.items():
         for n2 in range(j, n_max + 1):
             if dec.L[(n2, j)].same_cells(piece):

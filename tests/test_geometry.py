@@ -8,7 +8,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy import ndimage
 
 from sigmaconv import (COMPACT, DOMAIN, OPEN, Grid, RegionMask,
@@ -63,12 +63,17 @@ def test_half_width():
 
 
 def test_compact_mask_may_not_touch_frame():
-    g = Grid.from_box(0.0, 0.0, 1.0, 1.0, 8, 8)
-    bits = np.zeros((8, 8), dtype=bool)
-    bits[0, 3] = True
-    with pytest.raises(ValueError):
-        RegionMask(g, bits, COMPACT)
-    RegionMask(g, bits, OPEN)  # open masks may
+    g = Grid.from_box(0.0, 0.0, 8.0, 6.0, 8, 6)
+    # a cell on each edge of a grid that is not square, and a corner
+    for cell in [(0, 3), (5, 3), (2, 0), (2, 7), (5, 7)]:
+        bits = np.zeros((6, 8), dtype=bool)
+        bits[cell] = True
+        with pytest.raises(ValueError, match="touches the grid frame"):
+            RegionMask(g, bits, COMPACT)
+        RegionMask(g, bits, OPEN)  # open masks may
+    bits = np.zeros((6, 8), dtype=bool)
+    bits[1:5, 1:7] = True
+    RegionMask(g, bits, COMPACT)  # every cell inside the frame
 
 
 def test_set_operations():
@@ -145,6 +150,50 @@ def test_hull_laws_property(seed, n_cells):
     assert polynomial_hull(h).same_cells(h)
     bigger = k.union(random_polyomino(rng, g, n_cells))
     assert h.subset_of(polynomial_hull(bigger))
+
+
+def full_grid_hull(mask):
+    """The hull by labelling the whole complement: mask plus every
+    component that misses the frame."""
+    rep = complement_components(mask)
+    return mask.bits | np.isin(rep.labels, rep.bounded_labels())
+
+
+def ring_mask(h, w, rings):
+    """Square outlines on an h x w grid, one per (row0, row1, col0, col1)."""
+    bits = np.zeros((h, w), dtype=bool)
+    for j0, j1, i0, i1 in rings:
+        bits[j0:j1 + 1, [i0, i1]] = True
+        bits[[j0, j1], i0:i1 + 1] = True
+    return RegionMask(Grid(0j, 1.0, w, h), bits, COMPACT)
+
+
+@st.composite
+def compact_masks(draw):
+    """Random interior cells plus up to three square outlines, on a grid of
+    3..14 cells a side; outlines may reach the cells next to the frame."""
+    h, w = draw(st.integers(3, 14)), draw(st.integers(3, 14))
+    rows, cols = st.integers(1, h - 2), st.integers(1, w - 2)
+    rings = [(*sorted(r), *sorted(c)) for r, c in draw(st.lists(
+        st.tuples(st.tuples(rows, rows), st.tuples(cols, cols)), max_size=3))]
+    mask = ring_mask(h, w, rings)
+    bits = mask.bits.copy()
+    for j, i in draw(st.lists(st.tuples(rows, cols), max_size=30)):
+        bits[j, i] = True
+    return RegionMask(mask.grid, bits, COMPACT)
+
+
+@settings(max_examples=150, deadline=None)
+@given(mask=compact_masks())
+@example(mask=ring_mask(12, 12, [(1, 10, 1, 10), (3, 8, 3, 8),
+                                 (5, 6, 5, 6)]))  # nested, padded to frame
+@example(mask=ring_mask(9, 13, [(1, 7, 2, 6), (3, 5, 8, 11)]))
+@example(mask=ring_mask(5, 5, [(1, 3, 1, 3)]))  # one hole cell
+@example(mask=ring_mask(6, 7, []))  # empty
+def test_cropped_hull_matches_the_full_grid_fill(mask):
+    hull = polynomial_hull(mask)
+    assert hull.kind == COMPACT and hull.grid == mask.grid
+    assert np.array_equal(hull.bits, full_grid_hull(mask))
 
 
 def test_holomorphic_hull_fills_hole_inside_domain():
