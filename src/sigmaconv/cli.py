@@ -25,8 +25,8 @@ from . import pgmio, serialize, shapes
 from .construct import interleave
 from .decompose import hull_escape_exhibit, sierpinski_mask
 from .geometry import holomorphic_hull, polynomial_hull
-from .harness import (Budgets, SceneSpec, construct_compact,
-                      construct_countable, construct_sigma, load_scene, verify)
+from .harness import (SceneSpec, construct_compact, construct_countable,
+                      construct_sigma, load_scene, verify)
 
 
 def _fraction(text: str) -> float:
@@ -165,7 +165,7 @@ def cmd_demo_sierpinski(args) -> int:
     target = scene.target_spec
     if (len(target) != 1 or scene.parts or scene.points or target[0][0] != 1
             or not isinstance(target[0][1], shapes.SierpinskiShape)
-            or scene.domain_spec or scene.budgets != Budgets()):
+            or scene.domain_spec or scene.budget_keys):
         raise ValueError("demo-sierpinski needs one 'target sierpinski "
                          "DEPTH' line and no other target, part, point, "
                          "domain or budget line")

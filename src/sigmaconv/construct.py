@@ -40,6 +40,10 @@ _CELL_BYTES = 128
 
 _UNIT_ROUNDOFF = 2.0 ** -53
 
+# BlockStructure.tail_sup screens the cells whose exponents stay within
+# this factor of 1 in magnitude, and bounds underflow by its inverse
+_SCREEN_RANGE = 2.0 ** 1000
+
 
 def _log_abs(values: np.ndarray) -> np.ndarray:
     with np.errstate(divide="ignore"):
@@ -574,6 +578,34 @@ def _separating_families(
                       in zip(stages, members, uncovered, notes)]
 
 
+def _fold_pairs(best: np.ndarray, x: np.ndarray, groups: np.ndarray,
+                cells: np.ndarray, starts: np.ndarray, sizes: np.ndarray,
+                ells: np.ndarray, divisors: np.ndarray) -> None:
+    """For each pair (g, c) of ``groups`` and ``cells``, fold into best[c]
+    the exponents fl(fl(ell x[g, c]) / d) of group g's members, whose
+    (ell, d) are ells[k] and divisors[k] for k in starts[g] + 0..sizes[g]-1.
+    The pairs' members are expanded TABLE_BYTES at a time, and np.maximum
+    propagates a NaN."""
+    counts = sizes[groups]
+    ends = np.cumsum(counts)
+    p = 0
+    while p < groups.size:
+        base = ends[p] - counts[p]
+        q = max(p + 1, int(np.searchsorted(ends, base + TABLE_BYTES // 8,
+                                           side="right")))
+        n = counts[p:q]
+        first = ends[p:q] - n - base  # each pair's offset in the batch
+        member = np.arange(ends[q - 1] - base) + np.repeat(
+            starts[groups[p:q]] - first, n)
+        # an exponent may overflow to inf, and .at flags the NaN it keeps
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = ells[member] * np.repeat(x[groups[p:q], cells[p:q]], n)
+            values /= divisors[member]
+            np.maximum.at(best, cells[p:q],
+                          np.maximum.reduceat(values, first))
+        p = q
+
+
 @dataclass(frozen=True, eq=False)
 class BlockStructure:
     """Members of a powered block series, on their root sequences.
@@ -587,7 +619,8 @@ class BlockStructure:
     The members of a separating-family stage, and of every stage built in
     lockstep with it, are prefixes of one stored Leja sequence, and
     ``tail_sup`` keeps one running root sum per sequence, so each root
-    term is evaluated once per sequence and cell, however many share it.
+    term is evaluated once per sequence and cell, however many share it;
+    it then folds, per cell, only the members its screen cannot rule out.
     """
 
     sequences: tuple[tuple[complex, ...], ...]
@@ -607,19 +640,43 @@ class BlockStructure:
     def tail_sup(self, z: np.ndarray | complex, lo: int, hi: int,
                  divisors: np.ndarray | None = None) -> np.ndarray:
         """max over n = lo..hi of log|f_n(z)| divided by divisors[n - lo],
-        which defaults to n, in z's shape, with 1 <= lo; a cell with a NaN
-        order gets a NaN sup.
+        which defaults to n, in z's shape, with 1 <= lo and positive
+        divisors; a cell with a NaN order gets a NaN sup.
 
-        For each chunk of cells, each sequence with a member in the window
-        keeps one running root sum.  At each degree,
-        the window members of that degree fold in as
-        ell * (running + log_scale), divided by their divisors;
-        members with one log_scale (the stages of a lockstep group share
-        each degree's member) add it to the running sum once.  The sum
-        starts from zero and adds the roots in order, with log_scale
-        folded in last as RootPolynomial.log_abs does, so every exponent
-        is bit-identical to evaluating its member alone.  The (member x
-        cell) block of one log_scale is filled TABLE_BYTES at a time.
+        The window's members fall into groups of one (sequence, degree,
+        log_scale): the stages of a lockstep group share each degree's
+        member.  For each chunk of cells, each sequence with a member in
+        the window sums its root logs once, from zero, adding the roots in
+        order, and each group takes x = fl(sum + log_scale), with
+        log_scale folded in last as RootPolynomial.log_abs does.  Member
+        ell of the group, with divisor d, has the exponent
+        v = fl(fl(ell x) / d), bit-identical to evaluating it alone.  A
+        screen keeps, per cell, the groups that can hold the max, and only
+        their members are folded (_fold_pairs).
+
+        The screen bounds each v by y = fl(r_hi x), where r = fl(ell / d)
+        lies in [r_lo, r_hi] over the group: r is 1 for the default
+        divisors, and m / 2m or m / (2m + 1) for an interleave child's.
+        With u = 2^-53, each rounding is fl(t) = t (1 + e) + f, |e| <= u,
+        |f| <= 2^-1075 (Higham, Accuracy and Stability of Numerical
+        Algorithms, section 2.2, with underflow), so, barring overflow,
+        |v - y| <= w |y| + h, with w = 1 - min(r_lo / r_hi) + 32u and
+        h = 2^-1000 max(1, 1 / min(d)).  At a cell, the group of the
+        largest y, top, holds a v >= top - w |top| - h.  For w <= 1/2,
+        y + w |y| increases with y, so a group with
+        y < top - 4w |top| - 4h has every v below that and holds no max;
+        the slack in w and h absorbs the roundings of this threshold.
+        Every other group is folded exactly, and their max is the max of
+        all.  No v is NaN there, and x is never -0.0 (the sums start from
+        +0.0), so the fold order changes no bits, short of the sign of a
+        zero max, which needs a quotient that underflows.
+
+        A cell takes no screen, and folds every group, where top is NaN,
+        so that the NaN propagates, infinite, or beyond
+        2^1000 / max(1, max(d)) in magnitude.  Below that no positive x
+        overflows, as its y is at most top, and a negative x that
+        overflows rounds to -inf, which no bound misses.  No cell takes
+        the screen if w > 1/2.
         """
         zs = np.asarray(z, dtype=complex)
         flat = zs.ravel()
@@ -634,26 +691,47 @@ class BlockStructure:
         keyed = scales[order]
         changes = ((np.diff(seq[order]) != 0) | (np.diff(degree[order]) != 0)
                    | (keyed[1:] != keyed[:-1]))
-        groups = np.split(order, np.flatnonzero(changes) + 1)
-        runs: dict[int, list[tuple[int, float, np.ndarray]]] = {}
-        for group in groups:
-            i = group[0]
-            runs.setdefault(int(seq[i]), []).append(
-                (int(degree[i]), scales[i], ells[group, None],
-                 divisors[group, None]))
+        starts = np.flatnonzero(np.r_[True, changes])
+        g_seq, g_degree = seq[order[starts]], degree[order[starts]]
+        # per sequence: its roots up to its highest window degree, and its
+        # groups (index, degree, log_scale), in ascending degree
+        runs = []
+        for s, ks in groupby(range(starts.size), key=g_seq.__getitem__):
+            folds = [(k, g_degree[k], keyed[starts[k]]) for k in ks]
+            runs.append((np.array(self.sequences[s][:folds[-1][1]]), folds))
+        ells, divisors = ells[order], divisors[order]
+        ratio = ells / divisors
+        r_lo = np.minimum.reduceat(ratio, starts)
+        r_hi = np.maximum.reduceat(ratio, starts)
+        w = 1 - (r_lo / r_hi).min() + 32 * _UNIT_ROUNDOFF
+        h = max(1.0, 1 / divisors.min()) / _SCREEN_RANGE
+        big = (_SCREEN_RANGE / max(1.0, divisors.max()) if w <= 0.5
+               else -1.0)  # no cell takes the screen
+        members = (starts, np.diff(starts, append=order.size), ells, divisors)
         sup = np.full(flat.shape, -np.inf)
-        step = max(1, TABLE_BYTES // (8 * max(map(len, groups))))
+        # a chunk's x rows, and the root logs of one sequence, each fill
+        # at most the table
+        rows = max(starts.size, max(roots.size for roots, _ in runs))
+        step = max(1, TABLE_BYTES // (8 * rows))
         for start in range(0, flat.size, step):
-            cells, best = flat[start:start + step], sup[start:start + step]
-            for s, folds in runs.items():
-                total, done = np.zeros(cells.shape), 0
-                for d, scale, ell, divisor in folds:
-                    for r in self.sequences[s][done:d]:
-                        total += _log_abs(cells - r)
+            cells = flat[start:start + step]
+            x = np.empty((starts.size, cells.size))
+            for roots, folds in runs:
+                logs = _log_abs(cells - roots[:, None])
+                total, done = np.zeros(cells.size), 0
+                for g, d, scale in folds:
+                    for term in logs[done:d]:
+                        total += term
                     done = d
-                    block = ell * (total + scale)
-                    block /= divisor
-                    np.maximum(best, block.max(axis=0), out=best)
+                    np.add(total, scale, out=x[g])
+            with np.errstate(over="ignore", invalid="ignore"):
+                y = r_hi[:, None] * x
+                top = y.max(axis=0)
+                contend = y >= top - 4 * w * np.abs(top) - 4 * h
+            contend[:, ~(np.abs(top) <= big)] = True
+            _fold_pairs(sup[start:start + step], x,
+                        *np.divmod(np.flatnonzero(contend), cells.size),
+                        *members)
         return sup.reshape(zs.shape)
 
 

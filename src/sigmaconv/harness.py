@@ -87,6 +87,9 @@ class Budgets:
 
 @dataclass
 class SceneSpec:
+    """A parsed scene; ``budget_keys`` holds the key of every budget line
+    it read, 'auto' values included, which ``budgets`` stores as None."""
+
     name: str
     grid: Grid
     budgets: Budgets
@@ -94,6 +97,7 @@ class SceneSpec:
     target_spec: list = field(default_factory=list)
     points: list[complex] = field(default_factory=list)
     parts: list[list] = field(default_factory=list)
+    budget_keys: set[str] = field(default_factory=set)
 
     def domain_mask(self) -> RegionMask:
         spec = self.domain_spec or [(1, shapes.FullPlane())]
@@ -169,6 +173,7 @@ def parse_scene(text: str, name: str = "scene") -> SceneSpec:
     grid_dims: tuple[int, int] | None = None
     box: tuple[float, float, float, float] | None = None
     budgets = Budgets()
+    budget_keys: set[str] = set()
     domain_spec: list = []
     target_spec: list = []
     points: list[complex] = []
@@ -204,6 +209,7 @@ def parse_scene(text: str, name: str = "scene") -> SceneSpec:
                 attr, conv = _BUDGET_KEYS[rest[0]]
                 value = None if rest[1] == "auto" else conv(rest[1])
                 setattr(budgets, attr, value)
+                budget_keys.add(rest[0])
             elif key == "domain":
                 domain_spec.append(_signed_primitive(rest))
             elif key == "target":
@@ -233,7 +239,7 @@ def parse_scene(text: str, name: str = "scene") -> SceneSpec:
     except ValueError as exc:
         raise SceneParseError(f"grid/box mismatch: {exc}") from exc
     return SceneSpec(name, grid, budgets, domain_spec, target_spec, points,
-                     parts)
+                     parts, budget_keys)
 
 
 def load_scene(path) -> SceneSpec:

@@ -9,11 +9,13 @@ Python json dialect); complex numbers are stored as [re, im] pairs.
 
 save_series writes json.dumps(series_to_json(series), indent=1): json.dumps
 writes everything but the members lists, which are written from their
-stored sequences, each sequence's root pairs formatted once.  load_series
-reads each members list in that layout (_layout) from the text: a member
-repeating a prefix of the running sequence's text is placed on it, and only
-new text is parsed.  Any other layout goes through json.loads, with the
-same checks.
+stored sequences.  Each sequence's root pairs are formatted and encoded
+once, and each member's roots go out as a memoryview of those bytes, so a
+file is written in one buffered binary pass without joining its text.
+load_series reads each members list in that layout (_layout) from the
+text: a member repeating a prefix of the running sequence's text is placed
+on it, and only new text is parsed.  Any other layout goes through
+json.loads, with the same checks.
 """
 
 from __future__ import annotations
@@ -127,6 +129,8 @@ _MEMBERS_KEY = '"members": '
 # no file text holds this digit run (load_series checks), so an integer
 # literal opening with it is one that save_series or load_series put in
 _PLACEHOLDER = "9" * 24
+# the buffer of save_series' one binary pass over a file's pieces
+_WRITE_BUFFER = 1 << 20
 
 
 def _layout(level: int) -> tuple[str, str, tuple[str, str], str, str]:
@@ -150,7 +154,7 @@ class _Decoded(tuple):
 def _decode_members(text: str, start: int,
                     level: int) -> tuple[_Decoded, int] | None:
     """The tables of the members list that opens at text[start], written
-    as _members_text(s, level) writes it, and the index after the list;
+    as _members_bytes(s, level) writes it, and the index after the list;
     None for any other layout or an invalid value, which json.loads and
     _members_from_json then read, and reject, as for any other file.
 
@@ -283,29 +287,31 @@ def _float_text(x: float) -> str:
     return repr(x) if math.isfinite(x) else json.dumps(x)
 
 
-def _members_text(s: BlockStructure, level: int) -> str:
+def _members_bytes(s: BlockStructure, level: int) -> list:
     """The json indent=1 text of s's members list, its key line indented
-    ``level``, as series_to_json writes it.
+    ``level``, as series_to_json writes it, in pieces to write in turn.
 
-    Each sequence's root pairs are formatted once, each after a comma, and
-    a member of degree d writes the first d pairs of its sequence's text,
-    without the first comma.
+    Each sequence's root pairs are formatted, each after a comma, and
+    encoded once; a member of degree d writes a memoryview of the first d
+    pairs of its sequence's bytes, without the first comma, so no roots
+    are copied.  json.dumps writes ASCII, so the offsets of the text are
+    those of its bytes.
     """
     if not s.log_scales.size:
-        return "[]"
+        return [b"[]"]
     head, pair, roots_end, tail, close = _layout(level)
     texts, offsets = [], []  # per sequence: its pairs, the end of each
     for sequence in s.sequences:
         pairs = [pair % (_float_text(r.real), _float_text(r.imag))
                  for r in sequence]
-        texts.append("".join(pairs))
+        texts.append(memoryview("".join(pairs).encode()))
         offsets.append(list(accumulate(map(len, pairs), initial=0)))
-    out = []
+    out, head = [b"["], head.encode()
     for (k, d), log_scale in zip(s.placement.tolist(), s.log_scales.tolist()):
-        out += (head, texts[k][1:offsets[k][d]], roots_end[d > 0],
-                _float_text(log_scale), tail, ",")
-    out[-1] = close  # the last member ends the list, not a comma
-    return "[" + "".join(out)
+        out += (head, texts[k][1:offsets[k][d]],
+                f"{roots_end[d > 0]}{_float_text(log_scale)}{tail},".encode())
+    out[-1] = out[-1][:-1] + close.encode()  # the last member ends the list
+    return out
 
 
 def save_series(series: CoefficientSeries, path: str | Path) -> None:
@@ -313,20 +319,23 @@ def save_series(series: CoefficientSeries, path: str | Path) -> None:
 
     json.dumps writes the series with an integer literal that opens with
     _PLACEHOLDER as each block structure's members list, and each literal
-    is then replaced by _members_text, at the indent of its key's line.
+    is then replaced by _members_bytes, at the indent of its key's line.
     The pattern '"members": ' followed by a digit is an object key and its
     value (in a string the quote before the colon is escaped), and only
-    block structures have that key.
+    block structures have that key.  The pieces go out in one buffered
+    binary pass, and no text of the whole file is ever joined.
     """
     blocks: list[BlockStructure] = []
     text = json.dumps(_series_json(
         series, lambda s: blocks.append(s) or int(_PLACEHOLDER)), indent=1)
     pieces = text.split(_MEMBERS_KEY + _PLACEHOLDER)
-    out = [pieces[0]]
+    out = [pieces[0].encode()]
     for s, before, after in zip(blocks, pieces, pieces[1:]):
         level = len(before) - len(before.rstrip(" "))
-        out += (_MEMBERS_KEY, _members_text(s, level), after)
-    Path(path).write_text("".join(out))
+        out += (_MEMBERS_KEY.encode(), *_members_bytes(s, level),
+                after.encode())
+    with open(path, "wb", buffering=_WRITE_BUFFER) as f:
+        f.writelines(out)
 
 
 def load_series(path: str | Path) -> CoefficientSeries:

@@ -148,6 +148,9 @@ def test_budget_defaults_resolve_against_grid():
     assert r.M == DEFAULT_M
     assert (r.stages, r.degree_cap, r.n_max) == (8, 64, None)
     assert r.band == pytest.approx(3.0 * s.grid.pixel)
+    # 'auto' stores None, as no line does, but the key is kept
+    assert s.budget_keys == {"N"}
+    assert parse_scene("grid 64x64\nbox -2 -2 2 2\n").budget_keys == set()
 
 
 @pytest.mark.parametrize("text,fragment", [
@@ -794,8 +797,9 @@ def test_cli_demo_sierpinski_rejects_bad_grid_or_box(tmp_path, capsys, lines,
     "target sierpinski 2\ndomain disk 0 0 0.1\n",
     "target sierpinski 2\nbudget N 5\n",
     "budget nmax 3\ntarget sierpinski 2\n",
+    "target sierpinski 2\nbudget N auto\n",
 ], ids=["no-target", "disk", "negative", "two-depths", "added-disk", "part",
-        "point", "domain", "budget", "budget-first"])
+        "point", "domain", "budget", "budget-first", "budget-auto"])
 def test_cli_demo_sierpinski_needs_one_sierpinski_target(tmp_path, capsys,
                                                          lines):
     scene = write_scene(tmp_path, SIERPINSKI_SCENE + lines)

@@ -21,7 +21,8 @@ from sigmaconv import (COMPACT, DOMAIN, OPEN, Grid, RegionMask, Verdict,
                        PointSequence, RootPolynomial, export_decomposition,
                        load_decomposition)
 from sigmaconv import serialize
-from sigmaconv.construct import BlockStructure, InterleaveStructure
+from sigmaconv.construct import (BlockStructure, InterleaveStructure,
+                                 block_series_from_tables)
 from sigmaconv.serialize import grid_from_json, map_sidecar
 from conftest import (corrupt_leaf, disk_growth_series, leaf_paths,
                       oracle_series, random_polyomino, reference_log_mag)
@@ -336,22 +337,42 @@ def countable_series():
         (0.1 + 0.2j, -0.4 + 0.9j, 1.2 - 0.3j, 0.8 + 0.8j)))
 
 
-WRITER_BUILDS = pytest.mark.parametrize("build", [
-    sigma_series, compact_series, hand_block_series, countable_series,
-    lambda: interleave(hand_block_series(), compact_series()),
-    lambda: interleave(countable_series(), sigma_series()),
-], ids=["sigma", "compact", "hand-blocks", "countable", "interleave-blocks",
-        "interleave-countable-blocks"])
+def memberless_block_series():
+    """Two stages without members: the members list is written []."""
+    return block_series([], [0, 0], 0.0, "no members", [3, 0])
 
 
-@WRITER_BUILDS
+def lockstep_block_series():
+    """Two lockstep stages that share each member: every (degree,
+    log_scale) of one sequence is placed twice."""
+    a, b, c = 0.5 + 0.25j, -1.0 / 3 + 2j, -0.0 - 1e-300j
+    return block_series_from_tables(
+        [(a, b, c)], [(0, 1), (0, 3), (0, 1), (0, 3)], [0.2, -1.5, 0.2, -1.5],
+        [2, 2], 1.0, "lockstep stages")
+
+
+WRITERS = {
+    "sigma": sigma_series, "compact": compact_series,
+    "hand-blocks": hand_block_series, "countable": countable_series,
+    "interleave-blocks": lambda: interleave(hand_block_series(),
+                                            compact_series()),
+    "interleave-countable-blocks": lambda: interleave(countable_series(),
+                                                      sigma_series()),
+}
+WRITER_BUILDS = pytest.mark.parametrize("build", list(WRITERS.values()),
+                                        ids=list(WRITERS))
+
+
+@pytest.mark.parametrize("build", [*WRITERS.values(), memberless_block_series,
+                                   lockstep_block_series],
+                         ids=[*WRITERS, "no-members", "lockstep-shared"])
 def test_save_series_writes_json_indent_1(tmp_path, build):
     series = build()
     save_series(series, tmp_path / "s.json")
-    text = (tmp_path / "s.json").read_text()
-    assert text == json.dumps(series_to_json(series), indent=1)
+    data = (tmp_path / "s.json").read_bytes()
+    assert data == json.dumps(series_to_json(series), indent=1).encode()
     save_series(load_series(tmp_path / "s.json"), tmp_path / "again.json")
-    assert (tmp_path / "again.json").read_text() == text
+    assert (tmp_path / "again.json").read_bytes() == data
 
 
 def _refuse_json_path(monkeypatch):

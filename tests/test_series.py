@@ -368,14 +368,123 @@ def test_block_tail_sup_keeps_its_shape_and_scalar_points():
                          ids=["hand-blocks", "loaded-hand-blocks", "sigma"])
 def test_block_tail_sup_is_bit_identical_across_cell_chunks(build,
                                                             monkeypatch):
-    # a 100-entry block budget splits the 2304 + roots cells into chunks of
-    # at most 100, the last one partial
+    # a 100-entry table splits the 2304 + roots cells into chunks of at
+    # most 100 // (groups or roots per sequence) cells, the last one partial
     f = build()
     zs = _points_on_and_off_roots(f)
     monkeypatch.setattr(construct, "TABLE_BYTES", 800)
     for lo, hi in (tail_window(f.max_supported_n), (1, f.max_supported_n)):
         got = f.structure.tail_sup(zs, lo, hi)
         assert got.tobytes() == _per_order_sup(f, zs, lo, hi).tobytes()
+
+
+# roots for drawn block series: four cell centres of _SCREEN_GRID, whose
+# cells take -inf from that root's degree on, and two points off the grid
+_SCREEN_GRID = Grid.from_box(-1.4, -1.0, 1.4, 1.0, 7, 5)
+_SCREEN_ROOTS = (*_SCREEN_GRID.centers().ravel()[[3, 11, 17, 30]].tolist(),
+                 0.31 + 0.17j, -0.52 - 0.4j)
+
+
+@st.composite
+def screened_block_series(draw):
+    """A block series of up to 16 members on up to three sequences, a
+    sequence possibly a copy of the one before, so that its groups tie
+    with that one's exactly.  Members share each of two (sequence, degree)
+    keys per sequence, and take log_scales from one drawn value, its two
+    one-ulp neighbours and -inf, and perhaps NaN, +-1e300 (beyond the
+    screen's range), +-1.5e307 (whose exponents overflow from order 12
+    on) and +-1e-310 (subnormal)."""
+    sequences = []
+    for _ in range(draw(st.integers(1, 3))):
+        if sequences and draw(st.booleans()):
+            sequences.append(sequences[-1])
+        else:
+            roots = draw(st.permutations(_SCREEN_ROOTS))
+            sequences.append(tuple(roots[:draw(st.integers(0, 6))]))
+    keys = [(s, draw(st.integers(0, len(seq))))
+            for s, seq in enumerate(sequences) for _ in range(2)]
+    base = draw(st.floats(-3.0, 3.0))
+    scales = [base, np.nextafter(base, np.inf), np.nextafter(base, -np.inf),
+              -math.inf]
+    scales += draw(st.lists(st.sampled_from(
+        [math.nan, 1e300, -1e300, 1.5e307, -1.5e307, 1e-310, -1e-310]),
+        max_size=2))
+    count = draw(st.integers(1, 16))
+    return construct.block_series_from_tables(
+        sequences, draw(st.lists(st.sampled_from(keys), min_size=count,
+                                 max_size=count)),
+        draw(st.lists(st.sampled_from(scales), min_size=count,
+                      max_size=count)), [count], 0.0, "drawn blocks")
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_block_tail_sup_screen_is_bit_identical_to_the_per_order_loop(data):
+    # an interleave passes its children the divisors 2m and 2m + 1; the
+    # smallest table makes one-cell chunks and folds one pair at a time
+    f = data.draw(screened_block_series(), label="series")
+    if data.draw(st.booleans(), label="interleave"):
+        f = construct.interleave(f, data.draw(screened_block_series(),
+                                              label="odd series"))
+    hi = data.draw(st.integers(1, f.max_supported_n), label="hi")
+    lo = data.draw(st.integers(1, hi), label="lo")
+    table = data.draw(st.sampled_from([8, 56, construct.TABLE_BYTES]),
+                      label="TABLE_BYTES")
+    zs = np.concatenate([_SCREEN_GRID.centers().ravel(), _SCREEN_ROOTS])
+    with mock.patch.object(construct, "TABLE_BYTES", table):
+        got = f.structure.tail_sup(zs, lo, hi)
+    with np.errstate(over="ignore"):
+        want = _per_order_sup(f, zs, lo, hi)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_block_tail_sup_keeps_a_group_one_ulp_below_the_top():
+    # x = s at order 6 and x = s + 1 ulp at order 29, so the second group's
+    # x is the largest; yet fl(6 s) / 6 rounds up to s + 1 ulp, and
+    # fl(29 (s + 1 ulp)) / 29 down to s, so the max is the first group's
+    s = 2.684666985234739
+    up = float(np.nextafter(s, np.inf))
+    scales = [-1.0] * 29
+    scales[5], scales[28] = s, up
+    f = construct.block_series_from_tables([()], [(0, 0)] * 29, scales,
+                                           [29], 0.0, "one ulp apart")
+    got = f.structure.tail_sup(np.zeros(3, dtype=complex), 1, 29)
+    assert (6 * s) / 6 == up and (29 * up) / 29 == s
+    assert got.tolist() == [up] * 3
+
+
+def test_block_tail_sup_takes_no_screen_where_an_exponent_overflows():
+    # order 1 holds the largest x, 1.6e307, but 20 * 1.5e307 overflows, so
+    # order 20's exponent is inf: the cell must fold every group
+    scales = [-1.0] * 20
+    scales[0], scales[19] = 1.6e307, 1.5e307
+    f = construct.block_series_from_tables([()], [(0, 0)] * 20, scales,
+                                           [20], 0.0, "overflow at order 20")
+    with np.errstate(over="ignore"):
+        assert 20 * 1.5e307 == math.inf
+    got = f.structure.tail_sup(np.zeros(3, dtype=complex), 1, 20)
+    assert got.tolist() == [math.inf] * 3
+
+
+def test_block_tail_sup_folds_the_contending_groups_alone(monkeypatch):
+    # on the sigma series' tail window the screen leaves about one group
+    # per cell to fold, of the window's 15
+    f = sigma_series()
+    zs = _points_on_and_off_roots(f)
+    lo, hi = tail_window(f.max_supported_n)
+    folded = []
+    fold = construct._fold_pairs
+
+    def spy(best, x, groups, cells, *members):
+        folded.append((x.shape[0], groups.size))
+        return fold(best, x, groups, cells, *members)
+
+    monkeypatch.setattr(construct, "_fold_pairs", spy)
+    got = f.structure.tail_sup(zs, lo, hi)
+    assert got.tobytes() == _per_order_sup(f, zs, lo, hi).tobytes()
+    (groups, pairs), = folded  # one chunk of (group, cell) pairs
+    assert groups > 4
+    assert pairs < 1.1 * zs.size
 
 
 def test_loaded_hand_series_places_each_member_on_one_sequence():
