@@ -35,7 +35,9 @@ from .series import CoefficientSeries
 # that block series fold at one degree (BlockStructure.tail_sup)
 TABLE_BYTES = 1 << 20
 
-# the working rows that _bound_orders and _order_sums keep per cell, in bytes
+# the working rows kept per cell, in bytes: _top_screen's top, root and
+# magnitude sums, bound max and scratch rows (one complex), and, for the
+# cells it leaves, _bound_orders' and _order_sums' rows
 _CELL_BYTES = 128
 
 _UNIT_ROUNDOFF = 2.0 ** -53
@@ -139,26 +141,12 @@ class RootPolynomial:
         return total
 
 
-def gamma_sequence(points: PointSequence, n: int) -> float:
-    """Separation scale of the first n+1 points:
-    min( half the minimum pairwise distance, 1/n )."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if len(points) < n + 1:
-        raise ValueError(f"gamma_{n} needs at least {n + 1} points")
-    pts = points.as_array()[:n + 1]
-    diff = np.abs(pts[:, None] - pts[None, :])
-    min_gap = float(diff[np.triu_indices(n + 1, k=1)].min())
-    if min_gap == 0.0:
-        raise ValueError("points must be pairwise distinct")
-    return min(0.5 * min_gap, 1.0 / n)
-
-
 def gamma_table(points: PointSequence) -> tuple[np.ndarray, np.ndarray]:
     """(gamma_n, log C_n) for n = 1..len(points)-1, with
     log C_n = n * (log n - log gamma_n)."""
     # a running minimum of each new point's gaps to the earlier points is
-    # exactly gamma_sequence's pairwise minimum, in O(n^2) overall
+    # exactly the pairwise minimum of the first n + 1 points, in O(n^2)
+    # overall; tests/conftest.py's gamma_sequence takes it from scratch
     pts = points.as_array()
     n_max = len(pts) - 1
     gammas = np.empty(n_max)
@@ -180,29 +168,40 @@ def _product_tail_sup(z: np.ndarray | complex, roots: np.ndarray,
     by divisors[n - lo], which defaults to n, where log_c holds log C_n for
     n = lo..hi and 1 <= lo; a cell with a NaN order gets a NaN sup.
 
-    Cells go in chunks of TABLE_BYTES // _CELL_BYTES, with two passes over
-    the roots each, and every sup is bit-identical to the max over orders
-    of each order summed alone: from log C_n, adding the root terms in
-    sequence.
+    Every sup is bit-identical to the max over orders of each order summed
+    alone: from log C_n, adding the root terms in sequence.  Cells go in
+    chunks of TABLE_BYTES // _CELL_BYTES through one pass over the roots
+    each (_top_screen), which settles most of them; the cells it leaves go
+    through the bounds pass below once, in chunks of the same size.
 
     That sum of order n is a recursive summation of the n + 1 terms
     log C_n, log|z - roots[0]|, ..., log|z - roots[n-1]|, so its value E_n
     is within gamma_n * sum|terms| of their exact sum, with
     gamma_n = n u / (1 - n u) and u = 2^-53 (Higham, Accuracy and Stability
-    of Numerical Algorithms, section 4.2).  The first pass (_bound_orders)
-    keeps one running sum P_n of the root terms for all orders; A_n =
-    log C_n + P_n sums the same terms recursively in another order, so
-    |E_n - A_n| <= 2 gamma_n * sum|terms|.  With S_n the running sum of
-    the root terms' magnitudes, the margin m_n = 4 (n + 2) u (|log C_n| +
-    S_n) exceeds that bound after its own roundings while n u < 1/4, and as
-    rounding is monotone, (A_n - m_n) / d_n <= E_n / d_n <= (A_n + m_n) /
-    d_n holds for the rounded quotients too.  A non-finite A_n equals E_n:
-    finite terms, at most about 745 in magnitude, never overflow a sum,
-    and a sum with an infinite or NaN term has the same value in any
-    order.  The order whose lower bound is highest wins.  Its E_n / d_n is
-    the max when every other order's upper bound is below that lower
-    bound, or when that lower bound is infinite and no upper bound exceeds
-    it.  The second pass (_order_sums) sums only the winner, term by term,
+    of Numerical Algorithms, section 4.2).  One running sum P_n of the root
+    terms serves all orders; A_n = log C_n + P_n sums the same terms
+    recursively in another order, so |E_n - A_n| <= 2 gamma_n * sum|terms|.
+    With S_n the running sum of the root terms' magnitudes, the margin
+    m_n = 4 (n + 2) u (|log C_n| + S_n) exceeds that bound after its own
+    roundings while n u < 1/4, and as rounding is monotone, (A_n - m_n) /
+    d_n <= E_n / d_n <= (A_n + m_n) / d_n holds for the rounded quotients
+    too.
+
+    The screen sums the top order E_hi exactly, as _order_sums does, and
+    folds the upper bounds of the orders lo..hi-1 into their max U.  Where
+    U < E_hi / d_hi, every other order lies strictly below the top one, so
+    the sup is E_hi / d_hi, bit for bit.  A NaN order, or an infinite
+    margin over an infinite sum, makes U NaN and the cell unsettled; so do
+    a cell on one of the first hi roots (its top order is -inf) and an
+    exact tie with the top order.
+
+    For an unsettled cell, a non-finite A_n equals E_n: finite terms, at
+    most about 745 in magnitude, never overflow a sum, and a sum with an
+    infinite or NaN term has the same value in any order.  The bounds pass
+    (_bound_orders) picks the order whose lower bound is highest.  Its
+    E_n / d_n is the max when every other order's upper bound is below
+    that lower bound, or when that lower bound is infinite and no upper
+    bound exceeds it, and _order_sums sums only that order, term by term,
     so the bits are E_n's.  A cell where the bounds overlap instead (a
     tie, or a NaN order) sums every order (_table_sup).
     """
@@ -211,11 +210,18 @@ def _product_tail_sup(z: np.ndarray | complex, roots: np.ndarray,
     if divisors is None:
         divisors = np.arange(lo, hi + 1, dtype=float)
     sup = np.empty(flat.shape)
+    settled = np.empty(flat.shape, dtype=bool)
     step = max(1, TABLE_BYTES // _CELL_BYTES)
     for start in range(0, flat.size, step):
-        cells = flat[start:start + step]
-        out = sup[start:start + step]
+        at = slice(start, start + step)
+        sup[at], settled[at] = _top_screen(flat[at], roots, log_c, lo, hi,
+                                           divisors)
+    rest = np.flatnonzero(~settled)
+    for start in range(0, rest.size, step):
+        at = rest[start:start + step]
+        cells = flat[at]
         best, exact = _bound_orders(cells, roots, log_c, lo, hi, divisors)
+        out = np.empty(cells.shape)
         if exact.any():
             orders = best[exact]
             out[exact] = (_order_sums(cells[exact], roots, log_c, lo, orders)
@@ -223,7 +229,44 @@ def _product_tail_sup(z: np.ndarray | complex, roots: np.ndarray,
         if not exact.all():
             out[~exact] = _table_sup(cells[~exact], roots, log_c, lo, hi,
                                      divisors)
+        sup[at] = out
     return sup.reshape(zs.shape)
+
+
+def _top_screen(cells: np.ndarray, roots: np.ndarray, log_c: np.ndarray,
+                lo: int, hi: int, divisors: np.ndarray
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """(top, settled) over a flat cell array: top[k] is the top order's
+    E_hi / d_hi at cell k, with _order_sums' bits, and settled[k] says that
+    it is the sup over lo..hi there (see _product_tail_sup).  Each root
+    term is evaluated once and added to the top order's sum, the running
+    root sum P and the magnitude sum S."""
+    top = np.full(cells.shape, log_c[hi - lo])
+    total = np.zeros(cells.shape)
+    size = np.zeros(cells.shape)
+    upper = np.full(cells.shape, -np.inf)
+    diff = np.empty(cells.shape, dtype=complex)
+    term, bound, margin = (np.empty(cells.shape) for _ in range(3))
+    # an infinite margin over a -inf sum is NaN: unsettled, not an error
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for j, r in enumerate(roots[:hi]):
+            np.log(np.abs(np.subtract(cells, r, out=diff), out=term),
+                   out=term)
+            top += term
+            total += term
+            size += np.abs(term, out=bound)
+            n = j + 1
+            if n < lo or n == hi:
+                continue
+            c = log_c[n - lo]
+            np.add(size, abs(c), out=margin)
+            margin *= 4 * (n + 2) * _UNIT_ROUNDOFF
+            np.add(total, c, out=bound)
+            bound += margin
+            bound /= divisors[n - lo]
+            np.maximum(upper, bound, out=upper)
+        top /= divisors[hi - lo]
+        return top, upper < top
 
 
 def _table_sup(cells: np.ndarray, roots: np.ndarray, log_c: np.ndarray,

@@ -1,5 +1,6 @@
-"""Shared test helpers: seeded random blob masks, small series builders and
-the per-order reference evaluation of a series."""
+"""Shared test helpers: seeded random blob masks, small series builders,
+the per-order reference evaluation of a series and the reference
+separation scale gamma_sequence."""
 
 import json
 import math
@@ -9,8 +10,8 @@ from typing import Callable
 import numpy as np
 
 from sigmaconv import (COMPACT, BlockStructure, CoefficientSeries,
-                       InterleaveStructure, RegionMask, RootPolynomial,
-                       block_series)
+                       InterleaveStructure, PointSequence, RegionMask,
+                       RootPolynomial, block_series)
 
 
 def random_polyomino(rng, grid, n_cells):
@@ -95,6 +96,22 @@ def reference_log_mag(series, n, z):
     for r in s.points[:n]:
         total += _log_abs(zs - r)
     return total
+
+
+def gamma_sequence(points: PointSequence, n: int) -> float:
+    """Separation scale of the first n+1 points:
+    min( half the minimum pairwise distance, 1/n ), from all pairs at
+    once; the reference for gamma_table's running minimum."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if len(points) < n + 1:
+        raise ValueError(f"gamma_{n} needs at least {n + 1} points")
+    pts = points.as_array()[:n + 1]
+    diff = np.abs(pts[:, None] - pts[None, :])
+    min_gap = float(diff[np.triu_indices(n + 1, k=1)].min())
+    if min_gap == 0.0:
+        raise ValueError("points must be pairwise distinct")
+    return min(0.5 * min_gap, 1.0 / n)
 
 
 def flood_fill_hull(mask):

@@ -11,15 +11,15 @@ from hypothesis import example, given, settings, strategies as st
 from sigmaconv import (COMPACT, OPEN, Grid, PointSequence, RegionMask,
                        RootPolynomial, Verdict, block_series,
                        compact_set_series, conv_map, countable_set_series,
-                       distance_to, empty_mask, full_domain, gamma_sequence,
-                       gamma_table, interleave, leja_points,
+                       distance_to, empty_mask, full_domain, gamma_table,
+                       interleave, leja_points,
                        neighborhood, polynomial_hull, rasterize_scene,
                        separating_family, set_distance, shapes)
 from sigmaconv.construct import (SeparatingFamily, _offset_logs,
                                  _RootLogRow, _separating_families,
                                  countable_series_from_tables)
-from conftest import (_log_abs, disk_growth_series, oracle_series,
-                      reference_log_mag)
+from conftest import (_log_abs, disk_growth_series, gamma_sequence,
+                      oracle_series, reference_log_mag)
 
 
 def P(points):

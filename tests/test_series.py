@@ -560,8 +560,8 @@ def _product_series_on_cells():
 @pytest.mark.parametrize("chunk", [None, 1, 7])
 def test_product_evaluator_matches_oracle(kind, chunk, monkeypatch):
     # chunk None keeps the default budget (all 195 cells in one chunk); 1
-    # makes every chunk of _product_tail_sup's two passes one cell; 7
-    # leaves a partial last chunk
+    # makes every chunk of _product_tail_sup's screen and bounds pass one
+    # cell; 7 leaves a partial last chunk
     f, g = _product_series_on_cells()
     calls = []
     helper = construct._product_tail_sup
@@ -649,8 +649,10 @@ def test_product_tail_sup_is_bit_identical_to_the_table(seed, n_on, n_off,
                                                         data):
     # points on cell centres give exact -inf terms from their order on;
     # windows include lo = 1, divisors the default n and the interleave's
-    # 2m and 2m + 1, chunks run down to one cell, and the table can be
-    # forced on every cell
+    # 2m and 2m + 1, and chunks run down to one cell.  Besides the plain
+    # path, the screen can be made to settle nothing, so that the bounds
+    # pass and its exact sums see every cell, and then the bounds pass to
+    # certify nothing, so that the table is forced on every cell
     g = Grid.from_box(-1.4, -1.0, 1.4, 1.0, 7, 5)
     cells = g.centers().ravel()
     rng = np.random.default_rng(seed)
@@ -664,41 +666,56 @@ def test_product_tail_sup_is_bit_identical_to_the_table(seed, n_on, n_off,
     divisors = None if parity is None else np.arange(
         2.0 * lo + parity, 2.0 * hi + parity + 1, 2.0)
     chunk = data.draw(st.integers(1, cells.size + 1), label="chunk")
-    forced = data.draw(st.booleans(), label="table on every cell")
+    arm = data.draw(st.sampled_from(["screen", "settle nothing",
+                                     "table on every cell"]), label="arm")
     roots, log_c = np.array(s.points), np.array(s.log_c[lo:hi + 1])
-    bound = construct._bound_orders
+    screen, bound = construct._top_screen, construct._bound_orders
+    bounded = []
 
-    def no_exact(*args):
-        best, exact = bound(*args)
-        return best, np.zeros_like(exact)
+    def settle_nothing(*args):
+        top, settled = screen(*args)
+        return top, np.zeros_like(settled)
+
+    def bound_spy(cells, *args):
+        bounded.append(cells.size)
+        best, exact = bound(cells, *args)
+        return best, (exact if arm != "table on every cell"
+                      else np.zeros_like(exact))
 
     with mock.patch.object(construct, "TABLE_BYTES",
                            construct._CELL_BYTES * chunk), \
-            mock.patch.object(construct, "_bound_orders",
-                              no_exact if forced else bound):
+            mock.patch.object(construct, "_top_screen",
+                              screen if arm == "screen" else settle_nothing), \
+            mock.patch.object(construct, "_bound_orders", bound_spy):
         got = construct._product_tail_sup(cells, roots, log_c, lo, hi,
                                           divisors)
     want = _table_sup_reference(cells, roots, log_c, lo, hi, divisors)
     assert got.tobytes() == want.tobytes()
+    if arm != "screen":
+        assert sum(bounded) == cells.size
 
 
 def _roots_on_circle(radius, count):
     return radius * np.exp(2j * np.pi * np.arange(count) / count)
 
 
-@pytest.mark.parametrize("case", ["tie", "absorbed"])
+@pytest.mark.parametrize("case", ["tie", "zero-tie", "absorbed"])
 def test_product_tail_sup_fills_the_table_where_bounds_overlap(case,
                                                                monkeypatch):
     # "tie": every root term at 0 is log 1 = 0, so orders 1 and 2 both have
-    # exponent exactly 1.  "absorbed": every root term at 0 is about log 2
+    # exponent exactly 1.  "zero-tie": log C_n = 0 as well, so both orders
+    # are exactly 0 at 0 with no margin at all: order 1's upper bound
+    # equals the top order's exponent, and only a strict screen leaves the
+    # cell to the table.  "absorbed": every root term at 0 is about log 2
     # and vanishes when added to 2^53, so order 10 sums to 2^53 while the
     # running root sum puts it near 2^53 + 6, above order 1's 2^53 + 2: the
     # bounds must overlap for 0 to take the table's answer, 2^53 + 2.
     # 3 + 4j has no tie and takes its one exact order
     z = np.array([0.0j, 3.0 + 4.0j])
-    if case == "tie":
+    if case in ("tie", "zero-tie"):
         roots = _roots_on_circle(1.0, 4)
-        lo, hi, log_c, divisors = 1, 2, np.array([1.0, 2.0]), None
+        lo, hi, divisors = 1, 2, None
+        log_c = np.array([1.0, 2.0] if case == "tie" else [0.0, 0.0])
     else:
         z = z[:1]
         roots = _roots_on_circle(2.0, 11)
@@ -718,6 +735,143 @@ def test_product_tail_sup_fills_the_table_where_bounds_overlap(case,
     assert tables == [[0.0j]]
     if case == "absorbed":
         assert got[0] == 2.0 ** 53 + 2
+
+
+def _bound_orders_spy(monkeypatch):
+    """The cell arrays that reach construct._bound_orders, one per call."""
+    calls = []
+    bound = construct._bound_orders
+
+    def spy(cells, *args):
+        calls.append(cells.copy())
+        return bound(cells, *args)
+
+    monkeypatch.setattr(construct, "_bound_orders", spy)
+    return calls
+
+
+SCREEN_ROOTS = np.array([0.4, -0.3 + 0.5j, 0.2 - 0.6j, 0.7j, -0.5,
+                         0.9 + 0.1j])
+SQUARES = np.arange(1.0, 7.0) ** 2  # log C_n = n^2: the top order wins
+
+
+@pytest.mark.parametrize("case", ["root-in-window", "root-before-window",
+                                  "root-single-order", "nan-order",
+                                  "nan-top", "rounded-up"])
+def test_product_tail_sup_screen_settles_only_where_the_top_order_wins(
+        case, monkeypatch):
+    # cell 0 is on roots[3] or roots[1], cell 1 = 0.1 + 0.1j is off every
+    # root.  "root-in-window": orders 2..3 are finite at roots[3], 4..5
+    # are -inf, so the top order is -inf and the sup comes from below.
+    # "root-before-window": every order 3..5 is -inf at roots[1].
+    # "root-single-order": lo = hi = 5, -inf at roots[3] with no other
+    # order to compare.  "nan-order" and "nan-top": log C_3 or log C_5 is
+    # NaN, so every cell's sup is NaN.  "rounded-up": every root term at
+    # 0 is log 3 > 1, half an ulp of 2^53, so each addition to 2^53 rounds
+    # up by 2: order 10 sums to 2^53 + 20 and the top order 11 to
+    # 2^53 + 18, but order 10's running root sum A_10 = 2^53 + 10 lies
+    # below the top, so only the margin keeps the cell from settling on
+    # the wrong order
+    roots, divisors = SCREEN_ROOTS, None
+    cells = np.array([roots[3], 0.1 + 0.1j])
+    lo, hi, unsettled = 2, 5, [True, False]
+    if case == "root-before-window":
+        cells[0], lo = roots[1], 3
+    elif case == "root-single-order":
+        lo = 5
+    elif case in ("nan-order", "nan-top"):
+        unsettled = [True, True]
+    elif case == "rounded-up":
+        cells, roots = np.array([0j]), _roots_on_circle(3.0, 11)
+        lo, hi, divisors, unsettled = 10, 11, np.ones(2), [True]
+    log_c = SQUARES[lo - 1:hi].copy()
+    if case == "nan-order":
+        log_c[3 - lo] = np.nan
+    elif case == "nan-top":
+        log_c[-1] = np.nan
+    elif case == "rounded-up":
+        log_c = np.array([2.0 ** 53, 2.0 ** 53 - 2])
+    calls = _bound_orders_spy(monkeypatch)
+    got = construct._product_tail_sup(cells, roots, log_c, lo, hi, divisors)
+    want = _table_sup_reference(cells, roots, log_c, lo, hi, divisors)
+    assert got.tobytes() == want.tobytes()
+    assert len(calls) == 1
+    assert calls[0].tolist() == cells[unsettled].tolist()
+    if case.startswith("root-") and case != "root-in-window":
+        assert got[0] == -np.inf
+    elif case == "root-in-window":
+        assert np.isfinite(got[0])
+    elif case.startswith("nan-"):
+        assert np.isnan(got).all()
+    else:
+        assert got[0] == 2.0 ** 53 + 20
+
+
+@pytest.mark.parametrize("parity", [0, 1])
+def test_product_tail_sup_screen_takes_interleave_divisors(parity,
+                                                           monkeypatch):
+    # an interleaved child divides order m by 2m or 2m + 1: the screen
+    # compares each order's bound with the top order's exponent under
+    # those divisors, settles most cells, and leaves every cell on one of
+    # the first hi roots (its top order is -inf) to the bounds pass
+    f, g = _product_series_on_cells()
+    cells, roots = g.centers().ravel(), np.array(f.structure.points)
+    lo, hi = 5, f.max_supported_n
+    log_c = np.array(f.structure.log_c[lo:hi + 1])
+    divisors = np.arange(2.0 * lo + parity, 2.0 * hi + parity + 1, 2.0)
+    calls = _bound_orders_spy(monkeypatch)
+    got = construct._product_tail_sup(cells, roots, log_c, lo, hi, divisors)
+    want = _table_sup_reference(cells, roots, log_c, lo, hi, divisors)
+    assert got.tobytes() == want.tobytes()
+    on_roots = np.isin(cells, roots[:hi])
+    assert on_roots.sum() == 11
+    assert len(calls) == 1
+    assert np.isin(cells[on_roots], calls[0]).all()
+    assert 11 <= calls[0].size < cells.size // 8
+
+
+def _criterion_2_cells():
+    """The criterion-2 scene: its 50 points, then 500 seeded samples at
+    least 0.05 from every point."""
+    pts = [complex(a, b) / 7 for a in range(-3, 4) for b in range(-3, 4)]
+    pts.append(0.5 + 0.5j)
+    rng = np.random.default_rng(2)
+    samples = []
+    while len(samples) < 500:
+        z = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+        if min(abs(z - w) for w in pts) >= 0.05:
+            samples.append(z)
+    return pts, np.array(pts + samples)
+
+
+def test_product_tail_sup_bounds_only_the_unsettled_cells(monkeypatch):
+    # on the criterion-2 scene at N = 49 the screen settles each cell whose
+    # top order wins, and the cells it leaves, the 49 roots of the top
+    # order among them, reach the bounds pass together, in one call
+    pts, cells = _criterion_2_cells()
+    f = countable_set_series(PointSequence.from_points(pts))
+    lo, hi = tail_window(49)
+    screen = construct._top_screen
+    settled = []
+
+    def screen_spy(*args):
+        top, done = screen(*args)
+        settled.append(done)
+        return top, done
+
+    monkeypatch.setattr(construct, "_top_screen", screen_spy)
+    calls = _bound_orders_spy(monkeypatch)
+    got = f.structure.tail_sup(cells, lo, hi)
+    roots = np.array(f.structure.points)
+    want = _table_sup_reference(cells, roots,
+                                np.array(f.structure.log_c[lo:hi + 1]), lo,
+                                hi)
+    assert got.tobytes() == want.tobytes()
+    done = np.concatenate(settled)
+    assert len(calls) == 1
+    assert calls[0].tolist() == cells[~done].tolist()
+    assert not done[:49].any()
+    assert 49 <= calls[0].size < cells.size // 10
 
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
@@ -746,8 +900,8 @@ def test_product_tail_sup_keeps_nan_and_inf_from_a_root_at_infinity():
 @pytest.mark.parametrize("chunk", [None, 1, 7])
 def test_product_log_mags_match_oracle(kind, chunk, monkeypatch):
     # chunk None keeps the default budget (all cells in one chunk); 1 makes
-    # every chunk of _product_tail_sup's two passes one cell; 7 leaves a
-    # partial last chunk.  One order n read as tail_sup(z, n, n) with
+    # every chunk of _product_tail_sup's screen and bounds pass one cell; 7
+    # leaves a partial last chunk.  One order n read as tail_sup(z, n, n) with
     # divisor 1 is log|f_n| itself
     f, g = _product_series_on_cells()
     N = f.max_supported_n
