@@ -13,7 +13,7 @@ from .construct import (BlockStructure, CoefficientSeries, CountableStructure,
                         InterleaveStructure, PointSequence, RootPolynomial,
                         SeparatingFamily, block_series, compact_set_series,
                         countable_set_series, gamma_table, interleave,
-                        leja_points, separating_family, sigma_convex_series)
+                        leja_points, sigma_convex_series)
 from .decompose import (Decomposition, HoleEscape, ascending_decomposition,
                         hull_escape_exhibit, sierpinski_mask,
                         slice_holomorphically_convex, u_neighborhood_trap)

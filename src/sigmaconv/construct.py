@@ -18,6 +18,7 @@ growth exponents over an order range, vectorized over point arrays, and
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -36,8 +37,9 @@ from .series import CoefficientSeries
 TABLE_BYTES = 1 << 20
 
 # the working rows kept per cell, in bytes: _top_screen's top, root and
-# magnitude sums, bound max and scratch rows (one complex), and, for the
-# cells it leaves, _bound_orders' and _order_sums' rows
+# magnitude sums, bound max and scratch rows, the row's index, key and
+# centre, and, for the cells it leaves, _bound_orders' and _order_sums'
+# rows
 _CELL_BYTES = 128
 
 _UNIT_ROUNDOFF = 2.0 ** -53
@@ -47,9 +49,9 @@ _UNIT_ROUNDOFF = 2.0 ** -53
 _SCREEN_RANGE = 2.0 ** 1000
 
 
-def _log_abs(values: np.ndarray) -> np.ndarray:
+def _log_abs(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     with np.errstate(divide="ignore"):
-        return np.log(np.abs(values))
+        return np.log(np.abs(values, out=out), out=out)
 
 
 @lru_cache(maxsize=1)
@@ -71,26 +73,99 @@ def _offset_logs(grid: Grid) -> np.ndarray | None:
 
 
 class _RootLogRow:
-    """row(root): log|z - r| over the grid cells z at flat indices
-    ``cells``, r the centre of flat grid cell root.  Gathered by the cells'
-    keys j (2W - 1) + i, compacted with them, from the grid's _offset_logs
-    table if it has one, else r is subtracted from the centres; either way
-    the same complex values pass the same abs and log, so the bits agree."""
+    """row(root): log|z - r| over a set of cells z, for one root r.
 
-    def __init__(self, grid: Grid, cells: np.ndarray):
-        self.grid, self.table, self.cells = grid, _offset_logs(grid), cells
-        self.at = (grid.centers().ravel()[cells] if self.table is None
-                   else cells + cells // grid.width * (grid.width - 1))
+    The cells are the centres of a grid's cells at the flat indices
+    ``cells`` (all of them, in grid shape, when None), or else the points
+    z, in z's shape.  row.locate(roots) names each root that is exactly a
+    cell centre of a grid with an _offset_logs table by that cell's flat
+    index, and row(root) gathers such a root's row from the table by the
+    cells' keys j (2W - 1) + i.  Every other root, and every root over
+    points or over a grid without a table, takes _log_abs(z - r); a flat
+    index there stands for its cell's centre.  Either way the same complex
+    values pass the same abs and log, so the bits agree.
 
-    def compact(self, keep: np.ndarray) -> None:
-        self.cells, self.at = self.cells[keep], self.at[keep]
+    Its users: the K-row of leja_points, the target row of
+    _separating_families, and the tail sups of both series structures:
+    _top_screen, _bound_orders and _order_sums (through _table_sup too)
+    for product series, and BlockStructure.tail_sup, directly or as an
+    interleave's child.  conv_map and level_set hand those their grid.
+    """
 
-    def __call__(self, root: int) -> np.ndarray:
+    def __init__(self, z: Grid | np.ndarray, cells: np.ndarray | None = None):
+        if isinstance(z, Grid):
+            self.grid, self.table = z, _offset_logs(z)
+            self.shape = (z.height, z.width) if cells is None else cells.shape
+            self.cells = (np.arange(z.width * z.height) if cells is None
+                          else cells)
+            if self.table is not None:
+                self.keys = self.cells + self.cells // z.width * (z.width - 1)
+        else:
+            self.grid = self.table = self.cells = None
+            self.points = np.asarray(z, dtype=complex).ravel()
+            self.shape = np.shape(z)
+        self.size = (self.points if self.cells is None else self.cells).size
+
+    @cached_property
+    def points(self) -> np.ndarray:
+        """The cells' centres, flat."""
+        return self.grid.centers().ravel()[self.cells]
+
+    def __getitem__(self, keep) -> "_RootLogRow":
+        """The row over the cells at ``keep`` (a slice, mask or index
+        array), flat."""
+        part = copy.copy(self)
+        for name in ("cells", "keys", "points"):
+            if self.__dict__.get(name) is not None:
+                setattr(part, name, self.__dict__[name][keep])
+        part.shape = (part.points if part.cells is None else part.cells).shape
+        part.size = part.shape[0]
+        return part
+
+    def locate(self, roots) -> list[int | complex]:
+        """Each root as the flat index of the cell whose centre it is, if
+        the row reads a table, else as a complex."""
+        roots = np.asarray(roots, dtype=complex)
         if self.table is None:
-            return _log_abs(self.at - self.grid.centers().flat[root])
+            return roots.tolist()
+        z, at = self.grid.centers(), []
+        for axis, part in ((z[0].real, roots.real),
+                           (z[:, 0].imag, roots.imag)):
+            i = np.searchsorted(axis, part).clip(max=axis.size - 1)
+            at.append(np.where(axis[i] == part, i, -1))
+        flat = np.where((at[0] < 0) | (at[1] < 0), -1,
+                        at[1] * self.grid.width + at[0])
+        return [r if f < 0 else f
+                for f, r in zip(flat.tolist(), roots.tolist())]
+
+    def first_roots(self, roots: np.ndarray) -> np.ndarray:
+        """Per cell, the least k with z == roots[k] for a finite z, and
+        len(roots) where there is none."""
+        roots = np.asarray(roots, dtype=complex)
+        order = np.argsort(roots, kind="stable")
+        k = order[np.searchsorted(roots[order], self.points).clip(
+            max=roots.size - 1)]
+        return np.where((roots[k] == self.points) & np.isfinite(self.points),
+                        k, roots.size)
+
+    def __call__(self, root: int | complex,
+                 out: np.ndarray | None = None) -> np.ndarray:
+        if self.table is None or isinstance(root, complex):
+            return self.direct(root, out)
+        return self.gather(root, out)
+
+    def direct(self, root: int | complex,
+               out: np.ndarray | None = None) -> np.ndarray:
+        if not isinstance(root, complex):
+            root = self.grid.centers().flat[root]
+        return _log_abs(self.points - root, out)
+
+    def gather(self, root: int, out: np.ndarray | None = None) -> np.ndarray:
         w, h = self.grid.width, self.grid.height  # start = mid - key(root)
         start = (h - 1) * (2 * w - 1) + w - 1 - root - root // w * (w - 1)
-        return self.table[start:].take(self.at)
+        # the keys are in range by construction; "clip" skips the checked
+        # copy that "raise" makes into out
+        return self.table[start:].take(self.keys, out=out, mode="clip")
 
 
 @dataclass(frozen=True)
@@ -161,17 +236,19 @@ def gamma_table(points: PointSequence) -> tuple[np.ndarray, np.ndarray]:
     return gammas, log_c
 
 
-def _product_tail_sup(z: np.ndarray | complex, roots: np.ndarray,
+def _product_tail_sup(z: Grid | np.ndarray | complex, roots: np.ndarray,
                       log_c: np.ndarray, lo: int, hi: int,
                       divisors: np.ndarray | None = None) -> np.ndarray:
     """max over n = lo..hi of log|C_n * prod_{j<n} (z - roots[j])| divided
-    by divisors[n - lo], which defaults to n, where log_c holds log C_n for
-    n = lo..hi and 1 <= lo; a cell with a NaN order gets a NaN sup.
+    by divisors[n - lo], which defaults to n and is positive, where log_c
+    holds log C_n for n = lo..hi and 1 <= lo; a cell with a NaN order gets
+    a NaN sup.  z is points, or a grid for all its cell centres.
 
     Every sup is bit-identical to the max over orders of each order summed
-    alone: from log C_n, adding the root terms in sequence.  Cells go in
-    chunks of TABLE_BYTES // _CELL_BYTES through one pass over the roots
-    each (_top_screen), which settles most of them; the cells it leaves go
+    alone: from log C_n, adding the root terms in sequence, each root term
+    read through one _RootLogRow.  Cells go in chunks of
+    TABLE_BYTES // _CELL_BYTES through one pass over the roots each
+    (_top_screen), which settles most of them; the cells it leaves go
     through the bounds pass below once, in chunks of the same size.
 
     That sum of order n is a recursive summation of the n + 1 terms
@@ -191,9 +268,18 @@ def _product_tail_sup(z: np.ndarray | complex, roots: np.ndarray,
     folds the upper bounds of the orders lo..hi-1 into their max U.  Where
     U < E_hi / d_hi, every other order lies strictly below the top one, so
     the sup is E_hi / d_hi, bit for bit.  A NaN order, or an infinite
-    margin over an infinite sum, makes U NaN and the cell unsettled; so do
-    a cell on one of the first hi roots (its top order is -inf) and an
-    exact tie with the top order.
+    margin over an infinite sum, makes U NaN and the cell unsettled; so
+    does an exact tie with the top order.
+
+    A finite cell z that is one of the first hi roots, roots[k] with k
+    least, has log|z - roots[k]| = log 0 = -inf.  Where every log C_n of
+    the window is finite and the cell's P_hi is -inf, every root term is
+    finite or -inf, so every order n > k sums to -inf there, and the
+    terms before k are finite exactly when P_k is.  So for k < lo the sup
+    is -inf.  For k >= lo the screen sums order k instead of hi at that
+    cell, from log C_k, and holds E_k, U over the orders lo..k-1 and P_k
+    when it reaches order k: where P_k is finite and U < E_k / d_k, the
+    sup is E_k / d_k, bit for bit.  Any other such cell is unsettled.
 
     For an unsettled cell, a non-finite A_n equals E_n: finite terms, at
     most about 745 in magnitude, never overflow a sum, and a sum with an
@@ -205,59 +291,71 @@ def _product_tail_sup(z: np.ndarray | complex, roots: np.ndarray,
     so the bits are E_n's.  A cell where the bounds overlap instead (a
     tie, or a NaN order) sums every order (_table_sup).
     """
-    zs = np.asarray(z, dtype=complex)
-    flat = zs.ravel()
+    row = _RootLogRow(z)
     if divisors is None:
         divisors = np.arange(lo, hi + 1, dtype=float)
-    sup = np.empty(flat.shape)
-    settled = np.empty(flat.shape, dtype=bool)
+    located = row.locate(roots[:hi])
+    first = (row.first_roots(roots[:hi]) if np.isfinite(log_c).all()
+             else np.full(row.size, hi))
+    sup = np.empty(row.size)
+    settled = np.empty(row.size, dtype=bool)
     step = max(1, TABLE_BYTES // _CELL_BYTES)
-    for start in range(0, flat.size, step):
+    for start in range(0, row.size, step):
         at = slice(start, start + step)
-        sup[at], settled[at] = _top_screen(flat[at], roots, log_c, lo, hi,
-                                           divisors)
+        sup[at], settled[at] = _top_screen(row[at], located, first[at],
+                                           log_c, lo, hi, divisors)
     rest = np.flatnonzero(~settled)
     for start in range(0, rest.size, step):
         at = rest[start:start + step]
-        cells = flat[at]
-        best, exact = _bound_orders(cells, roots, log_c, lo, hi, divisors)
-        out = np.empty(cells.shape)
+        cells = row[at]
+        best, exact = _bound_orders(cells, located, log_c, lo, hi, divisors)
+        out = np.empty(cells.size)
         if exact.any():
             orders = best[exact]
-            out[exact] = (_order_sums(cells[exact], roots, log_c, lo, orders)
-                          / divisors[orders - lo])
+            out[exact] = (_order_sums(cells[exact], located, log_c, lo,
+                                      orders) / divisors[orders - lo])
         if not exact.all():
-            out[~exact] = _table_sup(cells[~exact], roots, log_c, lo, hi,
+            out[~exact] = _table_sup(cells[~exact], located, log_c, lo, hi,
                                      divisors)
         sup[at] = out
-    return sup.reshape(zs.shape)
+    return sup.reshape(row.shape)
 
 
-def _top_screen(cells: np.ndarray, roots: np.ndarray, log_c: np.ndarray,
-                lo: int, hi: int, divisors: np.ndarray
+def _top_screen(cells: _RootLogRow, roots: list, first: np.ndarray,
+                log_c: np.ndarray, lo: int, hi: int, divisors: np.ndarray
                 ) -> tuple[np.ndarray, np.ndarray]:
-    """(top, settled) over a flat cell array: top[k] is the top order's
-    E_hi / d_hi at cell k, with _order_sums' bits, and settled[k] says that
-    it is the sup over lo..hi there (see _product_tail_sup).  Each root
-    term is evaluated once and added to the top order's sum, the running
-    root sum P and the magnitude sum S."""
-    top = np.full(cells.shape, log_c[hi - lo])
-    total = np.zeros(cells.shape)
-    size = np.zeros(cells.shape)
-    upper = np.full(cells.shape, -np.inf)
-    diff = np.empty(cells.shape, dtype=complex)
-    term, bound, margin = (np.empty(cells.shape) for _ in range(3))
+    """(top, settled) over a row of cells: top[k] is the top order's
+    E_n / d_n at cell k, with _order_sums' bits, and settled[k] says that
+    it is the sup over lo..hi there (see _product_tail_sup).  The top
+    order is hi, or the order first[k] of the root the cell is, where that
+    is below hi.  Each root term is evaluated once and added to the top
+    order's sum, the running root sum P and the magnitude sum S."""
+    on = np.flatnonzero(first < hi)
+    k = first[on]
+    inside = k >= lo
+    top = np.full(cells.size, log_c[hi - lo])
+    top[on[inside]] = log_c[k[inside] - lo]
+    # the cells on roots that stop at order n, as indices into ``on``
+    held = {int(n): np.flatnonzero(k == n) for n in np.unique(k[inside])}
+    held_top, held_upper, held_total = (np.zeros(on.size) for _ in range(3))
+    total = np.zeros(cells.size)
+    size = np.zeros(cells.size)
+    upper = np.full(cells.size, -np.inf)
+    term, bound, margin = (np.empty(cells.size) for _ in range(3))
     # an infinite margin over a -inf sum is NaN: unsettled, not an error
     with np.errstate(divide="ignore", invalid="ignore"):
         for j, r in enumerate(roots[:hi]):
-            np.log(np.abs(np.subtract(cells, r, out=diff), out=term),
-                   out=term)
+            cells(r, out=term)
             top += term
             total += term
             size += np.abs(term, out=bound)
             n = j + 1
             if n < lo or n == hi:
                 continue
+            if n in held:
+                i = held[n]
+                held_top[i], held_upper[i], held_total[i] = (
+                    top[on[i]], upper[on[i]], total[on[i]])
             c = log_c[n - lo]
             np.add(size, abs(c), out=margin)
             margin *= 4 * (n + 2) * _UNIT_ROUNDOFF
@@ -266,30 +364,35 @@ def _top_screen(cells: np.ndarray, roots: np.ndarray, log_c: np.ndarray,
             bound /= divisors[n - lo]
             np.maximum(upper, bound, out=upper)
         top /= divisors[hi - lo]
-        return top, upper < top
+        settled = upper < top
+        held_top /= divisors[np.maximum(k, lo) - lo]
+        top[on] = np.where(inside, held_top, -np.inf)
+        settled[on] = (total[on] == -np.inf) & (~inside | (
+            np.isfinite(held_total) & (held_upper < held_top)))
+        return top, settled
 
 
-def _table_sup(cells: np.ndarray, roots: np.ndarray, log_c: np.ndarray,
-               lo: int, hi: int, divisors: np.ndarray) -> np.ndarray:
-    """_product_tail_sup over a flat cell array without the bounds: each
+def _table_sup(cells: _RootLogRow, roots: list, log_c: np.ndarray, lo: int,
+               hi: int, divisors: np.ndarray) -> np.ndarray:
+    """_product_tail_sup over a row of cells without the bounds: each
     order n = lo..hi summed alone by _order_sums and divided by its
     divisor, in a running np.maximum that, taken in order from -inf, has
     the bits of the (order x cell) table's max, NaN included.  Each order
     evaluates its own root logs, O(N^2) per cell where the bounds pass
     takes O(N); only cells whose bounds overlap come here."""
-    sup = np.full(cells.shape, -np.inf)
+    sup = np.full(cells.size, -np.inf)
     for n in range(lo, hi + 1):
-        sums = _order_sums(cells, roots, log_c, lo, np.full(cells.shape, n))
+        sums = _order_sums(cells, roots, log_c, lo, np.full(cells.size, n))
         np.maximum(sup, sums / divisors[n - lo], out=sup)
     return sup
 
 
-def _bound_orders(cells: np.ndarray, roots: np.ndarray, log_c: np.ndarray,
+def _bound_orders(cells: _RootLogRow, roots: list, log_c: np.ndarray,
                   lo: int, hi: int, divisors: np.ndarray
                   ) -> tuple[np.ndarray, np.ndarray]:
-    """(best, exact) over a flat cell array: best[k] is the order in
-    lo..hi with the highest lower bound on its exponent at cell k, and
-    exact[k] says that the best order's exponent is the max there (see
+    """(best, exact) over a row of cells: best[k] is the order in lo..hi
+    with the highest lower bound on its exponent at cell k, and exact[k]
+    says that the best order's exponent is the max there (see
     _product_tail_sup for the bounds).
 
     The second largest upper bound is below the best lower bound only
@@ -303,7 +406,7 @@ def _bound_orders(cells: np.ndarray, roots: np.ndarray, log_c: np.ndarray,
     upper1 = np.full(cells.size, -np.inf)
     upper2 = np.full(cells.size, -np.inf)
     for j, r in enumerate(roots[:hi]):
-        term = _log_abs(cells - r)
+        term = cells(r)
         total += term
         size += np.abs(term)
         n = j + 1
@@ -325,13 +428,13 @@ def _bound_orders(cells: np.ndarray, roots: np.ndarray, log_c: np.ndarray,
     return best, exact
 
 
-def _order_sums(cells: np.ndarray, roots: np.ndarray, log_c: np.ndarray,
-                lo: int, orders: np.ndarray) -> np.ndarray:
+def _order_sums(cells: _RootLogRow, roots: list, log_c: np.ndarray, lo: int,
+                orders: np.ndarray) -> np.ndarray:
     """log|C_n * prod_{j<n} (z - roots[j])| with n = orders[k] at each cell
     k, summed from log C_n, adding the root terms in sequence."""
     acc = log_c[orders - lo]
     for j, r in enumerate(roots[:orders.max()]):
-        np.add(acc, _log_abs(cells - r), out=acc, where=j < orders)
+        np.add(acc, cells(r), out=acc, where=j < orders)
     return acc
 
 
@@ -348,10 +451,10 @@ class CountableStructure:
     log_c: tuple[float, ...]
     gammas: tuple[float, ...]
 
-    def tail_sup(self, z: np.ndarray | complex, lo: int, hi: int,
+    def tail_sup(self, z: Grid | np.ndarray | complex, lo: int, hi: int,
                  divisors: np.ndarray | None = None) -> np.ndarray:
-        """Tail sup of the exponents over orders lo..hi (see
-        _product_tail_sup)."""
+        """Tail sup of the exponents over orders lo..hi at points z, or
+        at a grid's cell centres (see _product_tail_sup)."""
         return _product_tail_sup(z, np.array(self.points, dtype=complex),
                                  np.array(self.log_c[lo:hi + 1]), lo, hi,
                                  divisors)
@@ -408,21 +511,21 @@ class InterleaveStructure:
         """log|F_0| = log|f_0|."""
         return self.even.structure.f0_log_mag
 
-    def tail_sup(self, z: np.ndarray | complex, lo: int, hi: int,
+    def tail_sup(self, z: Grid | np.ndarray | complex, lo: int, hi: int,
                  divisors: np.ndarray | None = None) -> np.ndarray:
         """max over n = lo..hi of log|F_n(z)| divided by divisors[n - lo],
         which defaults to n, with 1 <= lo; a cell with a NaN order gets a
-        NaN sup.
+        NaN sup.  z is points, or a grid, which each child takes as it is.
 
         Each child's tail_sup takes the child orders m in the window, each
         with the divisor of its order here, 2m or 2m + 1, and the sup is
         the larger of the two.  F_1 = g_0 is an order no tail_sup takes,
         so it is the odd series' f0_log_mag.
         """
-        zs = np.asarray(z, dtype=complex)
         if divisors is None:
             divisors = np.arange(lo, hi + 1, dtype=float)
-        sup = np.full(zs.shape, -np.inf)
+        sup = np.full((z.height, z.width) if isinstance(z, Grid)
+                      else np.shape(z), -np.inf)
         for child, parity in ((self.even, 0), (self.odd, 1)):
             a, b = (lo - parity + 1) // 2, (hi - parity) // 2
             if a == 0:  # lo = 1: F_1 = g_0
@@ -431,7 +534,7 @@ class InterleaveStructure:
                 a = 1
             if a <= b:
                 np.maximum(sup, child.structure.tail_sup(
-                    zs, a, b, divisors[2 * a + parity - lo::2]), out=sup)
+                    z, a, b, divisors[2 * a + parity - lo::2]), out=sup)
         return sup
 
 
@@ -485,8 +588,7 @@ class SeparatingFamily:
     """Polynomials bounded by 1 on K that exceed m on a target set.
 
     ``uncovered`` collects the target cells no member reaches (empty when
-    the family fully separates).  ``verify`` re-checks both bounds with an
-    independent evaluation pass.
+    the family fully separates).
     """
 
     m: int
@@ -496,42 +598,21 @@ class SeparatingFamily:
     uncovered: RegionMask
     note: str = ""
 
-    def verify(self) -> bool:
-        log_m = math.log(self.m)
-        zs_K = self.K_ref.cell_centers()
-        for p in self.members:
-            if self.K_ref.count() and np.max(p.log_abs(zs_K)) > 0.0:
-                return False
-        if self.target_ref.is_empty():
-            return self.uncovered.is_empty()
-        zs_t = self.target_ref.cell_centers()
-        best = np.full(zs_t.shape, -np.inf)
-        for p in self.members:
-            np.maximum(best, p.log_abs(zs_t), out=best)
-        covered_ok = best >= log_m
-        expect_uncovered = self.uncovered.bits[self.target_ref.bits]
-        return bool(np.array_equal(~covered_ok, expect_uncovered))
-
-
-def separating_family(K: RegionMask, U: RegionMask, target: RegionMask,
-                      m: int, degree_cap: int) -> SeparatingFamily:
-    """Build a separating family for (K, target) at separation level m.
-
-    Monic polynomials with greedy extremal roots on K are normalized so
-    their sup over K's cells is exactly 1; each degree whose normalized
-    polynomial reaches log m on a not-yet-covered target cell joins the
-    family.  Degrees past ``degree_cap`` are not tried; remaining target
-    cells go into the uncovered report.
-    """
-    return _separating_families(K, [("", U, target, m)], degree_cap)[1][0]
-
 
 def _separating_families(
         K: RegionMask, stages: Sequence[tuple[str, RegionMask, RegionMask, int]],
         degree_cap: int) -> tuple[tuple[complex, ...], list[SeparatingFamily]]:
-    """separating_family for each (label, U, target, m) stage over one K,
-    with K's convexity checked once and errors prefixed by the label, and
-    the sequence every member is a prefix of, up to the highest degree.
+    """A separating family for each (label, U, target, m) stage over one
+    K, with K's convexity checked once and errors prefixed by the label,
+    and the sequence every member is a prefix of, up to the highest
+    degree.
+
+    A stage's family separates K from its target at level m: monic
+    polynomials with greedy extremal roots on K are normalized so their
+    sup over K's cells is exactly 1; each degree whose normalized
+    polynomial reaches log m on a not-yet-covered target cell joins the
+    family.  Degrees past ``degree_cap`` are not tried; remaining target
+    cells go into the uncovered report.
 
     Multi-cell stages share one Leja sequence, whose log_sups give each
     degree's sup over K, and one target-side _RootLogRow per degree; each
@@ -608,7 +689,7 @@ def _separating_families(
                 break
             still = np.logical_or.reduce([need[i] for i in live])
             if 2 * np.count_nonzero(still) <= still.size:
-                row.compact(still)
+                row = row[still]
                 sum_t = sum_t[still]
                 for i in live:
                     need[i] = need[i][still]
@@ -680,18 +761,20 @@ class BlockStructure:
                      for (s, d), scale in zip(self.placement.tolist(),
                                               self.log_scales.tolist()))
 
-    def tail_sup(self, z: np.ndarray | complex, lo: int, hi: int,
+    def tail_sup(self, z: Grid | np.ndarray | complex, lo: int, hi: int,
                  divisors: np.ndarray | None = None) -> np.ndarray:
         """max over n = lo..hi of log|f_n(z)| divided by divisors[n - lo],
         which defaults to n, in z's shape, with 1 <= lo and positive
-        divisors; a cell with a NaN order gets a NaN sup.
+        divisors; a cell with a NaN order gets a NaN sup.  z is points, or
+        a grid for all its cell centres, in grid shape.
 
         The window's members fall into groups of one (sequence, degree,
         log_scale): the stages of a lockstep group share each degree's
         member.  For each chunk of cells, each sequence with a member in
-        the window sums its root logs once, from zero, adding the roots in
-        order, and each group takes x = fl(sum + log_scale), with
-        log_scale folded in last as RootPolynomial.log_abs does.  Member
+        the window sums its root logs (a _RootLogRow's) once, from zero,
+        adding the roots in order, and each group takes
+        x = fl(sum + log_scale), with log_scale folded in last as
+        RootPolynomial.log_abs does.  Member
         ell of the group, with divisor d, has the exponent
         v = fl(fl(ell x) / d), bit-identical to evaluating it alone.  A
         screen keeps, per cell, the groups that can hold the max, and only
@@ -721,8 +804,7 @@ class BlockStructure:
         overflows rounds to -inf, which no bound misses.  No cell takes
         the screen if w > 1/2.
         """
-        zs = np.asarray(z, dtype=complex)
-        flat = zs.ravel()
+        row = _RootLogRow(z)
         seq, degree = self.placement[lo - 1:hi].T
         ells = np.arange(lo, hi + 1, dtype=float)
         if divisors is None:
@@ -736,12 +818,13 @@ class BlockStructure:
                    | (keyed[1:] != keyed[:-1]))
         starts = np.flatnonzero(np.r_[True, changes])
         g_seq, g_degree = seq[order[starts]], degree[order[starts]]
-        # per sequence: its roots up to its highest window degree, and its
-        # groups (index, degree, log_scale), in ascending degree
+        # per sequence: its roots up to its highest window degree, located
+        # on the row, and its groups (index, degree, log_scale), in
+        # ascending degree
         runs = []
         for s, ks in groupby(range(starts.size), key=g_seq.__getitem__):
             folds = [(k, g_degree[k], keyed[starts[k]]) for k in ks]
-            runs.append((np.array(self.sequences[s][:folds[-1][1]]), folds))
+            runs.append((row.locate(self.sequences[s][:folds[-1][1]]), folds))
         ells, divisors = ells[order], divisors[order]
         ratio = ells / divisors
         r_lo = np.minimum.reduceat(ratio, starts)
@@ -751,20 +834,17 @@ class BlockStructure:
         big = (_SCREEN_RANGE / max(1.0, divisors.max()) if w <= 0.5
                else -1.0)  # no cell takes the screen
         members = (starts, np.diff(starts, append=order.size), ells, divisors)
-        sup = np.full(flat.shape, -np.inf)
-        # a chunk's x rows, and the root logs of one sequence, each fill
-        # at most the table
-        rows = max(starts.size, max(roots.size for roots, _ in runs))
-        step = max(1, TABLE_BYTES // (8 * rows))
-        for start in range(0, flat.size, step):
-            cells = flat[start:start + step]
+        sup = np.full(row.size, -np.inf)
+        step = max(1, TABLE_BYTES // (8 * starts.size))  # a chunk's x rows
+        for start in range(0, row.size, step):
+            cells = row[start:start + step]
             x = np.empty((starts.size, cells.size))
+            term = np.empty(cells.size)
             for roots, folds in runs:
-                logs = _log_abs(cells - roots[:, None])
                 total, done = np.zeros(cells.size), 0
                 for g, d, scale in folds:
-                    for term in logs[done:d]:
-                        total += term
+                    for r in roots[done:d]:
+                        total += cells(r, out=term)
                     done = d
                     np.add(total, scale, out=x[g])
             with np.errstate(over="ignore", invalid="ignore"):
@@ -775,7 +855,7 @@ class BlockStructure:
             _fold_pairs(sup[start:start + step], x,
                         *np.divmod(np.flatnonzero(contend), cells.size),
                         *members)
-        return sup.reshape(zs.shape)
+        return sup.reshape(row.shape)
 
 
 def block_series_from_tables(

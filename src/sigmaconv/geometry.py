@@ -77,9 +77,6 @@ class Grid:
             raise ValueError("box aspect ratio does not give square cells")
         return cls(complex(x0, y0), px, width, height)
 
-    def cell_center(self, i: int, j: int) -> complex:
-        return self.origin + self.pixel * complex(i + 0.5, j + 0.5)
-
     def centers(self) -> np.ndarray:
         """Complex array of cell centers, shape (height, width)."""
         return _centers(self)

@@ -58,7 +58,8 @@ class CoefficientSeries:
 
     * ``tail_sup(z, lo, hi, divisors=None)`` returns max over n = lo..hi of
       log|f_n(z)| / divisors[n - lo], the divisors defaulting to n, in z's
-      shape, 1 <= lo; a cell with a NaN order gets a NaN sup;
+      shape, 1 <= lo; a cell with a NaN order gets a NaN sup.  z is points,
+      or a Grid, which stands for all its cell centres in grid shape;
     * ``f0_log_mag`` is log|f_0|, which is constant in z.
 
     Range checks and NaN reports live in this module.  ``max_supported_n``
@@ -114,27 +115,28 @@ def tail_window(N: int) -> tuple[int, int]:
     return (N + 1) // 2, N
 
 
-def _sup(series: CoefficientSeries, zs: np.ndarray, lo: int,
+def _sup(series: CoefficientSeries, zs: Grid | np.ndarray, lo: int,
          hi: int) -> np.ndarray:
     """max over n = lo..hi of (1/n) * log|f_n(zs)|, with 1 <= lo, from the
-    structure's tail_sup.
+    structure's tail_sup, at points or at a grid's cell centres.
 
     A NaN in it raises for the least order n whose sup over lo..n is NaN
-    on some cell, found by bisection over the NaN cells alone, and names
-    the first cell that order is NaN on, as evaluating it alone would.
+    on some cell, found by bisection over the NaN cells alone, taken as
+    points, and names the first cell that order is NaN on, as evaluating
+    it alone would.
     """
     evaluate = series.structure.tail_sup
     sup = evaluate(zs, lo, hi)
     nan = np.isnan(sup)
     if nan.any():
-        cells = zs[nan]
+        cells = (zs.centers() if isinstance(zs, Grid) else zs)[nan]
         while lo < hi:
             mid = (lo + hi) // 2
             if np.isnan(evaluate(cells, lo, mid)).any():
                 hi = mid
             else:
                 lo = mid + 1
-        at_n = np.zeros(zs.shape)
+        at_n = np.zeros(sup.shape)
         at_n[nan] = evaluate(cells, lo, lo)
         reject_nan(at_n, lo)
     return sup
@@ -165,9 +167,11 @@ def classify_points(series: CoefficientSeries, zs: np.ndarray, N: int,
 def conv_map(series: CoefficientSeries, grid: Grid, N: int, B: float,
              M: float) -> ConvergenceMap:
     """Classify every cell center of the grid: classify_points on the
-    centers, one pass over the tail window vectorized over cells."""
+    centers, one pass over the tail window vectorized over cells, with the
+    grid handed to the structure, which may then read its root logs from
+    the grid's offset table."""
     _check_budgets(series, N, B, M)
-    sup = _sup(series, grid.centers(), *tail_window(N))
+    sup = _sup(series, grid, *tail_window(N))
     return ConvergenceMap(grid, _verdicts(sup, B, M), sup, N, B, M)
 
 
@@ -180,5 +184,5 @@ def level_set(series: CoefficientSeries, j: int, N: int,
         raise ValueError("level index j must be >= 1")
     _check_range(series, N, 1)
     base = omega_exhaustion(omega, j)
-    ok = _sup(series, omega.grid.centers(), 1, N) <= math.log(j)
+    ok = _sup(series, omega.grid, 1, N) <= math.log(j)
     return RegionMask(omega.grid, base.bits & ok, COMPACT)

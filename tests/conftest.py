@@ -1,6 +1,7 @@
 """Shared test helpers: seeded random blob masks, small series builders,
-the per-order reference evaluation of a series and the reference
-separation scale gamma_sequence."""
+the per-order reference evaluation of a series, the reference separation
+scale gamma_sequence, a one-stage separating family with an independent
+re-check of it, and the cell-centre formula."""
 
 import json
 import math
@@ -9,9 +10,10 @@ from typing import Callable
 
 import numpy as np
 
-from sigmaconv import (COMPACT, BlockStructure, CoefficientSeries,
+from sigmaconv import (COMPACT, BlockStructure, CoefficientSeries, Grid,
                        InterleaveStructure, PointSequence, RegionMask,
                        RootPolynomial, block_series)
+from sigmaconv.construct import _separating_families
 
 
 def random_polyomino(rng, grid, n_cells):
@@ -58,7 +60,8 @@ class OracleStructure:
     f0_log_mag: float = 0.0
 
     def tail_sup(self, z, lo, hi, divisors=None):
-        zs = np.asarray(z, dtype=complex)
+        zs = (z.centers() if isinstance(z, Grid)
+              else np.asarray(z, dtype=complex))
         if divisors is None:
             divisors = np.arange(lo, hi + 1, dtype=float)
         sup = np.full(zs.shape, -np.inf)
@@ -112,6 +115,37 @@ def gamma_sequence(points: PointSequence, n: int) -> float:
     if min_gap == 0.0:
         raise ValueError("points must be pairwise distinct")
     return min(0.5 * min_gap, 1.0 / n)
+
+
+def cell_center(grid, i, j):
+    """Centre of the grid cell in column i and row j, by the Grid
+    docstring's formula; the reference for Grid.centers."""
+    return grid.origin + grid.pixel * complex(i + 0.5, j + 0.5)
+
+
+def separating_family(K, U, target, m, degree_cap):
+    """The separating family of one stage (K, U, target, m) built alone."""
+    return _separating_families(K, [("", U, target, m)], degree_cap)[1][0]
+
+
+def verify_family(family) -> bool:
+    """Re-check both bounds of a SeparatingFamily with an independent
+    evaluation pass: each member is at most 1 on K, and the uncovered
+    report holds exactly the target cells no member lifts to level m."""
+    log_m = math.log(family.m)
+    zs_K = family.K_ref.cell_centers()
+    for p in family.members:
+        if family.K_ref.count() and np.max(p.log_abs(zs_K)) > 0.0:
+            return False
+    if family.target_ref.is_empty():
+        return family.uncovered.is_empty()
+    zs_t = family.target_ref.cell_centers()
+    best = np.full(zs_t.shape, -np.inf)
+    for p in family.members:
+        np.maximum(best, p.log_abs(zs_t), out=best)
+    covered_ok = best >= log_m
+    expect_uncovered = family.uncovered.bits[family.target_ref.bits]
+    return bool(np.array_equal(~covered_ok, expect_uncovered))
 
 
 def flood_fill_hull(mask):

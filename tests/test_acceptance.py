@@ -18,12 +18,13 @@ from sigmaconv import (COMPACT, DOMAIN, OPEN, Grid, PointSequence,
                        distance_to, hull_escape_exhibit,
                        interleave, load_series, neighborhood,
                        polynomial_hull, rasterize_scene, save_series,
-                       separating_family, set_distance, shapes,
+                       set_distance, shapes,
                        slice_holomorphically_convex, tail_window,
                        u_neighborhood_trap)
 from sigmaconv.harness import (construct_sigma, map_vs_mask_agreement,
                                parse_scene)
-from conftest import disk_growth_series, random_polyomino
+from conftest import (disk_growth_series, random_polyomino, separating_family,
+                      verify_family)
 
 
 def _crit(num: int, ok: bool, detail: str) -> bool:
@@ -157,7 +158,7 @@ def test_criterion_4_unit_disk_families_and_map():
         U = neighborhood(K, 1.0 / m)
         shell = (dist_k > 1.0 / m) & (abs_z <= m) & ~U.bits
         fam = separating_family(K, U, RegionMask(g, shell, OPEN), m, 64)
-        fam_ok = fam_ok and fam.verify() and fam.uncovered.is_empty()
+        fam_ok = fam_ok and verify_family(fam) and fam.uncovered.is_empty()
     series = compact_set_series(K, stages=8, degree_cap=64)
     cmap = conv_map(series, g, N=series.max_supported_n,
                     B=math.log(1.2), M=math.log(1.8))

@@ -17,7 +17,7 @@ from sigmaconv import (COMPACT, DOMAIN, OPEN, Grid, RegionMask,
                        omega_exhaustion, polynomial_hull, rasterize_scene,
                        set_distance, shapes)
 from sigmaconv.geometry import exhaustion
-from conftest import flood_fill_hull, random_polyomino
+from conftest import cell_center, flood_fill_hull, random_polyomino
 
 
 def disk_mask(grid, cx, cy, r):
@@ -42,7 +42,7 @@ def test_from_box_rejects_anisotropic_boxes():
 def test_cell_center_index_round_trip():
     g = Grid.from_box(-1.0, -1.0, 1.0, 1.0, 32, 32)
     for i, j in [(0, 0), (31, 31), (5, 17)]:
-        z = g.cell_center(i, j)
+        z = cell_center(g, i, j)
         assert g.index_of(z) == (i, j)
 
 
@@ -50,8 +50,8 @@ def test_centers_ordering_matches_cell_center():
     g = Grid.from_box(0.0, 0.0, 1.0, 1.0, 8, 8)
     zs = g.centers()
     assert zs.shape == (8, 8)
-    assert zs[0, 0] == g.cell_center(0, 0)
-    assert zs[3, 5] == g.cell_center(5, 3)  # [row j, column i]
+    assert zs[0, 0] == cell_center(g, 0, 0)
+    assert zs[3, 5] == cell_center(g, 5, 3)  # [row j, column i]
 
 
 def test_half_width():
@@ -94,8 +94,8 @@ def test_cell_centers_flat_order():
     bits[2, 5] = bits[4, 1] = True
     m = RegionMask(g, bits, COMPACT)
     got = m.cell_centers()
-    assert got[0] == g.cell_center(5, 2)  # lower row first
-    assert got[1] == g.cell_center(1, 4)
+    assert got[0] == cell_center(g, 5, 2)  # lower row first
+    assert got[1] == cell_center(g, 1, 4)
 
 
 def test_disk_cell_count_matches_area():

@@ -20,7 +20,7 @@ from sigmaconv import construct
 from sigmaconv.construct import (BlockStructure, CountableStructure,
                                  countable_series_from_tables)
 from sigmaconv.series import MIN_N, _sup, reject_nan
-from conftest import _log_abs, oracle_series, reference_log_mag
+from conftest import _log_abs, cell_center, oracle_series, reference_log_mag
 from test_io import (compact_series, countable_series, hand_block_series,
                      loaded_hand_block_series, make_decomposition,
                      sigma_series)
@@ -148,7 +148,7 @@ def test_conv_map_agrees_with_classify_point():
     cmap = conv_map(f, g, N=16, B=math.log(2), M=math.log(8))
     for j in range(6):
         for i in range(6):
-            z = g.cell_center(i, j)
+            z = cell_center(g, i, j)
             assert cmap.verdicts[j, i] == classify_point(
                 f, z, N=16, B=math.log(2), M=math.log(8))
 
@@ -725,7 +725,7 @@ def test_product_tail_sup_fills_the_table_where_bounds_overlap(case,
     table = construct._table_sup
 
     def spy(cells, *args):
-        tables.append(cells.tolist())
+        tables.append(cells.points.tolist())
         return table(cells, *args)
 
     monkeypatch.setattr(construct, "_table_sup", spy)
@@ -743,7 +743,7 @@ def _bound_orders_spy(monkeypatch):
     bound = construct._bound_orders
 
     def spy(cells, *args):
-        calls.append(cells.copy())
+        calls.append(cells.points.copy())
         return bound(cells, *args)
 
     monkeypatch.setattr(construct, "_bound_orders", spy)
@@ -756,17 +756,20 @@ SQUARES = np.arange(1.0, 7.0) ** 2  # log C_n = n^2: the top order wins
 
 
 @pytest.mark.parametrize("case", ["root-in-window", "root-before-window",
-                                  "root-single-order", "nan-order",
-                                  "nan-top", "rounded-up"])
+                                  "root-single-order", "root-order-loses",
+                                  "nan-order", "nan-top", "rounded-up"])
 def test_product_tail_sup_screen_settles_only_where_the_top_order_wins(
         case, monkeypatch):
     # cell 0 is on roots[3] or roots[1], cell 1 = 0.1 + 0.1j is off every
     # root.  "root-in-window": orders 2..3 are finite at roots[3], 4..5
-    # are -inf, so the top order is -inf and the sup comes from below.
-    # "root-before-window": every order 3..5 is -inf at roots[1].
-    # "root-single-order": lo = hi = 5, -inf at roots[3] with no other
-    # order to compare.  "nan-order" and "nan-top": log C_3 or log C_5 is
-    # NaN, so every cell's sup is NaN.  "rounded-up": every root term at
+    # are -inf, so the cell's top order is 3, which wins and settles it.
+    # "root-before-window": every order 3..5 is -inf at roots[1], and the
+    # screen settles the cell at -inf.  "root-single-order": lo = hi = 5,
+    # -inf at roots[3] with no other order to compare, settled at -inf.
+    # "root-order-loses": log C_2 = 100 puts order 2 above order 3 at
+    # roots[3] and above order 5 off the roots, so no cell settles.
+    # "nan-order" and "nan-top": log C_3 or log C_5 is NaN, so every
+    # cell's sup is NaN.  "rounded-up": every root term at
     # 0 is log 3 > 1, half an ulp of 2^53, so each addition to 2^53 rounds
     # up by 2: order 10 sums to 2^53 + 20 and the top order 11 to
     # 2^53 + 18, but order 10's running root sum A_10 = 2^53 + 10 lies
@@ -774,18 +777,20 @@ def test_product_tail_sup_screen_settles_only_where_the_top_order_wins(
     # the wrong order
     roots, divisors = SCREEN_ROOTS, None
     cells = np.array([roots[3], 0.1 + 0.1j])
-    lo, hi, unsettled = 2, 5, [True, False]
+    lo, hi, unsettled = 2, 5, [False, False]
     if case == "root-before-window":
         cells[0], lo = roots[1], 3
     elif case == "root-single-order":
         lo = 5
-    elif case in ("nan-order", "nan-top"):
+    elif case in ("root-order-loses", "nan-order", "nan-top"):
         unsettled = [True, True]
     elif case == "rounded-up":
         cells, roots = np.array([0j]), _roots_on_circle(3.0, 11)
         lo, hi, divisors, unsettled = 10, 11, np.ones(2), [True]
     log_c = SQUARES[lo - 1:hi].copy()
-    if case == "nan-order":
+    if case == "root-order-loses":
+        log_c[0] = 100.0
+    elif case == "nan-order":
         log_c[3 - lo] = np.nan
     elif case == "nan-top":
         log_c[-1] = np.nan
@@ -795,11 +800,11 @@ def test_product_tail_sup_screen_settles_only_where_the_top_order_wins(
     got = construct._product_tail_sup(cells, roots, log_c, lo, hi, divisors)
     want = _table_sup_reference(cells, roots, log_c, lo, hi, divisors)
     assert got.tobytes() == want.tobytes()
-    assert len(calls) == 1
-    assert calls[0].tolist() == cells[unsettled].tolist()
-    if case.startswith("root-") and case != "root-in-window":
+    assert [c.tolist() for c in calls] == (
+        [cells[unsettled].tolist()] if any(unsettled) else [])
+    if case in ("root-before-window", "root-single-order"):
         assert got[0] == -np.inf
-    elif case == "root-in-window":
+    elif case.startswith("root-"):
         assert np.isfinite(got[0])
     elif case.startswith("nan-"):
         assert np.isnan(got).all()
@@ -812,8 +817,8 @@ def test_product_tail_sup_screen_takes_interleave_divisors(parity,
                                                            monkeypatch):
     # an interleaved child divides order m by 2m or 2m + 1: the screen
     # compares each order's bound with the top order's exponent under
-    # those divisors, settles most cells, and leaves every cell on one of
-    # the first hi roots (its top order is -inf) to the bounds pass
+    # those divisors and settles most cells, every cell on one of the
+    # first hi roots among them (its top order is the root's own)
     f, g = _product_series_on_cells()
     cells, roots = g.centers().ravel(), np.array(f.structure.points)
     lo, hi = 5, f.max_supported_n
@@ -826,8 +831,8 @@ def test_product_tail_sup_screen_takes_interleave_divisors(parity,
     on_roots = np.isin(cells, roots[:hi])
     assert on_roots.sum() == 11
     assert len(calls) == 1
-    assert np.isin(cells[on_roots], calls[0]).all()
-    assert 11 <= calls[0].size < cells.size // 8
+    assert not np.isin(cells[on_roots], calls[0]).any()
+    assert 0 < calls[0].size < cells.size // 8
 
 
 def _criterion_2_cells():
@@ -846,8 +851,9 @@ def _criterion_2_cells():
 
 def test_product_tail_sup_bounds_only_the_unsettled_cells(monkeypatch):
     # on the criterion-2 scene at N = 49 the screen settles each cell whose
-    # top order wins, and the cells it leaves, the 49 roots of the top
-    # order among them, reach the bounds pass together, in one call
+    # top order wins, the 49 cells on the top order's roots among them,
+    # and the few cells it leaves reach the bounds pass together, in one
+    # call
     pts, cells = _criterion_2_cells()
     f = countable_set_series(PointSequence.from_points(pts))
     lo, hi = tail_window(49)
@@ -868,10 +874,10 @@ def test_product_tail_sup_bounds_only_the_unsettled_cells(monkeypatch):
                                 hi)
     assert got.tobytes() == want.tobytes()
     done = np.concatenate(settled)
-    assert len(calls) == 1
-    assert calls[0].tolist() == cells[~done].tolist()
-    assert not done[:49].any()
-    assert 49 <= calls[0].size < cells.size // 10
+    assert done[:49].all()
+    assert [c.tolist() for c in calls] == (
+        [] if done.all() else [cells[~done].tolist()])
+    assert (~done).sum() < cells.size // 100
 
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
