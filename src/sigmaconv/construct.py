@@ -27,8 +27,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import (OPEN, Grid, RegionMask, distance_to, exhaustion,
-                       polynomial_hull, set_distance)
+from .geometry import (OPEN, Grid, RegionMask, bounding_box, distance_to,
+                       exhaustion, polynomial_hull, set_distance)
 from .series import CoefficientSeries
 
 # budget for one chunk of the working memory of an evaluator: the passes of
@@ -82,14 +82,18 @@ class _RootLogRow:
     index, and row(root) gathers such a root's row from the table by the
     cells' keys j (2W - 1) + i.  Every other root, and every root over
     points or over a grid without a table, takes _log_abs(z - r); a flat
-    index there stands for its cell's centre.  Either way the same complex
+    index there stands for its cell's centre.  row.box(root, rows, cols)
+    is the row over a rectangle of a grid's cells: a view of the table's
+    (2H - 1) x (2W - 1) rectangle of their offsets from the root, or else
+    _log_abs(centres[rows, cols] - r).  Either way the same complex
     values pass the same abs and log, so the bits agree.
 
-    Its users: the K-row of leja_points, the target row of
-    _separating_families, and the tail sups of both series structures:
-    _top_screen, _bound_orders and _order_sums (through _table_sup too)
-    for product series, and BlockStructure.tail_sup, directly or as an
-    interleave's child.  conv_map and level_set hand those their grid.
+    Its users: the K-row of leja_points, the target box of
+    _separating_families (row.box), and the tail sups of both series
+    structures: _top_screen, _bound_orders and _order_sums (through
+    _table_sup too) for product series, and BlockStructure.tail_sup,
+    directly or as an interleave's child.  conv_map and level_set hand
+    those their grid.
     """
 
     def __init__(self, z: Grid | np.ndarray, cells: np.ndarray | None = None):
@@ -98,8 +102,6 @@ class _RootLogRow:
             self.shape = (z.height, z.width) if cells is None else cells.shape
             self.cells = (np.arange(z.width * z.height) if cells is None
                           else cells)
-            if self.table is not None:
-                self.keys = self.cells + self.cells // z.width * (z.width - 1)
         else:
             self.grid = self.table = self.cells = None
             self.points = np.asarray(z, dtype=complex).ravel()
@@ -110,6 +112,12 @@ class _RootLogRow:
     def points(self) -> np.ndarray:
         """The cells' centres, flat."""
         return self.grid.centers().ravel()[self.cells]
+
+    @cached_property
+    def keys(self) -> np.ndarray:
+        """The cells' offset-table keys j (2W - 1) + i."""
+        return self.cells + self.cells // self.grid.width * (
+            self.grid.width - 1)
 
     def __getitem__(self, keep) -> "_RootLogRow":
         """The row over the cells at ``keep`` (a slice, mask or index
@@ -166,6 +174,18 @@ class _RootLogRow:
         # the keys are in range by construction; "clip" skips the checked
         # copy that "raise" makes into out
         return self.table[start:].take(self.keys, out=out, mode="clip")
+
+    def box(self, root: int, rows: slice, cols: slice) -> np.ndarray:
+        """The row over the grid's cells [rows, cols], in that shape, for
+        the root at a flat cell index."""
+        w, h = self.grid.width, self.grid.height
+        if self.table is None:
+            z = self.grid.centers()
+            return _log_abs(z[rows, cols] - z.flat[root])
+        j, i = divmod(root, w)
+        return self.table.reshape(2 * h - 1, 2 * w - 1)[
+            rows.start + h - 1 - j:rows.stop + h - 1 - j,
+            cols.start + w - 1 - i:cols.stop + w - 1 - i]
 
 
 @dataclass(frozen=True)
@@ -599,6 +619,36 @@ class SeparatingFamily:
     note: str = ""
 
 
+def _sum_threshold(norm: float, level: float) -> float:
+    """T, the least float s with fl(s - norm) >= level, for finite norm
+    and level.  As rounding is monotone, fl(s - norm) >= level exactly
+    when s >= T, for every s (NaN passes neither).  T is at most four
+    nextafter steps from fl(level + norm), or else it is bisected over
+    the floats' ordered bit patterns within 4 ulp(max(|level|, |norm|))
+    of it: where s - norm cancels, the floats near T are far finer than
+    those ulps (T is about -5.6e-17 at norm = -log 2, level = log 2)."""
+    t = level + norm
+    for _ in range(4):
+        if t - norm < level:
+            t = math.nextafter(t, math.inf)
+        elif (below := math.nextafter(t, -math.inf)) - norm >= level:
+            t = below
+        else:
+            return t
+
+    def flip(i: int) -> int:  # int64 bits <-> keys in the floats' order
+        return i if i >= 0 else -(1 << 63) - 1 - i
+
+    spread = 4 * math.ulp(max(abs(level), abs(norm)))
+    lo, hi = (flip(int(np.float64(level + norm + e).view(np.int64)))
+              for e in (-spread, spread))
+    while hi - lo > 1:  # fl(s - norm) < level at lo, >= level at hi
+        mid = (lo + hi) // 2
+        s = float(np.int64(flip(mid)).view(np.float64))
+        lo, hi = (lo, mid) if s - norm >= level else (mid, hi)
+    return float(np.int64(flip(hi)).view(np.float64))
+
+
 def _separating_families(
         K: RegionMask, stages: Sequence[tuple[str, RegionMask, RegionMask, int]],
         degree_cap: int) -> tuple[tuple[complex, ...], list[SeparatingFamily]]:
@@ -615,13 +665,18 @@ def _separating_families(
     cells go into the uncovered report.
 
     Multi-cell stages share one Leja sequence, whose log_sups give each
-    degree's sup over K, and one target-side _RootLogRow per degree; each
-    keeps its own level m, early stop and ``need`` mask over the row: the
-    target cells it has not reached yet.  The row starts as the union of
-    their targets, and whenever the cells some running stage still needs
-    fall to half the row or fewer, the row and every mask are compacted
-    down to those cells.  The logs are elementwise, so each
-    family is the one its stage alone would get, bit for bit.
+    degree's sup over K, and one running root-log sum over a box of
+    target cells, to which each degree adds its root's _RootLogRow.box.
+    Each stage keeps its own level m, early stop, ``need`` mask over the
+    box (the target cells it has not reached yet) and their count.  Its
+    normalized polynomial reaches log m where fl(sum - norm) >= log m,
+    that is where sum >= _sum_threshold(norm, log m), one comparison per
+    cell.  The box starts as the bounding box of their targets; the
+    rows and columns that hold every still-needed cell shrink as the
+    stages reach their edge lines, and once they span half the box or
+    less, the sum and every mask are cropped to them.  The logs are
+    elementwise, so each family is the one its stage alone would get,
+    bit for bit.
     """
     for i, (label, U, target, m) in enumerate(stages):
         try:
@@ -667,34 +722,61 @@ def _separating_families(
 
     if live:
         leja = leja_points(K, degree_cap)
-        # the target row, and per running stage the row cells it still needs
-        row = _RootLogRow(grid, np.flatnonzero(np.logical_or.reduce(
-            [stages[i][2].bits for i in live])))
-        need = {i: stages[i][2].bits.ravel()[row.cells] for i in live}
-        sum_t = np.zeros(row.cells.size)
+        row = _RootLogRow(grid)
+        # the box the row spans, per running stage the box cells it still
+        # needs and their count, and the rows r0:r1 and columns c0:c1 of
+        # the box that hold every still-needed cell
+        ends = bounding_box(RegionMask(grid, np.logical_or.reduce(
+            [stages[i][2].bits for i in live]), OPEN))
+        box = slice(ends[0], ends[1] + 1), slice(ends[2], ends[3] + 1)
+        need = {i: stages[i][2].bits[box].copy() for i in live}
+        left = {i: np.count_nonzero(need[i]) for i in live}
+        sum_t = np.zeros(need[live[0]].shape)
+        hit = np.empty(sum_t.shape, dtype=bool)
+        r0, c0, (r1, c1) = 0, 0, sum_t.shape
         for d, norm in enumerate(leja.log_sups, start=1):
             if norm == -np.inf:
                 break  # every K cell is a root; higher degrees are identically 0
-            sum_t += row(leja.cells[d - 1])
-            lifted = sum_t - norm
-            member = RootPolynomial(tuple(leja.points[:d]), -norm)
+            sum_t += row.box(leja.cells[d - 1], *box)
+            member = None
             for i in live:
-                reached = need[i] & (lifted >= math.log(stages[i][3]))
-                if reached.any():
+                np.greater_equal(sum_t, _sum_threshold(
+                    norm, math.log(stages[i][3])), out=hit)
+                hit &= need[i]
+                reached = np.count_nonzero(hit)
+                if reached:
+                    member = member or RootPolynomial(
+                        tuple(leja.points[:d]), -norm)
                     members[i].append(member)
-                    need[i] &= ~reached
+                    need[i] ^= hit
+                    left[i] -= reached
                     sequence = member.roots
-            live = [i for i in live if need[i].any()]
+            if member is None:
+                continue  # no stage reached a cell
+            live = [i for i in live if left[i]]
             if not live:
                 break
-            still = np.logical_or.reduce([need[i] for i in live])
-            if 2 * np.count_nonzero(still) <= still.size:
-                row = row[still]
-                sum_t = sum_t[still]
+            # shrink r0:r1, c0:c1 past its edge lines that no stage needs
+            needs = [need[i] for i in live]
+            while not any(np.count_nonzero(n[r0, c0:c1]) for n in needs):
+                r0 += 1
+            while not any(np.count_nonzero(n[r1 - 1, c0:c1]) for n in needs):
+                r1 -= 1
+            while not any(np.count_nonzero(n[r0:r1, c0]) for n in needs):
+                c0 += 1
+            while not any(np.count_nonzero(n[r0:r1, c1 - 1]) for n in needs):
+                c1 -= 1
+            if 2 * (r1 - r0) * (c1 - c0) <= sum_t.size:
+                crop = slice(r0, r1), slice(c0, c1)
+                box = tuple(slice(b.start + c.start, b.start + c.stop)
+                            for b, c in zip(box, crop))
+                sum_t = sum_t[crop].copy()
+                hit = np.empty(sum_t.shape, dtype=bool)
                 for i in live:
-                    need[i] = need[i][still]
+                    need[i] = need[i][crop].copy()
+                r0, c0, (r1, c1) = 0, 0, sum_t.shape
         for i in live:
-            uncovered[i].flat[row.cells[need[i]]] = True
+            uncovered[i][box] = need[i]
 
     return sequence, [SeparatingFamily(m, found, K, target,
                                        RegionMask(grid, bits, OPEN), note)

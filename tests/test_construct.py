@@ -2,11 +2,12 @@
 families, powered block series, and the greedy dense enumeration."""
 
 import dataclasses
+import functools
 import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import event, example, given, settings, strategies as st
 
 from sigmaconv import (COMPACT, OPEN, Grid, PointSequence, RegionMask,
                        RootPolynomial, Verdict, block_series,
@@ -17,7 +18,7 @@ from sigmaconv import (COMPACT, OPEN, Grid, PointSequence, RegionMask,
                        set_distance, shapes)
 from sigmaconv.construct import (SeparatingFamily, _offset_logs,
                                  _RootLogRow, _separating_families,
-                                 countable_series_from_tables)
+                                 _sum_threshold, countable_series_from_tables)
 from conftest import (_log_abs, cell_center, disk_growth_series,
                       gamma_sequence, oracle_series, reference_log_mag,
                       separating_family, verify_family)
@@ -541,22 +542,42 @@ def reference_family(K, target, m, cap):
     return family(members, ""), unreached
 
 
-def row_compactions(unreached, row):
-    """How often the cells some running stage still needs fall to half the
-    row or fewer, degree by degree, starting from a row of ``row`` cells."""
-    count = 0
+def box_area(bits):
+    """The number of cells in the bounding box of the true cells."""
+    rows, cols = np.flatnonzero(bits.any(axis=1)), np.flatnonzero(
+        bits.any(axis=0))
+    return 0 if rows.size == 0 else (
+        (rows[-1] - rows[0] + 1) * (cols[-1] - cols[0] + 1))
+
+
+def row_compactions(unreached, box):
+    """The degrees after which the target box crops: where the bounding
+    box of the cells some running stage still needs spans half the box or
+    less, starting from a box of ``box`` cells.  Its length counts the
+    crops."""
+    crops = []
     for d in range(max(map(len, unreached), default=0)):
-        still = np.logical_or.reduce(
-            [u[d] for u in unreached if d < len(u)]).sum()
-        if 0 < still and 2 * still <= row:
-            row, count = still, count + 1
-    return count
+        area = box_area(np.logical_or.reduce(
+            [u[d] for u in unreached if d < len(u)]))
+        if 0 < area and 2 * area <= box:
+            box = area
+            crops.append(d + 1)
+    return crops
 
 
 def matches_reference(K, stages, cap):
-    """The lockstep families equal reference_family stage by stage; returns
-    the group and how often its row compacts."""
-    sequence, group = _separating_families(K, stages, cap)
+    """The lockstep families equal reference_family stage by stage, and
+    the target box crops after the degrees row_compactions names; returns
+    the group and how often its box crops."""
+    boxes, box = [], _RootLogRow.box
+
+    def spy(self, root, rows, cols):
+        boxes.append((rows, cols))
+        return box(self, root, rows, cols)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_RootLogRow, "box", spy)
+        sequence, group = _separating_families(K, stages, cap)
     assert len(group) == len(stages)
     assert_members_on_sequence(sequence, group)
     unreached = []
@@ -564,8 +585,13 @@ def matches_reference(K, stages, cap):
         reference, left = reference_family(K, target, m, cap)
         assert_same_family(got, reference)
         unreached.append(left)
-    row = np.logical_or.reduce([t.bits for _, _, t, _ in stages]).sum()
-    return group, row_compactions(unreached, row)
+    crops = row_compactions(unreached, box_area(
+        np.logical_or.reduce([t.bits for _, _, t, _ in stages])))
+    # a crop after the last degree tried reads no further box
+    assert [d for d in range(1, len(boxes))
+            if boxes[d] != boxes[d - 1]] == [d for d in crops
+                                             if d < len(boxes)]
+    return group, len(crops)
 
 
 def shell_stages(K, ms):
@@ -597,7 +623,7 @@ def test_families_match_reference_when_stages_run_to_the_cap(n):
     group, compactions = matches_reference(K, stages, 8)
     assert compactions >= 1
     # the last stages stop at the cap with part of their target unreached,
-    # so their uncovered cells come from the compacted row
+    # so their uncovered cells come from the cropped box
     for family, (_, _, target, _) in zip(group[1:], stages[1:]):
         assert 0 < family.uncovered.count() < target.count()
 
@@ -636,6 +662,92 @@ def test_families_match_reference_on_empty_targets_and_one_cell_K(n):
         point, [("", neighborhood(point, 0.1), ring, 4),
                 ("", neighborhood(point, 0.1), empty_mask(g), 4)], 8)
     assert "single-cell" in group[0].note
+
+
+@functools.lru_cache(maxsize=None)
+def lockstep_scene(n):
+    """K, U and targets around K on the n x n grid of box -2..2: a ring,
+    a thinner ring and a half ring nested in it, a disk disjoint from
+    both, a far ring, and a scatter of single cells over the grid."""
+    g = Grid.from_box(-2.0, -2.0, 2.0, 2.0, n, n)
+    K = polynomial_hull(rasterize_scene([(1, shapes.Disk(0.1, -0.1, 0.45))],
+                                        g, kind=COMPACT))
+    U = neighborhood(K, 0.2)
+
+    def target(bits):
+        return RegionMask(g, bits & ~U.bits, OPEN)
+
+    def region(shape):
+        return rasterize_scene([(1, shape)], g, kind=COMPACT).bits
+
+    ring = region(shapes.Annulus(0.0, 0.0, 1.0, 1.4))
+    scatter = np.random.default_rng(n).random((n, n)) < 0.01
+    targets = [target(ring),
+               target(region(shapes.Annulus(0.0, 0.0, 1.1, 1.3))),
+               target(ring & (g.centers().real > 0)),
+               target(region(shapes.Disk(-1.5, 1.5, 0.35))),
+               target(region(shapes.Annulus(0.0, 0.0, 1.75, 1.9))),
+               target(scatter & (distance_to(K) > 0.6))]
+    return K, U, targets
+
+
+@pytest.mark.parametrize("n", ROW_GRIDS)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_lockstep_groups_match_reference_families(n, data):
+    """Stages with identical, nested or disjoint targets, equal or
+    different levels, and caps low enough to stop them early or high
+    enough that their box crops, against reference_family each."""
+    K, U, targets = lockstep_scene(n)
+    assert (_offset_logs(K.grid) is None) is (n == 48)
+    picks = data.draw(st.lists(st.tuples(
+        st.integers(0, len(targets) - 1),
+        st.sampled_from([2, 3, 3, 5, 12, 60])), min_size=1, max_size=4))
+    cap = data.draw(st.sampled_from([2, 5, 12, 32]))
+    group, crops = matches_reference(
+        K, [("", U, targets[t], m) for t, m in picks], cap)
+    event(f"crops: {min(crops, 2)}")
+    event("a stage stops at the cap" if any(
+        not f.uncovered.is_empty() for f in group) else "all covered")
+
+
+@pytest.mark.parametrize("n", ROW_GRIDS)
+def test_lockstep_group_crops_and_stops_at_the_cap(n):
+    """One group of the kind drawn above, with both: two stages on the
+    same disk that cover it, whose box then crops to the scatter, which
+    stays partly unreached at the cap."""
+    K, U, targets = lockstep_scene(n)
+    group, crops = matches_reference(
+        K, [("", U, targets[3], 3), ("", U, targets[3], 3),
+            ("", U, targets[5], 60)], 5)
+    assert crops >= 1
+    assert [f.uncovered.is_empty() for f in group] == [True, True, False]
+
+
+@settings(max_examples=300, deadline=None)
+@given(norm=st.one_of(st.floats(-800.0, 800.0), st.floats(-1e-9, 1e-9)),
+       level=st.one_of(st.just(0.0), st.floats(0.0, 10.0),
+                       st.integers(1, 200).map(math.log)),
+       cancel=st.booleans(), ulps=st.integers(-3, 3))
+@example(norm=-math.log(2), level=math.log(2), cancel=False, ulps=0)
+@example(norm=-math.log(2), level=math.log(2), cancel=False, ulps=-1)
+@example(norm=0.0, level=0.0, cancel=False, ulps=0)
+@example(norm=-0.0, level=0.0, cancel=False, ulps=1)
+def test_sum_threshold_is_the_least_sum_that_reaches_the_level(norm, level,
+                                                              cancel, ulps):
+    """T - norm >= level and nextafter(T, -inf) - norm < level, so a sum
+    s passes s >= T exactly when fl(s - norm) >= level; ``cancel`` sets
+    norm next to -level, where s - norm cancels."""
+    if cancel:
+        norm = -level
+        for _ in range(abs(ulps)):
+            norm = math.nextafter(norm, math.copysign(math.inf, ulps))
+    t = _sum_threshold(norm, level)
+    assert t - norm >= level
+    assert math.nextafter(t, -math.inf) - norm < level
+    for s in (t, math.nextafter(t, -math.inf), math.nextafter(t, math.inf),
+              -math.inf, math.inf, math.nan, level + norm):
+        assert (s >= t) is (s - norm >= level)
 
 
 def test_lockstep_families_name_the_failing_stage():
