@@ -37,9 +37,8 @@ from .series import CoefficientSeries
 TABLE_BYTES = 1 << 20
 
 # the working rows kept per cell, in bytes: _top_screen's top, root and
-# magnitude sums, bound max and scratch rows, the row's index, key and
-# centre, and, for the cells it leaves, _bound_orders' and _order_sums'
-# rows
+# magnitude sums, bound max and scratch rows, and the row's index, key and
+# centre
 _CELL_BYTES = 128
 
 _UNIT_ROUNDOFF = 2.0 ** -53
@@ -90,10 +89,9 @@ class _RootLogRow:
 
     Its users: the K-row of leja_points, the target box of
     _separating_families (row.box), and the tail sups of both series
-    structures: _top_screen, _bound_orders and _order_sums (through
-    _table_sup too) for product series, and BlockStructure.tail_sup,
-    directly or as an interleave's child.  conv_map and level_set hand
-    those their grid.
+    structures: _top_screen and _table_sup for product series, and
+    BlockStructure.tail_sup, directly or as an interleave's child.
+    conv_map and level_set hand those their grid.
     """
 
     def __init__(self, z: Grid | np.ndarray, cells: np.ndarray | None = None):
@@ -269,7 +267,8 @@ def _product_tail_sup(z: Grid | np.ndarray | complex, roots: np.ndarray,
     read through one _RootLogRow.  Cells go in chunks of
     TABLE_BYTES // _CELL_BYTES through one pass over the roots each
     (_top_screen), which settles most of them; the cells it leaves go
-    through the bounds pass below once, in chunks of the same size.
+    through their (order x cell) table (_table_sup), in chunks of
+    TABLE_BYTES // (8 (hi - lo + 1)) cells, at least one.
 
     That sum of order n is a recursive summation of the n + 1 terms
     log C_n, log|z - roots[0]|, ..., log|z - roots[n-1]|, so its value E_n
@@ -284,7 +283,7 @@ def _product_tail_sup(z: Grid | np.ndarray | complex, roots: np.ndarray,
     d_n <= E_n / d_n <= (A_n + m_n) / d_n holds for the rounded quotients
     too.
 
-    The screen sums the top order E_hi exactly, as _order_sums does, and
+    The screen sums the top order E_hi exactly, as _table_sup does, and
     folds the upper bounds of the orders lo..hi-1 into their max U.  Where
     U < E_hi / d_hi, every other order lies strictly below the top one, so
     the sup is E_hi / d_hi, bit for bit.  A NaN order, or an infinite
@@ -300,16 +299,6 @@ def _product_tail_sup(z: Grid | np.ndarray | complex, roots: np.ndarray,
     cell, from log C_k, and holds E_k, U over the orders lo..k-1 and P_k
     when it reaches order k: where P_k is finite and U < E_k / d_k, the
     sup is E_k / d_k, bit for bit.  Any other such cell is unsettled.
-
-    For an unsettled cell, a non-finite A_n equals E_n: finite terms, at
-    most about 745 in magnitude, never overflow a sum, and a sum with an
-    infinite or NaN term has the same value in any order.  The bounds pass
-    (_bound_orders) picks the order whose lower bound is highest.  Its
-    E_n / d_n is the max when every other order's upper bound is below
-    that lower bound, or when that lower bound is infinite and no upper
-    bound exceeds it, and _order_sums sums only that order, term by term,
-    so the bits are E_n's.  A cell where the bounds overlap instead (a
-    tie, or a NaN order) sums every order (_table_sup).
     """
     row = _RootLogRow(z)
     if divisors is None:
@@ -325,19 +314,10 @@ def _product_tail_sup(z: Grid | np.ndarray | complex, roots: np.ndarray,
         sup[at], settled[at] = _top_screen(row[at], located, first[at],
                                            log_c, lo, hi, divisors)
     rest = np.flatnonzero(~settled)
+    step = max(1, TABLE_BYTES // (8 * (hi - lo + 1)))
     for start in range(0, rest.size, step):
         at = rest[start:start + step]
-        cells = row[at]
-        best, exact = _bound_orders(cells, located, log_c, lo, hi, divisors)
-        out = np.empty(cells.size)
-        if exact.any():
-            orders = best[exact]
-            out[exact] = (_order_sums(cells[exact], located, log_c, lo,
-                                      orders) / divisors[orders - lo])
-        if not exact.all():
-            out[~exact] = _table_sup(cells[~exact], located, log_c, lo, hi,
-                                     divisors)
-        sup[at] = out
+        sup[at] = _table_sup(row[at], located, log_c, lo, hi, divisors)
     return sup.reshape(row.shape)
 
 
@@ -345,7 +325,7 @@ def _top_screen(cells: _RootLogRow, roots: list, first: np.ndarray,
                 log_c: np.ndarray, lo: int, hi: int, divisors: np.ndarray
                 ) -> tuple[np.ndarray, np.ndarray]:
     """(top, settled) over a row of cells: top[k] is the top order's
-    E_n / d_n at cell k, with _order_sums' bits, and settled[k] says that
+    E_n / d_n at cell k, with _table_sup's bits, and settled[k] says that
     it is the sup over lo..hi there (see _product_tail_sup).  The top
     order is hi, or the order first[k] of the root the cell is, where that
     is below hi.  Each root term is evaluated once and added to the top
@@ -394,68 +374,22 @@ def _top_screen(cells: _RootLogRow, roots: list, first: np.ndarray,
 
 def _table_sup(cells: _RootLogRow, roots: list, log_c: np.ndarray, lo: int,
                hi: int, divisors: np.ndarray) -> np.ndarray:
-    """_product_tail_sup over a row of cells without the bounds: each
-    order n = lo..hi summed alone by _order_sums and divided by its
-    divisor, in a running np.maximum that, taken in order from -inf, has
-    the bits of the (order x cell) table's max, NaN included.  Each order
-    evaluates its own root logs, O(N^2) per cell where the bounds pass
-    takes O(N); only cells whose bounds overlap come here."""
-    sup = np.full(cells.size, -np.inf)
-    for n in range(lo, hi + 1):
-        sums = _order_sums(cells, roots, log_c, lo, np.full(cells.size, n))
-        np.maximum(sup, sums / divisors[n - lo], out=sup)
-    return sup
-
-
-def _bound_orders(cells: _RootLogRow, roots: list, log_c: np.ndarray,
-                  lo: int, hi: int, divisors: np.ndarray
-                  ) -> tuple[np.ndarray, np.ndarray]:
-    """(best, exact) over a row of cells: best[k] is the order in lo..hi
-    with the highest lower bound on its exponent at cell k, and exact[k]
-    says that the best order's exponent is the max there (see
-    _product_tail_sup for the bounds).
-
-    The second largest upper bound is below the best lower bound only
-    when the largest belongs to the best order.  A NaN order's NaN upper
-    bound fails both tests of exact, so its cell is never exact.
-    """
-    total = np.zeros(cells.size)
-    size = np.zeros(cells.size)
-    best = np.full(cells.size, lo)
-    best_lower = np.full(cells.size, -np.inf)
-    upper1 = np.full(cells.size, -np.inf)
-    upper2 = np.full(cells.size, -np.inf)
+    """_product_tail_sup over a row of cells by its (order x cell) table:
+    row n = lo..hi starts at log C_n, each root term, evaluated once, is
+    added into every row n above its index, and each row is divided by its
+    divisor, so row n sums log C_n and the root terms in sequence, as the
+    screen sums its top order.  A running np.maximum over the rows, in
+    order from -inf, gives the sup, NaN included.  The table costs
+    O(N^2) adds per cell; only cells the screen leaves come here."""
+    table = np.repeat(log_c[:, None], cells.size, axis=1)
+    term = np.empty(cells.size)
     for j, r in enumerate(roots[:hi]):
-        term = cells(r)
-        total += term
-        size += np.abs(term)
-        n = j + 1
-        if n < lo:
-            continue
-        c, d = log_c[n - lo], divisors[n - lo]
-        mid = c + total
-        margin = 4 * (n + 2) * _UNIT_ROUNDOFF * (abs(c) + size)
-        margin[~np.isfinite(mid)] = 0.0  # exact, and inf - inf is NaN
-        lower = (mid - margin) / d
-        upper = (mid + margin) / d
-        gain = lower > best_lower
-        best[gain] = n
-        best_lower[gain] = lower[gain]
-        np.maximum(upper2, np.minimum(upper1, upper), out=upper2)
-        np.maximum(upper1, upper, out=upper1)
-    exact = (upper2 < best_lower) | (np.isinf(best_lower)
-                                     & (upper1 == best_lower))
-    return best, exact
-
-
-def _order_sums(cells: _RootLogRow, roots: list, log_c: np.ndarray, lo: int,
-                orders: np.ndarray) -> np.ndarray:
-    """log|C_n * prod_{j<n} (z - roots[j])| with n = orders[k] at each cell
-    k, summed from log C_n, adding the root terms in sequence."""
-    acc = log_c[orders - lo]
-    for j, r in enumerate(roots[:orders.max()]):
-        np.add(acc, cells(r), out=acc, where=j < orders)
-    return acc
+        table[max(j + 1, lo) - lo:] += cells(r, out=term)
+    table /= divisors[:, None]
+    sup = np.full(cells.size, -np.inf)
+    for sums in table:
+        np.maximum(sup, sums, out=sup)
+    return sup
 
 
 @dataclass(frozen=True)

@@ -724,6 +724,33 @@ def test_lockstep_group_crops_and_stops_at_the_cap(n):
     assert [f.uncovered.is_empty() for f in group] == [True, True, False]
 
 
+def test_family_reaches_a_cell_whose_root_sum_equals_the_threshold():
+    """At m = 1 the threshold is the norm itself, and the target cell t,
+    K's degree-1 maximizer k mirrored across the first Leja point's grid
+    column, has |t - r| = |k - r| bit for bit (the offset table's columns
+    at -a and a hold -x and x), so degree 1 reaches t on the threshold."""
+    g = Grid.from_box(-2.0, -2.0, 2.0, 2.0, 64, 64)
+    assert _offset_logs(g) is not None
+    K = polynomial_hull(rasterize_scene([(1, shapes.Disk(0.5, 0.0, 0.4))],
+                                        g, kind=COMPACT))
+    U = neighborhood(K, 0.2)
+    leja = leja_points(K, 1)
+    jr, ir = divmod(leja.cells[0], g.width)
+    row = _RootLogRow(g, np.flatnonzero(K.bits))
+    jk, ik = divmod(int(row.cells[np.argmax(row(leja.cells[0]))]), g.width)
+    bits = np.zeros_like(K.bits)
+    bits[jk, 2 * ir - ik] = True
+    target = RegionMask(g, bits, OPEN)
+    assert target.intersect(U).is_empty()
+    norm = leja.log_sups[0]
+    assert _sum_threshold(norm, math.log(1)) == norm
+    reached = _RootLogRow(g, np.flatnonzero(bits))(leja.cells[0])
+    assert reached.tolist() == [norm]
+    group, _ = matches_reference(K, [("", U, target, 1)], 4)
+    assert [p.degree for p in group[0].members] == [1]
+    assert group[0].uncovered.is_empty()
+
+
 @settings(max_examples=300, deadline=None)
 @given(norm=st.one_of(st.floats(-800.0, 800.0), st.floats(-1e-9, 1e-9)),
        level=st.one_of(st.just(0.0), st.floats(0.0, 10.0),

@@ -560,8 +560,8 @@ def _product_series_on_cells():
 @pytest.mark.parametrize("chunk", [None, 1, 7])
 def test_product_evaluator_matches_oracle(kind, chunk, monkeypatch):
     # chunk None keeps the default budget (all 195 cells in one chunk); 1
-    # makes every chunk of _product_tail_sup's screen and bounds pass one
-    # cell; 7 leaves a partial last chunk
+    # makes every chunk of _product_tail_sup's screen and table one cell; 7
+    # leaves a partial last screen chunk
     f, g = _product_series_on_cells()
     calls = []
     helper = construct._product_tail_sup
@@ -642,6 +642,33 @@ def _table_sup_reference(cells, roots, log_c, lo, hi, divisors=None):
     return (table / divisors[:, None]).max(axis=0)
 
 
+def _table_sup_spy(monkeypatch):
+    """The cell arrays that reach construct._table_sup, one per call."""
+    calls = []
+    table = construct._table_sup
+
+    def spy(cells, *args):
+        calls.append(cells.points.copy())
+        return table(cells, *args)
+
+    monkeypatch.setattr(construct, "_table_sup", spy)
+    return calls
+
+
+def _screen_spy(monkeypatch):
+    """The settled masks construct._top_screen returns, one per call."""
+    calls = []
+    screen = construct._top_screen
+
+    def spy(*args):
+        top, settled = screen(*args)
+        calls.append(settled)
+        return top, settled
+
+    monkeypatch.setattr(construct, "_top_screen", spy)
+    return calls
+
+
 @settings(max_examples=80, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1), n_on=st.integers(0, 9),
        n_off=st.integers(0, 9), data=st.data())
@@ -649,10 +676,12 @@ def test_product_tail_sup_is_bit_identical_to_the_table(seed, n_on, n_off,
                                                         data):
     # points on cell centres give exact -inf terms from their order on;
     # windows include lo = 1, divisors the default n and the interleave's
-    # 2m and 2m + 1, and chunks run down to one cell.  Besides the plain
-    # path, the screen can be made to settle nothing, so that the bounds
-    # pass and its exact sums see every cell, and then the bounds pass to
-    # certify nothing, so that the table is forced on every cell
+    # 2m and 2m + 1.  TABLE_BYTES makes screen chunks down to one cell, or
+    # table chunks down to one cell, or a budget below one cell's table
+    # column, where the table's step is clamped to one cell.  Besides the
+    # plain path, the screen can be made to settle nothing, so that the
+    # table sees every cell.  Either way exactly the cells the screen
+    # leaves reach the table, in chunks of the table's step
     g = Grid.from_box(-1.4, -1.0, 1.4, 1.0, 7, 5)
     cells = g.centers().ravel()
     rng = np.random.default_rng(seed)
@@ -665,34 +694,38 @@ def test_product_tail_sup_is_bit_identical_to_the_table(seed, n_on, n_off,
     parity = data.draw(st.sampled_from([None, 0, 1]), label="parity")
     divisors = None if parity is None else np.arange(
         2.0 * lo + parity, 2.0 * hi + parity + 1, 2.0)
+    column = 8 * (hi - lo + 1)  # one cell's table bytes
     chunk = data.draw(st.integers(1, cells.size + 1), label="chunk")
-    arm = data.draw(st.sampled_from(["screen", "settle nothing",
-                                     "table on every cell"]), label="arm")
+    budget = data.draw(st.sampled_from(
+        [construct._CELL_BYTES * chunk, column * chunk, column - 1]),
+        label="TABLE_BYTES")
+    settle_nothing = data.draw(st.booleans(), label="settle nothing")
     roots, log_c = np.array(s.points), np.array(s.log_c[lo:hi + 1])
-    screen, bound = construct._top_screen, construct._bound_orders
-    bounded = []
+    screen, settled, tabled = construct._top_screen, [], []
+    table = construct._table_sup
 
-    def settle_nothing(*args):
-        top, settled = screen(*args)
-        return top, np.zeros_like(settled)
+    def screen_spy(*args):
+        top, done = screen(*args)
+        if settle_nothing:
+            done = np.zeros_like(done)
+        settled.append(done)
+        return top, done
 
-    def bound_spy(cells, *args):
-        bounded.append(cells.size)
-        best, exact = bound(cells, *args)
-        return best, (exact if arm != "table on every cell"
-                      else np.zeros_like(exact))
+    def table_spy(cells, *args):
+        tabled.append(cells.points.copy())
+        return table(cells, *args)
 
-    with mock.patch.object(construct, "TABLE_BYTES",
-                           construct._CELL_BYTES * chunk), \
-            mock.patch.object(construct, "_top_screen",
-                              screen if arm == "screen" else settle_nothing), \
-            mock.patch.object(construct, "_bound_orders", bound_spy):
+    with mock.patch.object(construct, "TABLE_BYTES", budget), \
+            mock.patch.object(construct, "_top_screen", screen_spy), \
+            mock.patch.object(construct, "_table_sup", table_spy):
         got = construct._product_tail_sup(cells, roots, log_c, lo, hi,
                                           divisors)
     want = _table_sup_reference(cells, roots, log_c, lo, hi, divisors)
     assert got.tobytes() == want.tobytes()
-    if arm != "screen":
-        assert sum(bounded) == cells.size
+    rest = cells[~np.concatenate(settled)]
+    step = max(1, budget // column)
+    assert [c.tolist() for c in tabled] == [
+        rest[k:k + step].tolist() for k in range(0, rest.size, step)]
 
 
 def _roots_on_circle(radius, count):
@@ -700,17 +733,17 @@ def _roots_on_circle(radius, count):
 
 
 @pytest.mark.parametrize("case", ["tie", "zero-tie", "absorbed"])
-def test_product_tail_sup_fills_the_table_where_bounds_overlap(case,
-                                                               monkeypatch):
+def test_product_tail_sup_fills_the_table_where_the_screen_cannot_settle(
+        case, monkeypatch):
     # "tie": every root term at 0 is log 1 = 0, so orders 1 and 2 both have
     # exponent exactly 1.  "zero-tie": log C_n = 0 as well, so both orders
     # are exactly 0 at 0 with no margin at all: order 1's upper bound
     # equals the top order's exponent, and only a strict screen leaves the
     # cell to the table.  "absorbed": every root term at 0 is about log 2
-    # and vanishes when added to 2^53, so order 10 sums to 2^53 while the
-    # running root sum puts it near 2^53 + 6, above order 1's 2^53 + 2: the
-    # bounds must overlap for 0 to take the table's answer, 2^53 + 2.
-    # 3 + 4j has no tie and takes its one exact order
+    # and vanishes when added to 2^53, so the top order 10 sums to 2^53,
+    # below order 1's 2^53 + 2, whose upper bound keeps the cell unsettled:
+    # 0 must take the table's answer, 2^53 + 2.  3 + 4j has no tie, but
+    # its lower order wins, so the screen leaves it to the table as well
     z = np.array([0.0j, 3.0 + 4.0j])
     if case in ("tie", "zero-tie"):
         roots = _roots_on_circle(1.0, 4)
@@ -721,33 +754,14 @@ def test_product_tail_sup_fills_the_table_where_bounds_overlap(case,
         roots = _roots_on_circle(2.0, 11)
         lo, hi, divisors = 1, 10, np.ones(10)
         log_c = np.array([2.0 ** 53 + 2] + [-np.inf] * 8 + [2.0 ** 53])
-    tables = []
-    table = construct._table_sup
-
-    def spy(cells, *args):
-        tables.append(cells.points.tolist())
-        return table(cells, *args)
-
-    monkeypatch.setattr(construct, "_table_sup", spy)
+    settled, tables = _screen_spy(monkeypatch), _table_sup_spy(monkeypatch)
     got = construct._product_tail_sup(z, roots, log_c, lo, hi, divisors)
     want = _table_sup_reference(z, roots, log_c, lo, hi, divisors)
     assert got.tobytes() == want.tobytes()
-    assert tables == [[0.0j]]
+    assert [done.tolist() for done in settled] == [[False] * z.size]
+    assert [c.tolist() for c in tables] == [z.tolist()]
     if case == "absorbed":
         assert got[0] == 2.0 ** 53 + 2
-
-
-def _bound_orders_spy(monkeypatch):
-    """The cell arrays that reach construct._bound_orders, one per call."""
-    calls = []
-    bound = construct._bound_orders
-
-    def spy(cells, *args):
-        calls.append(cells.points.copy())
-        return bound(cells, *args)
-
-    monkeypatch.setattr(construct, "_bound_orders", spy)
-    return calls
 
 
 SCREEN_ROOTS = np.array([0.4, -0.3 + 0.5j, 0.2 - 0.6j, 0.7j, -0.5,
@@ -796,7 +810,7 @@ def test_product_tail_sup_screen_settles_only_where_the_top_order_wins(
         log_c[-1] = np.nan
     elif case == "rounded-up":
         log_c = np.array([2.0 ** 53, 2.0 ** 53 - 2])
-    calls = _bound_orders_spy(monkeypatch)
+    calls = _table_sup_spy(monkeypatch)
     got = construct._product_tail_sup(cells, roots, log_c, lo, hi, divisors)
     want = _table_sup_reference(cells, roots, log_c, lo, hi, divisors)
     assert got.tobytes() == want.tobytes()
@@ -824,7 +838,7 @@ def test_product_tail_sup_screen_takes_interleave_divisors(parity,
     lo, hi = 5, f.max_supported_n
     log_c = np.array(f.structure.log_c[lo:hi + 1])
     divisors = np.arange(2.0 * lo + parity, 2.0 * hi + parity + 1, 2.0)
-    calls = _bound_orders_spy(monkeypatch)
+    calls = _table_sup_spy(monkeypatch)
     got = construct._product_tail_sup(cells, roots, log_c, lo, hi, divisors)
     want = _table_sup_reference(cells, roots, log_c, lo, hi, divisors)
     assert got.tobytes() == want.tobytes()
@@ -852,21 +866,12 @@ def _criterion_2_cells():
 def test_product_tail_sup_bounds_only_the_unsettled_cells(monkeypatch):
     # on the criterion-2 scene at N = 49 the screen settles each cell whose
     # top order wins, the 49 cells on the top order's roots among them,
-    # and the few cells it leaves reach the bounds pass together, in one
-    # call
+    # and the few cells it leaves reach the table together, in one call
     pts, cells = _criterion_2_cells()
     f = countable_set_series(PointSequence.from_points(pts))
     lo, hi = tail_window(49)
-    screen = construct._top_screen
-    settled = []
-
-    def screen_spy(*args):
-        top, done = screen(*args)
-        settled.append(done)
-        return top, done
-
-    monkeypatch.setattr(construct, "_top_screen", screen_spy)
-    calls = _bound_orders_spy(monkeypatch)
+    settled = _screen_spy(monkeypatch)
+    calls = _table_sup_spy(monkeypatch)
     got = f.structure.tail_sup(cells, lo, hi)
     roots = np.array(f.structure.points)
     want = _table_sup_reference(cells, roots,
@@ -906,8 +911,8 @@ def test_product_tail_sup_keeps_nan_and_inf_from_a_root_at_infinity():
 @pytest.mark.parametrize("chunk", [None, 1, 7])
 def test_product_log_mags_match_oracle(kind, chunk, monkeypatch):
     # chunk None keeps the default budget (all cells in one chunk); 1 makes
-    # every chunk of _product_tail_sup's screen and bounds pass one cell; 7
-    # leaves a partial last chunk.  One order n read as tail_sup(z, n, n) with
+    # every chunk of _product_tail_sup's screen and table one cell; 7
+    # leaves a partial last screen chunk.  One order n read as tail_sup(z, n, n) with
     # divisor 1 is log|f_n| itself
     f, g = _product_series_on_cells()
     N = f.max_supported_n
@@ -945,7 +950,7 @@ def test_interleave_evaluator_matches_children(pair, monkeypatch):
     # N = 16 and 17 start the tail window on an even and an odd order; each
     # child is evaluated once, by its own tail_sup over its orders in the
     # window, each divided by its interleaved order, and the product child
-    # sums one exact order per cell without filling a table
+    # fills its table for exactly the cells its screen leaves
     countable, g = _product_series_on_cells()
     compact = compact_set_series(_disk(g, 0.0, 0.0, 0.5), stages=4,
                                  degree_cap=16)
@@ -953,12 +958,8 @@ def test_interleave_evaluator_matches_children(pair, monkeypatch):
                  "countable-blocks": (countable, compact),
                  "blocks-blocks": (compact, _unshared_block_series())}[pair]
     F = construct.interleave(even, odd)
-    sups, tables = [], []
-    table = construct._table_sup
-
-    def table_spy(*args):
-        tables.append(args[3:5])
-        return table(*args)
+    sups = []
+    settled, tables = _screen_spy(monkeypatch), _table_sup_spy(monkeypatch)
 
     def spy_on_tail_sup(cls):
         helper = cls.tail_sup
@@ -970,19 +971,22 @@ def test_interleave_evaluator_matches_children(pair, monkeypatch):
 
         monkeypatch.setattr(cls, "tail_sup", spy)
 
-    monkeypatch.setattr(construct, "_table_sup", table_spy)
     spy_on_tail_sup(BlockStructure)
     spy_on_tail_sup(CountableStructure)
     for N in (16, 17, F.max_supported_n):
         lo, _ = tail_window(N)
         sups.clear()
+        settled.clear()
         tables.clear()
         _assert_tail_sup_matches_oracle(F, g, N)
         a, b, c, d = (lo + 1) // 2, N // 2, lo // 2, (N - 1) // 2
         assert sups == [
             (True, False, a, b, [2.0 * m for m in range(a, b + 1)]),
             (False, True, c, d, [2.0 * m + 1 for m in range(c, d + 1)])]
-        assert tables == []
+        # one screen chunk over the grid's cells per product child
+        assert [c.tolist() for c in tables] == [
+            g.centers().ravel()[~done].tolist() for done in settled
+            if not done.all()]
 
 
 def _interleave_points(F):
