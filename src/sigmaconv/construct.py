@@ -10,8 +10,9 @@ growth exponents over an order range, vectorized over point arrays, and
   away from the point set while every z_k kills all coefficients of index
   >= k exactly;
 * block series of powered polynomials: f_l = h_l^l for a member list h_l of
-  normalized root polynomials, grouped in stage blocks (separating families
-  on a compact set, or on the pieces of an ascending decomposition);
+  normalized root polynomials, grouped in stage blocks: the separating
+  families of a chain of stages, which a compact set's distance shells or
+  an ascending decomposition produce and one builder consumes;
 * parity interleave: F_2m = f_m, F_{2m+1} = g_m, whose convergence behavior
   is the intersection of the two inputs'.
 """
@@ -23,7 +24,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import groupby
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -188,10 +189,9 @@ class _RootLogRow:
 
 @dataclass(frozen=True)
 class PointSequence:
-    """Ordered points; leja_points also sets saturated, log_sups and cells."""
+    """Ordered points; leja_points also sets log_sups and cells."""
 
     points: tuple[complex, ...]
-    saturated: bool = False
     log_sups: tuple[float, ...] = ()
     cells: tuple[int, ...] = ()
 
@@ -516,7 +516,7 @@ def leja_points(K: RegionMask, count: int) -> PointSequence:
     cell index.  log_sups[d-1] is that sum's max over K after d points: the
     log sup over K's cells of prod_{i<=d} |z - z_i|.  If no fresh maximizer
     exists (all candidates at -inf, e.g. a single-cell K exhausted), the
-    sequence stops early, flagged saturated, with a last log sup of -inf.
+    sequence saturates: it stops short of count, its last log sup -inf.
     cells[d-1] is point d's flat grid index, its K-row a _RootLogRow."""
     if K.is_empty():
         raise ValueError("leja_points requires a non-empty mask")
@@ -533,24 +533,25 @@ def leja_points(K: RegionMask, count: int) -> PointSequence:
         log_sups.append(float(accum[nxt]))
         if len(chosen) == count or log_sups[-1] == -np.inf:
             break
-    return PointSequence(tuple(map(complex, zs[chosen])), len(chosen) < count,
-                         tuple(log_sups), tuple(row.cells[chosen].tolist()))
+    return PointSequence(tuple(map(complex, zs[chosen])), tuple(log_sups),
+                         tuple(row.cells[chosen].tolist()))
 
 
 @dataclass
 class SeparatingFamily:
-    """Polynomials bounded by 1 on K that exceed m on a target set.
+    """Polynomials bounded by 1 on a stage's E that exceed its level m on
+    the stage's target.
 
     ``uncovered`` collects the target cells no member reaches (empty when
     the family fully separates).
     """
 
-    m: int
     members: list[RootPolynomial]
-    K_ref: RegionMask
-    target_ref: RegionMask
     uncovered: RegionMask
-    note: str = ""
+
+
+# one stage of a chain: (label, E, U, target, m)
+_Stage = tuple[str, RegionMask, RegionMask, RegionMask, int]
 
 
 def _sum_threshold(norm: float, level: float) -> float:
@@ -584,12 +585,12 @@ def _sum_threshold(norm: float, level: float) -> float:
 
 
 def _separating_families(
-        K: RegionMask, stages: Sequence[tuple[str, RegionMask, RegionMask, int]],
+        stages: Sequence[_Stage],
         degree_cap: int) -> tuple[tuple[complex, ...], list[SeparatingFamily]]:
-    """A separating family for each (label, U, target, m) stage over one
-    K, with K's convexity checked once and errors prefixed by the label,
-    and the sequence every member is a prefix of, up to the highest
-    degree.
+    """A separating family for each (label, E, U, target, m) stage of a
+    lockstep group, whose E all have the cells of the first one, K, with
+    K's convexity checked once and errors prefixed by the label, and the
+    sequence every member is a prefix of, up to the highest degree.
 
     A stage's family separates K from its target at level m: monic
     polynomials with greedy extremal roots on K are normalized so their
@@ -612,7 +613,8 @@ def _separating_families(
     elementwise, so each family is the one its stage alone would get,
     bit for bit.
     """
-    for i, (label, U, target, m) in enumerate(stages):
+    K = stages[0][1]
+    for i, (label, _, U, target, m) in enumerate(stages):
         try:
             if m < 1:
                 raise ValueError("m must be >= 1")
@@ -631,13 +633,12 @@ def _separating_families(
     members: list[list[RootPolynomial]] = [[] for _ in stages]
     uncovered = [np.zeros((grid.height, grid.width), dtype=bool)
                  for _ in stages]
-    notes = [""] * len(stages)
     sequence: tuple[complex, ...] = ()
     live: list[int] = []
-    for i, (label, _, target, m) in enumerate(stages):
+    for i, (label, _, _, target, m) in enumerate(stages):
         if target.is_empty():
-            notes[i] = "empty target"
-        elif K.is_empty():
+            continue
+        if K.is_empty():
             raise ValueError(f"{label}K is empty but the target is not")
         elif K.count() == 1:
             # no monic polynomial separates from a one-cell K (sup over K of
@@ -649,8 +650,6 @@ def _separating_families(
             members[i].append(RootPolynomial(sequence, -math.log(rho)))
             uncovered[i][target.bits] = ~(np.asarray(members[i][0].log_abs(
                 target.cell_centers())) >= math.log(m))
-            notes[i] = (f"single-cell K: member (z - a)/rho with rho = "
-                        f"{rho!r} (set_distance/m, shaved 1e-12)")
         else:
             live.append(i)
 
@@ -661,9 +660,9 @@ def _separating_families(
         # needs and their count, and the rows r0:r1 and columns c0:c1 of
         # the box that hold every still-needed cell
         ends = bounding_box(RegionMask(grid, np.logical_or.reduce(
-            [stages[i][2].bits for i in live]), OPEN))
+            [stages[i][3].bits for i in live]), OPEN))
         box = slice(ends[0], ends[1] + 1), slice(ends[2], ends[3] + 1)
-        need = {i: stages[i][2].bits[box].copy() for i in live}
+        need = {i: stages[i][3].bits[box].copy() for i in live}
         left = {i: np.count_nonzero(need[i]) for i in live}
         sum_t = np.zeros(need[live[0]].shape)
         hit = np.empty(sum_t.shape, dtype=bool)
@@ -675,7 +674,7 @@ def _separating_families(
             member = None
             for i in live:
                 np.greater_equal(sum_t, _sum_threshold(
-                    norm, math.log(stages[i][3])), out=hit)
+                    norm, math.log(stages[i][4])), out=hit)
                 hit &= need[i]
                 reached = np.count_nonzero(hit)
                 if reached:
@@ -712,10 +711,8 @@ def _separating_families(
         for i in live:
             uncovered[i][box] = need[i]
 
-    return sequence, [SeparatingFamily(m, found, K, target,
-                                       RegionMask(grid, bits, OPEN), note)
-                      for (_, _, target, m), found, bits, note
-                      in zip(stages, members, uncovered, notes)]
+    return sequence, [SeparatingFamily(found, RegionMask(grid, bits, OPEN))
+                      for found, bits in zip(members, uncovered)]
 
 
 def _fold_pairs(best: np.ndarray, x: np.ndarray, groups: np.ndarray,
@@ -908,22 +905,26 @@ def block_series(members: Sequence[RootPolynomial],
         description, uncovered_counts)
 
 
-def _stage_blocks(
-        groups: Sequence[tuple[tuple[complex, ...], list[SeparatingFamily]]],
-        f0_log_mag: float, description: str) -> CoefficientSeries:
-    """Block series of the families' members, one stage block per family,
-    from each lockstep group's (sequence, families); a group without
-    members has an empty sequence, which is not stored."""
+def _chain_series(chain: Iterable[_Stage], degree_cap: int,
+                  f0_log_mag: float, description: str) -> CoefficientSeries:
+    """Block series of a chain of stages, one stage block per stage: the
+    families of each run of consecutive stages whose E have equal cells,
+    built in lockstep, with the run's sequence stored once if it has
+    members.  The chain is read one run at a time."""
+    sequences, placement, log_scales, sizes, uncovered = [], [], [], [], []
+    for _, group in groupby(chain, key=lambda stage: stage[1].bits.tobytes()):
+        sequence, families = _separating_families(list(group), degree_cap)
+        s = len(sequences)
+        if sequence:
+            sequences.append(sequence)
+        for family in families:
+            placement += [(s, p.degree) for p in family.members]
+            log_scales += [p.log_scale for p in family.members]
+            sizes.append(len(family.members))
+            uncovered.append(family.uncovered.count())
     _offset_logs.cache_clear()  # the families are built: free the table
-    stored = [(sequence, group) for sequence, group in groups if sequence]
-    members = [(s, p) for s, (_, group) in enumerate(stored)
-               for family in group for p in family.members]
-    families = [family for _, group in groups for family in group]
-    return block_series_from_tables(
-        [sequence for sequence, _ in stored],
-        [(s, p.degree) for s, p in members], [p.log_scale for _, p in members],
-        [len(family.members) for family in families], f0_log_mag,
-        description, [family.uncovered.count() for family in families])
+    return block_series_from_tables(sequences, placement, log_scales, sizes,
+                                    f0_log_mag, description, uncovered)
 
 
 def compact_set_series(K: RegionMask, stages: int,
@@ -937,16 +938,15 @@ def compact_set_series(K: RegionMask, stages: int,
     """
     if stages < 1:
         raise ValueError("stages must be >= 1")
-    grid = K.grid
     dist_k = distance_to(K)
-    abs_z = np.abs(grid.centers())
+    abs_z = np.abs(K.grid.centers())
     # U_m is the closed 1/m-dilation of K, so the usable shell is the strict
     # excess; every stage separates the same K, hence one lockstep group
-    plan = [("", RegionMask(grid, dist_k <= 1.0 / m, OPEN),
-             RegionMask(grid, (dist_k > 1.0 / m) & (abs_z <= m), OPEN), m)
-            for m in range(1, stages + 1)]
-    return _stage_blocks(
-        [_separating_families(K, plan, degree_cap)], -math.inf,
+    chain = (("", K, RegionMask(K.grid, dist_k <= 1.0 / m, OPEN),
+              RegionMask(K.grid, (dist_k > 1.0 / m) & (abs_z <= m), OPEN), m)
+             for m in range(1, stages + 1))
+    return _chain_series(
+        chain, degree_cap, -math.inf,
         description=f"compact-set series, {stages} stages on {K.count()} cells")
 
 
@@ -957,20 +957,17 @@ def sigma_convex_series(decomp, omega: RegionMask,
 
     Stage k separates E_k from the k-th domain exhaustion piece minus the
     shrinking open cover U_k, at separation level k; the constant term is 1.
-    Consecutive stages with equal E_k build their families in lockstep.
+    Every compact of the decomposition, and E_{n_max}, must lie in omega.
     """
     if omega.grid != decomp.grid:
         raise ValueError("omega does not live on the decomposition's grid")
+    for name, K in [*((f"K_{j}", K) for j, K in enumerate(decomp.K_list, 1)),
+                    (f"E_{decomp.n_max}", decomp.E_list[-1])]:
+        if not K.subset_of(omega):
+            raise ValueError(f"{name} is not contained in omega")
     exhaust = exhaustion(omega)
-    groups = []
-    for _, group in groupby(range(1, decomp.n_max + 1),
-                            key=lambda k: decomp.E_list[k - 1].bits.tobytes()):
-        ks = list(group)
-        groups.append(_separating_families(
-            decomp.E_list[ks[0] - 1],
-            [(f"stage {k}: ", decomp.U_list[k - 1],
+    chain = ((f"stage {k}: ", decomp.E_list[k - 1], decomp.U_list[k - 1],
               exhaust(k).difference(decomp.U_list[k - 1], kind=OPEN), k)
-             for k in ks], degree_cap))
-    return _stage_blocks(groups, 0.0,
+             for k in range(1, decomp.n_max + 1))
+    return _chain_series(chain, degree_cap, 0.0,
                          description=f"sigma-convex series, {decomp.n_max} stages")
-

@@ -269,6 +269,8 @@ def construct_compact(scene: SceneSpec) -> CoefficientSeries:
     target = scene.target_mask()
     if target.is_empty():
         raise ValueError("compact pipeline needs a non-empty target")
+    if not target.subset_of(scene.domain_mask()):
+        raise ValueError("target is not contained in the domain")
     b = scene.budgets.resolve(scene.grid)
     return compact_set_series(target, b.stages, b.degree_cap)
 

@@ -125,26 +125,27 @@ def cell_center(grid, i, j):
 
 def separating_family(K, U, target, m, degree_cap):
     """The separating family of one stage (K, U, target, m) built alone."""
-    return _separating_families(K, [("", U, target, m)], degree_cap)[1][0]
+    return _separating_families([("", K, U, target, m)], degree_cap)[1][0]
 
 
-def verify_family(family) -> bool:
-    """Re-check both bounds of a SeparatingFamily with an independent
-    evaluation pass: each member is at most 1 on K, and the uncovered
-    report holds exactly the target cells no member lifts to level m."""
-    log_m = math.log(family.m)
-    zs_K = family.K_ref.cell_centers()
+def verify_family(family, K, target, m) -> bool:
+    """Re-check both bounds of the SeparatingFamily of a stage with E = K,
+    target and level m with an independent evaluation pass: each member is
+    at most 1 on K, and the uncovered report holds exactly the target cells
+    no member lifts to level m."""
+    log_m = math.log(m)
+    zs_K = K.cell_centers()
     for p in family.members:
-        if family.K_ref.count() and np.max(p.log_abs(zs_K)) > 0.0:
+        if K.count() and np.max(p.log_abs(zs_K)) > 0.0:
             return False
-    if family.target_ref.is_empty():
+    if target.is_empty():
         return family.uncovered.is_empty()
-    zs_t = family.target_ref.cell_centers()
+    zs_t = target.cell_centers()
     best = np.full(zs_t.shape, -np.inf)
     for p in family.members:
         np.maximum(best, p.log_abs(zs_t), out=best)
     covered_ok = best >= log_m
-    expect_uncovered = family.uncovered.bits[family.target_ref.bits]
+    expect_uncovered = family.uncovered.bits[target.bits]
     return bool(np.array_equal(~covered_ok, expect_uncovered))
 
 

@@ -156,9 +156,11 @@ def test_criterion_4_unit_disk_families_and_map():
     fam_ok = True
     for m in range(1, 9):
         U = neighborhood(K, 1.0 / m)
-        shell = (dist_k > 1.0 / m) & (abs_z <= m) & ~U.bits
-        fam = separating_family(K, U, RegionMask(g, shell, OPEN), m, 64)
-        fam_ok = fam_ok and verify_family(fam) and fam.uncovered.is_empty()
+        shell = RegionMask(g, (dist_k > 1.0 / m) & (abs_z <= m) & ~U.bits,
+                           OPEN)
+        fam = separating_family(K, U, shell, m, 64)
+        fam_ok = (fam_ok and verify_family(fam, K, shell, m)
+                  and fam.uncovered.is_empty())
     series = compact_set_series(K, stages=8, degree_cap=64)
     cmap = conv_map(series, g, N=series.max_supported_n,
                     B=math.log(1.2), M=math.log(1.8))

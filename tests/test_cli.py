@@ -223,6 +223,15 @@ def test_compact_pipeline_needs_target():
         construct_compact(s)
 
 
+OUTSIDE_DOMAIN = "grid 64x64\nbox -2 -2 2 2\ndomain disk 0 0 1\n"
+
+
+def test_compact_pipeline_needs_target_in_the_domain():
+    s = parse_scene(OUTSIDE_DOMAIN + "target disk 0.9 0 0.5\n")
+    with pytest.raises(ValueError, match="target is not contained"):
+        construct_compact(s)
+
+
 def test_sigma_pipeline_defaults_nmax_to_twice_the_parts():
     s = parse_scene("grid 64x64\nbox -2 -2 2 2\n"
                     "part disk -0.8 0 0.3\npart disk 0.8 0 0.3\n"
@@ -328,6 +337,23 @@ def test_cli_hull_respects_restricted_domain(tmp_path):
     assert hull.same_cells(target)
     report = json.loads((out / "report.json").read_text())
     assert "domain-restricted" in report["mode"]
+
+
+@pytest.mark.parametrize("line,argv", [
+    ("part disk 0.9 0 0.5", ["construct", "--pipeline", "sigma"]),
+    ("part disk 0.9 0 0.5", ["decompose"]),
+    ("target disk 0.9 0 0.5", ["construct", "--pipeline", "compact"]),
+])
+def test_cli_compact_outside_the_domain_exits_1(tmp_path, capsys, line, argv):
+    """The convergence set lies in the domain, so a part or target that
+    leaves it is bad input, as hull already says."""
+    scene = write_scene(tmp_path, OUTSIDE_DOMAIN + line + "\n")
+    out = str(tmp_path / "out")
+    assert main([argv[0], str(scene), *argv[1:], "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert "not contained in" in err
+    assert not (tmp_path / "out" / "series.json").exists()
 
 
 def test_cli_construct_then_verify_round_trip(tmp_path, capsys):

@@ -179,7 +179,7 @@ def test_leja_segment_picks_endpoints():
     xs = sorted(z.real for z in pts.points)
     assert xs[0] == pytest.approx(-1.0, abs=2 * g.pixel)
     assert xs[1] == pytest.approx(1.0, abs=2 * g.pixel)
-    assert not pts.saturated
+    assert len(pts) == 2  # not saturated: it reaches count
 
 
 def test_leja_single_cell_saturates():
@@ -187,7 +187,7 @@ def test_leja_single_cell_saturates():
     one = rasterize_scene([(1, shapes.Points((0.2 + 0.2j,)))], g, kind=COMPACT)
     pts = leja_points(one, 5)
     assert len(pts) == 1
-    assert pts.saturated
+    assert len(pts) < 5  # saturated
 
 
 def test_leja_disk_points_sit_on_the_boundary():
@@ -221,7 +221,7 @@ def test_leja_log_sups_are_the_prefix_sups(shape, count, saturated):
     g = Grid.from_box(-2.0, -2.0, 2.0, 2.0, 32, 32)
     K = rasterize_scene([(1, shape)], g, kind=COMPACT)
     leja = leja_points(K, count)
-    assert leja.saturated is saturated
+    assert (len(leja) < count) is saturated
     assert len(leja.log_sups) == len(leja) == min(count, K.count())
     zs = K.cell_centers()
     for d in range(1, len(leja) + 1):
@@ -245,7 +245,6 @@ def reference_leja(K, count):
         if len(chosen) == count or log_sups[-1] == -math.inf:
             break
     return PointSequence(tuple(complex(zs[k]) for k in chosen),
-                         saturated=len(chosen) < count,
                          log_sups=tuple(log_sups),
                          cells=tuple(int(cells[k]) for k in chosen))
 
@@ -275,7 +274,7 @@ def test_leja_points_match_the_reference(n, shape, count):
     got, want = leja_points(K, count), reference_leja(K, count)
     assert got == want
     assert same_bits(got.log_sups, want.log_sups)
-    assert got.saturated is (count > K.count())
+    assert (len(got) < count) is (count > K.count())
     assert np.array_equal(g.centers().ravel()[list(got.cells)], got.points)
 
 
@@ -349,7 +348,7 @@ def test_family_disk_to_ring():
     g, K, U, ring, fam = build_disk_ring()
     assert [p.degree for p in fam.members] == [3, 4]
     assert fam.uncovered.is_empty()
-    assert verify_family(fam)
+    assert verify_family(fam, K, ring, 4)
 
 
 def test_family_verify_rejects_a_broken_family():
@@ -358,20 +357,21 @@ def test_family_verify_rejects_a_broken_family():
     g, K, U, ring, fam = build_disk_ring()
     first, *rest = fam.members
     raised = RootPolynomial(first.roots, first.log_scale + 0.01)
-    assert not verify_family(dataclasses.replace(fam,
-                                                 members=[raised, *rest]))
+    assert not verify_family(dataclasses.replace(
+        fam, members=[raised, *rest]), K, ring, 4)
     bits = fam.uncovered.bits.copy()
     j, i = np.argwhere(ring.bits)[0]
     bits[j, i] = True
     flipped = RegionMask(g, bits, fam.uncovered.kind)
-    assert not verify_family(dataclasses.replace(fam, uncovered=flipped))
+    assert not verify_family(dataclasses.replace(fam, uncovered=flipped),
+                             K, ring, 4)
 
 
 def test_family_bounds_are_cell_exact():
     g, K, U, ring, fam = build_disk_ring()
     zk = K.cell_centers()
     zt = ring.cell_centers()
-    log_m = math.log(fam.m)
+    log_m = math.log(4)
     best = np.full(zt.shape, -np.inf)
     for p in fam.members:
         assert float(np.max(p.log_abs(zk))) <= 0.0
@@ -387,12 +387,11 @@ def test_family_single_cell_degenerate_rule():
     fam = separating_family(K, neighborhood(K, 0.1), T, m=10, degree_cap=8)
     assert len(fam.members) == 1
     p = fam.members[0]
-    assert p.roots == (a,)
-    assert "single-cell" in fam.note
+    assert p.roots == (a,) and single_cell_member(fam, K)
     value = math.exp(p.log_abs(complex(T.cell_centers()[0])))
     assert value == pytest.approx(10.0, rel=1e-9)
     assert fam.uncovered.is_empty()
-    assert verify_family(fam)
+    assert verify_family(fam, K, T, 10)
 
 
 def test_family_two_disks_cover_surrounding_ring():
@@ -406,7 +405,7 @@ def test_family_two_disks_cover_surrounding_ring():
     fam = separating_family(K, U, ring, m=2, degree_cap=64)
     assert fam.uncovered.is_empty()
     assert sum(p.degree for p in fam.members) <= 64
-    assert verify_family(fam)
+    assert verify_family(fam, K, ring, 2)
 
 
 def test_family_empty_target():
@@ -417,8 +416,7 @@ def test_family_empty_target():
     fam = separating_family(K, neighborhood(K, 0.2), empty_mask(g), m=3,
                             degree_cap=8)
     assert fam.members == []
-    assert fam.note == "empty target"
-    assert verify_family(fam)
+    assert verify_family(fam, K, empty_mask(g), 3)
 
 
 def test_family_preconditions():
@@ -443,7 +441,13 @@ def assert_same_family(got, alone):
     assert [p.log_scale for p in got.members] == \
         [p.log_scale for p in alone.members]
     assert np.array_equal(got.uncovered.bits, alone.uncovered.bits)
-    assert got.note == alone.note and got.m == alone.m
+
+
+def single_cell_member(family, K):
+    """Whether the family is one degree-1 member whose root is K's one
+    cell, as a one-cell K gets."""
+    return [p.roots for p in family.members] == [
+        (complex(K.cell_centers()[0]),)]
 
 
 def assert_members_on_sequence(sequence, group):
@@ -456,8 +460,14 @@ def assert_members_on_sequence(sequence, group):
             assert p.roots == sequence[:p.degree]
 
 
+def chain(K, stages):
+    """The (label, E, U, target, m) stages of (label, U, target, m) stages
+    over one E = K."""
+    return [(label, K, U, target, m) for label, U, target, m in stages]
+
+
 def lockstep_matches_one_by_one(K, stages, cap):
-    sequence, group = _separating_families(K, stages, cap)
+    sequence, group = _separating_families(chain(K, stages), cap)
     assert len(group) == len(stages)
     assert_members_on_sequence(sequence, group)
     for got, (_, U, target, m) in zip(group, stages):
@@ -485,7 +495,7 @@ def test_lockstep_families_equal_their_stages_alone():
     degrees = [max((p.degree for p in f.members), default=0) for f in group]
     # stage a covers its ring early and stops while b runs on
     assert group[0].uncovered.is_empty() and degrees[0] < degrees[1]
-    assert group[2].note == "empty target" and group[2].members == []
+    assert group[2].members == [] and group[2].uncovered.is_empty()
 
 
 def test_lockstep_families_on_a_single_cell_K():
@@ -498,7 +508,7 @@ def test_lockstep_families_on_a_single_cell_K():
                            kind=COMPACT)
     group = lockstep_matches_one_by_one(
         K, [("", U, far, 3), ("", U, empty_mask(g), 4), ("", U, near, 10)], 8)
-    assert "single-cell" in group[0].note and "single-cell" in group[2].note
+    assert single_cell_member(group[0], K) and single_cell_member(group[2], K)
 
 
 def reference_family(K, target, m, cap):
@@ -509,21 +519,19 @@ def reference_family(K, target, m, cap):
     reached.  Returns (family, unreached), where unreached holds the target
     cells still unreached after each degree tried, as grid masks.
     """
-    def family(members, note):
-        return SeparatingFamily(m, members, K, target,
-                                RegionMask(K.grid, uncovered, OPEN), note)
+    def family(members):
+        return SeparatingFamily(members, RegionMask(K.grid, uncovered, OPEN))
 
     uncovered = np.zeros_like(target.bits)
     if target.is_empty():
-        return family([], "empty target"), []
+        return family([]), []
     zs_k, zs_t = K.cell_centers(), target.cell_centers()
     if K.count() == 1:
         a = complex(zs_k[0])
         rho = (set_distance(K, target) / m) * (1.0 - 1e-12)
         members = [RootPolynomial((a,), -math.log(rho))]
         uncovered[target.bits] = ~(members[0].log_abs(zs_t) >= math.log(m))
-        return family(members, f"single-cell K: member (z - a)/rho with "
-                      f"rho = {rho!r} (set_distance/m, shaved 1e-12)"), []
+        return family(members), []
     leja = leja_points(K, cap).points
     members, covered, unreached = [], np.zeros(zs_t.shape, dtype=bool), []
     for d in range(1, len(leja) + 1):
@@ -539,7 +547,7 @@ def reference_family(K, target, m, cap):
         unreached.append(uncovered.copy())
         if covered.all():
             break
-    return family(members, ""), unreached
+    return family(members), unreached
 
 
 def box_area(bits):
@@ -577,7 +585,7 @@ def matches_reference(K, stages, cap):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(_RootLogRow, "box", spy)
-        sequence, group = _separating_families(K, stages, cap)
+        sequence, group = _separating_families(chain(K, stages), cap)
     assert len(group) == len(stages)
     assert_members_on_sequence(sequence, group)
     unreached = []
@@ -633,7 +641,7 @@ def test_families_match_reference_when_leja_saturates(n):
     g = Grid.from_box(-2.0, -2.0, 2.0, 2.0, n, n)
     K = rasterize_scene([(1, shapes.Points((-0.5 + 0j, 0.5 + 0j, 0.5j)))], g,
                         kind=COMPACT)
-    assert K.count() == 3 and leja_points(K, 16).saturated
+    assert K.count() == 3 and len(leja_points(K, 16)) < 16  # saturated
     U = neighborhood(K, 0.2)
     far = rasterize_scene([(1, shapes.Disk(1.4, 1.4, 0.3))], g, kind=COMPACT)
     ring = rasterize_scene([(1, shapes.Annulus(0.0, 0.0, 1.2, 1.5))], g,
@@ -655,13 +663,13 @@ def test_families_match_reference_on_empty_targets_and_one_cell_K(n):
     group, _ = matches_reference(
         K, [("", U, ring, 2), ("", U, empty_mask(g), 3), ("", U, ring, 5)],
         16)
-    assert group[1].note == "empty target"
+    assert group[1].members == [] and group[1].uncovered.is_empty()
     a = cell_center(g, *g.index_of(0.03 + 0.03j))
     point = rasterize_scene([(1, shapes.Points((a,)))], g, kind=COMPACT)
     group, _ = matches_reference(
         point, [("", neighborhood(point, 0.1), ring, 4),
                 ("", neighborhood(point, 0.1), empty_mask(g), 4)], 8)
-    assert "single-cell" in group[0].note
+    assert single_cell_member(group[0], point)
 
 
 @functools.lru_cache(maxsize=None)
@@ -783,16 +791,16 @@ def test_lockstep_families_name_the_failing_stage():
         rasterize_scene([(1, shapes.Disk(0.0, 0.0, 0.5))], g, kind=COMPACT),
         kind=OPEN)
     with pytest.raises(ValueError, match="^stage 5: K must be contained"):
-        _separating_families(K, [("stage 4: ", U, ring, 4),
-                                 ("stage 5: ", bad_U, ring, 5)], 16)
+        _separating_families([("stage 4: ", K, U, ring, 4),
+                              ("stage 5: ", K, bad_U, ring, 5)], 16)
 
 
 def test_lockstep_families_name_the_stage_with_an_empty_K():
     g, _, U, ring, _ = build_disk_ring()
     with pytest.raises(ValueError, match="^stage 4: "):
-        _separating_families(empty_mask(g), [("stage 3: ", U, empty_mask(g), 3),
-                                             ("stage 4: ", U, ring, 4),
-                                             ("stage 5: ", U, ring, 5)], 16)
+        _separating_families(chain(empty_mask(g), [
+            ("stage 3: ", U, empty_mask(g), 3), ("stage 4: ", U, ring, 4),
+            ("stage 5: ", U, ring, 5)]), 16)
 
 
 # ------------------------------------------------------------ block series

@@ -9,8 +9,9 @@ import pytest
 from sigmaconv import (COMPACT, DOMAIN, OPEN, Grid, RegionMask, Verdict,
                        ascending_decomposition, compact_set_series,
                        conv_map, distance_to, empty_mask,
-                       full_domain, hull_escape_exhibit, neighborhood,
-                       omega_exhaustion, polynomial_hull, rasterize_scene,
+                       export_decomposition, full_domain,
+                       hull_escape_exhibit, load_decomposition,
+                       neighborhood, omega_exhaustion, polynomial_hull, rasterize_scene,
                        set_distance, shapes, sierpinski_mask,
                        sigma_convex_series, slice_holomorphically_convex,
                        u_neighborhood_trap)
@@ -441,6 +442,26 @@ def test_sigma_series_wraps_stage_errors():
     dec = ascending_decomposition([disk(g, 0.0, 0.0, 0.5)], 3)
     with pytest.raises(ValueError, match="stage 1: degree_cap"):
         sigma_convex_series(dec, full_domain(g), degree_cap=0)
+
+
+def test_sigma_series_refuses_compacts_outside_omega(tmp_path):
+    """The convergence set lies in omega: a compact that leaves it is
+    refused, and so is a reloaded decomposition, which keeps no compacts,
+    whose E_{n_max} leaves it."""
+    g = Grid.from_box(-2.0, -2.0, 2.0, 2.0, 64, 64)
+    omega = rasterize_scene([(1, shapes.Disk(0.0, 0.0, 1.0))], g,
+                            kind=DOMAIN)
+    K_list = [disk(g, -0.5, 0.0, 0.3), disk(g, 0.9, 0.0, 0.5)]
+    with pytest.raises(ValueError, match="^K_2 is not contained in omega"):
+        sigma_convex_series(ascending_decomposition(K_list, 4), omega,
+                            degree_cap=8)
+    export_decomposition(ascending_decomposition(K_list, 4), tmp_path / "dec")
+    reloaded = load_decomposition(tmp_path / "dec")
+    assert reloaded.K_list == []
+    with pytest.raises(ValueError, match="^E_4 is not contained in omega"):
+        sigma_convex_series(reloaded, omega, degree_cap=8)
+    sigma_convex_series(ascending_decomposition(K_list[:1], 2), omega,
+                        degree_cap=8)
 
 
 def test_sigma_route_agrees_with_compact_route_on_one_disk():

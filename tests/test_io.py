@@ -641,6 +641,25 @@ def test_decomposition_export_and_reload(tmp_path):
         assert back.U_list[n].same_cells(dec.U_list[n])
 
 
+def test_series_replays_from_the_exported_decomposition(tmp_path):
+    """The export replays the series: dec's 4 stages share 2 E objects and
+    the reloaded ones hold 4, yet both build the same 2 lockstep groups,
+    as the builder groups stages by E's cells, and save the same bytes."""
+    g, dec = make_decomposition()
+    export_decomposition(dec, tmp_path / "out")
+    back = load_decomposition(tmp_path / "out")
+    assert len({id(E) for E in dec.E_list}) == 2
+    assert len({id(E) for E in back.E_list}) == 4
+    sequences = []
+    for d, name in ((dec, "series.json"), (back, "replay.json")):
+        series = sigma_convex_series(d, full_domain(g), degree_cap=16)
+        save_series(series, tmp_path / name)
+        sequences.append(len(series.structure.sequences))
+    assert sequences == [2, 2]
+    assert (tmp_path / "replay.json").read_bytes() == \
+        (tmp_path / "series.json").read_bytes()
+
+
 def test_decomposition_reload_rejects_tampering(tmp_path):
     _, dec = make_decomposition()
     export_decomposition(dec, tmp_path / "out")
