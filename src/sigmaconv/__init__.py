@@ -17,8 +17,7 @@ from .construct import (BlockStructure, CoefficientSeries, CountableStructure,
 from .decompose import (Decomposition, HoleEscape, ascending_decomposition,
                         hull_escape_exhibit, sierpinski_mask,
                         slice_holomorphically_convex, u_neighborhood_trap)
-from .geometry import (COMPACT, DOMAIN, OPEN, ComponentReport, Grid,
-                       RegionMask, complement_components, distance_to,
+from .geometry import (COMPACT, DOMAIN, OPEN, Grid, RegionMask, distance_to,
                        empty_mask, full_domain, holomorphic_hull,
                        neighborhood, omega_exhaustion, polynomial_hull,
                        set_distance)

@@ -24,7 +24,7 @@ from pathlib import Path
 from . import pgmio, serialize, shapes
 from .construct import interleave
 from .decompose import hull_escape_exhibit, sierpinski_mask
-from .geometry import holomorphic_hull, polynomial_hull
+from .geometry import holomorphic_hull
 from .harness import (SceneSpec, construct_compact, construct_countable,
                       construct_sigma, load_scene, verify)
 
@@ -77,13 +77,10 @@ def cmd_hull(args) -> int:
     scene = _apply_overrides(load_scene(args.scene), args)
     out = _outdir(args)
     target = scene.target_mask()
-    if scene.domain_spec:
-        omega = scene.domain_mask()
-        hull = holomorphic_hull(target, omega)
-        mode = "holomorphic (domain-restricted)"
-    else:
-        hull = polynomial_hull(target)
-        mode = "polynomial"
+    # without a domain line the domain is the full plane: the polynomial hull
+    hull = holomorphic_hull(target, scene.domain_mask())
+    mode = ("holomorphic (domain-restricted)" if scene.domain_spec
+            else "polynomial")
     pgmio.write_mask_pgm(target, out / "target.pgm")
     pgmio.write_mask_pgm(hull, out / "hull.pgm")
     serialize.save_report(

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import (COMPACT, OPEN, Grid, RegionMask, bounding_box,
-                       complement_components, distance_to, holomorphic_hull,
+                       distance_to, hole_labels, holomorphic_hull,
                        polynomial_hull, set_distance)
 from .shapes import (SQRT3_2, SierpinskiShape, _polygon_even_odd,
                      _segment_distance, inverted_triangle_holes,
@@ -226,14 +226,14 @@ def u_neighborhood_trap(decomp: Decomposition, m: int) -> RegionMask:
 
 
 def _hole_annuli(K: RegionMask, pad: float) -> list[tuple[complex, float, float]]:
-    """(center, r, R) per bounded complement component: centroid of the hole,
-    min/max distance from it to K's cells, padded outward by ``pad``."""
-    report = complement_components(K)
+    """(center, r, R) per hole of K (see ``hole_labels``): centroid of the
+    hole, min/max distance from it to K's cells, padded outward by ``pad``."""
+    labels, count = hole_labels(K)
     zs = K.grid.centers()
     k_cells = K.cell_centers()
     out: list[tuple[complex, float, float]] = []
-    for label in report.bounded_labels():
-        hole = zs[report.labels == label]
+    for label in range(1, count + 1):
+        hole = zs[labels == label]
         a = complex(hole.mean())
         d = np.abs(k_cells - a)
         out.append((a, max(float(d.min()) - pad, 0.0), float(d.max()) + pad))

@@ -188,47 +188,6 @@ def full_domain(grid: Grid) -> RegionMask:
     return RegionMask(grid, np.ones((grid.height, grid.width), dtype=bool), DOMAIN)
 
 
-@dataclass(frozen=True)
-class ComponentReport:
-    """8-connected components of a mask's complement.
-
-    ``labels`` assigns 1..count to complement cells and 0 to mask cells.
-    ``bounded_flags[label-1]`` is True when the component does not touch the
-    frame.  Label numbering order is an implementation detail; callers must
-    not rely on it.
-    """
-
-    labels: np.ndarray
-    count: int
-    bounded_flags: np.ndarray
-
-    def bounded_labels(self) -> np.ndarray:
-        return np.flatnonzero(self.bounded_flags) + 1
-
-
-def complement_components(mask: RegionMask) -> ComponentReport:
-    """Label the complement of a compact-approx mask.
-
-    The complement uses 8-connectivity; a component is unbounded exactly when
-    it contains a frame cell.
-    """
-    if mask.kind != COMPACT:
-        raise ValueError("complement_components requires a compact-approx mask")
-    labels, count = ndimage.label(~mask.bits, structure=_EIGHT)
-    frame_labels = np.unique(_edges(labels))
-    frame_labels = frame_labels[frame_labels > 0]
-    bounded = np.ones(count, dtype=bool)
-    bounded[frame_labels - 1] = False
-    return ComponentReport(labels, int(count), bounded)
-
-
-def _fill_labels(mask: RegionMask, report: ComponentReport,
-                 fill: np.ndarray) -> RegionMask:
-    # fill: boolean per label (length count); lut[0] covers mask cells.
-    lut = np.concatenate(([False], fill))
-    return RegionMask(mask.grid, mask.bits | lut[report.labels], COMPACT)
-
-
 def bounding_box(mask: RegionMask) -> tuple[int, int, int, int] | None:
     """(first row, last row, first column, last column) of the true cells,
     or None for an empty mask."""
@@ -262,18 +221,29 @@ def polynomial_hull(mask: RegionMask) -> RegionMask:
     return RegionMask(mask.grid, bits, COMPACT)
 
 
+def hole_labels(mask: RegionMask) -> tuple[np.ndarray, int]:
+    """The holes of a compact-approx mask: the cells its polynomial hull
+    adds, labelled 1..count over the grid by 8-connected component (0 on
+    every other cell).  Two holes never touch, so these components are
+    exactly the bounded components of the mask's complement, numbered in
+    raster order of their first cell."""
+    added = polynomial_hull(mask).bits & ~mask.bits
+    labels, count = ndimage.label(added, structure=_EIGHT)
+    return labels, int(count)
+
+
 def holomorphic_hull(mask: RegionMask, omega: RegionMask) -> RegionMask:
-    """Fill only the bounded complement components contained in omega."""
+    """Mask plus each of its holes that meets no cell outside omega: the
+    polynomial hull minus the holes that reach omega's complement."""
     if omega.kind != DOMAIN:
         raise ValueError("omega must be tagged domain")
     if not mask.subset_of(omega):
         raise ValueError("mask is not contained in omega")
-    report = complement_components(mask)
-    outside = np.unique(report.labels[~omega.bits])
-    outside = outside[outside > 0]
-    fill = report.bounded_flags.copy()
-    fill[outside - 1] = False
-    return _fill_labels(mask, report, fill)
+    labels, count = hole_labels(mask)
+    fill = np.ones(count + 1, dtype=bool)
+    fill[labels[~omega.bits]] = False
+    fill[0] = False  # cells in no hole
+    return RegionMask(mask.grid, mask.bits | fill[labels], COMPACT)
 
 
 def distance_to(mask: RegionMask) -> np.ndarray:

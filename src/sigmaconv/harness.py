@@ -251,14 +251,30 @@ def load_scene(path) -> SceneSpec:
 # -- pipelines ----------------------------------------------------------
 
 
+def _least_gap(points: list[complex]) -> float:
+    """Least distance between two of the points, in O(n) memory: with the
+    points sorted by real part, each is compared with its k-th successor
+    for k = 1, 2, .. until every k-th successor is at least the least
+    distance so far away in real part alone."""
+    z = np.sort_complex(np.asarray(points, dtype=complex))
+    best = math.inf
+    for k in range(1, z.size):
+        if float((z[k:].real - z[:-k].real).min()) >= best:
+            break
+        best = min(best, float(np.abs(z[k:] - z[:-k]).min()))
+    return best
+
+
 def construct_countable(scene: SceneSpec) -> CoefficientSeries:
     if len(scene.points) < 2:
         raise ValueError("countable pipeline needs at least 2 'point' lines")
     series = countable_set_series(PointSequence.from_points(scene.points))
-    gammas = series.structure.gammas
-    if min(gammas) < scene.grid.pixel:
+    # points resolve when they are two pixels apart; gamma_n is no measure
+    # of that, being capped at 1/n
+    half_gap = 0.5 * _least_gap(scene.points)
+    if half_gap < scene.grid.pixel:
         warnings.warn(
-            f"separation scale {min(gammas):.3g} is below one pixel "
+            f"half the least point gap, {half_gap:.3g}, is below one pixel "
             f"({scene.grid.pixel:.3g}); verdicts near clustered points will "
             "not resolve on this grid",
             ResolutionWarning, stacklevel=2)

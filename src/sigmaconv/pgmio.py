@@ -52,12 +52,15 @@ def _grid_from_fields(path: str | Path, fields: dict[str, str], width: int,
         raise ValueError(f"{path}: bad grid metadata ({exc})") from None
 
 
-def _write_pgm(path: str | Path, rows: np.ndarray, comment: str) -> None:
+def _write_pgm(path: str | Path, rows: np.ndarray, comment: str) -> bytes:
+    """Write the image and return the bytes written."""
     height, width = rows.shape
     header = f"P5\n# {comment}\n{width} {height}\n255\n"
     # file rows run top-down; grid rows run bottom-up
     body = np.ascontiguousarray(rows[::-1, :]).tobytes()
-    Path(path).write_bytes(header.encode("ascii") + body)
+    data = header.encode("ascii") + body
+    Path(path).write_bytes(data)
+    return data
 
 
 def _read_pgm(path: str | Path, tag: str, keys: tuple[str, ...] = ()
@@ -117,11 +120,12 @@ def _read_pgm(path: str | Path, tag: str, keys: tuple[str, ...] = ()
             rows[::-1, :].copy(), fields)
 
 
-def write_mask_pgm(mask: RegionMask, path: str | Path) -> None:
+def write_mask_pgm(mask: RegionMask, path: str | Path) -> bytes:
+    """Write the mask as a PGM and return the bytes written."""
     fields = _grid_fields(mask.grid)
     fields["kind"] = mask.kind
     rows = np.where(mask.bits, 255, 0).astype(np.uint8)
-    _write_pgm(path, rows, _meta_line(MASK_TAG, fields))
+    return _write_pgm(path, rows, _meta_line(MASK_TAG, fields))
 
 
 def read_mask_pgm(path: str | Path) -> RegionMask:

@@ -414,8 +414,8 @@ def export_decomposition(decomp: Decomposition, outdir: str | Path) -> dict:
         for prefix, mask in (("E", decomp.E_list[n - 1]),
                              ("U", decomp.U_list[n - 1])):
             name = f"{prefix}_{n:03d}.pgm"
-            pgmio.write_mask_pgm(mask, outdir / name)
-            files[name] = _sha256(outdir / name)
+            data = pgmio.write_mask_pgm(mask, outdir / name)
+            files[name] = hashlib.sha256(data).hexdigest()
     manifest = {"n_max": decomp.n_max,
                 "grid": grid_to_json(decomp.grid),
                 "pixel_band": 2.0 * decomp.grid.pixel,

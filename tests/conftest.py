@@ -1,7 +1,8 @@
 """Shared test helpers: seeded random blob masks, small series builders,
 the per-order reference evaluation of a series, the reference separation
 scale gamma_sequence, a one-stage separating family with an independent
-re-check of it, and the cell-centre formula."""
+re-check of it, the cell-centre formula and the full-grid labelling of a
+mask's complement."""
 
 import json
 import math
@@ -9,6 +10,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from scipy import ndimage
 
 from sigmaconv import (COMPACT, BlockStructure, CoefficientSeries, Grid,
                        InterleaveStructure, PointSequence, RegionMask,
@@ -180,6 +182,24 @@ def flood_fill_hull(mask):
     filled = solid | ~seen
     return RegionMask(mask.grid, filled & ~mask.grid.frame(), COMPACT)
 
+
+
+def complement_components(mask):
+    """(labels, count, bounded): the 8-connected components of the mask's
+    complement labelled 1..count over the whole grid (0 on mask cells), and
+    the labels of those that miss the frame.  The reference for the holes
+    that geometry.hole_labels reads off the cropped polynomial hull."""
+    labels, count = ndimage.label(~mask.bits, structure=np.ones((3, 3), bool))
+    edges = np.concatenate((labels[0], labels[-1], labels[:, 0], labels[:, -1]))
+    return labels, count, np.setdiff1d(np.arange(1, count + 1), edges)
+
+
+def oracle_holomorphic_hull(mask, omega):
+    """Mask plus every bounded complement component, from the full-grid
+    labelling, that meets no cell outside omega."""
+    labels, _, bounded = complement_components(mask)
+    fill = np.setdiff1d(bounded, labels[~omega.bits])
+    return mask.bits | np.isin(labels, fill)
 
 LEAF_TEXTS = ('"x"', "null", "-1", "1e400", "NaN", "[]", "{}")
 MARKER = "@corrupt-leaf@"

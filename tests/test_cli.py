@@ -18,12 +18,14 @@ from sigmaconv import (COMPACT, DEFAULT_M, DEFAULT_N, ConvergenceMap, Grid,
                        PointSequence, RegionMask, ResolutionWarning, Verdict,
                        countable_set_series, default_b, interleave,
                        load_series, read_map_pgm, read_mask_pgm, save_series,
-                       shapes)
+                       shapes, write_mask_pgm)
 from sigmaconv.cli import build_parser, main
-from sigmaconv.harness import (Budgets, SceneParseError, construct_compact,
-                               construct_countable, construct_sigma,
-                               map_vs_mask_agreement, parse_scene, verify)
-from conftest import (corrupt_leaf, disk_growth_series, leaf_paths,
+from sigmaconv.harness import (Budgets, SceneParseError, _least_gap,
+                               construct_compact, construct_countable,
+                               construct_sigma, map_vs_mask_agreement,
+                               parse_scene, verify)
+from conftest import (complement_components, corrupt_leaf,
+                      disk_growth_series, leaf_paths, oracle_holomorphic_hull,
                       reference_log_mag)
 
 FULL_SCENE = """\
@@ -217,6 +219,25 @@ def test_countable_pipeline_warns_below_pixel_separation():
     assert f.max_supported_n == 2
 
 
+def test_countable_pipeline_is_quiet_on_a_two_pixel_lattice():
+    """25 points two pixels apart: more than 1/pixel of them, so gamma_24
+    (at most 1/24) is below the 1/16 pixel, yet every point resolves."""
+    s = parse_scene("grid 64x64\nbox -2 -2 2 2\n" + "".join(
+        f"point {x / 8} {y / 8}\n" for x in range(5) for y in range(5)))
+    assert construct_countable(s).max_supported_n == 24
+
+
+def test_least_gap_matches_all_pairs():
+    rng = np.random.default_rng(7)
+    for n in (2, 3, 40, 200):
+        # uniform points, and a coarse lattice where many share a real part
+        for z in (rng.random(n) + 1j * rng.random(n),
+                  rng.integers(0, 12, n) + 1j * rng.integers(0, 40, n)
+                  + rng.random(n) * 1e-3):
+            d = np.abs(z[:, None] - z[None, :])
+            assert _least_gap(list(z)) == d[np.triu_indices(n, k=1)].min()
+
+
 def test_compact_pipeline_needs_target():
     s = parse_scene("grid 64x64\nbox -2 -2 2 2\n")
     with pytest.raises(ValueError, match="non-empty target"):
@@ -316,8 +337,7 @@ def test_cli_hull_fills_annulus(tmp_path, capsys):
     target = read_mask_pgm(out / "target.pgm")
     assert target.count() < hull.count()
     # the hole is filled: hull has no bounded complement component
-    from sigmaconv import complement_components
-    assert complement_components(hull).bounded_labels().size == 0
+    assert complement_components(hull)[2].size == 0
     report = json.loads((out / "report.json").read_text())
     assert report["mode"] == "polynomial"
     assert report["filled_cells"] == hull.count() - target.count()
@@ -337,6 +357,54 @@ def test_cli_hull_respects_restricted_domain(tmp_path):
     assert hull.same_cells(target)
     report = json.loads((out / "report.json").read_text())
     assert "domain-restricted" in report["mode"]
+
+
+@pytest.mark.parametrize("argv", [["decompose"],
+                                  ["construct", "--pipeline", "sigma"]])
+def test_cli_broken_invariant_exits_2(tmp_path, capsys, monkeypatch, argv):
+    """An internal check that fails is a verification failure: one
+    'verification failure: ...' line on stderr and exit 2."""
+    def broken(K_list, n_max):
+        raise AssertionError("stage 3: union-of-hulls differs")
+
+    monkeypatch.setattr("sigmaconv.harness.ascending_decomposition", broken)
+    scene = write_scene(tmp_path, "grid 32x32\nbox -2 -2 2 2\n"
+                                  "part disk -0.8 0 0.3\n")
+    out = tmp_path / "out"
+    assert main([argv[0], str(scene), *argv[1:], "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == "verification failure: stage 3: union-of-hulls differs\n"
+    assert not (out / "series.json").exists()
+
+
+@pytest.mark.parametrize("domain,mode", [
+    ("domain full\ndomain sub disk 1 0 0.1\n",
+     "holomorphic (domain-restricted)"),
+    ("", "polynomial"),
+])
+def test_cli_hull_writes_the_oracle_hull(tmp_path, domain, mode):
+    """hull's three files, byte for byte, from the full-grid labelling: two
+    rings, one about a hole that meets the domain's complement (it stays
+    open when there is a domain line) and one about a hole inside it."""
+    text = ("grid 48x48\nbox -2 -2 2 2\n" + domain +
+            "target annulus -1 0 0.3 0.7\ntarget annulus 1 0 0.3 0.7\n")
+    out = tmp_path / "out"
+    assert main(["hull", str(write_scene(tmp_path, text)), "--out",
+                 str(out)]) == 0
+    scene = parse_scene(text)
+    target = scene.target_mask()
+    hull = RegionMask(scene.grid, oracle_holomorphic_hull(
+        target, scene.domain_mask()), COMPACT)
+    # the left hole is always filled, the right one only without a domain
+    holes = hull.bits & ~target.bits
+    assert holes[:, :24].any() and holes[:, 24:].any() != bool(domain)
+    for name, mask in (("target.pgm", target), ("hull.pgm", hull)):
+        assert (out / name).read_bytes() == write_mask_pgm(
+            mask, tmp_path / name)
+    assert (out / "report.json").read_text() == json.dumps(
+        {"scene": "scene", "mode": mode, "target_cells": target.count(),
+         "hull_cells": hull.count(),
+         "filled_cells": hull.count() - target.count()}, indent=1)
 
 
 @pytest.mark.parametrize("line,argv", [

@@ -11,13 +11,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy import ndimage
 
-from sigmaconv import (COMPACT, DOMAIN, OPEN, Grid, RegionMask,
-                       complement_components, distance_to, empty_mask,
-                       full_domain, holomorphic_hull, neighborhood,
-                       omega_exhaustion, polynomial_hull, rasterize_scene,
-                       set_distance, shapes)
-from sigmaconv.geometry import exhaustion
-from conftest import cell_center, flood_fill_hull, random_polyomino
+from sigmaconv import (COMPACT, DOMAIN, OPEN, Grid, RegionMask, distance_to,
+                       empty_mask, full_domain, holomorphic_hull,
+                       neighborhood, omega_exhaustion, polynomial_hull,
+                       rasterize_scene, set_distance, shapes)
+from sigmaconv.geometry import exhaustion, hole_labels
+from conftest import (cell_center, complement_components, flood_fill_hull,
+                      oracle_holomorphic_hull, random_polyomino)
 
 
 def disk_mask(grid, cx, cy, r):
@@ -110,18 +110,24 @@ def test_disk_cell_count_matches_area():
 
 def test_disk_complement_is_one_unbounded_component():
     g = Grid.from_box(-2.0, -2.0, 2.0, 2.0, 64, 64)
-    rep = complement_components(disk_mask(g, 0.0, 0.0, 1.0))
-    assert rep.count == 1
-    assert rep.bounded_labels().size == 0
+    disk = disk_mask(g, 0.0, 0.0, 1.0)
+    labels, count = hole_labels(disk)
+    assert count == 0 and not labels.any()
+    _, components, bounded = complement_components(disk)
+    assert components == 1 and bounded.size == 0
 
 
 def test_annulus_complement_has_one_bounded_component():
     g = Grid.from_box(-2.0, -2.0, 2.0, 2.0, 128, 128)
     ann = rasterize_scene([(1, shapes.Annulus(0.0, 0.0, 0.5, 1.0))], g,
                           kind=COMPACT)
-    rep = complement_components(ann)
-    assert rep.count == 2
-    assert rep.bounded_labels().size == 1
+    labels, count = hole_labels(ann)
+    assert count == 1
+    # the hole is the disk's cells inside the ring (the hull is the disk)
+    assert np.array_equal(labels > 0,
+                          disk_mask(g, 0.0, 0.0, 1.0).bits & ~ann.bits)
+    _, components, bounded = complement_components(ann)
+    assert components == 2 and bounded.size == 1
 
 
 def test_hull_of_annulus_is_disk():
@@ -155,8 +161,8 @@ def test_hull_laws_property(seed, n_cells):
 def full_grid_hull(mask):
     """The hull by labelling the whole complement: mask plus every
     component that misses the frame."""
-    rep = complement_components(mask)
-    return mask.bits | np.isin(rep.labels, rep.bounded_labels())
+    labels, _, bounded = complement_components(mask)
+    return mask.bits | np.isin(labels, bounded)
 
 
 def ring_mask(h, w, rings):
@@ -194,6 +200,43 @@ def test_cropped_hull_matches_the_full_grid_fill(mask):
     hull = polynomial_hull(mask)
     assert hull.kind == COMPACT and hull.grid == mask.grid
     assert np.array_equal(hull.bits, full_grid_hull(mask))
+
+
+def diagonal_hole():
+    """A ring whose one hole is two cells that touch only at a corner."""
+    bits = ring_mask(6, 6, [(1, 4, 1, 4)]).bits.copy()
+    bits[2, 3] = bits[3, 2] = True
+    return RegionMask(Grid(0j, 1.0, 6, 6), bits, COMPACT)
+
+
+@settings(max_examples=150, deadline=None)
+@given(mask=compact_masks(), data=st.data())
+@example(mask=ring_mask(12, 12, [(1, 10, 1, 10), (3, 8, 3, 8),
+                                 (5, 6, 5, 6)]), data=None)
+@example(mask=ring_mask(9, 13, [(1, 7, 2, 6), (3, 5, 8, 11)]), data=None)
+@example(mask=diagonal_hole(), data=None)
+def test_holes_are_the_bounded_complement_components(mask, data):
+    """hole_labels numbers the full-grid labelling's bounded components in
+    the same order, and holomorphic_hull fills exactly those that meet no
+    cell outside omega (omega: the mask plus random cells, or all cells)."""
+    labels, count = hole_labels(mask)
+    oracle, _, bounded = complement_components(mask)
+    renumber = np.zeros(oracle.max() + 1, dtype=labels.dtype)
+    renumber[bounded] = np.arange(1, bounded.size + 1)
+    assert count == bounded.size
+    assert np.array_equal(labels, renumber[oracle])
+    omega = mask.bits.copy()
+    if data is None:
+        omega[:] = True
+    else:
+        h, w = omega.shape
+        for j, i in data.draw(st.lists(st.tuples(
+                st.integers(0, h - 1), st.integers(0, w - 1)), max_size=80)):
+            omega[j, i] = True
+    omega = RegionMask(mask.grid, omega, DOMAIN)
+    hull = holomorphic_hull(mask, omega)
+    assert hull.kind == COMPACT
+    assert np.array_equal(hull.bits, oracle_holomorphic_hull(mask, omega))
 
 
 def test_holomorphic_hull_fills_hole_inside_domain():

@@ -42,7 +42,7 @@ def test_mask_pgm_round_trip(tmp_path, kind):
     rng = np.random.default_rng(11)
     mask = RegionMask(g, random_polyomino(rng, g, 120).bits, kind)
     path = tmp_path / "m.pgm"
-    write_mask_pgm(mask, path)
+    assert write_mask_pgm(mask, path) == path.read_bytes()
     back = read_mask_pgm(path)
     assert back.grid == g  # repr round-trip keeps the exact floats
     assert back.kind == kind
