@@ -16,8 +16,9 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import ndimage
 
-from .geometry import (COMPACT, OPEN, Grid, RegionMask, bounding_box,
+from .geometry import (_EIGHT, COMPACT, OPEN, Grid, RegionMask, bounding_box,
                        distance_to, hole_labels, holomorphic_hull,
                        polynomial_hull, set_distance)
 from .shapes import (SQRT3_2, SierpinskiShape, _polygon_even_odd,
@@ -35,7 +36,8 @@ class Decomposition:
 
     ``L[(n, j)]`` is piece j at stage n (1-based, j <= min(n, len(K_list))),
     ``E_list[n-1]`` the stage union of the pieces' polynomial hulls,
-    ``U_list[n-1]`` its closed 1/(3n)-neighborhood.
+    ``U_list[n-1]`` its closed 1/(3n)-neighborhood, cell-exact as from a
+    full-grid transform of E_n, though each stage transforms only a window.
     ``hull_identity[n-1]`` records whether E_n = hull(union of pieces) was
     checked ("verified") or skipped because pieces came within 2 pixels of
     each other.  Equal pieces of one compact are one shared object (K_j
@@ -73,6 +75,42 @@ def _apart(gap: float, pixel: float, r: float) -> bool:
     return x > r and x * x >= sys.float_info.min
 
 
+def _refresh_distance(d: np.ndarray, E: RegionMask, changed: np.ndarray,
+                      r: float) -> None:
+    """Bring ``d`` from the previous stage union's distances to E's, exact
+    when thresholded at r or any smaller radius; ``changed`` is E XOR the
+    previous union.
+
+    With g the least pad such that cells g + 1 rows or columns apart are
+    beyond r (``_apart``), every cell outside the changed cells' box padded
+    by g (the window W) is beyond r of every changed cell, so its threshold
+    is the same for both unions.  A cell of E within r of a cell of W is at
+    most g rows and g columns from it, so on W the transform of E over W
+    padded by another g decides the threshold exactly.  E itself is
+    transformed, not the added cells with a min against the old values: on
+    a pixel that is not a power of two, a tie between equally near cells
+    can round the two ways an ulp apart.
+    """
+    box = bounding_box(RegionMask(E.grid, changed, OPEN))
+    if box is None:
+        return
+    row0, row1, col0, col1 = box
+    height, width = d.shape
+    limit = max(height, width)  # a pad this wide covers the grid
+    g = max(int(min(r / E.grid.pixel, limit)) - 2, 0)
+    while g < limit and not _apart(g + 1, E.grid.pixel, r):
+        g += 1
+
+    def window(pad: int) -> tuple[slice, slice]:
+        return (slice(max(row0 - pad, 0), min(row1 + pad + 1, height)),
+                slice(max(col0 - pad, 0), min(col1 + pad + 1, width)))
+
+    inner, outer = window(g), window(2 * g)
+    d[inner] = distance_to(E, outer)[tuple(
+        slice(i.start - o.start, i.stop - o.start)
+        for i, o in zip(inner, outer))]
+
+
 def _or_bits(masks: list[RegionMask]) -> np.ndarray:
     out = np.zeros_like(masks[0].bits)
     for m in masks:
@@ -86,7 +124,9 @@ def ascending_decomposition(K_list: list[RegionMask],
 
     Stage pieces: L_{n,1} = K_1 and L_{n,j} = K_j minus the closed
     1/n-neighborhood of K_1 | .. | K_{j-1}; E_n = union of the hulls
-    hull(L_{n,j}); U_n = closed 1/(3n)-neighborhood of E_n.
+    hull(L_{n,j}); U_n = closed 1/(3n)-neighborhood of E_n.  One distance
+    array serves every U_n: each distinct E_n transforms only the window
+    around the cells it changes (see ``_refresh_distance``).
 
     Each K_j must be its own polynomial hull.  The chain E_n is verified
     ascending cell-exact.  Per stage, the identity E_n = hull(union of
@@ -158,11 +198,15 @@ def ascending_decomposition(K_list: list[RegionMask],
 
     # the cells of K_j that a piece keeps only grow with n, so an unchanged
     # count is an unchanged piece; E_n and its status change only with the
-    # pieces, and the transform of E_n only with E_n (the chain ascends, so
-    # equal E's are consecutive)
+    # pieces.  d_E, the distance to E_n thresholded for U_n, is refreshed
+    # only when E_n changes (the chain ascends, so equal E's are
+    # consecutive), and only on the window around the changed cells: the
+    # radius 1/(3n) only shrinks
     pieces: list[RegionMask] = []
     piece_hulls: list[RegionMask] = []
     kept: list[int] = []
+    prev_E = np.zeros_like(K_list[0].bits)
+    d_E = np.full(prev_E.shape, np.inf)
     for n in range(1, n_max + 1):
         changed = len(pieces) < min(n, J)
         if changed:
@@ -187,7 +231,8 @@ def ascending_decomposition(K_list: list[RegionMask],
         if changed:
             E = RegionMask(grid, _or_bits(piece_hulls), COMPACT)
             if not E_list or not E.same_cells(E_list[-1]):
-                d_E = distance_to(E)
+                _refresh_distance(d_E, E, E.bits ^ prev_E, 1.0 / (3.0 * n))
+                prev_E = E.bits
             else:
                 E = E_list[-1]
             separated = all(
@@ -227,15 +272,24 @@ def u_neighborhood_trap(decomp: Decomposition, m: int) -> RegionMask:
 
 def _hole_annuli(K: RegionMask, pad: float) -> list[tuple[complex, float, float]]:
     """(center, r, R) per hole of K (see ``hole_labels``): centroid of the
-    hole, min/max distance from it to K's cells, padded outward by ``pad``."""
-    labels, count = hole_labels(K)
+    hole, min/max distance from it to the cells of the components of K that
+    border the hole, padded outward by ``pad``."""
+    labels, _ = hole_labels(K)
+    parts, _ = ndimage.label(K.bits)
+    k_parts = parts[K.bits]
     zs = K.grid.centers()
     k_cells = K.cell_centers()
     out: list[tuple[complex, float, float]] = []
-    for label in range(1, count + 1):
-        hole = zs[labels == label]
-        a = complex(hole.mean())
-        d = np.abs(k_cells - a)
+    for label, (rows, cols) in enumerate(ndimage.find_objects(labels),
+                                         start=1):
+        # a hole never reaches the frame, so its box padded by one cell
+        # fits, and holds every cell of K that touches the hole
+        crop = (slice(rows.start - 1, rows.stop + 1),
+                slice(cols.start - 1, cols.stop + 1))
+        hole = labels[crop] == label
+        rim = ndimage.binary_dilation(hole, structure=_EIGHT) & K.bits[crop]
+        a = complex(zs[crop][hole].mean())
+        d = np.abs(k_cells[np.isin(k_parts, parts[crop][rim])] - a)
         out.append((a, max(float(d.min()) - pad, 0.0), float(d.max()) + pad))
     return out
 
@@ -245,10 +299,11 @@ def slice_holomorphically_convex(K: RegionMask, omega: RegionMask,
     """Cut a holomorphically convex compact into polynomially convex slices.
 
     Each bounded complement component (hole) gets an annular sector cut:
-    around the hole's centroid, cells at radius between the hole's inner and
-    outer K-distances (2-pixel padded) and polar angle past (1 - 1/j) of a
-    full turn are removed.  Slice j applies every hole's cut at level j; the
-    returned list covers j = 2..j_max, and a holeless K comes back as [K].
+    around the hole's centroid, cells at radius between the least and
+    greatest distances to the components of K bordering the hole (2-pixel
+    padded) and polar angle past (1 - 1/j) of a full turn are removed.
+    Slice j applies every hole's cut at level j; the returned list covers
+    j = 2..j_max, and a holeless K comes back as [K].
     Every slice is verified to be its own polynomial hull.
     """
     if j_max < 2:

@@ -246,12 +246,21 @@ def holomorphic_hull(mask: RegionMask, omega: RegionMask) -> RegionMask:
     return RegionMask(mask.grid, mask.bits | fill[labels], COMPACT)
 
 
-def distance_to(mask: RegionMask) -> np.ndarray:
+def distance_to(mask: RegionMask,
+                window: tuple[slice, slice] | None = None) -> np.ndarray:
     """Euclidean distance from every cell center to the nearest true cell
-    center of ``mask`` (exact, in coordinate units; +inf for an empty mask)."""
-    if mask.is_empty():
-        return np.full(mask.bits.shape, np.inf)
-    return ndimage.distance_transform_edt(~mask.bits, sampling=mask.grid.pixel)
+    center of ``mask`` (exact, in coordinate units; +inf for an empty mask).
+
+    With ``window``, a (rows, columns) pair of slices, only the window's
+    cells are transformed, from the true cells inside it: the result has
+    the window's shape, and no value is below the whole grid's transform
+    there.  Where a nearest true cell lies in the window, the value is
+    that cell's distance.
+    """
+    bits = mask.bits if window is None else mask.bits[window]
+    if not bits.any():
+        return np.full(bits.shape, np.inf)
+    return ndimage.distance_transform_edt(~bits, sampling=mask.grid.pixel)
 
 
 def neighborhood(mask: RegionMask, r: float) -> RegionMask:

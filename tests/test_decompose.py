@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from sigmaconv import (COMPACT, DOMAIN, OPEN, Grid, RegionMask, Verdict,
                        ascending_decomposition, compact_set_series,
@@ -282,6 +283,84 @@ def test_stage_work_is_done_once_per_distinct_input(monkeypatch):
     assert len(calls["leja"]) == sum(groups.values()) > 0
 
 
+@st.composite
+def stage_scenes(draw):
+    """2-5 polynomially convex compacts (clipped disks, rectangles, single
+    cells) on a 32-48 cell grid of half-width 2 or 2.2, some reaching the
+    second ring from the frame so that the stage windows clip, and n_max."""
+    side = draw(st.integers(32, 48))
+    half = draw(st.sampled_from([2.0, 2.2]))
+    g = Grid.from_box(-half, -half, half, half, side, side)
+    lo, hi = 1, side - 2
+    index = st.one_of(st.sampled_from([lo, hi]), st.integers(lo, hi))
+    rows, cols = np.indices((side, side))
+    inside = (rows >= lo) & (rows <= hi) & (cols >= lo) & (cols <= hi)
+    K_list = []
+    for _ in range(draw(st.integers(2, 5))):
+        kind = draw(st.sampled_from(["disk", "rect", "cell"]))
+        r0, c0 = draw(index), draw(index)
+        if kind == "disk":
+            radius = draw(st.integers(1, 8))
+            bits = inside & ((rows - r0) ** 2 + (cols - c0) ** 2
+                             <= radius ** 2)
+            K_list.append(polynomial_hull(RegionMask(g, bits, COMPACT)))
+        elif kind == "rect":
+            r1, c1 = draw(index), draw(index)
+            K_list.append(rect(g, sorted((r0, r1)), sorted((c0, c1))))
+        else:
+            K_list.append(rect(g, (r0, r0), (c0, c0)))
+    return K_list, draw(st.integers(len(K_list), 12))
+
+
+def window_edge_scene():
+    """K_1 is one cell and K_2 a 2x3 block 3 rows below it (pixel 1/8).
+    Stage 2 (radius 1/6, so g = 1) keeps 4 cells of K_2, and the outer
+    window around them ends one row short of K_1: cell (24, 10) lies in
+    U_2 only through K_1, 1/8 away."""
+    g = Grid.from_box(-2.0, -2.0, 2.0, 2.0, 32, 32)
+    return [rect(g, (23, 23), (10, 10)), rect(g, (26, 27), (11, 13))], 9
+
+
+@settings(max_examples=80, deadline=None)
+@given(scene=stage_scenes())
+@example(scene=window_edge_scene())
+def test_stage_windows_match_the_definitions(scene):
+    """Each U_n is refreshed only on a window around the cells E_n changes,
+    yet every stage table equals the full-grid definitions, on dyadic and
+    non-dyadic pixels alike."""
+    K_list, n_max = scene
+    dec = ascending_decomposition(K_list, n_max)
+    _, E_list, U_list, status = _reference_stages(K_list, n_max)
+    for n in range(n_max):
+        assert dec.E_list[n].same_cells(E_list[n]), n + 1
+        assert dec.U_list[n].same_cells(U_list[n]), n + 1
+    assert dec.hull_identity == status
+
+
+def test_late_far_compact_is_transformed_over_its_window(monkeypatch):
+    """Stage 3 adds K_3 whole, far from the others: E_3 is transformed over
+    K_3's box padded by 2g per side, not the grid, with g the least pad
+    such that cells g + 1 rows or columns apart are more than 1/9 apart."""
+    from sigmaconv import decompose
+    calls = []
+    fn = decompose.distance_to
+
+    def wrapped(mask, *args):
+        calls.append((mask.bits.tobytes(), args))
+        return fn(mask, *args)
+    monkeypatch.setattr(decompose, "distance_to", wrapped)
+    g = Grid.from_box(-2.0, -2.0, 2.0, 2.0, 64, 64)  # pixel 1/16
+    K_list = [disk(g, -1.2, -1.2, 0.4), disk(g, -1.2, 0.4, 0.3),
+              rect(g, (52, 55), (50, 54))]
+    dec = ascending_decomposition(K_list, 3)
+    # K_3's box is over 1/3 from the others, so only the E_n are transformed
+    assert [bits for bits, _ in calls] == [E.bits.tobytes()
+                                           for E in dec.E_list]
+    # 2/16 > 1/9 >= 1/16, so g = 1 and the window is 4 + 4 by 5 + 4 cells
+    assert calls[-1][1] == ((slice(50, 58), slice(48, 57)),)
+    assert dec.U_list[2].same_cells(neighborhood(dec.E_list[2], 1.0 / 9))
+
+
 def test_decomposition_preconditions():
     g = Grid.from_box(-2.0, -2.0, 2.0, 2.0, 64, 64)
     K = disk(g, 0.0, 0.0, 0.5)
@@ -371,6 +450,41 @@ def test_slice_annulus_coverage_grows_like_one_minus_one_over_j():
         assert cov >= 1.0 - 1.0 / j - 0.005
         assert cov >= last
         last = cov
+
+
+def test_each_hole_sector_cuts_only_its_own_ring():
+    """Three rings, each around its own hole: a hole's sector reaches out to
+    the components of K bordering that hole, so it cuts only its ring."""
+    from sigmaconv.decompose import _hole_annuli
+    g = Grid.from_box(-2.0, -2.0, 2.0, 2.0, 96, 96)
+    centers = [complex(-0.9, 0.0), complex(0.9, 0.1), complex(0.0, -1.3)]
+    rings = [rasterize_scene([(1, shapes.Annulus(c.real, c.imag, 0.25,
+                                                 0.45))], g, kind=COMPACT)
+             for c in centers]
+    K = rings[0].union(rings[1]).union(rings[2])
+    # a point of each hole lies outside omega, so no hole fills in
+    omega = rasterize_scene([(1, shapes.Disk(0.0, 0.0, 3.0))] + [
+        (-1, shapes.Disk(c.real, c.imag, 0.1)) for c in centers], g,
+        kind=DOMAIN)
+    j_max = 6
+    slices = slice_holomorphically_convex(K, omega, j_max)
+    annuli = _hole_annuli(K, pad=2.0 * g.pixel)
+    assert len(annuli) == 3
+    zs = g.centers()
+    for j, sl in zip(range(2, j_max + 1), slices):
+        assert polynomial_hull(sl).same_cells(sl)
+        cut = np.zeros_like(K.bits)
+        for a, r, R in annuli:
+            own = min(range(3), key=lambda i: abs(centers[i] - a))
+            assert R < 0.45 + 4 * g.pixel
+            rel = zs - a
+            sector = ((np.abs(rel) > r) & (np.abs(rel) < R)
+                      & (np.mod(np.angle(rel), 2.0 * math.pi)
+                         > (1.0 - 1.0 / j) * 2.0 * math.pi))
+            assert not np.any(sector & K.bits & ~rings[own].bits), (j, own)
+            assert np.any(sector & rings[own].bits)
+            cut |= sector
+        assert np.array_equal(sl.bits, K.bits & ~cut)
 
 
 def test_slice_preconditions():
