@@ -606,12 +606,10 @@ def _separating_families(
     box (the target cells it has not reached yet) and their count.  Its
     normalized polynomial reaches log m where fl(sum - norm) >= log m,
     that is where sum >= _sum_threshold(norm, log m), one comparison per
-    cell.  The box starts as the bounding box of their targets; the
-    rows and columns that hold every still-needed cell shrink as the
-    stages reach their edge lines, and once they span half the box or
-    less, the sum and every mask are cropped to them.  The logs are
-    elementwise, so each family is the one its stage alone would get,
-    bit for bit.
+    cell.  The box is the bounding box of their targets at every
+    degree; a stage leaves the loop once it has reached all its cells.
+    The logs are elementwise, so each family is the one its stage alone
+    would get, bit for bit.
     """
     K = stages[0][1]
     for i, (label, _, U, target, m) in enumerate(stages):
@@ -656,9 +654,9 @@ def _separating_families(
     if live:
         leja = leja_points(K, degree_cap)
         row = _RootLogRow(grid)
-        # the box the row spans, per running stage the box cells it still
-        # needs and their count, and the rows r0:r1 and columns c0:c1 of
-        # the box that hold every still-needed cell
+        # the box the row spans: the bounding box of the running stages'
+        # targets; per running stage the box cells it still needs and
+        # their count
         ends = bounding_box(RegionMask(grid, np.logical_or.reduce(
             [stages[i][3].bits for i in live]), OPEN))
         box = slice(ends[0], ends[1] + 1), slice(ends[2], ends[3] + 1)
@@ -666,7 +664,6 @@ def _separating_families(
         left = {i: np.count_nonzero(need[i]) for i in live}
         sum_t = np.zeros(need[live[0]].shape)
         hit = np.empty(sum_t.shape, dtype=bool)
-        r0, c0, (r1, c1) = 0, 0, sum_t.shape
         for d, norm in enumerate(leja.log_sups, start=1):
             if norm == -np.inf:
                 break  # every K cell is a root; higher degrees are identically 0
@@ -684,30 +681,9 @@ def _separating_families(
                     need[i] ^= hit
                     left[i] -= reached
                     sequence = member.roots
-            if member is None:
-                continue  # no stage reached a cell
             live = [i for i in live if left[i]]
             if not live:
                 break
-            # shrink r0:r1, c0:c1 past its edge lines that no stage needs
-            needs = [need[i] for i in live]
-            while not any(np.count_nonzero(n[r0, c0:c1]) for n in needs):
-                r0 += 1
-            while not any(np.count_nonzero(n[r1 - 1, c0:c1]) for n in needs):
-                r1 -= 1
-            while not any(np.count_nonzero(n[r0:r1, c0]) for n in needs):
-                c0 += 1
-            while not any(np.count_nonzero(n[r0:r1, c1 - 1]) for n in needs):
-                c1 -= 1
-            if 2 * (r1 - r0) * (c1 - c0) <= sum_t.size:
-                crop = slice(r0, r1), slice(c0, c1)
-                box = tuple(slice(b.start + c.start, b.start + c.stop)
-                            for b, c in zip(box, crop))
-                sum_t = sum_t[crop].copy()
-                hit = np.empty(sum_t.shape, dtype=bool)
-                for i in live:
-                    need[i] = need[i][crop].copy()
-                r0, c0, (r1, c1) = 0, 0, sum_t.shape
         for i in live:
             uncovered[i][box] = need[i]
 

@@ -304,7 +304,8 @@ def slice_holomorphically_convex(K: RegionMask, omega: RegionMask,
     padded) and polar angle past (1 - 1/j) of a full turn are removed.
     Slice j applies every hole's cut at level j; the returned list covers
     j = 2..j_max, and a holeless K comes back as [K].
-    Every slice is verified to be its own polynomial hull.
+    Every slice is verified to be its own polynomial hull; one that is not,
+    as a cut under a pixel wide leaves its ring closed, is a ValueError.
     """
     if j_max < 2:
         raise ValueError("j_max must be >= 2")
@@ -331,8 +332,9 @@ def slice_holomorphically_convex(K: RegionMask, omega: RegionMask,
             keep = keep & ~sector
         sl = RegionMask(K.grid, keep, COMPACT)
         if not polynomial_hull(sl).same_cells(sl):
-            raise AssertionError(
-                f"slice j={j} failed the hull fixed-point check")
+            raise ValueError(
+                f"slice j={j} fails the hull fixed-point check: its cut is "
+                f"under a pixel at this resolution")
         slices.append(sl)
     return slices
 

@@ -323,11 +323,17 @@ def save_series(series: CoefficientSeries, path: str | Path) -> None:
     The pattern '"members": ' followed by a digit is an object key and its
     value (in a string the quote before the colon is escaped), and only
     block structures have that key.  The pieces go out in one buffered
-    binary pass, and no text of the whole file is ever joined.
+    binary pass, and no text of the whole file is ever joined.  A series
+    nested too deeply for the writer's recursion is a ValueError, and no
+    file is opened.
     """
     blocks: list[BlockStructure] = []
-    text = json.dumps(_series_json(
-        series, lambda s: blocks.append(s) or int(_PLACEHOLDER)), indent=1)
+    try:
+        text = json.dumps(_series_json(
+            series, lambda s: blocks.append(s) or int(_PLACEHOLDER)),
+            indent=1)
+    except RecursionError:
+        raise ValueError("series nests too deeply") from None
     pieces = text.split(_MEMBERS_KEY + _PLACEHOLDER)
     out = [pieces[0].encode()]
     for s, before, after in zip(blocks, pieces, pieces[1:]):
@@ -339,7 +345,16 @@ def save_series(series: CoefficientSeries, path: str | Path) -> None:
 
 
 def load_series(path: str | Path) -> CoefficientSeries:
-    """Read a series file.
+    """Read a series file; a ValueError if it nests too deeply for the
+    parser's recursion."""
+    try:
+        return series_from_json(_parse_series_text(Path(path).read_text()))
+    except RecursionError:
+        raise ValueError("series nests too deeply") from None
+
+
+def _parse_series_text(text: str):
+    """The JSON value of a series file's text.
 
     Each members list in save_series' own layout is decoded from the text
     (_decode_members) and replaced by an integer literal that opens with
@@ -352,7 +367,6 @@ def load_series(path: str | Path) -> CoefficientSeries:
     itself, so the file parses exactly when the rest does, to the same
     values.
     """
-    text = Path(path).read_text()
     kept, decoded = [], []
     at = find = 0
     while (i := text.find(_MEMBERS_KEY + "[", find)) >= 0:
@@ -370,7 +384,7 @@ def load_series(path: str | Path) -> CoefficientSeries:
         at = find = found[1]
     kept.append(text[at:])
     if not decoded or any(_PLACEHOLDER in piece for piece in kept):
-        return series_from_json(json.loads(text))
+        return json.loads(text)
     # the space ends the literal whatever follows the list
     rest = "".join(piece + f"{_PLACEHOLDER}{k} "
                    for k, piece in enumerate(kept[:-1])) + kept[-1]
@@ -381,11 +395,10 @@ def load_series(path: str | Path) -> CoefficientSeries:
         return int(literal)
 
     try:
-        obj = json.loads(rest, parse_int=parse_int)
+        return json.loads(rest, parse_int=parse_int)
     except json.JSONDecodeError:
         # the file is malformed too; report where in the file
-        obj = json.loads(text)
-    return series_from_json(obj)
+        return json.loads(text)
 
 
 def map_sidecar(cmap: ConvergenceMap) -> dict:

@@ -1130,3 +1130,21 @@ def test_cli_survives_corrupt_series(tmp_path, capsys, pipeline):
         mutant.write_text(corrupt_leaf(obj, paths, rng))
         _run_mutant(capsys, ["verify", str(scene), str(mutant),
                              "--out", str(tmp_path / "out")])
+
+
+@pytest.mark.filterwarnings("ignore::sigmaconv.ResolutionWarning")
+@pytest.mark.parametrize("depth", [995, 5000])
+def test_cli_reports_a_series_nested_too_deeply(tmp_path, capsys, depth):
+    # an interleave nest deeper than the JSON parser recurses, built in
+    # O(depth), through both commands that load a series
+    scene, series = _clean_run(tmp_path, "countable")
+    leaf = series.read_text()
+    nest = tmp_path / "nest.json"
+    nest.write_text('{"type": "interleave", "even": ' * depth + leaf
+                    + (', "odd": ' + leaf + '}') * depth)
+    capsys.readouterr()
+    for argv in (["verify", str(scene), str(nest)],
+                 ["interleave", str(nest), str(series)]):
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: series nests too deeply"]

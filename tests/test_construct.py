@@ -550,33 +550,21 @@ def reference_family(K, target, m, cap):
     return family(members), unreached
 
 
-def box_area(bits):
-    """The number of cells in the bounding box of the true cells."""
+def target_box(stages):
+    """The rows and columns of the bounding box of the stages' targets, as
+    the slices a _RootLogRow.box read takes, or None if every target is
+    empty."""
+    bits = np.logical_or.reduce([t.bits for _, _, t, _ in stages])
     rows, cols = np.flatnonzero(bits.any(axis=1)), np.flatnonzero(
         bits.any(axis=0))
-    return 0 if rows.size == 0 else (
-        (rows[-1] - rows[0] + 1) * (cols[-1] - cols[0] + 1))
-
-
-def row_compactions(unreached, box):
-    """The degrees after which the target box crops: where the bounding
-    box of the cells some running stage still needs spans half the box or
-    less, starting from a box of ``box`` cells.  Its length counts the
-    crops."""
-    crops = []
-    for d in range(max(map(len, unreached), default=0)):
-        area = box_area(np.logical_or.reduce(
-            [u[d] for u in unreached if d < len(u)]))
-        if 0 < area and 2 * area <= box:
-            box = area
-            crops.append(d + 1)
-    return crops
+    return None if rows.size == 0 else (slice(rows[0], rows[-1] + 1),
+                                        slice(cols[0], cols[-1] + 1))
 
 
 def matches_reference(K, stages, cap):
     """The lockstep families equal reference_family stage by stage, and
-    the target box crops after the degrees row_compactions names; returns
-    the group and how often its box crops."""
+    each degree the group tries reads one rectangle: the bounding box of
+    its multi-cell stages' targets; returns the group."""
     boxes, box = [], _RootLogRow.box
 
     def spy(self, root, rows, cols):
@@ -588,18 +576,14 @@ def matches_reference(K, stages, cap):
         sequence, group = _separating_families(chain(K, stages), cap)
     assert len(group) == len(stages)
     assert_members_on_sequence(sequence, group)
-    unreached = []
+    tried = 0
     for got, (_, _, target, m) in zip(group, stages):
-        reference, left = reference_family(K, target, m, cap)
+        reference, unreached = reference_family(K, target, m, cap)
         assert_same_family(got, reference)
-        unreached.append(left)
-    crops = row_compactions(unreached, box_area(
-        np.logical_or.reduce([t.bits for _, _, t, _ in stages])))
-    # a crop after the last degree tried reads no further box
-    assert [d for d in range(1, len(boxes))
-            if boxes[d] != boxes[d - 1]] == [d for d in crops
-                                             if d < len(boxes)]
-    return group, len(crops)
+        tried = max(tried, len(unreached))
+    # a one-cell K tries no degree, so only multi-cell stages read a box
+    assert boxes == [target_box(stages)] * tried
+    return group
 
 
 def shell_stages(K, ms):
@@ -612,13 +596,11 @@ def shell_stages(K, ms):
 
 
 @pytest.mark.parametrize("n", ROW_GRIDS)
-def test_families_match_reference_as_the_row_compacts(n):
+def test_families_match_reference_on_nested_shells(n):
     g = Grid.from_box(-2.0, -2.0, 2.0, 2.0, n, n)
     K = polynomial_hull(rasterize_scene([(1, shapes.Disk(0.2, -0.1, 0.6))],
                                         g, kind=COMPACT))
-    group, compactions = matches_reference(K, shell_stages(K, range(1, 6)),
-                                           24)
-    assert compactions >= 2
+    group = matches_reference(K, shell_stages(K, range(1, 6)), 24)
     assert group[0].uncovered.is_empty()
 
 
@@ -628,10 +610,9 @@ def test_families_match_reference_when_stages_run_to_the_cap(n):
     K = polynomial_hull(rasterize_scene([(1, shapes.Disk(0.0, 0.0, 0.5))],
                                         g, kind=COMPACT))
     stages = shell_stages(K, [2, 6, 9, 12])
-    group, compactions = matches_reference(K, stages, 8)
-    assert compactions >= 1
+    group = matches_reference(K, stages, 8)
     # the last stages stop at the cap with part of their target unreached,
-    # so their uncovered cells come from the cropped box
+    # so their uncovered cells come from the box's still-needed cells
     for family, (_, _, target, _) in zip(group[1:], stages[1:]):
         assert 0 < family.uncovered.count() < target.count()
 
@@ -646,7 +627,7 @@ def test_families_match_reference_when_leja_saturates(n):
     far = rasterize_scene([(1, shapes.Disk(1.4, 1.4, 0.3))], g, kind=COMPACT)
     ring = rasterize_scene([(1, shapes.Annulus(0.0, 0.0, 1.2, 1.5))], g,
                            kind=COMPACT)
-    group, _ = matches_reference(K, [("", U, far, 2), ("", U, ring, 50)], 16)
+    group = matches_reference(K, [("", U, far, 2), ("", U, ring, 50)], 16)
     # degree 3 makes every K cell a root, so no member has degree 3 or more
     assert all(p.degree < 3 for f in group for p in f.members)
     assert not group[1].uncovered.is_empty()
@@ -660,13 +641,13 @@ def test_families_match_reference_on_empty_targets_and_one_cell_K(n):
     U = neighborhood(K, 0.2)
     ring = rasterize_scene([(1, shapes.Annulus(0.0, 0.0, 1.2, 1.6))], g,
                            kind=COMPACT)
-    group, _ = matches_reference(
+    group = matches_reference(
         K, [("", U, ring, 2), ("", U, empty_mask(g), 3), ("", U, ring, 5)],
         16)
     assert group[1].members == [] and group[1].uncovered.is_empty()
     a = cell_center(g, *g.index_of(0.03 + 0.03j))
     point = rasterize_scene([(1, shapes.Points((a,)))], g, kind=COMPACT)
-    group, _ = matches_reference(
+    group = matches_reference(
         point, [("", neighborhood(point, 0.1), ring, 4),
                 ("", neighborhood(point, 0.1), empty_mask(g), 4)], 8)
     assert single_cell_member(group[0], point)
@@ -705,30 +686,28 @@ def lockstep_scene(n):
 def test_lockstep_groups_match_reference_families(n, data):
     """Stages with identical, nested or disjoint targets, equal or
     different levels, and caps low enough to stop them early or high
-    enough that their box crops, against reference_family each."""
+    enough to cover them, against reference_family each."""
     K, U, targets = lockstep_scene(n)
     assert (_offset_logs(K.grid) is None) is (n == 48)
     picks = data.draw(st.lists(st.tuples(
         st.integers(0, len(targets) - 1),
         st.sampled_from([2, 3, 3, 5, 12, 60])), min_size=1, max_size=4))
     cap = data.draw(st.sampled_from([2, 5, 12, 32]))
-    group, crops = matches_reference(
+    group = matches_reference(
         K, [("", U, targets[t], m) for t, m in picks], cap)
-    event(f"crops: {min(crops, 2)}")
     event("a stage stops at the cap" if any(
         not f.uncovered.is_empty() for f in group) else "all covered")
 
 
 @pytest.mark.parametrize("n", ROW_GRIDS)
-def test_lockstep_group_crops_and_stops_at_the_cap(n):
+def test_lockstep_group_covers_a_disk_and_stops_at_the_cap(n):
     """One group of the kind drawn above, with both: two stages on the
-    same disk that cover it, whose box then crops to the scatter, which
-    stays partly unreached at the cap."""
+    same disk that cover it and leave the loop, while the scatter, over
+    the same box, stays partly unreached at the cap."""
     K, U, targets = lockstep_scene(n)
-    group, crops = matches_reference(
+    group = matches_reference(
         K, [("", U, targets[3], 3), ("", U, targets[3], 3),
             ("", U, targets[5], 60)], 5)
-    assert crops >= 1
     assert [f.uncovered.is_empty() for f in group] == [True, True, False]
 
 
@@ -754,7 +733,7 @@ def test_family_reaches_a_cell_whose_root_sum_equals_the_threshold():
     assert _sum_threshold(norm, math.log(1)) == norm
     reached = _RootLogRow(g, np.flatnonzero(bits))(leja.cells[0])
     assert reached.tolist() == [norm]
-    group, _ = matches_reference(K, [("", U, target, 1)], 4)
+    group = matches_reference(K, [("", U, target, 1)], 4)
     assert [p.degree for p in group[0].members] == [1]
     assert group[0].uncovered.is_empty()
 

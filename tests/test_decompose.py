@@ -487,6 +487,22 @@ def test_each_hole_sector_cuts_only_its_own_ring():
         assert np.array_equal(sl.bits, K.bits & ~cut)
 
 
+def test_slice_cut_under_a_pixel_is_an_error():
+    """On a 96^2 raster the cut of a ring of outer radius 1 opens the ring
+    for every j up to 150; at j = 183 it is under a pixel wide and leaves
+    the ring closed."""
+    g = Grid.from_box(-2.0, -2.0, 2.0, 2.0, 96, 96)
+    K = rasterize_scene([(1, shapes.Annulus(0.0, 0.0, 0.6, 1.0))], g,
+                        kind=COMPACT)
+    omega = rasterize_scene([(1, shapes.Disk(0.0, 0.0, 3.0)),
+                             (-1, shapes.Disk(0.0, 0.0, 0.3))], g,
+                            kind=DOMAIN)
+    assert omega.same_cells(RegionMask(g, np.abs(g.centers()) > 0.3, OPEN))
+    assert len(slice_holomorphically_convex(K, omega, 150)) == 149
+    with pytest.raises(ValueError, match="j=183 .* under a pixel"):
+        slice_holomorphically_convex(K, omega, 200)
+
+
 def test_slice_preconditions():
     g, K, omega = make_annulus_setting()
     with pytest.raises(ValueError, match="j_max"):

@@ -4,6 +4,7 @@ import json
 import math
 import random
 import re
+import sys
 import tempfile
 from pathlib import Path
 
@@ -271,6 +272,18 @@ def test_interleave_series_round_trip(tmp_path):
     F = interleave(f, h)
     save_series(F, tmp_path / "s.json")
     assert_identical_series(F, load_series(tmp_path / "s.json"))
+
+
+def test_a_series_nested_too_deeply_to_write_is_a_value_error(tmp_path):
+    # the writer recurses once per level, so a nest as deep as the
+    # recursion limit cannot be written; interleave itself does not recurse
+    f = countable_set_series(PointSequence.from_points((0.5, 0.25j)))
+    F = f
+    for _ in range(sys.getrecursionlimit()):
+        F = interleave(F, f)
+    with pytest.raises(ValueError, match="series nests too deeply"):
+        save_series(F, tmp_path / "s.json")
+    assert not (tmp_path / "s.json").exists()
 
 
 def test_structureless_series_is_not_serializable():
