@@ -23,8 +23,8 @@ import copy
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import groupby
-from typing import Iterable, Sequence
+from itertools import groupby, islice
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -75,32 +75,30 @@ def _offset_logs(grid: Grid) -> np.ndarray | None:
 class _RootLogRow:
     """row(root): log|z - r| over a set of cells z, for one root r.
 
-    The cells are the centres of a grid's cells at the flat indices
-    ``cells`` (all of them, in grid shape, when None), or else the points
-    z, in z's shape.  row.locate(roots) names each root that is exactly a
-    cell centre of a grid with an _offset_logs table by that cell's flat
-    index, and row(root) gathers such a root's row from the table by the
-    cells' keys j (2W - 1) + i.  Every other root, and every root over
-    points or over a grid without a table, takes _log_abs(z - r); a flat
-    index there stands for its cell's centre.  row.box(root, rows, cols)
-    is the row over a rectangle of a grid's cells: a view of the table's
+    The cells are the centres of all a grid's cells, in grid shape, or
+    else the points z, in z's shape; row[keep] is the row over part of
+    them.  row.locate(roots) names each root that is exactly a cell centre
+    of a grid with an _offset_logs table by that cell's flat index, and
+    row(root) gathers such a root's row from the table by the cells' keys
+    j (2W - 1) + i.  Every other root, a complex, takes _log_abs(z - r).
+    row.box(root, rows, cols) is the row over a rectangle of a grid's
+    cells, for a root at a flat cell index: a view of the table's
     (2H - 1) x (2W - 1) rectangle of their offsets from the root, or else
-    _log_abs(centres[rows, cols] - r).  Either way the same complex
-    values pass the same abs and log, so the bits agree.
+    _log_abs(centres[rows, cols] - r).  Either way the same complex values
+    pass the same abs and log, so the bits agree.
 
-    Its users: the K-row of leja_points, the target box of
-    _separating_families (row.box), and the tail sups of both series
+    Its users: the running sum of _leja_steps over the rectangle of K and
+    the stage targets (row.box), and the tail sups of both series
     structures: _top_screen and _table_sup for product series, and
     BlockStructure.tail_sup, directly or as an interleave's child.
     conv_map and level_set hand those their grid.
     """
 
-    def __init__(self, z: Grid | np.ndarray, cells: np.ndarray | None = None):
+    def __init__(self, z: Grid | np.ndarray):
         if isinstance(z, Grid):
             self.grid, self.table = z, _offset_logs(z)
-            self.shape = (z.height, z.width) if cells is None else cells.shape
-            self.cells = (np.arange(z.width * z.height) if cells is None
-                          else cells)
+            self.shape = (z.height, z.width)
+            self.cells = np.arange(z.width * z.height)
         else:
             self.grid = self.table = self.cells = None
             self.points = np.asarray(z, dtype=complex).ravel()
@@ -157,14 +155,12 @@ class _RootLogRow:
 
     def __call__(self, root: int | complex,
                  out: np.ndarray | None = None) -> np.ndarray:
-        if self.table is None or isinstance(root, complex):
+        if isinstance(root, complex):
             return self.direct(root, out)
         return self.gather(root, out)
 
-    def direct(self, root: int | complex,
+    def direct(self, root: complex,
                out: np.ndarray | None = None) -> np.ndarray:
-        if not isinstance(root, complex):
-            root = self.grid.centers().flat[root]
         return _log_abs(self.points - root, out)
 
     def gather(self, root: int, out: np.ndarray | None = None) -> np.ndarray:
@@ -189,11 +185,9 @@ class _RootLogRow:
 
 @dataclass(frozen=True)
 class PointSequence:
-    """Ordered points; leja_points also sets log_sups and cells."""
+    """Ordered points."""
 
     points: tuple[complex, ...]
-    log_sups: tuple[float, ...] = ()
-    cells: tuple[int, ...] = ()
 
     @classmethod
     def from_points(cls, pts) -> "PointSequence":
@@ -508,33 +502,46 @@ def interleave(f: CoefficientSeries, g: CoefficientSeries) -> CoefficientSeries:
     )
 
 
-def leja_points(K: RegionMask, count: int) -> PointSequence:
-    """Greedy extremal points on K's cell centers, with their prefix sups.
+def _rectangle(mask: RegionMask) -> tuple[slice, slice]:
+    """The rows and columns of a non-empty mask's bounding box."""
+    r0, r1, c0, c1 = bounding_box(mask)
+    return slice(r0, r1 + 1), slice(c0, c1 + 1)
 
-    The first point maximizes |z|; each next point maximizes the sum of log
-    distances to the points already chosen.  Ties break to the lowest flat
-    cell index.  log_sups[d-1] is that sum's max over K after d points: the
-    log sup over K's cells of prod_{i<=d} |z - z_i|.  If no fresh maximizer
-    exists (all candidates at -inf, e.g. a single-cell K exhausted), the
-    sequence saturates: it stops short of count, its last log sup -inf.
-    cells[d-1] is point d's flat grid index, its K-row a _RootLogRow."""
+
+def _leja_steps(K: RegionMask, box: tuple[slice, slice]
+                ) -> Iterator[tuple[complex, float, np.ndarray]]:
+    """For d = 1, 2, ...: Leja point d of a non-empty K, its log sup over
+    K, and the running root-log sum of points 1..d over the cells [box] of
+    K's grid, a rectangle that holds K (one array, added to in place).
+
+    Point 1 maximizes |z| over K's cell centres, and point d + 1 the sum
+    after d points over K's cells, ties going to the lowest flat index;
+    that sum's max is the log sup of prod_{i<=d} |z - z_i| over them.
+    Each degree adds one _RootLogRow.box, and the steps stop after
+    yielding a -inf sup: every K cell is then a point."""
+    row, zs = _RootLogRow(K.grid), K.cell_centers()
+    cells, inside = np.flatnonzero(K.bits), np.flatnonzero(K.bits[box])
+    total = np.zeros(K.bits[box].shape)
+    k = int(np.argmax(np.abs(zs)))
+    while True:
+        total += row.box(int(cells[k]), *box)
+        on_k = total.ravel().take(inside)
+        nxt = int(np.argmax(on_k))
+        yield complex(zs[k]), float(on_k[nxt]), total
+        if on_k[nxt] == -np.inf:
+            return
+        k = nxt
+
+
+def leja_points(K: RegionMask, count: int) -> PointSequence:
+    """The first ``count`` Leja points of K (_leja_steps over K's own
+    box), fewer if the sequence saturates first: every K cell a point."""
     if K.is_empty():
         raise ValueError("leja_points requires a non-empty mask")
     if count < 1:
         raise ValueError("count must be >= 1")
-    row = _RootLogRow(K.grid, np.flatnonzero(K.bits))
-    zs = K.cell_centers()
-    accum = np.zeros(zs.shape)
-    nxt, chosen, log_sups = int(np.argmax(np.abs(zs))), [], []
-    while True:
-        chosen.append(nxt)
-        accum += row(row.cells[nxt])
-        nxt = int(np.argmax(accum))
-        log_sups.append(float(accum[nxt]))
-        if len(chosen) == count or log_sups[-1] == -np.inf:
-            break
-    return PointSequence(tuple(map(complex, zs[chosen])), tuple(log_sups),
-                         tuple(row.cells[chosen].tolist()))
+    return PointSequence(tuple(
+        z for z, _, _ in islice(_leja_steps(K, _rectangle(K)), count)))
 
 
 @dataclass
@@ -599,17 +606,15 @@ def _separating_families(
     family.  Degrees past ``degree_cap`` are not tried; remaining target
     cells go into the uncovered report.
 
-    Multi-cell stages share one Leja sequence, whose log_sups give each
-    degree's sup over K, and one running root-log sum over a box of
-    target cells, to which each degree adds its root's _RootLogRow.box.
-    Each stage keeps its own level m, early stop, ``need`` mask over the
-    box (the target cells it has not reached yet) and their count.  Its
-    normalized polynomial reaches log m where fl(sum - norm) >= log m,
-    that is where sum >= _sum_threshold(norm, log m), one comparison per
-    cell.  The box is the bounding box of their targets at every
-    degree; a stage leaves the loop once it has reached all its cells.
-    The logs are elementwise, so each family is the one its stage alone
-    would get, bit for bit.
+    Multi-cell stages share one Leja sequence and its running root-log
+    sum over the rectangle that bounds K and their targets (_leja_steps),
+    which grows only while some stage runs.  Each stage keeps its own
+    level m, ``need`` mask over the box (the target cells it has not
+    reached yet) and their count, and leaves the loop once it has reached
+    them all.  Its normalized polynomial reaches log m where
+    fl(sum - norm) >= log m, that is where sum >= _sum_threshold(norm,
+    log m), one comparison per cell.  The logs are elementwise, so each
+    family is the one its stage alone would get, bit for bit.
     """
     K = stages[0][1]
     for i, (label, _, U, target, m) in enumerate(stages):
@@ -652,31 +657,25 @@ def _separating_families(
             live.append(i)
 
     if live:
-        leja = leja_points(K, degree_cap)
-        row = _RootLogRow(grid)
-        # the box the row spans: the bounding box of the running stages'
-        # targets; per running stage the box cells it still needs and
-        # their count
-        ends = bounding_box(RegionMask(grid, np.logical_or.reduce(
-            [stages[i][3].bits for i in live]), OPEN))
-        box = slice(ends[0], ends[1] + 1), slice(ends[2], ends[3] + 1)
+        # the running sum's rectangle bounds K and the running targets
+        box = _rectangle(RegionMask(grid, np.logical_or.reduce(
+            [K.bits, *(stages[i][3].bits for i in live)]), OPEN))
         need = {i: stages[i][3].bits[box].copy() for i in live}
         left = {i: np.count_nonzero(need[i]) for i in live}
-        sum_t = np.zeros(need[live[0]].shape)
-        hit = np.empty(sum_t.shape, dtype=bool)
-        for d, norm in enumerate(leja.log_sups, start=1):
+        hit = np.empty(need[live[0]].shape, dtype=bool)
+        points: list[complex] = []
+        for point, norm, total in islice(_leja_steps(K, box), degree_cap):
             if norm == -np.inf:
                 break  # every K cell is a root; higher degrees are identically 0
-            sum_t += row.box(leja.cells[d - 1], *box)
+            points.append(point)
             member = None
             for i in live:
-                np.greater_equal(sum_t, _sum_threshold(
+                np.greater_equal(total, _sum_threshold(
                     norm, math.log(stages[i][4])), out=hit)
                 hit &= need[i]
                 reached = np.count_nonzero(hit)
                 if reached:
-                    member = member or RootPolynomial(
-                        tuple(leja.points[:d]), -norm)
+                    member = member or RootPolynomial(tuple(points), -norm)
                     members[i].append(member)
                     need[i] ^= hit
                     left[i] -= reached

@@ -104,8 +104,9 @@ def _read_pgm(path: str | Path, tag: str, keys: tuple[str, ...] = ()
         raise ValueError(f"{path}: expected maxval 255, got {maxval}")
     if width < 1 or height < 1:
         raise ValueError(f"{path}: image size {width}x{height} is not positive")
-    pos += 1  # single whitespace byte after maxval
-    body = data[pos:]
+    if not data[pos:pos + 1].isspace():
+        raise ValueError(f"{path}: maxval must end in one whitespace byte")
+    body = data[pos + 1:]
     if len(body) < width * height:
         raise ValueError(f"{path}: pixel data truncated")
     if len(body) > width * height:

@@ -3,6 +3,7 @@ families, powered block series, and the greedy dense enumeration."""
 
 import dataclasses
 import functools
+import itertools
 import math
 
 import numpy as np
@@ -16,9 +17,10 @@ from sigmaconv import (COMPACT, OPEN, Grid, PointSequence, RegionMask,
                        interleave, leja_points,
                        neighborhood, polynomial_hull, rasterize_scene,
                        set_distance, shapes)
-from sigmaconv.construct import (SeparatingFamily, _offset_logs,
-                                 _RootLogRow, _separating_families,
-                                 _sum_threshold, countable_series_from_tables)
+from sigmaconv.construct import (SeparatingFamily, _leja_steps,
+                                 _offset_logs, _RootLogRow,
+                                 _separating_families, _sum_threshold,
+                                 countable_series_from_tables)
 from conftest import (_log_abs, cell_center, disk_growth_series,
                       gamma_sequence, oracle_series, reference_log_mag,
                       separating_family, verify_family)
@@ -210,31 +212,76 @@ def test_leja_rejects_empty_set():
 
 THREE_POINTS = shapes.Points((-0.5 + 0j, 0.5 + 0j, 0.5j))
 
+# a grid whose root logs are gathered from the offset table (64) and one
+# whose rows subtract the root from the centres (48), on box -2..2
+ROW_GRIDS = [48, 64]
 
-@pytest.mark.parametrize("shape,count,saturated", [
+
+def rectangle(bits):
+    """The rows and columns of the bounding box of the true cells, as the
+    slices a _RootLogRow.box read takes."""
+    rows, cols = np.flatnonzero(bits.any(axis=1)), np.flatnonzero(
+        bits.any(axis=0))
+    return slice(rows[0], rows[-1] + 1), slice(cols[0], cols[-1] + 1)
+
+
+def leja_box(K, far):
+    """K's own rectangle, or with ``far`` the rectangle of K and a disk
+    near the grid's top-left corner, as a family's far target makes it."""
+    bits = K.bits
+    if far:
+        bits = bits | rasterize_scene([(1, shapes.Disk(-1.7, 1.7, 0.2))],
+                                      K.grid, kind=COMPACT).bits
+    return rectangle(bits)
+
+
+def box_cases(cases, grids=(None,)):
+    """pytest params ([n,] far, shape, count, ...) of each (shape, count,
+    ...) case on each n x n grid of ``grids`` (none by default), over K's
+    own box and over a far target's: the id is the case's plain one, plus
+    the grid size past the first grid and "far" over the far box."""
+    return [pytest.param(*[n] * (n is not None), far, *case, id="-".join(
+        [f"shape{i}", *map(str, case[1:])] + [str(n)] * (n != grids[0])
+        + ["far"] * far)) for i, case in enumerate(cases)
+        for n in grids for far in (False, True)]
+
+
+def leja_steps(K, box, count):
+    """The points and log sups of the first ``count`` _leja_steps over
+    ``box``, and a copy of the running sum after the last of them."""
+    points, sups = [], []
+    for z, sup, total in itertools.islice(_leja_steps(K, box), count):
+        points.append(z)
+        sups.append(sup)
+    return tuple(points), sups, total.copy()
+
+
+@pytest.mark.parametrize("n,far,shape,count,saturated", box_cases([
     (shapes.Disk(0.3, 0.0, 1.0), 12, False),
     (shapes.Segment(-1.0, 0.5, 1.0, -0.5), 9, False),
     (THREE_POINTS, 16, True),
     (THREE_POINTS, 3, False),  # exactly count cells: exhausted, not saturated
-])
-def test_leja_log_sups_are_the_prefix_sups(shape, count, saturated):
-    g = Grid.from_box(-2.0, -2.0, 2.0, 2.0, 32, 32)
+], [32, *ROW_GRIDS]))
+def test_leja_log_sups_are_the_prefix_sups(n, far, shape, count, saturated):
+    g = Grid.from_box(-2.0, -2.0, 2.0, 2.0, n, n)
     K = rasterize_scene([(1, shape)], g, kind=COMPACT)
-    leja = leja_points(K, count)
-    assert (len(leja) < count) is saturated
-    assert len(leja.log_sups) == len(leja) == min(count, K.count())
+    points, sups, _ = leja_steps(K, leja_box(K, far), count)
+    assert (len(points) < count) is saturated
+    assert len(sups) == len(points) == min(count, K.count())
+    assert leja_points(K, count).points == points
     zs = K.cell_centers()
-    for d in range(1, len(leja) + 1):
-        sup = float(np.max(RootPolynomial(leja.points[:d], 0.0).log_abs(zs)))
-        assert leja.log_sups[d - 1] == sup, d
+    for d in range(1, len(points) + 1):
+        sup = float(np.max(RootPolynomial(points[:d], 0.0).log_abs(zs)))
+        assert sups[d - 1] == sup, d
     # the last entry is -inf exactly when every K cell is a chosen point
-    assert (leja.log_sups[-1] == -math.inf) is (len(leja) == K.count())
+    assert (sups[-1] == -math.inf) is (len(points) == K.count())
 
 
 def reference_leja(K, count):
-    """leja_points by its definition, each log distance taken directly
-    from the cell centres: accum += log|zs - zs[nxt]|."""
-    zs, cells = K.cell_centers(), np.flatnonzero(K.bits)
+    """The Leja points of K and their log sups by the definition, each log
+    distance taken directly from the cell centres: accum += log|zs - zs[k]|
+    over K's cells, ties going to the lowest flat index."""
+    zs = K.cell_centers()
     accum = np.zeros(zs.shape)
     nxt, chosen, log_sups = int(np.argmax(np.abs(zs))), [], []
     while True:
@@ -244,14 +291,7 @@ def reference_leja(K, count):
         log_sups.append(float(accum[nxt]))
         if len(chosen) == count or log_sups[-1] == -math.inf:
             break
-    return PointSequence(tuple(complex(zs[k]) for k in chosen),
-                         log_sups=tuple(log_sups),
-                         cells=tuple(int(cells[k]) for k in chosen))
-
-
-# a grid whose root logs are gathered from the offset table (64) and one
-# whose rows subtract the root from the centres (48), on box -2..2
-ROW_GRIDS = [48, 64]
+    return tuple(complex(zs[k]) for k in chosen), log_sups
 
 
 def same_bits(a, b):
@@ -261,21 +301,27 @@ def same_bits(a, b):
 
 
 @pytest.mark.parametrize("n", ROW_GRIDS)
-@pytest.mark.parametrize("shape,count", [
+@pytest.mark.parametrize("far,shape,count", box_cases([
     (shapes.Disk(0.3, 0.0, 1.0), 40),
     (shapes.Segment(-1.0, 0.5, 1.0, -0.5), 12),
     (THREE_POINTS, 16),
     (shapes.Disk(-0.5, 0.4, 0.3), 200),  # every K cell becomes a point
-])
-def test_leja_points_match_the_reference(n, shape, count):
+]))
+def test_leja_points_match_the_reference(n, far, shape, count):
     g = Grid.from_box(-2.0, -2.0, 2.0, 2.0, n, n)
     assert (_offset_logs(g) is None) is (n == 48)
     K = rasterize_scene([(1, shape)], g, kind=COMPACT)
-    got, want = leja_points(K, count), reference_leja(K, count)
-    assert got == want
-    assert same_bits(got.log_sups, want.log_sups)
-    assert (len(got) < count) is (count > K.count())
-    assert np.array_equal(g.centers().ravel()[list(got.cells)], got.points)
+    box = leja_box(K, far)
+    points, sups, total = leja_steps(K, box, count)
+    want_points, want_sups = reference_leja(K, count)
+    assert points == want_points == leja_points(K, count).points
+    assert same_bits(sups, want_sups)
+    assert (len(points) < count) is (count > K.count())
+    # the running sum over the box is the direct one, bit for bit
+    direct = np.zeros(total.shape)
+    for z in points:
+        direct += _log_abs(g.centers()[box] - z)
+    assert same_bits(total, direct)
 
 
 # ------------------------------------------------------------ root-log rows
@@ -290,13 +336,17 @@ def test_leja_points_match_the_reference(n, shape, count):
 def test_root_log_rows_gather_from_the_offset_table_on_exact_grids(box, n,
                                                                    table):
     g = Grid.from_box(*box, n, n)
-    row = _RootLogRow(g, np.arange(n * n))
+    row = _RootLogRow(g)[np.arange(n * n)]
     assert (row.table is not None) is table
     if table:
         assert row.table.nbytes == 8 * (2 * n - 1) ** 2
-    for root in (0, n * n - 1, n * (n // 2) + 3):
+    cells = [0, n * n - 1, n * (n // 2) + 3]
+    roots = row.locate(g.centers().ravel()[cells])
+    # a table names each centre by its cell, and without one it stays put
+    assert roots == (cells if table else g.centers().ravel()[cells].tolist())
+    for cell, root in zip(cells, roots):
         assert same_bits(row(root), _log_abs(g.centers().ravel()
-                                             - g.centers().flat[root]))
+                                             - g.centers().flat[cell]))
 
 
 COORDS = st.one_of(st.sampled_from([-2.0, -1.0, -0.5, 0.0, 0.75]),
@@ -319,10 +369,10 @@ def test_root_log_row_is_bit_identical_to_the_direct_row(x0, y0, pixel, w,
     corners = [0, w - 1, (h - 1) * w, h * w - 1]
     roots = [*corners, int(rng.integers(w * h))]
     cells = np.union1d(np.flatnonzero(rng.random(w * h) < 0.5), roots)
-    row = _RootLogRow(g, cells)
+    row = _RootLogRow(g)[cells]
     for _ in range(2):
-        for root in roots:
-            got = row(root)
+        for root, located in zip(roots, row.locate(centres[roots])):
+            got = row(located)
             assert same_bits(got, _log_abs(centres[cells] - centres[root]))
             assert (got[cells == root] == -math.inf).all()
         keep = rng.random(cells.size) < 0.5
@@ -514,26 +564,27 @@ def test_lockstep_families_on_a_single_cell_K():
 def reference_family(K, target, m, cap):
     """One stage's family by its definition, apart from any lockstep group.
 
-    Degree d normalizes the Leja polynomial on leja[:d] by its max over K
-    and joins when it reaches log m on a target cell no earlier member
-    reached.  Returns (family, unreached), where unreached holds the target
-    cells still unreached after each degree tried, as grid masks.
+    Degree d normalizes the Leja polynomial on leja[:d] (reference_leja)
+    by its max over K and joins when it reaches log m on a target cell no
+    earlier member reached.  Returns (family, tried), where tried counts
+    the degrees tried: up to the one that reaches the last target cell,
+    the cap, or the one whose polynomial vanishes on K's cells.
     """
     def family(members):
         return SeparatingFamily(members, RegionMask(K.grid, uncovered, OPEN))
 
     uncovered = np.zeros_like(target.bits)
     if target.is_empty():
-        return family([]), []
+        return family([]), 0
     zs_k, zs_t = K.cell_centers(), target.cell_centers()
     if K.count() == 1:
         a = complex(zs_k[0])
         rho = (set_distance(K, target) / m) * (1.0 - 1e-12)
         members = [RootPolynomial((a,), -math.log(rho))]
         uncovered[target.bits] = ~(members[0].log_abs(zs_t) >= math.log(m))
-        return family(members), []
-    leja = leja_points(K, cap).points
-    members, covered, unreached = [], np.zeros(zs_t.shape, dtype=bool), []
+        return family(members), 0
+    leja, _ = reference_leja(K, cap)
+    members, covered = [], np.zeros(zs_t.shape, dtype=bool)
     for d in range(1, len(leja) + 1):
         norm = float(np.max(RootPolynomial(leja[:d], 0.0).log_abs(zs_k)))
         if norm == -math.inf:
@@ -544,45 +595,42 @@ def reference_family(K, target, m, cap):
             members.append(p)
             covered |= reaches
         uncovered[target.bits] = ~covered
-        unreached.append(uncovered.copy())
         if covered.all():
             break
-    return family(members), unreached
-
-
-def target_box(stages):
-    """The rows and columns of the bounding box of the stages' targets, as
-    the slices a _RootLogRow.box read takes, or None if every target is
-    empty."""
-    bits = np.logical_or.reduce([t.bits for _, _, t, _ in stages])
-    rows, cols = np.flatnonzero(bits.any(axis=1)), np.flatnonzero(
-        bits.any(axis=0))
-    return None if rows.size == 0 else (slice(rows[0], rows[-1] + 1),
-                                        slice(cols[0], cols[-1] + 1))
+    return family(members), d
 
 
 def matches_reference(K, stages, cap):
     """The lockstep families equal reference_family stage by stage, and
-    each degree the group tries reads one rectangle: the bounding box of
-    its multi-cell stages' targets; returns the group."""
-    boxes, box = [], _RootLogRow.box
+    the group reads one root-log row for each degree it tries: the box
+    over the rectangle that bounds K and the targets, and no other row,
+    none past the last degree tried or a saturated sequence; returns the
+    group."""
+    reads = []
 
-    def spy(self, root, rows, cols):
-        boxes.append((rows, cols))
-        return box(self, root, rows, cols)
+    def spy(name):
+        method = getattr(_RootLogRow, name)
+
+        def read(self, root, *args, **kwargs):
+            reads.append((name, *args))
+            return method(self, root, *args, **kwargs)
+        return read
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(_RootLogRow, "box", spy)
+        for name in ("box", "gather", "direct"):
+            patch.setattr(_RootLogRow, name, spy(name))
         sequence, group = _separating_families(chain(K, stages), cap)
     assert len(group) == len(stages)
     assert_members_on_sequence(sequence, group)
     tried = 0
     for got, (_, _, target, m) in zip(group, stages):
-        reference, unreached = reference_family(K, target, m, cap)
+        reference, degrees = reference_family(K, target, m, cap)
         assert_same_family(got, reference)
-        tried = max(tried, len(unreached))
+        tried = max(tried, degrees)
     # a one-cell K tries no degree, so only multi-cell stages read a box
-    assert boxes == [target_box(stages)] * tried
+    box = rectangle(np.logical_or.reduce(
+        [K.bits, *(target.bits for _, _, target, _ in stages)]))
+    assert reads == [("box", *box)] * tried
     return group
 
 
@@ -721,17 +769,17 @@ def test_family_reaches_a_cell_whose_root_sum_equals_the_threshold():
     K = polynomial_hull(rasterize_scene([(1, shapes.Disk(0.5, 0.0, 0.4))],
                                         g, kind=COMPACT))
     U = neighborhood(K, 0.2)
-    leja = leja_points(K, 1)
-    jr, ir = divmod(leja.cells[0], g.width)
-    row = _RootLogRow(g, np.flatnonzero(K.bits))
-    jk, ik = divmod(int(row.cells[np.argmax(row(leja.cells[0]))]), g.width)
+    (z, norm, _), = itertools.islice(_leja_steps(K, rectangle(K.bits)), 1)
+    row, cells = _RootLogRow(g), np.flatnonzero(K.bits)
+    r, = row.locate([z])  # the first Leja point's flat cell index
+    jr, ir = divmod(r, g.width)
+    jk, ik = divmod(int(cells[np.argmax(row[cells](r))]), g.width)
     bits = np.zeros_like(K.bits)
     bits[jk, 2 * ir - ik] = True
     target = RegionMask(g, bits, OPEN)
     assert target.intersect(U).is_empty()
-    norm = leja.log_sups[0]
     assert _sum_threshold(norm, math.log(1)) == norm
-    reached = _RootLogRow(g, np.flatnonzero(bits))(leja.cells[0])
+    reached = row[np.flatnonzero(bits)](r)
     assert reached.tolist() == [norm]
     group = matches_reference(K, [("", U, target, 1)], 4)
     assert [p.degree for p in group[0].members] == [1]

@@ -253,7 +253,7 @@ def test_stage_work_is_done_once_per_distinct_input(monkeypatch):
     calls = {"hull": [], "dist": [], "leja": []}
     spy_on(monkeypatch, decompose, "polynomial_hull", calls["hull"])
     spy_on(monkeypatch, decompose, "distance_to", calls["dist"])
-    spy_on(monkeypatch, construct, "leja_points", calls["leja"])
+    spy_on(monkeypatch, construct, "_leja_steps", calls["leja"])
 
     K_list = _stage_scene("nested")
     n_max = 9

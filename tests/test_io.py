@@ -116,6 +116,10 @@ def test_mask_pgm_header_errors(tmp_path):
     p.write_bytes(raw + bytes(64))
     with pytest.raises(ValueError, match="extra bytes after the pixel data"):
         read_mask_pgm(p)
+    # the byte after maxval must be whitespace, not the first of the pixels
+    p.write_bytes(raw.replace(b"\n255\n", b"\n255#", 1))
+    with pytest.raises(ValueError, match="maxval must end in one whitespace"):
+        read_mask_pgm(p)
     for field in ("origin", "pixel"):
         p.write_bytes(raw.replace(f" {field}=".encode(), b" x="))
         with pytest.raises(ValueError,
