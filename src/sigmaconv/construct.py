@@ -87,11 +87,13 @@ class _RootLogRow:
     _log_abs(centres[rows, cols] - r).  Either way the same complex values
     pass the same abs and log, so the bits agree.
 
-    Its users: the running sum of _leja_steps over the rectangle of K and
-    the stage targets (row.box), and the tail sups of both series
-    structures: _top_screen and _table_sup for product series, and
-    BlockStructure.tail_sup, directly or as an interleave's child.
-    conv_map and level_set hand those their grid.
+    Its users: the running sum of _leja_steps (_LejaSum), over the
+    rectangle of K and the stage targets (row.box) and then over the
+    index row of the cells still in play (row[cells], gathered or
+    direct), and the tail sups of both series structures: _top_screen
+    and _table_sup for product series, and BlockStructure.tail_sup,
+    directly or as an interleave's child.  conv_map and level_set hand
+    those their grid.
     """
 
     def __init__(self, z: Grid | np.ndarray):
@@ -467,23 +469,28 @@ class InterleaveStructure:
 
         Each child's tail_sup takes the child orders m in the window, each
         with the divisor of its order here, 2m or 2m + 1, and the sup is
-        the larger of the two.  F_1 = g_0 is an order no tail_sup takes,
-        so it is the odd series' f0_log_mag.
+        the larger of the two, and a zero the sign of the first zero
+        order (_zero_signs).  F_1 = g_0 is an order no tail_sup takes, so
+        it is the odd series' f0_log_mag.
         """
         if divisors is None:
             divisors = np.arange(lo, hi + 1, dtype=float)
         sup = np.full((z.height, z.width) if isinstance(z, Grid)
                       else np.shape(z), -np.inf)
+        suspect = np.zeros(sup.shape, dtype=bool)  # a child's -0.0
         for child, parity in ((self.even, 0), (self.odd, 1)):
             a, b = (lo - parity + 1) // 2, (hi - parity) // 2
+            parts = []
             if a == 0:  # lo = 1: F_1 = g_0
-                np.maximum(sup, child.structure.f0_log_mag / divisors[0],
-                           out=sup)
+                parts.append(child.structure.f0_log_mag / divisors[0])
                 a = 1
             if a <= b:
-                np.maximum(sup, child.structure.tail_sup(
-                    z, a, b, divisors[2 * a + parity - lo::2]), out=sup)
-        return sup
+                parts.append(child.structure.tail_sup(
+                    z, a, b, divisors[2 * a + parity - lo::2]))
+            for part in parts:
+                np.maximum(sup, part, out=sup)
+                suspect |= (part == 0) & np.signbit(part)
+        return _zero_signs(self.tail_sup, z, lo, hi, divisors, sup, suspect)
 
 
 def interleave(f: CoefficientSeries, g: CoefficientSeries) -> CoefficientSeries:
@@ -508,26 +515,80 @@ def _rectangle(mask: RegionMask) -> tuple[slice, slice]:
     return slice(r0, r1 + 1), slice(c0, c1 + 1)
 
 
+# a lockstep group's running sum leaves its rectangle for the index row
+# over K's cells and the cells some running stage still needs once those
+# are fewer than this share of the row.  In process, a half, a third, a
+# quarter and an eighth timed alike on the sigma scene of seed 6, and a
+# half made the 256x256 decompose scene of seed 8 about 6% slower
+_KEEP_SHARE = 0.25
+
+
+class _LejaSum:
+    """The running root-log sum of _leja_steps over a row of cells of K's
+    grid, flat, in the grid's order: total holds the sum of log|z - r|
+    over the sequence's points r so far, on_k marks K's cells, at the
+    positions ``inside``.
+
+    The row starts as a rectangle ``box`` of the grid that holds K, to
+    which each point adds a _RootLogRow.box read.  keep(mask) shrinks it
+    to the cells at mask, K's among them, and each point then adds the
+    index row ``row``, _RootLogRow(grid)[cells]: a gather from the grid's
+    offset table, or direct logs where it has none.  The same complex
+    values pass the same abs and log in every form of the row, so a
+    cell's sum has the same bits in each.
+    """
+
+    def __init__(self, K: RegionMask, box: tuple[slice, slice]):
+        self.grid, self.box, self.row = K.grid, box, None
+        self.on_k = K.bits[box].ravel()
+        self.inside = np.flatnonzero(self.on_k)
+        self.total = np.zeros(self.on_k.size)
+        self.rect = self.total.reshape(K.bits[box].shape)  # a view
+
+    def keep(self, mask: np.ndarray) -> None:
+        """Shrink the row to the cells at ``mask``, which holds K's."""
+        if self.row is None:
+            rows, cols = self.box
+            j, i = np.divmod(np.flatnonzero(mask), self.rect.shape[1])
+            self.row = _RootLogRow(self.grid)[
+                (j + rows.start) * self.grid.width + i + cols.start]
+        else:
+            self.row = self.row[mask]
+        self.total, self.on_k = self.total[mask], self.on_k[mask]
+        self.inside = np.flatnonzero(self.on_k)
+
+    def put(self, mask: np.ndarray, out: np.ndarray) -> None:
+        """Write a mask over the row into ``out``, in the grid's shape."""
+        if self.row is None:
+            out[self.box] = mask.reshape(self.rect.shape)
+        else:
+            out.ravel()[self.row.cells] = mask  # a view: out is C order
+
+
 def _leja_steps(K: RegionMask, box: tuple[slice, slice]
-                ) -> Iterator[tuple[complex, float, np.ndarray]]:
+                ) -> Iterator[tuple[complex, float, _LejaSum]]:
     """For d = 1, 2, ...: Leja point d of a non-empty K, its log sup over
-    K, and the running root-log sum of points 1..d over the cells [box] of
-    K's grid, a rectangle that holds K (one array, added to in place).
+    K, and the running root-log sum of points 1..d (_LejaSum, one object
+    added to in place) over the cells [box] of K's grid, a rectangle that
+    holds K, or the cells its consumer keeps of them.
 
     Point 1 maximizes |z| over K's cell centres, and point d + 1 the sum
     after d points over K's cells, ties going to the lowest flat index;
     that sum's max is the log sup of prod_{i<=d} |z - z_i| over them.
-    Each degree adds one _RootLogRow.box, and the steps stop after
-    yielding a -inf sup: every K cell is then a point."""
-    row, zs = _RootLogRow(K.grid), K.cell_centers()
-    cells, inside = np.flatnonzero(K.bits), np.flatnonzero(K.bits[box])
-    total = np.zeros(K.bits[box].shape)
+    The steps stop after yielding a -inf sup: every K cell is then a
+    point."""
+    full, sums, zs = _RootLogRow(K.grid), _LejaSum(K, box), K.cell_centers()
+    cells = np.flatnonzero(K.bits)
     k = int(np.argmax(np.abs(zs)))
     while True:
-        total += row.box(int(cells[k]), *box)
-        on_k = total.ravel().take(inside)
+        cell, z = int(cells[k]), complex(zs[k])
+        if sums.row is None:
+            sums.rect += full.box(cell, *box)
+        else:
+            sums.total += sums.row(z if sums.row.table is None else cell)
+        on_k = sums.total.take(sums.inside)
         nxt = int(np.argmax(on_k))
-        yield complex(zs[k]), float(on_k[nxt]), total
+        yield z, float(on_k[nxt]), sums
         if on_k[nxt] == -np.inf:
             return
         k = nxt
@@ -607,13 +668,18 @@ def _separating_families(
     cells go into the uncovered report.
 
     Multi-cell stages share one Leja sequence and its running root-log
-    sum over the rectangle that bounds K and their targets (_leja_steps),
-    which grows only while some stage runs.  Each stage keeps its own
-    level m, ``need`` mask over the box (the target cells it has not
-    reached yet) and their count, and leaves the loop once it has reached
-    them all.  Its normalized polynomial reaches log m where
-    fl(sum - norm) >= log m, that is where sum >= _sum_threshold(norm,
-    log m), one comparison per cell.  The logs are elementwise, so each
+    sum (_leja_steps), which grows only while some stage runs, over a row
+    that starts as the rectangle that bounds K and their targets.  Each
+    stage keeps its own level m, ``need`` mask over the row (the target
+    cells it has not reached yet) and their count, and leaves the loop
+    once it has reached them all.  Its normalized polynomial reaches
+    log m where fl(sum - norm) >= log m, that is where
+    sum >= _sum_threshold(norm, log m), one comparison per cell.  After a
+    degree that reaches cells, once K's cells and the union of the
+    running stages' needs are fewer than _KEEP_SHARE of the row, the row
+    and every mask keep only those cells (_LejaSum.keep).  The stage
+    tests, the masks, K's positions and the Leja argmax read the one flat
+    row, whose order is the grid's, and the logs are elementwise, so each
     family is the one its stage alone would get, bit for bit.
     """
     K = stages[0][1]
@@ -660,17 +726,17 @@ def _separating_families(
         # the running sum's rectangle bounds K and the running targets
         box = _rectangle(RegionMask(grid, np.logical_or.reduce(
             [K.bits, *(stages[i][3].bits for i in live)]), OPEN))
-        need = {i: stages[i][3].bits[box].copy() for i in live}
+        need = {i: stages[i][3].bits[box].flatten() for i in live}
         left = {i: np.count_nonzero(need[i]) for i in live}
-        hit = np.empty(need[live[0]].shape, dtype=bool)
+        hit = np.empty(need[live[0]].size, dtype=bool)
         points: list[complex] = []
-        for point, norm, total in islice(_leja_steps(K, box), degree_cap):
+        for point, norm, sums in islice(_leja_steps(K, box), degree_cap):
             if norm == -np.inf:
                 break  # every K cell is a root; higher degrees are identically 0
             points.append(point)
             member = None
             for i in live:
-                np.greater_equal(total, _sum_threshold(
+                np.greater_equal(sums.total, _sum_threshold(
                     norm, math.log(stages[i][4])), out=hit)
                 hit &= need[i]
                 reached = np.count_nonzero(hit)
@@ -683,11 +749,44 @@ def _separating_families(
             live = [i for i in live if left[i]]
             if not live:
                 break
+            # the targets are disjoint from K, so K's cells and the largest
+            # need bound the cells still in play from below
+            share = _KEEP_SHARE * sums.total.size
+            if member and sums.inside.size + max(map(left.get, live)) < share:
+                still = sums.on_k.copy()
+                for i in live:
+                    still |= need[i]
+                if np.count_nonzero(still) < share:
+                    sums.keep(still)
+                    for i in live:
+                        need[i] = need[i][still]
+                    hit = np.empty(sums.total.size, dtype=bool)
         for i in live:
-            uncovered[i][box] = need[i]
+            sums.put(need[i], uncovered[i])
 
     return sequence, [SeparatingFamily(found, RegionMask(grid, bits, OPEN))
                       for found, bits in zip(members, uncovered)]
+
+
+def _zero_signs(tail_sup, z: Grid | np.ndarray | complex, lo: int, hi: int,
+                divisors: np.ndarray, sup: np.ndarray,
+                suspect: np.ndarray) -> np.ndarray:
+    """sup, a tail sup over orders lo..hi at z, with each zero at a
+    ``suspect`` cell, one where some order may be -0.0, given the sign of
+    the least order that is zero there, which a running np.maximum over
+    the orders in turn, from -inf, keeps.  A fold in any other order can
+    keep another zero's sign; those cells are evaluated again one order
+    at a time.  Where no order is -0.0 every zero is +0.0 already."""
+    redo = suspect & (sup == 0)
+    if lo < hi and redo.any():
+        cells = np.asarray(z.centers() if isinstance(z, Grid) else z,
+                           dtype=complex)[redo]
+        first = np.full(cells.shape, -np.inf)
+        for n in range(lo, hi + 1):
+            np.maximum(first, tail_sup(cells, n, n, divisors[n - lo:][:1]),
+                       out=first)
+        sup[redo] = first
+    return sup
 
 
 def _fold_pairs(best: np.ndarray, x: np.ndarray, groups: np.ndarray,
@@ -783,7 +882,8 @@ class BlockStructure:
         Every other group is folded exactly, and their max is the max of
         all.  No v is NaN there, and x is never -0.0 (the sums start from
         +0.0), so the fold order changes no bits, short of the sign of a
-        zero max, which needs a quotient that underflows.
+        zero max, which needs a quotient that underflows; _zero_signs
+        gives it the sign of the first zero order.
 
         A cell takes no screen, and folds every group, where top is NaN,
         so that the NaN propagates, infinite, or beyond
@@ -797,6 +897,7 @@ class BlockStructure:
         ells = np.arange(lo, hi + 1, dtype=float)
         if divisors is None:
             divisors = ells
+        window_divisors = divisors
         scales = self.log_scales[lo - 1:hi]
         # the window's members grouped by (sequence, degree, log_scale),
         # in ascending degree within each sequence
@@ -823,6 +924,9 @@ class BlockStructure:
                else -1.0)  # no cell takes the screen
         members = (starts, np.diff(starts, append=order.size), ells, divisors)
         sup = np.full(row.size, -np.inf)
+        # a member's exponent is -0.0 only where fl(ell x) / d underflows
+        suspect = np.zeros(row.size, dtype=bool)
+        tiny = -divisors.max() * 2.0 ** -1074
         step = max(1, TABLE_BYTES // (8 * starts.size))  # a chunk's x rows
         for start in range(0, row.size, step):
             cells = row[start:start + step]
@@ -843,7 +947,11 @@ class BlockStructure:
             _fold_pairs(sup[start:start + step], x,
                         *np.divmod(np.flatnonzero(contend), cells.size),
                         *members)
-        return sup.reshape(row.shape)
+            zero = np.flatnonzero(sup[start:start + step] == 0)
+            suspect[start + zero] = ((x[:, zero] < 0)
+                                     & (x[:, zero] >= tiny)).any(axis=0)
+        return _zero_signs(self.tail_sup, z, lo, hi, window_divisors,
+                           sup.reshape(row.shape), suspect.reshape(row.shape))
 
 
 def block_series_from_tables(

@@ -245,7 +245,7 @@ def parse_scene(text: str, name: str = "scene") -> SceneSpec:
 def load_scene(path) -> SceneSpec:
     from pathlib import Path
     p = Path(path)
-    return parse_scene(p.read_text(), name=p.stem)
+    return parse_scene(p.read_text(encoding="utf-8"), name=p.stem)
 
 
 # -- pipelines ----------------------------------------------------------

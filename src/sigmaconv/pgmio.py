@@ -125,7 +125,7 @@ def write_mask_pgm(mask: RegionMask, path: str | Path) -> bytes:
     """Write the mask as a PGM and return the bytes written."""
     fields = _grid_fields(mask.grid)
     fields["kind"] = mask.kind
-    rows = np.where(mask.bits, 255, 0).astype(np.uint8)
+    rows = mask.bits.view(np.uint8) * np.uint8(255)  # bits are bool: 0, 1
     return _write_pgm(path, rows, _meta_line(MASK_TAG, fields))
 
 

@@ -13,9 +13,10 @@ stored sequences.  Each sequence's root pairs are formatted and encoded
 once, and each member's roots go out as a memoryview of those bytes, so a
 file is written in one buffered binary pass without joining its text.
 load_series reads each members list in that layout (_layout) from the
-text: a member repeating a prefix of the running sequence's text is placed
-on it, and only new text is parsed.  Any other layout goes through
-json.loads, with the same checks.
+file's bytes: a member repeating a prefix of the running sequence's text is
+placed on it, and each sequence's text is parsed once.  Any other layout
+goes through json.loads, with the same checks.  Every file is UTF-8,
+whatever the locale.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import cmath
 import hashlib
 import json
 import math
+import re
 from itertools import accumulate
 from pathlib import Path
 
@@ -151,75 +153,95 @@ class _Decoded(tuple):
     """The (sequences, placement, log_scales) _decode_members read."""
 
 
-def _decode_members(text: str, start: int,
+# the JSON numbers with a fraction or an exponent, which json.loads reads
+# by float() (an integer, -0 among them, it reads by int())
+_JSON_FLOAT = re.compile(
+    rb"-?(?:0|[1-9][0-9]*)(?:\.[0-9]+(?:[eE][-+]?[0-9]+)?|[eE][-+]?[0-9]+)")
+
+
+def _decode_members(data: bytes, start: int,
                     level: int) -> tuple[_Decoded, int] | None:
-    """The tables of the members list that opens at text[start], written
+    """The tables of the members list that opens at data[start], written
     as _members_bytes(s, level) writes it, and the index after the list;
     None for any other layout or an invalid value, which json.loads and
     _members_from_json then read, and reject, as for any other file.
 
     A member whose roots text repeats a prefix of the running sequence's
-    text, ending on a pair boundary, is placed on that sequence; only text
-    that extends the sequence or starts a new one goes through json.loads
-    and _j2c.  The comparison is of text, where -0.0 is not 0.0 and true is
-    not 1.0, so each root keeps the pair it was stored as.  No text marks
-    where a lockstep group ends, so a group whose sequence text is a prefix
-    of the one before, or extends it, shares that sequence.  Each log_scale
-    goes through _real once per distinct text.
+    text, ending on a pair boundary, is placed on that sequence; text that
+    extends the sequence only adds the boundaries of its pairs, each a
+    pair's last ], and a member with any other text starts a sequence.
+    Each sequence's text goes through json.loads and _j2c once, when the
+    list closes; a valid pair holds only numbers, so its last ] is its
+    only one, and the boundaries are the pairs'.  The comparison is of
+    text, where -0.0 is not 0.0 and true is not 1.0, so each root keeps
+    the pair it was stored as.  No text marks where a lockstep group ends,
+    so a group whose sequence text is a prefix of the one before, or
+    extends it, shares that sequence.  Each log_scale goes through _real
+    once per distinct text, read by float() where it is a JSON number
+    with a fraction or an exponent (_JSON_FLOAT) and by json.loads
+    otherwise.
     """
     head, _, (scale_key, roots_end), tail, close = _layout(level)
-    decoded = _Decoded(([], [], []))
-    sequences, placement, log_scales = decoded
-    seq = ""  # the running sequence's roots text
+    head, scale_key, roots_end, tail, close = (
+        t.encode() for t in (head, scale_key, roots_end, tail, close))
+    texts: list[bytes] = []  # each sequence's roots text
+    placement: list[tuple[int, int]] = []
+    log_scales: list[float] = []
+    seq = b""  # the running sequence's roots text
     degrees = {0: 0}  # offset in seq after each whole pair -> pairs so far
-    scales: dict[str, float] = {}
+    scales: dict[bytes, float] = {}
     pos = start + 1
     try:
         while True:
-            if not text.startswith(head, pos):
+            if not data.startswith(head, pos):
                 return None
             pos += len(head)
-            if text.startswith(scale_key, pos):
+            if data.startswith(scale_key, pos):
                 pos, d = pos + len(scale_key), 0
-                if not sequences:
-                    sequences.append(())
             else:
-                end = text.find(roots_end, pos)
+                end = data.find(roots_end, pos)
                 if end < 0:
                     return None
-                stored, pos = text[pos:end], end + len(roots_end)
+                n = end - pos
                 # a prefix of the sequence's text, if it ends on a pair
-                d = degrees.get(len(stored)) if seq.startswith(stored) \
-                    else None
-                if d is None:
-                    if seq and stored.startswith(seq + ","):
-                        new = stored[len(seq) + 1:]
-                    else:
-                        seq, degrees, new = "", {0: 0}, stored
-                        sequences.append(())
-                    added = tuple(map(_j2c, json.loads("[" + new + "]")))
-                    if not added:
+                d = degrees.get(n)
+                if d is None or not data.startswith(seq[:n], pos):
+                    # new pairs after the sequence's text and a comma
+                    # extend it; any other text starts a sequence
+                    at = len(seq) + 1
+                    if not (seq and n > at and data.startswith(seq, pos)
+                            and data.startswith(b",", pos + len(seq))):
+                        at, degrees = 0, {0: 0}
+                        texts.append(b"")
+                    seq = texts[-1] = data[pos:end]
+                    while at := seq.find(b"]", at) + 1:
+                        degrees[at] = len(degrees)
+                    d = degrees.get(n)
+                    if d is None:
                         return None
-                    seq, sequences[-1] = stored, sequences[-1] + added
-                    d, at = len(sequences[-1]), len(stored) - len(new)
-                    for k in range(d - len(added) + 1, d + 1):
-                        at = stored.index("]", at) + 1  # each pair's last ]
-                        degrees[at] = k
-            end = text.find(tail, pos)
+                pos = end + len(roots_end)
+            end = data.find(tail, pos)
             if end < 0:
                 return None
-            value, pos = text[pos:end], end + len(tail)
+            value, pos = data[pos:end], end + len(tail)
             if value not in scales:
-                scales[value] = _real(json.loads(value), "member log_scale")
-            placement.append((len(sequences) - 1, d))
+                scales[value] = _real(
+                    float(value) if _JSON_FLOAT.fullmatch(value)
+                    else json.loads(value), "member log_scale")
+            if not texts:
+                texts.append(b"")
+            placement.append((len(texts) - 1, d))
             log_scales.append(scales[value])
-            if text.startswith(close, pos):
-                return decoded, pos + len(close)
-            if not text.startswith(",", pos):
+            if data.startswith(close, pos):
+                break
+            if not data.startswith(b",", pos):
                 return None
             pos += 1
+        sequences = [tuple(map(_j2c, json.loads(b"[" + text + b"]")))
+                     for text in texts]
     except ValueError:
         return None
+    return _Decoded((sequences, placement, log_scales)), pos + len(close)
 
 
 def _series_json(series: CoefficientSeries, members) -> dict:
@@ -345,22 +367,24 @@ def save_series(series: CoefficientSeries, path: str | Path) -> None:
 
 
 def load_series(path: str | Path) -> CoefficientSeries:
-    """Read a series file; a ValueError if it nests too deeply for the
-    parser's recursion."""
+    """Read a series file, UTF-8 JSON; a ValueError if it nests too deeply
+    for the parser's recursion."""
     try:
-        return series_from_json(_parse_series_text(Path(path).read_text()))
+        return series_from_json(_parse_series(Path(path).read_bytes()))
     except RecursionError:
         raise ValueError("series nests too deeply") from None
 
 
-def _parse_series_text(text: str):
-    """The JSON value of a series file's text.
+def _parse_series(data: bytes):
+    """The JSON value of a series file's bytes.
 
-    Each members list in save_series' own layout is decoded from the text
+    Each members list in save_series' own layout is decoded from the bytes
     (_decode_members) and replaced by an integer literal that opens with
     _PLACEHOLDER, which the one json.loads of the rest reads back as the
     decoded members; series_from_json then checks the whole as for any
     file.  Text in any other layout goes through json.loads as it is.
+    Only the rest is decoded from UTF-8, and the whole file where the rest
+    does not parse.
 
     In any text that json.loads accepts, '"members": [' is an object key
     and the list that is its value.  Each decoded list is a JSON list
@@ -369,25 +393,24 @@ def _parse_series_text(text: str):
     """
     kept, decoded = [], []
     at = find = 0
-    while (i := text.find(_MEMBERS_KEY + "[", find)) >= 0:
-        opens, line = i + len(_MEMBERS_KEY), i
-        while line and text[line - 1] == " ":
-            line -= 1
+    key, placeholder = (_MEMBERS_KEY + "[").encode(), _PLACEHOLDER.encode()
+    while (i := data.find(key, find)) >= 0:
+        opens, line = i + len(_MEMBERS_KEY), data.rfind(b"\n", 0, i) + 1
         # the layout indents the key by its level, on a line of its own
-        found = (_decode_members(text, opens, i - line)
-                 if line and text[line - 1] == "\n" else None)
+        found = (_decode_members(data, opens, i - line)
+                 if line and data.count(b" ", line, i) == i - line else None)
         if found is None:
             find = i + 1
             continue
-        kept.append(text[at:opens])
+        kept.append(data[at:opens])
         decoded.append(found[0])
         at = find = found[1]
-    kept.append(text[at:])
-    if not decoded or any(_PLACEHOLDER in piece for piece in kept):
-        return json.loads(text)
+    kept.append(data[at:])
+    if not decoded or any(placeholder in piece for piece in kept):
+        return json.loads(data.decode())
     # the space ends the literal whatever follows the list
-    rest = "".join(piece + f"{_PLACEHOLDER}{k} "
-                   for k, piece in enumerate(kept[:-1])) + kept[-1]
+    rest = b"".join(piece + b"%s%d " % (placeholder, k)
+                    for k, piece in enumerate(kept[:-1])) + kept[-1]
 
     def parse_int(literal: str):
         if literal.startswith(_PLACEHOLDER):
@@ -395,10 +418,10 @@ def _parse_series_text(text: str):
         return int(literal)
 
     try:
-        return json.loads(rest, parse_int=parse_int)
-    except json.JSONDecodeError:
+        return json.loads(rest.decode(), parse_int=parse_int)
+    except ValueError:
         # the file is malformed too; report where in the file
-        return json.loads(text)
+        return json.loads(data.decode())
 
 
 def map_sidecar(cmap: ConvergenceMap) -> dict:
@@ -447,8 +470,8 @@ def load_decomposition(outdir: str | Path) -> Decomposition:
     and no other file; checksums are verified before any mask is parsed.
     """
     outdir = Path(outdir)
-    manifest = _object(json.loads((outdir / "manifest.json").read_text()),
-                       "manifest")
+    manifest = _object(json.loads((outdir / "manifest.json").read_text(
+        encoding="utf-8")), "manifest")
     n_max = manifest.get("n_max")
     if type(n_max) is not int or n_max < 1:
         raise ValueError(f"n_max must be a positive integer, got {n_max!r}")

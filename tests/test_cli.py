@@ -15,7 +15,8 @@ import numpy as np
 import pytest
 
 from sigmaconv import (COMPACT, DEFAULT_M, DEFAULT_N, ConvergenceMap, Grid,
-                       PointSequence, RegionMask, ResolutionWarning, Verdict,
+                       PointSequence, RegionMask, ResolutionWarning,
+                       RootPolynomial, Verdict, block_series,
                        countable_set_series, default_b, interleave,
                        load_series, read_map_pgm, read_mask_pgm, save_series,
                        shapes, write_mask_pgm)
@@ -1058,6 +1059,38 @@ def test_cli_process_exit_code_on_usage_error(tmp_path):
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60)
     assert run.returncode == 1
     assert run.stderr == "error: unrecognized arguments: --N 5\n"
+
+
+def test_inputs_decode_as_utf8_under_a_c_locale(tmp_path):
+    """A scene file and a series file are UTF-8 whatever the locale: under
+    the C locale, with neither locale coercion nor UTF-8 mode, a scene
+    whose comment holds a non-ASCII letter runs, and a series whose
+    description is raw UTF-8 loads."""
+    (tmp_path / "s.txt").write_bytes(
+        "# \u03c3 scene\ngrid 16x16\nbox -2 -2 2 2\ntarget disk 0 0 0.8\n"
+        .encode())
+    series = block_series([RootPolynomial((0.5j,), 0.25)], [1], 0.0,
+                          "\u03c3 series")
+    save_series(series, tmp_path / "series.json")
+    data = (tmp_path / "series.json").read_bytes()
+    assert b"\\u03c3" in data  # json.dumps escapes it; a hand edit need not
+    (tmp_path / "series.json").write_bytes(
+        data.replace(b"\\u03c3", "\u03c3".encode()))
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src), "LC_ALL": "C",
+           "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
+    env.pop("PYTHONIOENCODING", None)
+    run = subprocess.run(
+        [sys.executable, "-m", "sigmaconv.cli", "hull", "s.txt", "--out",
+         "out"], cwd=tmp_path, env=env, capture_output=True, timeout=60)
+    assert (run.returncode, run.stderr) == (0, b"")
+    check = ("import locale, sys; from sigmaconv import load_series; "
+             "assert locale.getpreferredencoding(False) != 'UTF-8'; "
+             "sys.exit(load_series('series.json').description "
+             "!= '\\u03c3 series')")
+    run = subprocess.run([sys.executable, "-c", check], cwd=tmp_path,
+                         env=env, capture_output=True, timeout=60)
+    assert (run.returncode, run.stderr) == (0, b"")
 
 
 # ------------------------------------------------------------ corruption

@@ -248,12 +248,13 @@ def box_cases(cases, grids=(None,)):
 
 def leja_steps(K, box, count):
     """The points and log sups of the first ``count`` _leja_steps over
-    ``box``, and a copy of the running sum after the last of them."""
+    ``box``, and a copy of the running sum after the last of them, in the
+    box's shape."""
     points, sups = [], []
-    for z, sup, total in itertools.islice(_leja_steps(K, box), count):
+    for z, sup, sums in itertools.islice(_leja_steps(K, box), count):
         points.append(z)
         sups.append(sup)
-    return tuple(points), sups, total.copy()
+    return tuple(points), sups, sums.rect.copy()
 
 
 @pytest.mark.parametrize("n,far,shape,count,saturated", box_cases([
@@ -600,20 +601,37 @@ def reference_family(K, target, m, cap):
     return family(members), d
 
 
-def matches_reference(K, stages, cap):
+def first_reached(family, target, m):
+    """Per target cell (flat order), the least member degree whose
+    polynomial reaches log m there, math.inf where none does: the degree
+    at which the stage's family reaches the cell."""
+    first = np.full(target.count(), math.inf)
+    zs = target.cell_centers()
+    for p in family.members:
+        reached = np.asarray(p.log_abs(zs)) >= math.log(m)
+        first[reached] = np.minimum(first[reached], p.degree)
+    return first
+
+
+def matches_reference(K, stages, cap, compacts=None):
     """The lockstep families equal reference_family stage by stage, and
-    the group reads one root-log row for each degree it tries: the box
-    over the rectangle that bounds K and the targets, and no other row,
-    none past the last degree tried or a saturated sequence; returns the
-    group."""
+    the group reads one root-log row for each degree it tries, none past
+    the last degree tried or a saturated sequence: the box over the
+    rectangle that bounds K and the targets, up to the first compaction,
+    then the index row over the cells it keeps, gathered from the offset
+    table or, without one, direct.  Each index row keeps K's cells and
+    every target cell a running stage still needs, and lies within the
+    row before it.  With ``compacts`` set, whether the group compacted
+    its row must be that; returns the group."""
     reads = []
 
     def spy(name):
         method = getattr(_RootLogRow, name)
 
-        def read(self, root, *args, **kwargs):
-            reads.append((name, *args))
-            return method(self, root, *args, **kwargs)
+        def read(self, root, *args):
+            reads.append((name, *args) if name == "box"
+                         else (name, self.cells.copy()))
+            return method(self, root, *args)
         return read
 
     with pytest.MonkeyPatch.context() as patch:
@@ -622,15 +640,37 @@ def matches_reference(K, stages, cap):
         sequence, group = _separating_families(chain(K, stages), cap)
     assert len(group) == len(stages)
     assert_members_on_sequence(sequence, group)
-    tried = 0
+    tried, needs = 0, []
     for got, (_, _, target, m) in zip(group, stages):
         reference, degrees = reference_family(K, target, m, cap)
         assert_same_family(got, reference)
         tried = max(tried, degrees)
-    # a one-cell K tries no degree, so only multi-cell stages read a box
+        # the target cells the stage still needs at each degree it tries
+        first = first_reached(reference, target, m)
+        cells = np.flatnonzero(target.bits)
+        needs += [(degrees, first, cells)] * (degrees > 0)
+    # a one-cell K tries no degree, so only multi-cell stages read a row
+    assert len(reads) == tried
     box = rectangle(np.logical_or.reduce(
         [K.bits, *(target.bits for _, _, target, _ in stages)]))
-    assert reads == [("box", *box)] * tried
+    boxed = sum(read[0] == "box" for read in reads)
+    assert reads[:boxed] == [("box", *box)] * boxed
+    kind = "direct" if _offset_logs(K.grid) is None else "gather"
+    width, row = K.grid.width, None
+    for d, (name, cells) in enumerate(reads[boxed:], start=boxed + 1):
+        assert name == kind
+        if row is None:
+            rows, cols = box
+            row = (np.arange(rows.start, rows.stop)[:, None] * width
+                   + np.arange(cols.start, cols.stop)).ravel()
+        assert np.isin(cells, row).all() and (np.diff(cells) > 0).all()
+        assert np.isin(np.flatnonzero(K.bits), cells).all()
+        for degrees, first, target in needs:
+            if d <= degrees:
+                assert np.isin(target[first >= d], cells).all()
+        row = cells
+    if compacts is not None:
+        assert (boxed < len(reads)) is compacts
     return group
 
 
@@ -784,6 +824,79 @@ def test_family_reaches_a_cell_whose_root_sum_equals_the_threshold():
     group = matches_reference(K, [("", U, target, 1)], 4)
     assert [p.degree for p in group[0].members] == [1]
     assert group[0].uncovered.is_empty()
+
+
+def two_disks_and_points(n):
+    """The hull of two disks and three points on the n x n grid of box
+    -2..2, as a sigma scene's E, and compact_set_series' stages for
+    m = 1..8 around it."""
+    g = Grid.from_box(-2.0, -2.0, 2.0, 2.0, n, n)
+    K = polynomial_hull(rasterize_scene(
+        [(1, shapes.Disk(-0.7, 0.0, 0.35)), (1, shapes.Disk(0.7, 0.0, 0.35)),
+         (1, shapes.Points((1.2j, -1.1 - 1.2j, 1.3 - 1.3j)))], g,
+        kind=COMPACT))
+    return K, shell_stages(K, range(1, 9))
+
+
+def compacting_case(n, case):
+    """(K, stages, cap) of a group that compacts its row: the shells of
+    two disks and points; a three-point K whose sequence saturates at
+    degree 3, after the row has left its box; or a stage at m = 1, where
+    the threshold is the norm itself, beside one at m = 4."""
+    g = Grid.from_box(-2.0, -2.0, 2.0, 2.0, n, n)
+    if case == "shells":
+        return (*two_disks_and_points(n), 64)
+    if case == "saturating":
+        K = rasterize_scene([(1, THREE_POINTS)], g, kind=COMPACT)
+        U = neighborhood(K, 0.2)
+        disk = rasterize_scene([(1, shapes.Disk(0.0, 0.0, 1.9))], g,
+                               kind=COMPACT)
+        far = rasterize_scene([(1, shapes.Disk(1.4, 1.4, 0.15))], g,
+                              kind=COMPACT)
+        return K, [("", U, disk.difference(U, kind=OPEN), 2),
+                   ("", U, far, 1000)], 16
+    K = polynomial_hull(rasterize_scene([(1, shapes.Disk(0.3, 0.0, 0.5))],
+                                        g, kind=COMPACT))
+    U = neighborhood(K, 0.2)
+    shell = RegionMask(g, distance_to(K) > 0.2, OPEN)
+    return K, [("", U, shell, 1), ("", U, shell, 4)], 32
+
+
+@pytest.mark.parametrize("n", ROW_GRIDS)
+@pytest.mark.parametrize("case", ["shells", "saturating", "m1"])
+def test_families_compact_their_row_and_match_reference(n, case):
+    K, stages, cap = compacting_case(n, case)
+    group = matches_reference(K, stages, cap, compacts=True)
+    if case == "saturating":
+        assert len(leja_points(K, cap)) == 3
+        assert all(not f.uncovered.is_empty() for f in group)
+
+
+def test_family_rows_read_under_half_the_fixed_box():
+    """On the shells of two disks and points at 64 x 64, the rows a
+    group reads hold under half the cells of reading its box at every
+    degree: the rows shrink to the cells still in play."""
+    K, stages = two_disks_and_points(64)
+    read = []
+
+    def spy(name):
+        method = getattr(_RootLogRow, name)
+
+        def counted(self, root, *args):
+            out = method(self, root, *args)
+            read.append(out.size)
+            return out
+        return counted
+
+    with pytest.MonkeyPatch.context() as patch:
+        for name in ("box", "gather", "direct"):
+            patch.setattr(_RootLogRow, name, spy(name))
+        _separating_families(chain(K, stages), 64)
+    rows, cols = rectangle(np.logical_or.reduce(
+        [K.bits, *(target.bits for _, _, target, _ in stages)]))
+    box = (rows.stop - rows.start) * (cols.stop - cols.start)
+    assert len(read) > 1 and read[0] == box
+    assert sum(read) < 0.5 * box * len(read)
 
 
 @settings(max_examples=300, deadline=None)

@@ -548,6 +548,53 @@ def test_the_text_decoder_reads_what_json_loads_reads(tmp_path, old, new):
         lambda: series_from_json(json.loads(path.read_text())))
 
 
+def test_the_text_decoder_parses_each_sequence_once(tmp_path, monkeypatch):
+    # one json.loads per stored sequence and one for the rest of the file;
+    # every log_scale is a float the decoder reads without one
+    series = sigma_series()
+    save_series(series, tmp_path / "s.json")
+    calls = []
+    loads = json.loads
+    monkeypatch.setattr(json, "loads",
+                        lambda text, **kw: calls.append(text) or loads(
+                            text, **kw))
+    _refuse_json_path(monkeypatch)
+    loaded = load_series(tmp_path / "s.json").structure
+    assert len(loaded.sequences) > 1
+    assert len(calls) == len(loaded.sequences) + 1
+    assert list(map(repr, loaded.sequences)) == list(map(
+        repr, series.structure.sequences))
+    assert loaded.placement.tolist() == series.structure.placement.tolist()
+    assert loaded.log_scales.tobytes() == series.structure.log_scales.tobytes()
+
+
+def _growing_series_text(tmp_path):
+    # each member extends the one before by one root
+    a, b, c = 0.5 + 1j, -0.25 + 0.75j, 1.5 - 2j
+    series = block_series([RootPolynomial((a,), 0.125),
+                           RootPolynomial((a, b), -0.5),
+                           RootPolynomial((a, b, c), -0.25)], [3], 0.0,
+                          "grow")
+    save_series(series, tmp_path / "s.json")
+    return (tmp_path / "s.json").read_text()
+
+
+@pytest.mark.parametrize("old,new,message", [
+    # the root the last member adds to the running sequence
+    ("-2.0\n", '"x"\n', "expected an [re, im] pair, got [1.5, 'x']"),
+    ("-0.25\n  }", "1e400\n  }", "member log_scale is inf"),
+])
+def test_a_malformed_value_of_a_growing_sequence_is_rejected(
+        tmp_path, old, new, message):
+    path = tmp_path / "s.json"
+    path.write_text(_tamper_last_member(_growing_series_text(tmp_path), old,
+                                        new))
+    with pytest.raises(ValueError, match=re.escape(message)):
+        series_from_json(json.loads(path.read_text()))
+    with pytest.raises(ValueError, match=re.escape(message)):
+        load_series(path)
+
+
 def test_an_integer_that_opens_like_a_decoded_list_is_read_as_one(tmp_path):
     path = tmp_path / "s.json"
     big = int(serialize._PLACEHOLDER + "0")

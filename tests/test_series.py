@@ -438,6 +438,30 @@ def test_block_tail_sup_screen_is_bit_identical_to_the_per_order_loop(data):
     assert got.tobytes() == want.tobytes()
 
 
+_NO = -math.inf
+
+
+@pytest.mark.parametrize("even,odd", [
+    ([0.0, -5e-324], [_NO, _NO]), ([_NO, _NO], [0.0, -5e-324]),
+    ([0.0, -5e-324, 0.0], [_NO] * 3), ([_NO] * 3, [0.0, -5e-324, 0.0]),
+    ([-5e-324, 0.0, -5e-324], [_NO] * 3),
+    ([_NO] * 3, [-5e-324, 0.0, -5e-324]),
+    ([_NO, -5e-324], [0.0, _NO]),  # the odd child's zero comes first
+])
+def test_a_zero_tail_sup_takes_the_sign_of_its_first_zero_order(even, odd):
+    # as an interleave child, a scale of -5e-324 at order m gives
+    # fl(m x) / 2m or / (2m + 1) = -0.0, and a scale of 0.0 gives +0.0;
+    # the order-by-order max keeps the first zero's sign
+    F = construct.interleave(*(construct.block_series_from_tables(
+        [()], [(0, 0)] * len(scales), scales, [len(scales)], 0.0, "zeros")
+        for scales in (even, odd)))
+    zs = np.zeros(2, dtype=complex)
+    got = F.structure.tail_sup(zs, 2, F.max_supported_n)
+    want = _per_order_sup(F, zs, 2, F.max_supported_n)
+    assert got.tobytes() == want.tobytes()
+    assert want[0] == 0
+
+
 def test_block_tail_sup_keeps_a_group_one_ulp_below_the_top():
     # x = s at order 6 and x = s + 1 ulp at order 29, so the second group's
     # x is the largest; yet fl(6 s) / 6 rounds up to s + 1 ulp, and
