@@ -75,25 +75,32 @@ def _offset_logs(grid: Grid) -> np.ndarray | None:
 class _RootLogRow:
     """row(root): log|z - r| over a set of cells z, for one root r.
 
-    The cells are the centres of all a grid's cells, in grid shape, or
-    else the points z, in z's shape; row[keep] is the row over part of
-    them.  row.locate(roots) names each root that is exactly a cell centre
-    of a grid with an _offset_logs table by that cell's flat index, and
-    row(root) gathers such a root's row from the table by the cells' keys
-    j (2W - 1) + i.  Every other root, a complex, takes _log_abs(z - r).
-    row.box(root, rows, cols) is the row over a rectangle of a grid's
-    cells, for a root at a flat cell index: a view of the table's
-    (2H - 1) x (2W - 1) rectangle of their offsets from the root, or else
-    _log_abs(centres[rows, cols] - r).  Either way the same complex values
-    pass the same abs and log, so the bits agree.
+    The cells are the centres of all a grid's cells, a rectangle row in
+    grid shape, or else the points z, in z's shape.  row[keep] is the row
+    over part of them, flat: at a slice, mask or index array, or, on a
+    rectangle row, at a pair of slices (rows, cols), which gives the
+    rectangle row over those cells in that shape.  A grid row's ``cells``
+    hold its flat grid indices, in grid order.
+
+    A root is a complex, or the flat index of a grid cell, which stands
+    for that cell's centre; row.locate(roots) names each root that is
+    exactly a cell centre of the row's grid by that index.  Each root
+    takes one of three reads, all of the same complex values through the
+    same abs and log, so their bits agree:
+    * a complex root, or any root off an _offset_logs table, takes
+      row.direct, _log_abs(z - r);
+    * a cell root of an index row on a table takes row.gather, a take
+      from the table by the cells' keys j (2W - 1) + i;
+    * a cell root of a rectangle row on a table also takes row.gather, a
+      view of the table's rectangle of the cells' offsets from the root,
+      in the rectangle's shape; the other reads are flat.
 
     Its users: the running sum of _leja_steps (_LejaSum), over the
-    rectangle of K and the stage targets (row.box) and then over the
-    index row of the cells still in play (row[cells], gathered or
-    direct), and the tail sups of both series structures: _top_screen
-    and _table_sup for product series, and BlockStructure.tail_sup,
-    directly or as an interleave's child.  conv_map and level_set hand
-    those their grid.
+    rectangle of K and the stage targets and then over the index row of
+    the cells still in play, and the tail sups of both series
+    structures: _top_screen and _table_sup for product series, and
+    BlockStructure.tail_sup, directly or as an interleave's child.
+    conv_map and level_set hand those their grid.
     """
 
     def __init__(self, z: Grid | np.ndarray):
@@ -119,21 +126,25 @@ class _RootLogRow:
             self.grid.width - 1)
 
     def __getitem__(self, keep) -> "_RootLogRow":
-        """The row over the cells at ``keep`` (a slice, mask or index
-        array), flat."""
+        """The row over the cells at ``keep``: a slice, mask or index
+        array, flat, or a pair of slices, a rectangle in its shape."""
+        shape = None
+        if isinstance(keep, tuple):
+            keep = np.arange(self.size).reshape(self.shape)[keep]
+            shape, keep = keep.shape, keep.ravel()
         part = copy.copy(self)
         for name in ("cells", "keys", "points"):
             if self.__dict__.get(name) is not None:
                 setattr(part, name, self.__dict__[name][keep])
-        part.shape = (part.points if part.cells is None else part.cells).shape
-        part.size = part.shape[0]
+        flat = part.points if part.cells is None else part.cells
+        part.shape, part.size = shape or flat.shape, flat.size
         return part
 
     def locate(self, roots) -> list[int | complex]:
-        """Each root as the flat index of the cell whose centre it is, if
-        the row reads a table, else as a complex."""
+        """Each root as the flat index of the grid cell whose centre it
+        is, else as a complex."""
         roots = np.asarray(roots, dtype=complex)
-        if self.table is None:
+        if self.grid is None:
             return roots.tolist()
         z, at = self.grid.centers(), []
         for axis, part in ((z[0].real, roots.real),
@@ -159,6 +170,8 @@ class _RootLogRow:
                  out: np.ndarray | None = None) -> np.ndarray:
         if isinstance(root, complex):
             return self.direct(root, out)
+        if self.table is None:
+            return self.direct(self.grid.centers().flat[root], out)
         return self.gather(root, out)
 
     def direct(self, root: complex,
@@ -166,23 +179,18 @@ class _RootLogRow:
         return _log_abs(self.points - root, out)
 
     def gather(self, root: int, out: np.ndarray | None = None) -> np.ndarray:
+        """The row from the table, for the root at a flat cell index: on a
+        rectangle row, a view in its shape, which leaves ``out`` be."""
         w, h = self.grid.width, self.grid.height  # start = mid - key(root)
+        if len(self.shape) == 2:  # from the offset of its first cell
+            (j, i), (rj, ri) = divmod(int(self.cells[0]), w), divmod(root, w)
+            j, i = j - rj + h - 1, i - ri + w - 1
+            return self.table.reshape(2 * h - 1, 2 * w - 1)[
+                j:j + self.shape[0], i:i + self.shape[1]]
         start = (h - 1) * (2 * w - 1) + w - 1 - root - root // w * (w - 1)
         # the keys are in range by construction; "clip" skips the checked
         # copy that "raise" makes into out
         return self.table[start:].take(self.keys, out=out, mode="clip")
-
-    def box(self, root: int, rows: slice, cols: slice) -> np.ndarray:
-        """The row over the grid's cells [rows, cols], in that shape, for
-        the root at a flat cell index."""
-        w, h = self.grid.width, self.grid.height
-        if self.table is None:
-            z = self.grid.centers()
-            return _log_abs(z[rows, cols] - z.flat[root])
-        j, i = divmod(root, w)
-        return self.table.reshape(2 * h - 1, 2 * w - 1)[
-            rows.start + h - 1 - j:rows.stop + h - 1 - j,
-            cols.start + w - 1 - i:cols.stop + w - 1 - i]
 
 
 @dataclass(frozen=True)
@@ -524,85 +532,66 @@ _KEEP_SHARE = 0.25
 
 
 class _LejaSum:
-    """The running root-log sum of _leja_steps over a row of cells of K's
-    grid, flat, in the grid's order: total holds the sum of log|z - r|
-    over the sequence's points r so far, on_k marks K's cells, at the
-    positions ``inside``.
-
-    The row starts as a rectangle ``box`` of the grid that holds K, to
-    which each point adds a _RootLogRow.box read.  keep(mask) shrinks it
-    to the cells at mask, K's among them, and each point then adds the
-    index row ``row``, _RootLogRow(grid)[cells]: a gather from the grid's
-    offset table, or direct logs where it has none.  The same complex
-    values pass the same abs and log in every form of the row, so a
-    cell's sum has the same bits in each.
+    """The running root-log sum of _leja_steps over a _RootLogRow ``row``
+    of cells of K's grid, flat, in the grid's order: total holds the sum
+    of log|z - r| over the sequence's points r so far, on_k marks K's
+    cells, at the positions ``inside``.  keep(mask) shrinks all four to
+    the cells at mask, K's among them.
     """
 
-    def __init__(self, K: RegionMask, box: tuple[slice, slice]):
-        self.grid, self.box, self.row = K.grid, box, None
-        self.on_k = K.bits[box].ravel()
+    def __init__(self, K: RegionMask, row: _RootLogRow):
+        self.row = row
+        self.on_k = K.bits.ravel()[row.cells]
         self.inside = np.flatnonzero(self.on_k)
-        self.total = np.zeros(self.on_k.size)
-        self.rect = self.total.reshape(K.bits[box].shape)  # a view
+        self.total = np.zeros(row.size)
 
     def keep(self, mask: np.ndarray) -> None:
         """Shrink the row to the cells at ``mask``, which holds K's."""
-        if self.row is None:
-            rows, cols = self.box
-            j, i = np.divmod(np.flatnonzero(mask), self.rect.shape[1])
-            self.row = _RootLogRow(self.grid)[
-                (j + rows.start) * self.grid.width + i + cols.start]
-        else:
-            self.row = self.row[mask]
-        self.total, self.on_k = self.total[mask], self.on_k[mask]
+        self.row, self.total = self.row[mask], self.total[mask]
+        self.on_k = self.on_k[mask]
         self.inside = np.flatnonzero(self.on_k)
 
-    def put(self, mask: np.ndarray, out: np.ndarray) -> None:
-        """Write a mask over the row into ``out``, in the grid's shape."""
-        if self.row is None:
-            out[self.box] = mask.reshape(self.rect.shape)
-        else:
-            out.ravel()[self.row.cells] = mask  # a view: out is C order
 
-
-def _leja_steps(K: RegionMask, box: tuple[slice, slice]
+def _leja_steps(K: RegionMask, row: _RootLogRow
                 ) -> Iterator[tuple[complex, float, _LejaSum]]:
     """For d = 1, 2, ...: Leja point d of a non-empty K, its log sup over
     K, and the running root-log sum of points 1..d (_LejaSum, one object
-    added to in place) over the cells [box] of K's grid, a rectangle that
-    holds K, or the cells its consumer keeps of them.
+    added to in place) over ``row``, a row of K's grid that holds K's
+    cells, or the cells its consumer keeps of them.  Each point adds the
+    row's read of its cell: a rectangle row's comes in the rectangle's
+    shape, which the flat sum takes as a view.
 
     Point 1 maximizes |z| over K's cell centres, and point d + 1 the sum
     after d points over K's cells, ties going to the lowest flat index;
     that sum's max is the log sup of prod_{i<=d} |z - z_i| over them.
     The steps stop after yielding a -inf sup: every K cell is then a
     point."""
-    full, sums, zs = _RootLogRow(K.grid), _LejaSum(K, box), K.cell_centers()
+    sums, zs = _LejaSum(K, row), K.cell_centers()
     cells = np.flatnonzero(K.bits)
     k = int(np.argmax(np.abs(zs)))
     while True:
-        cell, z = int(cells[k]), complex(zs[k])
-        if sums.row is None:
-            sums.rect += full.box(cell, *box)
-        else:
-            sums.total += sums.row(z if sums.row.table is None else cell)
+        term = sums.row(int(cells[k]))
+        total = sums.total.reshape(term.shape)  # a view
+        total += term
         on_k = sums.total.take(sums.inside)
         nxt = int(np.argmax(on_k))
-        yield z, float(on_k[nxt]), sums
+        yield complex(zs[k]), float(on_k[nxt]), sums
         if on_k[nxt] == -np.inf:
             return
         k = nxt
 
 
 def leja_points(K: RegionMask, count: int) -> PointSequence:
-    """The first ``count`` Leja points of K (_leja_steps over K's own
-    box), fewer if the sequence saturates first: every K cell a point."""
+    """The first ``count`` Leja points of K (_leja_steps over the
+    rectangle row of K's bounding box), fewer if the sequence saturates
+    first: every K cell a point."""
     if K.is_empty():
         raise ValueError("leja_points requires a non-empty mask")
     if count < 1:
         raise ValueError("count must be >= 1")
+    row = _RootLogRow(K.grid)[_rectangle(K)]
     return PointSequence(tuple(
-        z for z, _, _ in islice(_leja_steps(K, _rectangle(K)), count)))
+        z for z, _, _ in islice(_leja_steps(K, row), count)))
 
 
 @dataclass
@@ -668,11 +657,11 @@ def _separating_families(
     cells go into the uncovered report.
 
     Multi-cell stages share one Leja sequence and its running root-log
-    sum (_leja_steps), which grows only while some stage runs, over a row
-    that starts as the rectangle that bounds K and their targets.  Each
-    stage keeps its own level m, ``need`` mask over the row (the target
-    cells it has not reached yet) and their count, and leaves the loop
-    once it has reached them all.  Its normalized polynomial reaches
+    sum (_leja_steps), which grows only while some stage runs, over a
+    _RootLogRow that starts as the rectangle row that bounds K and their
+    targets.  Each stage keeps its own level m, ``need`` mask over the
+    row (the target cells it has not reached yet) and their count, and
+    leaves the loop once it has reached them all.  Its normalized polynomial reaches
     log m where fl(sum - norm) >= log m, that is where
     sum >= _sum_threshold(norm, log m), one comparison per cell.  After a
     degree that reaches cells, once K's cells and the union of the
@@ -680,7 +669,9 @@ def _separating_families(
     and every mask keep only those cells (_LejaSum.keep).  The stage
     tests, the masks, K's positions and the Leja argmax read the one flat
     row, whose order is the grid's, and the logs are elementwise, so each
-    family is the one its stage alone would get, bit for bit.
+    family is the one its stage alone would get, bit for bit.  A stage
+    still running at the end writes its need into its uncovered report
+    at the row's cells.
     """
     K = stages[0][1]
     for i, (label, _, U, target, m) in enumerate(stages):
@@ -730,7 +721,8 @@ def _separating_families(
         left = {i: np.count_nonzero(need[i]) for i in live}
         hit = np.empty(need[live[0]].size, dtype=bool)
         points: list[complex] = []
-        for point, norm, sums in islice(_leja_steps(K, box), degree_cap):
+        for point, norm, sums in islice(
+                _leja_steps(K, _RootLogRow(grid)[box]), degree_cap):
             if norm == -np.inf:
                 break  # every K cell is a root; higher degrees are identically 0
             points.append(point)
@@ -761,8 +753,8 @@ def _separating_families(
                     for i in live:
                         need[i] = need[i][still]
                     hit = np.empty(sums.total.size, dtype=bool)
-        for i in live:
-            sums.put(need[i], uncovered[i])
+        for i in live:  # a view: uncovered[i] is C order
+            uncovered[i].ravel()[sums.row.cells] = need[i]
 
     return sequence, [SeparatingFamily(found, RegionMask(grid, bits, OPEN))
                       for found, bits in zip(members, uncovered)]

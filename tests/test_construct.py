@@ -1,6 +1,7 @@
 """Constructed series: countable-set products, interleaving, separating
 families, powered block series, and the greedy dense enumeration."""
 
+import contextlib
 import dataclasses
 import functools
 import itertools
@@ -219,7 +220,7 @@ ROW_GRIDS = [48, 64]
 
 def rectangle(bits):
     """The rows and columns of the bounding box of the true cells, as the
-    slices a _RootLogRow.box read takes."""
+    pair of slices that gives a _RootLogRow's rectangle row."""
     rows, cols = np.flatnonzero(bits.any(axis=1)), np.flatnonzero(
         bits.any(axis=0))
     return slice(rows[0], rows[-1] + 1), slice(cols[0], cols[-1] + 1)
@@ -246,15 +247,43 @@ def box_cases(cases, grids=(None,)):
         for n in grids for far in (False, True)]
 
 
+@contextlib.contextmanager
+def row_reads(record):
+    """Within the block, each _RootLogRow read, a gather or a direct one,
+    calls record(name, row, result)."""
+    def spy(name):
+        method = getattr(_RootLogRow, name)
+
+        def read(self, root, *args):
+            out = method(self, root, *args)
+            record(name, self, out)
+            return out
+        return read
+
+    with pytest.MonkeyPatch.context() as patch:
+        for name in ("gather", "direct"):
+            patch.setattr(_RootLogRow, name, spy(name))
+        yield
+
+
+def grid_cells(grid, box):
+    """The flat grid indices of the cells [box] of ``grid``, in grid
+    order."""
+    return np.arange(grid.width * grid.height).reshape(
+        grid.height, grid.width)[box].ravel()
+
+
 def leja_steps(K, box, count):
-    """The points and log sups of the first ``count`` _leja_steps over
-    ``box``, and a copy of the running sum after the last of them, in the
-    box's shape."""
+    """The points and log sups of the first ``count`` _leja_steps over the
+    rectangle row of ``box``, and a copy of the running sum after the last
+    of them, in the box's shape.  The sum stays over the box's cells."""
     points, sups = [], []
-    for z, sup, sums in itertools.islice(_leja_steps(K, box), count):
+    row = _RootLogRow(K.grid)[box]
+    for z, sup, sums in itertools.islice(_leja_steps(K, row), count):
         points.append(z)
         sups.append(sup)
-    return tuple(points), sups, sums.rect.copy()
+    assert np.array_equal(sums.row.cells, grid_cells(K.grid, box))
+    return tuple(points), sups, sums.total.reshape(sums.row.shape).copy()
 
 
 @pytest.mark.parametrize("n,far,shape,count,saturated", box_cases([
@@ -337,17 +366,26 @@ def test_leja_points_match_the_reference(n, far, shape, count):
 def test_root_log_rows_gather_from_the_offset_table_on_exact_grids(box, n,
                                                                    table):
     g = Grid.from_box(*box, n, n)
-    row = _RootLogRow(g)[np.arange(n * n)]
+    full = _RootLogRow(g)
+    row = full[np.arange(n * n)]
     assert (row.table is not None) is table
     if table:
         assert row.table.nbytes == 8 * (2 * n - 1) ** 2
     cells = [0, n * n - 1, n * (n // 2) + 3]
     roots = row.locate(g.centers().ravel()[cells])
-    # a table names each centre by its cell, and without one it stays put
-    assert roots == (cells if table else g.centers().ravel()[cells].tolist())
-    for cell, root in zip(cells, roots):
-        assert same_bits(row(root), _log_abs(g.centers().ravel()
-                                             - g.centers().flat[cell]))
+    # every grid names each centre by its cell
+    assert roots == cells
+    reads = []
+    with row_reads(lambda name, _, __: reads.append(name)):
+        for cell, root in zip(cells, roots):
+            assert same_bits(row(root), _log_abs(g.centers().ravel()
+                                                 - g.centers().flat[cell]))
+            # the whole grid's row is its rectangle, in grid shape
+            assert full.shape == (n, n)
+            assert same_bits(np.reshape(full(root), full.shape),
+                             _log_abs(g.centers() - g.centers().flat[cell]))
+    # a cell root is gathered from the table, or else read directly
+    assert reads == ["gather" if table else "direct"] * (2 * len(cells))
 
 
 COORDS = st.one_of(st.sampled_from([-2.0, -1.0, -0.5, 0.0, 0.75]),
@@ -356,13 +394,22 @@ PIXELS = st.one_of(st.sampled_from([2.0 ** -k for k in range(-1, 8)]),
                    st.floats(1e-3, 2.0))
 
 
+def rectangle_of(h, w, rect):
+    """The rows and columns of a non-empty rectangle of an h x w grid, from
+    four non-negative draws: its first row and column, and its extents."""
+    j, dj, i, di = rect
+    j, i = j % h, i % w
+    return slice(j, j + 1 + dj % (h - j)), slice(i, i + 1 + di % (w - i))
+
+
 @settings(max_examples=200, deadline=None)
 @given(x0=COORDS, y0=COORDS, pixel=PIXELS, w=st.integers(2, 12),
-       h=st.integers(2, 12), seed=st.integers(0, 2 ** 32 - 1))
-@example(x0=-2.0, y0=-2.0, pixel=0.5, w=2, h=2, seed=0)
-@example(x0=-1.3, y0=-0.7, pixel=0.1, w=7, h=3, seed=1)
+       h=st.integers(2, 12), seed=st.integers(0, 2 ** 32 - 1),
+       rect=st.tuples(*[st.integers(0, 143)] * 4))
+@example(x0=-2.0, y0=-2.0, pixel=0.5, w=2, h=2, seed=0, rect=(0, 1, 0, 1))
+@example(x0=-1.3, y0=-0.7, pixel=0.1, w=7, h=3, seed=1, rect=(1, 0, 2, 3))
 def test_root_log_row_is_bit_identical_to_the_direct_row(x0, y0, pixel, w,
-                                                         h, seed):
+                                                         h, seed, rect):
     g = Grid(complex(x0, y0), pixel, w, h)
     centres, rng = g.centers().ravel(), np.random.default_rng(seed)
     # the four corners give the offsets +-(W - 1) and +-(H - 1); each root
@@ -372,14 +419,38 @@ def test_root_log_row_is_bit_identical_to_the_direct_row(x0, y0, pixel, w,
     cells = np.union1d(np.flatnonzero(rng.random(w * h) < 0.5), roots)
     row = _RootLogRow(g)[cells]
     for _ in range(2):
-        for root, located in zip(roots, row.locate(centres[roots])):
-            got = row(located)
+        located = row.locate(centres[roots])
+        assert located == roots  # every grid names its centres by cell
+        for root in roots:
+            got = row(root)
             assert same_bits(got, _log_abs(centres[cells] - centres[root]))
+            assert same_bits(got, row.direct(complex(centres[root])))
             assert (got[cells == root] == -math.inf).all()
         keep = rng.random(cells.size) < 0.5
         row = row[keep]
         cells = cells[keep]
         assert np.array_equal(row.cells, cells)
+    # the rectangle row reads in its shape; each part of it is the index
+    # row over the same cells
+    box = rectangle_of(h, w, rect)
+    block = _RootLogRow(g)[box]
+    cells = grid_cells(g, box)
+    assert np.array_equal(block.cells, cells)
+    assert block.shape == centres.reshape(h, w)[box].shape
+    assert block.size == cells.size
+    for root in roots:
+        want = _log_abs(centres.reshape(h, w)[box] - centres[root])
+        assert same_bits(np.reshape(block(root), block.shape), want)
+        assert same_bits(np.reshape(block(complex(centres[root])),
+                                    block.shape), want)
+    for _ in range(2):
+        keep = rng.random(cells.size) < 0.5
+        part, index = block[keep], _RootLogRow(g)[cells[keep]]
+        assert np.array_equal(part.cells, index.cells)
+        assert part.shape == index.shape == (index.size,)
+        for root in roots:
+            assert same_bits(part(root), index(root))
+        block, cells = part, cells[keep]
 
 
 # ------------------------------------------------------------ families
@@ -616,27 +687,15 @@ def first_reached(family, target, m):
 def matches_reference(K, stages, cap, compacts=None):
     """The lockstep families equal reference_family stage by stage, and
     the group reads one root-log row for each degree it tries, none past
-    the last degree tried or a saturated sequence: the box over the
-    rectangle that bounds K and the targets, up to the first compaction,
-    then the index row over the cells it keeps, gathered from the offset
-    table or, without one, direct.  Each index row keeps K's cells and
+    the last degree tried or a saturated sequence, each gathered from the
+    offset table or, without one, direct: the rectangle row that bounds K
+    and the targets, up to the first compaction, then the index row over
+    the cells it keeps.  Each index row is ascending, keeps K's cells and
     every target cell a running stage still needs, and lies within the
     row before it.  With ``compacts`` set, whether the group compacted
     its row must be that; returns the group."""
     reads = []
-
-    def spy(name):
-        method = getattr(_RootLogRow, name)
-
-        def read(self, root, *args):
-            reads.append((name, *args) if name == "box"
-                         else (name, self.cells.copy()))
-            return method(self, root, *args)
-        return read
-
-    with pytest.MonkeyPatch.context() as patch:
-        for name in ("box", "gather", "direct"):
-            patch.setattr(_RootLogRow, name, spy(name))
+    with row_reads(lambda name, row, _: reads.append((name, row.cells))):
         sequence, group = _separating_families(chain(K, stages), cap)
     assert len(group) == len(stages)
     assert_members_on_sequence(sequence, group)
@@ -651,18 +710,15 @@ def matches_reference(K, stages, cap, compacts=None):
         needs += [(degrees, first, cells)] * (degrees > 0)
     # a one-cell K tries no degree, so only multi-cell stages read a row
     assert len(reads) == tried
-    box = rectangle(np.logical_or.reduce(
-        [K.bits, *(target.bits for _, _, target, _ in stages)]))
-    boxed = sum(read[0] == "box" for read in reads)
-    assert reads[:boxed] == [("box", *box)] * boxed
     kind = "direct" if _offset_logs(K.grid) is None else "gather"
-    width, row = K.grid.width, None
-    for d, (name, cells) in enumerate(reads[boxed:], start=boxed + 1):
-        assert name == kind
-        if row is None:
-            rows, cols = box
-            row = (np.arange(rows.start, rows.stop)[:, None] * width
-                   + np.arange(cols.start, cols.stop)).ravel()
+    assert all(name == kind for name, _ in reads)
+    row = grid_cells(K.grid, rectangle(np.logical_or.reduce(
+        [K.bits, *(target.bits for _, _, target, _ in stages)])))
+    boxed = 0
+    while boxed < len(reads) and np.array_equal(reads[boxed][1], row):
+        boxed += 1
+    assert boxed or not reads  # the first degree reads the rectangle
+    for d, (_, cells) in enumerate(reads[boxed:], start=boxed + 1):
         assert np.isin(cells, row).all() and (np.diff(cells) > 0).all()
         assert np.isin(np.flatnonzero(K.bits), cells).all()
         for degrees, first, target in needs:
@@ -809,8 +865,9 @@ def test_family_reaches_a_cell_whose_root_sum_equals_the_threshold():
     K = polynomial_hull(rasterize_scene([(1, shapes.Disk(0.5, 0.0, 0.4))],
                                         g, kind=COMPACT))
     U = neighborhood(K, 0.2)
-    (z, norm, _), = itertools.islice(_leja_steps(K, rectangle(K.bits)), 1)
     row, cells = _RootLogRow(g), np.flatnonzero(K.bits)
+    (z, norm, _), = itertools.islice(
+        _leja_steps(K, row[rectangle(K.bits)]), 1)
     r, = row.locate([z])  # the first Leja point's flat cell index
     jr, ir = divmod(r, g.width)
     jk, ik = divmod(int(cells[np.argmax(row[cells](r))]), g.width)
@@ -878,19 +935,7 @@ def test_family_rows_read_under_half_the_fixed_box():
     degree: the rows shrink to the cells still in play."""
     K, stages = two_disks_and_points(64)
     read = []
-
-    def spy(name):
-        method = getattr(_RootLogRow, name)
-
-        def counted(self, root, *args):
-            out = method(self, root, *args)
-            read.append(out.size)
-            return out
-        return counted
-
-    with pytest.MonkeyPatch.context() as patch:
-        for name in ("box", "gather", "direct"):
-            patch.setattr(_RootLogRow, name, spy(name))
+    with row_reads(lambda _, __, out: read.append(out.size)):
         _separating_families(chain(K, stages), 64)
     rows, cols = rectangle(np.logical_or.reduce(
         [K.bits, *(target.bits for _, _, target, _ in stages)]))
