@@ -13,11 +13,13 @@ import math
 
 import numpy as np
 
-from sigmaconv import (PointSequence, Verdict, classify_point, conv_map,
-                       countable_set_series, Grid, tail_window)
+from sigmaconv import (Verdict, classify_point, conv_map, countable_set_series,
+                       Grid, tail_window)
 
+# The points are any sequence of pairwise distinct numbers, here a list;
+# the series stores them as a tuple of complex.
 pts = [complex(a, b) / 3 for a in (-2, -1, 0, 1, 2) for b in (-1, 0, 1)]
-series = countable_set_series(PointSequence.from_points(pts))
+series = countable_set_series(pts)
 print(f"{len(pts)} prescribed points, coefficients up to order "
       f"{series.max_supported_n}")
 

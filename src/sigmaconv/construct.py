@@ -194,26 +194,6 @@ class _RootLogRow:
 
 
 @dataclass(frozen=True)
-class PointSequence:
-    """Ordered points."""
-
-    points: tuple[complex, ...]
-
-    @classmethod
-    def from_points(cls, pts) -> "PointSequence":
-        tup = tuple(complex(p) for p in pts)
-        if len(set(tup)) != len(tup):
-            raise ValueError("point sequence contains duplicate points")
-        return cls(tup)
-
-    def __len__(self) -> int:
-        return len(self.points)
-
-    def as_array(self) -> np.ndarray:
-        return np.array(self.points, dtype=complex)
-
-
-@dataclass(frozen=True)
 class RootPolynomial:
     """Polynomial given by roots and a log-scale: p(z) = e^s * prod (z - r)."""
 
@@ -238,13 +218,14 @@ class RootPolynomial:
         return total
 
 
-def gamma_table(points: PointSequence) -> tuple[np.ndarray, np.ndarray]:
-    """(gamma_n, log C_n) for n = 1..len(points)-1, with
-    log C_n = n * (log n - log gamma_n)."""
+def gamma_table(points: Sequence[complex]) -> tuple[np.ndarray, np.ndarray]:
+    """(gamma_n, log C_n) for n = 1..len(points)-1 of a sequence of
+    points, with log C_n = n * (log n - log gamma_n).  Raises ValueError
+    unless the points are pairwise distinct (0j and -0j are one point)."""
     # a running minimum of each new point's gaps to the earlier points is
     # exactly the pairwise minimum of the first n + 1 points, in O(n^2)
     # overall; tests/conftest.py's gamma_sequence takes it from scratch
-    pts = points.as_array()
+    pts = np.array(points, dtype=complex)
     n_max = len(pts) - 1
     gammas = np.empty(n_max)
     min_gap = math.inf
@@ -442,8 +423,10 @@ def countable_series_from_tables(structure: CountableStructure) -> CoefficientSe
         max_supported_n=n_max, structure=structure)
 
 
-def countable_set_series(points: PointSequence) -> CoefficientSeries:
-    """Series whose n-th coefficient is C_n * prod_{j=1..n} (z - z_j).
+def countable_set_series(points: Sequence[complex]) -> CoefficientSeries:
+    """Series whose n-th coefficient is C_n * prod_{j=1..n} (z - z_j), for
+    a sequence of pairwise distinct points z_1, z_2, ... (any sequence of
+    numbers, stored as a tuple of complex).
 
     At z_k every coefficient of index n >= k contains the root z_k, so its
     log-magnitude is exactly -inf; away from the whole sequence the scaling
@@ -452,11 +435,12 @@ def countable_set_series(points: PointSequence) -> CoefficientSeries:
     therefore all -inf at z_k exactly when k <= ceil(N/2).  Supports
     coefficient orders up to len(points) - 1.
     """
+    points = tuple(map(complex, points))
     if len(points) < 2:
         raise ValueError("need at least 2 points")
     gammas, log_c = gamma_table(points)
     return countable_series_from_tables(CountableStructure(
-        points.points, (0.0, *log_c), tuple(gammas)))
+        points, (0.0, *log_c), tuple(gammas)))
 
 
 @dataclass(frozen=True)
@@ -581,17 +565,18 @@ def _leja_steps(K: RegionMask, row: _RootLogRow
         k = nxt
 
 
-def leja_points(K: RegionMask, count: int) -> PointSequence:
+def leja_points(K: RegionMask, count: int) -> tuple[complex, ...]:
     """The first ``count`` Leja points of K (_leja_steps over the
-    rectangle row of K's bounding box), fewer if the sequence saturates
-    first: every K cell a point."""
+    rectangle row of K's bounding box), as the tuple of complex that a
+    BlockStructure stores; fewer if the sequence saturates first: every
+    K cell a point, so any count of at least K.count() gives them all."""
     if K.is_empty():
         raise ValueError("leja_points requires a non-empty mask")
     if count < 1:
         raise ValueError("count must be >= 1")
     row = _RootLogRow(K.grid)[_rectangle(K)]
-    return PointSequence(tuple(
-        z for z, _, _ in islice(_leja_steps(K, row), count)))
+    return tuple(z for z, _, _ in islice(_leja_steps(K, row),
+                                         min(count, K.count())))
 
 
 @dataclass
@@ -721,8 +706,10 @@ def _separating_families(
         left = {i: np.count_nonzero(need[i]) for i in live}
         hit = np.empty(need[live[0]].size, dtype=bool)
         points: list[complex] = []
-        for point, norm, sums in islice(
-                _leja_steps(K, _RootLogRow(grid)[box]), degree_cap):
+        # the steps end after K's last cell, and islice takes no stop
+        # above sys.maxsize
+        for point, norm, sums in islice(_leja_steps(
+                K, _RootLogRow(grid)[box]), min(degree_cap, K.count())):
             if norm == -np.inf:
                 break  # every K cell is a root; higher degrees are identically 0
             points.append(point)

@@ -28,7 +28,7 @@ from dataclasses import MISSING, asdict, dataclass, field, fields
 import numpy as np
 
 from . import shapes
-from .construct import (PointSequence, compact_set_series, countable_set_series,
+from .construct import (compact_set_series, countable_set_series,
                         sigma_convex_series)
 from .decompose import Decomposition, ascending_decomposition
 from .geometry import (COMPACT, DOMAIN, Grid, RegionMask, distance_to,
@@ -268,7 +268,7 @@ def _least_gap(points: list[complex]) -> float:
 def construct_countable(scene: SceneSpec) -> CoefficientSeries:
     if len(scene.points) < 2:
         raise ValueError("countable pipeline needs at least 2 'point' lines")
-    series = countable_set_series(PointSequence.from_points(scene.points))
+    series = countable_set_series(scene.points)
     # points resolve when they are two pixels apart; gamma_n is no measure
     # of that, being capped at 1/n
     half_gap = 0.5 * _least_gap(scene.points)

@@ -13,8 +13,8 @@ import numpy as np
 from scipy import ndimage
 
 from sigmaconv import (COMPACT, BlockStructure, CoefficientSeries, Grid,
-                       InterleaveStructure, PointSequence, RegionMask,
-                       RootPolynomial, block_series)
+                       InterleaveStructure, RegionMask, RootPolynomial,
+                       block_series)
 from sigmaconv.construct import _separating_families
 
 
@@ -103,7 +103,7 @@ def reference_log_mag(series, n, z):
     return total
 
 
-def gamma_sequence(points: PointSequence, n: int) -> float:
+def gamma_sequence(points, n: int) -> float:
     """Separation scale of the first n+1 points:
     min( half the minimum pairwise distance, 1/n ), from all pairs at
     once; the reference for gamma_table's running minimum."""
@@ -111,7 +111,7 @@ def gamma_sequence(points: PointSequence, n: int) -> float:
         raise ValueError("n must be >= 1")
     if len(points) < n + 1:
         raise ValueError(f"gamma_{n} needs at least {n + 1} points")
-    pts = points.as_array()[:n + 1]
+    pts = np.array(points[:n + 1], dtype=complex)
     diff = np.abs(pts[:, None] - pts[None, :])
     min_gap = float(diff[np.triu_indices(n + 1, k=1)].min())
     if min_gap == 0.0:

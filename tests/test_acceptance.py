@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from sigmaconv import (COMPACT, DOMAIN, OPEN, Grid, PointSequence,
+from sigmaconv import (COMPACT, DOMAIN, OPEN, Grid,
                        RegionMask, Verdict, ascending_decomposition,
                        classify_points, compact_set_series,
                        conv_map, countable_set_series,
@@ -86,7 +86,7 @@ def test_criterion_2_countable_root_verdicts():
     pts = [complex(a, b) / 7 for a in range(-3, 4) for b in range(-3, 4)]
     pts.append(0.5 + 0.5j)
     assert len(set(pts)) == 50
-    f = countable_set_series(PointSequence.from_points(pts))
+    f = countable_set_series(pts)
     B, M = 0.0, math.log(16.0)
     lo, _ = tail_window(49)
     root_verdicts = classify_points(f, np.array(pts), N=49, B=B, M=M)

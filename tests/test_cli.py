@@ -15,8 +15,8 @@ import numpy as np
 import pytest
 
 from sigmaconv import (COMPACT, DEFAULT_M, DEFAULT_N, ConvergenceMap, Grid,
-                       PointSequence, RegionMask, ResolutionWarning,
-                       RootPolynomial, Verdict, block_series,
+                       RegionMask, ResolutionWarning, RootPolynomial,
+                       Verdict, block_series,
                        countable_set_series, default_b, interleave,
                        load_series, read_map_pgm, read_mask_pgm, save_series,
                        shapes, write_mask_pgm)
@@ -694,8 +694,7 @@ def test_cli_verify_rejects_malformed_series(tmp_path, capsys, kind, corrupt,
 
 def _stored_series(tmp_path, kind):
     """The JSON object save_series writes for a small series of ``kind``."""
-    points = PointSequence.from_points(
-        [complex(x, y) for x in (-1, 0, 1, 2) for y in (-1, 0, 1, 2)])
+    points = [complex(x, y) for x in (-1, 0, 1, 2) for y in (-1, 0, 1, 2)]
     if kind == "blocks":
         series = disk_growth_series(0.0, 0.7, 46)
     elif kind == "countable":
@@ -803,6 +802,41 @@ def test_cli_countable_rejects_infinite_point_exit_1(tmp_path, capsys):
     assert capsys.readouterr().err.startswith(
         "error: line 4: 'inf' is not a finite number")
     assert not (tmp_path / "out" / "series.json").exists()
+
+
+def test_cli_countable_rejects_a_repeated_point_exit_1(tmp_path, capsys):
+    # -0.0 and 0 name one point
+    scene = write_scene(tmp_path, "grid 16x16\nbox -2 -2 2 2\npoint 0 0\n"
+                                  "point 1 1\npoint -0.0 0\n")
+    code = main(["construct", str(scene), "--pipeline", "countable",
+                 "--out", str(tmp_path / "out")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert "pairwise distinct" in err
+    assert not (tmp_path / "out" / "series.json").exists()
+
+
+@pytest.mark.parametrize("pipeline", ["sigma", "compact"])
+def test_cli_degree_cap_above_sys_maxsize_builds_the_uncapped_series(
+        tmp_path, pipeline):
+    """The Leja steps end after K's last cell, so every degree cap of at
+    least K's cell count builds the same series, however large."""
+    saved = []
+    # 10**6 is above the grid's cell count, 10**20 above sys.maxsize
+    for cap in (10**6, 10**20):
+        scene = write_scene(tmp_path, "grid 32x32\nbox -2 -2 2 2\n"
+                                      "budget stages 3\n"
+                                      f"budget degree-cap {cap}\n"
+                                      "target disk -0.8 0 0.4\n"
+                                      "target add disk 0.8 0 0.4\n"
+                                      "part disk -0.8 0 0.4\n"
+                                      "part disk 0.8 0 0.4\n")
+        out = tmp_path / str(cap)
+        assert main(["construct", str(scene), "--pipeline", pipeline,
+                     "--out", str(out)]) == 0
+        saved.append((out / "series.json").read_bytes())
+    assert saved[0] == saved[1]
 
 
 def test_cli_decompose_writes_stage_exports(tmp_path):

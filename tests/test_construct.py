@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import event, example, given, settings, strategies as st
 
-from sigmaconv import (COMPACT, OPEN, Grid, PointSequence, RegionMask,
+from sigmaconv import (COMPACT, OPEN, Grid, RegionMask,
                        RootPolynomial, Verdict, block_series,
                        compact_set_series, conv_map, countable_set_series,
                        distance_to, empty_mask, full_domain, gamma_table,
@@ -27,37 +27,29 @@ from conftest import (_log_abs, cell_center, disk_growth_series,
                       separating_family, verify_family)
 
 
-def P(points):
-    return PointSequence.from_points(tuple(points))
-
-
 # ------------------------------------------------------------ gamma
 
 
 def test_gamma_hand_values():
-    assert gamma_sequence(P([0, 1]), 1) == pytest.approx(0.5)
-    assert gamma_sequence(P([0, 1, 1j]), 2) == pytest.approx(0.5)
-    assert gamma_sequence(P([0, 3]), 1) == pytest.approx(1.0)  # 1/n cap
+    assert gamma_sequence([0, 1], 1) == pytest.approx(0.5)
+    assert gamma_sequence([0, 1, 1j], 2) == pytest.approx(0.5)
+    assert gamma_sequence([0, 3], 1) == pytest.approx(1.0)  # 1/n cap
 
 
 def test_gamma_needs_enough_points():
     with pytest.raises(ValueError, match="at least 3 points"):
-        gamma_sequence(P([0, 1]), 2)
-
-
-def test_duplicate_points_rejected():
-    with pytest.raises(ValueError, match="duplicate"):
-        P([0, 1, 0])
+        gamma_sequence([0, 1], 2)
 
 
 def test_countable_series_rejects_repeated_points():
-    # a PointSequence built directly skips from_points' duplicate check
-    with pytest.raises(ValueError, match="pairwise distinct"):
-        countable_set_series(PointSequence((0j, 1 + 0j, 0j)))
+    # gamma_table's zero gap is the one check; 0j and -0j are one point
+    for points in [(0j, 1 + 0j, 0j), [0, 1, 0], [0j, 1, -0j]]:
+        with pytest.raises(ValueError, match="pairwise distinct"):
+            countable_set_series(points)
 
 
 def test_gamma_table_matches_stepwise():
-    pts = P([0, 1, 1j, 2 - 1j, -0.5 + 0.25j])
+    pts = [0, 1, 1j, 2 - 1j, -0.5 + 0.25j]
     gammas, _ = gamma_table(pts)
     for n in range(1, len(pts)):
         assert gammas[n - 1] == gamma_sequence(pts, n)
@@ -67,17 +59,17 @@ def test_gamma_table_matches_stepwise():
 
 
 def test_countable_coefficient_hand_values():
-    f3 = countable_set_series(P([0, 1, 1j]))
+    f3 = countable_set_series([0, 1, 1j])
     assert float(reference_log_mag(f3, 2, 2.0 + 0.0j)) == pytest.approx(
         math.log(32))
-    f2 = countable_set_series(P([0, 1]))
+    f2 = countable_set_series([0, 1])
     assert float(reference_log_mag(f2, 1, 1.0 + 0.0j)) == pytest.approx(
         math.log(2))
 
 
 def test_countable_root_coefficients_vanish_exactly():
     pts = [0.3 + 0.1j, -0.7 + 0.2j, 0.5 - 0.5j, 1.1 + 0.9j]
-    f = countable_set_series(P(pts))
+    f = countable_set_series(pts)
     for k, z in enumerate(pts, start=1):
         for n in range(k, f.max_supported_n + 1):
             assert float(reference_log_mag(f, n, z)) == -math.inf
@@ -89,7 +81,7 @@ def test_countable_divergence_exponents_off_the_set():
     # spec'd growth inequality: wherever z clears every point by gamma_n,
     # the order-n exponent is at least log n
     pts = [complex(x, y) for x in (-0.6, 0.0, 0.6) for y in (-0.6, 0.0, 0.6)]
-    f = countable_set_series(P(pts))
+    f = countable_set_series(pts)
     gammas = f.structure.gammas
     for z in (1.8 + 1.3j, -1.5 - 1.1j, 0.3 + 1.7j):
         delta = min(abs(z - w) for w in pts)
@@ -100,7 +92,7 @@ def test_countable_divergence_exponents_off_the_set():
 
 def test_countable_rebuild_is_bit_identical():
     pts = [0.1 + 0.2j, -0.4 + 0.9j, 1.2 - 0.3j, 0.8 + 0.8j, -1.0 - 1.0j]
-    f = countable_set_series(P(pts))
+    f = countable_set_series(pts)
     g = countable_series_from_tables(f.structure)
     zs = Grid.from_box(-2.0, -2.0, 2.0, 2.0, 32, 32).centers()
     for n in range(f.max_supported_n + 1):
@@ -110,7 +102,7 @@ def test_countable_rebuild_is_bit_identical():
 
 def test_countable_needs_two_points():
     with pytest.raises(ValueError):
-        countable_set_series(P([0.5]))
+        countable_set_series([0.5])
 
 
 # ------------------------------------------------------------ interleave
@@ -179,7 +171,7 @@ def test_leja_segment_picks_endpoints():
     seg = rasterize_scene([(1, shapes.Segment(-1.0, 0.0, 1.0, 0.0))], g,
                           kind=COMPACT)
     pts = leja_points(seg, 2)
-    xs = sorted(z.real for z in pts.points)
+    xs = sorted(z.real for z in pts)
     assert xs[0] == pytest.approx(-1.0, abs=2 * g.pixel)
     assert xs[1] == pytest.approx(1.0, abs=2 * g.pixel)
     assert len(pts) == 2  # not saturated: it reaches count
@@ -188,19 +180,17 @@ def test_leja_segment_picks_endpoints():
 def test_leja_single_cell_saturates():
     g = Grid.from_box(-1.0, -1.0, 1.0, 1.0, 16, 16)
     one = rasterize_scene([(1, shapes.Points((0.2 + 0.2j,)))], g, kind=COMPACT)
-    pts = leja_points(one, 5)
-    assert len(pts) == 1
-    assert len(pts) < 5  # saturated
+    for count in (5, 10**20):  # a count above sys.maxsize saturates too
+        assert len(leja_points(one, count)) == 1  # saturated
 
 
 def test_leja_disk_points_sit_on_the_boundary():
     g = Grid.from_box(-2.0, -2.0, 2.0, 2.0, 64, 64)
     disk = rasterize_scene([(1, shapes.Disk(0.0, 0.0, 1.0))], g, kind=COMPACT)
     pts = leja_points(disk, 3)
-    for z in pts.points:
+    for z in pts:
         assert abs(z) >= 0.9
-    gaps = [abs(a - b) for i, a in enumerate(pts.points)
-            for b in pts.points[i + 1:]]
+    gaps = [abs(a - b) for i, a in enumerate(pts) for b in pts[i + 1:]]
     assert min(gaps) >= 1.0  # pairwise separation at least the radius
 
 
@@ -298,7 +288,7 @@ def test_leja_log_sups_are_the_prefix_sups(n, far, shape, count, saturated):
     points, sups, _ = leja_steps(K, leja_box(K, far), count)
     assert (len(points) < count) is saturated
     assert len(sups) == len(points) == min(count, K.count())
-    assert leja_points(K, count).points == points
+    assert leja_points(K, count) == points
     zs = K.cell_centers()
     for d in range(1, len(points) + 1):
         sup = float(np.max(RootPolynomial(points[:d], 0.0).log_abs(zs)))
@@ -344,7 +334,7 @@ def test_leja_points_match_the_reference(n, far, shape, count):
     box = leja_box(K, far)
     points, sups, total = leja_steps(K, box, count)
     want_points, want_sups = reference_leja(K, count)
-    assert points == want_points == leja_points(K, count).points
+    assert points == want_points == leja_points(K, count)
     assert same_bits(sups, want_sups)
     assert (len(points) < count) is (count > K.count())
     # the running sum over the box is the direct one, bit for bit

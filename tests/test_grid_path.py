@@ -18,7 +18,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from sigmaconv import (COMPACT, Grid, PointSequence, compact_set_series,
+from sigmaconv import (COMPACT, Grid, compact_set_series,
                        conv_map, countable_set_series, full_domain,
                        interleave, level_set, omega_exhaustion,
                        polynomial_hull, rasterize_scene, shapes, tail_window)
@@ -57,7 +57,7 @@ def countable_on(grid, on, off, seed=3):
         z = complex(*rng.uniform(-1.9, 1.9, 2))
         assert not (centres == z).any()
         pts.insert(2 * k + 1, z)
-    return countable_set_series(PointSequence.from_points(pts))
+    return countable_set_series(pts)
 
 
 def compact_on(grid):

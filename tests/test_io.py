@@ -19,7 +19,7 @@ from sigmaconv import (COMPACT, DOMAIN, OPEN, Grid, RegionMask, Verdict,
                        read_map_pgm, read_mask_pgm, save_map, save_series,
                        series_from_json, series_to_json, shapes,
                        sigma_convex_series, write_map_pgm, write_mask_pgm,
-                       PointSequence, RootPolynomial, export_decomposition,
+                       RootPolynomial, export_decomposition,
                        load_decomposition)
 from sigmaconv import serialize
 from sigmaconv.construct import (BlockStructure, InterleaveStructure,
@@ -249,11 +249,22 @@ def assert_identical_series(f, g):
 
 
 def test_countable_series_round_trip(tmp_path):
-    f = countable_set_series(PointSequence.from_points(
+    f = countable_set_series(
         (0.1 + 0.2j, -0.4 + 0.9j, 1.2 - 0.3j, 0.8 + 0.8j, -1.0 - 1.0j,
-         0.05 - 0.85j)))
+         0.05 - 0.85j))
     save_series(f, tmp_path / "s.json")
     assert_identical_series(f, load_series(tmp_path / "s.json"))
+
+
+def test_countable_series_takes_any_sequence_of_points(tmp_path):
+    """A list, a tuple and an array of the same points save the same
+    bytes: countable_set_series stores them as one tuple of complex."""
+    pts = [0.1 + 0.2j, -0.4 + 0.9j, 1.2 - 0.3j, 0.8 + 0.8j, -1.0 - 1.0j]
+    saved = []
+    for i, points in enumerate([pts, tuple(pts), np.array(pts)]):
+        save_series(countable_set_series(points), tmp_path / f"{i}.json")
+        saved.append((tmp_path / f"{i}.json").read_bytes())
+    assert saved[0] == saved[1] == saved[2]
 
 
 def test_block_series_round_trip(tmp_path):
@@ -270,8 +281,7 @@ def test_block_series_round_trip(tmp_path):
 
 
 def test_interleave_series_round_trip(tmp_path):
-    f = countable_set_series(PointSequence.from_points(
-        (0.0, 1.0, 1j, -1.0, -1j, 0.5 + 0.5j)))
+    f = countable_set_series((0.0, 1.0, 1j, -1.0, -1j, 0.5 + 0.5j))
     h = disk_growth_series(0.2 + 0.1j, 0.9, 5)
     F = interleave(f, h)
     save_series(F, tmp_path / "s.json")
@@ -281,7 +291,7 @@ def test_interleave_series_round_trip(tmp_path):
 def test_a_series_nested_too_deeply_to_write_is_a_value_error(tmp_path):
     # the writer recurses once per level, so a nest as deep as the
     # recursion limit cannot be written; interleave itself does not recurse
-    f = countable_set_series(PointSequence.from_points((0.5, 0.25j)))
+    f = countable_set_series((0.5, 0.25j))
     F = f
     for _ in range(sys.getrecursionlimit()):
         F = interleave(F, f)
@@ -350,8 +360,8 @@ def loaded_hand_block_series():
 
 
 def countable_series():
-    return countable_set_series(PointSequence.from_points(
-        (0.1 + 0.2j, -0.4 + 0.9j, 1.2 - 0.3j, 0.8 + 0.8j)))
+    return countable_set_series((0.1 + 0.2j, -0.4 + 0.9j, 1.2 - 0.3j,
+                                 0.8 + 0.8j))
 
 
 def memberless_block_series():

@@ -12,7 +12,7 @@ from sigmaconv import (COMPACT, Grid, Verdict,
                        classify_point, classify_points, conv_map, default_b,
                        full_domain, level_set, rasterize_scene, shapes,
                        tail_window)
-from sigmaconv import (PointSequence, RootPolynomial, ascending_decomposition,
+from sigmaconv import (RootPolynomial, ascending_decomposition,
                        block_series, compact_set_series, countable_set_series,
                        leja_points, load_series, omega_exhaustion,
                        polynomial_hull, save_series, sigma_convex_series)
@@ -195,7 +195,7 @@ def test_level_sets_ascend():
 
 def test_level_set_keeps_roots_of_countable_series():
     pts = (0.0 + 0.0j, 1.0 + 0.0j, 0.0 + 1.0j)
-    f = countable_set_series(PointSequence.from_points(pts))
+    f = countable_set_series(pts)
     g = Grid.from_box(-4.0, -4.0, 4.0, 4.0, 64, 64)
     E = level_set(f, j=8, N=f.max_supported_n, omega=full_domain(g))
     i, j = g.index_of(pts[0])
@@ -210,7 +210,7 @@ def test_monotone_truncation_on_stored_exponents():
     exponents off the root set)."""
     pts = tuple(complex(x, y) for x in (-0.5, 0.0, 0.5, 1.0)
                 for y in (-0.5, 0.5)) + (0.25 + 0.0j, -0.25 + 0.0j)
-    f = countable_set_series(PointSequence.from_points(pts))
+    f = countable_set_series(pts)
     B, M = 0.0, math.log(4.0)
     for z in (1.7 + 1.1j, -1.3 - 0.8j, 0.1 + 1.9j):
         seen_diverge = False
@@ -547,8 +547,7 @@ def test_sigma_members_of_a_lockstep_group_share_one_sequence():
         same_E = {j for j in stage_sequence
                   if dec.E_list[j].same_cells(E)}
         assert {stage_sequence[j] for j in same_E} == {i}
-        assert s.sequences[i] == leja_points(E, 16).points[:len(
-            s.sequences[i])]
+        assert s.sequences[i] == leja_points(E, 16)[:len(s.sequences[i])]
     assert sorted(set(stage_sequence.values())) == list(range(len(s.sequences)))
 
 
@@ -577,7 +576,7 @@ def _product_series_on_cells():
     off = rng.uniform(-1.4, 1.4, 9) + 1j * rng.uniform(-1.2, 1.2, 9)
     pts = [complex(z) for pair in zip(on, off) for z in pair]
     pts += [complex(z) for z in on[len(off):]]
-    return countable_set_series(PointSequence.from_points(pts)), g
+    return countable_set_series(pts), g
 
 
 @pytest.mark.parametrize("kind", ["countable"])
@@ -712,7 +711,7 @@ def test_product_tail_sup_is_bit_identical_to_the_table(seed, n_on, n_off,
     on = cells[rng.choice(cells.size, n_on, replace=False)]
     off = rng.uniform(-1.5, 1.5, n_off) + 1j * rng.uniform(-1.1, 1.1, n_off)
     pts = rng.permutation(np.concatenate([on, off, [1.5 + 1.5j, -2.0]]))
-    s = countable_set_series(PointSequence.from_points(pts)).structure
+    s = countable_set_series(pts).structure
     lo = data.draw(st.integers(1, len(pts) - 1), label="lo")
     hi = data.draw(st.integers(lo, len(pts) - 1), label="hi")
     parity = data.draw(st.sampled_from([None, 0, 1]), label="parity")
@@ -892,7 +891,7 @@ def test_product_tail_sup_bounds_only_the_unsettled_cells(monkeypatch):
     # top order wins, the 49 cells on the top order's roots among them,
     # and the few cells it leaves reach the table together, in one call
     pts, cells = _criterion_2_cells()
-    f = countable_set_series(PointSequence.from_points(pts))
+    f = countable_set_series(pts)
     lo, hi = tail_window(49)
     settled = _screen_spy(monkeypatch)
     calls = _table_sup_spy(monkeypatch)
