@@ -41,8 +41,14 @@ def test_gamma_needs_enough_points():
         gamma_sequence([0, 1], 2)
 
 
-def test_countable_series_rejects_repeated_points():
+def test_duplicate_points_rejected():
     # gamma_table's zero gap is the one check; 0j and -0j are one point
+    for points in [[0, 1, 0], [0j, 1, -0j]]:
+        with pytest.raises(ValueError, match="pairwise distinct"):
+            gamma_table(points)
+
+
+def test_countable_series_rejects_repeated_points():
     for points in [(0j, 1 + 0j, 0j), [0, 1, 0], [0j, 1, -0j]]:
         with pytest.raises(ValueError, match="pairwise distinct"):
             countable_set_series(points)
