@@ -37,10 +37,11 @@ from .series import CoefficientSeries
 # that block series fold at one degree (BlockStructure.tail_sup)
 TABLE_BYTES = 1 << 20
 
-# the working rows kept per cell, in bytes: _top_screen's top, root and
-# magnitude sums, bound max and scratch rows, and the row's index, key and
-# centre
-_CELL_BYTES = 128
+# the working rows kept per cell, in bytes: _top_screen's top and root
+# sums, bound max, root log and bound rows, its first-root index, the
+# complex difference of a direct root log, the row's index, key and centre
+# and the two temporaries that compute the key
+_CELL_BYTES = 112
 
 _UNIT_ROUNDOFF = 2.0 ** -53
 
@@ -72,6 +73,17 @@ def _offset_logs(grid: Grid) -> np.ndarray | None:
     return table
 
 
+@lru_cache(maxsize=1)
+def _offset_log_bound(grid: Grid) -> float:
+    """The largest |entry| of grid's _offset_logs table but the -inf of
+    offset (0, 0), its middle entry: a bound on |log|z - r|| over every
+    two distinct cell centres z, r.  Read in place, without temporaries."""
+    table = _offset_logs(grid)
+    mid = table.size // 2
+    return float(max(0.0, table.max(), -table[:mid].min(initial=np.inf),
+                     -table[mid + 1:].min(initial=np.inf)))
+
+
 class _RootLogRow:
     """row(root): log|z - r| over a set of cells z, for one root r.
 
@@ -94,6 +106,8 @@ class _RootLogRow:
     * a cell root of a rectangle row on a table also takes row.gather, a
       view of the table's rectangle of the cells' offsets from the root,
       in the rectangle's shape; the other reads are flat.
+    row.log_bound(root, logs) bounds the magnitude of a read's finite
+    entries, for the product screen's margins.
 
     Its users: the running sum of _leja_steps (_LejaSum), over the
     rectangle of K and the stage targets and then over the index row of
@@ -192,6 +206,23 @@ class _RootLogRow:
         # copy that "raise" makes into out
         return self.table[start:].take(self.keys, out=out, mode="clip")
 
+    @cached_property
+    def table_bound(self) -> float:
+        """_offset_log_bound of the row's grid, looked up once per row."""
+        return _offset_log_bound(self.grid)
+
+    def log_bound(self, root: int | complex, logs: np.ndarray) -> float:
+        """A bound M >= |x| over the finite entries x of logs = self(root):
+        the table's (_offset_log_bound) where root reads it, else the
+        larger of logs' max and minus its least finite entry, NaN where
+        logs holds a NaN and +inf where it holds +inf."""
+        if self.table is not None and not isinstance(root, complex):
+            return self.table_bound
+        least = logs.min()
+        if least == -np.inf:  # the root is one of the cells
+            least = logs.min(where=logs > -np.inf, initial=np.inf)
+        return float(max(logs.max(), -least, 0.0))
+
 
 @dataclass(frozen=True)
 class RootPolynomial:
@@ -256,24 +287,45 @@ def _product_tail_sup(z: Grid | np.ndarray | complex, roots: np.ndarray,
     TABLE_BYTES // (8 (hi - lo + 1)) cells, at least one.
 
     That sum of order n is a recursive summation of the n + 1 terms
-    log C_n, log|z - roots[0]|, ..., log|z - roots[n-1]|, so its value E_n
-    is within gamma_n * sum|terms| of their exact sum, with
-    gamma_n = n u / (1 - n u) and u = 2^-53 (Higham, Accuracy and Stability
-    of Numerical Algorithms, section 4.2).  One running sum P_n of the root
-    terms serves all orders; A_n = log C_n + P_n sums the same terms
-    recursively in another order, so |E_n - A_n| <= 2 gamma_n * sum|terms|.
-    With S_n the running sum of the root terms' magnitudes, the margin
-    m_n = 4 (n + 2) u (|log C_n| + S_n) exceeds that bound after its own
-    roundings while n u < 1/4, and as rounding is monotone, (A_n - m_n) /
-    d_n <= E_n / d_n <= (A_n + m_n) / d_n holds for the rounded quotients
-    too.
+    log C_n, t_0, ..., t_{n-1} with t_j = log|z - roots[j]|, so at a cell
+    where they are finite its value E_n is within gamma_n T_n of their
+    exact sum, where T_n = |log C_n| + |t_0| + ... + |t_{n-1}|,
+    gamma_n = n u / (1 - n u) and u = 2^-53 (Higham, Accuracy and
+    Stability of Numerical Algorithms, section 4.2).  One running sum P_n
+    of the root terms serves all orders, within gamma_{n-1} T_n of theirs,
+    so |E_n - (log C_n + P_n)| <= 2 gamma_n T_n.  The screen bounds each
+    root's terms over its chunk by one float M_j >= |t_j| at every cell
+    where t_j is finite (_RootLogRow.log_bound), sums them into a running
+    S_n = fl(M_0 + ... + M_{n-1}), and gives order n one margin
+    m_n = fl(fl(|log C_n| + S_n) 4 (n + 2) u) and the bound
+    B_n = fl(P_n + fl(log C_n + m_n)) at every cell of the chunk.
+
+    B_n >= E_n wherever the n + 1 terms are finite.  A recursive sum of
+    terms >= 0 is at least (1 - gamma_n) times theirs, so
+    fl(|log C_n| + S_n) >= (1 - u)(1 - gamma_n) T_n, and while
+    n u < 1/4, so that gamma_n < 1/3, m_n (1 - u) >= 8/3 (n + 2)(1 - 3u)
+    u T_n exceeds (2 gamma_n + u) T_n by more than 2 u T_n.  Then
+    P_n + fl(log C_n + m_n) >= P_n + log C_n + m_n (1 - u) - u |log C_n|
+    >= E_n, and as rounding is monotone, B_n >= fl(E_n) = E_n.  An
+    addition whose result lies below 2^-1021 in magnitude is exact, so a
+    rounding error in the sums needs T_n > 2^-1022, and the margin's
+    product then loses at most 2^-1075 <= u T_n to underflow, within that
+    room.  Where a term is infinite or NaN, P_n and E_n are not finite,
+    and B_n is NaN, +inf, or -inf only where P_n holds a -inf and no +inf
+    or NaN and log C_n + m_n is finite or -inf, that is where E_n = -inf;
+    a +inf or NaN in a root's terms, such as a root at infinity's, makes
+    its M_j and every later margin +inf or NaN.  So B_n >= E_n or B_n is
+    NaN, and fl(B_n / d_n) >= fl(E_n / d_n) for every positive divisor
+    d_n, the interleave's 2n and 2n + 1 among them.
 
     The screen sums the top order E_hi exactly, as _table_sup does, and
     folds the upper bounds of the orders lo..hi-1 into their max U.  Where
     U < E_hi / d_hi, every other order lies strictly below the top one, so
     the sup is E_hi / d_hi, bit for bit.  A NaN order, or an infinite
     margin over an infinite sum, makes U NaN and the cell unsettled; so
-    does an exact tie with the top order.
+    does an exact tie with the top order.  Every sup is thus an exact
+    order sum or the table's, and the margins' width decides only how
+    many cells the table takes.
 
     A finite cell z that is one of the first hi roots, roots[k] with k
     least, has log|z - roots[k]| = log 0 = -inf.  Where every log C_n of
@@ -282,8 +334,9 @@ def _product_tail_sup(z: Grid | np.ndarray | complex, roots: np.ndarray,
     terms before k are finite exactly when P_k is.  So for k < lo the sup
     is -inf.  For k >= lo the screen sums order k instead of hi at that
     cell, from log C_k, and holds E_k, U over the orders lo..k-1 and P_k
-    when it reaches order k: where P_k is finite and U < E_k / d_k, the
-    sup is E_k / d_k, bit for bit.  Any other such cell is unsettled.
+    when it reaches order k: where P_k is finite, so are the terms before
+    k, each order's bound below k holds there, and where U < E_k / d_k,
+    the sup is E_k / d_k, bit for bit.  Any other such cell is unsettled.
     """
     row = _RootLogRow(z)
     if divisors is None:
@@ -314,26 +367,32 @@ def _top_screen(cells: _RootLogRow, roots: list, first: np.ndarray,
     it is the sup over lo..hi there (see _product_tail_sup).  The top
     order is hi, or the order first[k] of the root the cell is, where that
     is below hi.  Each root term is evaluated once and added to the top
-    order's sum, the running root sum P and the magnitude sum S."""
+    order's sum and the running root sum P, and its bound M_j to the
+    scalar S; each lower order n of the window then costs one add of
+    fl(log C_n + m_n) to P, a divide and a max (_order_margin)."""
     on = np.flatnonzero(first < hi)
     k = first[on]
     inside = k >= lo
     top = np.full(cells.size, log_c[hi - lo])
     top[on[inside]] = log_c[k[inside] - lo]
     # the cells on roots that stop at order n, as indices into ``on``
-    held = {int(n): np.flatnonzero(k == n) for n in np.unique(k[inside])}
+    order = np.flatnonzero(inside)[np.argsort(k[inside], kind="stable")]
+    stops, starts = np.unique(k[order], return_index=True)
+    ends = [*starts[1:].tolist(), order.size]
+    held = {n: order[a:b]
+            for n, a, b in zip(stops.tolist(), starts.tolist(), ends)}
     held_top, held_upper, held_total = (np.zeros(on.size) for _ in range(3))
     total = np.zeros(cells.size)
-    size = np.zeros(cells.size)
     upper = np.full(cells.size, -np.inf)
-    term, bound, margin = (np.empty(cells.size) for _ in range(3))
-    # an infinite margin over a -inf sum is NaN: unsettled, not an error
+    term, bound = np.empty(cells.size), np.empty(cells.size)
+    log_cs, size = log_c.tolist(), 0.0
+    # a +inf or NaN margin over a -inf sum is NaN: unsettled, not an error
     with np.errstate(divide="ignore", invalid="ignore"):
         for j, r in enumerate(roots[:hi]):
             cells(r, out=term)
             top += term
             total += term
-            size += np.abs(term, out=bound)
+            size += cells.log_bound(r, term)
             n = j + 1
             if n < lo or n == hi:
                 continue
@@ -341,11 +400,8 @@ def _top_screen(cells: _RootLogRow, roots: list, first: np.ndarray,
                 i = held[n]
                 held_top[i], held_upper[i], held_total[i] = (
                     top[on[i]], upper[on[i]], total[on[i]])
-            c = log_c[n - lo]
-            np.add(size, abs(c), out=margin)
-            margin *= 4 * (n + 2) * _UNIT_ROUNDOFF
-            np.add(total, c, out=bound)
-            bound += margin
+            c = log_cs[n - lo]
+            np.add(total, c + _order_margin(c, size, n), out=bound)
             bound /= divisors[n - lo]
             np.maximum(upper, bound, out=upper)
         top /= divisors[hi - lo]
@@ -355,6 +411,12 @@ def _top_screen(cells: _RootLogRow, roots: list, first: np.ndarray,
         settled[on] = (total[on] == -np.inf) & (~inside | (
             np.isfinite(held_total) & (held_upper < held_top)))
         return top, settled
+
+
+def _order_margin(log_c_n: float, size: float, n: int) -> float:
+    """_top_screen's margin m_n = fl(fl(|log C_n| + S_n) 4 (n + 2) u) of
+    order n, from the running sum S_n = size of its root terms' bounds."""
+    return (abs(log_c_n) + size) * (4 * (n + 2) * _UNIT_ROUNDOFF)
 
 
 def _table_sup(cells: _RootLogRow, roots: list, log_c: np.ndarray, lo: int,

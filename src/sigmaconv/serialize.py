@@ -188,6 +188,7 @@ def _decode_members(data: bytes, start: int,
     placement: list[tuple[int, int]] = []
     log_scales: list[float] = []
     seq = b""  # the running sequence's roots text
+    prefixes = memoryview(seq)  # its prefixes, compared without a copy
     degrees = {0: 0}  # offset in seq after each whole pair -> pairs so far
     scales: dict[bytes, float] = {}
     pos = start + 1
@@ -205,7 +206,7 @@ def _decode_members(data: bytes, start: int,
                 n = end - pos
                 # a prefix of the sequence's text, if it ends on a pair
                 d = degrees.get(n)
-                if d is None or not data.startswith(seq[:n], pos):
+                if d is None or not data.startswith(prefixes[:n], pos):
                     # new pairs after the sequence's text and a comma
                     # extend it; any other text starts a sequence
                     at = len(seq) + 1
@@ -214,6 +215,7 @@ def _decode_members(data: bytes, start: int,
                         at, degrees = 0, {0: 0}
                         texts.append(b"")
                     seq = texts[-1] = data[pos:end]
+                    prefixes = memoryview(seq)
                     while at := seq.find(b"]", at) + 1:
                         degrees[at] = len(degrees)
                     d = degrees.get(n)

@@ -751,6 +751,88 @@ def test_product_tail_sup_is_bit_identical_to_the_table(seed, n_on, n_off,
         rest[k:k + step].tolist() for k in range(0, rest.size, step)]
 
 
+# every centre of the dyadic grid is an odd multiple of 1/16, so it has an
+# offset table, whose least entry, log 1/8, is the largest in magnitude;
+# the other grid's pixel 0.4 leaves it without one
+SCREEN_GRIDS = {"dyadic": Grid.from_box(-1.0, -0.5, 1.0, 0.5, 16, 8),
+                "non-dyadic": Grid.from_box(-1.4, -1.0, 1.4, 1.0, 7, 5)}
+
+
+def _grid_points(g, seed, n_on, n_off):
+    """n_on of g's cell centres, n_off points off its lattice and two
+    points outside its box, in a seeded order."""
+    cells = g.centers().ravel()
+    rng = np.random.default_rng(seed)
+    on = cells[rng.choice(cells.size, n_on, replace=False)]
+    off = rng.uniform(-1.0, 1.0, n_off) + 1j * rng.uniform(-0.5, 0.5, n_off)
+    return rng.permutation(np.concatenate([on, off, [2.5 + 1.5j, -3.0]]))
+
+
+@pytest.mark.parametrize("kind", sorted(SCREEN_GRIDS))
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n_on=st.integers(0, 9),
+       n_off=st.integers(0, 9), data=st.data())
+def test_product_tail_sup_on_grid_rows_is_bit_identical_to_the_table(
+        kind, seed, n_on, n_off, data):
+    # a grid's row names each root that is a cell centre by its cell: on
+    # the dyadic grid it gathers those roots' logs from the offset table
+    # and reads only the others directly, and on the non-dyadic grid it
+    # reads every root directly.  Chunks go down to one cell, where a cell
+    # on a root holds the row's one -inf, and divisors include the
+    # interleave's 2m and 2m + 1
+    g = SCREEN_GRIDS[kind]
+    row = construct._RootLogRow(g)
+    assert (row.table is not None) is (kind == "dyadic")
+    pts = _grid_points(g, seed, n_on, n_off)
+    assert sum(not isinstance(r, complex) for r in row.locate(pts)) == n_on
+    s = countable_set_series(pts).structure
+    lo = data.draw(st.integers(1, len(pts) - 1), label="lo")
+    hi = data.draw(st.integers(lo, len(pts) - 1), label="hi")
+    parity = data.draw(st.sampled_from([None, 0, 1]), label="parity")
+    divisors = None if parity is None else np.arange(
+        2.0 * lo + parity, 2.0 * hi + parity + 1, 2.0)
+    chunk = data.draw(st.integers(1, row.size), label="chunk")
+    roots, log_c = np.array(s.points), np.array(s.log_c[lo:hi + 1])
+    with mock.patch.object(construct, "TABLE_BYTES",
+                           construct._CELL_BYTES * chunk):
+        got = construct._product_tail_sup(g, roots, log_c, lo, hi, divisors)
+    want = _table_sup_reference(g.centers().ravel(), roots, log_c, lo, hi,
+                                divisors)
+    assert got.shape == (g.height, g.width)
+    assert got.tobytes() == want.reshape(got.shape).tobytes()
+
+
+@pytest.mark.parametrize("kind", [*sorted(SCREEN_GRIDS), "points"])
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n_on=st.integers(0, 9),
+       n_off=st.integers(0, 9), data=st.data())
+def test_product_tail_sup_order_margin_covers_each_cell_margin(
+        kind, seed, n_on, n_off, data):
+    # the one margin the screen gives order n over a chunk, from the
+    # running sum of its roots' bounds, is at least the margin
+    # 4 (n + 2) u (|log C_n| + S_n) from the running sum S_n of a cell's
+    # own |root terms|, at every cell of the chunk where S_n is finite:
+    # over the table's roots, the ones read directly, and the cells on a
+    # root, whose -inf the bound skips
+    g = SCREEN_GRIDS["dyadic" if kind == "points" else kind]
+    pts = _grid_points(g, seed, n_on, n_off)
+    log_c = countable_set_series(pts).structure.log_c
+    row = construct._RootLogRow(g.centers() if kind == "points" else g)
+    start = data.draw(st.integers(0, row.size - 1), label="start")
+    chunk = row[start:data.draw(st.integers(start + 1, row.size),
+                                label="stop")]
+    size, cell_size = 0.0, np.zeros(chunk.size)
+    for n, r in enumerate(chunk.locate(pts[:-1]), start=1):
+        logs = chunk(r, out=np.empty(chunk.size))
+        size += chunk.log_bound(r, logs)
+        cell_size += np.abs(logs)
+        margin = construct._order_margin(log_c[n], size, n)
+        finite = np.isfinite(cell_size)
+        cell_margin = (cell_size[finite] + abs(log_c[n])) * (
+            4 * (n + 2) * 2.0 ** -53)
+        assert (margin >= cell_margin).all()
+
+
 def _roots_on_circle(radius, count):
     return radius * np.exp(2j * np.pi * np.arange(count) / count)
 
