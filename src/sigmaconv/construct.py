@@ -38,10 +38,9 @@ from .series import CoefficientSeries
 TABLE_BYTES = 1 << 20
 
 # the working rows kept per cell, in bytes: _top_screen's top and root
-# sums, bound max, root log and bound rows, its first-root index, the
-# complex difference of a direct root log, the row's index, key and centre
-# and the two temporaries that compute the key
-_CELL_BYTES = 112
+# sums, bound max, root log and bound rows, its first-root index and the
+# complex difference of a direct root log, and the row's index and centre
+_CELL_BYTES = 88
 
 _UNIT_ROUNDOFF = 2.0 ** -53
 
@@ -105,7 +104,8 @@ class _RootLogRow:
       from the table by the cells' keys j (2W - 1) + i;
     * a cell root of a rectangle row on a table also takes row.gather, a
       view of the table's rectangle of the cells' offsets from the root,
-      in the rectangle's shape; the other reads are flat.
+      in the rectangle's shape, or its copy into ``out``; the other reads
+      are flat.
     row.log_bound(root, logs) bounds the magnitude of a read's finite
     entries, for the product screen's margins.
 
@@ -141,11 +141,15 @@ class _RootLogRow:
 
     def __getitem__(self, keep) -> "_RootLogRow":
         """The row over the cells at ``keep``: a slice, mask or index
-        array, flat, or a pair of slices, a rectangle in its shape."""
+        array, flat, or a pair of slices, a rectangle in its shape.  A
+        slice, or a rectangle that is a run of consecutive cells, views
+        this row's index, key and centre arrays; the others copy them."""
         shape = None
         if isinstance(keep, tuple):
             keep = np.arange(self.size).reshape(self.shape)[keep]
             shape, keep = keep.shape, keep.ravel()
+            if keep.size and keep[-1] - keep[0] + 1 == keep.size:
+                keep = slice(keep[0], keep[-1] + 1)  # a run: views
         part = copy.copy(self)
         for name in ("cells", "keys", "points"):
             if self.__dict__.get(name) is not None:
@@ -194,13 +198,17 @@ class _RootLogRow:
 
     def gather(self, root: int, out: np.ndarray | None = None) -> np.ndarray:
         """The row from the table, for the root at a flat cell index: on a
-        rectangle row, a view in its shape, which leaves ``out`` be."""
+        rectangle row, a view in its shape, or its copy into ``out``."""
         w, h = self.grid.width, self.grid.height  # start = mid - key(root)
         if len(self.shape) == 2:  # from the offset of its first cell
             (j, i), (rj, ri) = divmod(int(self.cells[0]), w), divmod(root, w)
             j, i = j - rj + h - 1, i - ri + w - 1
-            return self.table.reshape(2 * h - 1, 2 * w - 1)[
+            view = self.table.reshape(2 * h - 1, 2 * w - 1)[
                 j:j + self.shape[0], i:i + self.shape[1]]
+            if out is None:
+                return view
+            np.copyto(out.reshape(self.shape), view)
+            return out
         start = (h - 1) * (2 * w - 1) + w - 1 - root - root // w * (w - 1)
         # the keys are in range by construction; "clip" skips the checked
         # copy that "raise" makes into out
@@ -280,11 +288,11 @@ def _product_tail_sup(z: Grid | np.ndarray | complex, roots: np.ndarray,
 
     Every sup is bit-identical to the max over orders of each order summed
     alone: from log C_n, adding the root terms in sequence, each root term
-    read through one _RootLogRow.  Cells go in chunks of
-    TABLE_BYTES // _CELL_BYTES through one pass over the roots each
-    (_top_screen), which settles most of them; the cells it leaves go
-    through their (order x cell) table (_table_sup), in chunks of
-    TABLE_BYTES // (8 (hi - lo + 1)) cells, at least one.
+    read through one _RootLogRow.  Cells go in chunks of at most
+    TABLE_BYTES // _CELL_BYTES (_screen_chunks) through one pass over the
+    roots each (_top_screen), which settles most of them; the cells it
+    leaves go through their (order x cell) table (_table_sup), in chunks
+    of TABLE_BYTES // (8 (hi - lo + 1)) cells, at least one.
 
     That sum of order n is a recursive summation of the n + 1 terms
     log C_n, t_0, ..., t_{n-1} with t_j = log|z - roots[j]|, so at a cell
@@ -346,10 +354,8 @@ def _product_tail_sup(z: Grid | np.ndarray | complex, roots: np.ndarray,
              else np.full(row.size, hi))
     sup = np.empty(row.size)
     settled = np.empty(row.size, dtype=bool)
-    step = max(1, TABLE_BYTES // _CELL_BYTES)
-    for start in range(0, row.size, step):
-        at = slice(start, start + step)
-        sup[at], settled[at] = _top_screen(row[at], located, first[at],
+    for at, cells in _screen_chunks(row, max(1, TABLE_BYTES // _CELL_BYTES)):
+        sup[at], settled[at] = _top_screen(cells, located, first[at],
                                            log_c, lo, hi, divisors)
     rest = np.flatnonzero(~settled)
     step = max(1, TABLE_BYTES // (8 * (hi - lo + 1)))
@@ -357,6 +363,25 @@ def _product_tail_sup(z: Grid | np.ndarray | complex, roots: np.ndarray,
         at = rest[start:start + step]
         sup[at] = _table_sup(row[at], located, log_c, lo, hi, divisors)
     return sup.reshape(row.shape)
+
+
+def _screen_chunks(row: _RootLogRow, step: int
+                   ) -> Iterator[tuple[slice, _RootLogRow]]:
+    """The row in consecutive chunks of at most ``step`` cells, each with
+    its flat slice.  A grid's row goes in rectangle rows of whole grid
+    rows, or of part of one where a grid row holds more than ``step``
+    cells: each reads a table root as one strided copy of the table's
+    rectangle, where a flat chunk takes the table at every cell's key."""
+    if row.grid is None:
+        for start in range(0, row.size, step):
+            yield slice(start, start + step), row[start:start + step]
+        return
+    h, w = row.shape
+    rows, cols = max(1, step // w), min(step, w)
+    for j in range(0, h, rows):
+        for i in range(0, w, cols):
+            cells = row[j:j + rows, i:i + cols]
+            yield slice(j * w + i, j * w + i + cells.size), cells
 
 
 def _top_screen(cells: _RootLogRow, roots: list, first: np.ndarray,

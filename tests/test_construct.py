@@ -426,19 +426,26 @@ def test_root_log_row_is_bit_identical_to_the_direct_row(x0, y0, pixel, w,
         row = row[keep]
         cells = cells[keep]
         assert np.array_equal(row.cells, cells)
-    # the rectangle row reads in its shape; each part of it is the index
-    # row over the same cells
+    # the rectangle row reads in its shape, or into a flat ``out``; a
+    # rectangle that is a run of consecutive cells views the grid row's
+    # cells.  Each part of it is the index row over the same cells
     box = rectangle_of(h, w, rect)
-    block = _RootLogRow(g)[box]
+    full = _RootLogRow(g)
+    block = full[box]
     cells = grid_cells(g, box)
     assert np.array_equal(block.cells, cells)
     assert block.shape == centres.reshape(h, w)[box].shape
     assert block.size == cells.size
+    assert np.shares_memory(block.cells, full.cells) == (
+        cells[-1] - cells[0] + 1 == cells.size)
     for root in roots:
         want = _log_abs(centres.reshape(h, w)[box] - centres[root])
         assert same_bits(np.reshape(block(root), block.shape), want)
         assert same_bits(np.reshape(block(complex(centres[root])),
                                     block.shape), want)
+        out = np.empty(block.size)
+        assert block(root, out=out) is out
+        assert same_bits(out.reshape(block.shape), want)
     for _ in range(2):
         keep = rng.random(cells.size) < 0.5
         part, index = block[keep], _RootLogRow(g)[cells[keep]]
