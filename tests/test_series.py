@@ -779,7 +779,8 @@ def test_product_tail_sup_on_grid_rows_is_bit_identical_to_the_table(
     # and reads only the others directly, and on the non-dyadic grid it
     # reads every root directly.  Chunks go down to one cell, where a cell
     # on a root holds the row's one -inf, and divisors include the
-    # interleave's 2m and 2m + 1
+    # interleave's 2m and 2m + 1.  The screen's chunks take the grid's
+    # cells in order, within the budget
     g = SCREEN_GRIDS[kind]
     row = construct._RootLogRow(g)
     assert (row.table is not None) is (kind == "dyadic")
@@ -793,13 +794,22 @@ def test_product_tail_sup_on_grid_rows_is_bit_identical_to_the_table(
         2.0 * lo + parity, 2.0 * hi + parity + 1, 2.0)
     chunk = data.draw(st.integers(1, row.size), label="chunk")
     roots, log_c = np.array(s.points), np.array(s.log_c[lo:hi + 1])
+    screen, screened = construct._top_screen, []
+
+    def screen_spy(cells, *args):
+        screened.append(cells.cells)
+        return screen(cells, *args)
+
     with mock.patch.object(construct, "TABLE_BYTES",
-                           construct._CELL_BYTES * chunk):
+                           construct._CELL_BYTES * chunk), \
+            mock.patch.object(construct, "_top_screen", screen_spy):
         got = construct._product_tail_sup(g, roots, log_c, lo, hi, divisors)
     want = _table_sup_reference(g.centers().ravel(), roots, log_c, lo, hi,
                                 divisors)
     assert got.shape == (g.height, g.width)
     assert got.tobytes() == want.reshape(got.shape).tobytes()
+    assert max(c.size for c in screened) <= chunk
+    assert np.concatenate(screened).tolist() == list(range(row.size))
 
 
 @pytest.mark.parametrize("kind", [*sorted(SCREEN_GRIDS), "points"])
