@@ -32,14 +32,15 @@ from .geometry import (OPEN, Grid, RegionMask, bounding_box, distance_to,
                        exhaustion, polynomial_hull, set_distance)
 from .series import CoefficientSeries
 
-# budget for one chunk of the working memory of an evaluator: the passes of
-# _product_tail_sup over a chunk of cells, and the (member x cell) block
-# that block series fold at one degree (BlockStructure.tail_sup)
+# budget for one chunk of the working memory of an evaluator: the cell
+# chunks of both tail sups (_screen_chunks, by _CELL_BYTES), and each
+# (order or member x cell) block of _table_sup and _fold_group
 TABLE_BYTES = 1 << 20
 
 # the working rows kept per cell, in bytes: _top_screen's top and root
 # sums, bound max, root log and bound rows, its first-root index and the
 # complex difference of a direct root log, and the row's index and centre
+# (BlockStructure.tail_sup's top, floor, root sum, root log, x and y)
 _CELL_BYTES = 88
 
 _UNIT_ROUNDOFF = 2.0 ** -53
@@ -260,11 +261,14 @@ class RootPolynomial:
 def gamma_table(points: Sequence[complex]) -> tuple[np.ndarray, np.ndarray]:
     """(gamma_n, log C_n) for n = 1..len(points)-1 of a sequence of
     points, with log C_n = n * (log n - log gamma_n).  Raises ValueError
-    unless the points are pairwise distinct (0j and -0j are one point)."""
+    unless the points are finite and pairwise distinct (0j and -0j are
+    one point): min() passes over a NaN gap."""
     # a running minimum of each new point's gaps to the earlier points is
     # exactly the pairwise minimum of the first n + 1 points, in O(n^2)
     # overall; tests/conftest.py's gamma_sequence takes it from scratch
     pts = np.array(points, dtype=complex)
+    if not np.isfinite(pts).all():
+        raise ValueError("points must be finite")
     n_max = len(pts) - 1
     gammas = np.empty(n_max)
     min_gap = math.inf
@@ -368,10 +372,10 @@ def _product_tail_sup(z: Grid | np.ndarray | complex, roots: np.ndarray,
 def _screen_chunks(row: _RootLogRow, step: int
                    ) -> Iterator[tuple[slice, _RootLogRow]]:
     """The row in consecutive chunks of at most ``step`` cells, each with
-    its flat slice.  A grid's row goes in rectangle rows of whole grid
-    rows, or of part of one where a grid row holds more than ``step``
-    cells: each reads a table root as one strided copy of the table's
-    rectangle, where a flat chunk takes the table at every cell's key."""
+    its flat slice, for both structures' tail sups.  A grid's row goes in
+    rectangle rows of whole grid rows, or of part of one where a grid row
+    holds more than ``step`` cells: each reads a table root as one strided
+    copy of the table's rectangle, where a flat chunk takes a key's."""
     if row.grid is None:
         for start in range(0, row.size, step):
             yield slice(start, start + step), row[start:start + step]
@@ -855,32 +859,19 @@ def _zero_signs(tail_sup, z: Grid | np.ndarray | complex, lo: int, hi: int,
     return sup
 
 
-def _fold_pairs(best: np.ndarray, x: np.ndarray, groups: np.ndarray,
-                cells: np.ndarray, starts: np.ndarray, sizes: np.ndarray,
-                ells: np.ndarray, divisors: np.ndarray) -> None:
-    """For each pair (g, c) of ``groups`` and ``cells``, fold into best[c]
-    the exponents fl(fl(ell x[g, c]) / d) of group g's members, whose
-    (ell, d) are ells[k] and divisors[k] for k in starts[g] + 0..sizes[g]-1.
-    The pairs' members are expanded TABLE_BYTES at a time, and np.maximum
-    propagates a NaN."""
-    counts = sizes[groups]
-    ends = np.cumsum(counts)
-    p = 0
-    while p < groups.size:
-        base = ends[p] - counts[p]
-        q = max(p + 1, int(np.searchsorted(ends, base + TABLE_BYTES // 8,
-                                           side="right")))
-        n = counts[p:q]
-        first = ends[p:q] - n - base  # each pair's offset in the batch
-        member = np.arange(ends[q - 1] - base) + np.repeat(
-            starts[groups[p:q]] - first, n)
-        # an exponent may overflow to inf, and .at flags the NaN it keeps
-        with np.errstate(over="ignore", invalid="ignore"):
-            values = ells[member] * np.repeat(x[groups[p:q], cells[p:q]], n)
-            values /= divisors[member]
-            np.maximum.at(best, cells[p:q],
-                          np.maximum.reduceat(values, first))
-        p = q
+def _fold_group(best: np.ndarray, x: np.ndarray, ells: np.ndarray,
+                divisors: np.ndarray) -> np.ndarray:
+    """best with the exponents fl(fl(ell x) / d) of one group's members,
+    (ell, d) over zip(ells, divisors), folded in at each cell, where x
+    holds the group's x.  The (member x cell) block goes TABLE_BYTES at a
+    time, and np.maximum propagates a NaN.  The caller runs it under
+    np.errstate, as an exponent may overflow to inf."""
+    step = max(1, TABLE_BYTES // (8 * x.size))
+    for k in range(0, ells.size, step):
+        values = ells[k:k + step, None] * x
+        values /= divisors[k:k + step, None]
+        np.maximum(best, values.max(axis=0), out=best)
+    return best
 
 
 @dataclass(frozen=True, eq=False)
@@ -896,7 +887,7 @@ class BlockStructure:
     The members of a separating-family stage, and of every stage built in
     lockstep with it, are prefixes of one stored Leja sequence, and
     ``tail_sup`` keeps one running root sum per sequence, so each root
-    term is evaluated once per sequence and cell, however many share it;
+    term is evaluated twice per sequence and cell, however many share it;
     it then folds, per cell, only the members its screen cannot rule out.
     """
 
@@ -923,15 +914,17 @@ class BlockStructure:
 
         The window's members fall into groups of one (sequence, degree,
         log_scale): the stages of a lockstep group share each degree's
-        member.  For each chunk of cells, each sequence with a member in
-        the window sums its root logs (a _RootLogRow's) once, from zero,
-        adding the roots in order, and each group takes
-        x = fl(sum + log_scale), with log_scale folded in last as
-        RootPolynomial.log_abs does.  Member
+        member.  The cells go in _screen_chunks' chunks of
+        TABLE_BYTES // _CELL_BYTES, however many groups there are, in
+        two passes.  In each, each sequence with a member in the window
+        sums its root logs (a _RootLogRow's) from zero, adding the roots in
+        order, and each group in turn takes x = fl(sum + log_scale), with
+        log_scale folded in last as RootPolynomial.log_abs does.  Member
         ell of the group, with divisor d, has the exponent
-        v = fl(fl(ell x) / d), bit-identical to evaluating it alone.  A
-        screen keeps, per cell, the groups that can hold the max, and only
-        their members are folded (_fold_pairs).
+        v = fl(fl(ell x) / d), bit-identical to evaluating it alone.  Pass
+        one takes the screen's top (below); pass two, with the same adds
+        and so the same x, folds only the members of the groups that
+        reach the screen's floor at a cell (_fold_group).
 
         The screen bounds each v by y = fl(r_hi x), where r = fl(ell / d)
         lies in [r_lo, r_hi] over the group: r is 1 for the default
@@ -943,16 +936,17 @@ class BlockStructure:
         h = 2^-1000 max(1, 1 / min(d)).  At a cell, the group of the
         largest y, top, holds a v >= top - w |top| - h.  For w <= 1/2,
         y + w |y| increases with y, so a group with
-        y < top - 4w |top| - 4h has every v below that and holds no max;
+        y below the floor top - 4w |top| - 4h holds no max: each v is lower;
         the slack in w and h absorbs the roundings of this threshold.
         Every other group is folded exactly, and their max is the max of
         all.  No v is NaN there, and x is never -0.0 (the sums start from
         +0.0), so the fold order changes no bits, short of the sign of a
         zero max, which needs a quotient that underflows; _zero_signs
-        gives it the sign of the first zero order.
+        gives it the sign of the first zero order.  Only a folded group
+        can hold a zero max: pass two flags where its x is in [tiny, 0).
 
-        A cell takes no screen, and folds every group, where top is NaN,
-        so that the NaN propagates, infinite, or beyond
+        A cell takes no screen, and folds every group (a -inf floor),
+        where top is NaN, so that the NaN propagates, infinite, or beyond
         2^1000 / max(1, max(d)) in magnitude.  Below that no positive x
         overflows, as its y is at most top, and a negative x that
         overflows rounds to -inf, which no bound misses.  No cell takes
@@ -988,34 +982,38 @@ class BlockStructure:
         h = max(1.0, 1 / divisors.min()) / _SCREEN_RANGE
         big = (_SCREEN_RANGE / max(1.0, divisors.max()) if w <= 0.5
                else -1.0)  # no cell takes the screen
-        members = (starts, np.diff(starts, append=order.size), ells, divisors)
+        members = np.split(np.stack((ells, divisors)), starts[1:], axis=1)
         sup = np.full(row.size, -np.inf)
         # a member's exponent is -0.0 only where fl(ell x) / d underflows
         suspect = np.zeros(row.size, dtype=bool)
         tiny = -divisors.max() * 2.0 ** -1074
-        step = max(1, TABLE_BYTES // (8 * starts.size))  # a chunk's x rows
-        for start in range(0, row.size, step):
-            cells = row[start:start + step]
-            x = np.empty((starts.size, cells.size))
-            term = np.empty(cells.size)
+
+        def logs(cells: _RootLogRow) -> Iterator[tuple[int, np.ndarray]]:
+            # each group g and its x over the cells, in one buffer
+            term, x = np.empty(cells.size), np.empty(cells.size)
             for roots, folds in runs:
                 total, done = np.zeros(cells.size), 0
                 for g, d, scale in folds:
                     for r in roots[done:d]:
                         total += cells(r, out=term)
                     done = d
-                    np.add(total, scale, out=x[g])
-            with np.errstate(over="ignore", invalid="ignore"):
-                y = r_hi[:, None] * x
-                top = y.max(axis=0)
-                contend = y >= top - 4 * w * np.abs(top) - 4 * h
-            contend[:, ~(np.abs(top) <= big)] = True
-            _fold_pairs(sup[start:start + step], x,
-                        *np.divmod(np.flatnonzero(contend), cells.size),
-                        *members)
-            zero = np.flatnonzero(sup[start:start + step] == 0)
-            suspect[start + zero] = ((x[:, zero] < 0)
-                                     & (x[:, zero] >= tiny)).any(axis=0)
+                    yield g, np.add(total, scale, out=x)
+
+        with np.errstate(over="ignore", invalid="ignore"):
+            for at, cells in _screen_chunks(
+                    row, max(1, TABLE_BYTES // _CELL_BYTES)):
+                top = np.full(cells.size, -np.inf)
+                for g, x in logs(cells):
+                    np.maximum(top, r_hi[g] * x, out=top)
+                floor = np.where(np.abs(top) <= big,
+                                 top - 4 * w * np.abs(top) - 4 * h, -np.inf)
+                best, flag = sup[at], suspect[at]
+                for g, x in logs(cells):
+                    c = np.flatnonzero(~(r_hi[g] * x < floor))
+                    if c.size:
+                        x = x[c]
+                        best[c] = _fold_group(best[c], x, *members[g])
+                        flag[c] |= (x < 0) & (x >= tiny)
         return _zero_signs(self.tail_sup, z, lo, hi, window_divisors,
                            sup.reshape(row.shape), suspect.reshape(row.shape))
 

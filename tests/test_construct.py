@@ -48,6 +48,18 @@ def test_duplicate_points_rejected():
             gamma_table(points)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.5, -math.inf)],
+                         ids=["nan", "inf", "inf-imaginary"])
+def test_non_finite_points_rejected(bad):
+    # a NaN's gaps are NaN, which min() passes over, so the zero-gap check
+    # alone would build gammas 1, 1/2, 1/3 on [nan, 0.5, 1j, -0.5], and
+    # save_series would write a file load_series refuses
+    points = [bad, 0.5, 1j, -0.5]
+    for build in (gamma_table, countable_set_series):
+        with pytest.raises(ValueError, match="points must be finite"):
+            build(points)
+
+
 def test_countable_series_rejects_repeated_points():
     for points in [(0j, 1 + 0j, 0j), [0, 1, 0], [0j, 1, -0j]]:
         with pytest.raises(ValueError, match="pairwise distinct"):

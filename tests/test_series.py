@@ -21,6 +21,7 @@ from sigmaconv.construct import (BlockStructure, CountableStructure,
                                  countable_series_from_tables)
 from sigmaconv.series import MIN_N, _sup, reject_nan
 from conftest import _log_abs, cell_center, oracle_series, reference_log_mag
+from test_construct import row_reads
 from test_io import (compact_series, countable_series, hand_block_series,
                      loaded_hand_block_series, make_decomposition,
                      sigma_series)
@@ -368,8 +369,9 @@ def test_block_tail_sup_keeps_its_shape_and_scalar_points():
                          ids=["hand-blocks", "loaded-hand-blocks", "sigma"])
 def test_block_tail_sup_is_bit_identical_across_cell_chunks(build,
                                                             monkeypatch):
-    # a 100-entry table splits the 2304 + roots cells into chunks of at
-    # most 100 // (groups or roots per sequence) cells, the last one partial
+    # an 800-byte budget takes the 2304 + roots points in chunks of
+    # 800 // _CELL_BYTES = 9 cells, the last one partial, and folds a
+    # group's members at most 100 // cells at a time
     f = build()
     zs = _points_on_and_off_roots(f)
     monkeypatch.setattr(construct, "TABLE_BYTES", 800)
@@ -492,23 +494,57 @@ def test_block_tail_sup_takes_no_screen_where_an_exponent_overflows():
 
 def test_block_tail_sup_folds_the_contending_groups_alone(monkeypatch):
     # on the sigma series' tail window the screen leaves about one group
-    # per cell to fold, of the window's 15
+    # per cell to fold, of the window's 15; each group's members hold
+    # orders of their own, so its least order names it
     f = sigma_series()
     zs = _points_on_and_off_roots(f)
     lo, hi = tail_window(f.max_supported_n)
     folded = []
-    fold = construct._fold_pairs
+    fold = construct._fold_group
 
-    def spy(best, x, groups, cells, *members):
-        folded.append((x.shape[0], groups.size))
-        return fold(best, x, groups, cells, *members)
+    def spy(best, x, ells, divisors):
+        folded.append((ells.min(), x.size))
+        return fold(best, x, ells, divisors)
 
-    monkeypatch.setattr(construct, "_fold_pairs", spy)
+    monkeypatch.setattr(construct, "_fold_group", spy)
     got = f.structure.tail_sup(zs, lo, hi)
     assert got.tobytes() == _per_order_sup(f, zs, lo, hi).tobytes()
-    (groups, pairs), = folded  # one chunk of (group, cell) pairs
-    assert groups > 4
-    assert pairs < 1.1 * zs.size
+    assert len({group for group, _ in folded}) > 4
+    assert sum(cells for _, cells in folded) < 1.1 * zs.size
+
+
+def test_block_tail_sup_reads_each_window_root_twice_per_chunk(monkeypatch):
+    # 64 members on three sequences, each with a log_scale of its own, so
+    # the tail windows hold 33 and 17 groups; a budget of 24 cells per
+    # chunk takes the 16 x 8 grid in chunks of one grid row, where chunks
+    # of TABLE_BYTES // (8 groups) cells would be smaller.  Each chunk
+    # takes two passes over the window's roots, one read per root each,
+    # however many groups share them
+    grid = Grid.from_box(-1.0, -0.5, 1.0, 0.5, 16, 8)
+    centres = grid.centers().ravel()
+    sequences = [(*centres[[3, 40, 77, 120]], 0.3 + 0.1j, -0.6 - 0.2j),
+                 (0.1 - 0.4j, *centres[[9, 100]]), tuple(centres[[64, 5]])]
+    rng = np.random.default_rng(5)
+    placement = [(s, int(rng.integers(0, len(sequences[s]) + 1)))
+                 for s in rng.integers(0, 3, 64).tolist()]
+    f = construct.block_series_from_tables(
+        sequences, placement, rng.uniform(-2.0, 2.0, 64).tolist(), [64],
+        0.0, "three sequences")
+    monkeypatch.setattr(construct, "TABLE_BYTES", construct._CELL_BYTES * 24)
+    chunks = len(list(construct._screen_chunks(construct._RootLogRow(grid),
+                                               24)))
+    assert chunks == 8
+    for lo, hi in (tail_window(64), tail_window(32)):
+        window = np.array(placement[lo - 1:hi])
+        roots = sum(window[window[:, 0] == s, 1].max(initial=0)
+                    for s in range(3))
+        assert 8 * (hi - lo + 1) > construct._CELL_BYTES
+        reads = []
+        with row_reads(lambda *_: reads.append(1)):
+            got = f.structure.tail_sup(grid, lo, hi)
+        assert len(reads) == 2 * roots * chunks
+        assert got.tobytes() == _per_order_sup(
+            f, grid.centers(), lo, hi).tobytes()
 
 
 def test_loaded_hand_series_places_each_member_on_one_sequence():
