@@ -24,10 +24,9 @@ from .geometry import (COMPACT, DOMAIN, OPEN, Grid, RegionMask, distance_to,
 from .harness import (Budgets, SceneParseError, SceneSpec, VerificationReport,
                       construct_compact, construct_countable, construct_sigma,
                       load_scene, map_vs_mask_agreement, parse_scene, verify)
-from .pgmio import (read_map_pgm, read_mask_pgm, write_map_pgm, write_mask_pgm)
-from .serialize import (export_decomposition, load_decomposition, load_series,
-                        save_map, save_series, series_from_json,
-                        series_to_json)
+from .pgmio import write_map_pgm, write_mask_pgm
+from .serialize import (export_decomposition, load_series, save_map,
+                        save_series, series_from_json, series_to_json)
 from .series import (DEFAULT_M, DEFAULT_N, ConvergenceMap, Verdict,
                      classify_point, classify_points, conv_map, default_b,
                      level_set, tail_window)

@@ -1,11 +1,13 @@
-"""JSON persistence for series, verdict maps, and decompositions.
+"""JSON persistence for series; the verdict map and decomposition writers.
 
 Series files store the constructive data (point tables, member roots and
 scales, parity splits), not sampled values; loading rebuilds the structure,
 which is the series' one evaluator, through the same factories the
 constructors use, so a reloaded series reproduces verdict maps bit for bit.
-Malformed files raise ValueError.  Log scales may be -Infinity (the
+Malformed series files raise ValueError.  Log scales may be -Infinity (the
 Python json dialect); complex numbers are stored as [re, im] pairs.
+Verdict maps, their sidecars and decomposition exports are outputs only:
+no command reads them back.
 
 save_series writes json.dumps(series_to_json(series), indent=1): json.dumps
 writes everything but the members lists, which are written from their
@@ -33,8 +35,8 @@ from . import pgmio
 from .construct import (BlockStructure, CountableStructure,
                         InterleaveStructure, block_series_from_tables,
                         countable_series_from_tables, interleave)
-from .decompose import SKIPPED, VERIFIED, Decomposition
-from .geometry import Grid, RegionMask
+from .decompose import Decomposition
+from .geometry import Grid
 from .series import CoefficientSeries, ConvergenceMap
 
 
@@ -100,13 +102,6 @@ def _count(value, name: str) -> int:
 def grid_to_json(grid: Grid) -> dict:
     return {"origin": _c2j(grid.origin), "pixel": grid.pixel,
             "width": grid.width, "height": grid.height}
-
-
-def grid_from_json(obj) -> Grid:
-    obj = _object(obj, "grid")
-    return Grid(_j2c(obj.get("origin")), _real(obj.get("pixel"), "grid pixel"),
-                _count(obj.get("width"), "grid width"),
-                _count(obj.get("height"), "grid height"))
 
 
 def _members_from_json(objs: list) -> tuple[list, list, list]:
@@ -437,14 +432,13 @@ def save_map(cmap: ConvergenceMap, pgm_path: str | Path,
     Path(json_path).write_text(json.dumps(map_sidecar(cmap), indent=1))
 
 
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
-
-
 def export_decomposition(decomp: Decomposition, outdir: str | Path) -> dict:
-    """Write one PGM per stage union E_n and neighborhood U_n plus a
-    manifest with checksums; the manifest suffices to replay the powered
-    block series over the stored stages."""
+    """Write one PGM per stage union E_n and neighborhood U_n, as
+    E_nnn.pgm and U_nnn.pgm for n = 1..n_max, and a manifest.json that
+    lists each file with the sha256 of its bytes, the grid, the pixel band
+    and each stage's hull-identity status.  The stage masks are the input
+    sigma_convex_series builds the series from; no command reads them
+    back."""
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     files = {}
@@ -461,49 +455,6 @@ def export_decomposition(decomp: Decomposition, outdir: str | Path) -> dict:
                 "files": files}
     (outdir / "manifest.json").write_text(json.dumps(manifest, indent=1))
     return manifest
-
-
-def load_decomposition(outdir: str | Path) -> Decomposition:
-    """Rebuild the stage masks from an export directory.
-
-    Only the stage tables needed for replay (E_n, U_n) are restored; the
-    per-piece tables and the original compact list are not persisted.
-    Every stage mask E_n, U_n (n = 1..n_max) must be listed in the manifest,
-    and no other file; checksums are verified before any mask is parsed.
-    """
-    outdir = Path(outdir)
-    manifest = _object(json.loads((outdir / "manifest.json").read_text(
-        encoding="utf-8")), "manifest")
-    n_max = manifest.get("n_max")
-    if type(n_max) is not int or n_max < 1:
-        raise ValueError(f"n_max must be a positive integer, got {n_max!r}")
-    status = _list(manifest, "hull_identity")
-    if len(status) != n_max or any(s not in (VERIFIED, SKIPPED)
-                                   for s in status):
-        raise ValueError(f"hull_identity must hold {n_max} entries, each "
-                         f"{VERIFIED!r} or {SKIPPED!r}, got {status!r:.60}")
-    files = _object(manifest.get("files"), "files")
-    # n_max is bounded by the hull_identity list it equals in length
-    names = [f"{p}_{n:03d}.pgm" for n in range(1, n_max + 1) for p in "EU"]
-    for name in sorted(files.keys() - set(names)):
-        raise ValueError(f"manifest lists {name!r}, not a stage 1..{n_max} mask")
-    for name in names:
-        if name not in files:
-            raise ValueError(f"manifest lists no checksum for {name}")
-    for name, digest in files.items():
-        actual = _sha256(outdir / name)
-        if actual != digest:
-            raise ValueError(f"checksum mismatch for {name}: manifest "
-                             f"{str(digest)[:12]}.., file {actual[:12]}..")
-    grid = grid_from_json(manifest.get("grid"))
-    E_list: list[RegionMask] = []
-    U_list: list[RegionMask] = []
-    for n in range(1, n_max + 1):
-        E_list.append(pgmio.read_mask_pgm(outdir / f"E_{n:03d}.pgm"))
-        U_list.append(pgmio.read_mask_pgm(outdir / f"U_{n:03d}.pgm"))
-        if E_list[-1].grid != grid or U_list[-1].grid != grid:
-            raise ValueError(f"stage {n} masks disagree with manifest grid")
-    return Decomposition(grid, [], n_max, {}, E_list, U_list, status)
 
 
 def save_report(report: dict, path: str | Path) -> None:

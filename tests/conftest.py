@@ -1,12 +1,13 @@
 """Shared test helpers: seeded random blob masks, small series builders,
 the per-order reference evaluation of a series, the reference separation
 scale gamma_sequence, a one-stage separating family with an independent
-re-check of it, the cell-centre formula and the full-grid labelling of a
-mask's complement."""
+re-check of it, the cell-centre formula, the full-grid labelling of a
+mask's complement and a decoder of the PGM layout the writers use."""
 
 import json
 import math
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Callable
 
 import numpy as np
@@ -149,6 +150,17 @@ def verify_family(family, K, target, m) -> bool:
     covered_ok = best >= log_m
     expect_uncovered = family.uncovered.bits[target.bits]
     return bool(np.array_equal(~covered_ok, expect_uncovered))
+
+
+def pgm_fields_and_pixels(path):
+    """(fields, pixels) of a PGM that sigmaconv.pgmio wrote: the key=value
+    fields of its tag comment, as text, and its pixels in grid order,
+    bottom row first.  The writer's header is four lines (P5, the comment,
+    width and height, 255); nothing is validated."""
+    _, comment, size, _, body = Path(path).read_bytes().split(b"\n", 4)
+    width, height = map(int, size.split())
+    fields = dict(word.split("=") for word in comment.decode().split()[2:])
+    return fields, np.frombuffer(body, np.uint8).reshape(height, width)[::-1]
 
 
 def flood_fill_hull(mask):

@@ -18,8 +18,7 @@ from sigmaconv import (COMPACT, DEFAULT_M, DEFAULT_N, ConvergenceMap, Grid,
                        RegionMask, ResolutionWarning, RootPolynomial,
                        Verdict, block_series,
                        countable_set_series, default_b, interleave,
-                       load_series, read_map_pgm, read_mask_pgm, save_series,
-                       shapes, write_mask_pgm)
+                       load_series, save_series, shapes, write_mask_pgm)
 from sigmaconv.cli import build_parser, main
 from sigmaconv.harness import (Budgets, SceneParseError, _least_gap,
                                construct_compact, construct_countable,
@@ -27,7 +26,7 @@ from sigmaconv.harness import (Budgets, SceneParseError, _least_gap,
                                parse_scene, verify)
 from conftest import (complement_components, corrupt_leaf,
                       disk_growth_series, leaf_paths, oracle_holomorphic_hull,
-                      reference_log_mag)
+                      pgm_fields_and_pixels, reference_log_mag)
 
 FULL_SCENE = """\
 name demo pair
@@ -329,13 +328,20 @@ def write_scene(tmp_path, text, name="scene.txt"):
     return p
 
 
+def written_masks(scene, out, *names):
+    """The masks a command wrote to out, on the scene's grid."""
+    grid = parse_scene(scene.read_text()).grid
+    for name in names:
+        fields, pixels = pgm_fields_and_pixels(out / name)
+        yield RegionMask(grid, pixels == 255, fields["kind"])
+
+
 def test_cli_hull_fills_annulus(tmp_path, capsys):
     scene = write_scene(tmp_path, "grid 64x64\nbox -2 -2 2 2\n"
                                   "target annulus 0 0 0.6 1.2\n")
     out = tmp_path / "out"
     assert main(["hull", str(scene), "--out", str(out)]) == 0
-    hull = read_mask_pgm(out / "hull.pgm")
-    target = read_mask_pgm(out / "target.pgm")
+    hull, target = written_masks(scene, out, "hull.pgm", "target.pgm")
     assert target.count() < hull.count()
     # the hole is filled: hull has no bounded complement component
     assert complement_components(hull)[2].size == 0
@@ -352,8 +358,7 @@ def test_cli_hull_respects_restricted_domain(tmp_path):
                         "target annulus 0 0 0.6 1.2\n")
     out = tmp_path / "out"
     assert main(["hull", str(scene), "--out", str(out)]) == 0
-    hull = read_mask_pgm(out / "hull.pgm")
-    target = read_mask_pgm(out / "target.pgm")
+    hull, target = written_masks(scene, out, "hull.pgm", "target.pgm")
     # the hole meets the domain complement, so nothing is filled
     assert hull.same_cells(target)
     report = json.loads((out / "report.json").read_text())
@@ -434,9 +439,9 @@ def test_cli_construct_then_verify_round_trip(tmp_path, capsys):
                  "--out", str(out2)]) == 0
     text = capsys.readouterr().out
     assert "converge-on-target 1.0000" in text
-    grid, verdicts, budgets = read_map_pgm(out2 / "map.pgm")
-    assert budgets["N"] == 46
-    assert (verdicts == Verdict.CONVERGE).any()
+    fields, pixels = pgm_fields_and_pixels(out2 / "map.pgm")
+    assert fields["N"] == "46"
+    assert (pixels == 255).any()  # converge
     report = json.loads((out2 / "report.json").read_text())
     assert report["map_agreement"]["diverge_off_target"] == 1.0
 
@@ -893,8 +898,8 @@ def test_cli_demo_sierpinski(tmp_path, capsys):
     assert text.startswith(
         "Triangle-fractal approximant, depth 1, 64x64 cells of size 0.01875.\n")
     assert "Hull escape: 1 of 1" in text
-    mask = read_mask_pgm(out / "approximant.pgm")
-    assert mask.count() > 0
+    fields, pixels = pgm_fields_and_pixels(out / "approximant.pgm")
+    assert fields["kind"] == COMPACT and (pixels == 255).any()
 
 
 @pytest.mark.parametrize("lines,fragment", [

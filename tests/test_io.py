@@ -1,8 +1,9 @@
-"""PGM image files and JSON persistence: round trips must be bit-exact."""
+"""PGM image files and JSON persistence: series round trips must be
+bit-exact, and the PGM and export writers keep their layout."""
 
+import hashlib
 import json
 import math
-import random
 import re
 import sys
 import tempfile
@@ -11,22 +12,22 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sigmaconv import (COMPACT, DOMAIN, OPEN, Grid, RegionMask, Verdict,
-                       ascending_decomposition, block_series,
-                       compact_set_series, conv_map, countable_set_series,
-                       full_domain, interleave, load_series, polynomial_hull,
-                       rasterize_scene,
-                       read_map_pgm, read_mask_pgm, save_map, save_series,
-                       series_from_json, series_to_json, shapes,
-                       sigma_convex_series, write_map_pgm, write_mask_pgm,
-                       RootPolynomial, export_decomposition,
-                       load_decomposition)
+from sigmaconv import (COMPACT, DOMAIN, OPEN, Decomposition, Grid,
+                       RegionMask, Verdict, ascending_decomposition,
+                       block_series, compact_set_series, conv_map,
+                       countable_set_series, full_domain, interleave,
+                       load_series, polynomial_hull, rasterize_scene,
+                       save_map, save_series, series_from_json,
+                       series_to_json, shapes, sigma_convex_series,
+                       write_map_pgm, write_mask_pgm, RootPolynomial,
+                       export_decomposition)
 from sigmaconv import serialize
 from sigmaconv.construct import (BlockStructure, InterleaveStructure,
                                  block_series_from_tables)
-from sigmaconv.serialize import grid_from_json, map_sidecar
-from conftest import (corrupt_leaf, disk_growth_series, leaf_paths,
-                      oracle_series, random_polyomino, reference_log_mag)
+from sigmaconv.serialize import map_sidecar
+from conftest import (disk_growth_series, oracle_series,
+                      pgm_fields_and_pixels, random_polyomino,
+                      reference_log_mag)
 
 
 def odd_grid():
@@ -37,6 +38,18 @@ def odd_grid():
 # ------------------------------------------------------------ mask PGM
 
 
+def header(tag, fields, grid):
+    """The writer's four header lines for a grid and tag fields."""
+    words = " ".join(f"{k}={v}" for k, v in fields.items())
+    return f"P5\n# {tag} {words}\n{grid.width} {grid.height}\n255\n".encode()
+
+
+def grid_fields(grid):
+    """Origin and pixel as their float reprs, which keep the exact floats."""
+    return {"origin": f"{grid.origin.real!r},{grid.origin.imag!r}",
+            "pixel": repr(grid.pixel)}
+
+
 @pytest.mark.parametrize("kind", [COMPACT, OPEN])
 def test_mask_pgm_round_trip(tmp_path, kind):
     g = odd_grid()
@@ -44,19 +57,20 @@ def test_mask_pgm_round_trip(tmp_path, kind):
     mask = RegionMask(g, random_polyomino(rng, g, 120).bits, kind)
     path = tmp_path / "m.pgm"
     assert write_mask_pgm(mask, path) == path.read_bytes()
-    back = read_mask_pgm(path)
-    assert back.grid == g  # repr round-trip keeps the exact floats
-    assert back.kind == kind
-    assert np.array_equal(back.bits, mask.bits)
+    fields = {**grid_fields(g), "kind": kind}
+    assert path.read_bytes() == header("sigmaconv-mask", fields, g) + \
+        (mask.bits[::-1] * np.uint8(255)).tobytes()
+    ox, oy = map(float, fields["origin"].split(","))
+    assert Grid(complex(ox, oy), float(fields["pixel"]), 48, 48) == g
 
 
 def test_domain_mask_round_trip(tmp_path):
     g = odd_grid()
     dom = full_domain(g)
     write_mask_pgm(dom, tmp_path / "d.pgm")
-    back = read_mask_pgm(tmp_path / "d.pgm")
-    assert back.kind == DOMAIN
-    assert back.same_cells(dom)
+    fields, pixels = pgm_fields_and_pixels(tmp_path / "d.pgm")
+    assert fields == {**grid_fields(g), "kind": DOMAIN}
+    assert np.array_equal(pixels, dom.bits * np.uint8(255))
 
 
 def test_mask_pgm_rows_are_stored_top_down(tmp_path):
@@ -71,156 +85,32 @@ def test_mask_pgm_rows_are_stored_top_down(tmp_path):
     assert data[(8 - 2) * 8 + 2] == 255
 
 
-def test_mask_pgm_rejects_tampered_pixels(tmp_path):
-    g = Grid.from_box(0.0, 0.0, 1.0, 1.0, 8, 8)
-    write_mask_pgm(RegionMask(g, np.zeros((8, 8), dtype=bool), OPEN),
-                   tmp_path / "m.pgm")
-    raw = bytearray((tmp_path / "m.pgm").read_bytes())
-    raw[-5] = 7
-    (tmp_path / "m.pgm").write_bytes(bytes(raw))
-    with pytest.raises(ValueError, match="0 or 255"):
-        read_mask_pgm(tmp_path / "m.pgm")
-
-
-def test_mask_pgm_header_errors(tmp_path):
-    p = tmp_path / "bad.pgm"
-    p.write_bytes(b"P2\n2 2\n255\n" + bytes(4))
-    with pytest.raises(ValueError, match="not a binary PGM"):
-        read_mask_pgm(p)
-    p.write_bytes(b"P5\n2 2\n254\n" + bytes(4))
-    with pytest.raises(ValueError, match="maxval 255"):
-        read_mask_pgm(p)
-    p.write_bytes(b"P5\n4 4\n255\n" + bytes(3))
-    with pytest.raises(ValueError, match="truncated"):
-        read_mask_pgm(p)
-    p.write_bytes(b"P5\n2 2\n255\n" + bytes(4))  # no metadata comment
-    with pytest.raises(ValueError, match="metadata"):
-        read_mask_pgm(p)
-    p.write_bytes(b"P5\n-2 -2\n255\n" + bytes(4))
-    with pytest.raises(ValueError, match="size -2x-2 is not positive"):
-        read_mask_pgm(p)
-    p.write_bytes(b"P5\n2a 2\n255\n" + bytes(4))
-    with pytest.raises(ValueError, match="size and maxval must be integers"):
-        read_mask_pgm(p)
-    p.write_bytes(b"P5\n# a comment without an end of line")
-    with pytest.raises(ValueError, match="unterminated comment"):
-        read_mask_pgm(p)
-    good = tmp_path / "good.pgm"
-    write_mask_pgm(RegionMask(Grid.from_box(0.0, 0.0, 1.0, 1.0, 8, 8),
-                              np.zeros((8, 8), dtype=bool), OPEN), good)
-    raw = good.read_bytes()
-    # cut after the image height, before the maxval token
-    p.write_bytes(raw[:raw.index(b"\n255\n")])
-    with pytest.raises(ValueError, match="truncated PGM header"):
-        read_mask_pgm(p)
-    p.write_bytes(raw + bytes(64))
-    with pytest.raises(ValueError, match="extra bytes after the pixel data"):
-        read_mask_pgm(p)
-    # the byte after maxval must be whitespace, not the first of the pixels
-    p.write_bytes(raw.replace(b"\n255\n", b"\n255#", 1))
-    with pytest.raises(ValueError, match="maxval must end in one whitespace"):
-        read_mask_pgm(p)
-    for field in ("origin", "pixel"):
-        p.write_bytes(raw.replace(f" {field}=".encode(), b" x="))
-        with pytest.raises(ValueError,
-                           match=re.escape(f"metadata lacks ['{field}']")):
-            read_mask_pgm(p)
-    p.write_bytes(raw.replace(b"sigmaconv-mask", b"sigmaconv-map"))
-    with pytest.raises(ValueError,
-                       match=re.escape(f"{p}: metadata lacks ['B', 'M', 'N']")):
-        read_map_pgm(p)
-    # metadata the classifier would refuse, or that does not parse, names
-    # the file
-    write_map_pgm(small_map()[1], good)
-    raw = good.read_bytes()
-    for pattern, value, fragment in [
-            (rb" N=\S+", b" N=-5", "budgets need N >= 8 and B < M, got N=-5"),
-            (rb" N=\S+", b" N=0", "got N=0"),
-            (rb" B=\S+ M=\S+", b" B=2.0 M=1.0", "got N=8 B=2.0 M=1.0"),
-            (rb" B=\S+", b" B=inf", "non-finite budgets in metadata"),
-            (rb" N=\S+", b" N=ab", "bad budget metadata"),
-            (rb" pixel=\S+", b" pixel=x", "bad grid metadata"),
-            (rb" B=", b" B=\xe9", "comment is not ASCII")]:
-        p.write_bytes(re.sub(pattern, value, raw, count=1))
-        with pytest.raises(ValueError,
-                           match=f"^{re.escape(str(p))}: .*{re.escape(fragment)}"):
-            read_map_pgm(p)
-
-
-@pytest.mark.parametrize("comment", [b"# created by an image editor\n",
-                                     b"# \xe9\n"])
-def test_pgm_foreign_header_comments_are_skipped(tmp_path, comment):
-    # any comment but the tag comment is skipped unread, whatever it holds
-    g = odd_grid()
-    mask = RegionMask(g, random_polyomino(np.random.default_rng(5), g,
-                                          60).bits, COMPACT)
-    write_mask_pgm(mask, tmp_path / "m.pgm")
-    write_map_pgm(small_map()[1], tmp_path / "v.pgm")
-    for name in ("m.pgm", "v.pgm"):
-        p = tmp_path / name
-        p.write_bytes(p.read_bytes().replace(b"P5\n", b"P5\n" + comment, 1))
-    back = read_mask_pgm(tmp_path / "m.pgm")
-    assert (back.grid, back.kind) == (g, COMPACT)
-    assert np.array_equal(back.bits, mask.bits)
-    g, cmap = small_map()
-    grid, verdicts, budgets = read_map_pgm(tmp_path / "v.pgm")
-    assert grid == g and np.array_equal(verdicts, cmap.verdicts)
-    assert budgets == {"N": 8, "B": cmap.B, "M": cmap.M}
-
-
-@pytest.mark.parametrize("kind", ["mask", "map"])
-def test_pgm_header_corruptions_load_or_raise_value_error(tmp_path, kind):
-    # one random byte of the header replaced, 300 times: every mutant either
-    # loads or raises ValueError
-    path = tmp_path / "clean.pgm"
-    if kind == "mask":
-        g = odd_grid()
-        write_mask_pgm(RegionMask(g, random_polyomino(
-            np.random.default_rng(3), g, 40).bits, COMPACT), path)
-        read = read_mask_pgm
-    else:
-        write_map_pgm(small_map()[1], path)
-        read = read_map_pgm
-    raw = path.read_bytes()
-    header = raw.index(b"\n255\n") + 5
-    rng = random.Random(0)
-    mutant = tmp_path / "mutant.pgm"
-    for _ in range(300):
-        data = bytearray(raw)
-        data[rng.randrange(header)] = rng.randrange(256)
-        mutant.write_bytes(bytes(data))
-        try:
-            read(mutant)
-        except ValueError:
-            pass
-
-
 # ------------------------------------------------------------ map PGM
 
 
 def small_map():
     g = Grid.from_box(-1.5, -1.5, 1.5, 1.5, 16, 16)
-    f = disk_growth_series(0.0, 0.8, 8)
+    f = disk_growth_series(0.4j, 0.8, 8)  # off the row axis: rows differ
     return g, conv_map(f, g, N=8, B=math.log(1.1), M=math.log(1.5))
 
 
 def test_map_pgm_round_trip(tmp_path):
     g, cmap = small_map()
     write_map_pgm(cmap, tmp_path / "v.pgm")
-    grid, verdicts, budgets = read_map_pgm(tmp_path / "v.pgm")
-    assert grid == g
-    assert np.array_equal(verdicts, cmap.verdicts)
-    assert budgets == {"N": 8, "B": cmap.B, "M": cmap.M}
-
-
-def test_map_pgm_rejects_unknown_gray(tmp_path):
-    g, cmap = small_map()
-    write_map_pgm(cmap, tmp_path / "v.pgm")
-    raw = bytearray((tmp_path / "v.pgm").read_bytes())
-    raw[-1] = 3
-    (tmp_path / "v.pgm").write_bytes(bytes(raw))
-    with pytest.raises(ValueError, match="0, 128 or 255"):
-        read_map_pgm(tmp_path / "v.pgm")
+    fields = {**grid_fields(g), "N": "8", "B": repr(cmap.B),
+              "M": repr(cmap.M)}
+    raw = (tmp_path / "v.pgm").read_bytes()
+    head = header("sigmaconv-map", fields, g)
+    assert raw.startswith(head) and len(raw) == len(head) + 16 * 16
+    got, pixels = pgm_fields_and_pixels(tmp_path / "v.pgm")
+    assert got == fields
+    assert (float(got["B"]), float(got["M"])) == (cmap.B, cmap.M)
+    # grid order after the decoder's flip: the file's rows run top-down
+    assert not np.array_equal(cmap.verdicts, cmap.verdicts[::-1])
+    for verdict, value in ((Verdict.DIVERGE, 0), (Verdict.UNDETERMINED, 128),
+                           (Verdict.CONVERGE, 255)):
+        assert (cmap.verdicts == verdict).any()
+        assert np.array_equal(pixels == value, cmap.verdicts == verdict)
 
 
 def test_save_map_writes_matching_sidecar(tmp_path):
@@ -702,26 +592,37 @@ def make_decomposition():
     return g, ascending_decomposition([K1, K2], 4)
 
 
-def test_decomposition_export_and_reload(tmp_path):
+def test_decomposition_export_contract(tmp_path):
+    """The manifest lists exactly E_nnn and U_nnn for stages 1..n_max, each
+    with the sha256 of its file, and the files hold the stages: a series
+    built from the decoded masks saves the original's bytes.  dec's 4
+    stages share 2 E objects and the decoded ones are 4, yet both build
+    the same 2 lockstep groups, as the builder groups stages by E's cells."""
     g, dec = make_decomposition()
-    manifest = export_decomposition(dec, tmp_path / "out")
-    assert manifest["n_max"] == 4
-    assert len(manifest["files"]) == 8  # E and U per stage
-    back = load_decomposition(tmp_path / "out")
-    assert back.grid == g
-    assert back.hull_identity == dec.hull_identity
-    for n in range(4):
-        assert back.E_list[n].same_cells(dec.E_list[n])
-        assert back.U_list[n].same_cells(dec.U_list[n])
+    out = tmp_path / "out"
+    manifest = export_decomposition(dec, out)
+    names = [f"{p}_{n:03d}.pgm" for n in range(1, 5) for p in "EU"]
+    assert json.loads((out / "manifest.json").read_text()) == manifest
+    assert manifest == {"n_max": 4, "grid": serialize.grid_to_json(g),
+                        "pixel_band": 2.0 * g.pixel,
+                        "hull_identity": list(dec.hull_identity),
+                        "files": manifest["files"]}
+    assert sorted(manifest["files"]) == sorted(names)
+    assert sorted(p.name for p in out.iterdir()) == sorted(
+        names + ["manifest.json"])
+    for name, digest in manifest["files"].items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
 
+    def decoded(name):
+        fields, pixels = pgm_fields_and_pixels(out / name)
+        return RegionMask(g, pixels == 255, fields["kind"])
 
-def test_series_replays_from_the_exported_decomposition(tmp_path):
-    """The export replays the series: dec's 4 stages share 2 E objects and
-    the reloaded ones hold 4, yet both build the same 2 lockstep groups,
-    as the builder groups stages by E's cells, and save the same bytes."""
-    g, dec = make_decomposition()
-    export_decomposition(dec, tmp_path / "out")
-    back = load_decomposition(tmp_path / "out")
+    E_list = [decoded(f"E_{n:03d}.pgm") for n in range(1, 5)]
+    U_list = [decoded(f"U_{n:03d}.pgm") for n in range(1, 5)]
+    for mine, theirs in zip(E_list + U_list, dec.E_list + dec.U_list):
+        assert mine.kind == theirs.kind and mine.same_cells(theirs)
+    back = Decomposition(g, [], 4, {}, E_list, U_list,
+                         manifest["hull_identity"])
     assert len({id(E) for E in dec.E_list}) == 2
     assert len({id(E) for E in back.E_list}) == 4
     sequences = []
@@ -732,100 +633,3 @@ def test_series_replays_from_the_exported_decomposition(tmp_path):
     assert sequences == [2, 2]
     assert (tmp_path / "replay.json").read_bytes() == \
         (tmp_path / "series.json").read_bytes()
-
-
-def test_decomposition_reload_rejects_tampering(tmp_path):
-    _, dec = make_decomposition()
-    export_decomposition(dec, tmp_path / "out")
-    victim = tmp_path / "out" / "E_002.pgm"
-    raw = bytearray(victim.read_bytes())
-    raw[-1] ^= 0xFF
-    victim.write_bytes(bytes(raw))
-    with pytest.raises(ValueError, match="checksum mismatch for E_002.pgm"):
-        load_decomposition(tmp_path / "out")
-
-
-def _set(**fields):
-    return lambda out, manifest: manifest.update(fields)
-
-
-def _drop(*path):
-    def corrupt(out, manifest):
-        node = manifest
-        for key in path[:-1]:
-            node = node[key]
-        node.pop(path[-1])
-    return corrupt
-
-
-def _unlisted_tampered_stage(out, manifest):
-    """Drop E_001's checksum and rewrite it as a valid one-cell mask."""
-    manifest["files"].pop("E_001.pgm")
-    g = grid_from_json(manifest["grid"])
-    bits = np.zeros((g.height, g.width), dtype=bool)
-    bits[g.height // 2, g.width // 2] = True
-    write_mask_pgm(RegionMask(g, bits, COMPACT), out / "E_001.pgm")
-
-
-def _list_file(name, digest):
-    return lambda out, manifest: manifest["files"].update({name: digest})
-
-
-def _outside_file(out, manifest):
-    """List a file beside the export directory, with its true checksum."""
-    (out.parent / "outside.txt").write_text("not a stage mask\n")
-    _list_file("../outside.txt",
-               serialize._sha256(out.parent / "outside.txt"))(out, manifest)
-
-
-MANIFEST_CORRUPTIONS = {
-    "unlisted tampered E_001": (_unlisted_tampered_stage,
-                                "no checksum for E_001.pgm"),
-    "unlisted U_004": (_drop("files", "U_004.pgm"), "no checksum for U_004.pgm"),
-    "stages beyond the files": (_set(n_max=5, hull_identity=["verified"] * 5),
-                                "no checksum for E_005.pgm"),
-    "bogus status, n_max 2": (_set(n_max=2, hull_identity=["bogus"]),
-                              "hull_identity must hold 2 entries"),
-    "unknown status": (_set(hull_identity=["verified", "bogus"] * 2),
-                       "hull_identity must hold 4 entries"),
-    "short status": (_set(hull_identity=["verified"] * 3),
-                     "hull_identity must hold 4 entries"),
-    "n_max 0": (_set(n_max=0), "n_max must be a positive"),
-    "n_max fractional": (_set(n_max=2.5), "n_max must be a positive"),
-    "n_max string": (_set(n_max="4"), "n_max must be a positive"),
-    "n_max bool": (_set(n_max=True), "n_max must be a positive"),
-    "files not an object": (_set(files=[]), "files must be a JSON object"),
-    "grid missing": (_drop("grid"), "grid must be a JSON object"),
-    "grid without pixel": (_drop("grid", "pixel"), "grid pixel is not a number"),
-    "file outside the export": (_outside_file, "lists '../outside.txt'"),
-    "missing file outside the export": (_list_file("../missing.pgm", "0" * 64),
-                                        "lists '../missing.pgm'"),
-}
-
-
-@pytest.mark.parametrize("case", list(MANIFEST_CORRUPTIONS))
-def test_decomposition_reload_rejects_malformed_manifest(tmp_path, case):
-    corrupt, message = MANIFEST_CORRUPTIONS[case]
-    _, dec = make_decomposition()
-    out = tmp_path / "out"
-    manifest = export_decomposition(dec, out)
-    corrupt(out, manifest)
-    (out / "manifest.json").write_text(json.dumps(manifest, indent=1))
-    with pytest.raises(ValueError, match=message):
-        load_decomposition(out)
-
-
-def test_manifest_corruptions_load_or_raise_value_error(tmp_path):
-    # one random JSON leaf of manifest.json replaced by a malformed value,
-    # 300 times: every mutant either loads or raises ValueError
-    _, dec = make_decomposition()
-    out = tmp_path / "out"
-    manifest = export_decomposition(dec, out)
-    paths = list(leaf_paths(manifest))
-    rng = random.Random(0)
-    for _ in range(300):
-        (out / "manifest.json").write_text(corrupt_leaf(manifest, paths, rng))
-        try:
-            load_decomposition(out)
-        except ValueError:
-            pass
