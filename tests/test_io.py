@@ -592,12 +592,21 @@ def make_decomposition():
     return g, ascending_decomposition([K1, K2], 4)
 
 
-def test_decomposition_export_contract(tmp_path):
+def reloaded_decomposition(g, out, manifest):
+    """A K-less Decomposition of the stage masks decoded from an export."""
+    def decoded(name):
+        fields, pixels = pgm_fields_and_pixels(out / name)
+        return RegionMask(g, pixels == 255, fields["kind"])
+
+    E_list = [decoded(f"E_{n:03d}.pgm") for n in range(1, 5)]
+    U_list = [decoded(f"U_{n:03d}.pgm") for n in range(1, 5)]
+    return Decomposition(g, [], manifest["n_max"], {}, E_list, U_list,
+                         manifest["hull_identity"])
+
+
+def test_decomposition_export_and_reload(tmp_path):
     """The manifest lists exactly E_nnn and U_nnn for stages 1..n_max, each
-    with the sha256 of its file, and the files hold the stages: a series
-    built from the decoded masks saves the original's bytes.  dec's 4
-    stages share 2 E objects and the decoded ones are 4, yet both build
-    the same 2 lockstep groups, as the builder groups stages by E's cells."""
+    with the sha256 of its file, and the decoded files hold the stages."""
     g, dec = make_decomposition()
     out = tmp_path / "out"
     manifest = export_decomposition(dec, out)
@@ -612,17 +621,19 @@ def test_decomposition_export_contract(tmp_path):
         names + ["manifest.json"])
     for name, digest in manifest["files"].items():
         assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
-
-    def decoded(name):
-        fields, pixels = pgm_fields_and_pixels(out / name)
-        return RegionMask(g, pixels == 255, fields["kind"])
-
-    E_list = [decoded(f"E_{n:03d}.pgm") for n in range(1, 5)]
-    U_list = [decoded(f"U_{n:03d}.pgm") for n in range(1, 5)]
-    for mine, theirs in zip(E_list + U_list, dec.E_list + dec.U_list):
+    back = reloaded_decomposition(g, out, manifest)
+    for mine, theirs in zip(back.E_list + back.U_list,
+                            dec.E_list + dec.U_list):
         assert mine.kind == theirs.kind and mine.same_cells(theirs)
-    back = Decomposition(g, [], 4, {}, E_list, U_list,
-                         manifest["hull_identity"])
+
+
+def test_series_replays_from_the_exported_decomposition(tmp_path):
+    """The export replays the series: dec's 4 stages share 2 E objects and
+    the decoded ones are 4, yet both build the same 2 lockstep groups, as
+    the builder groups stages by E's cells, and save the same bytes."""
+    g, dec = make_decomposition()
+    manifest = export_decomposition(dec, tmp_path / "out")
+    back = reloaded_decomposition(g, tmp_path / "out", manifest)
     assert len({id(E) for E in dec.E_list}) == 2
     assert len({id(E) for E in back.E_list}) == 4
     sequences = []
