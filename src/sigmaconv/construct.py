@@ -33,14 +33,19 @@ from .geometry import (OPEN, Grid, RegionMask, bounding_box, distance_to,
 from .series import CoefficientSeries
 
 # budget for one chunk of the working memory of an evaluator: the cell
-# chunks of both tail sups (_screen_chunks, by _CELL_BYTES), and each
-# (order or member x cell) block of _table_sup and _fold_group
+# chunks of both tail sups (_screen_chunks, by _chunk_cells), each (root
+# or order x cell) array of _one_order_sup, and each (order or member x
+# cell) block of _table_sup and _fold_group
 TABLE_BYTES = 1 << 20
 
-# the working rows kept per cell, in bytes: _top_screen's top and root
-# sums, bound max, root log and bound rows, its first-root index and the
-# complex difference of a direct root log, and the row's index and centre
-# (BlockStructure.tail_sup's top, floor, root sum, root log, x and y)
+# the working rows kept per cell, in bytes, where every root reads the
+# offset table: _top_screen's top and root sums, bound max, root log and
+# bound rows and its first-root index (BlockStructure.tail_sup's top,
+# floor, root sum, root log, x and y)
+_TABLE_CELL_BYTES = 48
+
+# the same where some root is read directly, which also allocates the
+# complex difference, and the row's index and centres
 _CELL_BYTES = 88
 
 _UNIT_ROUNDOFF = 2.0 ** -53
@@ -107,14 +112,17 @@ class _RootLogRow:
       view of the table's rectangle of the cells' offsets from the root,
       in the rectangle's shape, or its copy into ``out``; the other reads
       are flat.
+    row.reads(roots, out) reads roots in turn, each into out, and sets a
+    rectangle row's table view up once for all of them.
     row.log_bound(root, logs) bounds the magnitude of a read's finite
-    entries, for the product screen's margins.
+    entries, for the product series' margins.
 
     Its users: the running sum of _leja_steps (_LejaSum), over the
     rectangle of K and the stage targets and then over the index row of
     the cells still in play, and the tail sups of both series
-    structures: _top_screen and _table_sup for product series, and
-    BlockStructure.tail_sup, directly or as an interleave's child.
+    structures: _top_screen, _one_order_sup and _table_sup for product
+    series, and BlockStructure.tail_sup, directly or as an interleave's
+    child.
     conv_map and level_set hand those their grid.
     """
 
@@ -202,10 +210,10 @@ class _RootLogRow:
         rectangle row, a view in its shape, or its copy into ``out``."""
         w, h = self.grid.width, self.grid.height  # start = mid - key(root)
         if len(self.shape) == 2:  # from the offset of its first cell
-            (j, i), (rj, ri) = divmod(int(self.cells[0]), w), divmod(root, w)
-            j, i = j - rj + h - 1, i - ri + w - 1
-            view = self.table.reshape(2 * h - 1, 2 * w - 1)[
-                j:j + self.shape[0], i:i + self.shape[1]]
+            table, j, i = self._table_origin()
+            rj, ri = divmod(root, w)
+            view = table[j - rj:j - rj + self.shape[0],
+                         i - ri:i - ri + self.shape[1]]
             if out is None:
                 return view
             np.copyto(out.reshape(self.shape), view)
@@ -214,6 +222,34 @@ class _RootLogRow:
         # the keys are in range by construction; "clip" skips the checked
         # copy that "raise" makes into out
         return self.table[start:].take(self.keys, out=out, mode="clip")
+
+    def _table_origin(self) -> tuple[np.ndarray, int, int]:
+        """A rectangle row's table as a 2D view, and the table index of its
+        first cell's offset from cell 0: the rectangle of a root at grid
+        (row rj, column ri) starts rj rows and ri columns before it."""
+        w, h = self.grid.width, self.grid.height
+        j, i = divmod(int(self.cells[0]), w)
+        return (self.table.reshape(2 * h - 1, 2 * w - 1),
+                j + h - 1, i + w - 1)
+
+    def reads(self, roots: Sequence, out: np.ndarray) -> Iterator[np.ndarray]:
+        """self(root, out) for each root in turn, all into out.  On a
+        rectangle row on a table, a cell root's read is one slice of the
+        table's 2D view, set up once, and one copy into out: gather's
+        values, without its per-call set-up."""
+        if self.table is None or len(self.shape) != 2:
+            for r in roots:
+                yield self(r, out)
+            return
+        (table, j, i), (rows, cols) = self._table_origin(), self.shape
+        shaped, w = out.reshape(self.shape), self.grid.width
+        for r in roots:
+            if isinstance(r, complex):
+                yield self.direct(r, out)
+                continue
+            a, b = j - r // w, i - r % w
+            np.copyto(shaped, table[a:a + rows, b:b + cols])
+            yield out
 
     @cached_property
     def table_bound(self) -> float:
@@ -292,11 +328,15 @@ def _product_tail_sup(z: Grid | np.ndarray | complex, roots: np.ndarray,
 
     Every sup is bit-identical to the max over orders of each order summed
     alone: from log C_n, adding the root terms in sequence, each root term
-    read through one _RootLogRow.  Cells go in chunks of at most
-    TABLE_BYTES // _CELL_BYTES (_screen_chunks) through one pass over the
-    roots each (_top_screen), which settles most of them; the cells it
-    leaves go through their (order x cell) table (_table_sup), in chunks
-    of TABLE_BYTES // (8 (hi - lo + 1)) cells, at least one.
+    read through one _RootLogRow.  Three steps take the cells in turn, each
+    only the cells the one before leaves, in chunks of at least one cell:
+    * the screen (_top_screen), in _screen_chunks' chunks of _chunk_cells
+      cells, one pass over the roots each, settles most of them;
+    * the one-order step (_one_order_sup), in chunks of
+      TABLE_BYTES // (8 (hi + 1)) cells, settles those where one order
+      alone can hold the sup;
+    * the (order x cell) table (_table_sup), in chunks of
+      TABLE_BYTES // (8 (hi - lo + 1)) cells, takes the rest.
 
     That sum of order n is a recursive summation of the n + 1 terms
     log C_n, t_0, ..., t_{n-1} with t_j = log|z - roots[j]|, so at a cell
@@ -305,30 +345,41 @@ def _product_tail_sup(z: Grid | np.ndarray | complex, roots: np.ndarray,
     gamma_n = n u / (1 - n u) and u = 2^-53 (Higham, Accuracy and
     Stability of Numerical Algorithms, section 4.2).  One running sum P_n
     of the root terms serves all orders, within gamma_{n-1} T_n of theirs,
-    so |E_n - (log C_n + P_n)| <= 2 gamma_n T_n.  The screen bounds each
-    root's terms over its chunk by one float M_j >= |t_j| at every cell
-    where t_j is finite (_RootLogRow.log_bound), sums them into a running
-    S_n = fl(M_0 + ... + M_{n-1}), and gives order n one margin
-    m_n = fl(fl(|log C_n| + S_n) 4 (n + 2) u) and the bound
-    B_n = fl(P_n + fl(log C_n + m_n)) at every cell of the chunk.
+    so |E_n - (log C_n + P_n)| <= 2 gamma_n T_n.  Both steps bound each
+    root's terms over a chunk by one float M_j >= |t_j| at every cell
+    where t_j is finite (_RootLogRow.log_bound), sum them into a running
+    S_n = fl(M_0 + ... + M_{n-1}), and give order n one margin
+    m_n = fl(fl(|log C_n| + S_n) 4 (n + 2) u) (_order_margin), the upper
+    bound B_n = fl(P_n + fl(log C_n + m_n)) and the lower bound
+    A_n = fl(P_n + fl(log C_n - m_n)) at every cell of the chunk.
 
-    B_n >= E_n wherever the n + 1 terms are finite.  A recursive sum of
-    terms >= 0 is at least (1 - gamma_n) times theirs, so
+    A_n <= E_n <= B_n wherever the n + 1 terms and m_n are finite.  A
+    recursive sum of terms >= 0 is at least (1 - gamma_n) times theirs, so
     fl(|log C_n| + S_n) >= (1 - u)(1 - gamma_n) T_n, and while
     n u < 1/4, so that gamma_n < 1/3, m_n (1 - u) >= 8/3 (n + 2)(1 - 3u)
     u T_n exceeds (2 gamma_n + u) T_n by more than 2 u T_n.  Then
     P_n + fl(log C_n + m_n) >= P_n + log C_n + m_n (1 - u) - u |log C_n|
-    >= E_n, and as rounding is monotone, B_n >= fl(E_n) = E_n.  An
+    >= E_n, and as rounding is monotone, B_n >= fl(E_n) = E_n.  The same
+    margin mirrors this below: P_n + fl(log C_n - m_n) <=
+    P_n + log C_n - m_n (1 - u) + u |log C_n| <= E_n, so A_n <= E_n.  An
     addition whose result lies below 2^-1021 in magnitude is exact, so a
     rounding error in the sums needs T_n > 2^-1022, and the margin's
     product then loses at most 2^-1075 <= u T_n to underflow, within that
-    room.  Where a term is infinite or NaN, P_n and E_n are not finite,
-    and B_n is NaN, +inf, or -inf only where P_n holds a -inf and no +inf
-    or NaN and log C_n + m_n is finite or -inf, that is where E_n = -inf;
-    a +inf or NaN in a root's terms, such as a root at infinity's, makes
-    its M_j and every later margin +inf or NaN.  So B_n >= E_n or B_n is
-    NaN, and fl(B_n / d_n) >= fl(E_n / d_n) for every positive divisor
-    d_n, the interleave's 2n and 2n + 1 among them.
+    room.  An infinite margin over finite terms makes B_n = +inf and
+    A_n = -inf.  A +inf or NaN in a root's terms, such as a root at
+    infinity's, makes its M_j and every later margin +inf or NaN, and an
+    infinite log C_n makes m_n +inf.  Where a term or log C_n is not
+    finite, neither is E_n.  E_n is NaN where a NaN, or both a +inf and
+    a -inf, lie among log C_n and the terms, and A_n is NaN there too
+    (log C_n = +inf gives fl(log C_n - m_n) = NaN).  Where E_n = +inf,
+    B_n = +inf unless it is NaN.  Where E_n = -inf, log C_n or P_n is
+    -inf and no term is +inf or NaN, so A_n = -inf unless it is NaN,
+    and B_n = -inf, or NaN where log C_n = -inf or m_n is not finite.
+    So at every order: A_n is NaN, or A_n <= E_n <= B_n, or B_n is NaN
+    and A_n = E_n = -inf.  As rounding is monotone, dividing by a
+    positive d_n keeps all three: LB_n = fl(A_n / d_n) and
+    UB_n = fl(B_n / d_n) bound fl(E_n / d_n) so, for the interleave's
+    divisors 2n and 2n + 1 among them.
 
     The screen sums the top order E_hi exactly, as _table_sup does, and
     folds the upper bounds of the orders lo..hi-1 into their max U.  Where
@@ -337,7 +388,7 @@ def _product_tail_sup(z: Grid | np.ndarray | complex, roots: np.ndarray,
     margin over an infinite sum, makes U NaN and the cell unsettled; so
     does an exact tie with the top order.  Every sup is thus an exact
     order sum or the table's, and the margins' width decides only how
-    many cells the table takes.
+    many cells each later step takes.
 
     A finite cell z that is one of the first hi roots, roots[k] with k
     least, has log|z - roots[k]| = log 0 = -inf.  Where every log C_n of
@@ -349,6 +400,19 @@ def _product_tail_sup(z: Grid | np.ndarray | complex, roots: np.ndarray,
     when it reaches order k: where P_k is finite, so are the terms before
     k, each order's bound below k holds there, and where U < E_k / d_k,
     the sup is E_k / d_k, bit for bit.  Any other such cell is unsettled.
+
+    The one-order step takes L = max LB_n over the window at a cell, NaN
+    if any LB_n is.  Where L is not NaN and exactly one order n* has
+    UB_n* >= L, the sup is fl(E_n* / d_n*), which the step sums as
+    _table_sup sums its row n*.  Each other order n has UB_n < L, so
+    E_n / d_n < L, or UB_n is NaN and E_n = -inf.  L is some LB_m, and
+    m = n* unless L = -inf, as an m != n* with UB_m not NaN would give
+    LB_m <= UB_m < L = LB_m; so L <= E_n* / d_n*, which is not NaN.  Every
+    other order thus lies strictly below E_n* / d_n*, and is never a zero
+    of the other sign, or it is -inf, and the table's running max from
+    -inf is E_n* / d_n*, bit for bit, +-0 included.  A cell with no such
+    order (a NaN L) or several (an exact tie between orders, or an
+    all -inf L over several orders) goes on to the table.
     """
     row = _RootLogRow(z)
     if divisors is None:
@@ -358,15 +422,29 @@ def _product_tail_sup(z: Grid | np.ndarray | complex, roots: np.ndarray,
              else np.full(row.size, hi))
     sup = np.empty(row.size)
     settled = np.empty(row.size, dtype=bool)
-    for at, cells in _screen_chunks(row, max(1, TABLE_BYTES // _CELL_BYTES)):
+    for at, cells in _screen_chunks(row, _chunk_cells(row, located)):
         sup[at], settled[at] = _top_screen(cells, located, first[at],
                                            log_c, lo, hi, divisors)
     rest = np.flatnonzero(~settled)
+    step = max(1, TABLE_BYTES // (8 * (hi + 1)))
+    for at in (rest[k:k + step] for k in range(0, rest.size, step)):
+        sup[at], settled[at] = _one_order_sup(row[at], located, log_c, lo,
+                                              hi, divisors)
+    rest = np.flatnonzero(~settled)
     step = max(1, TABLE_BYTES // (8 * (hi - lo + 1)))
-    for start in range(0, rest.size, step):
-        at = rest[start:start + step]
+    for at in (rest[k:k + step] for k in range(0, rest.size, step)):
         sup[at] = _table_sup(row[at], located, log_c, lo, hi, divisors)
     return sup.reshape(row.shape)
+
+
+def _chunk_cells(row: _RootLogRow, roots: Sequence) -> int:
+    """The cells per chunk of a screen over ``row`` that reads ``roots``,
+    as located on it: TABLE_BYTES // _TABLE_CELL_BYTES where every root
+    reads the row's offset table, else TABLE_BYTES // _CELL_BYTES, and at
+    least one."""
+    direct = row.table is None or any(isinstance(r, complex) for r in roots)
+    return max(1, TABLE_BYTES // (_CELL_BYTES if direct
+                                  else _TABLE_CELL_BYTES))
 
 
 def _screen_chunks(row: _RootLogRow, step: int
@@ -395,10 +473,11 @@ def _top_screen(cells: _RootLogRow, roots: list, first: np.ndarray,
     E_n / d_n at cell k, with _table_sup's bits, and settled[k] says that
     it is the sup over lo..hi there (see _product_tail_sup).  The top
     order is hi, or the order first[k] of the root the cell is, where that
-    is below hi.  Each root term is evaluated once and added to the top
-    order's sum and the running root sum P, and its bound M_j to the
-    scalar S; each lower order n of the window then costs one add of
-    fl(log C_n + m_n) to P, a divide and a max (_order_margin)."""
+    is below hi.  Each root term is read once (_RootLogRow.reads) and
+    added to the top order's sum and the running root sum P, and its bound
+    M_j to the scalar S; each lower order n of the window then costs one
+    add of fl(log C_n + m_n) to P, a divide and a max, with the margin of
+    _order_margin written out and the divisors as Python floats."""
     on = np.flatnonzero(first < hi)
     k = first[on]
     inside = k >= lo
@@ -414,15 +493,15 @@ def _top_screen(cells: _RootLogRow, roots: list, first: np.ndarray,
     total = np.zeros(cells.size)
     upper = np.full(cells.size, -np.inf)
     term, bound = np.empty(cells.size), np.empty(cells.size)
-    log_cs, size = log_c.tolist(), 0.0
+    log_cs, ds, size = log_c.tolist(), divisors.tolist(), 0.0
+    roots = roots[:hi]
     # a +inf or NaN margin over a -inf sum is NaN: unsettled, not an error
     with np.errstate(divide="ignore", invalid="ignore"):
-        for j, r in enumerate(roots[:hi]):
-            cells(r, out=term)
-            top += term
-            total += term
-            size += cells.log_bound(r, term)
-            n = j + 1
+        for n, (r, logs) in enumerate(zip(roots, cells.reads(roots, term)),
+                                      start=1):
+            top += logs
+            total += logs
+            size += cells.log_bound(r, logs)
             if n < lo or n == hi:
                 continue
             if n in held:
@@ -430,10 +509,11 @@ def _top_screen(cells: _RootLogRow, roots: list, first: np.ndarray,
                 held_top[i], held_upper[i], held_total[i] = (
                     top[on[i]], upper[on[i]], total[on[i]])
             c = log_cs[n - lo]
-            np.add(total, c + _order_margin(c, size, n), out=bound)
-            bound /= divisors[n - lo]
+            np.add(total, c + (abs(c) + size) * (4 * (n + 2) * _UNIT_ROUNDOFF),
+                   out=bound)
+            bound /= ds[n - lo]
             np.maximum(upper, bound, out=upper)
-        top /= divisors[hi - lo]
+        top /= ds[hi - lo]
         settled = upper < top
         held_top /= divisors[np.maximum(k, lo) - lo]
         top[on] = np.where(inside, held_top, -np.inf)
@@ -442,10 +522,58 @@ def _top_screen(cells: _RootLogRow, roots: list, first: np.ndarray,
         return top, settled
 
 
-def _order_margin(log_c_n: float, size: float, n: int) -> float:
-    """_top_screen's margin m_n = fl(fl(|log C_n| + S_n) 4 (n + 2) u) of
-    order n, from the running sum S_n = size of its root terms' bounds."""
+def _order_margin(log_c_n: float | np.ndarray, size: float | np.ndarray,
+                  n: int | np.ndarray) -> float | np.ndarray:
+    """The margin m_n = fl(fl(|log C_n| + S_n) 4 (n + 2) u) of order n,
+    from the running sum S_n = size of its root terms' bounds: floats, or
+    arrays over the orders."""
     return (abs(log_c_n) + size) * (4 * (n + 2) * _UNIT_ROUNDOFF)
+
+
+def _order_bounds(cells: _RootLogRow, roots: list, log_c: np.ndarray,
+                  lo: int, hi: int, divisors: np.ndarray
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(terms, lower, upper) over a row of cells: the (root x cell) array
+    of the root terms t_j, j < hi, each read once, in its rows j + 1,
+    under a row of zeros, and the (order x cell) arrays of LB_n and UB_n
+    for n = lo..hi (see _product_tail_sup).  Row n of the sequential
+    np.add.accumulate of terms is the running root sum P_n."""
+    terms = np.zeros((hi + 1, cells.size))
+    sizes, size = np.empty(hi), 0.0
+    for j, r in enumerate(roots[:hi]):
+        cells(r, out=terms[j + 1])
+        size += cells.log_bound(r, terms[j + 1])
+        sizes[j] = size
+    margin = _order_margin(log_c, sizes[lo - 1:], np.arange(lo, hi + 1))
+    with np.errstate(invalid="ignore"):
+        sums = np.add.accumulate(terms, axis=0)[lo:]  # P_n, n = lo..hi
+        lower = sums + (log_c - margin)[:, None]
+        lower /= divisors[:, None]
+        sums += (log_c + margin)[:, None]
+        sums /= divisors[:, None]
+    return terms, lower, sums
+
+
+def _one_order_sup(cells: _RootLogRow, roots: list, log_c: np.ndarray,
+                   lo: int, hi: int, divisors: np.ndarray
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """(sup, settled) over a row of cells: settled[k] says that one order
+    n* alone can hold the sup at cell k, and sup[k] is then
+    fl(E_n* / d_n*), with _table_sup's bits (see _product_tail_sup).  The
+    root terms of _order_bounds, under log C_n* at each cell in place of
+    their row of zeros, are summed by one sequential np.add.accumulate,
+    whose row n* is E_n*: log C_n* plus the root terms in sequence, as
+    _table_sup sums its row n*."""
+    terms, lower, upper = _order_bounds(cells, roots, log_c, lo, hi,
+                                        divisors)
+    with np.errstate(invalid="ignore"):
+        reach = upper >= lower.max(axis=0)  # False at a NaN max
+        del lower, upper  # free the bounds before the sums
+        n = reach.argmax(axis=0)  # n* - lo where one order reaches it
+        terms[0] = log_c[n]
+        np.add.accumulate(terms, axis=0, out=terms)
+    return (terms[n + lo, np.arange(cells.size)] / divisors[n],
+            np.count_nonzero(reach, axis=0) == 1)
 
 
 def _table_sup(cells: _RootLogRow, roots: list, log_c: np.ndarray, lo: int,
@@ -456,7 +584,8 @@ def _table_sup(cells: _RootLogRow, roots: list, log_c: np.ndarray, lo: int,
     divisor, so row n sums log C_n and the root terms in sequence, as the
     screen sums its top order.  A running np.maximum over the rows, in
     order from -inf, gives the sup, NaN included.  The table costs
-    O(N^2) adds per cell; only cells the screen leaves come here."""
+    O(N^2) adds per cell; only cells that neither the screen nor the
+    one-order step settles come here."""
     table = np.repeat(log_c[:, None], cells.size, axis=1)
     term = np.empty(cells.size)
     for j, r in enumerate(roots[:hi]):
@@ -914,11 +1043,11 @@ class BlockStructure:
 
         The window's members fall into groups of one (sequence, degree,
         log_scale): the stages of a lockstep group share each degree's
-        member.  The cells go in _screen_chunks' chunks of
-        TABLE_BYTES // _CELL_BYTES, however many groups there are, in
-        two passes.  In each, each sequence with a member in the window
-        sums its root logs (a _RootLogRow's) from zero, adding the roots in
-        order, and each group in turn takes x = fl(sum + log_scale), with
+        member.  The cells go in _screen_chunks' chunks of _chunk_cells
+        cells, however many groups there are, in two passes.  In each,
+        each sequence with a member in the window sums its root logs (a
+        _RootLogRow's) from zero, adding the roots in order, and each
+        group in turn takes x = fl(sum + log_scale), with
         log_scale folded in last as RootPolynomial.log_abs does.  Member
         ell of the group, with divisor d, has the exponent
         v = fl(fl(ell x) / d), bit-identical to evaluating it alone.  Pass
@@ -1000,8 +1129,8 @@ class BlockStructure:
                     yield g, np.add(total, scale, out=x)
 
         with np.errstate(over="ignore", invalid="ignore"):
-            for at, cells in _screen_chunks(
-                    row, max(1, TABLE_BYTES // _CELL_BYTES)):
+            for at, cells in _screen_chunks(row, _chunk_cells(
+                    row, [r for roots, _ in runs for r in roots])):
                 top = np.full(cells.size, -np.inf)
                 for g, x in logs(cells):
                     np.maximum(top, r_hi[g] * x, out=top)

@@ -687,31 +687,45 @@ def test_product_evaluator_rejects_nan_with_the_oracle_message():
     assert str(fast.value) == str(slow.value)
 
 
-def _table_sup_reference(cells, roots, log_c, lo, hi, divisors=None):
-    """max over the (order x cell) table whose row n = lo..hi is log C_n
-    plus the root terms log|z - roots[j]|, j < n, added in sequence, and
-    divided by the divisors, which default to n."""
+def _order_table_reference(cells, roots, log_c, lo, hi, divisors=None):
+    """The (order x cell) table whose row n = lo..hi is log C_n plus the
+    root terms log|z - roots[j]|, j < n, added in sequence, and divided by
+    the divisors, which default to n."""
     if divisors is None:
         divisors = np.arange(lo, hi + 1, dtype=float)
     table = np.repeat(log_c[:, None], cells.size, axis=1)
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore"):
         for n in range(lo, hi + 1):
             for r in roots[:n]:
                 table[n - lo] += np.log(np.abs(cells - r))
-    return (table / divisors[:, None]).max(axis=0)
+    return table / divisors[:, None]
 
 
-def _table_sup_spy(monkeypatch):
-    """The cell arrays that reach construct._table_sup, one per call."""
+def _table_sup_reference(cells, roots, log_c, lo, hi, divisors=None):
+    """max over the orders of _order_table_reference."""
+    return _order_table_reference(cells, roots, log_c, lo, hi,
+                                  divisors).max(axis=0)
+
+
+def _cells_spy(monkeypatch, name):
+    """The cell arrays that reach construct.<name>, the one-order step or
+    the table, one per call."""
     calls = []
-    table = construct._table_sup
+    step = getattr(construct, name)
 
     def spy(cells, *args):
         calls.append(cells.points.copy())
-        return table(cells, *args)
+        return step(cells, *args)
 
-    monkeypatch.setattr(construct, "_table_sup", spy)
+    monkeypatch.setattr(construct, name, spy)
     return calls
+
+
+def _steps_spy(monkeypatch):
+    """The cell arrays that reach the one-order step (the cells the
+    screen leaves) and the table, one per call of each."""
+    return (_cells_spy(monkeypatch, "_one_order_sup"),
+            _cells_spy(monkeypatch, "_table_sup"))
 
 
 def _screen_spy(monkeypatch):
@@ -736,11 +750,13 @@ def test_product_tail_sup_is_bit_identical_to_the_table(seed, n_on, n_off,
     # points on cell centres give exact -inf terms from their order on;
     # windows include lo = 1, divisors the default n and the interleave's
     # 2m and 2m + 1.  TABLE_BYTES makes screen chunks down to one cell, or
-    # table chunks down to one cell, or a budget below one cell's table
-    # column, where the table's step is clamped to one cell.  Besides the
-    # plain path, the screen can be made to settle nothing, so that the
-    # table sees every cell.  Either way exactly the cells the screen
-    # leaves reach the table, in chunks of the table's step
+    # one-order step or table chunks down to one cell, or a budget below
+    # one cell's table column, where both steps' chunks are clamped to one
+    # cell.  Besides the plain path, the screen, the one-order step or
+    # both can be made to settle nothing, so that the next step sees every
+    # cell they take.  Either way exactly the cells the screen leaves
+    # reach the one-order step, and exactly those it leaves the table,
+    # each in chunks of its own step
     g = Grid.from_box(-1.4, -1.0, 1.4, 1.0, 7, 5)
     cells = g.centers().ravel()
     rng = np.random.default_rng(seed)
@@ -754,21 +770,32 @@ def test_product_tail_sup_is_bit_identical_to_the_table(seed, n_on, n_off,
     divisors = None if parity is None else np.arange(
         2.0 * lo + parity, 2.0 * hi + parity + 1, 2.0)
     column = 8 * (hi - lo + 1)  # one cell's table bytes
+    rows = 8 * (hi + 1)  # one cell's bytes in each one-order array
     chunk = data.draw(st.integers(1, cells.size + 1), label="chunk")
     budget = data.draw(st.sampled_from(
-        [construct._CELL_BYTES * chunk, column * chunk, column - 1]),
-        label="TABLE_BYTES")
-    settle_nothing = data.draw(st.booleans(), label="settle nothing")
+        [construct._CELL_BYTES * chunk, rows * chunk, column * chunk,
+         column - 1]), label="TABLE_BYTES")
+    nothing = data.draw(st.sampled_from(["", "screen", "step", "both"]),
+                        label="settle nothing")
     roots, log_c = np.array(s.points), np.array(s.log_c[lo:hi + 1])
-    screen, settled, tabled = construct._top_screen, [], []
-    table = construct._table_sup
+    screen, one_order, table = (construct._top_screen,
+                                construct._one_order_sup, construct._table_sup)
+    settled, stepped, left, tabled = [], [], [], []
 
     def screen_spy(*args):
         top, done = screen(*args)
-        if settle_nothing:
+        if nothing in ("screen", "both"):
             done = np.zeros_like(done)
         settled.append(done)
         return top, done
+
+    def step_spy(cells, *args):
+        stepped.append(cells.points.copy())
+        sup, done = one_order(cells, *args)
+        if nothing in ("step", "both"):
+            done = np.zeros_like(done)
+        left.append(~done)
+        return sup, done
 
     def table_spy(cells, *args):
         tabled.append(cells.points.copy())
@@ -776,15 +803,19 @@ def test_product_tail_sup_is_bit_identical_to_the_table(seed, n_on, n_off,
 
     with mock.patch.object(construct, "TABLE_BYTES", budget), \
             mock.patch.object(construct, "_top_screen", screen_spy), \
+            mock.patch.object(construct, "_one_order_sup", step_spy), \
             mock.patch.object(construct, "_table_sup", table_spy):
         got = construct._product_tail_sup(cells, roots, log_c, lo, hi,
                                           divisors)
     want = _table_sup_reference(cells, roots, log_c, lo, hi, divisors)
     assert got.tobytes() == want.tobytes()
-    rest = cells[~np.concatenate(settled)]
-    step = max(1, budget // column)
-    assert [c.tolist() for c in tabled] == [
-        rest[k:k + step].tolist() for k in range(0, rest.size, step)]
+    screened = cells[~np.concatenate(settled)]
+    stepped_left = screened[np.concatenate(left)] if left else screened
+    for calls, rest, size in ((stepped, screened, rows),
+                              (tabled, stepped_left, column)):
+        step = max(1, budget // size)
+        assert [c.tolist() for c in calls] == [
+            rest[k:k + step].tolist() for k in range(0, rest.size, step)]
 
 
 # every centre of the dyadic grid is an odd multiple of 1/16, so it has an
@@ -816,7 +847,8 @@ def test_product_tail_sup_on_grid_rows_is_bit_identical_to_the_table(
     # reads every root directly.  Chunks go down to one cell, where a cell
     # on a root holds the row's one -inf, and divisors include the
     # interleave's 2m and 2m + 1.  The screen's chunks take the grid's
-    # cells in order, within the budget
+    # cells in order, within the budget: 48 bytes a cell where every root
+    # of the window reads the offset table, else 88
     g = SCREEN_GRIDS[kind]
     row = construct._RootLogRow(g)
     assert (row.table is not None) is (kind == "dyadic")
@@ -844,7 +876,11 @@ def test_product_tail_sup_on_grid_rows_is_bit_identical_to_the_table(
                                 divisors)
     assert got.shape == (g.height, g.width)
     assert got.tobytes() == want.reshape(got.shape).tobytes()
-    assert max(c.size for c in screened) <= chunk
+    every = row.table is not None and not any(
+        isinstance(r, complex) for r in row.locate(roots[:hi]))
+    per_cell = construct._TABLE_CELL_BYTES if every else construct._CELL_BYTES
+    assert max(c.size for c in screened) <= (
+        construct._CELL_BYTES * chunk // per_cell)
     assert np.concatenate(screened).tolist() == list(range(row.size))
 
 
@@ -879,6 +915,224 @@ def test_product_tail_sup_order_margin_covers_each_cell_margin(
         assert (margin >= cell_margin).all()
 
 
+@pytest.mark.parametrize("kind", [*sorted(SCREEN_GRIDS), "points"])
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n_on=st.integers(0, 9),
+       n_off=st.integers(0, 9), data=st.data())
+def test_product_tail_sup_one_order_step_is_bit_identical_to_the_table(
+        kind, seed, n_on, n_off, data):
+    # the screen is made to settle nothing, so the one-order step takes
+    # every cell: over the dyadic grid it gathers the roots on the lattice
+    # from the offset table and reads the others directly, and over the
+    # non-dyadic grid and the points it reads every root directly.  A
+    # cell on a root k < lo is -inf in every order, so every order
+    # reaches its -inf floor and it goes on to the table unless the window
+    # holds one order; a cell on a root k >= lo is finite up to order k.
+    # Divisors include the interleave's, and chunks of both steps go down
+    # to one cell.  Each cell the step settles has the table's bits, and
+    # exactly the cells it leaves reach the table
+    g = SCREEN_GRIDS["dyadic" if kind == "points" else kind]
+    cells = g.centers().ravel()
+    pts = _grid_points(g, seed, n_on, n_off)
+    s = countable_set_series(pts).structure
+    lo = data.draw(st.integers(1, len(pts) - 1), label="lo")
+    hi = data.draw(st.integers(lo, len(pts) - 1), label="hi")
+    parity = data.draw(st.sampled_from([None, 0, 1]), label="parity")
+    divisors = None if parity is None else np.arange(
+        2.0 * lo + parity, 2.0 * hi + parity + 1, 2.0)
+    chunk = data.draw(st.integers(1, cells.size), label="chunk")
+    rows = 8 * (hi + 1)  # one cell's bytes in each one-order array
+    budget = data.draw(st.sampled_from([rows * chunk,
+                                        8 * (hi - lo + 1) * chunk]),
+                       label="TABLE_BYTES")
+    roots, log_c = np.array(s.points), np.array(s.log_c[lo:hi + 1])
+    screen, one_order = construct._top_screen, construct._one_order_sup
+    stepped, table, tabled = [], construct._table_sup, []
+
+    def settle_nothing(*args):
+        top, done = screen(*args)
+        return top, np.zeros_like(done)
+
+    def step_spy(part, *args):
+        sup, done = one_order(part, *args)
+        stepped.append((part.points.copy(), sup, done))
+        return sup, done
+
+    def table_spy(part, *args):
+        tabled.append(part.points.copy())
+        return table(part, *args)
+
+    with mock.patch.object(construct, "TABLE_BYTES", budget), \
+            mock.patch.object(construct, "_top_screen", settle_nothing), \
+            mock.patch.object(construct, "_one_order_sup", step_spy), \
+            mock.patch.object(construct, "_table_sup", table_spy):
+        got = construct._product_tail_sup(
+            g.centers() if kind == "points" else g, roots, log_c, lo, hi,
+            divisors)
+    want = _table_sup_reference(cells, roots, log_c, lo, hi, divisors)
+    assert got.shape == (g.height, g.width)
+    assert got.ravel().tobytes() == want.tobytes()
+    assert max(part.size for part, _, _ in stepped) <= max(1, budget // rows)
+    assert np.concatenate([p for p, _, _ in stepped]).tolist() == (
+        cells.tolist())
+    sup = np.concatenate([sup for _, sup, _ in stepped])
+    done = np.concatenate([done for _, _, done in stepped])
+    assert sup[done].tobytes() == want[done].tobytes()
+    assert [z for part in tabled for z in part.tolist()] == (
+        cells[~done].tolist())
+    k = construct._RootLogRow(cells).first_roots(roots[:hi])
+    assert (done[k < lo] == (lo == hi)).all()
+
+
+@pytest.mark.parametrize("case", ["tie", "signed-zero-tie", "nan-order",
+                                  "nan-root"])
+def test_product_tail_sup_one_order_step_leaves_ties_and_nan_to_the_table(
+        case, monkeypatch):
+    # every root term at 0 is log 1 = 0, so order n sums to log C_n.
+    # "tie": orders 1 and 2 are exactly 1 and the top order 3 is 0, so the
+    # screen leaves the cell, and both tied orders reach the step's floor.
+    # "signed-zero-tie": the interleave's divisors 2 and 3 make orders 1
+    # and 2 -0.0 and +0.0, equal as floats, over a top order of -1: the
+    # sup takes the sign that _table_sup's running np.maximum over the
+    # orders gives, from -inf, which a max reduction over the orders need
+    # not give on every dispatch target.  "nan-order": log C_2
+    # is NaN, and "nan-root": roots[1] is NaN, so orders 2 and 3 are NaN
+    # there, and so is the sup
+    z, roots = np.array([0j]), _roots_on_circle(1.0, 4)
+    lo, hi, divisors = 1, 3, np.ones(3)
+    log_c = np.array([1.0, 1.0, 0.0])
+    if case == "signed-zero-tie":
+        log_c, divisors = np.array([-5e-324, 5e-324, -1.0]), np.array(
+            [2.0, 3.0, 1.0])
+        assert (log_c[:2] / divisors[:2]).tolist() == [0.0, 0.0]
+        assert np.signbit(log_c[:2] / divisors[:2]).tolist() == [True, False]
+    elif case == "nan-order":
+        log_c[1] = np.nan
+    elif case == "nan-root":
+        roots[1] = complex(np.nan, 0.0)
+    settled, (stepped, tables) = (_screen_spy(monkeypatch),
+                                  _steps_spy(monkeypatch))
+    with np.errstate(invalid="ignore"):
+        got = construct._product_tail_sup(z, roots, log_c, lo, hi, divisors)
+    want = np.full(z.shape, -np.inf)
+    for sums in _order_table_reference(z, roots, log_c, lo, hi, divisors):
+        np.maximum(want, sums, out=want)
+    assert got.tobytes() == want.tobytes()
+    assert [done.tolist() for done in settled] == [[False]]
+    assert [c.tolist() for c in stepped] == [[0j]]
+    assert [c.tolist() for c in tables] == [[0j]]
+    if case.startswith("nan-"):
+        assert np.isnan(got[0])
+    else:
+        assert got[0] == log_c[0] / divisors[0]
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("kind", [*sorted(SCREEN_GRIDS), "points"])
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n_on=st.integers(0, 9),
+       n_off=st.integers(0, 9), data=st.data())
+def test_product_tail_sup_order_bounds_hold_at_every_cell_and_order(
+        kind, seed, n_on, n_off, data):
+    # over any chunk of the row, the one-order step's LB_n and UB_n bound
+    # the table's E_n / d_n at every cell and order n = lo..hi, with the
+    # interleave's divisors too: on the cells on a root, whose later
+    # orders are -inf, and, as drawn, with a root at infinity (+inf
+    # terms, NaN on a cell on a root) and a -inf, +inf or NaN log C_n.
+    # There LB_n is NaN, or LB_n <= E_n / d_n <= UB_n, or UB_n is NaN and
+    # LB_n = E_n / d_n = -inf.  The root terms come back as read, under a
+    # row of zeros
+    g = SCREEN_GRIDS["dyadic" if kind == "points" else kind]
+    pts = _grid_points(g, seed, n_on, n_off)
+    s = countable_set_series(pts).structure
+    roots, log_c = np.array(s.points), np.array(s.log_c)
+    if data.draw(st.booleans(), label="root at infinity"):
+        roots[data.draw(st.integers(0, roots.size - 1), label="at")] = (
+            complex(np.inf, 0.0))
+    lo = data.draw(st.integers(1, len(pts) - 1), label="lo")
+    hi = data.draw(st.integers(lo, len(pts) - 1), label="hi")
+    log_c = log_c[lo:hi + 1]
+    for value in data.draw(st.lists(st.sampled_from(
+            [-np.inf, np.inf, np.nan]), max_size=2), label="log C"):
+        log_c[data.draw(st.integers(0, hi - lo), label="order")] = value
+    parity = data.draw(st.sampled_from([None, 0, 1]), label="parity")
+    divisors = (np.arange(lo, hi + 1, dtype=float) if parity is None
+                else np.arange(2.0 * lo + parity, 2.0 * hi + parity + 1, 2.0))
+    row = construct._RootLogRow(g.centers() if kind == "points" else g)
+    start = data.draw(st.integers(0, row.size - 1), label="start")
+    at = np.arange(start, data.draw(st.integers(start + 1, row.size),
+                                    label="stop"))
+    chunk = row[at]
+    terms, lower, upper = construct._order_bounds(
+        chunk, chunk.locate(roots[:hi]), log_c, lo, hi, divisors)
+    assert not terms[0].any()
+    with np.errstate(divide="ignore", invalid="ignore"):
+        assert terms[1:].tobytes() == np.log(np.abs(
+            chunk.points - roots[:hi, None])).tobytes()
+    want = _order_table_reference(chunk.points, roots, log_c, lo, hi,
+                                  divisors)
+    assert lower.shape == upper.shape == want.shape
+    bounded = (lower <= want) & (want <= upper)
+    floored = np.isnan(upper) & (lower == -np.inf) & (want == -np.inf)
+    assert (np.isnan(lower) | bounded | floored).all()
+    if np.isfinite(log_c).all() and np.isfinite(roots[:hi]).all():
+        assert bounded.all()
+
+
+# 128 x 128 grids, the size of countable-400's and sigma-classify's: the
+# dyadic one has an offset table, the other one (pixel 0.021875) has none
+CHUNK_GRIDS = {"dyadic": Grid.from_box(-1.0, -1.0, 1.0, 1.0, 128, 128),
+               "non-dyadic": Grid.from_box(-1.4, -1.4, 1.4, 1.4, 128, 128)}
+
+
+@pytest.mark.parametrize("kind", ["dyadic", "non-dyadic", "points"])
+@pytest.mark.parametrize("series", ["countable", "blocks"])
+def test_product_tail_sup_and_block_screens_chunk_by_read_kind(
+        series, kind, monkeypatch):
+    # both screens count 48 bytes a cell where every root reads the offset
+    # table, and 88 where some root is read directly.  At the default
+    # budget the dyadic grid, whose cell roots all read its table, goes in
+    # one chunk; the non-dyadic grid, whose cell roots are read directly,
+    # in chunks of 11,915 // 128 = 93 grid rows, and its centres as points
+    # in chunks of 11,915.  Each sup equals, bit for bit, the one of a
+    # budget that makes every chunk one grid row of 128 cells
+    g = CHUNK_GRIDS["dyadic" if kind == "points" else kind]
+    centres = g.centers().ravel()
+    roots = tuple(centres[np.random.default_rng(7).choice(centres.size, 12,
+                                                          replace=False)])
+    if series == "countable":
+        f = countable_set_series(roots)
+    else:
+        f = construct.block_series_from_tables(
+            [roots], [(0, d) for d in range(1, 13)],
+            np.linspace(-1.0, 1.0, 12).tolist(), [12], 0.0, "12 members")
+    z = g.centers() if kind == "points" else g
+    lo, hi = tail_window(f.max_supported_n)
+    sizes, chunks = [], construct._screen_chunks
+
+    def spy(row, step):
+        for at, cells in chunks(row, step):
+            sizes.append(cells.size)
+            yield at, cells
+
+    monkeypatch.setattr(construct, "_screen_chunks", spy)
+    got = f.structure.tail_sup(z, lo, hi)
+    per_cell = (construct._TABLE_CELL_BYTES if kind == "dyadic"
+                else construct._CELL_BYTES)
+    step = construct.TABLE_BYTES // per_cell
+    if kind == "dyadic":
+        assert sizes == [g.width * g.height]
+    else:
+        assert step == 11915
+        first = step if kind == "points" else step // g.width * g.width
+        assert sizes == [first, g.width * g.height - first]
+    sizes.clear()
+    monkeypatch.setattr(construct, "TABLE_BYTES", per_cell * g.width)
+    one_row = f.structure.tail_sup(z, lo, hi)
+    assert sizes == [g.width] * g.height
+    assert got.tobytes() == one_row.tobytes()
+
+
 def _roots_on_circle(radius, count):
     return radius * np.exp(2j * np.pi * np.arange(count) / count)
 
@@ -894,7 +1148,8 @@ def test_product_tail_sup_fills_the_table_where_the_screen_cannot_settle(
     # and vanishes when added to 2^53, so the top order 10 sums to 2^53,
     # below order 1's 2^53 + 2, whose upper bound keeps the cell unsettled:
     # 0 must take the table's answer, 2^53 + 2.  3 + 4j has no tie, but
-    # its lower order wins, so the screen leaves it to the table as well
+    # its lower order wins, so the screen leaves it as well, to the
+    # one-order step, which settles it; each tie goes on to the table
     z = np.array([0.0j, 3.0 + 4.0j])
     if case in ("tie", "zero-tie"):
         roots = _roots_on_circle(1.0, 4)
@@ -905,12 +1160,14 @@ def test_product_tail_sup_fills_the_table_where_the_screen_cannot_settle(
         roots = _roots_on_circle(2.0, 11)
         lo, hi, divisors = 1, 10, np.ones(10)
         log_c = np.array([2.0 ** 53 + 2] + [-np.inf] * 8 + [2.0 ** 53])
-    settled, tables = _screen_spy(monkeypatch), _table_sup_spy(monkeypatch)
+    settled, (stepped, tables) = (_screen_spy(monkeypatch),
+                                  _steps_spy(monkeypatch))
     got = construct._product_tail_sup(z, roots, log_c, lo, hi, divisors)
     want = _table_sup_reference(z, roots, log_c, lo, hi, divisors)
     assert got.tobytes() == want.tobytes()
     assert [done.tolist() for done in settled] == [[False] * z.size]
-    assert [c.tolist() for c in tables] == [z.tolist()]
+    assert [c.tolist() for c in stepped] == [z.tolist()]
+    assert [c.tolist() for c in tables] == [[0j]]
     if case == "absorbed":
         assert got[0] == 2.0 ** 53 + 2
 
@@ -939,19 +1196,25 @@ def test_product_tail_sup_screen_settles_only_where_the_top_order_wins(
     # up by 2: order 10 sums to 2^53 + 20 and the top order 11 to
     # 2^53 + 18, but order 10's running root sum A_10 = 2^53 + 10 lies
     # below the top, so only the margin keeps the cell from settling on
-    # the wrong order
+    # the wrong order.  The cells the screen leaves reach the one-order
+    # step, which settles both cells of "root-order-loses", where order 2
+    # alone can win; a NaN order, and the two orders of "rounded-up",
+    # within their margins of each other, leave their cells to the table
     roots, divisors = SCREEN_ROOTS, None
     cells = np.array([roots[3], 0.1 + 0.1j])
-    lo, hi, unsettled = 2, 5, [False, False]
+    lo, hi, unsettled, tabled = 2, 5, [False, False], [False, False]
     if case == "root-before-window":
         cells[0], lo = roots[1], 3
     elif case == "root-single-order":
         lo = 5
-    elif case in ("root-order-loses", "nan-order", "nan-top"):
+    elif case == "root-order-loses":
         unsettled = [True, True]
+    elif case in ("nan-order", "nan-top"):
+        unsettled = tabled = [True, True]
     elif case == "rounded-up":
         cells, roots = np.array([0j]), _roots_on_circle(3.0, 11)
-        lo, hi, divisors, unsettled = 10, 11, np.ones(2), [True]
+        lo, hi, divisors, unsettled, tabled = 10, 11, np.ones(2), [True], \
+            [True]
     log_c = SQUARES[lo - 1:hi].copy()
     if case == "root-order-loses":
         log_c[0] = 100.0
@@ -961,12 +1224,13 @@ def test_product_tail_sup_screen_settles_only_where_the_top_order_wins(
         log_c[-1] = np.nan
     elif case == "rounded-up":
         log_c = np.array([2.0 ** 53, 2.0 ** 53 - 2])
-    calls = _table_sup_spy(monkeypatch)
+    stepped, tables = _steps_spy(monkeypatch)
     got = construct._product_tail_sup(cells, roots, log_c, lo, hi, divisors)
     want = _table_sup_reference(cells, roots, log_c, lo, hi, divisors)
     assert got.tobytes() == want.tobytes()
-    assert [c.tolist() for c in calls] == (
-        [cells[unsettled].tolist()] if any(unsettled) else [])
+    for calls, reach in ((stepped, unsettled), (tables, tabled)):
+        assert [c.tolist() for c in calls] == (
+            [cells[reach].tolist()] if any(reach) else [])
     if case in ("root-before-window", "root-single-order"):
         assert got[0] == -np.inf
     elif case.startswith("root-"):
@@ -983,13 +1247,14 @@ def test_product_tail_sup_screen_takes_interleave_divisors(parity,
     # an interleaved child divides order m by 2m or 2m + 1: the screen
     # compares each order's bound with the top order's exponent under
     # those divisors and settles most cells, every cell on one of the
-    # first hi roots among them (its top order is the root's own)
+    # first hi roots among them (its top order is the root's own); the
+    # one-order step takes the few it leaves, in one call
     f, g = _product_series_on_cells()
     cells, roots = g.centers().ravel(), np.array(f.structure.points)
     lo, hi = 5, f.max_supported_n
     log_c = np.array(f.structure.log_c[lo:hi + 1])
     divisors = np.arange(2.0 * lo + parity, 2.0 * hi + parity + 1, 2.0)
-    calls = _table_sup_spy(monkeypatch)
+    calls, tables = _steps_spy(monkeypatch)
     got = construct._product_tail_sup(cells, roots, log_c, lo, hi, divisors)
     want = _table_sup_reference(cells, roots, log_c, lo, hi, divisors)
     assert got.tobytes() == want.tobytes()
@@ -998,6 +1263,7 @@ def test_product_tail_sup_screen_takes_interleave_divisors(parity,
     assert len(calls) == 1
     assert not np.isin(cells[on_roots], calls[0]).any()
     assert 0 < calls[0].size < cells.size // 8
+    assert all(np.isin(part, calls[0]).all() for part in tables)
 
 
 def _criterion_2_cells():
@@ -1017,12 +1283,13 @@ def _criterion_2_cells():
 def test_product_tail_sup_bounds_only_the_unsettled_cells(monkeypatch):
     # on the criterion-2 scene at N = 49 the screen settles each cell whose
     # top order wins, the 49 cells on the top order's roots among them,
-    # and the few cells it leaves reach the table together, in one call
+    # and the few cells it leaves reach the one-order step together, in
+    # one call; the table takes only the cells that step leaves
     pts, cells = _criterion_2_cells()
     f = countable_set_series(pts)
     lo, hi = tail_window(49)
     settled = _screen_spy(monkeypatch)
-    calls = _table_sup_spy(monkeypatch)
+    calls, tables = _steps_spy(monkeypatch)
     got = f.structure.tail_sup(cells, lo, hi)
     roots = np.array(f.structure.points)
     want = _table_sup_reference(cells, roots,
@@ -1034,6 +1301,7 @@ def test_product_tail_sup_bounds_only_the_unsettled_cells(monkeypatch):
     assert [c.tolist() for c in calls] == (
         [] if done.all() else [cells[~done].tolist()])
     assert (~done).sum() < cells.size // 100
+    assert all(np.isin(part, cells[~done]).all() for part in tables)
 
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
@@ -1101,7 +1369,8 @@ def test_interleave_evaluator_matches_children(pair, monkeypatch):
     # N = 16 and 17 start the tail window on an even and an odd order; each
     # child is evaluated once, by its own tail_sup over its orders in the
     # window, each divided by its interleaved order, and the product child
-    # fills its table for exactly the cells its screen leaves
+    # takes its one-order step over exactly the cells its screen leaves
+    # and fills its table for exactly the cells that step leaves
     countable, g = _product_series_on_cells()
     compact = compact_set_series(_disk(g, 0.0, 0.0, 0.5), stages=4,
                                  degree_cap=16)
@@ -1110,7 +1379,17 @@ def test_interleave_evaluator_matches_children(pair, monkeypatch):
                  "blocks-blocks": (compact, _unshared_block_series())}[pair]
     F = construct.interleave(even, odd)
     sups = []
-    settled, tables = _screen_spy(monkeypatch), _table_sup_spy(monkeypatch)
+    settled, (stepped, tables) = (_screen_spy(monkeypatch),
+                                  _steps_spy(monkeypatch))
+    left = []
+    one_order = construct._one_order_sup
+
+    def step_spy(*args):
+        sup, done = one_order(*args)
+        left.append(~done)
+        return sup, done
+
+    monkeypatch.setattr(construct, "_one_order_sup", step_spy)
 
     def spy_on_tail_sup(cls):
         helper = cls.tail_sup
@@ -1126,18 +1405,20 @@ def test_interleave_evaluator_matches_children(pair, monkeypatch):
     spy_on_tail_sup(CountableStructure)
     for N in (16, 17, F.max_supported_n):
         lo, _ = tail_window(N)
-        sups.clear()
-        settled.clear()
-        tables.clear()
+        for calls in (sups, settled, stepped, left, tables):
+            calls.clear()
         _assert_tail_sup_matches_oracle(F, g, N)
         a, b, c, d = (lo + 1) // 2, N // 2, lo // 2, (N - 1) // 2
         assert sups == [
             (True, False, a, b, [2.0 * m for m in range(a, b + 1)]),
             (False, True, c, d, [2.0 * m + 1 for m in range(c, d + 1)])]
         # one screen chunk over the grid's cells per product child
-        assert [c.tolist() for c in tables] == [
+        assert [c.tolist() for c in stepped] == [
             g.centers().ravel()[~done].tolist() for done in settled
             if not done.all()]
+        assert [c.tolist() for c in tables] == [
+            cells[rest].tolist() for cells, rest in zip(stepped, left)
+            if rest.any()]
 
 
 def _interleave_points(F):
