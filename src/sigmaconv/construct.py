@@ -34,14 +34,15 @@ from .series import CoefficientSeries
 
 # budget for one chunk of the working memory of an evaluator: the cell
 # chunks of both tail sups (_screen_chunks, by _chunk_cells), each (root
-# or order x cell) array of _one_order_sup, and each (order or member x
-# cell) block of _table_sup and _fold_group
+# or order x cell) array of _one_order_sup and _own_order_sups, each
+# (order or member x cell) block of _table_sup and _fold_group, and each
+# row block of gamma_table's gaps
 TABLE_BYTES = 1 << 20
 
 # the working rows kept per cell, in bytes, where every root reads the
-# offset table: _top_screen's top and root sums, bound max, root log and
-# bound rows and its first-root index (BlockStructure.tail_sup's top,
-# floor, root sum, root log, x and y)
+# offset table: BlockStructure.tail_sup's top, floor, root sum, root log,
+# x and y; _top_screen keeps four of them, its running sum, bound, bound
+# max and first-root index, as it adds each table root from a view
 _TABLE_CELL_BYTES = 48
 
 # the same where some root is read directly, which also allocates the
@@ -49,6 +50,9 @@ _TABLE_CELL_BYTES = 48
 _CELL_BYTES = 88
 
 _UNIT_ROUNDOFF = 2.0 ** -53
+
+# the least positive float, which the screen's margin adds for underflow
+_TINY = 2.0 ** -1074
 
 # BlockStructure.tail_sup screens the cells whose exponents stay within
 # this factor of 1 in magnitude, and bounds underflow by its inverse
@@ -107,22 +111,26 @@ class _RootLogRow:
     * a complex root, or any root off an _offset_logs table, takes
       row.direct, _log_abs(z - r);
     * a cell root of an index row on a table takes row.gather, a take
-      from the table by the cells' keys j (2W - 1) + i;
+      from the table by the cells' keys j (2W - 1) + i, and an array of
+      them one take by 2D keys, their (root x cell) rows;
     * a cell root of a rectangle row on a table also takes row.gather, a
       view of the table's rectangle of the cells' offsets from the root,
       in the rectangle's shape, or its copy into ``out``; the other reads
       are flat.
-    row.reads(roots, out) reads roots in turn, each into out, and sets a
-    rectangle row's table view up once for all of them.
+    row.reads(roots, out) reads roots in turn into out, but gives a
+    rectangle row's cell roots on a table as gather's views, uncopied.
+    row.block(roots, out) fills the (root x cell) array out, with an
+    index row's cell roots on a table in one gather.
     row.log_bound(root, logs) bounds the magnitude of a read's finite
     entries, for the product series' margins.
 
     Its users: the running sum of _leja_steps (_LejaSum), over the
     rectangle of K and the stage targets and then over the index row of
-    the cells still in play, and the tail sups of both series
-    structures: _top_screen, _one_order_sup and _table_sup for product
-    series, and BlockStructure.tail_sup, directly or as an interleave's
-    child.
+    the cells still in play; the product series' tail sup, whose screen
+    (_top_bounds) takes row.reads, and whose root cells' own orders
+    (_own_order_sups), one-order step (_order_bounds) and table
+    (_table_sup) take row.block; and BlockStructure.tail_sup, directly or
+    as an interleave's child.
     conv_map and level_set hand those their grid.
     """
 
@@ -160,6 +168,7 @@ class _RootLogRow:
             if keep.size and keep[-1] - keep[0] + 1 == keep.size:
                 keep = slice(keep[0], keep[-1] + 1)  # a run: views
         part = copy.copy(self)
+        part.__dict__.pop("_origin", None)  # it moves with the first cell
         for name in ("cells", "keys", "points"):
             if self.__dict__.get(name) is not None:
                 setattr(part, name, self.__dict__[name][keep])
@@ -183,9 +192,20 @@ class _RootLogRow:
         return [r if f < 0 else f
                 for f, r in zip(flat.tolist(), roots.tolist())]
 
-    def first_roots(self, roots: np.ndarray) -> np.ndarray:
+    def first_roots(self, roots: list) -> np.ndarray:
         """Per cell, the least k with z == roots[k] for a finite z, and
-        len(roots) where there is none."""
+        len(roots) where there is none, from the roots as located on this
+        row.  On a grid row those are the cells that locate names, which
+        are scattered; a row of points searches the sorted roots."""
+        if self.grid is not None:
+            at = [(r, k) for k, r in enumerate(roots)
+                  if not isinstance(r, complex)]
+            first = np.full(self.grid.width * self.grid.height, len(roots))
+            if at:
+                cells, ks = np.array(at).T
+                cells, least = np.unique(cells, return_index=True)
+                first[cells] = ks[least]
+            return first[self.cells]
         roots = np.asarray(roots, dtype=complex)
         order = np.argsort(roots, kind="stable")
         k = order[np.searchsorted(roots[order], self.points).clip(
@@ -205,12 +225,15 @@ class _RootLogRow:
                out: np.ndarray | None = None) -> np.ndarray:
         return _log_abs(self.points - root, out)
 
-    def gather(self, root: int, out: np.ndarray | None = None) -> np.ndarray:
+    def gather(self, root: int | np.ndarray,
+               out: np.ndarray | None = None) -> np.ndarray:
         """The row from the table, for the root at a flat cell index: on a
-        rectangle row, a view in its shape, or its copy into ``out``."""
+        rectangle row, a view in its shape, or its copy into ``out``.  On
+        an index row, an array of roots gives their (root x cell) rows in
+        one take."""
         w, h = self.grid.width, self.grid.height  # start = mid - key(root)
         if len(self.shape) == 2:  # from the offset of its first cell
-            table, j, i = self._table_origin()
+            table, j, i = self._origin
             rj, ri = divmod(root, w)
             view = table[j - rj:j - rj + self.shape[0],
                          i - ri:i - ri + self.shape[1]]
@@ -221,9 +244,13 @@ class _RootLogRow:
         start = (h - 1) * (2 * w - 1) + w - 1 - root - root // w * (w - 1)
         # the keys are in range by construction; "clip" skips the checked
         # copy that "raise" makes into out
+        if np.ndim(start):
+            return self.table.take(np.add.outer(start, self.keys), out=out,
+                                   mode="clip")
         return self.table[start:].take(self.keys, out=out, mode="clip")
 
-    def _table_origin(self) -> tuple[np.ndarray, int, int]:
+    @cached_property
+    def _origin(self) -> tuple[np.ndarray, int, int]:
         """A rectangle row's table as a 2D view, and the table index of its
         first cell's offset from cell 0: the rectangle of a root at grid
         (row rj, column ri) starts rj rows and ri columns before it."""
@@ -233,23 +260,32 @@ class _RootLogRow:
                 j + h - 1, i + w - 1)
 
     def reads(self, roots: Sequence, out: np.ndarray) -> Iterator[np.ndarray]:
-        """self(root, out) for each root in turn, all into out.  On a
-        rectangle row on a table, a cell root's read is one slice of the
-        table's 2D view, set up once, and one copy into out: gather's
-        values, without its per-call set-up."""
-        if self.table is None or len(self.shape) != 2:
-            for r in roots:
-                yield self(r, out)
-            return
-        (table, j, i), (rows, cols) = self._table_origin(), self.shape
-        shaped, w = out.reshape(self.shape), self.grid.width
+        """self(root, out) for each root in turn, all into out, but for a
+        cell root of a rectangle row on a table: gather's view of the
+        table, uncopied, in the rectangle's shape."""
+        view = self.table is not None and len(self.shape) == 2
         for r in roots:
+            yield (self.gather(r) if view and not isinstance(r, complex)
+                   else self(r, out))
+
+    def block(self, roots: Sequence, out: np.ndarray) -> np.ndarray:
+        """out[k] = self(roots[k]) for each k, into the (root x cell)
+        array out.  On an index row on a table, the cell roots' rows come
+        from one gather, a take by 2D keys; other rows, and complex roots,
+        read root by root."""
+        at = [k for k, r in enumerate(roots) if not isinstance(r, complex)]
+        if self.table is None or len(self.shape) == 2 or not at:
+            for r, logs in zip(roots, out):
+                self(r, logs)
+            return out
+        cells = np.array([roots[k] for k in at])
+        if len(at) == len(roots):
+            return self.gather(cells, out)
+        out[at] = self.gather(cells)
+        for r, logs in zip(roots, out):
             if isinstance(r, complex):
-                yield self.direct(r, out)
-                continue
-            a, b = j - r // w, i - r % w
-            np.copyto(shaped, table[a:a + rows, b:b + cols])
-            yield out
+                self.direct(r, logs)
+        return out
 
     @cached_property
     def table_bound(self) -> float:
@@ -298,22 +334,27 @@ def gamma_table(points: Sequence[complex]) -> tuple[np.ndarray, np.ndarray]:
     """(gamma_n, log C_n) for n = 1..len(points)-1 of a sequence of
     points, with log C_n = n * (log n - log gamma_n).  Raises ValueError
     unless the points are finite and pairwise distinct (0j and -0j are
-    one point): min() passes over a NaN gap."""
-    # a running minimum of each new point's gaps to the earlier points is
-    # exactly the pairwise minimum of the first n + 1 points, in O(n^2)
-    # overall; tests/conftest.py's gamma_sequence takes it from scratch
+    one point)."""
+    # the least gap of each point n to the points before it, in row blocks
+    # of at most TABLE_BYTES of complex differences; their running minimum
+    # is exactly the pairwise minimum of the first n + 1 points, in O(n^2)
+    # overall.  tests/conftest.py's gamma_sequence takes it from scratch
     pts = np.array(points, dtype=complex)
     if not np.isfinite(pts).all():
         raise ValueError("points must be finite")
     n_max = len(pts) - 1
-    gammas = np.empty(n_max)
-    min_gap = math.inf
-    for n in range(1, n_max + 1):
-        min_gap = min(min_gap, float(np.abs(pts[:n] - pts[n]).min()))
-        if min_gap == 0.0:
-            raise ValueError("points must be pairwise distinct")
-        gammas[n - 1] = min(0.5 * min_gap, 1.0 / n)
+    gaps = np.empty(n_max)
+    step = max(1, TABLE_BYTES // (16 * max(1, n_max)))
+    for a in range(1, n_max + 1, step):
+        ns = np.arange(a, min(a + step, n_max + 1))
+        block = np.abs(pts[:ns[-1]] - pts[ns, None])  # row n, column j
+        block[np.arange(ns[-1]) >= ns[:, None]] = np.inf  # only j < n
+        gaps[a - 1:ns[-1]] = block.min(axis=1)
+    np.minimum.accumulate(gaps, out=gaps)
+    if n_max and gaps[-1] == 0.0:
+        raise ValueError("points must be pairwise distinct")
     ns = np.arange(1, n_max + 1, dtype=float)
+    gammas = np.minimum(0.5 * gaps, 1.0 / ns)
     log_c = ns * (np.log(ns) - np.log(gammas))
     return gammas, log_c
 
@@ -341,65 +382,105 @@ def _product_tail_sup(z: Grid | np.ndarray | complex, roots: np.ndarray,
     That sum of order n is a recursive summation of the n + 1 terms
     log C_n, t_0, ..., t_{n-1} with t_j = log|z - roots[j]|, so at a cell
     where they are finite its value E_n is within gamma_n T_n of their
-    exact sum, where T_n = |log C_n| + |t_0| + ... + |t_{n-1}|,
+    exact sum, where T_n = |log C_n| + A_n, A_n = |t_0| + ... + |t_{n-1}|,
     gamma_n = n u / (1 - n u) and u = 2^-53 (Higham, Accuracy and
-    Stability of Numerical Algorithms, section 4.2).  One running sum P_n
-    of the root terms serves all orders, within gamma_{n-1} T_n of theirs,
-    so |E_n - (log C_n + P_n)| <= 2 gamma_n T_n.  Both steps bound each
-    root's terms over a chunk by one float M_j >= |t_j| at every cell
-    where t_j is finite (_RootLogRow.log_bound), sum them into a running
-    S_n = fl(M_0 + ... + M_{n-1}), and give order n one margin
-    m_n = fl(fl(|log C_n| + S_n) 4 (n + 2) u) (_order_margin), the upper
-    bound B_n = fl(P_n + fl(log C_n + m_n)) and the lower bound
-    A_n = fl(P_n + fl(log C_n - m_n)) at every cell of the chunk.
+    Stability of Numerical Algorithms, sections 2.2 and 4.2); a recursive
+    sum of terms >= 0 is at least (1 - gamma_n) times theirs.  Addition
+    and subtraction satisfy fl(x) = x (1 + e), |e| <= u, also below
+    2^-1022, where they are exact; a product may lose up to 2^-1075 more
+    to underflow.  Below, n u < 1/4, so that gamma_n <= 4/3 n u < 1/3.
+    Both bounding steps bound each root's terms over a chunk by one float
+    M_j >= |t_j| at every cell where t_j is finite
+    (_RootLogRow.log_bound) and sum them into a running
+    S_n = fl(M_0 + ... + M_{n-1}) >= (1 - gamma_n) A_n.
 
-    A_n <= E_n <= B_n wherever the n + 1 terms and m_n are finite.  A
-    recursive sum of terms >= 0 is at least (1 - gamma_n) times theirs, so
-    fl(|log C_n| + S_n) >= (1 - u)(1 - gamma_n) T_n, and while
-    n u < 1/4, so that gamma_n < 1/3, m_n (1 - u) >= 8/3 (n + 2)(1 - 3u)
-    u T_n exceeds (2 gamma_n + u) T_n by more than 2 u T_n.  Then
+    The screen keeps one running sum per cell, top_n: log C_hi, then
+    t_0, ..., t_{n-1} in sequence, within gamma_n (|log C_hi| + A_n) of
+    log C_hi + t_0 + ... + t_{n-1}; top_hi is E_hi.  Each order n < hi of
+    the window takes the margin m'_n = fl(fl(W'_n 8 (n + 2) u) + 2^-1074),
+    with W'_n = fl(fl(|log C_n| + |log C_hi|) + 2 S_n), the scalar
+    s_n = fl(fl(log C_n - log C_hi) + m'_n), and the upper bound
+    UB'_n = fl(fl(top_n + s_n) r_n) at every cell of the chunk, where
+    r_n = fl(1 / d_n) where that is a normal float, so that
+    r_n = (1 + e) / d_n with |e| <= u, and NaN otherwise.
+
+    UB'_n >= fl(E_n / d_n) wherever t_0, ..., t_{n-1}, log C_n and
+    log C_hi are finite and so are m'_n and r_n.  Let
+    W = |log C_n| + |log C_hi| + 2 A_n, X = top_n + s_n and D = X - E_n.
+    As fl(log C_n - log C_hi) and s_n each round once,
+    s_n >= log C_n - log C_hi + m'_n (1 - u) - (2u + u^2)(|log C_n| +
+    |log C_hi|), and with the two sums' errors,
+    D >= m'_n (1 - u) - (gamma_n + 2u + u^2) W.  Next,
+    W'_n >= (1 - u)^2 (1 - gamma_n) W >= 2/3 (1 - u)^2 W, the product
+    8 (n + 2) u is exact, and the 2^-1074 covers the 2^-1075 that the
+    product W'_n 8 (n + 2) u may lose, so
+    m'_n (1 - u) >= 16/3 (1 - u)^5 (n + 2) u W >= 5.3 (n + 2) u W and
+    D >= (5.3 (n + 2) - 4/3 n - 2.1) u W >= 5 u W.  Since
+    |E_n| <= (1 + gamma_n) T_n <= 4/3 W, D >= 3u (|E_n| + D)
+    >= (2u + u^2) |X|, so fl(X) - u |fl(X)| >= X - (2u + u^2) |X| >= E_n,
+    hence fl(X) (1 + e) >= E_n and fl(X) r_n >= E_n / d_n, and as rounding
+    is monotone, UB'_n >= fl(E_n / d_n).  Otherwise: a log C_n or
+    log C_hi that is not finite makes m'_n +inf or NaN, and so does a +inf
+    or NaN term t_j, j < n, through M_j (a root at infinity's, say).  Then
+    s_n is +inf or NaN, and so are fl(top_n + s_n) and UB'_n; a NaN r_n
+    makes UB'_n NaN.  What is left is a -inf term over finite others,
+    where E_n = -inf and UB'_n is -inf or NaN.  E_n is NaN only where a
+    NaN, or a +inf and a -inf, lie among log C_n and the terms.  So at
+    every cell and order n < hi, UB'_n is +inf or NaN, or E_n is not NaN
+    and UB'_n >= fl(E_n / d_n), for the interleave's divisors 2n and
+    2n + 1 among them.
+
+    The screen folds UB'_n of the orders lo..hi-1 into their running max
+    U, and divides top_hi by d_hi as _table_sup does.  Where
+    U < E_hi / d_hi, U is neither NaN nor +inf, so every other order lies
+    strictly below the top one, and the sup is E_hi / d_hi, bit for bit.
+    A NaN order makes U NaN or +inf and the cell unsettled; so does an
+    exact tie with the top order.  Every sup is thus an exact order sum or
+    the table's, and the margins' width decides only how many cells each
+    later step takes.
+
+    A finite cell z that is one of the first hi roots, roots[k] with k
+    least, has log|z - roots[k]| = log 0 = -inf.  Where every log C_n of
+    the window is finite and the cell's top_hi is -inf, no root term is
+    +inf or NaN, so every order n > k sums to -inf there.  The terms
+    before k are then finite: a -inf term needs z - roots[j] = 0, so
+    z = roots[j], which k least rules out for j < k.  So for k < lo the
+    sup is -inf.  For k >= lo the screen holds U over the orders lo..k-1
+    when it reaches order k, and sums E_k from log C_k at that cell
+    (_own_order_sups): each order's bound below k holds there, and where
+    U < E_k / d_k, the sup is E_k / d_k, bit for bit.  Any other such
+    cell is unsettled.
+
+    The one-order step bounds every window order from both sides with
+    the running sum P_n of the root terms, within gamma_{n-1} A_n of
+    theirs, so |E_n - (log C_n + P_n)| <= 2 gamma_n T_n.  Order n takes
+    one margin m_n = fl(fl(|log C_n| + S_n) 4 (n + 2) u) (_order_margin),
+    the upper bound B_n = fl(P_n + fl(log C_n + m_n)) and the lower bound
+    A'_n = fl(P_n + fl(log C_n - m_n)) at every cell of the chunk.
+
+    A'_n <= E_n <= B_n wherever the n + 1 terms and m_n are finite.  As
+    fl(|log C_n| + S_n) >= (1 - u)(1 - gamma_n) T_n,
+    m_n (1 - u) >= 8/3 (n + 2)(1 - 3u) u T_n exceeds (2 gamma_n + u) T_n
+    by more than 2 u T_n.  Then
     P_n + fl(log C_n + m_n) >= P_n + log C_n + m_n (1 - u) - u |log C_n|
     >= E_n, and as rounding is monotone, B_n >= fl(E_n) = E_n.  The same
     margin mirrors this below: P_n + fl(log C_n - m_n) <=
-    P_n + log C_n - m_n (1 - u) + u |log C_n| <= E_n, so A_n <= E_n.  An
+    P_n + log C_n - m_n (1 - u) + u |log C_n| <= E_n, so A'_n <= E_n.  An
     addition whose result lies below 2^-1021 in magnitude is exact, so a
     rounding error in the sums needs T_n > 2^-1022, and the margin's
     product then loses at most 2^-1075 <= u T_n to underflow, within that
     room.  An infinite margin over finite terms makes B_n = +inf and
-    A_n = -inf.  A +inf or NaN in a root's terms, such as a root at
-    infinity's, makes its M_j and every later margin +inf or NaN, and an
-    infinite log C_n makes m_n +inf.  Where a term or log C_n is not
-    finite, neither is E_n.  E_n is NaN where a NaN, or both a +inf and
-    a -inf, lie among log C_n and the terms, and A_n is NaN there too
-    (log C_n = +inf gives fl(log C_n - m_n) = NaN).  Where E_n = +inf,
-    B_n = +inf unless it is NaN.  Where E_n = -inf, log C_n or P_n is
-    -inf and no term is +inf or NaN, so A_n = -inf unless it is NaN,
-    and B_n = -inf, or NaN where log C_n = -inf or m_n is not finite.
-    So at every order: A_n is NaN, or A_n <= E_n <= B_n, or B_n is NaN
-    and A_n = E_n = -inf.  As rounding is monotone, dividing by a
-    positive d_n keeps all three: LB_n = fl(A_n / d_n) and
-    UB_n = fl(B_n / d_n) bound fl(E_n / d_n) so, for the interleave's
-    divisors 2n and 2n + 1 among them.
-
-    The screen sums the top order E_hi exactly, as _table_sup does, and
-    folds the upper bounds of the orders lo..hi-1 into their max U.  Where
-    U < E_hi / d_hi, every other order lies strictly below the top one, so
-    the sup is E_hi / d_hi, bit for bit.  A NaN order, or an infinite
-    margin over an infinite sum, makes U NaN and the cell unsettled; so
-    does an exact tie with the top order.  Every sup is thus an exact
-    order sum or the table's, and the margins' width decides only how
-    many cells each later step takes.
-
-    A finite cell z that is one of the first hi roots, roots[k] with k
-    least, has log|z - roots[k]| = log 0 = -inf.  Where every log C_n of
-    the window is finite and the cell's P_hi is -inf, every root term is
-    finite or -inf, so every order n > k sums to -inf there, and the
-    terms before k are finite exactly when P_k is.  So for k < lo the sup
-    is -inf.  For k >= lo the screen sums order k instead of hi at that
-    cell, from log C_k, and holds E_k, U over the orders lo..k-1 and P_k
-    when it reaches order k: where P_k is finite, so are the terms before
-    k, each order's bound below k holds there, and where U < E_k / d_k,
-    the sup is E_k / d_k, bit for bit.  Any other such cell is unsettled.
+    A'_n = -inf.  A +inf or NaN term makes M_j and every later margin
+    +inf or NaN, and an infinite log C_n makes m_n +inf.  Where a term or
+    log C_n is not finite, neither is E_n, and where E_n is NaN, A'_n is
+    NaN too (log C_n = +inf gives fl(log C_n - m_n) = NaN).  Where
+    E_n = +inf, B_n = +inf unless it is NaN.  Where E_n = -inf, log C_n
+    or P_n is -inf and no term is +inf or NaN, so A'_n = -inf unless it
+    is NaN, and B_n = -inf, or NaN where log C_n = -inf or m_n is not
+    finite.  So at every order: A'_n is NaN, or A'_n <= E_n <= B_n, or
+    B_n is NaN and A'_n = E_n = -inf.  As rounding is monotone, dividing
+    by a positive d_n keeps all three: LB_n = fl(A'_n / d_n) and
+    UB_n = fl(B_n / d_n) bound fl(E_n / d_n) so.
 
     The one-order step takes L = max LB_n over the window at a cell, NaN
     if any LB_n is.  Where L is not NaN and exactly one order n* has
@@ -418,7 +499,7 @@ def _product_tail_sup(z: Grid | np.ndarray | complex, roots: np.ndarray,
     if divisors is None:
         divisors = np.arange(lo, hi + 1, dtype=float)
     located = row.locate(roots[:hi])
-    first = (row.first_roots(roots[:hi]) if np.isfinite(log_c).all()
+    first = (row.first_roots(located) if np.isfinite(log_c).all()
              else np.full(row.size, hi))
     sup = np.empty(row.size)
     settled = np.empty(row.size, dtype=bool)
@@ -473,53 +554,93 @@ def _top_screen(cells: _RootLogRow, roots: list, first: np.ndarray,
     E_n / d_n at cell k, with _table_sup's bits, and settled[k] says that
     it is the sup over lo..hi there (see _product_tail_sup).  The top
     order is hi, or the order first[k] of the root the cell is, where that
-    is below hi.  Each root term is read once (_RootLogRow.reads) and
-    added to the top order's sum and the running root sum P, and its bound
-    M_j to the scalar S; each lower order n of the window then costs one
-    add of fl(log C_n + m_n) to P, a divide and a max, with the margin of
-    _order_margin written out and the divisors as Python floats."""
+    is below hi.  One running sum, from log C_hi, takes each root term
+    once (_top_bounds); the upper bound UB'_n of each lower order n of
+    the window costs one add, one multiply and one max.  The cells on roots
+    k = lo..hi-1 sum their own top order E_k apart (_own_order_sups)."""
     on = np.flatnonzero(first < hi)
     k = first[on]
     inside = k >= lo
-    top = np.full(cells.size, log_c[hi - lo])
-    top[on[inside]] = log_c[k[inside] - lo]
     # the cells on roots that stop at order n, as indices into ``on``
     order = np.flatnonzero(inside)[np.argsort(k[inside], kind="stable")]
     stops, starts = np.unique(k[order], return_index=True)
     ends = [*starts[1:].tolist(), order.size]
     held = {n: order[a:b]
             for n, a, b in zip(stops.tolist(), starts.tolist(), ends)}
-    held_top, held_upper, held_total = (np.zeros(on.size) for _ in range(3))
-    total = np.zeros(cells.size)
+    held_upper = np.full(on.size, -np.inf)
+    top = np.full(cells.size, log_c[hi - lo])
     upper = np.full(cells.size, -np.inf)
-    term, bound = np.empty(cells.size), np.empty(cells.size)
-    log_cs, ds, size = log_c.tolist(), divisors.tolist(), 0.0
-    roots = roots[:hi]
     # a +inf or NaN margin over a -inf sum is NaN: unsettled, not an error
     with np.errstate(divide="ignore", invalid="ignore"):
-        for n, (r, logs) in enumerate(zip(roots, cells.reads(roots, term)),
-                                      start=1):
-            top += logs
-            total += logs
-            size += cells.log_bound(r, logs)
-            if n < lo or n == hi:
-                continue
+        for n, bound in _top_bounds(cells, roots, top, log_c, lo, hi,
+                                    divisors):
             if n in held:
-                i = held[n]
-                held_top[i], held_upper[i], held_total[i] = (
-                    top[on[i]], upper[on[i]], total[on[i]])
-            c = log_cs[n - lo]
-            np.add(total, c + (abs(c) + size) * (4 * (n + 2) * _UNIT_ROUNDOFF),
-                   out=bound)
-            bound /= ds[n - lo]
+                held_upper[held[n]] = upper[on[held[n]]]
             np.maximum(upper, bound, out=upper)
-        top /= ds[hi - lo]
+        top /= divisors[hi - lo]
         settled = upper < top
-        held_top /= divisors[np.maximum(k, lo) - lo]
-        top[on] = np.where(inside, held_top, -np.inf)
-        settled[on] = (total[on] == -np.inf) & (~inside | (
-            np.isfinite(held_total) & (held_upper < held_top)))
+        own = np.full(on.size, -np.inf)
+        own[inside] = _own_order_sups(cells[on[inside]], roots, k[inside],
+                                      log_c, lo, divisors)
+        settled[on] = (top[on] == -np.inf) & (~inside | (held_upper < own))
+        top[on] = own
         return top, settled
+
+
+def _top_bounds(cells: _RootLogRow, roots: list, top: np.ndarray,
+                log_c: np.ndarray, lo: int, hi: int, divisors: np.ndarray
+                ) -> Iterator[tuple[int, np.ndarray]]:
+    """(n, UB'_n) for each order n = lo..hi-1 in turn, over a row of
+    cells: top, which starts at log C_hi, takes the root terms t_0, ...,
+    t_{n-1} in sequence, each read once (_RootLogRow.reads), and
+    UB'_n = fl(fl(top + s_n) r_n) (see _product_tail_sup).  After the
+    last root, top holds E_hi.  UB'_n is written into one buffer, which
+    the next order overwrites."""
+    shaped, term = top.reshape(cells.shape), np.empty(cells.size)
+    bound = np.empty(cells.size)
+    log_cs, size = log_c.tolist(), 0.0
+    c_hi = log_cs[-1]
+    with np.errstate(over="ignore"):
+        # r_n: a reciprocal that is not normal has no relative error
+        # bound, and its bounds are NaN
+        scales = 1.0 / divisors
+        scales = np.where((scales > 2.0 ** -1022) & (scales < np.inf),
+                          scales, np.nan).tolist()
+    roots = roots[:hi]
+    for n, (r, logs) in enumerate(zip(roots, cells.reads(roots, term)),
+                                  start=1):
+        shaped += logs.reshape(shaped.shape)
+        size += cells.log_bound(r, logs)
+        if n < lo or n == hi:
+            continue
+        c = log_cs[n - lo]
+        margin = (abs(c) + abs(c_hi) + 2 * size) * (
+            8 * (n + 2) * _UNIT_ROUNDOFF) + _TINY
+        np.add(top, (c - c_hi) + margin, out=bound)
+        bound *= scales[n - lo]
+        yield n, bound
+
+
+def _own_order_sups(cells: _RootLogRow, roots: list, k: np.ndarray,
+                    log_c: np.ndarray, lo: int, divisors: np.ndarray
+                    ) -> np.ndarray:
+    """fl(E_k / d_k) at each cell, for its own order k = k[i] in lo..hi-1:
+    log C_k plus the root terms t_0, ..., t_{k-1} in sequence, as
+    _table_sup sums its row k.  Each chunk of TABLE_BYTES // (8 (K + 1))
+    cells, K the largest k, reads its roots as one (root x cell) block
+    under a row of log C_k, which one sequential np.add.accumulate sums."""
+    sups = np.empty(cells.size)
+    if not k.size:
+        return sups
+    step = max(1, TABLE_BYTES // (8 * (int(k.max()) + 1)))
+    for a in range(0, cells.size, step):
+        part, ks = cells[a:a + step], k[a:a + step]
+        terms = np.empty((int(ks.max()) + 1, part.size))
+        terms[0] = log_c[ks - lo]
+        part.block(roots[:len(terms) - 1], terms[1:])
+        np.add.accumulate(terms, axis=0, out=terms)
+        sups[a:a + step] = terms[ks, np.arange(part.size)] / divisors[ks - lo]
+    return sups
 
 
 def _order_margin(log_c_n: float | np.ndarray, size: float | np.ndarray,
@@ -539,9 +660,9 @@ def _order_bounds(cells: _RootLogRow, roots: list, log_c: np.ndarray,
     for n = lo..hi (see _product_tail_sup).  Row n of the sequential
     np.add.accumulate of terms is the running root sum P_n."""
     terms = np.zeros((hi + 1, cells.size))
+    cells.block(roots[:hi], terms[1:])
     sizes, size = np.empty(hi), 0.0
     for j, r in enumerate(roots[:hi]):
-        cells(r, out=terms[j + 1])
         size += cells.log_bound(r, terms[j + 1])
         sizes[j] = size
     margin = _order_margin(log_c, sizes[lo - 1:], np.arange(lo, hi + 1))
@@ -579,17 +700,21 @@ def _one_order_sup(cells: _RootLogRow, roots: list, log_c: np.ndarray,
 def _table_sup(cells: _RootLogRow, roots: list, log_c: np.ndarray, lo: int,
                hi: int, divisors: np.ndarray) -> np.ndarray:
     """_product_tail_sup over a row of cells by its (order x cell) table:
-    row n = lo..hi starts at log C_n, each root term, evaluated once, is
-    added into every row n above its index, and each row is divided by its
+    row n = lo..hi starts at log C_n, each root term, evaluated once
+    (_RootLogRow.block, in blocks of at most the table's rows), is added
+    into every row n above its index, and each row is divided by its
     divisor, so row n sums log C_n and the root terms in sequence, as the
     screen sums its top order.  A running np.maximum over the rows, in
     order from -inf, gives the sup, NaN included.  The table costs
     O(N^2) adds per cell; only cells that neither the screen nor the
     one-order step settles come here."""
     table = np.repeat(log_c[:, None], cells.size, axis=1)
-    term = np.empty(cells.size)
-    for j, r in enumerate(roots[:hi]):
-        table[max(j + 1, lo) - lo:] += cells(r, out=term)
+    step = hi - lo + 1
+    terms = np.empty((min(step, hi), cells.size))
+    for a in range(0, hi, step):
+        block = cells.block(roots[a:min(a + step, hi)], terms[:hi - a])
+        for j, term in enumerate(block, start=a):
+            table[max(j + 1, lo) - lo:] += term
     table /= divisors[:, None]
     sup = np.full(cells.size, -np.inf)
     for sums in table:
@@ -681,9 +806,9 @@ class InterleaveStructure:
 
         Each child's tail_sup takes the child orders m in the window, each
         with the divisor of its order here, 2m or 2m + 1, and the sup is
-        the larger of the two, and a zero the sign of the first zero
-        order (_zero_signs).  F_1 = g_0 is an order no tail_sup takes, so
-        it is the odd series' f0_log_mag.
+        the larger of the two, and a zero the bits of folding each order
+        alone in turn (_zero_signs).  F_1 = g_0 is an order no tail_sup
+        takes, so it is the odd series' f0_log_mag.
         """
         if divisors is None:
             divisors = np.arange(lo, hi + 1, dtype=float)
@@ -971,20 +1096,22 @@ def _zero_signs(tail_sup, z: Grid | np.ndarray | complex, lo: int, hi: int,
                 divisors: np.ndarray, sup: np.ndarray,
                 suspect: np.ndarray) -> np.ndarray:
     """sup, a tail sup over orders lo..hi at z, with each zero at a
-    ``suspect`` cell, one where some order may be -0.0, given the sign of
-    the least order that is zero there, which a running np.maximum over
-    the orders in turn, from -inf, keeps.  A fold in any other order can
-    keep another zero's sign; those cells are evaluated again one order
-    at a time.  Where no order is -0.0 every zero is +0.0 already."""
+    ``suspect`` cell, one where some order may be -0.0, given the bits of
+    folding each order alone in turn: a running np.maximum over the
+    orders lo..hi, from -inf.  At a tie of zeros np.maximum keeps one of
+    them by numpy's rule (its second operand, the later order, on numpy
+    2.4), so a fold in any other order can end on another zero's sign;
+    those cells are evaluated again one order at a time.  Where no order
+    is -0.0 every zero is +0.0 already."""
     redo = suspect & (sup == 0)
     if lo < hi and redo.any():
         cells = np.asarray(z.centers() if isinstance(z, Grid) else z,
                            dtype=complex)[redo]
-        first = np.full(cells.shape, -np.inf)
+        folded = np.full(cells.shape, -np.inf)
         for n in range(lo, hi + 1):
-            np.maximum(first, tail_sup(cells, n, n, divisors[n - lo:][:1]),
-                       out=first)
-        sup[redo] = first
+            np.maximum(folded, tail_sup(cells, n, n, divisors[n - lo:][:1]),
+                       out=folded)
+        sup[redo] = folded
     return sup
 
 
@@ -1071,8 +1198,9 @@ class BlockStructure:
         all.  No v is NaN there, and x is never -0.0 (the sums start from
         +0.0), so the fold order changes no bits, short of the sign of a
         zero max, which needs a quotient that underflows; _zero_signs
-        gives it the sign of the first zero order.  Only a folded group
-        can hold a zero max: pass two flags where its x is in [tiny, 0).
+        gives it the bits of folding each order alone in turn.  Only a
+        folded group can hold a zero max: pass two flags where its x is in
+        [tiny, 0).
 
         A cell takes no screen, and folds every group (a -inf floor),
         where top is NaN, so that the NaN propagates, infinite, or beyond

@@ -20,7 +20,8 @@ from sigmaconv import construct
 from sigmaconv.construct import (BlockStructure, CountableStructure,
                                  countable_series_from_tables)
 from sigmaconv.series import MIN_N, _sup, reject_nan
-from conftest import _log_abs, cell_center, oracle_series, reference_log_mag
+from conftest import (_log_abs, cell_center, gamma_sequence, oracle_series,
+                      reference_log_mag)
 from test_construct import row_reads
 from test_io import (compact_series, countable_series, hand_block_series,
                      loaded_hand_block_series, make_decomposition,
@@ -450,10 +451,18 @@ _NO = -math.inf
     ([_NO] * 3, [-5e-324, 0.0, -5e-324]),
     ([_NO, -5e-324], [0.0, _NO]),  # the odd child's zero comes first
 ])
-def test_a_zero_tail_sup_takes_the_sign_of_its_first_zero_order(even, odd):
+def test_a_zero_tail_sup_takes_the_bits_of_the_order_by_order_fold(even,
+                                                                   odd):
     # as an interleave child, a scale of -5e-324 at order m gives
     # fl(m x) / 2m or / (2m + 1) = -0.0, and a scale of 0.0 gives +0.0;
-    # the order-by-order max keeps the first zero's sign
+    # the sup has the bits of a running np.maximum over the orders one at
+    # a time, from -inf.  At a tie of zeros np.maximum returns its second
+    # operand, so that fold keeps the last zero's sign, at one cell or
+    # many; a numpy that changed this rule shows up here first
+    folds = [np.signbit(np.maximum(np.maximum(np.full(size, -np.inf), a), b))
+             for size in (1, 67) for a, b in ((-0.0, 0.0), (0.0, -0.0))]
+    assert [fold.tolist() for fold in folds] == [
+        [False], [True], [False] * 67, [True] * 67]
     F = construct.interleave(*(construct.block_series_from_tables(
         [()], [(0, 0)] * len(scales), scales, [len(scales)], 0.0, "zeros")
         for scales in (even, odd)))
@@ -702,9 +711,14 @@ def _order_table_reference(cells, roots, log_c, lo, hi, divisors=None):
 
 
 def _table_sup_reference(cells, roots, log_c, lo, hi, divisors=None):
-    """max over the orders of _order_table_reference."""
-    return _order_table_reference(cells, roots, log_c, lo, hi,
-                                  divisors).max(axis=0)
+    """max over the orders of _order_table_reference, as _table_sup takes
+    it: a running np.maximum over the orders in turn, from -inf.  A max
+    reduction can keep the other zero at a tie of +0.0 and -0.0."""
+    sup = np.full(np.shape(cells), -np.inf)
+    for sums in _order_table_reference(cells, roots, log_c, lo, hi,
+                                       divisors):
+        np.maximum(sup, sums, out=sup)
+    return sup
 
 
 def _cells_spy(monkeypatch, name):
@@ -890,8 +904,8 @@ def test_product_tail_sup_on_grid_rows_is_bit_identical_to_the_table(
        n_off=st.integers(0, 9), data=st.data())
 def test_product_tail_sup_order_margin_covers_each_cell_margin(
         kind, seed, n_on, n_off, data):
-    # the one margin the screen gives order n over a chunk, from the
-    # running sum of its roots' bounds, is at least the margin
+    # the one margin the one-order step gives order n over a chunk, from
+    # the running sum of its roots' bounds, is at least the margin
     # 4 (n + 2) u (|log C_n| + S_n) from the running sum S_n of a cell's
     # own |root terms|, at every cell of the chunk where S_n is finite:
     # over the table's roots, the ones read directly, and the cells on a
@@ -994,8 +1008,7 @@ def test_product_tail_sup_one_order_step_leaves_ties_and_nan_to_the_table(
     # "signed-zero-tie": the interleave's divisors 2 and 3 make orders 1
     # and 2 -0.0 and +0.0, equal as floats, over a top order of -1: the
     # sup takes the sign that _table_sup's running np.maximum over the
-    # orders gives, from -inf, which a max reduction over the orders need
-    # not give on every dispatch target.  "nan-order": log C_2
+    # orders gives, from -inf, as the reference does.  "nan-order": log C_2
     # is NaN, and "nan-root": roots[1] is NaN, so orders 2 and 3 are NaN
     # there, and so is the sup
     z, roots = np.array([0j]), _roots_on_circle(1.0, 4)
@@ -1014,9 +1027,7 @@ def test_product_tail_sup_one_order_step_leaves_ties_and_nan_to_the_table(
                                   _steps_spy(monkeypatch))
     with np.errstate(invalid="ignore"):
         got = construct._product_tail_sup(z, roots, log_c, lo, hi, divisors)
-    want = np.full(z.shape, -np.inf)
-    for sums in _order_table_reference(z, roots, log_c, lo, hi, divisors):
-        np.maximum(want, sums, out=want)
+    want = _table_sup_reference(z, roots, log_c, lo, hi, divisors)
     assert got.tobytes() == want.tobytes()
     assert [done.tolist() for done in settled] == [[False]]
     assert [c.tolist() for c in stepped] == [[0j]]
@@ -1079,6 +1090,169 @@ def test_product_tail_sup_order_bounds_hold_at_every_cell_and_order(
         assert bounded.all()
 
 
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("kind", [*sorted(SCREEN_GRIDS), "points"])
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n_on=st.integers(0, 9),
+       n_off=st.integers(0, 9), data=st.data())
+def test_product_tail_sup_screen_bounds_hold_at_every_cell_and_order(
+        kind, seed, n_on, n_off, data):
+    # over any chunk the screen takes (_screen_chunks, down to one cell or
+    # one partial grid row), its UB'_n bounds the table's E_n / d_n at
+    # every cell and order n = lo..hi-1: under the default divisors, the
+    # interleave's 2n and 2n + 1, and a divisor whose reciprocal is not a
+    # normal float; on the cells on a root k < lo or k >= lo, whose orders
+    # above k are -inf; and, as drawn, with a root at infinity (+inf
+    # terms, NaN on a cell on a root) and a -inf, +inf or NaN log C_n.
+    # There UB'_n is +inf or NaN, or E_n / d_n is not NaN and at most
+    # UB'_n.  After the last order the running sum is the table's top
+    # order, E_hi
+    g = SCREEN_GRIDS["dyadic" if kind == "points" else kind]
+    pts = _grid_points(g, seed, n_on, n_off)
+    s = countable_set_series(pts).structure
+    roots, log_c = np.array(s.points), np.array(s.log_c)
+    if data.draw(st.booleans(), label="root at infinity"):
+        roots[data.draw(st.integers(0, roots.size - 1), label="at")] = (
+            complex(np.inf, 0.0))
+    lo = data.draw(st.integers(1, len(pts) - 1), label="lo")
+    hi = data.draw(st.integers(lo, len(pts) - 1), label="hi")
+    log_c = log_c[lo:hi + 1]
+    for value in data.draw(st.lists(st.sampled_from(
+            [-np.inf, np.inf, np.nan]), max_size=2), label="log C"):
+        log_c[data.draw(st.integers(0, hi - lo), label="order")] = value
+    parity = data.draw(st.sampled_from([None, 0, 1, "huge"]), label="parity")
+    divisors = np.arange(lo, hi + 1, dtype=float)
+    if parity in (0, 1):
+        divisors = np.arange(2.0 * lo + parity, 2.0 * hi + parity + 1, 2.0)
+    elif parity == "huge":
+        divisors[0] = 2.0 ** 1023  # a subnormal reciprocal
+    row = construct._RootLogRow(g.centers() if kind == "points" else g)
+    chunks = list(construct._screen_chunks(
+        row, data.draw(st.integers(1, row.size), label="step")))
+    _, chunk = chunks[data.draw(st.integers(0, len(chunks) - 1),
+                                label="chunk")]
+    want = _order_table_reference(chunk.points, roots, log_c, lo, hi,
+                                  divisors)
+    exact = np.isfinite(log_c).all() and np.isfinite(roots[:hi]).all() and (
+        parity != "huge")
+    top, orders = np.full(chunk.size, log_c[-1]), []
+    with np.errstate(invalid="ignore"):
+        for n, bound in construct._top_bounds(
+                chunk, chunk.locate(roots[:hi]), top, log_c, lo, hi,
+                divisors):
+            orders.append(n)
+            e = want[n - lo]
+            assert (np.isposinf(bound) | np.isnan(bound)
+                    | (~np.isnan(e) & (e <= bound))).all()
+            if exact:
+                assert (e <= bound).all()
+    assert orders == list(range(lo, hi))
+    top /= divisors[-1]  # the same bits, or NaN both
+    assert ((top.view(np.int64) == want[-1].view(np.int64))
+            | (np.isnan(top) & np.isnan(want[-1]))).all()
+
+
+@pytest.mark.parametrize("case", ["subnormal", "tiny-divisor"])
+def test_product_tail_sup_screen_bound_covers_underflow(case):
+    # the root terms at 0 are log 1 = 0, so order 1 is log C_1 / d_1.
+    # "subnormal": log C_1 = 9 * 2^-1074 and d_1 = 6, so order 1 is the
+    # tie 1.5 * 2^-1074, which rounds to even, 2 * 2^-1074; fl(1 / 6) is
+    # below 1 / 6, so without the margin's 2^-1074, which the product's
+    # underflow takes from a margin this small, the bound would be
+    # 2^-1074.  "tiny-divisor": 1 / d_1 overflows, so d_1 takes no bound
+    # (NaN), where an infinite reciprocal would give -inf below order 1's
+    # -1e-10
+    z, roots = np.array([0j]), np.array([1.0, -1.0, 1j])
+    log_c, divisors = np.array([9 * 2.0 ** -1074, 0.0]), np.array([6.0, 1.0])
+    if case == "tiny-divisor":
+        log_c[0], divisors[0] = -1e-320, 1e-310
+    row = construct._RootLogRow(z)
+    want = _order_table_reference(z, roots, log_c, 1, 2, divisors)[0]
+    [(n, bound)] = construct._top_bounds(row, row.locate(roots[:2]),
+                                         np.full(1, log_c[-1]), log_c, 1, 2,
+                                         divisors)
+    assert n == 1
+    if case == "subnormal":
+        assert want[0] == 2 * 2.0 ** -1074 <= bound[0]
+    else:
+        assert want[0] == log_c[0] / divisors[0] and np.isnan(bound[0])
+
+
+@pytest.mark.parametrize("kind", ["dyadic", "non-dyadic"])
+def test_product_tail_sup_first_roots_on_a_grid_match_the_points(kind):
+    # a grid row scatters the cells that locate names, and a row of its
+    # centres as points searches the sorted roots: both give each cell
+    # the least k with roots[k] at it, also where a root repeats, and
+    # len(roots) where no root is, NaN and off-lattice roots included
+    g = SCREEN_GRIDS[kind]
+    centres = g.centers().ravel()
+    roots = [centres[9], 0.123 + 0.5j, centres[3], centres[9],
+             complex(np.nan, 0.0), centres[3], centres[20], 7.0]
+    if kind == "dyadic":
+        assert construct._RootLogRow(g).table is not None
+    grid, points = construct._RootLogRow(g), construct._RootLogRow(centres)
+    got = grid.first_roots(grid.locate(roots))
+    want = points.first_roots(points.locate(roots))
+    assert got.tolist() == want.tolist()
+    assert [got[c] for c in (9, 3, 20, 0)] == [0, 2, 6, len(roots)]
+    part = grid[2:4, 1:5]
+    assert part.first_roots(part.locate(roots)).tolist() == (
+        want[part.cells].tolist())
+
+
+@pytest.mark.parametrize("kind", ["rectangle", "index", "points"])
+def test_product_tail_sup_block_reads_equal_per_root_reads(kind):
+    # _RootLogRow.block fills its (root x cell) array with the bits of
+    # reading each root alone, for roots on the offset table's lattice
+    # mixed with complex ones off it and outside the box: on an index row
+    # the lattice roots take one gather, a take by 2D keys, and the others
+    # a direct read each; a rectangle row and points read root by root.
+    # Every lattice root alone takes the index row's one gather too
+    g = SCREEN_GRIDS["dyadic"]
+    row = construct._RootLogRow(g.centers() if kind == "points" else g)
+    if kind == "rectangle":
+        row = row[2:6, 3:11]
+    elif kind == "index":
+        row = row[np.array([0, 5, 17, 40, 41, 127])]
+    roots = row.locate(_grid_points(g, 5, 6, 4))
+    cell = [r for r in roots if not isinstance(r, complex)]
+    assert len(cell) == (0 if kind == "points" else 6)
+    for some in (roots, cell):
+        reads = []
+        with row_reads(lambda name, _, out: reads.append((name, out.shape))):
+            got = row.block(some, np.empty((len(some), row.size)))
+        want = np.array([row(r, np.empty(row.size)) for r in some])
+        assert got.tobytes() == want.tobytes()
+        if kind == "index":
+            assert reads.count(("gather", (6, row.size))) == 1
+            assert len(reads) == 1 + len(some) - 6
+        else:
+            assert len(reads) == len(some)
+
+
+@pytest.mark.parametrize("rows", [1, 2])
+def test_product_tail_sup_gamma_table_takes_row_blocks(rows, monkeypatch):
+    # gamma_table's gaps come in blocks of TABLE_BYTES of complex
+    # differences: with blocks of one and of two rows, each gamma_n is
+    # gamma_sequence's from all pairs at once, bit for bit, the 1 / n cap
+    # included, and log C_n follows it.  A repeated point, 0j and -0j
+    # among them, raises in whichever block it falls
+    pts = [0j, 4.0, 4j, 0.3 - 0.2j, 2.0 + 2.0j, -0.31 + 0.5j, 0.29 - 0.21j,
+           5.0, -1.0 - 1.0j]
+    monkeypatch.setattr(construct, "TABLE_BYTES", 16 * (len(pts) - 1) * rows)
+    gammas, log_c = construct.gamma_table(pts)
+    assert gammas.tolist() == [gamma_sequence(pts, n)
+                               for n in range(1, len(pts))]
+    assert gammas[:2].tolist() == [1.0, 0.5]  # the cap
+    assert gammas[-1] < 1 / (len(pts) - 1)
+    ns = np.arange(1.0, len(pts))
+    assert log_c.tobytes() == (ns * (np.log(ns) - np.log(gammas))).tobytes()
+    for again in (pts[6], pts[2], -0j):
+        for k in (2, 5, len(pts)):
+            with pytest.raises(ValueError, match="pairwise distinct"):
+                construct.gamma_table([*pts[:k], again, *pts[k:]])
+
+
 # 128 x 128 grids, the size of countable-400's and sigma-classify's: the
 # dyadic one has an offset table, the other one (pixel 0.021875) has none
 CHUNK_GRIDS = {"dyadic": Grid.from_box(-1.0, -1.0, 1.0, 1.0, 128, 128),
@@ -1137,24 +1311,35 @@ def _roots_on_circle(radius, count):
     return radius * np.exp(2j * np.pi * np.arange(count) / count)
 
 
-@pytest.mark.parametrize("case", ["tie", "zero-tie", "absorbed"])
+@pytest.mark.parametrize("case", ["tie", "zero-tie", "signed-zero-tie",
+                                  "absorbed"])
 def test_product_tail_sup_fills_the_table_where_the_screen_cannot_settle(
         case, monkeypatch):
     # "tie": every root term at 0 is log 1 = 0, so orders 1 and 2 both have
     # exponent exactly 1.  "zero-tie": log C_n = 0 as well, so both orders
-    # are exactly 0 at 0 with no margin at all: order 1's upper bound
-    # equals the top order's exponent, and only a strict screen leaves the
-    # cell to the table.  "absorbed": every root term at 0 is about log 2
+    # are exactly 0 at 0, and order 1's upper bound is only the margin's
+    # 2^-1074 above the top order's exponent; a strict screen would leave
+    # the cell to the table even at no margin.  "signed-zero-tie", at 0
+    # alone: log C = (-5e-324, 5e-324) and the interleave's divisors 2
+    # and 3 make order 1 -0.0 and the top order +0.0, equal as floats, so
+    # the screen, whose bound for order 1 is a zero too, leaves the cell,
+    # and the table's running max gives the zero the sign the reference's
+    # does.  "absorbed", at 0 alone: every root term at 0 is about log 2
     # and vanishes when added to 2^53, so the top order 10 sums to 2^53,
-    # below order 1's 2^53 + 2, whose upper bound keeps the cell unsettled:
-    # 0 must take the table's answer, 2^53 + 2.  3 + 4j has no tie, but
-    # its lower order wins, so the screen leaves it as well, to the
-    # one-order step, which settles it; each tie goes on to the table
+    # below order 1's 2^53 + 2, whose upper bound keeps the cell
+    # unsettled: 0 must take the table's answer, 2^53 + 2.  3 + 4j has no
+    # tie, but its lower order wins, so the screen leaves it as well, to
+    # the one-order step, which settles it; each tie goes on to the table
     z = np.array([0.0j, 3.0 + 4.0j])
     if case in ("tie", "zero-tie"):
         roots = _roots_on_circle(1.0, 4)
         lo, hi, divisors = 1, 2, None
         log_c = np.array([1.0, 2.0] if case == "tie" else [0.0, 0.0])
+    elif case == "signed-zero-tie":
+        z, roots = z[:1], _roots_on_circle(1.0, 4)
+        lo, hi, divisors = 1, 2, np.array([2.0, 3.0])
+        log_c = np.array([-5e-324, 5e-324])
+        assert np.signbit(log_c / divisors).tolist() == [True, False]
     else:
         z = z[:1]
         roots = _roots_on_circle(2.0, 11)
@@ -1170,6 +1355,8 @@ def test_product_tail_sup_fills_the_table_where_the_screen_cannot_settle(
     assert [c.tolist() for c in tables] == [[0j]]
     if case == "absorbed":
         assert got[0] == 2.0 ** 53 + 2
+    elif case == "signed-zero-tie":
+        assert got[0] == 0
 
 
 SCREEN_ROOTS = np.array([0.4, -0.3 + 0.5j, 0.2 - 0.6j, 0.7j, -0.5,
@@ -1194,12 +1381,14 @@ def test_product_tail_sup_screen_settles_only_where_the_top_order_wins(
     # cell's sup is NaN.  "rounded-up": every root term at
     # 0 is log 3 > 1, half an ulp of 2^53, so each addition to 2^53 rounds
     # up by 2: order 10 sums to 2^53 + 20 and the top order 11 to
-    # 2^53 + 18, but order 10's running root sum A_10 = 2^53 + 10 lies
-    # below the top, so only the margin keeps the cell from settling on
-    # the wrong order.  The cells the screen leaves reach the one-order
-    # step, which settles both cells of "root-order-loses", where order 2
-    # alone can win; a NaN order, and the two orders of "rounded-up",
-    # within their margins of each other, leave their cells to the table
+    # 2^53 + 18, but the screen's running sum from log C_11, shifted by
+    # log C_10 - log C_11 = 2, reads 2^53 + 18 at order 10, below order
+    # 10's own sum, so only the margin and the strict comparison keep the
+    # cell from settling on the wrong order.  The cells the screen leaves
+    # reach the one-order step, which settles both cells of
+    # "root-order-loses", where order 2 alone can win; a NaN order, and
+    # the two orders of "rounded-up", within their margins of each other,
+    # leave their cells to the table
     roots, divisors = SCREEN_ROOTS, None
     cells = np.array([roots[3], 0.1 + 0.1j])
     lo, hi, unsettled, tabled = 2, 5, [False, False], [False, False]
