@@ -34,9 +34,9 @@ from .series import CoefficientSeries
 
 # budget for one chunk of the working memory of an evaluator: the cell
 # chunks of both tail sups (_screen_chunks, by _chunk_cells), each (root
-# or order x cell) array of _one_order_sup and _own_order_sups, each
-# (order or member x cell) block of _table_sup and _fold_group, and each
-# row block of gamma_table's gaps
+# or order x cell) array of _candidate_sup and _own_order_sups, each
+# (member x cell) block of _fold_group, and each row block of
+# gamma_table's gaps
 TABLE_BYTES = 1 << 20
 
 # the working rows kept per cell, in bytes, where every root reads the
@@ -128,9 +128,8 @@ class _RootLogRow:
     rectangle of K and the stage targets and then over the index row of
     the cells still in play; the product series' tail sup, whose screen
     (_top_bounds) takes row.reads, and whose root cells' own orders
-    (_own_order_sups), one-order step (_order_bounds) and table
-    (_table_sup) take row.block; and BlockStructure.tail_sup, directly or
-    as an interleave's child.
+    (_own_order_sups) and candidate step (_order_bounds) take row.block;
+    and BlockStructure.tail_sup, directly or as an interleave's child.
     conv_map and level_set hand those their grid.
     """
 
@@ -367,17 +366,17 @@ def _product_tail_sup(z: Grid | np.ndarray | complex, roots: np.ndarray,
     holds log C_n for n = lo..hi and 1 <= lo; a cell with a NaN order gets
     a NaN sup.  z is points, or a grid for all its cell centres.
 
-    Every sup is bit-identical to the max over orders of each order summed
-    alone: from log C_n, adding the root terms in sequence, each root term
-    read through one _RootLogRow.  Three steps take the cells in turn, each
-    only the cells the one before leaves, in chunks of at least one cell:
+    Every sup is bit-identical to the table's: a running np.maximum from
+    -inf over the orders in turn, each order summed alone, from log C_n,
+    adding the root terms in sequence, each root term read through one
+    _RootLogRow, and divided by its divisor.  Two steps take the cells in
+    turn, the second only the cells the first leaves, in chunks of at
+    least one cell:
     * the screen (_top_screen), in _screen_chunks' chunks of _chunk_cells
       cells, one pass over the roots each, settles most of them;
-    * the one-order step (_one_order_sup), in chunks of
-      TABLE_BYTES // (8 (hi + 1)) cells, settles those where one order
-      alone can hold the sup;
-    * the (order x cell) table (_table_sup), in chunks of
-      TABLE_BYTES // (8 (hi - lo + 1)) cells, takes the rest.
+    * the candidate step (_candidate_sup), in chunks of
+      TABLE_BYTES // (8 (hi + 1)) cells, folds each cell's candidates, the
+      orders that its bounds leave in reach of the sup.
 
     That sum of order n is a recursive summation of the n + 1 terms
     log C_n, t_0, ..., t_{n-1} with t_j = log|z - roots[j]|, so at a cell
@@ -431,13 +430,13 @@ def _product_tail_sup(z: Grid | np.ndarray | complex, roots: np.ndarray,
     2n + 1 among them.
 
     The screen folds UB'_n of the orders lo..hi-1 into their running max
-    U, and divides top_hi by d_hi as _table_sup does.  Where
+    U, and divides top_hi by d_hi as the table does.  Where
     U < E_hi / d_hi, U is neither NaN nor +inf, so every other order lies
     strictly below the top one, and the sup is E_hi / d_hi, bit for bit.
     A NaN order makes U NaN or +inf and the cell unsettled; so does an
     exact tie with the top order.  Every sup is thus an exact order sum or
-    the table's, and the margins' width decides only how many cells each
-    later step takes.
+    the table's, and the margins' width decides only how many cells the
+    candidate step takes, and how many candidates each.
 
     A finite cell z that is one of the first hi roots, roots[k] with k
     least, has log|z - roots[k]| = log 0 = -inf.  Where every log C_n of
@@ -451,7 +450,7 @@ def _product_tail_sup(z: Grid | np.ndarray | complex, roots: np.ndarray,
     U < E_k / d_k, the sup is E_k / d_k, bit for bit.  Any other such
     cell is unsettled.
 
-    The one-order step bounds every window order from both sides with
+    The candidate step bounds every window order from both sides with
     the running sum P_n of the root terms, within gamma_{n-1} A_n of
     theirs, so |E_n - (log C_n + P_n)| <= 2 gamma_n T_n.  Order n takes
     one margin m_n = fl(fl(|log C_n| + S_n) 4 (n + 2) u) (_order_margin),
@@ -482,18 +481,23 @@ def _product_tail_sup(z: Grid | np.ndarray | complex, roots: np.ndarray,
     by a positive d_n keeps all three: LB_n = fl(A'_n / d_n) and
     UB_n = fl(B_n / d_n) bound fl(E_n / d_n) so.
 
-    The one-order step takes L = max LB_n over the window at a cell, NaN
-    if any LB_n is.  Where L is not NaN and exactly one order n* has
-    UB_n* >= L, the sup is fl(E_n* / d_n*), which the step sums as
-    _table_sup sums its row n*.  Each other order n has UB_n < L, so
-    E_n / d_n < L, or UB_n is NaN and E_n = -inf.  L is some LB_m, and
-    m = n* unless L = -inf, as an m != n* with UB_m not NaN would give
-    LB_m <= UB_m < L = LB_m; so L <= E_n* / d_n*, which is not NaN.  Every
-    other order thus lies strictly below E_n* / d_n*, and is never a zero
-    of the other sign, or it is -inf, and the table's running max from
-    -inf is E_n* / d_n*, bit for bit, +-0 included.  A cell with no such
-    order (a NaN L) or several (an exact tie between orders, or an
-    all -inf L over several orders) goes on to the table.
+    The candidate step takes L = max LB_n over the window at a cell, NaN
+    if any LB_n is.  The cell's candidates are the orders with UB_n >= L,
+    or every order where L is NaN.  Each pass takes every cell's lowest
+    candidate n left, sums E_n as the table sums its row n, and folds
+    fl(E_n / d_n) into the cell's running np.maximum from -inf.  Where L
+    is NaN that is the table's fold.  Elsewhere no LB_n is NaN, so no
+    order is: each has LB_n <= E_n / d_n <= UB_n, or a NaN UB_n and
+    E_n = -inf.  L is some LB_m, so L <= M, the max over the orders, and
+    every order but the candidates lies strictly below L, or is -inf.  If
+    M = -inf, both folds give -inf.  Otherwise every order equal to M,
+    +-0 alike, is a candidate.  A running np.maximum takes the first such
+    order's bits over anything strictly below it, and then keeps its bits
+    against all that lies below M, so its result depends only on the
+    orders equal to M, in their order: the fold has the table's bits.
+    A cell costs one pass per candidate: one where a single order can
+    hold the sup, and hi - lo + 1, the table's O(N^2) adds, where L is
+    NaN.
     """
     row = _RootLogRow(z)
     if divisors is None:
@@ -509,12 +513,7 @@ def _product_tail_sup(z: Grid | np.ndarray | complex, roots: np.ndarray,
     rest = np.flatnonzero(~settled)
     step = max(1, TABLE_BYTES // (8 * (hi + 1)))
     for at in (rest[k:k + step] for k in range(0, rest.size, step)):
-        sup[at], settled[at] = _one_order_sup(row[at], located, log_c, lo,
-                                              hi, divisors)
-    rest = np.flatnonzero(~settled)
-    step = max(1, TABLE_BYTES // (8 * (hi - lo + 1)))
-    for at in (rest[k:k + step] for k in range(0, rest.size, step)):
-        sup[at] = _table_sup(row[at], located, log_c, lo, hi, divisors)
+        sup[at] = _candidate_sup(row[at], located, log_c, lo, hi, divisors)
     return sup.reshape(row.shape)
 
 
@@ -551,7 +550,7 @@ def _top_screen(cells: _RootLogRow, roots: list, first: np.ndarray,
                 log_c: np.ndarray, lo: int, hi: int, divisors: np.ndarray
                 ) -> tuple[np.ndarray, np.ndarray]:
     """(top, settled) over a row of cells: top[k] is the top order's
-    E_n / d_n at cell k, with _table_sup's bits, and settled[k] says that
+    E_n / d_n at cell k, with the table's bits, and settled[k] says that
     it is the sup over lo..hi there (see _product_tail_sup).  The top
     order is hi, or the order first[k] of the root the cell is, where that
     is below hi.  One running sum, from log C_hi, takes each root term
@@ -626,7 +625,7 @@ def _own_order_sups(cells: _RootLogRow, roots: list, k: np.ndarray,
                     ) -> np.ndarray:
     """fl(E_k / d_k) at each cell, for its own order k = k[i] in lo..hi-1:
     log C_k plus the root terms t_0, ..., t_{k-1} in sequence, as
-    _table_sup sums its row k.  Each chunk of TABLE_BYTES // (8 (K + 1))
+    the table sums its row k.  Each chunk of TABLE_BYTES // (8 (K + 1))
     cells, K the largest k, reads its roots as one (root x cell) block
     under a row of log C_k, which one sequential np.add.accumulate sums."""
     sups = np.empty(cells.size)
@@ -675,50 +674,30 @@ def _order_bounds(cells: _RootLogRow, roots: list, log_c: np.ndarray,
     return terms, lower, sums
 
 
-def _one_order_sup(cells: _RootLogRow, roots: list, log_c: np.ndarray,
-                   lo: int, hi: int, divisors: np.ndarray
-                   ) -> tuple[np.ndarray, np.ndarray]:
-    """(sup, settled) over a row of cells: settled[k] says that one order
-    n* alone can hold the sup at cell k, and sup[k] is then
-    fl(E_n* / d_n*), with _table_sup's bits (see _product_tail_sup).  The
-    root terms of _order_bounds, under log C_n* at each cell in place of
-    their row of zeros, are summed by one sequential np.add.accumulate,
-    whose row n* is E_n*: log C_n* plus the root terms in sequence, as
-    _table_sup sums its row n*."""
+def _candidate_sup(cells: _RootLogRow, roots: list, log_c: np.ndarray,
+                   lo: int, hi: int, divisors: np.ndarray) -> np.ndarray:
+    """The table's sup over a row of cells, folded over each cell's
+    candidate orders alone (see _product_tail_sup).  Each pass puts log C_n
+    of every cell's lowest candidate n left over a copy of the root terms
+    of _order_bounds, in place of their row of zeros, and sums it by one
+    sequential np.add.accumulate, whose row n is E_n."""
     terms, lower, upper = _order_bounds(cells, roots, log_c, lo, hi,
                                         divisors)
-    with np.errstate(invalid="ignore"):
-        reach = upper >= lower.max(axis=0)  # False at a NaN max
-        del lower, upper  # free the bounds before the sums
-        n = reach.argmax(axis=0)  # n* - lo where one order reaches it
-        terms[0] = log_c[n]
-        np.add.accumulate(terms, axis=0, out=terms)
-    return (terms[n + lo, np.arange(cells.size)] / divisors[n],
-            np.count_nonzero(reach, axis=0) == 1)
-
-
-def _table_sup(cells: _RootLogRow, roots: list, log_c: np.ndarray, lo: int,
-               hi: int, divisors: np.ndarray) -> np.ndarray:
-    """_product_tail_sup over a row of cells by its (order x cell) table:
-    row n = lo..hi starts at log C_n, each root term, evaluated once
-    (_RootLogRow.block, in blocks of at most the table's rows), is added
-    into every row n above its index, and each row is divided by its
-    divisor, so row n sums log C_n and the root terms in sequence, as the
-    screen sums its top order.  A running np.maximum over the rows, in
-    order from -inf, gives the sup, NaN included.  The table costs
-    O(N^2) adds per cell; only cells that neither the screen nor the
-    one-order step settles come here."""
-    table = np.repeat(log_c[:, None], cells.size, axis=1)
-    step = hi - lo + 1
-    terms = np.empty((min(step, hi), cells.size))
-    for a in range(0, hi, step):
-        block = cells.block(roots[a:min(a + step, hi)], terms[:hi - a])
-        for j, term in enumerate(block, start=a):
-            table[max(j + 1, lo) - lo:] += term
-    table /= divisors[:, None]
     sup = np.full(cells.size, -np.inf)
-    for sums in table:
-        np.maximum(sup, sums, out=sup)
+    with np.errstate(invalid="ignore"):
+        floor = lower.max(axis=0)
+        left = (upper >= floor) | np.isnan(floor)  # every order at a NaN
+        del lower, upper  # free the bounds before the sums
+        at = np.flatnonzero(left.any(axis=0))
+        while at.size:
+            n = left[:, at].argmax(axis=0)  # each cell's lowest, minus lo
+            sums = terms[:lo + int(n.max()) + 1, at]
+            sums[0] = log_c[n]
+            np.add.accumulate(sums, axis=0, out=sums)
+            sup[at] = np.maximum(sup[at], sums[n + lo, np.arange(at.size)]
+                                 / divisors[n])
+            left[n, at] = False
+            at = at[left[:, at].any(axis=0)]
     return sup
 
 

@@ -628,8 +628,8 @@ def _product_series_on_cells():
 @pytest.mark.parametrize("chunk", [None, 1, 7])
 def test_product_evaluator_matches_oracle(kind, chunk, monkeypatch):
     # chunk None keeps the default budget (all 195 cells in one chunk); 1
-    # makes every chunk of _product_tail_sup's screen and table one cell; 7
-    # leaves a partial last screen chunk
+    # makes every chunk of _product_tail_sup's screen and candidate step
+    # one cell; 7 leaves a partial last screen chunk
     f, g = _product_series_on_cells()
     calls = []
     helper = construct._product_tail_sup
@@ -711,9 +711,10 @@ def _order_table_reference(cells, roots, log_c, lo, hi, divisors=None):
 
 
 def _table_sup_reference(cells, roots, log_c, lo, hi, divisors=None):
-    """max over the orders of _order_table_reference, as _table_sup takes
-    it: a running np.maximum over the orders in turn, from -inf.  A max
-    reduction can keep the other zero at a tie of +0.0 and -0.0."""
+    """max over the orders of _order_table_reference, as the product
+    series' tail sup defines it: a running np.maximum over the orders in
+    turn, from -inf.  A max reduction can keep the other zero at a tie of
+    +0.0 and -0.0."""
     sup = np.full(np.shape(cells), -np.inf)
     for sums in _order_table_reference(cells, roots, log_c, lo, hi,
                                        divisors):
@@ -721,25 +722,37 @@ def _table_sup_reference(cells, roots, log_c, lo, hi, divisors=None):
     return sup
 
 
-def _cells_spy(monkeypatch, name):
-    """The cell arrays that reach construct.<name>, the one-order step or
-    the table, one per call."""
-    calls = []
-    step = getattr(construct, name)
+def _candidates(lower, upper):
+    """Per cell, the number of candidate orders that the bounds of
+    construct._order_bounds leave it, one pass of the candidate step
+    each: those whose UB_n reaches L = max LB_n, or every order where L
+    is NaN."""
+    floor = lower.max(axis=0)
+    with np.errstate(invalid="ignore"):
+        return ((upper >= floor) | np.isnan(floor)).sum(axis=0)
 
-    def spy(cells, *args):
-        calls.append(cells.points.copy())
+
+def _steps_spy(monkeypatch, every=False):
+    """The cell arrays that reach the candidate step (the cells the screen
+    leaves), one per call, and each call's _candidates.  every=True makes
+    every LB_n NaN, so that every order of every cell is a candidate."""
+    stepped, passes = [], []
+    step, bounds = construct._candidate_sup, construct._order_bounds
+
+    def step_spy(cells, *args):
+        stepped.append(cells.points.copy())
         return step(cells, *args)
 
-    monkeypatch.setattr(construct, name, spy)
-    return calls
+    def bounds_spy(*args):
+        terms, lower, upper = bounds(*args)
+        if every:
+            lower = np.full_like(lower, np.nan)
+        passes.append(_candidates(lower, upper))
+        return terms, lower, upper
 
-
-def _steps_spy(monkeypatch):
-    """The cell arrays that reach the one-order step (the cells the
-    screen leaves) and the table, one per call of each."""
-    return (_cells_spy(monkeypatch, "_one_order_sup"),
-            _cells_spy(monkeypatch, "_table_sup"))
+    monkeypatch.setattr(construct, "_candidate_sup", step_spy)
+    monkeypatch.setattr(construct, "_order_bounds", bounds_spy)
+    return stepped, passes
 
 
 def _screen_spy(monkeypatch):
@@ -764,13 +777,13 @@ def test_product_tail_sup_is_bit_identical_to_the_table(seed, n_on, n_off,
     # points on cell centres give exact -inf terms from their order on;
     # windows include lo = 1, divisors the default n and the interleave's
     # 2m and 2m + 1.  TABLE_BYTES makes screen chunks down to one cell, or
-    # one-order step or table chunks down to one cell, or a budget below
-    # one cell's table column, where both steps' chunks are clamped to one
-    # cell.  Besides the plain path, the screen, the one-order step or
-    # both can be made to settle nothing, so that the next step sees every
-    # cell they take.  Either way exactly the cells the screen leaves
-    # reach the one-order step, and exactly those it leaves the table,
-    # each in chunks of its own step
+    # candidate step chunks down to one cell, or a budget below one cell's
+    # candidate arrays, where those chunks are clamped to one cell.
+    # Besides the plain path, the screen can be made to settle nothing, so
+    # that the candidate step sees every cell, and every LB_n can be made
+    # NaN, so that every order of every cell it takes is a candidate: the
+    # table's O(N^2) fold.  Either way exactly the cells the screen leaves
+    # reach the candidate step, in chunks of its own step
     g = Grid.from_box(-1.4, -1.0, 1.4, 1.0, 7, 5)
     cells = g.centers().ravel()
     rng = np.random.default_rng(seed)
@@ -783,53 +796,39 @@ def test_product_tail_sup_is_bit_identical_to_the_table(seed, n_on, n_off,
     parity = data.draw(st.sampled_from([None, 0, 1]), label="parity")
     divisors = None if parity is None else np.arange(
         2.0 * lo + parity, 2.0 * hi + parity + 1, 2.0)
-    column = 8 * (hi - lo + 1)  # one cell's table bytes
-    rows = 8 * (hi + 1)  # one cell's bytes in each one-order array
+    rows = 8 * (hi + 1)  # one cell's bytes in each candidate array
     chunk = data.draw(st.integers(1, cells.size + 1), label="chunk")
     budget = data.draw(st.sampled_from(
-        [construct._CELL_BYTES * chunk, rows * chunk, column * chunk,
-         column - 1]), label="TABLE_BYTES")
-    nothing = data.draw(st.sampled_from(["", "screen", "step", "both"]),
+        [construct._CELL_BYTES * chunk, rows * chunk, rows - 1]),
+        label="TABLE_BYTES")
+    nothing = data.draw(st.sampled_from(["", "screen"]),
                         label="settle nothing")
+    every = data.draw(st.booleans(), label="every order a candidate")
     roots, log_c = np.array(s.points), np.array(s.log_c[lo:hi + 1])
-    screen, one_order, table = (construct._top_screen,
-                                construct._one_order_sup, construct._table_sup)
-    settled, stepped, left, tabled = [], [], [], []
+    screen, settled = construct._top_screen, []
 
     def screen_spy(*args):
         top, done = screen(*args)
-        if nothing in ("screen", "both"):
+        if nothing:
             done = np.zeros_like(done)
         settled.append(done)
         return top, done
 
-    def step_spy(cells, *args):
-        stepped.append(cells.points.copy())
-        sup, done = one_order(cells, *args)
-        if nothing in ("step", "both"):
-            done = np.zeros_like(done)
-        left.append(~done)
-        return sup, done
-
-    def table_spy(cells, *args):
-        tabled.append(cells.points.copy())
-        return table(cells, *args)
-
-    with mock.patch.object(construct, "TABLE_BYTES", budget), \
-            mock.patch.object(construct, "_top_screen", screen_spy), \
-            mock.patch.object(construct, "_one_order_sup", step_spy), \
-            mock.patch.object(construct, "_table_sup", table_spy):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(construct, "TABLE_BYTES", budget)
+        patch.setattr(construct, "_top_screen", screen_spy)
+        stepped, passes = _steps_spy(patch, every)
         got = construct._product_tail_sup(cells, roots, log_c, lo, hi,
                                           divisors)
     want = _table_sup_reference(cells, roots, log_c, lo, hi, divisors)
     assert got.tobytes() == want.tobytes()
     screened = cells[~np.concatenate(settled)]
-    stepped_left = screened[np.concatenate(left)] if left else screened
-    for calls, rest, size in ((stepped, screened, rows),
-                              (tabled, stepped_left, column)):
-        step = max(1, budget // size)
-        assert [c.tolist() for c in calls] == [
-            rest[k:k + step].tolist() for k in range(0, rest.size, step)]
+    step = max(1, budget // rows)
+    assert [c.tolist() for c in stepped] == [
+        screened[k:k + step].tolist() for k in range(0, screened.size, step)]
+    if every:
+        assert [p.tolist() for p in passes] == [
+            [hi - lo + 1] * c.size for c in stepped]
 
 
 # every centre of the dyadic grid is an odd multiple of 1/16, so it has an
@@ -904,7 +903,7 @@ def test_product_tail_sup_on_grid_rows_is_bit_identical_to_the_table(
        n_off=st.integers(0, 9), data=st.data())
 def test_product_tail_sup_order_margin_covers_each_cell_margin(
         kind, seed, n_on, n_off, data):
-    # the one margin the one-order step gives order n over a chunk, from
+    # the one margin the candidate step gives order n over a chunk, from
     # the running sum of its roots' bounds, is at least the margin
     # 4 (n + 2) u (|log C_n| + S_n) from the running sum S_n of a cell's
     # own |root terms|, at every cell of the chunk where S_n is finite:
@@ -935,16 +934,15 @@ def test_product_tail_sup_order_margin_covers_each_cell_margin(
        n_off=st.integers(0, 9), data=st.data())
 def test_product_tail_sup_one_order_step_is_bit_identical_to_the_table(
         kind, seed, n_on, n_off, data):
-    # the screen is made to settle nothing, so the one-order step takes
+    # the screen is made to settle nothing, so the candidate step takes
     # every cell: over the dyadic grid it gathers the roots on the lattice
     # from the offset table and reads the others directly, and over the
-    # non-dyadic grid and the points it reads every root directly.  A
-    # cell on a root k < lo is -inf in every order, so every order
-    # reaches its -inf floor and it goes on to the table unless the window
-    # holds one order; a cell on a root k >= lo is finite up to order k.
-    # Divisors include the interleave's, and chunks of both steps go down
-    # to one cell.  Each cell the step settles has the table's bits, and
-    # exactly the cells it leaves reach the table
+    # non-dyadic grid and the points it reads every root directly.  Most
+    # cells have one candidate order, one pass.  A cell on a root k < lo
+    # is -inf in every order, so every order reaches its -inf floor and is
+    # a candidate; a cell on a root k >= lo is finite up to order k.
+    # Divisors include the interleave's, and chunks go down to one cell.
+    # Every cell has the table's bits
     g = SCREEN_GRIDS["dyadic" if kind == "points" else kind]
     cells = g.centers().ravel()
     pts = _grid_points(g, seed, n_on, n_off)
@@ -955,47 +953,30 @@ def test_product_tail_sup_one_order_step_is_bit_identical_to_the_table(
     divisors = None if parity is None else np.arange(
         2.0 * lo + parity, 2.0 * hi + parity + 1, 2.0)
     chunk = data.draw(st.integers(1, cells.size), label="chunk")
-    rows = 8 * (hi + 1)  # one cell's bytes in each one-order array
-    budget = data.draw(st.sampled_from([rows * chunk,
-                                        8 * (hi - lo + 1) * chunk]),
-                       label="TABLE_BYTES")
+    rows = 8 * (hi + 1)  # one cell's bytes in each candidate array
     roots, log_c = np.array(s.points), np.array(s.log_c[lo:hi + 1])
-    screen, one_order = construct._top_screen, construct._one_order_sup
-    stepped, table, tabled = [], construct._table_sup, []
+    screen = construct._top_screen
 
     def settle_nothing(*args):
         top, done = screen(*args)
         return top, np.zeros_like(done)
 
-    def step_spy(part, *args):
-        sup, done = one_order(part, *args)
-        stepped.append((part.points.copy(), sup, done))
-        return sup, done
-
-    def table_spy(part, *args):
-        tabled.append(part.points.copy())
-        return table(part, *args)
-
-    with mock.patch.object(construct, "TABLE_BYTES", budget), \
-            mock.patch.object(construct, "_top_screen", settle_nothing), \
-            mock.patch.object(construct, "_one_order_sup", step_spy), \
-            mock.patch.object(construct, "_table_sup", table_spy):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(construct, "TABLE_BYTES", rows * chunk)
+        patch.setattr(construct, "_top_screen", settle_nothing)
+        stepped, passes = _steps_spy(patch)
         got = construct._product_tail_sup(
             g.centers() if kind == "points" else g, roots, log_c, lo, hi,
             divisors)
     want = _table_sup_reference(cells, roots, log_c, lo, hi, divisors)
     assert got.shape == (g.height, g.width)
     assert got.ravel().tobytes() == want.tobytes()
-    assert max(part.size for part, _, _ in stepped) <= max(1, budget // rows)
-    assert np.concatenate([p for p, _, _ in stepped]).tolist() == (
-        cells.tolist())
-    sup = np.concatenate([sup for _, sup, _ in stepped])
-    done = np.concatenate([done for _, _, done in stepped])
-    assert sup[done].tobytes() == want[done].tobytes()
-    assert [z for part in tabled for z in part.tolist()] == (
-        cells[~done].tolist())
+    assert max(part.size for part in stepped) <= chunk
+    assert np.concatenate(stepped).tolist() == cells.tolist()
+    passes = np.concatenate(passes)
     k = construct._RootLogRow(cells).first_roots(roots[:hi])
-    assert (done[k < lo] == (lo == hi)).all()
+    assert (passes[k < lo] == hi - lo + 1).all()
+    assert (passes >= 1).all()
 
 
 @pytest.mark.parametrize("case", ["tie", "signed-zero-tie", "nan-order",
@@ -1004,13 +985,14 @@ def test_product_tail_sup_one_order_step_leaves_ties_and_nan_to_the_table(
         case, monkeypatch):
     # every root term at 0 is log 1 = 0, so order n sums to log C_n.
     # "tie": orders 1 and 2 are exactly 1 and the top order 3 is 0, so the
-    # screen leaves the cell, and both tied orders reach the step's floor.
-    # "signed-zero-tie": the interleave's divisors 2 and 3 make orders 1
-    # and 2 -0.0 and +0.0, equal as floats, over a top order of -1: the
-    # sup takes the sign that _table_sup's running np.maximum over the
-    # orders gives, from -inf, as the reference does.  "nan-order": log C_2
-    # is NaN, and "nan-root": roots[1] is NaN, so orders 2 and 3 are NaN
-    # there, and so is the sup
+    # screen leaves the cell, and both tied orders reach the step's floor:
+    # two candidates, two passes.  "signed-zero-tie": the interleave's
+    # divisors 2 and 3 make orders 1 and 2 -0.0 and +0.0, equal as floats,
+    # over a top order of -1: the sup takes the sign that the table's
+    # running np.maximum over the orders gives, from -inf, as the
+    # reference does.  "nan-order": log C_2 is NaN, and "nan-root":
+    # roots[1] is NaN, so orders 2 and 3 are NaN there, and so is the sup;
+    # the NaN floor makes all three orders candidates
     z, roots = np.array([0j]), _roots_on_circle(1.0, 4)
     lo, hi, divisors = 1, 3, np.ones(3)
     log_c = np.array([1.0, 1.0, 0.0])
@@ -1023,7 +1005,7 @@ def test_product_tail_sup_one_order_step_leaves_ties_and_nan_to_the_table(
         log_c[1] = np.nan
     elif case == "nan-root":
         roots[1] = complex(np.nan, 0.0)
-    settled, (stepped, tables) = (_screen_spy(monkeypatch),
+    settled, (stepped, passes) = (_screen_spy(monkeypatch),
                                   _steps_spy(monkeypatch))
     with np.errstate(invalid="ignore"):
         got = construct._product_tail_sup(z, roots, log_c, lo, hi, divisors)
@@ -1031,7 +1013,8 @@ def test_product_tail_sup_one_order_step_leaves_ties_and_nan_to_the_table(
     assert got.tobytes() == want.tobytes()
     assert [done.tolist() for done in settled] == [[False]]
     assert [c.tolist() for c in stepped] == [[0j]]
-    assert [c.tolist() for c in tables] == [[0j]]
+    assert [p.tolist() for p in passes] == [[3 if case.startswith("nan-")
+                                             else 2]]
     if case.startswith("nan-"):
         assert np.isnan(got[0])
     else:
@@ -1045,7 +1028,7 @@ def test_product_tail_sup_one_order_step_leaves_ties_and_nan_to_the_table(
        n_off=st.integers(0, 9), data=st.data())
 def test_product_tail_sup_order_bounds_hold_at_every_cell_and_order(
         kind, seed, n_on, n_off, data):
-    # over any chunk of the row, the one-order step's LB_n and UB_n bound
+    # over any chunk of the row, the candidate step's LB_n and UB_n bound
     # the table's E_n / d_n at every cell and order n = lo..hi, with the
     # interleave's divisors too: on the cells on a root, whose later
     # orders are -inf, and, as drawn, with a root at infinity (+inf
@@ -1312,51 +1295,60 @@ def _roots_on_circle(radius, count):
 
 
 @pytest.mark.parametrize("case", ["tie", "zero-tie", "signed-zero-tie",
-                                  "absorbed"])
+                                  "reversed-zero-tie", "absorbed"])
 def test_product_tail_sup_fills_the_table_where_the_screen_cannot_settle(
         case, monkeypatch):
     # "tie": every root term at 0 is log 1 = 0, so orders 1 and 2 both have
     # exponent exactly 1.  "zero-tie": log C_n = 0 as well, so both orders
     # are exactly 0 at 0, and order 1's upper bound is only the margin's
     # 2^-1074 above the top order's exponent; a strict screen would leave
-    # the cell to the table even at no margin.  "signed-zero-tie", at 0
-    # alone: log C = (-5e-324, 5e-324) and the interleave's divisors 2
-    # and 3 make order 1 -0.0 and the top order +0.0, equal as floats, so
-    # the screen, whose bound for order 1 is a zero too, leaves the cell,
-    # and the table's running max gives the zero the sign the reference's
-    # does.  "absorbed", at 0 alone: every root term at 0 is about log 2
-    # and vanishes when added to 2^53, so the top order 10 sums to 2^53,
+    # the cell to the candidate step even at no margin.  "signed-zero-tie",
+    # at 0 alone: log C = (-5e-324, 5e-324) and the interleave's divisors
+    # 2 and 3 make order 1 -0.0 and the top order +0.0, equal as floats,
+    # so the screen, whose bound for order 1 is a zero too, leaves the
+    # cell; "reversed-zero-tie" swaps log C, for +0.0 and -0.0.  Only the
+    # order of the fold then decides the sign: the candidate step's
+    # running max takes order 1, then order 2, as the reference does.
+    # "absorbed", at 0 alone: every root term at 0 is about log 2 and
+    # vanishes when added to 2^53, so the top order 10 sums to 2^53,
     # below order 1's 2^53 + 2, whose upper bound keeps the cell
-    # unsettled: 0 must take the table's answer, 2^53 + 2.  3 + 4j has no
-    # tie, but its lower order wins, so the screen leaves it as well, to
-    # the one-order step, which settles it; each tie goes on to the table
+    # unsettled: 0 must take the table's answer, 2^53 + 2, and both orders
+    # are candidates, the -inf ones between them not.  3 + 4j has no tie,
+    # but its lower order wins, so the screen leaves it as well, to the
+    # candidate step, where that order is its one candidate.  Each tie
+    # takes two passes
     z = np.array([0.0j, 3.0 + 4.0j])
     if case in ("tie", "zero-tie"):
         roots = _roots_on_circle(1.0, 4)
         lo, hi, divisors = 1, 2, None
         log_c = np.array([1.0, 2.0] if case == "tie" else [0.0, 0.0])
-    elif case == "signed-zero-tie":
+    elif case in ("signed-zero-tie", "reversed-zero-tie"):
         z, roots = z[:1], _roots_on_circle(1.0, 4)
         lo, hi, divisors = 1, 2, np.array([2.0, 3.0])
         log_c = np.array([-5e-324, 5e-324])
-        assert np.signbit(log_c / divisors).tolist() == [True, False]
+        if case == "reversed-zero-tie":
+            log_c = -log_c
+        orders = log_c / divisors
+        assert np.signbit(orders).tolist() == [log_c[0] < 0, log_c[1] < 0]
     else:
         z = z[:1]
         roots = _roots_on_circle(2.0, 11)
         lo, hi, divisors = 1, 10, np.ones(10)
         log_c = np.array([2.0 ** 53 + 2] + [-np.inf] * 8 + [2.0 ** 53])
-    settled, (stepped, tables) = (_screen_spy(monkeypatch),
+    settled, (stepped, passes) = (_screen_spy(monkeypatch),
                                   _steps_spy(monkeypatch))
     got = construct._product_tail_sup(z, roots, log_c, lo, hi, divisors)
     want = _table_sup_reference(z, roots, log_c, lo, hi, divisors)
     assert got.tobytes() == want.tobytes()
     assert [done.tolist() for done in settled] == [[False] * z.size]
     assert [c.tolist() for c in stepped] == [z.tolist()]
-    assert [c.tolist() for c in tables] == [[0j]]
+    assert [p.tolist() for p in passes] == [[2, 1][:z.size]]
     if case == "absorbed":
         assert got[0] == 2.0 ** 53 + 2
-    elif case == "signed-zero-tie":
+    elif case in ("signed-zero-tie", "reversed-zero-tie"):
         assert got[0] == 0
+        assert got.tobytes() == np.maximum(np.maximum(-np.inf, orders[:1]),
+                                           orders[1:]).tobytes()
 
 
 SCREEN_ROOTS = np.array([0.4, -0.3 + 0.5j, 0.2 - 0.6j, 0.7j, -0.5,
@@ -1385,25 +1377,24 @@ def test_product_tail_sup_screen_settles_only_where_the_top_order_wins(
     # log C_10 - log C_11 = 2, reads 2^53 + 18 at order 10, below order
     # 10's own sum, so only the margin and the strict comparison keep the
     # cell from settling on the wrong order.  The cells the screen leaves
-    # reach the one-order step, which settles both cells of
-    # "root-order-loses", where order 2 alone can win; a NaN order, and
-    # the two orders of "rounded-up", within their margins of each other,
-    # leave their cells to the table
+    # reach the candidate step, where both cells of "root-order-loses"
+    # have one candidate, order 2; a NaN order makes every order a
+    # candidate, and so do the two orders of "rounded-up", within their
+    # margins of each other
     roots, divisors = SCREEN_ROOTS, None
     cells = np.array([roots[3], 0.1 + 0.1j])
-    lo, hi, unsettled, tabled = 2, 5, [False, False], [False, False]
+    lo, hi, passes = 2, 5, []
     if case == "root-before-window":
         cells[0], lo = roots[1], 3
     elif case == "root-single-order":
         lo = 5
     elif case == "root-order-loses":
-        unsettled = [True, True]
+        passes = [1, 1]
     elif case in ("nan-order", "nan-top"):
-        unsettled = tabled = [True, True]
+        passes = [4, 4]
     elif case == "rounded-up":
         cells, roots = np.array([0j]), _roots_on_circle(3.0, 11)
-        lo, hi, divisors, unsettled, tabled = 10, 11, np.ones(2), [True], \
-            [True]
+        lo, hi, divisors, passes = 10, 11, np.ones(2), [2]
     log_c = SQUARES[lo - 1:hi].copy()
     if case == "root-order-loses":
         log_c[0] = 100.0
@@ -1413,13 +1404,13 @@ def test_product_tail_sup_screen_settles_only_where_the_top_order_wins(
         log_c[-1] = np.nan
     elif case == "rounded-up":
         log_c = np.array([2.0 ** 53, 2.0 ** 53 - 2])
-    stepped, tables = _steps_spy(monkeypatch)
+    stepped, candidates = _steps_spy(monkeypatch)
     got = construct._product_tail_sup(cells, roots, log_c, lo, hi, divisors)
     want = _table_sup_reference(cells, roots, log_c, lo, hi, divisors)
     assert got.tobytes() == want.tobytes()
-    for calls, reach in ((stepped, unsettled), (tables, tabled)):
-        assert [c.tolist() for c in calls] == (
-            [cells[reach].tolist()] if any(reach) else [])
+    assert [c.tolist() for c in stepped] == (
+        [cells.tolist()] if passes else [])
+    assert [p.tolist() for p in candidates] == ([passes] if passes else [])
     if case in ("root-before-window", "root-single-order"):
         assert got[0] == -np.inf
     elif case.startswith("root-"):
@@ -1437,22 +1428,23 @@ def test_product_tail_sup_screen_takes_interleave_divisors(parity,
     # compares each order's bound with the top order's exponent under
     # those divisors and settles most cells, every cell on one of the
     # first hi roots among them (its top order is the root's own); the
-    # one-order step takes the few it leaves, in one call
+    # candidate step takes the few it leaves, in one call, each with one
+    # candidate order
     f, g = _product_series_on_cells()
     cells, roots = g.centers().ravel(), np.array(f.structure.points)
     lo, hi = 5, f.max_supported_n
     log_c = np.array(f.structure.log_c[lo:hi + 1])
     divisors = np.arange(2.0 * lo + parity, 2.0 * hi + parity + 1, 2.0)
-    calls, tables = _steps_spy(monkeypatch)
+    calls, passes = _steps_spy(monkeypatch)
     got = construct._product_tail_sup(cells, roots, log_c, lo, hi, divisors)
     want = _table_sup_reference(cells, roots, log_c, lo, hi, divisors)
     assert got.tobytes() == want.tobytes()
     on_roots = np.isin(cells, roots[:hi])
     assert on_roots.sum() == 11
-    assert len(calls) == 1
+    assert len(calls) == len(passes) == 1
     assert not np.isin(cells[on_roots], calls[0]).any()
     assert 0 < calls[0].size < cells.size // 8
-    assert all(np.isin(part, calls[0]).all() for part in tables)
+    assert (passes[0] == 1).all()
 
 
 def _criterion_2_cells():
@@ -1472,13 +1464,13 @@ def _criterion_2_cells():
 def test_product_tail_sup_bounds_only_the_unsettled_cells(monkeypatch):
     # on the criterion-2 scene at N = 49 the screen settles each cell whose
     # top order wins, the 49 cells on the top order's roots among them,
-    # and the few cells it leaves reach the one-order step together, in
-    # one call; the table takes only the cells that step leaves
+    # and the few cells it leaves reach the candidate step together, in
+    # one call, each with one candidate order
     pts, cells = _criterion_2_cells()
     f = countable_set_series(pts)
     lo, hi = tail_window(49)
     settled = _screen_spy(monkeypatch)
-    calls, tables = _steps_spy(monkeypatch)
+    calls, passes = _steps_spy(monkeypatch)
     got = f.structure.tail_sup(cells, lo, hi)
     roots = np.array(f.structure.points)
     want = _table_sup_reference(cells, roots,
@@ -1490,7 +1482,7 @@ def test_product_tail_sup_bounds_only_the_unsettled_cells(monkeypatch):
     assert [c.tolist() for c in calls] == (
         [] if done.all() else [cells[~done].tolist()])
     assert (~done).sum() < cells.size // 100
-    assert all(np.isin(part, cells[~done]).all() for part in tables)
+    assert all((p == 1).all() for p in passes)
 
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
@@ -1519,9 +1511,9 @@ def test_product_tail_sup_keeps_nan_and_inf_from_a_root_at_infinity():
 @pytest.mark.parametrize("chunk", [None, 1, 7])
 def test_product_log_mags_match_oracle(kind, chunk, monkeypatch):
     # chunk None keeps the default budget (all cells in one chunk); 1 makes
-    # every chunk of _product_tail_sup's screen and table one cell; 7
-    # leaves a partial last screen chunk.  One order n read as tail_sup(z, n, n) with
-    # divisor 1 is log|f_n| itself
+    # every chunk of _product_tail_sup's screen and candidate step one
+    # cell; 7 leaves a partial last screen chunk.  One order n read as
+    # tail_sup(z, n, n) with divisor 1 is log|f_n| itself
     f, g = _product_series_on_cells()
     N = f.max_supported_n
     zs = g.centers()
@@ -1558,8 +1550,8 @@ def test_interleave_evaluator_matches_children(pair, monkeypatch):
     # N = 16 and 17 start the tail window on an even and an odd order; each
     # child is evaluated once, by its own tail_sup over its orders in the
     # window, each divided by its interleaved order, and the product child
-    # takes its one-order step over exactly the cells its screen leaves
-    # and fills its table for exactly the cells that step leaves
+    # takes its candidate step over exactly the cells its screen leaves,
+    # with at least one candidate order at each
     countable, g = _product_series_on_cells()
     compact = compact_set_series(_disk(g, 0.0, 0.0, 0.5), stages=4,
                                  degree_cap=16)
@@ -1568,17 +1560,8 @@ def test_interleave_evaluator_matches_children(pair, monkeypatch):
                  "blocks-blocks": (compact, _unshared_block_series())}[pair]
     F = construct.interleave(even, odd)
     sups = []
-    settled, (stepped, tables) = (_screen_spy(monkeypatch),
+    settled, (stepped, passes) = (_screen_spy(monkeypatch),
                                   _steps_spy(monkeypatch))
-    left = []
-    one_order = construct._one_order_sup
-
-    def step_spy(*args):
-        sup, done = one_order(*args)
-        left.append(~done)
-        return sup, done
-
-    monkeypatch.setattr(construct, "_one_order_sup", step_spy)
 
     def spy_on_tail_sup(cls):
         helper = cls.tail_sup
@@ -1594,7 +1577,7 @@ def test_interleave_evaluator_matches_children(pair, monkeypatch):
     spy_on_tail_sup(CountableStructure)
     for N in (16, 17, F.max_supported_n):
         lo, _ = tail_window(N)
-        for calls in (sups, settled, stepped, left, tables):
+        for calls in (sups, settled, stepped, passes):
             calls.clear()
         _assert_tail_sup_matches_oracle(F, g, N)
         a, b, c, d = (lo + 1) // 2, N // 2, lo // 2, (N - 1) // 2
@@ -1605,9 +1588,8 @@ def test_interleave_evaluator_matches_children(pair, monkeypatch):
         assert [c.tolist() for c in stepped] == [
             g.centers().ravel()[~done].tolist() for done in settled
             if not done.all()]
-        assert [c.tolist() for c in tables] == [
-            cells[rest].tolist() for cells, rest in zip(stepped, left)
-            if rest.any()]
+        assert [p.size for p in passes] == [c.size for c in stepped]
+        assert all((p >= 1).all() for p in passes)
 
 
 def _interleave_points(F):
