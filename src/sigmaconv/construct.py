@@ -34,15 +34,14 @@ from .series import CoefficientSeries
 
 # budget for one chunk of the working memory of an evaluator: the cell
 # chunks of both tail sups (_screen_chunks, by _chunk_cells), each (root
-# or order x cell) array of _candidate_sup and _own_order_sups, each
-# (member x cell) block of _fold_group, and each row block of
-# gamma_table's gaps
+# or order x cell) array of _candidate_sup, each (member x cell) block of
+# _fold_group, and each row block of gamma_table's gaps
 TABLE_BYTES = 1 << 20
 
 # the working rows kept per cell, in bytes, where every root reads the
 # offset table: BlockStructure.tail_sup's top, floor, root sum, root log,
-# x and y; _top_screen keeps four of them, its running sum, bound, bound
-# max and first-root index, as it adds each table root from a view
+# x and y; _top_screen keeps three of them, its running sum, bound and
+# bound max, as it adds each table root from a view
 _TABLE_CELL_BYTES = 48
 
 # the same where some root is read directly, which also allocates the
@@ -119,16 +118,16 @@ class _RootLogRow:
       are flat.
     row.reads(roots, out) reads roots in turn into out, but gives a
     rectangle row's cell roots on a table as gather's views, uncopied.
-    row.block(roots, out) fills the (root x cell) array out, with an
-    index row's cell roots on a table in one gather.
+    row.block(roots, out) fills the (root x cell) array out, in one
+    gather where every root is a cell root of an index row on a table.
     row.log_bound(root, logs) bounds the magnitude of a read's finite
     entries, for the product series' margins.
 
     Its users: the running sum of _leja_steps (_LejaSum), over the
     rectangle of K and the stage targets and then over the index row of
     the cells still in play; the product series' tail sup, whose screen
-    (_top_bounds) takes row.reads, and whose root cells' own orders
-    (_own_order_sups) and candidate step (_order_bounds) take row.block;
+    (_top_bounds) takes row.reads, and whose candidate step
+    (_order_bounds) takes row.block;
     and BlockStructure.tail_sup, directly or as an interleave's child.
     conv_map and level_set hand those their grid.
     """
@@ -191,27 +190,6 @@ class _RootLogRow:
         return [r if f < 0 else f
                 for f, r in zip(flat.tolist(), roots.tolist())]
 
-    def first_roots(self, roots: list) -> np.ndarray:
-        """Per cell, the least k with z == roots[k] for a finite z, and
-        len(roots) where there is none, from the roots as located on this
-        row.  On a grid row those are the cells that locate names, which
-        are scattered; a row of points searches the sorted roots."""
-        if self.grid is not None:
-            at = [(r, k) for k, r in enumerate(roots)
-                  if not isinstance(r, complex)]
-            first = np.full(self.grid.width * self.grid.height, len(roots))
-            if at:
-                cells, ks = np.array(at).T
-                cells, least = np.unique(cells, return_index=True)
-                first[cells] = ks[least]
-            return first[self.cells]
-        roots = np.asarray(roots, dtype=complex)
-        order = np.argsort(roots, kind="stable")
-        k = order[np.searchsorted(roots[order], self.points).clip(
-            max=roots.size - 1)]
-        return np.where((roots[k] == self.points) & np.isfinite(self.points),
-                        k, roots.size)
-
     def __call__(self, root: int | complex,
                  out: np.ndarray | None = None) -> np.ndarray:
         if isinstance(root, complex):
@@ -269,22 +247,15 @@ class _RootLogRow:
 
     def block(self, roots: Sequence, out: np.ndarray) -> np.ndarray:
         """out[k] = self(roots[k]) for each k, into the (root x cell)
-        array out.  On an index row on a table, the cell roots' rows come
-        from one gather, a take by 2D keys; other rows, and complex roots,
-        read root by root."""
-        at = [k for k, r in enumerate(roots) if not isinstance(r, complex)]
-        if self.table is None or len(self.shape) == 2 or not at:
+        array out: one gather, a take by 2D keys, where the row is an
+        index row on a table and every root a cell root; else root by
+        root."""
+        if (self.table is None or len(self.shape) == 2
+                or any(isinstance(r, complex) for r in roots)):
             for r, logs in zip(roots, out):
                 self(r, logs)
             return out
-        cells = np.array([roots[k] for k in at])
-        if len(at) == len(roots):
-            return self.gather(cells, out)
-        out[at] = self.gather(cells)
-        for r, logs in zip(roots, out):
-            if isinstance(r, complex):
-                self.direct(r, logs)
-        return out
+        return self.gather(np.array(roots, dtype=int), out)
 
     @cached_property
     def table_bound(self) -> float:
@@ -438,17 +409,16 @@ def _product_tail_sup(z: Grid | np.ndarray | complex, roots: np.ndarray,
     the table's, and the margins' width decides only how many cells the
     candidate step takes, and how many candidates each.
 
-    A finite cell z that is one of the first hi roots, roots[k] with k
-    least, has log|z - roots[k]| = log 0 = -inf.  Where every log C_n of
-    the window is finite and the cell's top_hi is -inf, no root term is
-    +inf or NaN, so every order n > k sums to -inf there.  The terms
-    before k are then finite: a -inf term needs z - roots[j] = 0, so
-    z = roots[j], which k least rules out for j < k.  So for k < lo the
-    sup is -inf.  For k >= lo the screen holds U over the orders lo..k-1
-    when it reaches order k, and sums E_k from log C_k at that cell
-    (_own_order_sups): each order's bound below k holds there, and where
-    U < E_k / d_k, the sup is E_k / d_k, bit for bit.  Any other such
-    cell is unsettled.
+    Where U = -inf, every UB'_n is -inf, neither +inf nor NaN, so every
+    order n < hi has fl(E_n / d_n) <= -inf: it is -inf, and a running
+    np.maximum from -inf gives the top order's bits, whatever they are.
+    So the screen settles every cell where U < E_hi / d_hi or U = -inf.
+    A window of one order, lo = hi, has U = -inf everywhere.  So do the
+    cells z on a root, z = roots[k] with k < lo, where log C_n, r_n and
+    the other terms are finite: every order of the window adds
+    log|z - roots[k]| = log 0 = -inf.  On a root k >= lo the orders up to
+    k are finite in general, over top_hi = -inf, and the candidate step
+    takes the cell.
 
     The candidate step bounds every window order from both sides with
     the running sum P_n of the root terms, within gamma_{n-1} A_n of
@@ -503,13 +473,11 @@ def _product_tail_sup(z: Grid | np.ndarray | complex, roots: np.ndarray,
     if divisors is None:
         divisors = np.arange(lo, hi + 1, dtype=float)
     located = row.locate(roots[:hi])
-    first = (row.first_roots(located) if np.isfinite(log_c).all()
-             else np.full(row.size, hi))
     sup = np.empty(row.size)
     settled = np.empty(row.size, dtype=bool)
     for at, cells in _screen_chunks(row, _chunk_cells(row, located)):
-        sup[at], settled[at] = _top_screen(cells, located, first[at],
-                                           log_c, lo, hi, divisors)
+        sup[at], settled[at] = _top_screen(cells, located, log_c, lo, hi,
+                                           divisors)
     rest = np.flatnonzero(~settled)
     step = max(1, TABLE_BYTES // (8 * (hi + 1)))
     for at in (rest[k:k + step] for k in range(0, rest.size, step)):
@@ -546,44 +514,24 @@ def _screen_chunks(row: _RootLogRow, step: int
             yield slice(j * w + i, j * w + i + cells.size), cells
 
 
-def _top_screen(cells: _RootLogRow, roots: list, first: np.ndarray,
-                log_c: np.ndarray, lo: int, hi: int, divisors: np.ndarray
+def _top_screen(cells: _RootLogRow, roots: list, log_c: np.ndarray,
+                lo: int, hi: int, divisors: np.ndarray
                 ) -> tuple[np.ndarray, np.ndarray]:
     """(top, settled) over a row of cells: top[k] is the top order's
-    E_n / d_n at cell k, with the table's bits, and settled[k] says that
-    it is the sup over lo..hi there (see _product_tail_sup).  The top
-    order is hi, or the order first[k] of the root the cell is, where that
-    is below hi.  One running sum, from log C_hi, takes each root term
-    once (_top_bounds); the upper bound UB'_n of each lower order n of
-    the window costs one add, one multiply and one max.  The cells on roots
-    k = lo..hi-1 sum their own top order E_k apart (_own_order_sups)."""
-    on = np.flatnonzero(first < hi)
-    k = first[on]
-    inside = k >= lo
-    # the cells on roots that stop at order n, as indices into ``on``
-    order = np.flatnonzero(inside)[np.argsort(k[inside], kind="stable")]
-    stops, starts = np.unique(k[order], return_index=True)
-    ends = [*starts[1:].tolist(), order.size]
-    held = {n: order[a:b]
-            for n, a, b in zip(stops.tolist(), starts.tolist(), ends)}
-    held_upper = np.full(on.size, -np.inf)
+    E_hi / d_hi at cell k, with the table's bits, and settled[k] says that
+    it is the sup over lo..hi there (see _product_tail_sup).  One running
+    sum, from log C_hi, takes each root term once (_top_bounds); the upper
+    bound UB'_n of each lower order n of the window costs one add, one
+    multiply and one max."""
     top = np.full(cells.size, log_c[hi - lo])
     upper = np.full(cells.size, -np.inf)
     # a +inf or NaN margin over a -inf sum is NaN: unsettled, not an error
     with np.errstate(divide="ignore", invalid="ignore"):
-        for n, bound in _top_bounds(cells, roots, top, log_c, lo, hi,
+        for _, bound in _top_bounds(cells, roots, top, log_c, lo, hi,
                                     divisors):
-            if n in held:
-                held_upper[held[n]] = upper[on[held[n]]]
             np.maximum(upper, bound, out=upper)
         top /= divisors[hi - lo]
-        settled = upper < top
-        own = np.full(on.size, -np.inf)
-        own[inside] = _own_order_sups(cells[on[inside]], roots, k[inside],
-                                      log_c, lo, divisors)
-        settled[on] = (top[on] == -np.inf) & (~inside | (held_upper < own))
-        top[on] = own
-        return top, settled
+        return top, (upper < top) | (upper == -np.inf)
 
 
 def _top_bounds(cells: _RootLogRow, roots: list, top: np.ndarray,
@@ -618,28 +566,6 @@ def _top_bounds(cells: _RootLogRow, roots: list, top: np.ndarray,
         np.add(top, (c - c_hi) + margin, out=bound)
         bound *= scales[n - lo]
         yield n, bound
-
-
-def _own_order_sups(cells: _RootLogRow, roots: list, k: np.ndarray,
-                    log_c: np.ndarray, lo: int, divisors: np.ndarray
-                    ) -> np.ndarray:
-    """fl(E_k / d_k) at each cell, for its own order k = k[i] in lo..hi-1:
-    log C_k plus the root terms t_0, ..., t_{k-1} in sequence, as
-    the table sums its row k.  Each chunk of TABLE_BYTES // (8 (K + 1))
-    cells, K the largest k, reads its roots as one (root x cell) block
-    under a row of log C_k, which one sequential np.add.accumulate sums."""
-    sups = np.empty(cells.size)
-    if not k.size:
-        return sups
-    step = max(1, TABLE_BYTES // (8 * (int(k.max()) + 1)))
-    for a in range(0, cells.size, step):
-        part, ks = cells[a:a + step], k[a:a + step]
-        terms = np.empty((int(ks.max()) + 1, part.size))
-        terms[0] = log_c[ks - lo]
-        part.block(roots[:len(terms) - 1], terms[1:])
-        np.add.accumulate(terms, axis=0, out=terms)
-        sups[a:a + step] = terms[ks, np.arange(part.size)] / divisors[ks - lo]
-    return sups
 
 
 def _order_margin(log_c_n: float | np.ndarray, size: float | np.ndarray,

@@ -722,6 +722,13 @@ def _table_sup_reference(cells, roots, log_c, lo, hi, divisors=None):
     return sup
 
 
+def _first_roots(cells, roots):
+    """Per cell, the least k with cells == roots[k], and len(roots) where
+    no root is; a NaN root is at no cell."""
+    hit = np.equal.outer(roots, cells)
+    return np.where(hit.any(axis=0), hit.argmax(axis=0), len(roots))
+
+
 def _candidates(lower, upper):
     """Per cell, the number of candidate orders that the bounds of
     construct._order_bounds leave it, one pass of the candidate step
@@ -974,7 +981,7 @@ def test_product_tail_sup_one_order_step_is_bit_identical_to_the_table(
     assert max(part.size for part in stepped) <= chunk
     assert np.concatenate(stepped).tolist() == cells.tolist()
     passes = np.concatenate(passes)
-    k = construct._RootLogRow(cells).first_roots(roots[:hi])
+    k = _first_roots(cells, roots[:hi])
     assert (passes[k < lo] == hi - lo + 1).all()
     assert (passes >= 1).all()
 
@@ -1163,34 +1170,50 @@ def test_product_tail_sup_screen_bound_covers_underflow(case):
 
 @pytest.mark.parametrize("kind", ["dyadic", "non-dyadic"])
 def test_product_tail_sup_first_roots_on_a_grid_match_the_points(kind):
-    # a grid row scatters the cells that locate names, and a row of its
-    # centres as points searches the sorted roots: both give each cell
-    # the least k with roots[k] at it, also where a root repeats, and
-    # len(roots) where no root is, NaN and off-lattice roots included
+    # a grid row names the roots at cell centres by their cells, and a row
+    # of its centres as points reads every root directly: on both, each
+    # cell whose least k with roots[k] at it is in the window, k >= lo,
+    # reaches the candidate step, and each cell on a root k < lo, the
+    # repeated roots[3] = roots[0] among them, is settled by the screen,
+    # at -inf, or at NaN where the top order reads the NaN roots[4].  The
+    # sups have the same bits; the other cells the screen leaves may
+    # differ, as a row of points bounds each root's direct reads alone
     g = SCREEN_GRIDS[kind]
     centres = g.centers().ravel()
-    roots = [centres[9], 0.123 + 0.5j, centres[3], centres[9],
-             complex(np.nan, 0.0), centres[3], centres[20], 7.0]
+    roots = np.array([centres[9], 0.123 + 0.5j, centres[3], centres[9],
+                      complex(np.nan, 0.0), centres[3], centres[20], 7.0])
     if kind == "dyadic":
         assert construct._RootLogRow(g).table is not None
-    grid, points = construct._RootLogRow(g), construct._RootLogRow(centres)
-    got = grid.first_roots(grid.locate(roots))
-    want = points.first_roots(points.locate(roots))
-    assert got.tolist() == want.tolist()
-    assert [got[c] for c in (9, 3, 20, 0)] == [0, 2, 6, len(roots)]
-    part = grid[2:4, 1:5]
-    assert part.first_roots(part.locate(roots)).tolist() == (
-        want[part.cells].tolist())
+    for lo, hi in ((2, 4), (2, 5)):
+        log_c = SQUARES[lo - 1:hi]
+        k = _first_roots(centres, roots[:hi])
+        assert k[[9, 3, 20]].tolist() == [0, 2, hi]
+        sups = []
+        for z in (g, g.centers()):
+            with pytest.MonkeyPatch.context() as patch:
+                settled = _screen_spy(patch)
+                stepped, _ = _steps_spy(patch)
+                sup = construct._product_tail_sup(z, roots, log_c, lo, hi)
+            done = np.concatenate(settled)
+            assert done[k < lo].all()
+            assert not done[(lo <= k) & (k < hi)].any()
+            assert np.isin(centres[(lo <= k) & (k < hi)],
+                           np.concatenate(stepped)).all()
+            before = sup.ravel()[k < lo]
+            assert (np.isneginf(before) if hi == 4 else np.isnan(before)).all()
+            sups.append(sup)
+        assert sups[0].tobytes() == sups[1].tobytes()
+        want = _table_sup_reference(centres, roots, log_c, lo, hi)
+        assert sups[0].tobytes() == want.reshape(sups[0].shape).tobytes()
 
 
 @pytest.mark.parametrize("kind", ["rectangle", "index", "points"])
 def test_product_tail_sup_block_reads_equal_per_root_reads(kind):
     # _RootLogRow.block fills its (root x cell) array with the bits of
     # reading each root alone, for roots on the offset table's lattice
-    # mixed with complex ones off it and outside the box: on an index row
-    # the lattice roots take one gather, a take by 2D keys, and the others
-    # a direct read each; a rectangle row and points read root by root.
-    # Every lattice root alone takes the index row's one gather too
+    # mixed with complex ones off it and outside the box, which every row
+    # reads root by root, and for the lattice roots alone, which an index
+    # row takes in one gather, a take by 2D keys
     g = SCREEN_GRIDS["dyadic"]
     row = construct._RootLogRow(g.centers() if kind == "points" else g)
     if kind == "rectangle":
@@ -1206,9 +1229,8 @@ def test_product_tail_sup_block_reads_equal_per_root_reads(kind):
             got = row.block(some, np.empty((len(some), row.size)))
         want = np.array([row(r, np.empty(row.size)) for r in some])
         assert got.tobytes() == want.tobytes()
-        if kind == "index":
-            assert reads.count(("gather", (6, row.size))) == 1
-            assert len(reads) == 1 + len(some) - 6
+        if kind == "index" and some is cell:
+            assert reads == [("gather", (6, row.size))]
         else:
             assert len(reads) == len(some)
 
@@ -1363,10 +1385,12 @@ def test_product_tail_sup_screen_settles_only_where_the_top_order_wins(
         case, monkeypatch):
     # cell 0 is on roots[3] or roots[1], cell 1 = 0.1 + 0.1j is off every
     # root.  "root-in-window": orders 2..3 are finite at roots[3], 4..5
-    # are -inf, so the cell's top order is 3, which wins and settles it.
-    # "root-before-window": every order 3..5 is -inf at roots[1], and the
-    # screen settles the cell at -inf.  "root-single-order": lo = hi = 5,
-    # -inf at roots[3] with no other order to compare, settled at -inf.
+    # are -inf, so the top order 5 loses there and the screen leaves the
+    # cell to the candidate step, where order 3 is its one candidate; it
+    # settles cell 1.  "root-before-window": every order 3..5 is -inf at
+    # roots[1], every bound too, and the screen settles the cell at -inf.
+    # "root-single-order": lo = hi = 5, -inf at roots[3] with no other
+    # order to compare, settled at -inf.
     # "root-order-loses": log C_2 = 100 puts order 2 above order 3 at
     # roots[3] and above order 5 off the roots, so no cell settles.
     # "nan-order" and "nan-top": log C_3 or log C_5 is NaN, so every
@@ -1384,7 +1408,9 @@ def test_product_tail_sup_screen_settles_only_where_the_top_order_wins(
     roots, divisors = SCREEN_ROOTS, None
     cells = np.array([roots[3], 0.1 + 0.1j])
     lo, hi, passes = 2, 5, []
-    if case == "root-before-window":
+    if case == "root-in-window":
+        passes = [1]
+    elif case == "root-before-window":
         cells[0], lo = roots[1], 3
     elif case == "root-single-order":
         lo = 5
@@ -1408,8 +1434,9 @@ def test_product_tail_sup_screen_settles_only_where_the_top_order_wins(
     got = construct._product_tail_sup(cells, roots, log_c, lo, hi, divisors)
     want = _table_sup_reference(cells, roots, log_c, lo, hi, divisors)
     assert got.tobytes() == want.tobytes()
+    left = cells[:1] if case == "root-in-window" else cells
     assert [c.tolist() for c in stepped] == (
-        [cells.tolist()] if passes else [])
+        [left.tolist()] if passes else [])
     assert [p.tolist() for p in candidates] == ([passes] if passes else [])
     if case in ("root-before-window", "root-single-order"):
         assert got[0] == -np.inf
@@ -1426,10 +1453,10 @@ def test_product_tail_sup_screen_takes_interleave_divisors(parity,
                                                            monkeypatch):
     # an interleaved child divides order m by 2m or 2m + 1: the screen
     # compares each order's bound with the top order's exponent under
-    # those divisors and settles most cells, every cell on one of the
-    # first hi roots among them (its top order is the root's own); the
-    # candidate step takes the few it leaves, in one call, each with one
-    # candidate order
+    # those divisors and settles most cells, every cell on a root k < lo
+    # among them (-inf in every order); the candidate step takes the few
+    # it leaves, the 8 cells on the window's roots k >= lo among them, in
+    # one call, each with one candidate order
     f, g = _product_series_on_cells()
     cells, roots = g.centers().ravel(), np.array(f.structure.points)
     lo, hi = 5, f.max_supported_n
@@ -1439,11 +1466,12 @@ def test_product_tail_sup_screen_takes_interleave_divisors(parity,
     got = construct._product_tail_sup(cells, roots, log_c, lo, hi, divisors)
     want = _table_sup_reference(cells, roots, log_c, lo, hi, divisors)
     assert got.tobytes() == want.tobytes()
-    on_roots = np.isin(cells, roots[:hi])
-    assert on_roots.sum() == 11
+    k = _first_roots(cells, roots[:hi])
+    assert ((k < lo).sum(), (k < hi).sum()) == (3, 11)
     assert len(calls) == len(passes) == 1
-    assert not np.isin(cells[on_roots], calls[0]).any()
-    assert 0 < calls[0].size < cells.size // 8
+    assert not np.isin(cells[k < lo], calls[0]).any()
+    assert np.isin(cells[(lo <= k) & (k < hi)], calls[0]).all()
+    assert 8 < calls[0].size < cells.size // 8
     assert (passes[0] == 1).all()
 
 
@@ -1463,9 +1491,10 @@ def _criterion_2_cells():
 
 def test_product_tail_sup_bounds_only_the_unsettled_cells(monkeypatch):
     # on the criterion-2 scene at N = 49 the screen settles each cell whose
-    # top order wins, the 49 cells on the top order's roots among them,
-    # and the few cells it leaves reach the candidate step together, in
-    # one call, each with one candidate order
+    # top order wins, and the 25 cells on the roots before the window,
+    # -inf in every order; the cells it leaves, the 24 on the window's
+    # roots and a few others, reach the candidate step together, in one
+    # call, each with one candidate order
     pts, cells = _criterion_2_cells()
     f = countable_set_series(pts)
     lo, hi = tail_window(49)
@@ -1478,10 +1507,10 @@ def test_product_tail_sup_bounds_only_the_unsettled_cells(monkeypatch):
                                 hi)
     assert got.tobytes() == want.tobytes()
     done = np.concatenate(settled)
-    assert done[:49].all()
-    assert [c.tolist() for c in calls] == (
-        [] if done.all() else [cells[~done].tolist()])
-    assert (~done).sum() < cells.size // 100
+    assert (lo, hi) == (25, 49)
+    assert done[:lo].all() and not done[lo:hi].any()
+    assert [c.tolist() for c in calls] == [cells[~done].tolist()]
+    assert (~done[hi:]).sum() < cells.size // 100
     assert all((p == 1).all() for p in passes)
 
 
