@@ -881,8 +881,9 @@ def _separating_families(
         degree_cap: int) -> tuple[tuple[complex, ...], list[SeparatingFamily]]:
     """A separating family for each (label, E, U, target, m) stage of a
     lockstep group, whose E all have the cells of the first one, K, with
-    K's convexity checked once and errors prefixed by the label, and the
-    sequence every member is a prefix of, up to the highest degree.
+    errors prefixed by the label, and the sequence every member is a
+    prefix of, up to the highest degree.  K must be its own polynomial
+    hull; the chain's producer checks that once per distinct K.
 
     A stage's family separates K from its target at level m: monic
     polynomials with greedy extremal roots on K are normalized so their
@@ -915,8 +916,6 @@ def _separating_families(
                 raise ValueError("m must be >= 1")
             if i == 0 and degree_cap < 1:
                 raise ValueError("degree_cap must be >= 1")
-            if i == 0 and not polynomial_hull(K).same_cells(K):
-                raise ValueError("K is not polynomially convex on the raster")
             if not K.subset_of(U):
                 raise ValueError("K must be contained in U")
             if not target.intersect(U).is_empty():
@@ -1247,6 +1246,8 @@ def compact_set_series(K: RegionMask, stages: int,
     """
     if stages < 1:
         raise ValueError("stages must be >= 1")
+    if not polynomial_hull(K).same_cells(K):
+        raise ValueError("K is not polynomially convex on the raster")
     dist_k = distance_to(K)
     abs_z = np.abs(K.grid.centers())
     # U_m is the closed 1/m-dilation of K, so the usable shell is the strict
@@ -1266,7 +1267,8 @@ def sigma_convex_series(decomp, omega: RegionMask,
 
     Stage k separates E_k from the k-th domain exhaustion piece minus the
     shrinking open cover U_k, at separation level k; the constant term is 1.
-    Every compact of the decomposition, and E_{n_max}, must lie in omega.
+    Every compact of the decomposition, and E_{n_max}, must lie in omega,
+    and each distinct E_k must be its own polynomial hull.
     """
     if omega.grid != decomp.grid:
         raise ValueError("omega does not live on the decomposition's grid")
@@ -1274,6 +1276,11 @@ def sigma_convex_series(decomp, omega: RegionMask,
                     (f"E_{decomp.n_max}", decomp.E_list[-1])]:
         if not K.subset_of(omega):
             raise ValueError(f"{name} is not contained in omega")
+    for k, E in enumerate(decomp.E_list, start=1):
+        first = k == 1 or not E.same_cells(decomp.E_list[k - 2])
+        if first and not polynomial_hull(E).same_cells(E):
+            raise ValueError(
+                f"stage {k}: K is not polynomially convex on the raster")
     exhaust = exhaustion(omega)
     chain = ((f"stage {k}: ", decomp.E_list[k - 1], decomp.U_list[k - 1],
               exhaust(k).difference(decomp.U_list[k - 1], kind=OPEN), k)

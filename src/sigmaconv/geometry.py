@@ -170,7 +170,7 @@ class RegionMask:
         return bool(np.array_equal(self.bits, other.bits))
 
     def count(self) -> int:
-        return int(self.bits.sum())
+        return int(np.count_nonzero(self.bits))
 
     def is_empty(self) -> bool:
         return not bool(self.bits.any())
@@ -194,7 +194,7 @@ def bounding_box(mask: RegionMask) -> tuple[int, int, int, int] | None:
     rows = np.flatnonzero(mask.bits.any(axis=1))
     if rows.size == 0:
         return None
-    cols = np.flatnonzero(mask.bits.any(axis=0))
+    cols = np.flatnonzero(mask.bits[rows[0]:rows[-1] + 1].any(axis=0))
     return int(rows[0]), int(rows[-1]), int(cols[0]), int(cols[-1])
 
 

@@ -383,6 +383,34 @@ def test_cli_broken_invariant_exits_2(tmp_path, capsys, monkeypatch, argv):
     assert not (out / "series.json").exists()
 
 
+FRAME_SCENE = """\
+grid 64x64
+box -2 -2 2 2
+budget nmax 17
+budget degree-cap 8
+part box -1 0.5 1 1
+part box 0.5 -1 1 1
+part box -1 -1 1 -0.5
+part box -1 -1 -0.5 1
+"""
+
+
+@pytest.mark.parametrize("argv", [["decompose"],
+                                  ["construct", "--pipeline", "sigma"]])
+def test_cli_stage_union_with_a_hole_is_bad_input(tmp_path, capsys, argv):
+    """Four overlapping bars make a frame.  Each bar is its own hull, but
+    at stage 17, where 1/n is under the 1/16 pixel, the bars' pieces touch
+    (a skipped stage) and E_17 encloses the frame's hole.  The series
+    builder's own-hull test refuses it: one 'error: ...' line, exit 1."""
+    scene = write_scene(tmp_path, FRAME_SCENE)
+    out = tmp_path / "out"
+    assert main([argv[0], str(scene), *argv[1:], "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == ("error: stage 17: K is not polynomially convex on the "
+                   "raster\n")
+    assert not (out / "series.json").exists()
+
+
 @pytest.mark.parametrize("domain,mode", [
     ("domain full\ndomain sub disk 1 0 0.1\n",
      "holomorphic (domain-restricted)"),

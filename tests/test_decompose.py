@@ -247,10 +247,13 @@ def test_rect_scenes_have_the_gaps_they_name():
 
 def test_stage_work_is_done_once_per_distinct_input(monkeypatch):
     """Hulls, transforms and Leja sequences run once per distinct piece, E_n
-    and E_k group, and equal pieces are one shared object."""
+    and E_k group, and equal pieces are one shared object.  The
+    decomposition hulls only the K_j and the pieces; the series builder
+    hulls each distinct E_n, once."""
     from sigmaconv import construct, decompose
-    calls = {"hull": [], "dist": [], "leja": []}
+    calls = {"hull": [], "E hull": [], "dist": [], "leja": []}
     spy_on(monkeypatch, decompose, "polynomial_hull", calls["hull"])
+    spy_on(monkeypatch, construct, "polynomial_hull", calls["E hull"])
     spy_on(monkeypatch, decompose, "distance_to", calls["dist"])
     spy_on(monkeypatch, construct, "_leja_steps", calls["leja"])
 
@@ -258,6 +261,12 @@ def test_stage_work_is_done_once_per_distinct_input(monkeypatch):
     n_max = 9
     dec = ascending_decomposition(K_list, n_max)
     assert len(calls["hull"]) == len(set(calls["hull"]))
+    assert set(calls["hull"]) == {
+        m.bits.tobytes() for m in [*K_list, *dec.L.values()]}
+    # stage 2 is verified, and its pieces K_1 and a ring of K_2 have a
+    # union that is no piece: that union is not hulled
+    assert dec.hull_identity[1] == VERIFIED
+    assert dec.L[(2, 2)].count() < K_list[1].count()
     distinct_E = {E.bits.tobytes() for E in dec.E_list}
     # K_3's box is 3 cells (3/8 > 1/3) from K_2's and farther from K_1's,
     # so only K_2 needs its prefix union K_1 transformed, and only K_2 its
@@ -272,6 +281,8 @@ def test_stage_work_is_done_once_per_distinct_input(monkeypatch):
 
     omega = full_domain(dec.grid)
     sigma_convex_series(dec, omega, degree_cap=16)
+    assert calls["E hull"] == list(dict.fromkeys(
+        E.bits.tobytes() for E in dec.E_list))
     groups = {}
     for k, E in enumerate(dec.E_list, start=1):
         target = omega_exhaustion(omega, k).difference(dec.U_list[k - 1])
