@@ -11,8 +11,8 @@ growth exponents over an order range, vectorized over point arrays, and
   >= k exactly;
 * block series of powered polynomials: f_l = h_l^l for a member list h_l of
   normalized root polynomials, grouped in stage blocks: the separating
-  families of a chain of stages, which a compact set's distance shells or
-  an ascending decomposition produce and one builder consumes;
+  families of a stage chain in lockstep groups, which a compact set's
+  shells or an ascending decomposition produce and one builder consumes;
 * parity interleave: F_2m = f_m, F_{2m+1} = g_m, whose convergence behavior
   is the intersection of the two inputs'.
 """
@@ -842,10 +842,6 @@ class SeparatingFamily:
     uncovered: RegionMask
 
 
-# one stage of a chain: (label, E, U, target, m)
-_Stage = tuple[str, RegionMask, RegionMask, RegionMask, int]
-
-
 def _sum_threshold(norm: float, level: float) -> float:
     """T, the least float s with fl(s - norm) >= level, for finite norm
     and level.  As rounding is monotone, fl(s - norm) >= level exactly
@@ -877,13 +873,14 @@ def _sum_threshold(norm: float, level: float) -> float:
 
 
 def _separating_families(
-        stages: Sequence[_Stage],
+        K: RegionMask, stages: Sequence[tuple[str, RegionMask, int]],
         degree_cap: int) -> tuple[tuple[complex, ...], list[SeparatingFamily]]:
-    """A separating family for each (label, E, U, target, m) stage of a
-    lockstep group, whose E all have the cells of the first one, K, with
-    errors prefixed by the label, and the sequence every member is a
-    prefix of, up to the highest degree.  K must be its own polynomial
-    hull; the chain's producer checks that once per distinct K.
+    """A separating family for each (label, target, m) stage of a lockstep
+    group over K, and the sequence every member is a prefix of, up to the
+    highest degree.  The chain's producer hands over only what holds: K
+    is its own polynomial hull, each target lies off a U that holds K, so
+    it misses K, each m >= 1 and degree_cap >= 1.  The one error left is
+    an empty K under a non-empty target, prefixed by the stage's label.
 
     A stage's family separates K from its target at level m: monic
     polynomials with greedy extremal roots on K are normalized so their
@@ -909,27 +906,13 @@ def _separating_families(
     still running at the end writes its need into its uncovered report
     at the row's cells.
     """
-    K = stages[0][1]
-    for i, (label, _, U, target, m) in enumerate(stages):
-        try:
-            if m < 1:
-                raise ValueError("m must be >= 1")
-            if i == 0 and degree_cap < 1:
-                raise ValueError("degree_cap must be >= 1")
-            if not K.subset_of(U):
-                raise ValueError("K must be contained in U")
-            if not target.intersect(U).is_empty():
-                raise ValueError("target must be disjoint from U")
-        except ValueError as exc:
-            raise ValueError(f"{label}{exc}") from exc
-
     grid = K.grid
     members: list[list[RootPolynomial]] = [[] for _ in stages]
     uncovered = [np.zeros((grid.height, grid.width), dtype=bool)
                  for _ in stages]
     sequence: tuple[complex, ...] = ()
     live: list[int] = []
-    for i, (label, _, _, target, m) in enumerate(stages):
+    for i, (label, target, m) in enumerate(stages):
         if target.is_empty():
             continue
         if K.is_empty():
@@ -950,8 +933,8 @@ def _separating_families(
     if live:
         # the running sum's rectangle bounds K and the running targets
         box = _rectangle(RegionMask(grid, np.logical_or.reduce(
-            [K.bits, *(stages[i][3].bits for i in live)]), OPEN))
-        need = {i: stages[i][3].bits[box].flatten() for i in live}
+            [K.bits, *(stages[i][1].bits for i in live)]), OPEN))
+        need = {i: stages[i][1].bits[box].flatten() for i in live}
         left = {i: np.count_nonzero(need[i]) for i in live}
         hit = np.empty(need[live[0]].size, dtype=bool)
         points: list[complex] = []
@@ -965,7 +948,7 @@ def _separating_families(
             member = None
             for i in live:
                 np.greater_equal(sums.total, _sum_threshold(
-                    norm, math.log(stages[i][4])), out=hit)
+                    norm, math.log(stages[i][2])), out=hit)
                 hit &= need[i]
                 reached = np.count_nonzero(hit)
                 if reached:
@@ -1213,15 +1196,17 @@ def block_series(members: Sequence[RootPolynomial],
         description, uncovered_counts)
 
 
-def _chain_series(chain: Iterable[_Stage], degree_cap: int,
+def _chain_series(groups: Iterable[tuple[RegionMask, list]], degree_cap: int,
                   f0_log_mag: float, description: str) -> CoefficientSeries:
-    """Block series of a chain of stages, one stage block per stage: the
-    families of each run of consecutive stages whose E have equal cells,
-    built in lockstep, with the run's sequence stored once if it has
-    members.  The chain is read one run at a time."""
+    """Block series of a stage chain as lockstep groups (K, stages), read
+    one at a time: one stage block per stage, and each group's sequence
+    stored once if it has members.  The producer groups and checks the
+    chain; only degree_cap is checked here, once."""
+    if degree_cap < 1:
+        raise ValueError("degree_cap must be >= 1")
     sequences, placement, log_scales, sizes, uncovered = [], [], [], [], []
-    for _, group in groupby(chain, key=lambda stage: stage[1].bits.tobytes()):
-        sequence, families = _separating_families(list(group), degree_cap)
+    for K, stages in groups:
+        sequence, families = _separating_families(K, stages, degree_cap)
         s = len(sequences)
         if sequence:
             sequences.append(sequence)
@@ -1242,7 +1227,8 @@ def compact_set_series(K: RegionMask, stages: int,
 
     Stage m = 1..stages separates K from the shell of cells at distance
     > 1/m from K with |z| <= m; coefficients are the powered members
-    h_l^l in stage block order, and the constant term is 0.
+    h_l^l in stage block order, and the constant term is 0.  Every stage
+    separates the same K: one lockstep group.
     """
     if stages < 1:
         raise ValueError("stages must be >= 1")
@@ -1250,13 +1236,12 @@ def compact_set_series(K: RegionMask, stages: int,
         raise ValueError("K is not polynomially convex on the raster")
     dist_k = distance_to(K)
     abs_z = np.abs(K.grid.centers())
-    # U_m is the closed 1/m-dilation of K, so the usable shell is the strict
-    # excess; every stage separates the same K, hence one lockstep group
-    chain = (("", K, RegionMask(K.grid, dist_k <= 1.0 / m, OPEN),
-              RegionMask(K.grid, (dist_k > 1.0 / m) & (abs_z <= m), OPEN), m)
-             for m in range(1, stages + 1))
+    # each shell is the strict excess over K's closed 1/m-dilation U_m,
+    # which holds K's cells at distance 0: K lies in U_m, the shell off it
+    shells = [("", RegionMask(K.grid, (dist_k > 1.0 / m) & (abs_z <= m),
+                              OPEN), m) for m in range(1, stages + 1)]
     return _chain_series(
-        chain, degree_cap, -math.inf,
+        [(K, shells)], degree_cap, -math.inf,
         description=f"compact-set series, {stages} stages on {K.count()} cells")
 
 
@@ -1267,8 +1252,12 @@ def sigma_convex_series(decomp, omega: RegionMask,
 
     Stage k separates E_k from the k-th domain exhaustion piece minus the
     shrinking open cover U_k, at separation level k; the constant term is 1.
-    Every compact of the decomposition, and E_{n_max}, must lie in omega,
-    and each distinct E_k must be its own polynomial hull.
+    Every compact of the decomposition, and E_{n_max}, must lie in omega.
+    Each run of consecutive stages whose E_k have equal cells (by bits, so
+    a decomposition rebuilt from exported masks groups as the original)
+    is one lockstep group.  Before any family, each run's E must be its
+    own hull, tested once, and lie in each U_k, which a caller-built
+    decomposition can miss; the targets miss U_k by construction.
     """
     if omega.grid != decomp.grid:
         raise ValueError("omega does not live on the decomposition's grid")
@@ -1276,14 +1265,21 @@ def sigma_convex_series(decomp, omega: RegionMask,
                     (f"E_{decomp.n_max}", decomp.E_list[-1])]:
         if not K.subset_of(omega):
             raise ValueError(f"{name} is not contained in omega")
-    for k, E in enumerate(decomp.E_list, start=1):
-        first = k == 1 or not E.same_cells(decomp.E_list[k - 2])
-        if first and not polynomial_hull(E).same_cells(E):
+    runs = [list(ks) for _, ks in groupby(
+        range(1, decomp.n_max + 1),
+        key=lambda k: decomp.E_list[k - 1].bits.tobytes())]
+    for ks in runs:
+        E = decomp.E_list[ks[0] - 1]
+        if not polynomial_hull(E).same_cells(E):
             raise ValueError(
-                f"stage {k}: K is not polynomially convex on the raster")
+                f"stage {ks[0]}: K is not polynomially convex on the raster")
+        for k in ks:
+            if not E.subset_of(decomp.U_list[k - 1]):
+                raise ValueError(f"stage {k}: K must be contained in U")
     exhaust = exhaustion(omega)
-    chain = ((f"stage {k}: ", decomp.E_list[k - 1], decomp.U_list[k - 1],
-              exhaust(k).difference(decomp.U_list[k - 1], kind=OPEN), k)
-             for k in range(1, decomp.n_max + 1))
-    return _chain_series(chain, degree_cap, 0.0,
+    groups = ((decomp.E_list[ks[0] - 1],
+               [(f"stage {k}: ",
+                 exhaust(k).difference(decomp.U_list[k - 1], kind=OPEN), k)
+                for k in ks]) for ks in runs)
+    return _chain_series(groups, degree_cap, 0.0,
                          description=f"sigma-convex series, {decomp.n_max} stages")

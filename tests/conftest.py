@@ -126,9 +126,9 @@ def cell_center(grid, i, j):
     return grid.origin + grid.pixel * complex(i + 0.5, j + 0.5)
 
 
-def separating_family(K, U, target, m, degree_cap):
-    """The separating family of one stage (K, U, target, m) built alone."""
-    return _separating_families([("", K, U, target, m)], degree_cap)[1][0]
+def separating_family(K, target, m, degree_cap):
+    """The separating family of one stage (K, target, m) built alone."""
+    return _separating_families(K, [("", target, m)], degree_cap)[1][0]
 
 
 def verify_family(family, K, target, m) -> bool:

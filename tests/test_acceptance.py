@@ -158,7 +158,7 @@ def test_criterion_4_unit_disk_families_and_map():
         U = neighborhood(K, 1.0 / m)
         shell = RegionMask(g, (dist_k > 1.0 / m) & (abs_z <= m) & ~U.bits,
                            OPEN)
-        fam = separating_family(K, U, shell, m, 64)
+        fam = separating_family(K, shell, m, 64)
         fam_ok = (fam_ok and verify_family(fam, K, shell, m)
                   and fam.uncovered.is_empty())
     series = compact_set_series(K, stages=8, degree_cap=64)

@@ -475,14 +475,13 @@ def build_disk_ring(m=4, cap=16):
     g = Grid.from_box(-3.0, -3.0, 3.0, 3.0, 128, 128)
     K = polynomial_hull(rasterize_scene([(1, shapes.Disk(0.0, 0.0, 1.0))], g,
                                         kind=COMPACT))
-    U = neighborhood(K, 0.25)
     ring = rasterize_scene([(1, shapes.Annulus(0.0, 0.0, 1.9, 2.1))], g,
                            kind=COMPACT)
-    return g, K, U, ring, separating_family(K, U, ring, m=m, degree_cap=cap)
+    return g, K, ring, separating_family(K, ring, m=m, degree_cap=cap)
 
 
 def test_family_disk_to_ring():
-    g, K, U, ring, fam = build_disk_ring()
+    g, K, ring, fam = build_disk_ring()
     assert [p.degree for p in fam.members] == [3, 4]
     assert fam.uncovered.is_empty()
     assert verify_family(fam, K, ring, 4)
@@ -491,7 +490,7 @@ def test_family_disk_to_ring():
 def test_family_verify_rejects_a_broken_family():
     # verify evaluates both bounds afresh, so it sees a member above 1 on K
     # and an uncovered mask that disagrees with what the members reach
-    g, K, U, ring, fam = build_disk_ring()
+    g, K, ring, fam = build_disk_ring()
     first, *rest = fam.members
     raised = RootPolynomial(first.roots, first.log_scale + 0.01)
     assert not verify_family(dataclasses.replace(
@@ -505,7 +504,7 @@ def test_family_verify_rejects_a_broken_family():
 
 
 def test_family_bounds_are_cell_exact():
-    g, K, U, ring, fam = build_disk_ring()
+    g, K, ring, fam = build_disk_ring()
     zk = K.cell_centers()
     zt = ring.cell_centers()
     log_m = math.log(4)
@@ -521,7 +520,7 @@ def test_family_single_cell_degenerate_rule():
     a = cell_center(g, *g.index_of(0.03 + 0.03j))
     K = rasterize_scene([(1, shapes.Points((a,)))], g, kind=COMPACT)
     T = rasterize_scene([(1, shapes.Points((a + 1.0,)))], g, kind=COMPACT)
-    fam = separating_family(K, neighborhood(K, 0.1), T, m=10, degree_cap=8)
+    fam = separating_family(K, T, m=10, degree_cap=8)
     assert len(fam.members) == 1
     p = fam.members[0]
     assert p.roots == (a,) and single_cell_member(fam, K)
@@ -536,10 +535,9 @@ def test_family_two_disks_cover_surrounding_ring():
     K = polynomial_hull(
         rasterize_scene([(1, shapes.Disk(-1.0, 0.0, 0.4)),
                          (1, shapes.Disk(1.0, 0.0, 0.4))], g, kind=COMPACT))
-    U = neighborhood(K, 0.3)
     ring = rasterize_scene([(1, shapes.Annulus(0.0, 0.0, 3.0, 3.4))], g,
                            kind=COMPACT)
-    fam = separating_family(K, U, ring, m=2, degree_cap=64)
+    fam = separating_family(K, ring, m=2, degree_cap=64)
     assert fam.uncovered.is_empty()
     assert sum(p.degree for p in fam.members) <= 64
     assert verify_family(fam, K, ring, 2)
@@ -550,25 +548,9 @@ def test_family_empty_target():
     K = polynomial_hull(rasterize_scene([(1, shapes.Disk(0.0, 0.0, 0.5))], g,
                                         kind=COMPACT))
     from sigmaconv import empty_mask
-    fam = separating_family(K, neighborhood(K, 0.2), empty_mask(g), m=3,
-                            degree_cap=8)
+    fam = separating_family(K, empty_mask(g), m=3, degree_cap=8)
     assert fam.members == []
     assert verify_family(fam, K, empty_mask(g), 3)
-
-
-def test_family_preconditions():
-    g = Grid.from_box(-2.0, -2.0, 2.0, 2.0, 64, 64)
-    ann = rasterize_scene([(1, shapes.Annulus(0.0, 0.0, 0.5, 0.9))], g,
-                          kind=COMPACT)
-    disk = polynomial_hull(ann)
-    ring = rasterize_scene([(1, shapes.Annulus(0.0, 0.0, 1.5, 1.8))], g,
-                           kind=COMPACT)
-    with pytest.raises(ValueError, match="contained"):
-        separating_family(disk, rasterize_scene(
-            [(1, shapes.Disk(1.0, 1.0, 0.2))], g, kind=COMPACT), ring, 2, 8)
-    with pytest.raises(ValueError, match="disjoint"):
-        separating_family(disk, neighborhood(disk, 0.2),
-                          neighborhood(disk, 0.1), 2, 8)
 
 
 def assert_same_family(got, alone):
@@ -595,18 +577,19 @@ def assert_members_on_sequence(sequence, group):
             assert p.roots == sequence[:p.degree]
 
 
-def chain(K, stages):
-    """The (label, E, U, target, m) stages of (label, U, target, m) stages
-    over one E = K."""
-    return [(label, K, U, target, m) for label, U, target, m in stages]
+def off_k(K, stages):
+    """The (label, target, m) stages of a group over K, each target off K
+    as a producer's target lies off a U that holds K."""
+    assert not any(target.bits[K.bits].any() for _, target, _ in stages)
+    return stages
 
 
 def lockstep_matches_one_by_one(K, stages, cap):
-    sequence, group = _separating_families(chain(K, stages), cap)
+    sequence, group = _separating_families(K, off_k(K, stages), cap)
     assert len(group) == len(stages)
     assert_members_on_sequence(sequence, group)
-    for got, (_, U, target, m) in zip(group, stages):
-        assert_same_family(got, separating_family(K, U, target, m, cap))
+    for got, (_, target, m) in zip(group, stages):
+        assert_same_family(got, separating_family(K, target, m, cap))
     return group
 
 
@@ -614,7 +597,6 @@ def test_lockstep_families_equal_their_stages_alone():
     g = Grid.from_box(-3.0, -3.0, 3.0, 3.0, 64, 64)
     K = polynomial_hull(rasterize_scene([(1, shapes.Disk(0.0, 0.0, 1.0))], g,
                                         kind=COMPACT))
-    U = neighborhood(K, 0.25)
 
     def region(*shape_list):
         return rasterize_scene([(1, s) for s in shape_list], g, kind=COMPACT)
@@ -622,10 +604,10 @@ def test_lockstep_families_equal_their_stages_alone():
     ring = region(shapes.Annulus(0.0, 0.0, 1.9, 2.1))
     # targets that are not nested: a ring, a disk partly inside it and a
     # disk on the far side, plus an empty target in the middle of the group
-    stages = [("a: ", U, ring, 2),
-              ("b: ", U, region(shapes.Disk(2.0, 0.0, 0.5)), 40),
-              ("c: ", U, empty_mask(g), 3),
-              ("d: ", U, region(shapes.Disk(-2.2, 1.0, 0.4)), 7)]
+    stages = [("a: ", ring, 2),
+              ("b: ", region(shapes.Disk(2.0, 0.0, 0.5)), 40),
+              ("c: ", empty_mask(g), 3),
+              ("d: ", region(shapes.Disk(-2.2, 1.0, 0.4)), 7)]
     group = lockstep_matches_one_by_one(K, stages, 24)
     degrees = [max((p.degree for p in f.members), default=0) for f in group]
     # stage a covers its ring early and stops while b runs on
@@ -637,12 +619,11 @@ def test_lockstep_families_on_a_single_cell_K():
     g = Grid.from_box(-2.0, -2.0, 2.0, 2.0, 64, 64)
     a = cell_center(g, *g.index_of(0.03 + 0.03j))
     K = rasterize_scene([(1, shapes.Points((a,)))], g, kind=COMPACT)
-    U = neighborhood(K, 0.1)
     far = rasterize_scene([(1, shapes.Disk(1.0, 0.5, 0.3))], g, kind=COMPACT)
     near = rasterize_scene([(1, shapes.Disk(-0.6, 0.0, 0.2))], g,
                            kind=COMPACT)
     group = lockstep_matches_one_by_one(
-        K, [("", U, far, 3), ("", U, empty_mask(g), 4), ("", U, near, 10)], 8)
+        K, [("", far, 3), ("", empty_mask(g), 4), ("", near, 10)], 8)
     assert single_cell_member(group[0], K) and single_cell_member(group[2], K)
 
 
@@ -709,11 +690,11 @@ def matches_reference(K, stages, cap, compacts=None):
     its row must be that; returns the group."""
     reads = []
     with row_reads(lambda name, row, _: reads.append((name, row.cells))):
-        sequence, group = _separating_families(chain(K, stages), cap)
+        sequence, group = _separating_families(K, off_k(K, stages), cap)
     assert len(group) == len(stages)
     assert_members_on_sequence(sequence, group)
     tried, needs = 0, []
-    for got, (_, _, target, m) in zip(group, stages):
+    for got, (_, target, m) in zip(group, stages):
         reference, degrees = reference_family(K, target, m, cap)
         assert_same_family(got, reference)
         tried = max(tried, degrees)
@@ -726,7 +707,7 @@ def matches_reference(K, stages, cap, compacts=None):
     kind = "direct" if _offset_logs(K.grid) is None else "gather"
     assert all(name == kind for name, _ in reads)
     row = grid_cells(K.grid, rectangle(np.logical_or.reduce(
-        [K.bits, *(target.bits for _, _, target, _ in stages)])))
+        [K.bits, *(target.bits for _, target, _ in stages)])))
     boxed = 0
     while boxed < len(reads) and np.array_equal(reads[boxed][1], row):
         boxed += 1
@@ -747,8 +728,7 @@ def shell_stages(K, ms):
     """compact_set_series' stages: the cells farther than 1/m from K with
     |z| <= m, at level m."""
     dist, abs_z = distance_to(K), np.abs(K.grid.centers())
-    return [("", RegionMask(K.grid, dist <= 1.0 / m, OPEN),
-             RegionMask(K.grid, (dist > 1.0 / m) & (abs_z <= m), OPEN), m)
+    return [("", RegionMask(K.grid, (dist > 1.0 / m) & (abs_z <= m), OPEN), m)
             for m in ms]
 
 
@@ -770,7 +750,7 @@ def test_families_match_reference_when_stages_run_to_the_cap(n):
     group = matches_reference(K, stages, 8)
     # the last stages stop at the cap with part of their target unreached,
     # so their uncovered cells come from the box's still-needed cells
-    for family, (_, _, target, _) in zip(group[1:], stages[1:]):
+    for family, (_, target, _) in zip(group[1:], stages[1:]):
         assert 0 < family.uncovered.count() < target.count()
 
 
@@ -780,11 +760,10 @@ def test_families_match_reference_when_leja_saturates(n):
     K = rasterize_scene([(1, shapes.Points((-0.5 + 0j, 0.5 + 0j, 0.5j)))], g,
                         kind=COMPACT)
     assert K.count() == 3 and len(leja_points(K, 16)) < 16  # saturated
-    U = neighborhood(K, 0.2)
     far = rasterize_scene([(1, shapes.Disk(1.4, 1.4, 0.3))], g, kind=COMPACT)
     ring = rasterize_scene([(1, shapes.Annulus(0.0, 0.0, 1.2, 1.5))], g,
                            kind=COMPACT)
-    group = matches_reference(K, [("", U, far, 2), ("", U, ring, 50)], 16)
+    group = matches_reference(K, [("", far, 2), ("", ring, 50)], 16)
     # degree 3 makes every K cell a root, so no member has degree 3 or more
     assert all(p.degree < 3 for f in group for p in f.members)
     assert not group[1].uncovered.is_empty()
@@ -795,24 +774,21 @@ def test_families_match_reference_on_empty_targets_and_one_cell_K(n):
     g = Grid.from_box(-2.0, -2.0, 2.0, 2.0, n, n)
     K = polynomial_hull(rasterize_scene([(1, shapes.Disk(0.0, 0.0, 0.6))],
                                         g, kind=COMPACT))
-    U = neighborhood(K, 0.2)
     ring = rasterize_scene([(1, shapes.Annulus(0.0, 0.0, 1.2, 1.6))], g,
                            kind=COMPACT)
     group = matches_reference(
-        K, [("", U, ring, 2), ("", U, empty_mask(g), 3), ("", U, ring, 5)],
-        16)
+        K, [("", ring, 2), ("", empty_mask(g), 3), ("", ring, 5)], 16)
     assert group[1].members == [] and group[1].uncovered.is_empty()
     a = cell_center(g, *g.index_of(0.03 + 0.03j))
     point = rasterize_scene([(1, shapes.Points((a,)))], g, kind=COMPACT)
     group = matches_reference(
-        point, [("", neighborhood(point, 0.1), ring, 4),
-                ("", neighborhood(point, 0.1), empty_mask(g), 4)], 8)
+        point, [("", ring, 4), ("", empty_mask(g), 4)], 8)
     assert single_cell_member(group[0], point)
 
 
 @functools.lru_cache(maxsize=None)
 def lockstep_scene(n):
-    """K, U and targets around K on the n x n grid of box -2..2: a ring,
+    """K and targets off K's U on the n x n grid of box -2..2: a ring,
     a thinner ring and a half ring nested in it, a disk disjoint from
     both, a far ring, and a scatter of single cells over the grid."""
     g = Grid.from_box(-2.0, -2.0, 2.0, 2.0, n, n)
@@ -834,7 +810,7 @@ def lockstep_scene(n):
                target(region(shapes.Disk(-1.5, 1.5, 0.35))),
                target(region(shapes.Annulus(0.0, 0.0, 1.75, 1.9))),
                target(scatter & (distance_to(K) > 0.6))]
-    return K, U, targets
+    return K, targets
 
 
 @pytest.mark.parametrize("n", ROW_GRIDS)
@@ -844,14 +820,14 @@ def test_lockstep_groups_match_reference_families(n, data):
     """Stages with identical, nested or disjoint targets, equal or
     different levels, and caps low enough to stop them early or high
     enough to cover them, against reference_family each."""
-    K, U, targets = lockstep_scene(n)
+    K, targets = lockstep_scene(n)
     assert (_offset_logs(K.grid) is None) is (n == 48)
     picks = data.draw(st.lists(st.tuples(
         st.integers(0, len(targets) - 1),
         st.sampled_from([2, 3, 3, 5, 12, 60])), min_size=1, max_size=4))
     cap = data.draw(st.sampled_from([2, 5, 12, 32]))
     group = matches_reference(
-        K, [("", U, targets[t], m) for t, m in picks], cap)
+        K, [("", targets[t], m) for t, m in picks], cap)
     event("a stage stops at the cap" if any(
         not f.uncovered.is_empty() for f in group) else "all covered")
 
@@ -861,10 +837,10 @@ def test_lockstep_group_covers_a_disk_and_stops_at_the_cap(n):
     """One group of the kind drawn above, with both: two stages on the
     same disk that cover it and leave the loop, while the scatter, over
     the same box, stays partly unreached at the cap."""
-    K, U, targets = lockstep_scene(n)
+    K, targets = lockstep_scene(n)
     group = matches_reference(
-        K, [("", U, targets[3], 3), ("", U, targets[3], 3),
-            ("", U, targets[5], 60)], 5)
+        K, [("", targets[3], 3), ("", targets[3], 3), ("", targets[5], 60)],
+        5)
     assert [f.uncovered.is_empty() for f in group] == [True, True, False]
 
 
@@ -891,7 +867,7 @@ def test_family_reaches_a_cell_whose_root_sum_equals_the_threshold():
     assert _sum_threshold(norm, math.log(1)) == norm
     reached = row[np.flatnonzero(bits)](r)
     assert reached.tolist() == [norm]
-    group = matches_reference(K, [("", U, target, 1)], 4)
+    group = matches_reference(K, [("", target, 1)], 4)
     assert [p.degree for p in group[0].members] == [1]
     assert group[0].uncovered.is_empty()
 
@@ -923,13 +899,11 @@ def compacting_case(n, case):
                                kind=COMPACT)
         far = rasterize_scene([(1, shapes.Disk(1.4, 1.4, 0.15))], g,
                               kind=COMPACT)
-        return K, [("", U, disk.difference(U, kind=OPEN), 2),
-                   ("", U, far, 1000)], 16
+        return K, [("", disk.difference(U, kind=OPEN), 2), ("", far, 1000)], 16
     K = polynomial_hull(rasterize_scene([(1, shapes.Disk(0.3, 0.0, 0.5))],
                                         g, kind=COMPACT))
-    U = neighborhood(K, 0.2)
     shell = RegionMask(g, distance_to(K) > 0.2, OPEN)
-    return K, [("", U, shell, 1), ("", U, shell, 4)], 32
+    return K, [("", shell, 1), ("", shell, 4)], 32
 
 
 @pytest.mark.parametrize("n", ROW_GRIDS)
@@ -949,9 +923,9 @@ def test_family_rows_read_under_half_the_fixed_box():
     K, stages = two_disks_and_points(64)
     read = []
     with row_reads(lambda _, __, out: read.append(out.size)):
-        _separating_families(chain(K, stages), 64)
+        _separating_families(K, stages, 64)
     rows, cols = rectangle(np.logical_or.reduce(
-        [K.bits, *(target.bits for _, _, target, _ in stages)]))
+        [K.bits, *(target.bits for _, target, _ in stages)]))
     box = (rows.stop - rows.start) * (cols.stop - cols.start)
     assert len(read) > 1 and read[0] == box
     assert sum(read) < 0.5 * box * len(read)
@@ -983,22 +957,12 @@ def test_sum_threshold_is_the_least_sum_that_reaches_the_level(norm, level,
         assert (s >= t) is (s - norm >= level)
 
 
-def test_lockstep_families_name_the_failing_stage():
-    g, K, U, ring, _ = build_disk_ring()
-    bad_U = neighborhood(K, 0.25).intersect(
-        rasterize_scene([(1, shapes.Disk(0.0, 0.0, 0.5))], g, kind=COMPACT),
-        kind=OPEN)
-    with pytest.raises(ValueError, match="^stage 5: K must be contained"):
-        _separating_families([("stage 4: ", K, U, ring, 4),
-                              ("stage 5: ", K, bad_U, ring, 5)], 16)
-
-
 def test_lockstep_families_name_the_stage_with_an_empty_K():
-    g, _, U, ring, _ = build_disk_ring()
-    with pytest.raises(ValueError, match="^stage 4: "):
-        _separating_families(chain(empty_mask(g), [
-            ("stage 3: ", U, empty_mask(g), 3), ("stage 4: ", U, ring, 4),
-            ("stage 5: ", U, ring, 5)]), 16)
+    g, _, ring, _ = build_disk_ring()
+    with pytest.raises(ValueError, match="^stage 4: K is empty but the"):
+        _separating_families(empty_mask(g), [
+            ("stage 3: ", empty_mask(g), 3), ("stage 4: ", ring, 4),
+            ("stage 5: ", ring, 5)], 16)
 
 
 # ------------------------------------------------------------ block series

@@ -14,7 +14,7 @@ from sigmaconv import (COMPACT, DOMAIN, OPEN, Decomposition, Grid,
                        omega_exhaustion, polynomial_hull, rasterize_scene,
                        set_distance, shapes, sierpinski_mask,
                        sigma_convex_series, slice_holomorphically_convex,
-                       u_neighborhood_trap)
+                       save_series, u_neighborhood_trap)
 
 SKIPPED = "skipped"
 VERIFIED = "verified"
@@ -249,13 +249,20 @@ def test_stage_work_is_done_once_per_distinct_input(monkeypatch):
     """Hulls, transforms and Leja sequences run once per distinct piece, E_n
     and E_k group, and equal pieces are one shared object.  The
     decomposition hulls only the K_j and the pieces; the series builder
-    hulls each distinct E_n, once."""
+    hulls each distinct E_n, once, and builds the families of each run of
+    stages with equal E_k in one call, over that run's E."""
     from sigmaconv import construct, decompose
-    calls = {"hull": [], "E hull": [], "dist": [], "leja": []}
+    calls = {"hull": [], "E hull": [], "dist": [], "leja": [], "groups": []}
     spy_on(monkeypatch, decompose, "polynomial_hull", calls["hull"])
     spy_on(monkeypatch, construct, "polynomial_hull", calls["E hull"])
     spy_on(monkeypatch, decompose, "distance_to", calls["dist"])
     spy_on(monkeypatch, construct, "_leja_steps", calls["leja"])
+    build = construct._separating_families
+
+    def families(K, stages, degree_cap):
+        calls["groups"].append((K, [m for _, _, m in stages]))
+        return build(K, stages, degree_cap)
+    monkeypatch.setattr(construct, "_separating_families", families)
 
     K_list = _stage_scene("nested")
     n_max = 9
@@ -291,6 +298,35 @@ def test_stage_work_is_done_once_per_distinct_input(monkeypatch):
             E.count() > 1 and not target.is_empty())
     assert len(distinct_E) < n_max
     assert len(calls["leja"]) == sum(groups.values()) > 0
+    starts = [k for k in range(1, n_max + 1) if k == 1
+              or not dec.E_list[k - 1].same_cells(dec.E_list[k - 2])]
+    assert [ks for _, ks in calls["groups"]] == [
+        list(range(a, b)) for a, b in zip(starts, [*starts[1:], n_max + 1])]
+    assert all(K is dec.E_list[ks[0] - 1] for K, ks in calls["groups"])
+
+
+def test_stages_group_by_cells_not_by_mask_objects(tmp_path):
+    """A decomposition rebuilt from copies of its E and U masks, each a
+    distinct object as a reload of exported stage files gives, with no
+    pieces, groups its stages as the original does and saves its bytes."""
+    K_list = _stage_scene("nested")
+    dec = ascending_decomposition(K_list, 9)
+    copies = Decomposition(
+        dec.grid, [], dec.n_max, {},
+        [RegionMask(E.grid, E.bits.copy(), E.kind) for E in dec.E_list],
+        [RegionMask(U.grid, U.bits.copy(), U.kind) for U in dec.U_list],
+        dec.hull_identity)
+    assert len(set(map(id, copies.E_list))) == dec.n_max
+    assert len(set(map(id, dec.E_list))) < dec.n_max
+    omega = full_domain(dec.grid)
+    for name, decomp in (("original", dec), ("copies", copies)):
+        series = sigma_convex_series(decomp, omega, degree_cap=16)
+        save_series(series, tmp_path / f"{name}.json")
+    # some run of equal E_k shares one sequence over several stages
+    assert len(series.structure.sequences) < sum(
+        1 for size in series.structure.block_sizes if size)
+    assert (tmp_path / "copies.json").read_bytes() == \
+        (tmp_path / "original.json").read_bytes()
 
 
 @st.composite
@@ -578,10 +614,34 @@ def test_triangle_mask_requires_covering_grid():
 
 
 def test_sigma_series_wraps_stage_errors():
+    """A degree cap below 1 is refused once for the whole chain, with no
+    stage named, by both producers."""
     g = Grid.from_box(-2.0, -2.0, 2.0, 2.0, 32, 32)
-    dec = ascending_decomposition([disk(g, 0.0, 0.0, 0.5)], 3)
-    with pytest.raises(ValueError, match="stage 1: degree_cap"):
+    K = disk(g, 0.0, 0.0, 0.5)
+    dec = ascending_decomposition([K], 3)
+    with pytest.raises(ValueError, match="^degree_cap must be >= 1$"):
         sigma_convex_series(dec, full_domain(g), degree_cap=0)
+    with pytest.raises(ValueError, match="^degree_cap must be >= 1$"):
+        compact_set_series(K, stages=3, degree_cap=0)
+
+
+def test_sigma_series_refuses_a_U_that_misses_a_cell_of_E():
+    """A caller-built decomposition whose U_k misses a cell of E_k is
+    refused before any family is built, naming the first such stage;
+    the run of equal E_k around it is no excuse."""
+    g = Grid.from_box(-2.0, -2.0, 2.0, 2.0, 32, 32)
+    dec = ascending_decomposition([disk(g, 0.0, 0.0, 0.5)], 5)
+    assert all(E is dec.E_list[0] for E in dec.E_list)
+    cell = tuple(np.argwhere(dec.E_list[0].bits)[0])
+    U_list = list(dec.U_list)
+    for k in (3, 5):
+        bits = dec.U_list[k - 1].bits.copy()
+        bits[cell] = False
+        U_list[k - 1] = RegionMask(g, bits, OPEN)
+    broken = Decomposition(g, dec.K_list, dec.n_max, dec.L, dec.E_list,
+                           U_list, dec.hull_identity)
+    with pytest.raises(ValueError, match="^stage 3: K must be contained in U$"):
+        sigma_convex_series(broken, full_domain(g), degree_cap=8)
 
 
 def test_sigma_series_refuses_compacts_outside_omega():
