@@ -11,13 +11,14 @@ import numpy as np
 import pytest
 from hypothesis import event, example, given, settings, strategies as st
 
-from sigmaconv import (COMPACT, OPEN, Grid, RegionMask,
-                       RootPolynomial, Verdict, block_series,
-                       compact_set_series, conv_map, countable_set_series,
+from sigmaconv import (COMPACT, OPEN, Decomposition, Grid, RegionMask,
+                       RootPolynomial, Verdict, ascending_decomposition,
+                       block_series, compact_set_series, conv_map,
+                       countable_set_series,
                        distance_to, empty_mask, full_domain, gamma_table,
                        interleave, leja_points,
                        neighborhood, polynomial_hull, rasterize_scene,
-                       set_distance, shapes)
+                       set_distance, shapes, sigma_convex_series)
 from sigmaconv.construct import (SeparatingFamily, _leja_steps,
                                  _offset_logs, _RootLogRow,
                                  _separating_families, _sum_threshold,
@@ -553,6 +554,16 @@ def test_family_empty_target():
     assert verify_family(fam, K, empty_mask(g), 3)
 
 
+def test_family_preconditions():
+    # the producers hand over a hull-fixed K and targets off a U that holds
+    # it; the family build refuses only an empty K under a non-empty target
+    g, _, ring, _ = build_disk_ring()
+    with pytest.raises(ValueError, match="^K is empty but the target is not$"):
+        separating_family(empty_mask(g), ring, 2, 8)
+    fam = separating_family(empty_mask(g), empty_mask(g), 2, 8)
+    assert fam.members == [] and fam.uncovered.is_empty()
+
+
 def assert_same_family(got, alone):
     assert [p.roots for p in got.members] == [p.roots for p in alone.members]
     assert [p.log_scale for p in got.members] == \
@@ -955,6 +966,28 @@ def test_sum_threshold_is_the_least_sum_that_reaches_the_level(norm, level,
     for s in (t, math.nextafter(t, -math.inf), math.nextafter(t, math.inf),
               -math.inf, math.inf, math.nan, level + norm):
         assert (s >= t) is (s - norm >= level)
+
+
+def test_lockstep_families_name_the_failing_stage():
+    """A caller-built decomposition whose U_k misses a cell of E_k is
+    refused before any family is built, naming the first such stage;
+    the run of equal E_k around it, one lockstep group, is no excuse."""
+    g = Grid.from_box(-2.0, -2.0, 2.0, 2.0, 32, 32)
+    K = polynomial_hull(rasterize_scene([(1, shapes.Disk(0.0, 0.0, 0.5))], g,
+                                        kind=COMPACT))
+    dec = ascending_decomposition([K], 5)
+    assert all(E is dec.E_list[0] for E in dec.E_list)
+    cell = tuple(np.argwhere(dec.E_list[0].bits)[0])
+    U_list = list(dec.U_list)
+    for k in (3, 5):
+        bits = dec.U_list[k - 1].bits.copy()
+        bits[cell] = False
+        U_list[k - 1] = RegionMask(g, bits, OPEN)
+    broken = Decomposition(g, dec.K_list, dec.n_max, dec.L, dec.E_list,
+                           U_list, dec.hull_identity)
+    with pytest.raises(ValueError,
+                       match="^stage 3: K must be contained in U$"):
+        sigma_convex_series(broken, full_domain(g), degree_cap=8)
 
 
 def test_lockstep_families_name_the_stage_with_an_empty_K():

@@ -625,25 +625,6 @@ def test_sigma_series_wraps_stage_errors():
         compact_set_series(K, stages=3, degree_cap=0)
 
 
-def test_sigma_series_refuses_a_U_that_misses_a_cell_of_E():
-    """A caller-built decomposition whose U_k misses a cell of E_k is
-    refused before any family is built, naming the first such stage;
-    the run of equal E_k around it is no excuse."""
-    g = Grid.from_box(-2.0, -2.0, 2.0, 2.0, 32, 32)
-    dec = ascending_decomposition([disk(g, 0.0, 0.0, 0.5)], 5)
-    assert all(E is dec.E_list[0] for E in dec.E_list)
-    cell = tuple(np.argwhere(dec.E_list[0].bits)[0])
-    U_list = list(dec.U_list)
-    for k in (3, 5):
-        bits = dec.U_list[k - 1].bits.copy()
-        bits[cell] = False
-        U_list[k - 1] = RegionMask(g, bits, OPEN)
-    broken = Decomposition(g, dec.K_list, dec.n_max, dec.L, dec.E_list,
-                           U_list, dec.hull_identity)
-    with pytest.raises(ValueError, match="^stage 3: K must be contained in U$"):
-        sigma_convex_series(broken, full_domain(g), degree_cap=8)
-
-
 def test_sigma_series_refuses_compacts_outside_omega():
     """The convergence set lies in omega: a compact that leaves it is
     refused, and so is a decomposition that keeps only its stage masks, as
