@@ -33,20 +33,19 @@ from .geometry import (OPEN, Grid, RegionMask, bounding_box, distance_to,
 from .series import CoefficientSeries
 
 # budget for one chunk of the working memory of an evaluator: the cell
-# chunks of both tail sups (_screen_chunks, by _chunk_cells), each (root
-# or order x cell) array of _candidate_sup, each (member x cell) block of
-# _fold_group, and each row block of gamma_table's gaps
+# chunks of both tail sups (_screen_chunks), each (root or order x cell)
+# array of _candidate_sup, each (member x cell) block of _fold_group, and
+# each row block of gamma_table's gaps
 TABLE_BYTES = 1 << 20
 
-# the working rows kept per cell, in bytes, where every root reads the
-# offset table: BlockStructure.tail_sup's top, floor, root sum, root log,
-# x and y; _top_screen keeps three of them, its running sum, bound and
-# bound max, as it adds each table root from a view
-_TABLE_CELL_BYTES = 48
-
-# the same where some root is read directly, which also allocates the
-# complex difference, and the row's index and centres
-_CELL_BYTES = 88
+# the working rows kept per cell of a screen chunk, in bytes, where the
+# roots read the offset table: BlockStructure.tail_sup's top, floor, root
+# sum, root log, x and y; _top_screen keeps three of them, its running
+# sum, bound and bound max.  A root read directly also allocates the
+# complex difference, and the row's index and centres, about 88 bytes a
+# cell: its chunks of TABLE_BYTES // 48 = 21,845 cells hold at most about
+# 1.8 MiB of working rows
+_CELL_BYTES = 48
 
 _UNIT_ROUNDOFF = 2.0 ** -53
 
@@ -105,8 +104,8 @@ class _RootLogRow:
     A root is a complex, or the flat index of a grid cell, which stands
     for that cell's centre; row.locate(roots) names each root that is
     exactly a cell centre of the row's grid by that index.  Each root
-    takes one of three reads, all of the same complex values through the
-    same abs and log, so their bits agree:
+    takes one of three reads, row(root, out), all of the same complex
+    values through the same abs and log, so their bits agree:
     * a complex root, or any root off an _offset_logs table, takes
       row.direct, _log_abs(z - r);
     * a cell root of an index row on a table takes row.gather, a take
@@ -114,22 +113,21 @@ class _RootLogRow:
       them one take by 2D keys, their (root x cell) rows;
     * a cell root of a rectangle row on a table also takes row.gather, a
       view of the table's rectangle of the cells' offsets from the root,
-      in the rectangle's shape, or its copy into ``out``; the other reads
-      are flat.
-    row.reads(roots, out) reads roots in turn into out, but gives a
-    rectangle row's cell roots on a table as gather's views, uncopied.
-    row.block(roots, out) fills the (root x cell) array out, in one
-    gather where every root is a cell root of an index row on a table.
-    row.log_bound(root, logs) bounds the magnitude of a read's finite
-    entries, for the product series' margins.
+      in the rectangle's shape, uncopied: ``out`` is unused there.
+    Every other read is flat, and is written into ``out`` where one is
+    given, so a caller adds a read into a running sum viewed in its shape.
+    row.block(roots, out) fills the (root x cell) array out of a flat
+    row, in one gather where every root is a cell root of an index row on
+    a table.  row.log_bound(root, logs) bounds the magnitude of a read's
+    finite entries, for the product series' margins.
 
     Its users: the running sum of _leja_steps (_LejaSum), over the
     rectangle of K and the stage targets and then over the index row of
     the cells still in play; the product series' tail sup, whose screen
-    (_top_bounds) takes row.reads, and whose candidate step
-    (_order_bounds) takes row.block;
-    and BlockStructure.tail_sup, directly or as an interleave's child.
-    conv_map and level_set hand those their grid.
+    (_top_bounds) reads root by root, and whose candidate step
+    (_order_bounds) takes row.block; and BlockStructure.tail_sup,
+    directly or as an interleave's child.  conv_map and level_set hand
+    those their grid.
     """
 
     def __init__(self, z: Grid | np.ndarray):
@@ -205,19 +203,15 @@ class _RootLogRow:
     def gather(self, root: int | np.ndarray,
                out: np.ndarray | None = None) -> np.ndarray:
         """The row from the table, for the root at a flat cell index: on a
-        rectangle row, a view in its shape, or its copy into ``out``.  On
-        an index row, an array of roots gives their (root x cell) rows in
-        one take."""
+        rectangle row, a view in its shape, which ignores ``out``.  On an
+        index row, an array of roots gives their (root x cell) rows in one
+        take."""
         w, h = self.grid.width, self.grid.height  # start = mid - key(root)
         if len(self.shape) == 2:  # from the offset of its first cell
             table, j, i = self._origin
             rj, ri = divmod(root, w)
-            view = table[j - rj:j - rj + self.shape[0],
+            return table[j - rj:j - rj + self.shape[0],
                          i - ri:i - ri + self.shape[1]]
-            if out is None:
-                return view
-            np.copyto(out.reshape(self.shape), view)
-            return out
         start = (h - 1) * (2 * w - 1) + w - 1 - root - root // w * (w - 1)
         # the keys are in range by construction; "clip" skips the checked
         # copy that "raise" makes into out
@@ -236,22 +230,12 @@ class _RootLogRow:
         return (self.table.reshape(2 * h - 1, 2 * w - 1),
                 j + h - 1, i + w - 1)
 
-    def reads(self, roots: Sequence, out: np.ndarray) -> Iterator[np.ndarray]:
-        """self(root, out) for each root in turn, all into out, but for a
-        cell root of a rectangle row on a table: gather's view of the
-        table, uncopied, in the rectangle's shape."""
-        view = self.table is not None and len(self.shape) == 2
-        for r in roots:
-            yield (self.gather(r) if view and not isinstance(r, complex)
-                   else self(r, out))
-
     def block(self, roots: Sequence, out: np.ndarray) -> np.ndarray:
         """out[k] = self(roots[k]) for each k, into the (root x cell)
-        array out: one gather, a take by 2D keys, where the row is an
-        index row on a table and every root a cell root; else root by
-        root."""
-        if (self.table is None or len(self.shape) == 2
-                or any(isinstance(r, complex) for r in roots)):
+        array out, for a flat row: an index row or points.  One gather, a
+        take by 2D keys, where the row is on a table and every root a cell
+        root; else root by root."""
+        if self.table is None or any(isinstance(r, complex) for r in roots):
             for r, logs in zip(roots, out):
                 self(r, logs)
             return out
@@ -343,8 +327,8 @@ def _product_tail_sup(z: Grid | np.ndarray | complex, roots: np.ndarray,
     _RootLogRow, and divided by its divisor.  Two steps take the cells in
     turn, the second only the cells the first leaves, in chunks of at
     least one cell:
-    * the screen (_top_screen), in _screen_chunks' chunks of _chunk_cells
-      cells, one pass over the roots each, settles most of them;
+    * the screen (_top_screen), in _screen_chunks' chunks, one pass over
+      the roots each, settles most of them;
     * the candidate step (_candidate_sup), in chunks of
       TABLE_BYTES // (8 (hi + 1)) cells, folds each cell's candidates, the
       orders that its bounds leave in reach of the sup.
@@ -475,7 +459,7 @@ def _product_tail_sup(z: Grid | np.ndarray | complex, roots: np.ndarray,
     located = row.locate(roots[:hi])
     sup = np.empty(row.size)
     settled = np.empty(row.size, dtype=bool)
-    for at, cells in _screen_chunks(row, _chunk_cells(row, located)):
+    for at, cells in _screen_chunks(row):
         sup[at], settled[at] = _top_screen(cells, located, log_c, lo, hi,
                                            divisors)
     rest = np.flatnonzero(~settled)
@@ -485,23 +469,14 @@ def _product_tail_sup(z: Grid | np.ndarray | complex, roots: np.ndarray,
     return sup.reshape(row.shape)
 
 
-def _chunk_cells(row: _RootLogRow, roots: Sequence) -> int:
-    """The cells per chunk of a screen over ``row`` that reads ``roots``,
-    as located on it: TABLE_BYTES // _TABLE_CELL_BYTES where every root
-    reads the row's offset table, else TABLE_BYTES // _CELL_BYTES, and at
-    least one."""
-    direct = row.table is None or any(isinstance(r, complex) for r in roots)
-    return max(1, TABLE_BYTES // (_CELL_BYTES if direct
-                                  else _TABLE_CELL_BYTES))
-
-
-def _screen_chunks(row: _RootLogRow, step: int
-                   ) -> Iterator[tuple[slice, _RootLogRow]]:
-    """The row in consecutive chunks of at most ``step`` cells, each with
-    its flat slice, for both structures' tail sups.  A grid's row goes in
-    rectangle rows of whole grid rows, or of part of one where a grid row
-    holds more than ``step`` cells: each reads a table root as one strided
-    copy of the table's rectangle, where a flat chunk takes a key's."""
+def _screen_chunks(row: _RootLogRow) -> Iterator[tuple[slice, _RootLogRow]]:
+    """The row in consecutive chunks of at most TABLE_BYTES // _CELL_BYTES
+    cells, and at least one, each with its flat slice, for both
+    structures' tail sups.  A grid's row goes in rectangle rows of whole
+    grid rows, or of part of one where a grid row holds more than that:
+    each reads a table root as a view of the table's rectangle, where a
+    flat chunk takes a key's."""
+    step = max(1, TABLE_BYTES // _CELL_BYTES)
     if row.grid is None:
         for start in range(0, row.size, step):
             yield slice(start, start + step), row[start:start + step]
@@ -539,10 +514,10 @@ def _top_bounds(cells: _RootLogRow, roots: list, top: np.ndarray,
                 ) -> Iterator[tuple[int, np.ndarray]]:
     """(n, UB'_n) for each order n = lo..hi-1 in turn, over a row of
     cells: top, which starts at log C_hi, takes the root terms t_0, ...,
-    t_{n-1} in sequence, each read once (_RootLogRow.reads), and
-    UB'_n = fl(fl(top + s_n) r_n) (see _product_tail_sup).  After the
-    last root, top holds E_hi.  UB'_n is written into one buffer, which
-    the next order overwrites."""
+    t_{n-1} in sequence, each read once, cells(r, term), and added in the
+    read's shape, and UB'_n = fl(fl(top + s_n) r_n) (see
+    _product_tail_sup).  After the last root, top holds E_hi.  UB'_n is
+    written into one buffer, which the next order overwrites."""
     shaped, term = top.reshape(cells.shape), np.empty(cells.size)
     bound = np.empty(cells.size)
     log_cs, size = log_c.tolist(), 0.0
@@ -553,9 +528,8 @@ def _top_bounds(cells: _RootLogRow, roots: list, top: np.ndarray,
         scales = 1.0 / divisors
         scales = np.where((scales > 2.0 ** -1022) & (scales < np.inf),
                           scales, np.nan).tolist()
-    roots = roots[:hi]
-    for n, (r, logs) in enumerate(zip(roots, cells.reads(roots, term)),
-                                  start=1):
+    for n, r in enumerate(roots[:hi], start=1):
+        logs = cells(r, term)
         shaped += logs.reshape(shaped.shape)
         size += cells.log_bound(r, logs)
         if n < lo or n == hi:
@@ -1057,11 +1031,11 @@ class BlockStructure:
 
         The window's members fall into groups of one (sequence, degree,
         log_scale): the stages of a lockstep group share each degree's
-        member.  The cells go in _screen_chunks' chunks of _chunk_cells
-        cells, however many groups there are, in two passes.  In each,
-        each sequence with a member in the window sums its root logs (a
-        _RootLogRow's) from zero, adding the roots in order, and each
-        group in turn takes x = fl(sum + log_scale), with
+        member.  The cells go in _screen_chunks' chunks, however many
+        groups there are, in two passes.  In each, each sequence with a
+        member in the window sums its root logs (a _RootLogRow's reads,
+        each added in the row's shape) from zero, adding the roots in
+        order, and each group in turn takes x = fl(sum + log_scale), with
         log_scale folded in last as RootPolynomial.log_abs does.  Member
         ell of the group, with divisor d, has the exponent
         v = fl(fl(ell x) / d), bit-identical to evaluating it alone.  Pass
@@ -1137,15 +1111,15 @@ class BlockStructure:
             term, x = np.empty(cells.size), np.empty(cells.size)
             for roots, folds in runs:
                 total, done = np.zeros(cells.size), 0
+                shaped = total.reshape(cells.shape)  # a view
                 for g, d, scale in folds:
                     for r in roots[done:d]:
-                        total += cells(r, out=term)
+                        shaped += cells(r, term).reshape(cells.shape)
                     done = d
                     yield g, np.add(total, scale, out=x)
 
         with np.errstate(over="ignore", invalid="ignore"):
-            for at, cells in _screen_chunks(row, _chunk_cells(
-                    row, [r for roots, _ in runs for r in roots])):
+            for at, cells in _screen_chunks(row):
                 top = np.full(cells.size, -np.inf)
                 for g, x in logs(cells):
                     np.maximum(top, r_hi[g] * x, out=top)

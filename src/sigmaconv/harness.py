@@ -32,7 +32,7 @@ from .construct import (compact_set_series, countable_set_series,
                         sigma_convex_series)
 from .decompose import Decomposition, ascending_decomposition
 from .geometry import (COMPACT, DOMAIN, Grid, RegionMask, distance_to,
-                       empty_mask, omega_exhaustion)
+                       empty_mask, full_domain, omega_exhaustion)
 from .series import (DEFAULT_M, DEFAULT_N, CoefficientSeries, ConvergenceMap,
                      Verdict, conv_map, default_b)
 from .shapes import ResolutionWarning, rasterize_scene
@@ -327,18 +327,17 @@ def map_vs_mask_agreement(cmap: ConvergenceMap, target: RegionMask,
 
     converge_on_target: converge verdicts among target cells;
     diverge_off_target: diverge verdicts among cells farther than ``band``
-    from the target (restricted to the domain, and to its m-th exhaustion
-    piece when ``exhaustion_m`` is given); undetermined: over all cells.
-    A vacuous region yields fraction 1.0.
+    from the target (restricted to the domain, the whole grid by default,
+    and to its m-th exhaustion piece when ``exhaustion_m`` is given);
+    undetermined: over all cells.  A vacuous region yields fraction 1.0.
     """
     verdicts = cmap.verdicts
     on = target.bits
     if domain is None:
-        off = np.ones(verdicts.shape, dtype=bool)
-    elif exhaustion_m is None:
-        off = domain.bits.copy()
-    else:
-        off = omega_exhaustion(domain, exhaustion_m).bits.copy()
+        domain = full_domain(cmap.grid)
+    if exhaustion_m is not None:
+        domain = omega_exhaustion(domain, exhaustion_m)
+    off = domain.bits
     if target.is_empty():
         off_far = off
     else:

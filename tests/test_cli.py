@@ -14,7 +14,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sigmaconv import (COMPACT, DEFAULT_M, DEFAULT_N, ConvergenceMap, Grid,
+from sigmaconv import (COMPACT, DEFAULT_M, DEFAULT_N, ConvergenceMap,
+                       EmptyPrimitiveWarning, Grid,
                        RegionMask, ResolutionWarning, RootPolynomial,
                        Verdict, block_series,
                        countable_set_series, default_b, interleave,
@@ -307,6 +308,28 @@ def test_agreement_is_vacuously_full_on_empty_regions():
     assert out["converge_on_target"] == 1.0
 
 
+def test_agreement_takes_the_exhaustion_without_a_domain():
+    # without a domain the exhaustion piece of m is the whole grid's: a
+    # compact series for a disk off the target, scored with m = 1, reads
+    # what it reads with full_domain(grid), not what it reads without m
+    from sigmaconv import compact_set_series, conv_map, full_domain
+    from sigmaconv import polynomial_hull, rasterize_scene
+    g = Grid.from_box(-2.0, -2.0, 2.0, 2.0, 32, 32)
+    K = polynomial_hull(rasterize_scene([(1, shapes.Disk(1.3, 0.0, 0.4))], g,
+                                        kind=COMPACT))
+    f = compact_set_series(K, 4, 16)
+    cmap = conv_map(f, g, f.max_supported_n, 0.0, 1.0)
+    target = rasterize_scene([(1, shapes.Disk(-0.5, 0.0, 0.3))], g,
+                             kind=COMPACT)
+    band = 2 * g.pixel
+    out = map_vs_mask_agreement(cmap, target, band, exhaustion_m=1)
+    assert out == map_vs_mask_agreement(cmap, target, band, full_domain(g),
+                                        exhaustion_m=1)
+    assert out["diverge_off_target"] == pytest.approx(0.9359, abs=1e-4)
+    assert map_vs_mask_agreement(cmap, target, band)[
+        "diverge_off_target"] == pytest.approx(0.9434, abs=1e-4)
+
+
 def test_verify_reports_structure():
     s = parse_scene(VERIFY_SCENE)
     f = construct_compact(s)
@@ -380,6 +403,22 @@ def test_cli_broken_invariant_exits_2(tmp_path, capsys, monkeypatch, argv):
     assert main([argv[0], str(scene), *argv[1:], "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err == "verification failure: stage 3: union-of-hulls differs\n"
+    assert not (out / "series.json").exists()
+
+
+def test_cli_sigma_scene_with_an_empty_first_part_exits_1(tmp_path, capsys):
+    """A first part off the grid rasterizes to no cell, with a warning, and
+    leaves stage 1 a target but an empty E_1: one 'error: ...' line, exit
+    1."""
+    scene = write_scene(tmp_path, "grid 32x32\nbox -2 -2 2 2\n"
+                                  "part disk 5 5 0.3\npart disk 0.5 0 0.6\n")
+    out = tmp_path / "out"
+    with pytest.warns(EmptyPrimitiveWarning):
+        code = main(["construct", str(scene), "--pipeline", "sigma",
+                     "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "error: stage 1: K is empty but the target is not\n")
     assert not (out / "series.json").exists()
 
 

@@ -220,6 +220,13 @@ def test_leja_rejects_empty_set():
         leja_points(empty_mask(g), 1)
 
 
+def test_leja_rejects_a_count_below_one():
+    g = Grid.from_box(-1.0, -1.0, 1.0, 1.0, 16, 16)
+    disk = rasterize_scene([(1, shapes.Disk(0.0, 0.0, 0.5))], g, kind=COMPACT)
+    with pytest.raises(ValueError, match="^count must be >= 1$"):
+        leja_points(disk, 0)
+
+
 THREE_POINTS = shapes.Points((-0.5 + 0j, 0.5 + 0j, 0.5j))
 
 # a grid whose root logs are gathered from the offset table (64) and one
@@ -439,9 +446,11 @@ def test_root_log_row_is_bit_identical_to_the_direct_row(x0, y0, pixel, w,
         row = row[keep]
         cells = cells[keep]
         assert np.array_equal(row.cells, cells)
-    # the rectangle row reads in its shape, or into a flat ``out``; a
-    # rectangle that is a run of consecutive cells views the grid row's
-    # cells.  Each part of it is the index row over the same cells
+    # the rectangle row reads in its shape: a cell root on a table as a
+    # view of the table, whatever ``out`` is, and any other read into a
+    # flat ``out``; a rectangle that is a run of consecutive cells views
+    # the grid row's cells.  Each part of it is the index row over the
+    # same cells
     box = rectangle_of(h, w, rect)
     full = _RootLogRow(g)
     block = full[box]
@@ -457,8 +466,13 @@ def test_root_log_row_is_bit_identical_to_the_direct_row(x0, y0, pixel, w,
         assert same_bits(np.reshape(block(complex(centres[root])),
                                     block.shape), want)
         out = np.empty(block.size)
-        assert block(root, out=out) is out
-        assert same_bits(out.reshape(block.shape), want)
+        got = block(root, out=out)
+        if _offset_logs(g) is None:
+            assert got is out
+        else:
+            assert np.shares_memory(got, _offset_logs(g))
+            assert not np.shares_memory(got, out)
+        assert same_bits(got.reshape(block.shape), want)
     for _ in range(2):
         keep = rng.random(cells.size) < 0.5
         part, index = block[keep], _RootLogRow(g)[cells[keep]]

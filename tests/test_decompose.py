@@ -557,6 +557,21 @@ def test_slice_preconditions():
         slice_holomorphically_convex(K, full_domain(g), 4)
 
 
+
+def test_slice_refuses_more_holes_than_declared():
+    """A box with 19 x 19 one-cell holes, in the plane minus those holes,
+    is holomorphically convex there, but has more holes than
+    MAX_COMPONENTS."""
+    g = Grid.from_box(-2.0, -2.0, 2.0, 2.0, 64, 64)
+    holes = np.zeros((64, 64), dtype=bool)
+    holes[3:60:3, 3:60:3] = True
+    box = np.zeros((64, 64), dtype=bool)
+    box[2:61, 2:61] = True
+    K = RegionMask(g, box & ~holes, COMPACT)
+    with pytest.raises(ValueError, match="^complement has 361 bounded "
+                       "components, more than the declared maximum 256$"):
+        slice_holomorphically_convex(K, RegionMask(g, ~holes, DOMAIN), 4)
+
 # ------------------------------------------------------------ hole escape
 
 
@@ -623,6 +638,34 @@ def test_sigma_series_wraps_stage_errors():
         sigma_convex_series(dec, full_domain(g), degree_cap=0)
     with pytest.raises(ValueError, match="^degree_cap must be >= 1$"):
         compact_set_series(K, stages=3, degree_cap=0)
+
+
+def test_an_empty_first_compact_leaves_the_first_stage_empty():
+    """An empty K_1 changes no cell at stage 1, so E_1 and U_1 are empty;
+    from stage 2 on every E_n and U_n is that of the second compact
+    alone."""
+    g = Grid.from_box(-2.0, -2.0, 2.0, 2.0, 32, 32)
+    K = disk(g, 0.5, 0.0, 0.6)
+    dec = ascending_decomposition([empty_mask(g), K], 4)
+    alone = ascending_decomposition([K], 4)
+    assert dec.E_list[0].is_empty() and dec.U_list[0].is_empty()
+    for n in range(2, 5):
+        assert dec.E_list[n - 1].same_cells(alone.E_list[n - 1])
+        assert dec.U_list[n - 1].same_cells(alone.U_list[n - 1])
+
+
+def test_producers_refuse_no_stages_and_a_foreign_omega():
+    """compact_set_series needs a stage; sigma_convex_series needs omega
+    on the decomposition's grid."""
+    g = Grid.from_box(-2.0, -2.0, 2.0, 2.0, 32, 32)
+    K = disk(g, 0.0, 0.0, 0.5)
+    with pytest.raises(ValueError, match="^stages must be >= 1$"):
+        compact_set_series(K, stages=0, degree_cap=8)
+    other = Grid.from_box(-2.0, -2.0, 2.0, 2.0, 16, 16)
+    with pytest.raises(ValueError, match="^omega does not live on the "
+                       "decomposition's grid$"):
+        sigma_convex_series(ascending_decomposition([K], 2),
+                            full_domain(other), degree_cap=8)
 
 
 def test_sigma_series_refuses_compacts_outside_omega():

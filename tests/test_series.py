@@ -185,6 +185,12 @@ def test_level_set_empty_when_coefficients_large():
     assert E.is_empty()
 
 
+def test_level_set_index_starts_at_one():
+    g = Grid.from_box(-4.0, -4.0, 4.0, 4.0, 16, 16)
+    with pytest.raises(ValueError, match="^level index j must be >= 1$"):
+        level_set(power_series(), 0, 16, full_domain(g))
+
+
 def test_level_sets_ascend():
     g = Grid.from_box(-4.0, -4.0, 4.0, 4.0, 64, 64)
     f = power_series()
@@ -371,7 +377,7 @@ def test_block_tail_sup_keeps_its_shape_and_scalar_points():
 def test_block_tail_sup_is_bit_identical_across_cell_chunks(build,
                                                             monkeypatch):
     # an 800-byte budget takes the 2304 + roots points in chunks of
-    # 800 // _CELL_BYTES = 9 cells, the last one partial, and folds a
+    # 800 // _CELL_BYTES = 16 cells, the last one partial, and folds a
     # group's members at most 100 // cells at a time
     f = build()
     zs = _points_on_and_off_roots(f)
@@ -540,8 +546,7 @@ def test_block_tail_sup_reads_each_window_root_twice_per_chunk(monkeypatch):
         sequences, placement, rng.uniform(-2.0, 2.0, 64).tolist(), [64],
         0.0, "three sequences")
     monkeypatch.setattr(construct, "TABLE_BYTES", construct._CELL_BYTES * 24)
-    chunks = len(list(construct._screen_chunks(construct._RootLogRow(grid),
-                                               24)))
+    chunks = len(list(construct._screen_chunks(construct._RootLogRow(grid))))
     assert chunks == 8
     for lo, hi in (tail_window(64), tail_window(32)):
         window = np.array(placement[lo - 1:hi])
@@ -867,8 +872,7 @@ def test_product_tail_sup_on_grid_rows_is_bit_identical_to_the_table(
     # reads every root directly.  Chunks go down to one cell, where a cell
     # on a root holds the row's one -inf, and divisors include the
     # interleave's 2m and 2m + 1.  The screen's chunks take the grid's
-    # cells in order, within the budget: 48 bytes a cell where every root
-    # of the window reads the offset table, else 88
+    # cells in order, within the budget of _CELL_BYTES a cell
     g = SCREEN_GRIDS[kind]
     row = construct._RootLogRow(g)
     assert (row.table is not None) is (kind == "dyadic")
@@ -896,11 +900,7 @@ def test_product_tail_sup_on_grid_rows_is_bit_identical_to_the_table(
                                 divisors)
     assert got.shape == (g.height, g.width)
     assert got.tobytes() == want.reshape(got.shape).tobytes()
-    every = row.table is not None and not any(
-        isinstance(r, complex) for r in row.locate(roots[:hi]))
-    per_cell = construct._TABLE_CELL_BYTES if every else construct._CELL_BYTES
-    assert max(c.size for c in screened) <= (
-        construct._CELL_BYTES * chunk // per_cell)
+    assert max(c.size for c in screened) <= chunk
     assert np.concatenate(screened).tolist() == list(range(row.size))
 
 
@@ -1117,8 +1117,10 @@ def test_product_tail_sup_screen_bounds_hold_at_every_cell_and_order(
     elif parity == "huge":
         divisors[0] = 2.0 ** 1023  # a subnormal reciprocal
     row = construct._RootLogRow(g.centers() if kind == "points" else g)
-    chunks = list(construct._screen_chunks(
-        row, data.draw(st.integers(1, row.size), label="step")))
+    step = data.draw(st.integers(1, row.size), label="step")
+    with mock.patch.object(construct, "TABLE_BYTES",
+                           construct._CELL_BYTES * step):
+        chunks = list(construct._screen_chunks(row))
     _, chunk = chunks[data.draw(st.integers(0, len(chunks) - 1),
                                 label="chunk")]
     want = _order_table_reference(chunk.points, roots, log_c, lo, hi,
@@ -1207,18 +1209,17 @@ def test_product_tail_sup_first_roots_on_a_grid_match_the_points(kind):
         assert sups[0].tobytes() == want.reshape(sups[0].shape).tobytes()
 
 
-@pytest.mark.parametrize("kind", ["rectangle", "index", "points"])
+@pytest.mark.parametrize("kind", ["index", "points"])
 def test_product_tail_sup_block_reads_equal_per_root_reads(kind):
-    # _RootLogRow.block fills its (root x cell) array with the bits of
-    # reading each root alone, for roots on the offset table's lattice
-    # mixed with complex ones off it and outside the box, which every row
-    # reads root by root, and for the lattice roots alone, which an index
-    # row takes in one gather, a take by 2D keys
+    # _RootLogRow.block, which the candidate step hands flat rows, fills
+    # its (root x cell) array with the bits of reading each root alone,
+    # for roots on the offset table's lattice mixed with complex ones off
+    # it and outside the box, which every row reads root by root, and for
+    # the lattice roots alone, which an index row takes in one gather, a
+    # take by 2D keys
     g = SCREEN_GRIDS["dyadic"]
     row = construct._RootLogRow(g.centers() if kind == "points" else g)
-    if kind == "rectangle":
-        row = row[2:6, 3:11]
-    elif kind == "index":
+    if kind == "index":
         row = row[np.array([0, 5, 17, 40, 41, 127])]
     roots = row.locate(_grid_points(g, 5, 6, 4))
     cell = [r for r in roots if not isinstance(r, complex)]
@@ -1268,13 +1269,12 @@ CHUNK_GRIDS = {"dyadic": Grid.from_box(-1.0, -1.0, 1.0, 1.0, 128, 128),
 @pytest.mark.parametrize("series", ["countable", "blocks"])
 def test_product_tail_sup_and_block_screens_chunk_by_read_kind(
         series, kind, monkeypatch):
-    # both screens count 48 bytes a cell where every root reads the offset
-    # table, and 88 where some root is read directly.  At the default
-    # budget the dyadic grid, whose cell roots all read its table, goes in
-    # one chunk; the non-dyadic grid, whose cell roots are read directly,
-    # in chunks of 11,915 // 128 = 93 grid rows, and its centres as points
-    # in chunks of 11,915.  Each sup equals, bit for bit, the one of a
-    # budget that makes every chunk one grid row of 128 cells
+    # both screens take TABLE_BYTES // _CELL_BYTES cells a chunk, 48 bytes
+    # a cell, whatever the read kind: at the default budget of 21,845
+    # cells the dyadic grid, whose cell roots all read its table, the
+    # non-dyadic grid, whose cell roots are read directly, and its centres
+    # as points each go in one chunk.  Each sup equals, bit for bit, the
+    # one of a budget that makes every chunk one grid row of 128 cells
     g = CHUNK_GRIDS["dyadic" if kind == "points" else kind]
     centres = g.centers().ravel()
     roots = tuple(centres[np.random.default_rng(7).choice(centres.size, 12,
@@ -1289,24 +1289,19 @@ def test_product_tail_sup_and_block_screens_chunk_by_read_kind(
     lo, hi = tail_window(f.max_supported_n)
     sizes, chunks = [], construct._screen_chunks
 
-    def spy(row, step):
-        for at, cells in chunks(row, step):
+    def spy(row):
+        for at, cells in chunks(row):
             sizes.append(cells.size)
             yield at, cells
 
     monkeypatch.setattr(construct, "_screen_chunks", spy)
     got = f.structure.tail_sup(z, lo, hi)
-    per_cell = (construct._TABLE_CELL_BYTES if kind == "dyadic"
-                else construct._CELL_BYTES)
-    step = construct.TABLE_BYTES // per_cell
-    if kind == "dyadic":
-        assert sizes == [g.width * g.height]
-    else:
-        assert step == 11915
-        first = step if kind == "points" else step // g.width * g.width
-        assert sizes == [first, g.width * g.height - first]
+    assert construct._CELL_BYTES == 48
+    assert construct.TABLE_BYTES // construct._CELL_BYTES == 21845
+    assert sizes == [g.width * g.height]
     sizes.clear()
-    monkeypatch.setattr(construct, "TABLE_BYTES", per_cell * g.width)
+    monkeypatch.setattr(construct, "TABLE_BYTES",
+                        construct._CELL_BYTES * g.width)
     one_row = f.structure.tail_sup(z, lo, hi)
     assert sizes == [g.width] * g.height
     assert got.tobytes() == one_row.tobytes()
